@@ -6,7 +6,7 @@
 
 use crate::covering::{cover_uv_polygon, Covering, CoveringParams};
 use crate::lookup::{LookupTable, LookupTableBuilder};
-use crate::refs::MAX_POLYGON_ID;
+use crate::refs::{RefSet, MAX_POLYGON_ID};
 use crate::snapshot::SnapshotError;
 use crate::supercover::{build_super_covering, build_super_covering_sharded, SuperCovering};
 use crate::trie::{Act, Probe};
@@ -14,6 +14,8 @@ use crate::trie::{Act, Probe};
 use crate::uvpoly::{MultiFaceError, UvPolygon};
 use geom::{Coord, Polygon};
 use s2cell::{CellId, LatLng};
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Build-phase metrics (the paper's Table I rows).
@@ -68,10 +70,10 @@ pub struct ActIndex {
     /// Superset of the polygon ids the trie can reference (stale entries
     /// from tombstoned removals may linger until a compaction — that
     /// only costs a wasted scan, never a wrong answer). `None` until the
-    /// first mutation (or [`ActIndex::prime_mutations`]) pays the one
-    /// arena scan to build it; maintained incrementally afterwards so
-    /// upserts of unseen ids skip the full-arena remove pass. Transient:
-    /// not persisted in snapshots.
+    /// first mutation builds it — read off the cell inventory's keys, or
+    /// by one flat arena scan when a removal needs it first; maintained
+    /// incrementally afterwards so upserts of unseen ids skip the
+    /// full-arena remove pass. Transient: not persisted in snapshots.
     live_ids: Option<std::collections::BTreeSet<u32>>,
     /// Per-id cell inventory: id → the cells whose territories may still
     /// reference it, recorded as inserts land. Removal walks exactly
@@ -80,9 +82,12 @@ pub struct ActIndex {
     /// later overwrote linger until a compaction rebuilds the inventory
     /// exact) — a stale entry only costs a no-op descent, never a wrong
     /// answer. `None` until the first mutation (or
-    /// [`ActIndex::prime_mutations`]) pays one tree walk to build it.
-    /// Transient: not persisted in snapshots.
-    cell_inventory: Option<std::collections::HashMap<u32, Vec<CellId>>>,
+    /// [`ActIndex::prime_mutations`]) pays two read-only tree walks to
+    /// build it. Each id's list is exact-sized and shared with clones of
+    /// this index: a mutation replaces only the lists of the ids it
+    /// touches (copy-on-write per id), so cloning a primed index copies
+    /// the id map, not the cells. Transient: not persisted in snapshots.
+    cell_inventory: Option<Inventory>,
     /// Bumped by every structural mutation; a paused [`CompactState`]
     /// snapshots it so interleaved mutations invalidate the partial
     /// rebuild instead of silently losing their edits.
@@ -112,10 +117,75 @@ impl Clone for ActIndex {
     }
 }
 
+/// Per-id cell inventory (see `ActIndex::cell_inventory`).
+type Inventory = HashMap<u32, Arc<[CellId]>>;
+
+/// Builds an exact inventory from a replayable stream of live
+/// `(cell, refs)` pairs: `each` runs the stream through its visitor
+/// twice — once to count every id's cells, once to fill lists allocated
+/// at exactly that size — so no cell list is ever materialized whole
+/// and no per-id list carries growth slack.
+fn build_inventory(each: impl Fn(&mut dyn FnMut(CellId, &RefSet))) -> Inventory {
+    let mut ids = IdSlots::default();
+    let mut counts: Vec<usize> = Vec::new();
+    each(&mut |_, refs| {
+        for r in refs.iter() {
+            let slot = ids.slot(r.id);
+            if slot == counts.len() {
+                counts.push(0);
+            }
+            counts[slot] += 1;
+        }
+    });
+    let mut lists: Vec<Vec<CellId>> = counts.into_iter().map(Vec::with_capacity).collect();
+    each(&mut |cell, refs| {
+        for r in refs.iter() {
+            lists[ids.slot(r.id)].push(cell);
+        }
+    });
+    ids.slots
+        .into_iter()
+        .map(|(id, slot)| (id, Arc::from(std::mem::take(&mut lists[slot]))))
+        .collect()
+}
+
+/// Dense slots `0, 1, …` for polygon ids in order of first sight, with a
+/// two-entry memo in front of the map: a range-order walk meets the same
+/// one or two polygons for long stretches, so most lookups skip hashing.
+struct IdSlots {
+    slots: HashMap<u32, usize>,
+    /// The two most recent `(id, slot)` pairs, newest first (`u32::MAX`
+    /// is above every polygon id, so it never matches).
+    recent: [(u32, usize); 2],
+}
+
+impl Default for IdSlots {
+    fn default() -> IdSlots {
+        IdSlots {
+            slots: HashMap::new(),
+            recent: [(u32::MAX, 0); 2],
+        }
+    }
+}
+
+impl IdSlots {
+    fn slot(&mut self, id: u32) -> usize {
+        if self.recent[0].0 == id {
+            return self.recent[0].1;
+        }
+        if self.recent[1].0 != id {
+            let next = self.slots.len();
+            self.recent[1] = (id, *self.slots.entry(id).or_insert(next));
+        }
+        self.recent.swap(0, 1);
+        self.recent[0].1
+    }
+}
+
 /// A paused incremental compaction: the live cell set extracted up
 /// front, plus the replacement trie/table rebuilt `pos` cells deep.
 struct CompactState {
-    cells: Vec<(CellId, crate::refs::RefSet)>,
+    cells: Vec<(CellId, RefSet)>,
     pos: usize,
     act: Act,
     tb: LookupTableBuilder,
@@ -268,34 +338,36 @@ impl ActIndex {
         for (cell, refs) in &sc.cells {
             act.insert(*cell, refs, &mut table_builder);
         }
-        let table = table_builder.build();
-        let insert_secs = t2.elapsed().as_secs_f64();
+        let mut index = Self::from_populated(act, table_builder, params, t2);
+        index.stats.covering_cells = covering_cells;
+        index.stats.pushdown_splits = sc.pushdown_splits;
+        index.stats.build_coverings_secs = covering_secs;
+        index.stats.build_supercover_secs = supercover_secs;
+        index
+    }
 
+    /// An index over a trie its caller populated cell by cell (since
+    /// `populate_start`), with the size and cell-count stats read off
+    /// the trie and table. The shard splitter streams each shard's
+    /// cells straight into one of these.
+    pub(crate) fn from_populated(
+        act: Act,
+        table_builder: LookupTableBuilder,
+        params: CoveringParams,
+        populate_start: Instant,
+    ) -> ActIndex {
+        let table = table_builder.build();
         let stats = BuildStats {
             precision_m: params.precision_m,
             terminal_level: params.terminal_level(),
-            covering_cells,
-            indexed_cells: sc.cells.len() as u64,
+            indexed_cells: act.inserted_cells(),
             denormalized_slots: act.denormalized_slots(),
-            pushdown_splits: sc.pushdown_splits,
             act_bytes: act.memory_bytes(),
             lookup_table_bytes: table.memory_bytes(),
-            build_coverings_secs: covering_secs,
-            build_supercover_secs: supercover_secs,
-            build_insert_secs: insert_secs,
+            build_insert_secs: populate_start.elapsed().as_secs_f64(),
+            ..BuildStats::default()
         };
-
-        ActIndex {
-            act,
-            table,
-            stats,
-            waste_bytes: 0,
-            live_ids: None,
-            cell_inventory: None,
-            mutation_epoch: 0,
-            compact_state: None,
-            compact_budget: None,
-        }
+        Self::from_parts(act, table, stats)
     }
 
     /// Reassembles an index from already-validated parts (snapshot load
@@ -457,7 +529,6 @@ impl ActIndex {
         // Upsert: any previous shape under this id goes first. The
         // live-id superset lets inserts of unseen ids — the common case
         // for delta streams — skip the removal pass entirely.
-        self.ensure_live_ids();
         self.ensure_inventory();
         if self.may_contain(id) {
             self.remove_inner(id);
@@ -469,7 +540,7 @@ impl ActIndex {
         // to the territory the clearing pass just freed, so re-insertion
         // cannot collide with surviving cells.
         let mut waste = crate::trie::MutationWaste::default();
-        let mut affected: Vec<(CellId, crate::refs::RefSet)> = Vec::new();
+        let mut affected: Vec<(CellId, RefSet)> = Vec::new();
         for &(cell, _) in &covering.cells {
             self.act
                 .clear_overlaps(cell, self.table.words(), &mut affected, &mut waste);
@@ -495,12 +566,20 @@ impl ActIndex {
         }
         // Record where every re-inserted reference landed — the merged
         // set covers both the new polygon and its displaced neighbors,
-        // so each touched id's inventory stays a territory superset.
+        // so each touched id's inventory stays a territory superset. A
+        // touched id gets a new list (old cells + landed ones), so a
+        // clone sharing the old list never sees this index's edits.
         if let Some(inv) = &mut self.cell_inventory {
+            let mut landed: HashMap<u32, Vec<CellId>> = HashMap::new();
             for (cell, refs) in &sc.cells {
                 for r in refs.iter() {
-                    inv.entry(r.id).or_default().push(*cell);
+                    landed.entry(r.id).or_default().push(*cell);
                 }
+            }
+            for (id, cells) in landed {
+                let old = inv.get(&id).map_or(&[][..], |l| &l[..]);
+                let list: Arc<[CellId]> = old.iter().copied().chain(cells).collect();
+                inv.insert(id, list);
             }
         }
         self.note_mutation(waste);
@@ -540,10 +619,11 @@ impl ActIndex {
             .expect("inventory is ensured before removal")
             .remove(&id);
         let changed = match cells {
-            Some(mut cells) => {
+            Some(cells) => {
+                let mut cells = cells.to_vec();
                 cells.sort_unstable();
                 cells.dedup();
-                let mut memo = std::collections::HashMap::new();
+                let mut memo = HashMap::new();
                 let mut changed = false;
                 for cell in cells {
                     self.act.remove_refs_in_cell(
@@ -605,28 +685,37 @@ impl ActIndex {
     }
 
     /// Builds the per-id cell inventory if it has not been built yet:
-    /// one tree walk extracting the live `(cell, refs)` set, inverted
-    /// into id → cells. Exact at build time; inserts keep it a superset
-    /// afterwards and compactions make it exact again.
+    /// the live `(cell, refs)` set streamed through the read-only cell
+    /// walk (never materialized) and inverted into id → cells. Exact at
+    /// build time; inserts keep it a superset afterwards and compactions
+    /// make it exact again.
+    ///
+    /// The inventory's keys are exactly the ids the trie references, so
+    /// an unbuilt live-id set is filled from them for free.
     fn ensure_inventory(&mut self) {
         if self.cell_inventory.is_some() {
             return;
         }
-        let mut inv: std::collections::HashMap<u32, Vec<CellId>> = std::collections::HashMap::new();
-        for (cell, refs) in self.act.extract_all(self.table.words()) {
-            for r in refs.iter() {
-                inv.entry(r.id).or_default().push(cell);
-            }
+        let (act, words) = (&self.act, self.table.words());
+        let inv = build_inventory(|f| act.for_each_cell(words, |cell, refs| f(cell, &refs)));
+        if self.live_ids.is_none() {
+            self.live_ids = Some(inv.keys().copied().collect());
         }
         self.cell_inventory = Some(inv);
     }
 
-    /// Pays the one-time live-id scan and per-id cell inventory build up
+    /// Pays the one-time live-id set and per-id cell inventory build up
     /// front (see [`ActIndex::insert_polygon`]) so the first mutation
     /// after a load is as fast as the steady state. Idempotent; called
     /// automatically by the first mutation otherwise.
+    ///
+    /// Cost: two read-only walks of the arena, streamed — no copy of the
+    /// cell set is ever materialized. Memory: the id set is a few bytes
+    /// per polygon; the inventory holds one cell id per `(cell, polygon)`
+    /// reference, in exact-sized per-id lists. Clones of a primed index
+    /// share those lists, so priming once and cloning costs one
+    /// inventory, not one per copy.
     pub fn prime_mutations(&mut self) {
-        self.ensure_live_ids();
         self.ensure_inventory();
     }
 
@@ -649,6 +738,16 @@ impl ActIndex {
     /// and unchanged between slices: the rebuild happens off to the
     /// side and is swapped in atomically on the completing call.
     ///
+    /// This is the one owner of the compaction policy: a new compaction
+    /// starts only once [`ActIndex::waste_ratio`] exceeds
+    /// [`ActIndex::COMPACT_WASTE_THRESHOLD`]; below it the call returns
+    /// `true` at once, however much (or little) waste there is — a
+    /// rebuild of the whole arena does not pay for itself on a few
+    /// kilobytes of garbage. A compaction already in progress always
+    /// continues. Budgeted automatic compactions (see
+    /// [`ActIndex::set_compact_budget`]) and idle callers such as the
+    /// serve watcher go through this same gate.
+    ///
     /// A mutation between slices invalidates the paused rebuild (it was
     /// extracted from a trie that no longer exists); the next call
     /// restarts extraction from the mutated state. The extraction pass
@@ -656,10 +755,16 @@ impl ActIndex {
     /// fraction of the insert work — so a single call can overshoot a
     /// very tight deadline by the extraction cost.
     pub fn compact_deadline(&mut self, deadline: Instant) -> bool {
-        if self.compact_state.is_none() && self.waste_bytes == 0 {
-            return true; // nothing to reclaim; don't churn the arena
+        if !self.compaction_due() {
+            return true;
         }
         self.compact_step(Some(deadline))
+    }
+
+    /// True while a compaction is in progress or the waste has crossed
+    /// [`ActIndex::COMPACT_WASTE_THRESHOLD`].
+    fn compaction_due(&self) -> bool {
+        self.compact_state.is_some() || self.waste_ratio() > Self::COMPACT_WASTE_THRESHOLD
     }
 
     /// True while an incremental compaction is paused mid-rebuild.
@@ -727,14 +832,12 @@ impl ActIndex {
             self.live_ids = Some(ids);
         }
         if self.cell_inventory.is_some() {
-            let mut inv: std::collections::HashMap<u32, Vec<CellId>> =
-                std::collections::HashMap::new();
-            for (cell, refs) in &st.cells {
-                for r in refs.iter() {
-                    inv.entry(r.id).or_default().push(*cell);
+            self.cell_inventory = None; // release the old lists first
+            self.cell_inventory = Some(build_inventory(|f| {
+                for (cell, refs) in &st.cells {
+                    f(*cell, refs);
                 }
-            }
-            self.cell_inventory = Some(inv);
+            }));
         }
         self.waste_bytes = 0;
         self.note_mutation(crate::trie::MutationWaste::default());
@@ -759,13 +862,12 @@ impl ActIndex {
     }
 
     fn maybe_compact(&mut self) {
-        if self.compact_state.is_some() || self.waste_ratio() > Self::COMPACT_WASTE_THRESHOLD {
-            match self.compact_budget {
-                Some(budget) => {
-                    let _ = self.compact_step(Some(Instant::now() + budget));
-                }
-                None => self.compact(),
+        match self.compact_budget {
+            Some(budget) => {
+                self.compact_deadline(Instant::now() + budget);
             }
+            None if self.compaction_due() => self.compact(),
+            None => {}
         }
     }
 

@@ -31,11 +31,12 @@
 //! delta lineages included.
 
 use crate::index::ActIndex;
-use crate::refs::RefSet;
+use crate::lookup::LookupTableBuilder;
 use crate::snapshot::SnapshotError;
-use crate::supercover::SuperCovering;
+use crate::trie::Act;
 use s2cell::CellId;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Default split level for the shard cut: prefixes carry the face plus
 /// eight position bits (3072 distinct prefixes), fine enough that a
@@ -95,38 +96,32 @@ pub fn shards_for_cell(cell: CellId, split_level: u8, num_shards: usize) -> Vec<
 /// Splits `index` into `num_shards` self-contained per-shard indexes
 /// along the [`shard_of_cell`] cut. Every live `(cell, refs)` pair goes
 /// to its owning shard (or, coarser than the split level, to every
-/// overlapped shard); each shard re-inserts its set into a fresh trie,
-/// so the result is a normal [`ActIndex`] with accurate size stats —
-/// snapshot-saveable, mutable, serveable. Shards with no cells are
-/// valid empty indexes (every probe misses).
+/// overlapped shard), inserted into that shard's fresh trie as the
+/// read-only cell walk reaches it, with no copy of the arena and no cell
+/// list in between. Each result is a normal [`ActIndex`] with accurate
+/// size stats: snapshot-saveable, mutable, serveable. Shards with no
+/// cells are valid empty indexes (every probe misses).
 ///
 /// # Panics
 /// Panics if `num_shards` is zero.
 pub fn split_index(index: &ActIndex, split_level: u8, num_shards: usize) -> Vec<ActIndex> {
     assert!(num_shards > 0, "a fleet has at least one shard");
-    // `extract_all` needs `&mut` (it shares the zeroing walk) but does
-    // not mutate with `zero = false`; clone the arena rather than
-    // demand a `&mut` index from an offline tool.
-    let mut act = index.act().clone();
-    let cells = act.extract_all(index.table().words());
-    let mut per_shard: Vec<Vec<(CellId, RefSet)>> = (0..num_shards).map(|_| Vec::new()).collect();
-    for (cell, refs) in cells {
-        for s in shards_for_cell(cell, split_level, num_shards) {
-            per_shard[s].push((cell, refs.clone()));
-        }
-    }
+    let start = Instant::now();
+    let mut shards: Vec<(Act, LookupTableBuilder)> = (0..num_shards)
+        .map(|_| (Act::new(), LookupTableBuilder::new()))
+        .collect();
+    index
+        .act()
+        .for_each_cell(index.table().words(), |cell, refs| {
+            for s in shards_for_cell(cell, split_level, num_shards) {
+                let (act, tb) = &mut shards[s];
+                act.insert(cell, &refs, tb);
+            }
+        });
     let params = crate::covering::CoveringParams::new(index.stats().precision_m);
-    per_shard
+    shards
         .into_iter()
-        .map(|cells| {
-            ActIndex::from_supercover(
-                SuperCovering {
-                    cells,
-                    pushdown_splits: 0,
-                },
-                params,
-            )
-        })
+        .map(|(act, tb)| ActIndex::from_populated(act, tb, params, start))
         .collect()
 }
 
@@ -207,8 +202,7 @@ mod tests {
     fn leaf_routes_into_owning_cells_shard_set() {
         let polys = test_polys();
         let idx = ActIndex::build(&polys, 15.0).unwrap();
-        let mut act = idx.act().clone();
-        for (cell, _) in act.extract_all(idx.table().words()) {
+        for (cell, _) in idx.act().extract_all(idx.table().words()) {
             for n in [1usize, 2, 4, 7] {
                 let shards = shards_for_cell(cell, DEFAULT_SPLIT_LEVEL, n);
                 assert!(!shards.is_empty());
@@ -259,6 +253,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One shard is the whole index re-inserted in range order — exactly
+    /// what a compaction writes — so it must match a compacted copy byte
+    /// for byte, straight after a build and after live edits left
+    /// tombstones and orphaned nodes in the source arena.
+    #[test]
+    fn single_shard_equals_compacted_index() {
+        let mut idx = ActIndex::build(&test_polys(), 15.0).unwrap();
+        let same_as_compacted = |idx: &ActIndex| {
+            let mut compacted = idx.clone();
+            compacted.compact();
+            split_index(idx, DEFAULT_SPLIT_LEVEL, 1)[0].identical_to(&compacted)
+        };
+        assert!(same_as_compacted(&idx));
+        assert!(idx.remove_polygon(3));
+        idx.insert_polygon(3, &square(-73.86, 40.71, 0.03)).unwrap();
+        idx.insert_polygon(40, &square(-73.5, 40.7, 0.02)).unwrap();
+        assert!(idx.remove_polygon(14));
+        assert!(idx.waste_bytes() > 0, "the edits must leave garbage");
+        assert!(same_as_compacted(&idx));
     }
 
     #[test]

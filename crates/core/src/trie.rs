@@ -751,77 +751,100 @@ impl Act {
         self.inserted_cells = self.inserted_cells.saturating_sub(1);
     }
 
-    /// Extracts every `(cell, refs)` pair stored under `node` (which
-    /// covers `node_cell`), in range order. With `zero`, also clears the
-    /// visited slots — the subtree's nodes become all-zero orphans,
-    /// counted in `waste`.
-    fn extract_node(
-        &mut self,
+    /// Visits every live `(cell, refs)` pair in range order — read-only,
+    /// with nothing materialized beyond the pair handed to `f`. `words`
+    /// is the lookup table the trie's `TAG_OFFSET` entries point into.
+    pub(crate) fn for_each_cell(&self, words: &[u32], mut f: impl FnMut(CellId, RefSet)) {
+        for face in 0..6u8 {
+            let root = self.roots[face as usize] as usize;
+            if root != 0 {
+                self.walk_node(root, CellId::from_face(face), words, &mut f);
+            }
+        }
+    }
+
+    /// [`Act::for_each_cell`] under `node` (which covers `node_cell`).
+    fn walk_node<F: FnMut(CellId, RefSet)>(
+        &self,
         node: usize,
         node_cell: CellId,
         words: &[u32],
-        out: &mut Vec<(CellId, RefSet)>,
-        zero: bool,
-        waste: &mut MutationWaste,
+        f: &mut F,
     ) {
         let mut s = 0usize;
         while s < FANOUT {
             let e = self.slots[node * FANOUT + s];
             if e == 0 {
                 s += 1;
-                continue;
-            }
-            if e & TAG_MASK == TAG_CHILD {
-                let idx = (e >> 2) as usize;
-                self.extract_node(idx, slot_cell(node_cell, s), words, out, zero, waste);
-                if zero {
-                    self.slots[node * FANOUT + s] = 0;
-                    waste.orphaned_nodes += 1;
-                }
+            } else if e & TAG_MASK == TAG_CHILD {
+                self.walk_node((e >> 2) as usize, slot_cell(node_cell, s), words, f);
                 s += 1;
             } else {
                 // Left-to-right greedy: at an aligned boundary a uniform
                 // block this large is maximal (a larger one would have
                 // been taken at its own boundary).
-                let mut size = 1usize;
-                for cand in [256usize, 64, 16, 4] {
-                    if s.is_multiple_of(cand)
-                        && self.slots[node * FANOUT + s..node * FANOUT + s + cand]
-                            .iter()
-                            .all(|&x| x == e)
-                    {
-                        size = cand;
-                        break;
-                    }
-                }
-                out.push((run_cell(node_cell, s, size), entry_refset(e, words)));
-                if zero {
-                    self.zero_run(node, s, size);
-                }
+                let size = [256usize, 64, 16, 4]
+                    .into_iter()
+                    .find(|&cand| {
+                        s.is_multiple_of(cand)
+                            && self.slots[node * FANOUT + s..node * FANOUT + s + cand]
+                                .iter()
+                                .all(|&x| x == e)
+                    })
+                    .unwrap_or(1);
+                f(run_cell(node_cell, s, size), entry_refset(e, words));
                 s += size;
             }
         }
     }
 
-    /// Extracts the full live cell set `(cell, refs)` in range order —
-    /// the compaction source. The trie is left untouched.
-    pub(crate) fn extract_all(&mut self, words: &[u32]) -> Vec<(CellId, RefSet)> {
+    /// The full live cell set `(cell, refs)` in range order — the
+    /// compaction source. The trie is left untouched.
+    pub(crate) fn extract_all(&self, words: &[u32]) -> Vec<(CellId, RefSet)> {
         let mut out = Vec::new();
-        let mut waste = MutationWaste::default();
-        for f in 0..6u8 {
-            let root = self.roots[f as usize] as usize;
-            if root != 0 {
-                self.extract_node(
-                    root,
-                    CellId::from_face(f),
-                    words,
-                    &mut out,
-                    false,
-                    &mut waste,
-                );
+        self.for_each_cell(words, |cell, refs| out.push((cell, refs)));
+        out
+    }
+
+    /// Extracts every `(cell, refs)` pair stored under `node` (which
+    /// covers `node_cell`) into `out`, in range order, and clears the
+    /// subtree: its nodes become all-zero orphans, counted in `waste`.
+    fn extract_node(
+        &mut self,
+        node: usize,
+        node_cell: CellId,
+        words: &[u32],
+        out: &mut Vec<(CellId, RefSet)>,
+        waste: &mut MutationWaste,
+    ) {
+        let before = out.len();
+        self.walk_node(node, node_cell, words, &mut |cell, refs| {
+            out.push((cell, refs))
+        });
+        let slots = self.clear_node(node, waste);
+        self.denormalized_slots = self.denormalized_slots.saturating_sub(slots);
+        self.inserted_cells = self
+            .inserted_cells
+            .saturating_sub((out.len() - before) as u64);
+    }
+
+    /// Zeroes every slot under `node`, counting the child nodes cut loose
+    /// as orphans; returns the number of terminal slots cleared.
+    fn clear_node(&mut self, node: usize, waste: &mut MutationWaste) -> u64 {
+        let mut slots = 0;
+        for s in 0..FANOUT {
+            let e = std::mem::take(&mut self.slots[node * FANOUT + s]);
+            if e == 0 {
+                continue;
+            }
+            if e & TAG_MASK == TAG_CHILD {
+                slots += self.clear_node((e >> 2) as usize, waste);
+                waste.orphaned_nodes += 1;
+            } else {
+                slots += 1;
             }
         }
-        out
+        slots
     }
 
     /// Collects every polygon id held inline in `ONE`/`TWO` entries by a
@@ -880,7 +903,7 @@ impl Act {
         let mut node_cell = CellId::from_face(face);
         if level == 0 {
             // A face cell overlaps everything on the face.
-            self.extract_node(node, node_cell, words, out, true, waste);
+            self.extract_node(node, node_cell, words, out, waste);
             return;
         }
         let d_last = ((level - 1) / GRANULARITY) as u32;
@@ -922,7 +945,7 @@ impl Act {
             if e & TAG_MASK == TAG_CHILD {
                 let idx = (e >> 2) as usize;
                 if idx != 0 {
-                    self.extract_node(idx, slot_cell(node_cell, s), words, out, true, waste);
+                    self.extract_node(idx, slot_cell(node_cell, s), words, out, waste);
                     self.slots[node * FANOUT + s] = 0;
                     waste.orphaned_nodes += 1;
                 }

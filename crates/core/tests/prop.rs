@@ -391,6 +391,17 @@ fn mutation_probe_points(script: &[EditOp], probes: &[(f64, f64)]) -> Vec<Coord>
     pts
 }
 
+/// The first of `pts` where `a` and `b` answer differently (as sets).
+fn first_divergence(a: &ActIndex, b: &ActIndex, pts: &[Coord]) -> Option<Coord> {
+    pts.iter().copied().find(|&c| {
+        let mut got = a.lookup_refs(c);
+        let mut want = b.lookup_refs(c);
+        got.sort_unstable();
+        want.sort_unstable();
+        got != want
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -398,6 +409,11 @@ proptest! {
     /// removes of present and absent ids, interleaved explicit compacts)
     /// applied to a built index, every probe answers exactly like an index
     /// rebuilt from scratch over the surviving polygon set.
+    ///
+    /// The script runs on a clone of a primed index, which shares the
+    /// original's per-id inventory lists: the original must still answer
+    /// as before, and its own removals — driven by those shared lists —
+    /// must still match a rebuild.
     #[test]
     fn incremental_edits_equal_fresh_rebuild(
         initial in arb_squares(),
@@ -410,7 +426,10 @@ proptest! {
             .enumerate()
             .map(|(i, p)| (i as u32, p.clone()))
             .collect();
-        let mut idx = rebuild(&live, precision);
+        let initial_live = live.clone();
+        let mut original = rebuild(&live, precision);
+        original.prime_mutations();
+        let mut idx = original.clone();
         for op in &script {
             match *op {
                 EditOp::Insert { id, cx, cy, half } => {
@@ -426,23 +445,29 @@ proptest! {
                 EditOp::Compact => idx.compact(),
             }
         }
+        let pts = mutation_probe_points(&script, &probes);
         let fresh = rebuild(&live, precision);
-        for c in mutation_probe_points(&script, &probes) {
-            let mut got = idx.lookup_refs(c);
-            let mut want = fresh.lookup_refs(c);
-            got.sort_unstable();
-            want.sort_unstable();
-            prop_assert_eq!(got, want, "probe at {} diverged from fresh rebuild", c);
-        }
+        prop_assert_eq!(first_divergence(&idx, &fresh, &pts), None,
+            "diverged from fresh rebuild");
         // Compaction is probe-invariant from any mutated state.
         idx.compact();
-        for c in mutation_probe_points(&script, &probes) {
-            let mut got = idx.lookup_refs(c);
-            let mut want = fresh.lookup_refs(c);
-            got.sort_unstable();
-            want.sort_unstable();
-            prop_assert_eq!(got, want, "post-compact probe at {} diverged", c);
+        prop_assert_eq!(first_divergence(&idx, &fresh, &pts), None,
+            "diverged after compaction");
+
+        // The clone's edits left the original untouched...
+        prop_assert_eq!(first_divergence(&original, &rebuild(&initial_live, precision), &pts),
+            None, "original changed under its clone's edits");
+        // ...including the inventory lists its removals walk.
+        let mut survivors = initial_live;
+        for op in &script {
+            if let EditOp::Insert { id, .. } | EditOp::Remove { id } = *op {
+                if survivors.remove(&id).is_some() {
+                    prop_assert!(original.remove_polygon(id), "original lost polygon {}", id);
+                }
+            }
         }
+        prop_assert_eq!(first_divergence(&original, &rebuild(&survivors, precision), &pts),
+            None, "original's removals diverged from a rebuild");
     }
 
     /// Removing a polygon and re-inserting the identical geometry restores

@@ -26,12 +26,33 @@
 //! 2. **The next delta sibling** `<base>.d<seq>` (seq = 1, 2, … within
 //!    the current lineage). A stable new delta is validated against the
 //!    lineage cursor ([`act_core::DeltaLink`]: base checksum, sequence,
-//!    predecessor checksum), applied to a clone of the watcher's working
-//!    index, and the result is published — the store flips one Arc, the
-//!    epoch bumps, zero requests drop. After
+//!    predecessor checksum), applied in place to the watcher's private
+//!    scratch index, and the scratch is published — the store flips one
+//!    Arc, the epoch bumps, zero requests drop. After
 //!    [`FOLD_AFTER_DELTAS`] applies the watcher *folds*: it writes the
 //!    working index as a new base (sibling + rename), deletes the
 //!    consumed delta files, and restarts the lineage at seq 1.
+//!
+//! ## Memory model
+//!
+//! The first delta opens the lineage: the mapped base is copied into an
+//! owned index, primed for mutation (its live-id set and per-id cell
+//! inventory, see [`ActIndex::prime_mutations`]), and the delta is
+//! applied to that copy directly — no second copy exists before the
+//! first publish. Publishing it drops the store's hold on the mapping,
+//! so the base's pages leave the process once in-flight batches finish.
+//! Only then is the next scratch cloned from the published index. From
+//! there on the steady state is two owned arenas (published + scratch)
+//! plus one inventory, which the two share: a clone copies the id map,
+//! and an apply replaces only the lists of the ids it touches.
+//!
+//! Compaction runs only once an index's waste ratio crosses
+//! [`ActIndex::COMPACT_WASTE_THRESHOLD`], in [`WATCH_COMPACT_BUDGET`]
+//! slices: on idle polls, and under the same budget inside an apply, so
+//! no apply ever rewrites the whole arena in one go. Out of scope: one
+//! arena instead of two needs structural sharing inside the node arena,
+//! and compaction's extraction pass (one read of the live cell set) is
+//! still not sliced.
 //!
 //! ## Failure handling
 //!
@@ -76,10 +97,11 @@ pub const FOLD_AFTER_DELTAS: u64 = 16;
 pub const WATCH_BACKOFF_CAP: Duration = Duration::from_secs(5);
 
 /// Per-call deadline budget for compaction work on the watcher's scratch
-/// index: mutation bursts (delta applies with heavy tombstone load) can
-/// no longer stall the apply-to-publish path behind a monolithic arena
-/// rewrite — compaction proceeds in these slices and resumes across
-/// polls.
+/// index, both on idle polls and inside applies (it is the lineage
+/// index's [`ActIndex::set_compact_budget`]): mutation bursts (delta
+/// applies with heavy tombstone load) can no longer stall the
+/// apply-to-publish path behind a monolithic arena rewrite — compaction
+/// proceeds in these slices and resumes across polls.
 pub const WATCH_COMPACT_BUDGET: Duration = Duration::from_millis(5);
 
 /// Counters the watcher shares with the serving stack (they ride the
@@ -333,15 +355,31 @@ pub fn delta_path(base: &Path, seq: u64) -> PathBuf {
 /// the last fold.
 struct Lineage {
     link: DeltaLink,
-    /// The published state (what the store serves once a delta landed).
-    working: Arc<ServeIndex>,
-    /// A private owned copy equal to `working`, primed for mutation.
-    /// Deltas apply here *in place*, so the big-arena clone is not on
-    /// the apply-to-publish latency path — the scratch is re-cloned from
-    /// the published index right after each swap, while readers are
-    /// already on the new epoch. `None` only transiently mid-apply.
+    /// The published state (what the store serves once a delta landed);
+    /// `None` until this lineage's first apply is published.
+    working: Option<Arc<ServeIndex>>,
+    /// A private owned index primed for mutation, with the watcher's
+    /// compaction budget: the owned copy of the mapped base when the
+    /// lineage opens, afterwards a clone of `working`. Deltas apply here
+    /// *in place*, so no arena clone is on the apply-to-publish latency
+    /// path — the scratch is re-cloned from the published index right
+    /// after each swap, while readers are already on the new epoch (and
+    /// after the first swap has released the mapped base). `None` only
+    /// transiently mid-apply.
     scratch: Option<ActIndex>,
     applied: u64,
+}
+
+impl Lineage {
+    /// Re-arms the scratch as a copy of the published state; `false`
+    /// when nothing has been published yet.
+    fn rearm(&mut self) -> bool {
+        let Some(ServeIndex::Owned(working)) = self.working.as_deref() else {
+            return false;
+        };
+        self.scratch = Some(working.clone());
+        true
+    }
 }
 
 /// Knobs for [`watch_loop_opts`]. `..WatchOptions::default()` keeps
@@ -459,7 +497,8 @@ fn quarantine_delta(dpath: &Path) -> io::Result<PathBuf> {
 /// Spends the idle-poll compaction budget on the lineage scratch: delta
 /// bursts with heavy tombstone load shed their arena waste a slice at a
 /// time between polls instead of stalling an apply behind a monolithic
-/// rewrite.
+/// rewrite. Below the waste threshold this does nothing
+/// ([`ActIndex::compact_deadline`] owns that policy).
 fn idle_compact(lineage: &mut Option<Lineage>) {
     if let Some(lin) = lineage {
         if let Some(scratch) = lin.scratch.as_mut() {
@@ -609,21 +648,25 @@ pub fn watch_loop_opts(
             continue;
         }
 
-        // Open the lineage on first use: the working copy starts from
-        // the mapped base the store is serving.
+        // Open the lineage on first use: the scratch starts as an owned
+        // copy of the mapped base the store is serving, and the first
+        // delta applies to it directly (see the module docs' memory
+        // model). `cur` is dropped at the end of this block so the
+        // watcher holds no reference to the mapping.
         if lineage.is_none() {
             let (cur, _) = store.current();
             let ServeIndex::Mapped(snap) = &*cur else {
                 continue; // unreachable: no lineage means mapped base
             };
             let mut owned = snap.to_owned_index();
-            // One-time: pay the live-id scan now so every apply is as
-            // fast as the steady state.
+            owned.set_compact_budget(Some(WATCH_COMPACT_BUDGET));
+            // One-time: build the live-id set and inventory now so
+            // every apply is as fast as the steady state.
             owned.prime_mutations();
             lineage = Some(Lineage {
                 link: DeltaLink::for_base(snap.checksum()),
-                scratch: Some(owned.clone()),
-                working: Arc::new(ServeIndex::Owned(owned)),
+                working: None,
+                scratch: Some(owned),
                 applied: 0,
             });
         }
@@ -641,13 +684,13 @@ pub fn watch_loop_opts(
                 let epoch = store.swap_owned(next);
                 publishes += 1;
                 lin.link = new_link;
-                lin.working = store.current().0;
+                // The swap dropped the store's hold on the previous
+                // state (the mapped base, on the first apply); replacing
+                // `working` drops ours, before the clone below.
+                lin.working = Some(store.current().0);
                 // Re-arm: readers are already on the new epoch while
                 // this clone runs.
-                let ServeIndex::Owned(cur) = &*lin.working else {
-                    unreachable!("swap_owned published an owned index");
-                };
-                lin.scratch = Some(cur.clone());
+                lin.rearm();
                 lin.applied += 1;
                 delta_prev_poll = None;
                 delta_failed = None;
@@ -692,12 +735,14 @@ pub fn watch_loop_opts(
                 // applied (per-op failures mutate before erroring), so
                 // rebuild it from the published state. `drop(next)`
                 // first: holding old + published + new scratch at once
-                // would spike memory to three arenas.
+                // would spike memory to three arenas. With nothing
+                // published yet there is no state to rebuild from: drop
+                // the lineage, and the next good file reopens it from
+                // the base the store still serves.
                 drop(next);
-                let ServeIndex::Owned(cur) = &*lin.working else {
-                    unreachable!("lineage working index is always owned");
-                };
-                lin.scratch = Some(cur.clone());
+                if !lin.rearm() {
+                    lineage = None;
+                }
                 if matches!(e, SnapshotError::Io(_)) {
                     // Short/failed read: no verdict on the bytes. Leave
                     // `delta_prev_poll` standing so the very next poll
@@ -744,8 +789,8 @@ pub fn watch_loop_opts(
 /// a sibling, fsync, rename over the base path, delete the consumed
 /// delta files, and restart the chain from the new base checksum.
 fn fold_lineage(base: &Path, lin: &mut Lineage) -> Result<(), act_core::SnapshotError> {
-    let ServeIndex::Owned(working) = &*lin.working else {
-        unreachable!("lineage working index is always owned");
+    let Some(ServeIndex::Owned(working)) = lin.working.as_deref() else {
+        unreachable!("a fold follows a publish");
     };
     let mut bytes = Vec::new();
     working.save_snapshot(&mut bytes)?;
@@ -1054,6 +1099,180 @@ mod tests {
         assert_eq!(publishes, 3);
         let _ = std::fs::remove_file(delta_path(&path, 1));
         let _ = std::fs::remove_file(&qpath);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Waste below the compaction threshold is left alone: after an
+    /// insert delta, a remove delta (which leaves tombstone garbage) and
+    /// a run of idle polls, the next apply publishes an index that still
+    /// carries that garbage and has no compaction in flight. The idle
+    /// slice used to start a whole-arena rebuild on any waste at all.
+    #[allow(clippy::needless_update)]
+    #[test]
+    fn watcher_leaves_waste_below_threshold_uncompacted() {
+        let base: Vec<Polygon> = (0..12)
+            .map(|k| square(-74.0 + 0.05 * f64::from(k), 40.7, 0.02))
+            .collect();
+        let path = snap_file("no-misfire", &base);
+        let base_sum = act_core::header_checksum(&std::fs::read(&path).unwrap()).unwrap();
+        let store = Arc::new(IndexStore::new(MappedSnapshot::open(&path).unwrap()));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let initial = snapshot_signature(&path);
+        let handle = {
+            let (store, shutdown, path) = (store.clone(), shutdown.clone(), path.clone());
+            std::thread::spawn(move || {
+                watch_loop_opts(
+                    &path,
+                    &store,
+                    &shutdown,
+                    initial,
+                    WatchOptions {
+                        interval: Duration::from_millis(5),
+                        ..WatchOptions::default()
+                    },
+                )
+            })
+        };
+        let wait_epoch = |want: u32| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while store.epoch() < want && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(store.epoch(), want, "epoch did not reach {want}");
+        };
+        let published = || {
+            let (idx, _) = store.current();
+            let ServeIndex::Owned(ix) = &*idx else {
+                panic!("a delta apply publishes an owned index");
+            };
+            (ix.waste_bytes(), ix.waste_ratio(), ix.compact_in_progress())
+        };
+
+        let link = DeltaLink::for_base(base_sum);
+        let add = DeltaOp::Insert {
+            id: 20,
+            polygon: square(-73.3, 40.7, 0.01),
+        };
+        let (link, _) = save_delta_file(&[add], link, &delta_path(&path, 1)).unwrap();
+        wait_epoch(2);
+        let rm = DeltaOp::Remove { id: 20 };
+        let (link, _) = save_delta_file(&[rm], link, &delta_path(&path, 2)).unwrap();
+        wait_epoch(3);
+        let (waste, ratio, _) = published();
+        assert!(waste > 0, "the remove must leave garbage behind");
+        assert!(
+            ratio < ActIndex::COMPACT_WASTE_THRESHOLD,
+            "the garbage must stay below the threshold ({ratio})"
+        );
+
+        // Many idle polls at a 5 ms interval.
+        std::thread::sleep(Duration::from_millis(150));
+        let add = DeltaOp::Insert {
+            id: 21,
+            polygon: square(-72.9, 40.7, 0.01),
+        };
+        save_delta_file(&[add], link, &delta_path(&path, 3)).unwrap();
+        wait_epoch(4);
+        let (waste_after, _, in_progress) = published();
+        assert!(
+            waste_after >= waste,
+            "idle polls compacted below the threshold ({waste} -> {waste_after} bytes)"
+        );
+        assert!(
+            !in_progress,
+            "no compaction may be in flight below the threshold"
+        );
+        let (idx, _) = store.current();
+        assert!(!idx.lookup_refs(Coord::new(-72.9, 40.7)).is_empty());
+        assert!(idx.lookup_refs(Coord::new(-73.3, 40.7)).is_empty());
+
+        shutdown.store(true, Ordering::Release);
+        assert_eq!(handle.join().unwrap(), 3);
+        for seq in 1..=3 {
+            let _ = std::fs::remove_file(delta_path(&path, seq));
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A rejected first delta must not leave a half-opened lineage
+    /// behind: nothing was published, so the lineage is dropped and the
+    /// next good file reopens it from the mapped base.
+    #[allow(clippy::needless_update)]
+    #[test]
+    fn rejected_first_delta_reopens_lineage_on_next_good_file() {
+        let path = snap_file("first-reject", &[square(-74.0, 40.7, 0.02)]);
+        let base_sum = act_core::header_checksum(&std::fs::read(&path).unwrap()).unwrap();
+        let store = Arc::new(IndexStore::new(MappedSnapshot::open(&path).unwrap()));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let counters = Arc::new(WatchCounters::default());
+        let initial = snapshot_signature(&path);
+        let handle = {
+            let (store, shutdown, path) = (store.clone(), shutdown.clone(), path.clone());
+            let counters = Arc::clone(&counters);
+            std::thread::spawn(move || {
+                watch_loop_opts(
+                    &path,
+                    &store,
+                    &shutdown,
+                    initial,
+                    WatchOptions {
+                        interval: Duration::from_millis(5),
+                        counters,
+                        ..WatchOptions::default()
+                    },
+                )
+            })
+        };
+        // A well-formed delta whose second op fails mid-apply (the
+        // polygon spans two cube faces): the first op has already
+        // mutated the scratch when the apply errors.
+        let bad = [
+            DeltaOp::Insert {
+                id: 5,
+                polygon: square(-73.9, 40.7, 0.02),
+            },
+            DeltaOp::Insert {
+                id: 6,
+                polygon: square(45.0, 0.0, 2.0),
+            },
+        ];
+        let link = DeltaLink::for_base(base_sum);
+        save_delta_file(&bad, link, &delta_path(&path, 1)).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while counters.quarantines() == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(
+            counters.quarantines(),
+            1,
+            "the failing delta is quarantined"
+        );
+        assert_eq!(store.epoch(), 1);
+
+        let good = DeltaOp::Insert {
+            id: 7,
+            polygon: square(-73.8, 40.7, 0.02),
+        };
+        save_delta_file(&[good], link, &delta_path(&path, 1)).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while store.epoch() < 2 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(store.epoch(), 2, "the good file opens a fresh lineage");
+        let (idx, _) = store.current();
+        assert!(!idx.lookup_refs(Coord::new(-73.8, 40.7)).is_empty());
+        assert!(
+            idx.lookup_refs(Coord::new(-73.9, 40.7)).is_empty(),
+            "the rejected delta's first op must not survive"
+        );
+        assert!(!idx.lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
+
+        shutdown.store(true, Ordering::Release);
+        assert_eq!(handle.join().unwrap(), 1);
+        let _ = std::fs::remove_file(delta_path(&path, 1));
+        let mut q = delta_path(&path, 1).into_os_string();
+        q.push(".quarantine");
+        let _ = std::fs::remove_file(q);
         std::fs::remove_file(&path).unwrap();
     }
 
