@@ -82,7 +82,7 @@ fn main() {
         // recorded against it).
         if let Some(dir) = &opts.snapshot {
             let path = bench::snapshot_path(dir, &ds.name, precision);
-            if path.exists() {
+            if bench::snapshot_is_current(&path) {
                 let t = Instant::now();
                 let mut f = std::fs::File::open(&path).expect("open snapshot");
                 let loaded = ActIndex::load_snapshot(&mut f)

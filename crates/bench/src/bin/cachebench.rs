@@ -30,7 +30,7 @@ fn main() {
     let dir = "target/serve-bench";
     std::fs::create_dir_all(dir).unwrap();
     let path = snapshot_path(dir, &ds.name, 15.0);
-    if !path.exists() {
+    if !bench::snapshot_is_current(&path) {
         let t = Instant::now();
         let built = act_core::ActIndex::build(&ds.polygons, 15.0).expect("build");
         println!("built {} in {:.1}s", ds.name, t.elapsed().as_secs_f64());

@@ -359,7 +359,7 @@ fn run_dataset(
     // Snapshot cache: build + save on first run, reuse afterwards
     // (restarts ship snapshots, not polygon sets).
     let path = snapshot_path(dir, &ds.name, precision);
-    if !path.exists() {
+    if !bench::snapshot_is_current(&path) {
         let t = Instant::now();
         let built = act_core::ActIndex::build(&ds.polygons, precision).expect("build index");
         println!(
@@ -1549,7 +1549,7 @@ fn run_zipf(
     let surge = datagen::surge_zones(seed, 16, 8, 8);
     let dir = path.parent().unwrap_or_else(|| std::path::Path::new("."));
     let surge_path = snapshot_path(dir.to_str().unwrap_or("."), &surge.name, 15.0);
-    if !surge_path.exists() {
+    if !bench::snapshot_is_current(&surge_path) {
         let t = Instant::now();
         let built = act_core::ActIndex::build(&surge.polygons, 15.0).expect("build surge index");
         println!(

@@ -258,6 +258,20 @@ pub fn snapshot_path(dir: &str, dataset: &str, precision_m: f64) -> std::path::P
     std::path::Path::new(dir).join(format!("{dataset}-{precision_m}m.snap"))
 }
 
+/// True when `path` holds a snapshot in the format this build writes
+/// (magic and version checked from the header only). Snapshot caches
+/// rebuild when this is false, so a format-version bump never leaves a
+/// binary tripping over its own stale cache.
+pub fn snapshot_is_current(path: &std::path::Path) -> bool {
+    use std::io::Read;
+    let mut head = [0u8; 12];
+    std::fs::File::open(path)
+        .and_then(|mut f| f.read_exact(&mut head))
+        .is_ok()
+        && head[0..8] == act_core::snapshot::MAGIC
+        && head[8..12] == act_core::snapshot::FORMAT_VERSION.to_le_bytes()
+}
+
 /// Loads the three paper datasets (boroughs, neighborhoods, census).
 pub fn paper_datasets(seed: u64) -> Vec<Dataset> {
     vec![
@@ -512,6 +526,23 @@ mod tests {
             snapshot_path("d", "census", 15.0),
             std::path::Path::new("d").join("census-15m.snap")
         );
+    }
+
+    #[test]
+    fn stale_snapshot_caches_are_not_current() {
+        let path = std::env::temp_dir().join(format!("bench-current-{}.snap", std::process::id()));
+        assert!(!snapshot_is_current(&path), "a missing file");
+        let mut bytes = Vec::new();
+        ActIndex::build(&[], 15.0)
+            .unwrap()
+            .save_snapshot(&mut bytes)
+            .unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(snapshot_is_current(&path));
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(!snapshot_is_current(&path), "a retired format version");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

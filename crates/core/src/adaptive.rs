@@ -237,7 +237,6 @@ fn probe_has_candidate(probe: Probe, index: &ActIndex) -> bool {
     match probe {
         Probe::Miss => false,
         Probe::One(r) => !r.interior,
-        Probe::Two(a, b) => !a.interior || !b.interior,
         Probe::Table(off) => !index.table().decode(off).1.is_empty(),
     }
 }

@@ -658,7 +658,7 @@ impl ActIndex {
     }
 
     /// Builds the live-id superset if it has not been built yet: one
-    /// sequential pass over the node arena (inline `ONE`/`TWO` payloads)
+    /// sequential pass over the node arena (inline single references)
     /// plus one over the lookup-table words. Orphaned nodes and stale
     /// table entries contribute ids too — a superset is all the fast
     /// path needs, and compactions shed the stragglers.
@@ -880,7 +880,7 @@ impl ActIndex {
     fn note_mutation(&mut self, waste: crate::trie::MutationWaste) {
         self.mutation_epoch += 1;
         self.waste_bytes +=
-            waste.orphaned_nodes * (crate::trie::FANOUT as u64 * 8) + waste.stale_table_words * 4;
+            waste.orphaned_nodes * crate::trie::NODE_BYTES as u64 + waste.stale_table_words * 4;
         self.stats.indexed_cells = self.act.inserted_cells();
         self.stats.denormalized_slots = self.act.denormalized_slots();
         self.stats.act_bytes = self.act.memory_bytes();
@@ -928,6 +928,64 @@ mod tests {
         assert!(st.indexed_cells > 0);
         assert!(st.act_bytes > 0);
         assert_eq!(st.terminal_level, 20);
+    }
+
+    /// A small square inside a large one: every cell of the small one
+    /// holds two references, so polygon 1 lives only in the lookup table.
+    fn nested_pair() -> ActIndex {
+        let polys = vec![square(-74.00, 40.70, 0.03), square(-74.00, 40.70, 0.004)];
+        ActIndex::build(&polys, 15.0).unwrap()
+    }
+
+    #[test]
+    fn removing_one_of_two_polygons_leaves_inline_single_refs() {
+        let mut idx = nested_pair();
+        let inner = Coord::new(-74.00, 40.70);
+        assert!(matches!(idx.probe_coord(inner), Probe::Table(_)));
+        assert_eq!(idx.lookup_refs(inner), vec![(0, true), (1, true)]);
+        assert!(idx.remove_polygon(1));
+        assert!(
+            idx.waste_ratio() < ActIndex::COMPACT_WASTE_THRESHOLD,
+            "no auto-compaction"
+        );
+        assert_eq!(
+            idx.probe_coord(inner),
+            Probe::One(crate::refs::PolygonRef::true_hit(0))
+        );
+        // Every table entry named polygon 1, so the whole table is now
+        // abandoned waste (and nothing else is: no node emptied), and
+        // compaction reclaims all of it.
+        let words = idx.table().len_words() as u64;
+        assert!(words > 0);
+        assert_eq!(idx.waste_bytes(), words * 4);
+        idx.compact();
+        assert_eq!(idx.table().len_words(), 0);
+        assert_eq!(
+            idx.probe_coord(inner),
+            Probe::One(crate::refs::PolygonRef::true_hit(0))
+        );
+    }
+
+    #[test]
+    fn remove_of_an_absent_id_short_circuits_on_the_id_scan() {
+        let idx = nested_pair();
+        let mut bytes = Vec::new();
+        idx.save_snapshot(&mut bytes).unwrap();
+        let mut loaded = ActIndex::load_snapshot(&mut bytes.as_slice()).unwrap();
+        assert!(loaded.live_ids.is_none() && loaded.cell_inventory.is_none());
+        // An id nobody references: answered from the inline + table id
+        // scan alone, without paying for the per-id cell inventory.
+        assert!(!loaded.remove_polygon(7));
+        assert!(
+            loaded.cell_inventory.is_none(),
+            "absent id built the inventory"
+        );
+        assert!(loaded.identical_to(&idx));
+        let ids: Vec<u32> = loaded.live_ids.iter().flatten().copied().collect();
+        assert_eq!(ids, vec![0, 1], "polygon 1 is found in the table alone");
+        // A present id does go through the inventory and the trie.
+        assert!(loaded.remove_polygon(1));
+        assert!(loaded.cell_inventory.is_some());
     }
 
     #[test]

@@ -124,16 +124,6 @@ fn accumulate(
                 stats.candidate_hits += 1;
             }
         }
-        Probe::Two(a, b) => {
-            for r in [a, b] {
-                counts[r.id as usize] += 1;
-                if r.interior {
-                    stats.true_hits += 1;
-                } else {
-                    stats.candidate_hits += 1;
-                }
-            }
-        }
         Probe::Table(off) => {
             let (trues, cands) = table.decode(off);
             for &id in trues {
@@ -201,10 +191,6 @@ pub fn join_exact(
         match index.probe_coord(c) {
             Probe::Miss => stats.misses += 1,
             Probe::One(r) => refine_one(r.id, r.interior, c, refiner, counts, &mut stats),
-            Probe::Two(a, b) => {
-                refine_one(a.id, a.interior, c, refiner, counts, &mut stats);
-                refine_one(b.id, b.interior, c, refiner, counts, &mut stats);
-            }
             Probe::Table(off) => {
                 let (trues, cands) = table.decode(off);
                 for &id in trues {

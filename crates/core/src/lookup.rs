@@ -1,21 +1,47 @@
 //! The lookup table: deduplicated polygon-reference sets for cells that
-//! reference three or more polygons.
+//! reference two or more polygons.
 //!
 //! The paper (§II, "Lookup table"): *"The lookup table is encoded as a
 //! single 32 bit unsigned integer array. The offsets stored in the tree are
 //! simply offsets into that array. Each encoded entry contains the number of
 //! true hits followed by the true hits, the number of candidate hits, and
 //! the candidate hits."* Cells often share reference sets, so only unique
-//! sets are materialized.
+//! sets are materialized. (The paper inlines two-reference sets in 8-byte
+//! trie slots; this trie's 4-byte slots send them here — see
+//! [`crate::trie`].)
 
-use crate::refs::RefSet;
+use crate::refs::{RefSet, MAX_POLYGON_ID};
 use std::collections::HashMap;
 
 /// A deduplicating, flat `u32`-array lookup table.
+///
+/// Interning is allocation-free apart from the amortized growth of the
+/// word array and the dedup map: a set is encoded speculatively at the
+/// end of the array and keyed by a 64-bit hash of its words, so a
+/// repeated set is recognized by comparing against the words already
+/// stored and the speculative copy is truncated away.
 #[derive(Debug, Default)]
 pub struct LookupTableBuilder {
     data: Vec<u32>,
-    dedup: HashMap<Vec<u32>, u32>,
+    /// Entry-word hash → offset of the first entry with that hash.
+    dedup: HashMap<u64, u32>,
+    /// Entries whose hash collides with a different, earlier entry's —
+    /// keeps interning exact even when two sets share a 64-bit hash.
+    collisions: HashMap<Vec<u32>, u32>,
+}
+
+/// FNV-1a over an entry's words.
+fn entry_hash(words: &[u32]) -> u64 {
+    words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+        (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The words of the entry at `off` (`[n_true, trues…, n_cand, cands…]`).
+fn entry_at(data: &[u32], off: usize) -> &[u32] {
+    let n_true = data[off] as usize;
+    let n_cand = data[off + 1 + n_true] as usize;
+    &data[off..off + 2 + n_true + n_cand]
 }
 
 impl LookupTableBuilder {
@@ -29,19 +55,17 @@ impl LookupTableBuilder {
     /// stay valid — and the dedup map is rebuilt by walking the encoded
     /// entries so re-interned sets resolve to the words already present.
     pub fn from_table(table: LookupTable) -> LookupTableBuilder {
-        let data = table.data;
-        let mut dedup = HashMap::new();
+        let mut b = LookupTableBuilder {
+            data: table.data,
+            ..LookupTableBuilder::default()
+        };
         let mut off = 0usize;
-        while off < data.len() {
-            let n_true = data[off] as usize;
-            let n_cand = data[off + 1 + n_true] as usize;
-            let len = 2 + n_true + n_cand;
-            dedup
-                .entry(data[off..off + len].to_vec())
-                .or_insert(off as u32);
+        while off < b.data.len() {
+            let len = entry_at(&b.data, off).len();
+            b.dedup_entry(off);
             off += len;
         }
-        LookupTableBuilder { data, dedup }
+        b
     }
 
     /// The raw word array so far (offsets returned by
@@ -54,30 +78,35 @@ impl LookupTableBuilder {
     /// Interns a reference set, returning its offset in the array.
     /// Identical sets return identical offsets.
     pub fn intern(&mut self, refs: &RefSet) -> u32 {
-        let encoded = Self::encode(refs);
-        if let Some(&off) = self.dedup.get(&encoded) {
-            return off;
-        }
-        let off = self.data.len() as u32;
+        let off = self.data.len();
         assert!(
-            off < (1 << 31),
-            "lookup table exceeds 2^31 entries; cannot be addressed by 31-bit offsets"
+            off <= MAX_POLYGON_ID as usize,
+            "lookup table exceeds 2^30 words; cannot be addressed by 30-bit offsets"
         );
-        self.data.extend_from_slice(&encoded);
-        self.dedup.insert(encoded, off);
-        off
+        // `[n_true, true ids ..., n_cand, cand ids ...]`, written in place.
+        self.data.push(0);
+        self.data.extend(refs.true_hits());
+        let n_true = self.data.len() - off - 1;
+        self.data[off] = n_true as u32;
+        self.data.push(0);
+        self.data.extend(refs.candidates());
+        self.data[off + 1 + n_true] = (self.data.len() - off - 2 - n_true) as u32;
+        let found = self.dedup_entry(off);
+        if found != off as u32 {
+            self.data.truncate(off);
+        }
+        found
     }
 
-    /// `[n_true, true ids ..., n_cand, cand ids ...]`
-    fn encode(refs: &RefSet) -> Vec<u32> {
-        let trues: Vec<u32> = refs.true_hits().collect();
-        let cands: Vec<u32> = refs.candidates().collect();
-        let mut out = Vec::with_capacity(trues.len() + cands.len() + 2);
-        out.push(trues.len() as u32);
-        out.extend_from_slice(&trues);
-        out.push(cands.len() as u32);
-        out.extend_from_slice(&cands);
-        out
+    /// Registers the entry at `off` with the dedup maps and returns the
+    /// offset of the first identical entry (`off` itself when it is new).
+    fn dedup_entry(&mut self, off: usize) -> u32 {
+        let entry = entry_at(&self.data, off);
+        let first = *self.dedup.entry(entry_hash(entry)).or_insert(off as u32);
+        if first as usize == off || entry_at(&self.data, first as usize) == entry {
+            return first;
+        }
+        *self.collisions.entry(entry.to_vec()).or_insert(off as u32)
     }
 
     /// Finalizes into the immutable query-time table.
@@ -207,6 +236,50 @@ mod tests {
             assert_eq!(trues, s.true_hits().collect::<Vec<_>>().as_slice());
             assert_eq!(cands, s.candidates().collect::<Vec<_>>().as_slice());
         }
+    }
+
+    #[test]
+    fn same_two_ref_set_interns_to_one_offset() {
+        let mut b = LookupTableBuilder::new();
+        let pair = |x: bool, y: bool| {
+            RefSet::Two(
+                PolygonRef { id: 4, interior: x },
+                PolygonRef { id: 9, interior: y },
+            )
+        };
+        let first = b.intern(&pair(true, false));
+        let words = b.words().len();
+        assert_eq!(b.intern(&pair(true, false)), first);
+        assert_eq!(b.words().len(), words, "a repeat must not grow the table");
+        // Same ids, different flags: a different set, a different entry.
+        let flipped = b.intern(&pair(false, true));
+        let both = b.intern(&pair(true, true));
+        assert_ne!(flipped, first);
+        assert_ne!(both, first);
+        assert_ne!(both, flipped);
+        // And after reopening a built table, the same sets resolve to the
+        // offsets already there.
+        let mut reopened = LookupTableBuilder::from_table(b.build());
+        assert_eq!(reopened.intern(&pair(true, false)), first);
+        assert_eq!(reopened.intern(&pair(false, true)), flipped);
+        assert_eq!(reopened.words().len(), 3 * 4);
+    }
+
+    #[test]
+    fn hash_collisions_keep_interning_exact() {
+        let mut b = LookupTableBuilder::new();
+        let a = set(&[(1, true), (2, false)]);
+        let c = set(&[(3, true), (4, false)]);
+        let a_off = b.intern(&a);
+        // Forge a collision: `c`'s hash already names `a`'s entry.
+        b.dedup.insert(entry_hash(&[1, 3, 1, 4]), a_off);
+        let c_off = b.intern(&c);
+        assert_ne!(c_off, a_off, "a colliding set must get its own entry");
+        assert_eq!(b.intern(&c), c_off);
+        assert_eq!(b.intern(&a), a_off);
+        assert_eq!(b.words().len(), 4 + 4);
+        let t = b.build();
+        assert_eq!(t.decode(c_off), (&[3][..], &[4][..]));
     }
 
     #[test]

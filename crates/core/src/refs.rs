@@ -9,7 +9,9 @@
 //!
 //! Following the paper, a reference is packed into a 31-bit payload whose
 //! least-significant bit is the interior flag, leaving 30 bits for the
-//! polygon id (up to 2³⁰ ≈ 1.07 B polygons).
+//! polygon id (up to 2³⁰ ≈ 1.07 B polygons). The trie's 4-byte slots
+//! carry the same 30-bit id with the flag moved into the slot tag (see
+//! [`crate::trie`]).
 
 /// Maximum representable polygon id (30 bits).
 pub const MAX_POLYGON_ID: u32 = (1 << 30) - 1;
@@ -58,13 +60,13 @@ impl PolygonRef {
 
 /// The set of references attached to one cell of the super covering.
 ///
-/// Most cells reference one or two polygons (the paper inlines those in the
-/// trie); the variants mirror that so the common cases stay allocation-free.
+/// Most cells reference one or two polygons; the variants mirror that so
+/// the common cases stay allocation-free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RefSet {
-    /// One reference — inlined in the trie as a single payload.
+    /// One reference — inlined in a trie slot.
     One(PolygonRef),
-    /// Two references — inlined in the trie as a double payload.
+    /// Two references — stored in the shared lookup table.
     Two(PolygonRef, PolygonRef),
     /// Three or more references — stored in the shared lookup table.
     Many(Vec<PolygonRef>),
@@ -118,8 +120,8 @@ impl RefSet {
         *self = RefSet::from_sorted(v);
     }
 
-    /// Builds from a sorted, deduplicated vec.
-    fn from_sorted(v: Vec<PolygonRef>) -> RefSet {
+    /// Builds from a sorted, deduplicated, non-empty vec.
+    pub(crate) fn from_sorted(v: Vec<PolygonRef>) -> RefSet {
         match v.len() {
             1 => RefSet::One(v[0]),
             2 => RefSet::Two(v[0], v[1]),

@@ -9,7 +9,7 @@
 //! I/O-bound — the arena and lookup table are stored exactly as probed,
 //! so there is nothing to parse, only sections to validate and view.
 //!
-//! ## Format (version 1)
+//! ## Format (version 2)
 //!
 //! A snapshot is a sequence of little-endian `u64` words. All offsets are
 //! in bytes from the start of the file; every section starts 8-byte
@@ -19,14 +19,15 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
 //!      0     8  magic            b"ACTSNP01"
-//!      8     4  format version   u32 (currently 1)
+//!      8     4  format version   u32 (currently 2)
 //!     12     4  flags            u32 (reserved, must be 0)
 //!     16     8  total_len        u64, file length in bytes
 //!     24     8  checksum         u64, FNV-1a-64 over every word of the
 //!                                file except this one
 //!     32    64  section table    4 × { offset u64, length u64 }:
-//!                                  [0] TRIE  — node arena (u64 slots;
-//!                                      length a multiple of 2048 = one
+//!                                  [0] TRIE  — node arena (u32 tagged
+//!                                      slots, see [`crate::trie`];
+//!                                      length a multiple of 1024 = one
 //!                                      256-slot node)
 //!                                  [1] ROOTS — 6 × u32 per-face root
 //!                                      node indices (24 bytes)
@@ -41,6 +42,11 @@
 //! precision, terminal level, covering cells, indexed cells, denormalized
 //! slots, push-down splits, ACT bytes, lookup-table bytes, three build
 //! wall-times), then three reserved words that must be zero.
+//!
+//! Version 1 differed only in the TRIE section: 8-byte slots that inlined
+//! up to two references (2048-byte nodes). This build rejects version-1
+//! files with [`SnapshotError::UnsupportedVersion`]; rebuild the index
+//! from its polygons to migrate.
 //!
 //! ## Validation
 //!
@@ -86,7 +92,7 @@
 
 use crate::index::{ActIndex, BuildStats};
 use crate::lookup::LookupTable;
-use crate::trie::{resolve_probe_words, Act, Probe, RawTrie, FANOUT};
+use crate::trie::{resolve_probe_words, Act, Probe, RawTrie, FANOUT, NODE_BYTES};
 use geom::Coord;
 use s2cell::CellId;
 use std::fmt;
@@ -96,13 +102,11 @@ use std::io::{Read, Write};
 pub const MAGIC: [u8; 8] = *b"ACTSNP01";
 /// The current snapshot format version (see the module docs before
 /// changing).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header: magic + version/flags + total_len + checksum + section table.
 const HEADER_LEN: usize = 96;
 const HEADER_WORDS: usize = HEADER_LEN / 8;
-/// Bytes per trie node (256 tagged 8-byte slots).
-const NODE_BYTES: usize = FANOUT * 8;
 /// Exact byte length of the ROOTS section (6 × u32).
 const ROOTS_LEN: usize = 24;
 /// META section: 16 u64 words.
@@ -315,7 +319,7 @@ fn words_as_bytes_mut(words: &mut [u64]) -> &mut [u8] {
 // Writer
 // ---------------------------------------------------------------------
 
-/// Serializes `index` into `w` in the version-1 format, returning the
+/// Serializes `index` into `w` in the version-2 format, returning the
 /// number of bytes written. See [`ActIndex::save_snapshot`].
 pub fn save(index: &ActIndex, w: &mut impl Write) -> Result<u64, SnapshotError> {
     let act = index.act();
@@ -324,7 +328,7 @@ pub fn save(index: &ActIndex, w: &mut impl Write) -> Result<u64, SnapshotError> 
     let stats = index.stats();
 
     let trie_off = HEADER_LEN;
-    let trie_len = slots.len() * 8;
+    let trie_len = slots.len() * 4;
     let roots_off = trie_off + trie_len;
     let table_off = roots_off + align8(ROOTS_LEN);
     let table_len = table.len() * 4;
@@ -368,14 +372,14 @@ pub fn save(index: &ActIndex, w: &mut impl Write) -> Result<u64, SnapshotError> 
     }
     let mut h = fnv1a_words(FNV_OFFSET, &header[0..3]);
     h = fnv1a_words(h, &header[4..HEADER_WORDS]);
-    h = fnv1a_words(h, slots);
+    h = fnv1a_u32_words(h, slots);
     h = fnv1a_u32_words(h, act.roots());
     h = fnv1a_u32_words(h, table);
     h = fnv1a_words(h, &meta_words);
     header[3] = h;
 
     write_words(w, &header)?;
-    write_words(w, slots)?;
+    write_u32_words(w, slots)?;
     write_u32_words(w, act.roots())?;
     write_u32_words(w, table)?;
     write_words(w, &meta_words)?;
@@ -498,7 +502,7 @@ fn validate(words: &[u64]) -> Result<Layout, SnapshotError> {
 /// [`ActIndex`].
 #[derive(Debug, Clone)]
 pub struct ActIndexView<'a> {
-    slots: &'a [u64],
+    slots: &'a [u32],
     roots: [u32; 6],
     table: &'a [u32],
     stats: BuildStats,
@@ -534,7 +538,7 @@ impl<'a> ActIndexView<'a> {
         let words = bytes_as_words(bytes);
         let lay = validate(words)?;
 
-        let slots = &words[lay.trie.0 / 8..(lay.trie.0 + lay.trie.1) / 8];
+        let slots = bytes_as_u32s(&bytes[lay.trie.0..lay.trie.0 + lay.trie.1]);
         let num_nodes = lay.trie.1 / NODE_BYTES;
         let mut roots = [0u32; 6];
         for (r, c) in roots
@@ -971,11 +975,10 @@ impl MappedSnapshot {
     /// arithmetic plus a small stats copy.
     pub fn view(&self) -> ActIndexView<'_> {
         let bytes = self.backing.bytes();
-        let words = bytes_as_words(bytes);
         let (trie_off, trie_len) = self.layout.trie;
         let (table_off, table_len) = self.layout.table;
         ActIndexView {
-            slots: &words[trie_off / 8..(trie_off + trie_len) / 8],
+            slots: bytes_as_u32s(&bytes[trie_off..trie_off + trie_len]),
             roots: self.roots,
             table: bytes_as_u32s(&bytes[table_off..table_off + table_len]),
             stats: self.stats.clone(),
@@ -1287,6 +1290,45 @@ mod tests {
             let via_resolve: Vec<(u32, bool)> = view.resolve_refs(probe).collect();
             assert_eq!(via_resolve, idx.lookup_refs(c), "at {c}");
         }
+    }
+
+    #[test]
+    fn max_polygon_id_round_trips_through_every_load_path() {
+        use crate::refs::MAX_POLYGON_ID;
+        // A large square under the top id, overlapping polygon 0's west
+        // half: the top id appears inline as a true hit (deep inside) and
+        // a candidate (on its boundary), and in two-reference table sets.
+        let mut idx = sample_index();
+        idx.insert_polygon(MAX_POLYGON_ID, &square(-74.08, 40.70, 0.02))
+            .unwrap();
+        let bytes = save_to_vec(&idx);
+        let owned = ActIndex::load_snapshot(&mut bytes.as_slice()).unwrap();
+        let buf = SnapshotBuf::from_bytes(&bytes).unwrap();
+        let heap = buf.view().unwrap();
+        let path = temp_snap("max-id", &bytes);
+        let mapped = MappedSnapshot::open(&path).unwrap();
+        assert_eq!(cfg!(unix), mapped.is_mmap());
+        let mmap = mapped.view();
+
+        let (mut inline, mut tabled) = ([false; 2], [false; 2]);
+        for k in 0..2_000 {
+            let c = Coord::new(-74.11 + 0.00003 * k as f64, 40.70 + 0.000_01 * k as f64);
+            let want = idx.lookup_refs(c);
+            assert_eq!(owned.lookup_refs(c), want, "owned at {c}");
+            assert_eq!(heap.lookup_refs(c), want, "heap view at {c}");
+            assert_eq!(mmap.lookup_refs(c), want, "mmap view at {c}");
+            for &(id, hit) in &want {
+                if id == MAX_POLYGON_ID {
+                    match idx.probe_coord(c) {
+                        Probe::One(_) => inline[usize::from(hit)] = true,
+                        _ => tabled[usize::from(hit)] = true,
+                    }
+                }
+            }
+        }
+        assert_eq!(inline, [true, true], "inline candidate and true hit");
+        assert!(tabled.contains(&true), "top id inside a table set");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! versus O(log n) comparisons. This module materializes that alternative
 //! so the claim is measurable (ablation A4 in DESIGN.md): the *same*
 //! super-covering cells, stored as parallel sorted arrays of
-//! `[range_min, range_max]` with the same tagged payload words as the trie,
+//! `[range_min, range_max]` with the same tagged 4-byte slot values as the trie,
 //! probed by binary search on the query's leaf id.
 //!
 //! Because super-covering cells are disjoint, a leaf id is contained in at
@@ -13,21 +13,16 @@
 //! `range_min` ≤ leaf id, found by one partition-point search.
 
 use crate::lookup::{LookupTable, LookupTableBuilder};
-use crate::refs::RefSet;
 use crate::supercover::SuperCovering;
-use crate::trie::Probe;
+use crate::trie::{encode_terminal, Probe};
 use s2cell::CellId;
-
-const TAG_ONE: u64 = 1;
-const TAG_TWO: u64 = 2;
-const TAG_OFFSET: u64 = 3;
 
 /// Sorted-array cell index (binary-search baseline).
 #[derive(Debug)]
 pub struct SortedCellIndex {
     mins: Vec<u64>,
     maxs: Vec<u64>,
-    payloads: Vec<u64>,
+    payloads: Vec<u32>,
     table: LookupTable,
 }
 
@@ -35,16 +30,10 @@ impl SortedCellIndex {
     /// Builds from a super covering (cells must be disjoint, which
     /// [`crate::supercover::build_super_covering`] guarantees).
     pub fn build(sc: &SuperCovering) -> SortedCellIndex {
-        let mut rows: Vec<(u64, u64, u64)> = Vec::with_capacity(sc.cells.len());
+        let mut rows: Vec<(u64, u64, u32)> = Vec::with_capacity(sc.cells.len());
         let mut tb = LookupTableBuilder::new();
         for (cell, refs) in &sc.cells {
-            let payload = match refs {
-                RefSet::One(r) => ((r.encode() as u64) << 2) | TAG_ONE,
-                RefSet::Two(a, b) => {
-                    ((b.encode() as u64) << 33) | ((a.encode() as u64) << 2) | TAG_TWO
-                }
-                RefSet::Many(_) => ((tb.intern(refs) as u64) << 2) | TAG_OFFSET,
-            };
+            let payload = encode_terminal(refs, &mut tb);
             rows.push((cell.range_min().0, cell.range_max().0, payload));
         }
         rows.sort_unstable_by_key(|r| r.0);
@@ -71,17 +60,7 @@ impl SortedCellIndex {
         if id > self.maxs[i] {
             return Probe::Miss;
         }
-        let e = self.payloads[i];
-        match e & 3 {
-            TAG_ONE => Probe::One(crate::refs::PolygonRef::decode(
-                (e >> 2) as u32 & 0x7FFF_FFFF,
-            )),
-            TAG_TWO => Probe::Two(
-                crate::refs::PolygonRef::decode((e >> 2) as u32 & 0x7FFF_FFFF),
-                crate::refs::PolygonRef::decode((e >> 33) as u32 & 0x7FFF_FFFF),
-            ),
-            _ => Probe::Table((e >> 2) as u32 & 0x7FFF_FFFF),
-        }
+        Probe::from_terminal(self.payloads[i])
     }
 
     /// The shared lookup table for `Probe::Table` results.
@@ -100,9 +79,12 @@ impl SortedCellIndex {
         self.mins.is_empty()
     }
 
-    /// Heap bytes (three u64 arrays + lookup table).
+    /// Heap bytes (two u64 range arrays, the u32 slot array, and the
+    /// lookup table).
     pub fn memory_bytes(&self) -> usize {
-        (self.mins.len() + self.maxs.len() + self.payloads.len()) * 8 + self.table.memory_bytes()
+        (self.mins.len() + self.maxs.len()) * 8
+            + self.payloads.len() * 4
+            + self.table.memory_bytes()
     }
 }
 
@@ -179,6 +161,6 @@ mod tests {
         let sc = build_from_pairs(vec![(cell, PolygonRef::true_hit(1))]);
         let idx = SortedCellIndex::build(&sc);
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.memory_bytes(), 24);
+        assert_eq!(idx.memory_bytes(), 2 * 8 + 4);
     }
 }

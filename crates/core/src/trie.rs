@@ -2,36 +2,55 @@
 //!
 //! ## Structure (paper §II, Figure 2a)
 //!
-//! * Fanout **256**: every trie node is a fixed array of 256 tagged 8-byte
-//!   entries, so each trie level consumes 8 key bits = **4 quadtree levels**
-//!   (the *cell level granularity* `g = 4`).
+//! * Fanout **256**: every trie node is a fixed array of 256 tagged 4-byte
+//!   slots (1,024 B, sixteen 64-byte cache lines), so each trie level
+//!   consumes 8 key bits = **4 quadtree levels** (the *cell level
+//!   granularity* `g = 4`).
 //! * The key of a cell is its Hilbert **position bit string** (2 bits per
 //!   level); the cube face selects one of six root nodes. With cells up to
 //!   level 28 the maximum key length is 56 bits → at most **7 node
 //!   accesses** per lookup; indexes bounded at level 24 need only 6, as in
 //!   the paper.
-//! * A tagged entry is one of (2 least-significant bits):
-//!   - `00` — a child reference (index into the node arena; index 0 is the
-//!     sentinel meaning *false hit*),
-//!   - `01` — one inlined 31-bit payload,
-//!   - `10` — two inlined 31-bit payloads,
-//!   - `11` — a 31-bit offset into the shared lookup table (≥ 3 references).
-//! * Payload bit 0 is the true-hit flag; the remaining 30 bits are the
-//!   polygon id (see [`crate::refs`]).
+//! * A slot is a `u32`: a 2-bit tag in the least-significant bits and a
+//!   30-bit value above it.
+//!
+//!   | tag  | meaning                 | 30-bit value                         |
+//!   |------|-------------------------|--------------------------------------|
+//!   | `00` | child node              | arena node index (0 = *false hit*)   |
+//!   | `01` | one candidate reference | polygon id                           |
+//!   | `10` | one true-hit reference  | polygon id                           |
+//!   | `11` | two or more references  | offset into the shared lookup table  |
+//!
+//!   Polygon ids and table offsets are therefore bounded by
+//!   [`crate::refs::MAX_POLYGON_ID`] = 2³⁰ − 1; the true-hit flag lives in
+//!   the tag instead of a payload bit.
+//!
+//! ## Why two-reference sets live in the lookup table
+//!
+//! The paper's 8-byte slots inline up to two 31-bit payloads. On the
+//! census dataset at 15 m (30.9 M slots, 99.4% occupied) 89.5% of the
+//! slots hold one reference, 9.3% two, and 0.2% a table offset — and the
+//! two-reference slots carry only 77,962 distinct sets. An 8-byte slot
+//! therefore spends half its bytes on nothing for nine cells in ten, while
+//! interning every two-reference set costs the lookup table ~1.25 MB
+//! (4 words per set). Four-byte slots halve the node arena (247 MB →
+//! 124 MB at census scale) and double the nodes per cache line, page and
+//! TLB entry; a two-reference probe pays one extra, usually cached, table
+//! read on resolve.
 //!
 //! ## Denormalization
 //!
 //! Cells whose level is not a multiple of 4 do not align with a single
 //! slot. Insertion *denormalizes* them: a level-`l` cell with
 //! `r = l mod 4 ≠ 0` spans `4^(4−r)` consecutive slots of one node, and its
-//! payload is **replicated** into that slot range. Replicating payloads
+//! slot value is **replicated** into that slot range. Replicating values
 //! (rather than materializing descendant cells) is why a finer covering
 //! does not necessarily grow the trie — the paper's Table I artifact where
 //! the 15 m and 4 m indexes have (almost) the same size.
 //!
 //! ## Safety
 //!
-//! Nodes live in a flat `Vec<u64>` arena and child references are node
+//! Nodes live in a flat `Vec<u32>` arena and child references are node
 //! indices. This keeps the implementation 100% safe Rust with the same
 //! cache behaviour as raw pointers (one dependent load per level).
 //!
@@ -45,11 +64,13 @@
 //! `BENCH_probe.json`).
 
 use crate::lookup::{LookupTable, LookupTableBuilder};
-use crate::refs::{PolygonRef, RefSet};
+use crate::refs::{PolygonRef, RefSet, MAX_POLYGON_ID};
 use s2cell::CellId;
 
 /// Entries per node (fanout).
 pub const FANOUT: usize = 256;
+/// Bytes per trie node (256 four-byte slots).
+pub(crate) const NODE_BYTES: usize = FANOUT * std::mem::size_of::<u32>();
 /// Quadtree levels consumed per trie level.
 pub const GRANULARITY: u8 = 4;
 /// Maximum indexable cell level (7 key bytes × 4 levels/byte).
@@ -58,30 +79,44 @@ pub const MAX_INDEX_LEVEL: u8 = 28;
 /// lane state must stay stack- and L1-resident; see the method docs).
 pub const MAX_PROBE_BLOCK: usize = 256;
 
-const TAG_MASK: u64 = 3;
-const TAG_CHILD: u64 = 0;
-const TAG_ONE: u64 = 1;
-const TAG_TWO: u64 = 2;
-const TAG_OFFSET: u64 = 3;
+const TAG_MASK: u32 = 3;
+const TAG_CHILD: u32 = 0;
+const TAG_CANDIDATE: u32 = 1;
+const TAG_TRUE_HIT: u32 = 2;
+const TAG_OFFSET: u32 = 3;
 
 #[inline]
-fn encode_child(index: u32) -> u64 {
-    (index as u64) << 2
+fn encode_child(index: u32) -> u32 {
+    debug_assert!(index <= MAX_POLYGON_ID);
+    index << 2
 }
 
 #[inline]
-fn encode_one(payload: u32) -> u64 {
-    ((payload as u64) << 2) | TAG_ONE
+fn encode_ref(r: PolygonRef) -> u32 {
+    assert!(r.id <= MAX_POLYGON_ID, "polygon id exceeds 30 bits");
+    let tag = if r.interior {
+        TAG_TRUE_HIT
+    } else {
+        TAG_CANDIDATE
+    };
+    (r.id << 2) | tag
 }
 
 #[inline]
-fn encode_two(p1: u32, p2: u32) -> u64 {
-    ((p2 as u64) << 33) | ((p1 as u64) << 2) | TAG_TWO
+fn encode_offset(offset: u32) -> u32 {
+    debug_assert!(offset <= MAX_POLYGON_ID);
+    (offset << 2) | TAG_OFFSET
 }
 
+/// The terminal slot of a reference set: a single reference inline, any
+/// larger set interned into `table`. Shared with the sorted-array
+/// baseline, which stores the same slot values.
 #[inline]
-fn encode_offset(offset: u32) -> u64 {
-    ((offset as u64) << 2) | TAG_OFFSET
+pub(crate) fn encode_terminal(refs: &RefSet, table: &mut LookupTableBuilder) -> u32 {
+    match refs {
+        RefSet::One(r) => encode_ref(*r),
+        _ => encode_offset(table.intern(refs)),
+    }
 }
 
 /// The result of probing the trie with a query point.
@@ -92,25 +127,24 @@ pub enum Probe {
     Miss,
     /// The matched cell references one polygon.
     One(PolygonRef),
-    /// The matched cell references two polygons.
-    Two(PolygonRef, PolygonRef),
-    /// The matched cell references ≥ 3 polygons; resolve via the
+    /// The matched cell references two or more polygons; resolve via the
     /// [`LookupTable`] at this offset.
     Table(u32),
 }
 
 impl Probe {
-    /// Decodes a raw tagged entry (must not be a child reference).
+    /// Decodes a terminal slot (must not be a child reference).
     #[inline]
-    fn from_entry(entry: u64) -> Probe {
-        match entry & TAG_MASK {
-            TAG_ONE => Probe::One(PolygonRef::decode((entry >> 2) as u32 & 0x7FFF_FFFF)),
-            TAG_TWO => Probe::Two(
-                PolygonRef::decode((entry >> 2) as u32 & 0x7FFF_FFFF),
-                PolygonRef::decode((entry >> 33) as u32 & 0x7FFF_FFFF),
-            ),
-            TAG_OFFSET => Probe::Table((entry >> 2) as u32 & 0x7FFF_FFFF),
-            _ => unreachable!("child entries are consumed by the descent"),
+    pub(crate) fn from_terminal(slot: u32) -> Probe {
+        match slot & TAG_MASK {
+            TAG_OFFSET => Probe::Table(slot >> 2),
+            tag => {
+                debug_assert_ne!(tag, TAG_CHILD, "child slots are consumed by the descent");
+                Probe::One(PolygonRef {
+                    id: slot >> 2,
+                    interior: tag == TAG_TRUE_HIT,
+                })
+            }
         }
     }
 }
@@ -148,8 +182,28 @@ pub struct TrieStats {
     pub nodes_per_depth: Vec<usize>,
     /// Occupied (non-sentinel) slots at each depth.
     pub occupied_per_depth: Vec<usize>,
-    /// Total terminal entries by kind: (one, two, offset).
+    /// Total terminal slots by tag: (one candidate reference, one
+    /// true-hit reference, lookup-table offset).
     pub terminals: (usize, usize, usize),
+}
+
+/// Where the level-synchronous walk records each lane's termination
+/// depth. `()` records nothing — the walk monomorphises to the plain
+/// batched probe — and a `[u8]` stores one byte per lane.
+trait DepthSink {
+    fn record(&mut self, lane: usize, depth: u8);
+}
+
+impl DepthSink for () {
+    #[inline(always)]
+    fn record(&mut self, _: usize, _: u8) {}
+}
+
+impl DepthSink for [u8] {
+    #[inline(always)]
+    fn record(&mut self, lane: usize, depth: u8) {
+        self[lane] = depth;
+    }
 }
 
 /// A borrowed `(node arena, roots)` pair: the probe-side core of the
@@ -158,7 +212,7 @@ pub struct TrieStats {
 /// arena probes through exactly the code paths the built one does.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RawTrie<'a> {
-    pub(crate) slots: &'a [u64],
+    pub(crate) slots: &'a [u32],
     pub(crate) roots: &'a [u32; 6],
 }
 
@@ -166,28 +220,31 @@ impl RawTrie<'_> {
     /// See [`Act::lookup`].
     #[inline]
     pub(crate) fn lookup(self, query: CellId) -> Probe {
-        let face = (query.0 >> 61) as usize;
-        let mut node = self.roots[face] as usize;
+        self.lookup_depth(query).0
+    }
+
+    /// The scalar walk plus its termination depth: the number of node
+    /// accesses made (0 for an empty root face, 1..=7 otherwise).
+    #[inline]
+    pub(crate) fn lookup_depth(self, query: CellId) -> (Probe, u8) {
+        let mut node = self.roots[(query.0 >> 61) as usize] as usize;
         if node == 0 {
-            return Probe::Miss;
+            return (Probe::Miss, 0);
         }
         // Position bits at the top of the word; consume 8 per level.
         let mut key = query.0 << 3;
-        for _ in 0..7 {
-            let b = (key >> 56) as usize;
+        for depth in 1..=7u8 {
+            let e = self.slots[node * FANOUT + (key >> 56) as usize];
             key <<= 8;
-            let e = self.slots[node * FANOUT + b];
-            if e & TAG_MASK == TAG_CHILD {
-                let idx = (e >> 2) as usize;
-                if idx == 0 {
-                    return Probe::Miss;
-                }
-                node = idx;
-            } else {
-                return Probe::from_entry(e);
+            if e & TAG_MASK != TAG_CHILD {
+                return (Probe::from_terminal(e), depth);
             }
+            if e == 0 {
+                return (Probe::Miss, depth);
+            }
+            node = (e >> 2) as usize;
         }
-        Probe::Miss
+        (Probe::Miss, 7)
     }
 
     /// See [`Act::lookup_batch`].
@@ -201,7 +258,7 @@ impl RawTrie<'_> {
             .chunks(MAX_PROBE_BLOCK)
             .zip(out.chunks_mut(MAX_PROBE_BLOCK))
         {
-            self.lookup_block(q, o);
+            self.lookup_block(q, o, &mut ());
         }
     }
 
@@ -227,30 +284,33 @@ impl RawTrie<'_> {
             .zip(out.chunks_mut(MAX_PROBE_BLOCK))
             .zip(depths.chunks_mut(MAX_PROBE_BLOCK))
         {
-            self.lookup_block_depths(q, o, d);
+            self.lookup_block(q, o, d);
         }
     }
 
-    /// [`RawTrie::lookup_block`] with per-lane termination depths: the
-    /// same level-synchronous walk (lanes advance one level together,
-    /// resolved lanes compacted out, so the memory-level parallelism
-    /// the batched probe exists for is preserved), plus one byte store
-    /// per lane recording how many node accesses the walk made —
-    /// 0 for an empty root face, 1..=7 otherwise. This is the serving
-    /// pipeline's probed-cell-depth instrumentation hook; the
-    /// depth histogram it feeds is what ROADMAP's prefetch and
-    /// hot-cell-cache items will be judged against.
-    fn lookup_block_depths(self, queries: &[CellId], out: &mut [Probe], depths: &mut [u8]) {
-        let n = queries.len();
-        debug_assert!(n <= MAX_PROBE_BLOCK);
+    /// One level-synchronous block (≤ [`MAX_PROBE_BLOCK`] lanes): lanes
+    /// advance one level together and resolved lanes are compacted out,
+    /// so the loads of one level are independent and overlap in the
+    /// memory pipeline. `depths` gets each lane's node-access count
+    /// (0 for an empty root face, 1..=7 otherwise) — the serving
+    /// pipeline's probed-cell-depth hook; with `()` the walk records
+    /// nothing and costs nothing extra.
+    fn lookup_block<D: DepthSink + ?Sized>(
+        self,
+        queries: &[CellId],
+        out: &mut [Probe],
+        depths: &mut D,
+    ) {
+        debug_assert!(queries.len() <= MAX_PROBE_BLOCK);
         let mut node = [0u32; MAX_PROBE_BLOCK];
         let mut key = [0u64; MAX_PROBE_BLOCK];
+        // Active lane ids, compacted as lanes resolve.
         let mut lanes = [0u16; MAX_PROBE_BLOCK];
         let mut live = 0usize;
         for (i, (&q, o)) in queries.iter().zip(out.iter_mut()).enumerate() {
             let root = self.roots[(q.0 >> 61) as usize];
             *o = Probe::Miss;
-            depths[i] = 0;
+            depths.record(i, 0);
             if root != 0 {
                 node[i] = root;
                 key[i] = q.0 << 3;
@@ -268,88 +328,45 @@ impl RawTrie<'_> {
                 let b = (key[i] >> 56) as usize;
                 key[i] <<= 8;
                 let e = self.slots[node[i] as usize * FANOUT + b];
-                if e & TAG_MASK == TAG_CHILD {
-                    let idx = (e >> 2) as u32;
-                    if idx != 0 {
-                        node[i] = idx;
-                        lanes[kept] = i as u16;
-                        kept += 1;
-                        // Depth advances with the lane: a lane that runs
-                        // off the key after 7 levels keeps depth 7.
-                        depths[i] = depth;
-                    } else {
-                        depths[i] = depth; // resolved Miss at this level
-                    }
-                } else {
-                    out[i] = Probe::from_entry(e);
-                    depths[i] = depth;
+                // A lane that runs off the key after 7 levels keeps
+                // depth 7 (and the Miss written above).
+                depths.record(i, depth);
+                if e & TAG_MASK != TAG_CHILD {
+                    out[i] = Probe::from_terminal(e);
+                } else if e != 0 {
+                    node[i] = e >> 2;
+                    lanes[kept] = i as u16;
+                    kept += 1;
                 }
+                // e == 0: the sentinel child, stays the Miss written above.
             }
             live = kept;
         }
     }
 
-    /// One level-synchronous block (≤ [`MAX_PROBE_BLOCK`] lanes).
-    fn lookup_block(self, queries: &[CellId], out: &mut [Probe]) {
-        let n = queries.len();
-        debug_assert!(n <= MAX_PROBE_BLOCK);
-        let mut node = [0u32; MAX_PROBE_BLOCK];
-        let mut key = [0u64; MAX_PROBE_BLOCK];
-        // Active lane ids, compacted as lanes resolve.
-        let mut lanes = [0u16; MAX_PROBE_BLOCK];
-        let mut live = 0usize;
-        for (i, (&q, o)) in queries.iter().zip(out.iter_mut()).enumerate() {
-            let root = self.roots[(q.0 >> 61) as usize];
-            *o = Probe::Miss;
-            if root != 0 {
-                node[i] = root;
-                key[i] = q.0 << 3;
-                lanes[live] = i as u16;
-                live += 1;
-            }
-        }
-        for _ in 0..7 {
-            if live == 0 {
-                return;
-            }
-            let mut kept = 0usize;
-            for j in 0..live {
-                let i = lanes[j] as usize;
-                let b = (key[i] >> 56) as usize;
-                key[i] <<= 8;
-                let e = self.slots[node[i] as usize * FANOUT + b];
-                if e & TAG_MASK == TAG_CHILD {
-                    let idx = (e >> 2) as u32;
-                    if idx != 0 {
-                        node[i] = idx;
-                        lanes[kept] = i as u16;
-                        kept += 1;
-                    }
-                    // idx == 0: stays the Miss written above.
-                } else {
-                    out[i] = Probe::from_entry(e);
-                }
-            }
-            live = kept;
-        }
-        // Lanes still live after 7 levels ran off the key: Miss (pre-set).
-    }
-
-    /// Checks every arena entry for out-of-bounds child pointers and
+    /// Checks every arena slot for out-of-bounds child pointers and
     /// lookup-table offsets against `table` (the raw word array). The
     /// snapshot loader runs this so that probing a validated arena can
     /// never index out of bounds, whatever the bytes came from; `Err` is
     /// the first violation's reason.
     pub(crate) fn validate_entries(self, table: &[u32]) -> Result<(), &'static str> {
         let num_nodes = self.slots.len() / FANOUT;
+        // Denormalization repeats one value across runs of up to 256
+        // slots; a repeat was checked already (and 0, the sentinel
+        // child, is always valid).
+        let mut prev = 0u32;
         for &e in self.slots {
+            if e == prev {
+                continue;
+            }
+            prev = e;
             match e & TAG_MASK {
                 TAG_CHILD if (e >> 2) as usize >= num_nodes => {
                     return Err("trie child pointer out of arena range");
                 }
                 TAG_OFFSET => {
                     // Entry layout: [n_true, trues…, n_cand, cands…].
-                    let off = ((e >> 2) as u32 & 0x7FFF_FFFF) as usize;
+                    let off = (e >> 2) as usize;
                     let n_true = *table.get(off).ok_or("lookup-table offset out of range")?;
                     let at = off + 1 + n_true as usize;
                     let n_cand = *table
@@ -359,8 +376,8 @@ impl RawTrie<'_> {
                         return Err("lookup-table entry exceeds the table");
                     }
                 }
-                // Inlined payloads (TAG_ONE/TAG_TWO) decode without
-                // indexing anything — any bit pattern is safe.
+                // Inline references decode without indexing anything —
+                // any 30-bit id is safe.
                 _ => {}
             }
         }
@@ -381,25 +398,31 @@ pub(crate) struct MutationWaste {
     pub(crate) stale_table_words: u64,
 }
 
-/// Decodes a terminal entry into its reference set, consulting the raw
-/// lookup-table `words` for `TAG_OFFSET` entries.
-fn entry_refset(e: u64, words: &[u32]) -> RefSet {
-    match e & TAG_MASK {
-        TAG_ONE => RefSet::One(PolygonRef::decode((e >> 2) as u32 & 0x7FFF_FFFF)),
-        TAG_TWO => RefSet::Two(
-            PolygonRef::decode((e >> 2) as u32 & 0x7FFF_FFFF),
-            PolygonRef::decode((e >> 33) as u32 & 0x7FFF_FFFF),
-        ),
-        TAG_OFFSET => {
-            let (t, c) = crate::lookup::decode_at(words, (e >> 2) as u32 & 0x7FFF_FFFF);
-            RefSet::Many(
-                t.iter()
-                    .map(|&id| PolygonRef::true_hit(id))
-                    .chain(c.iter().map(|&id| PolygonRef::candidate(id)))
-                    .collect(),
-            )
+/// Decodes a terminal slot into its reference set, consulting the raw
+/// lookup-table `words` for `TAG_OFFSET` slots.
+fn entry_refset(e: u32, words: &[u32]) -> RefSet {
+    match Probe::from_terminal(e) {
+        Probe::One(r) => RefSet::One(r),
+        Probe::Table(off) => {
+            let (t, c) = crate::lookup::decode_at(words, off);
+            let mut refs = t
+                .iter()
+                .map(|&id| PolygonRef::true_hit(id))
+                .chain(c.iter().map(|&id| PolygonRef::candidate(id)));
+            if t.len() + c.len() == 2 {
+                // The common table entry: no allocation.
+                let (a, b) = (refs.next().unwrap(), refs.next().unwrap());
+                return if a.id < b.id {
+                    RefSet::Two(a, b)
+                } else {
+                    RefSet::Two(b, a)
+                };
+            }
+            let mut v: Vec<PolygonRef> = refs.collect();
+            v.sort_unstable_by_key(|r| r.id);
+            RefSet::Many(v)
         }
-        _ => unreachable!("child entries carry no references"),
+        Probe::Miss => unreachable!("child entries carry no references"),
     }
 }
 
@@ -432,12 +455,15 @@ fn run_cell(node_cell: CellId, base: usize, size: usize) -> CellId {
     c
 }
 
+/// Spare node capacity a clone of an [`Act`] carries (64 KiB).
+const CLONE_SPARE_NODES: usize = 64;
+
 /// The Adaptive Cell Trie.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Act {
     /// Flat node arena: node `i` occupies `slots[i*256 .. (i+1)*256]`.
     /// Node 0 is the all-zero sentinel.
-    slots: Vec<u64>,
+    slots: Vec<u32>,
     /// Root node index per cube face (0 = no data on that face).
     roots: [u32; 6],
     /// Number of cells inserted (before denormalization) — the paper's
@@ -446,6 +472,24 @@ pub struct Act {
     inserted_cells: u64,
     /// Number of slot writes performed by denormalization.
     denormalized_slots: u64,
+}
+
+impl Clone for Act {
+    /// Copies the arena with room for [`CLONE_SPARE_NODES`] more nodes.
+    /// Clones exist to be mutated (the live-update scratch index), and an
+    /// exact-capacity arena below the allocator's mmap threshold (32 MB
+    /// with glibc) would copy itself whole on its first node allocation
+    /// instead of growing in place.
+    fn clone(&self) -> Act {
+        let mut slots = Vec::with_capacity(self.slots.len() + CLONE_SPARE_NODES * FANOUT);
+        slots.extend_from_slice(&self.slots);
+        Act {
+            slots,
+            roots: self.roots,
+            inserted_cells: self.inserted_cells,
+            denormalized_slots: self.denormalized_slots,
+        }
+    }
 }
 
 impl Default for Act {
@@ -458,7 +502,7 @@ impl Act {
     /// Creates an empty trie (just the sentinel node).
     pub fn new() -> Act {
         Act {
-            slots: vec![0u64; FANOUT],
+            slots: vec![0u32; FANOUT],
             roots: [0; 6],
             inserted_cells: 0,
             denormalized_slots: 0,
@@ -469,7 +513,7 @@ impl Act {
     /// caller is responsible for having validated the arena: slot count a
     /// positive multiple of [`FANOUT`], roots within bounds.
     pub(crate) fn from_raw_parts(
-        slots: Vec<u64>,
+        slots: Vec<u32>,
         roots: [u32; 6],
         inserted_cells: u64,
         denormalized_slots: u64,
@@ -496,6 +540,10 @@ impl Act {
     #[inline]
     fn alloc_node(&mut self) -> u32 {
         let idx = (self.slots.len() / FANOUT) as u32;
+        assert!(
+            idx <= MAX_POLYGON_ID,
+            "ACT arena exceeds 2^30 nodes; cannot be addressed by 30-bit child indices"
+        );
         self.slots.resize(self.slots.len() + FANOUT, 0);
         idx
     }
@@ -514,11 +562,7 @@ impl Act {
             "cell level {level} exceeds MAX_INDEX_LEVEL"
         );
 
-        let entry = match refs {
-            RefSet::One(r) => encode_one(r.encode()),
-            RefSet::Two(a, b) => encode_two(a.encode(), b.encode()),
-            RefSet::Many(_) => encode_offset(table.intern(refs)),
-        };
+        let entry = encode_terminal(refs, table);
 
         let face = cell.face() as usize;
         if self.roots[face] == 0 {
@@ -541,7 +585,7 @@ impl Act {
             let e = self.slots[slot];
             match e & TAG_MASK {
                 TAG_CHILD => {
-                    let mut idx = (e >> 2) as u32;
+                    let mut idx = e >> 2;
                     if idx == 0 {
                         idx = self.alloc_node();
                         self.slots[slot] = encode_child(idx);
@@ -564,7 +608,7 @@ impl Act {
         self.inserted_cells += 1;
     }
 
-    fn fill_range(&mut self, node: usize, base: usize, count: usize, entry: u64) {
+    fn fill_range(&mut self, node: usize, base: usize, count: usize, entry: u32) {
         for s in base..base + count {
             let slot = node * FANOUT + s;
             assert_eq!(
@@ -623,33 +667,14 @@ impl Act {
     /// The adaptive index uses this to attribute probe heat to regions.
     #[inline]
     pub fn lookup_with_slot_level(&self, query: CellId) -> (Probe, u8) {
-        let face = (query.0 >> 61) as usize;
-        let mut node = self.roots[face] as usize;
-        if node == 0 {
-            return (Probe::Miss, 0);
-        }
-        let mut key = query.0 << 3;
-        for d in 0..7u8 {
-            let b = (key >> 56) as usize;
-            key <<= 8;
-            let e = self.slots[node * FANOUT + b];
-            if e & TAG_MASK == TAG_CHILD {
-                let idx = (e >> 2) as usize;
-                if idx == 0 {
-                    return (Probe::Miss, (d + 1) * 4);
-                }
-                node = idx;
-            } else {
-                return (Probe::from_entry(e), (d + 1) * 4);
-            }
-        }
-        (Probe::Miss, MAX_INDEX_LEVEL)
+        let (probe, depth) = self.raw().lookup_depth(query);
+        (probe, depth * GRANULARITY)
     }
 
     /// The raw node arena (node `i` is `slots()[i*256..(i+1)*256]`).
     /// Exposed so builds can be compared for byte-identity.
     #[inline]
-    pub fn slots(&self) -> &[u64] {
+    pub fn slots(&self) -> &[u32] {
         &self.slots
     }
 
@@ -668,7 +693,7 @@ impl Act {
     /// Memory consumed by the node arena in bytes (the paper's "ACT \[MB\]").
     #[inline]
     pub fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<u64>()
+        self.slots.len() * std::mem::size_of::<u32>()
     }
 
     /// Number of `insert` calls (cells before denormalization).
@@ -709,8 +734,8 @@ impl Act {
             st.occupied_per_depth[depth] += 1;
             match e & TAG_MASK {
                 TAG_CHILD => self.stats_rec((e >> 2) as usize, depth + 1, st),
-                TAG_ONE => st.terminals.0 += 1,
-                TAG_TWO => st.terminals.1 += 1,
+                TAG_CANDIDATE => st.terminals.0 += 1,
+                TAG_TRUE_HIT => st.terminals.1 += 1,
                 _ => st.terminals.2 += 1,
             }
         }
@@ -729,7 +754,7 @@ impl Act {
     /// (entry `e`, non-child). May merge sibling cells that happen to
     /// carry the same entry — probe-equivalent, since every leaf in the
     /// merged block resolves to the same entry either way.
-    fn expand_run(&self, node: usize, s: usize, e: u64) -> (usize, usize) {
+    fn expand_run(&self, node: usize, s: usize, e: u32) -> (usize, usize) {
         for size in [256usize, 64, 16, 4] {
             let base = s & !(size - 1);
             if self.slots[node * FANOUT + base..node * FANOUT + base + size]
@@ -847,8 +872,8 @@ impl Act {
         slots
     }
 
-    /// Collects every polygon id held inline in `ONE`/`TWO` entries by a
-    /// flat scan of the whole arena — orphaned nodes included, so
+    /// Collects every polygon id held inline in single-reference slots by
+    /// a flat scan of the whole arena — orphaned nodes included, so
     /// together with a lookup-table scan the result is a *superset* of
     /// the ids the index can still answer with. One sequential pass over
     /// the slot array; no tree walk.
@@ -856,21 +881,14 @@ impl Act {
         // Denormalization writes the same entry across aligned runs of
         // up to 256 slots, so skipping consecutive repeats removes the
         // bulk of the set insertions (the scan itself stays linear).
-        let mut prev = 0u64;
+        let mut prev = 0u32;
         for &e in &self.slots {
             if e == prev {
                 continue;
             }
             prev = e;
-            match e & TAG_MASK {
-                TAG_ONE => {
-                    into.insert(PolygonRef::decode((e >> 2) as u32 & 0x7FFF_FFFF).id);
-                }
-                TAG_TWO => {
-                    into.insert(PolygonRef::decode((e >> 2) as u32 & 0x7FFF_FFFF).id);
-                    into.insert(PolygonRef::decode((e >> 33) as u32 & 0x7FFF_FFFF).id);
-                }
-                _ => {}
+            if matches!(e & TAG_MASK, TAG_CANDIDATE | TAG_TRUE_HIT) {
+                into.insert(e >> 2);
             }
         }
     }
@@ -960,8 +978,9 @@ impl Act {
     }
 
     /// Strips references to polygon `id` under `cell`'s territory only,
-    /// tombstoning in place: terminal runs are rewritten (`Two`→`One`,
-    /// `Many`→ smaller set, sole ref → empty), emptied subtrees under
+    /// tombstoning in place: terminal runs are rewritten (a table set
+    /// shrinks to a smaller set or to a single inline reference, a sole
+    /// ref empties the run), emptied subtrees under
     /// the territory are pruned so probes into them miss, and superseded
     /// `Many` entries leave their old words in the table as garbage
     /// (counted in `waste`). The descent also handles the run *covering*
@@ -979,7 +998,7 @@ impl Act {
         cell: CellId,
         id: u32,
         tb: &mut LookupTableBuilder,
-        memo: &mut std::collections::HashMap<u64, u64>,
+        memo: &mut std::collections::HashMap<u32, u32>,
         changed: &mut bool,
         waste: &mut MutationWaste,
     ) {
@@ -1084,20 +1103,21 @@ impl Act {
     }
 
     /// Rewrites one terminal run without polygon `id` (memoized), keeping
-    /// the slot counters honest when the run empties.
+    /// the slot counters honest when the run empties; returns the run's
+    /// new slot value.
     #[allow(clippy::too_many_arguments)]
     fn rewrite_run(
         &mut self,
         node: usize,
         rbase: usize,
         rsize: usize,
-        e: u64,
+        e: u32,
         id: u32,
         tb: &mut LookupTableBuilder,
-        memo: &mut std::collections::HashMap<u64, u64>,
+        memo: &mut std::collections::HashMap<u32, u32>,
         changed: &mut bool,
         waste: &mut MutationWaste,
-    ) {
+    ) -> u32 {
         let ne = match memo.get(&e) {
             Some(&ne) => ne,
             None => {
@@ -1116,6 +1136,7 @@ impl Act {
                 self.inserted_cells = self.inserted_cells.saturating_sub(1);
             }
         }
+        ne
     }
 
     /// Returns true when `node` is all-zero after the rewrite.
@@ -1124,7 +1145,7 @@ impl Act {
         node: usize,
         id: u32,
         tb: &mut LookupTableBuilder,
-        memo: &mut std::collections::HashMap<u64, u64>,
+        memo: &mut std::collections::HashMap<u32, u32>,
         changed: &mut bool,
         waste: &mut MutationWaste,
     ) -> bool {
@@ -1147,25 +1168,7 @@ impl Act {
                 s += 1;
             } else {
                 let (rbase, rsize) = self.expand_run(node, s, e);
-                let ne = match memo.get(&e) {
-                    Some(&ne) => ne,
-                    None => {
-                        let ne = rewrite_without(e, id, tb, waste);
-                        memo.insert(e, ne);
-                        ne
-                    }
-                };
-                if ne != e {
-                    *changed = true;
-                    for i in rbase..rbase + rsize {
-                        self.slots[node * FANOUT + i] = ne;
-                    }
-                    if ne == 0 {
-                        self.denormalized_slots =
-                            self.denormalized_slots.saturating_sub(rsize as u64);
-                        self.inserted_cells = self.inserted_cells.saturating_sub(1);
-                    }
-                }
+                let ne = self.rewrite_run(node, rbase, rsize, e, id, tb, memo, changed, waste);
                 if ne != 0 {
                     all_zero = false;
                 }
@@ -1176,32 +1179,21 @@ impl Act {
     }
 }
 
-/// Rewrites a terminal entry with polygon `id`'s reference dropped;
-/// returns the entry unchanged when it does not reference `id`, and `0`
-/// when `id` was its only reference. A shrunk `Many` set re-interns into
-/// `tb` (the old entry's words become table garbage, counted in `waste`).
-fn rewrite_without(e: u64, id: u32, tb: &mut LookupTableBuilder, waste: &mut MutationWaste) -> u64 {
-    match e & TAG_MASK {
-        TAG_ONE => {
-            let r = PolygonRef::decode((e >> 2) as u32 & 0x7FFF_FFFF);
+/// Rewrites a terminal slot with polygon `id`'s reference dropped;
+/// returns the slot unchanged when it does not reference `id`, and `0`
+/// when `id` was its only reference. A shrunk table set re-interns into
+/// `tb` — or, down to one reference, becomes an inline slot — and the
+/// old entry's words become table garbage, counted in `waste`.
+fn rewrite_without(e: u32, id: u32, tb: &mut LookupTableBuilder, waste: &mut MutationWaste) -> u32 {
+    match Probe::from_terminal(e) {
+        Probe::One(r) => {
             if r.id == id {
                 0
             } else {
                 e
             }
         }
-        TAG_TWO => {
-            let a = PolygonRef::decode((e >> 2) as u32 & 0x7FFF_FFFF);
-            let b = PolygonRef::decode((e >> 33) as u32 & 0x7FFF_FFFF);
-            match (a.id == id, b.id == id) {
-                (false, false) => e,
-                (true, false) => encode_one(b.encode()),
-                (false, true) => encode_one(a.encode()),
-                (true, true) => 0, // ids are unique per set; defensive
-            }
-        }
-        TAG_OFFSET => {
-            let off = (e >> 2) as u32 & 0x7FFF_FFFF;
+        Probe::Table(off) => {
             let (t, c) = crate::lookup::decode_at(tb.words(), off);
             if !t.contains(&id) && !c.contains(&id) {
                 return e;
@@ -1218,14 +1210,13 @@ fn rewrite_without(e: u64, id: u32, tb: &mut LookupTableBuilder, waste: &mut Mut
                 )
                 .collect();
             v.sort_unstable_by_key(|r| r.id);
-            match v.len() {
-                0 => 0,
-                1 => encode_one(v[0].encode()),
-                2 => encode_two(v[0].encode(), v[1].encode()),
-                _ => encode_offset(tb.intern(&RefSet::Many(v))),
+            if v.is_empty() {
+                0
+            } else {
+                encode_terminal(&RefSet::from_sorted(v), tb)
             }
         }
-        _ => unreachable!("child entries are handled by the walk"),
+        Probe::Miss => unreachable!("child entries are handled by the walk"),
     }
 }
 
@@ -1246,15 +1237,13 @@ pub(crate) fn resolve_probe_words(
     probe: Probe,
     words: &[u32],
 ) -> impl Iterator<Item = (u32, bool)> + '_ {
-    // A small state machine keeps the common One/Two cases allocation-free.
-    type Decoded<'t> = ([Option<PolygonRef>; 2], Option<(&'t [u32], &'t [u32])>);
-    let (inline, slices): Decoded<'_> = match probe {
-        Probe::Miss => ([None, None], None),
-        Probe::One(a) => ([Some(a), None], None),
-        Probe::Two(a, b) => ([Some(a), Some(b)], None),
-        Probe::Table(off) => ([None, None], Some(crate::lookup::decode_at(words, off))),
+    // A small state machine keeps every case allocation-free.
+    let (inline, slices) = match probe {
+        Probe::Miss => (None, None),
+        Probe::One(a) => (Some(a), None),
+        Probe::Table(off) => (None, Some(crate::lookup::decode_at(words, off))),
     };
-    let inline_iter = inline.into_iter().flatten().map(|r| (r.id, r.interior));
+    let inline_iter = inline.into_iter().map(|r| (r.id, r.interior));
     let table_iter = slices.into_iter().flat_map(|(t, c)| {
         t.iter()
             .map(|&id| (id, true))
@@ -1325,21 +1314,84 @@ mod tests {
     }
 
     #[test]
-    fn two_payloads_inline() {
+    fn single_refs_inline_with_the_flag_in_the_tag() {
+        let mut act = Act::new();
+        let mut tb = LookupTableBuilder::new();
+        let leaf = nyc_leaf(40.7, -74.0);
+        let (a, b) = (leaf.parent(12), nyc_leaf(41.5, -74.0).parent(12));
+        act.insert(a, &RefSet::single(PolygonRef::true_hit(3)), &mut tb);
+        act.insert(b, &RefSet::single(PolygonRef::candidate(3)), &mut tb);
+        assert_eq!(act.lookup(leaf), Probe::One(PolygonRef::true_hit(3)));
+        assert_eq!(
+            act.lookup(b.range_min()),
+            Probe::One(PolygonRef::candidate(3))
+        );
+        // One slot word each: tag 10 (true hit) and 01 (candidate).
+        let slots: Vec<u32> = act
+            .slots()
+            .iter()
+            .copied()
+            .filter(|&e| e & 3 != 0)
+            .collect();
+        assert!(slots.contains(&((3 << 2) | TAG_TRUE_HIT)));
+        assert!(slots.contains(&((3 << 2) | TAG_CANDIDATE)));
+        // No lookup table entries were created for inline references.
+        assert_eq!(tb.build().len_words(), 0);
+    }
+
+    #[test]
+    fn two_refs_go_to_lookup_table() {
         let mut act = Act::new();
         let mut tb = LookupTableBuilder::new();
         let cell = nyc_leaf(40.7, -74.0).parent(12);
         let refs = RefSet::Two(PolygonRef::true_hit(3), PolygonRef::candidate(9));
         act.insert(cell, &refs, &mut tb);
+        let table = tb.build();
         match act.lookup(cell.range_min()) {
-            Probe::Two(a, b) => {
-                assert_eq!(a, PolygonRef::true_hit(3));
-                assert_eq!(b, PolygonRef::candidate(9));
+            Probe::Table(off) => {
+                let (t, c) = table.decode(off);
+                assert_eq!(t, &[3]);
+                assert_eq!(c, &[9]);
             }
-            other => panic!("expected Two, got {other:?}"),
+            other => panic!("expected Table, got {other:?}"),
         }
-        // No lookup table entries were created for inlined payloads.
-        assert_eq!(tb.build().len_words(), 0);
+        // One interned entry: [n_true=1, 3, n_cand=1, 9].
+        assert_eq!(table.len_words(), 4);
+    }
+
+    #[test]
+    fn max_polygon_id_round_trips_inline_and_in_the_table() {
+        let mut act = Act::new();
+        let mut tb = LookupTableBuilder::new();
+        let leaf = nyc_leaf(40.7, -74.0);
+        let far = nyc_leaf(41.5, -74.0);
+        let other = CellId::from_latlng(LatLng::from_degrees(0.0, 0.0));
+        act.insert(
+            leaf.parent(12),
+            &RefSet::single(PolygonRef::true_hit(MAX_POLYGON_ID)),
+            &mut tb,
+        );
+        act.insert(
+            far.parent(12),
+            &RefSet::single(PolygonRef::candidate(MAX_POLYGON_ID)),
+            &mut tb,
+        );
+        act.insert(
+            other.parent(12),
+            &RefSet::Two(
+                PolygonRef::candidate(MAX_POLYGON_ID - 1),
+                PolygonRef::true_hit(MAX_POLYGON_ID),
+            ),
+            &mut tb,
+        );
+        let table = tb.build();
+        let refs = |q: CellId| resolve_probe(act.lookup(q), &table).collect::<Vec<_>>();
+        assert_eq!(refs(leaf), vec![(MAX_POLYGON_ID, true)]);
+        assert_eq!(refs(far), vec![(MAX_POLYGON_ID, false)]);
+        assert_eq!(
+            refs(other),
+            vec![(MAX_POLYGON_ID, true), (MAX_POLYGON_ID - 1, false)]
+        );
     }
 
     #[test]
@@ -1523,9 +1575,13 @@ mod tests {
             assert_eq!(*got, act.lookup(*q), "query {q:?}");
         }
         assert!(out.iter().any(|p| matches!(p, Probe::One(_))));
-        assert!(out.iter().any(|p| matches!(p, Probe::Two(..))));
-        assert!(out.iter().any(|p| matches!(p, Probe::Table(_))));
         assert!(out.iter().any(|p| matches!(p, Probe::Miss)));
+        // Both table entries are probed: the two-reference cell's (offset
+        // 0, interned first) and the three-reference cell's.
+        assert!(out.contains(&Probe::Table(0)));
+        assert!(out
+            .iter()
+            .any(|p| matches!(p, Probe::Table(off) if *off != 0)));
     }
 
     #[test]
@@ -1618,7 +1674,7 @@ mod tests {
             &RefSet::single(PolygonRef::true_hit(1)),
             &mut tb,
         );
-        assert_eq!(act.memory_bytes(), act.num_nodes() * FANOUT * 8);
+        assert_eq!(act.memory_bytes(), act.num_nodes() * FANOUT * 4);
         // sentinel + root + depth-1 node = 3 nodes.
         assert_eq!(act.num_nodes(), 3);
     }
@@ -1650,6 +1706,65 @@ mod tests {
     }
 
     #[test]
+    fn removing_one_of_two_refs_leaves_an_inline_slot_and_counts_table_waste() {
+        let mut act = Act::new();
+        let mut tb = LookupTableBuilder::new();
+        let cell = nyc_leaf(40.7, -74.0).parent(13); // denormalized: 64 slots
+        let refs = RefSet::Two(PolygonRef::candidate(3), PolygonRef::true_hit(8));
+        act.insert(cell, &refs, &mut tb);
+        let table_words = tb.words().len();
+        assert!(matches!(act.lookup(cell.range_min()), Probe::Table(_)));
+
+        let (mut memo, mut changed) = (std::collections::HashMap::new(), false);
+        let mut waste = MutationWaste::default();
+        act.remove_refs_in_cell(cell, 3, &mut tb, &mut memo, &mut changed, &mut waste);
+        assert!(changed);
+        let want = Probe::One(PolygonRef::true_hit(8));
+        assert_eq!(act.lookup(cell.range_min()), want);
+        assert_eq!(act.lookup(cell.range_max()), want);
+        // Every slot of the run now holds the inline reference itself.
+        let inline = encode_ref(PolygonRef::true_hit(8));
+        assert_eq!(act.slots().iter().filter(|&&e| e == inline).count(), 64);
+        // The abandoned [1, 8, 1, 3] entry is counted as waste, and the
+        // one-reference result interned nothing new.
+        assert_eq!(waste.stale_table_words, 4);
+        assert_eq!(tb.words().len(), table_words);
+        assert_eq!(act.denormalized_slots(), 64);
+
+        // Removing the last reference empties the run (no more waste:
+        // the slot was inline).
+        act.remove_refs_in_cell(cell, 8, &mut tb, &mut memo, &mut changed, &mut waste);
+        assert_eq!(act.lookup(cell.range_min()), Probe::Miss);
+        assert_eq!(waste.stale_table_words, 4);
+    }
+
+    #[test]
+    fn inline_id_scan_sees_both_tags_only() {
+        let mut act = Act::new();
+        let mut tb = LookupTableBuilder::new();
+        let leaf = nyc_leaf(40.7, -74.0);
+        act.insert(
+            leaf.parent(12),
+            &RefSet::single(PolygonRef::true_hit(5)),
+            &mut tb,
+        );
+        act.insert(
+            nyc_leaf(41.5, -74.0).parent(12),
+            &RefSet::single(PolygonRef::candidate(MAX_POLYGON_ID)),
+            &mut tb,
+        );
+        act.insert(
+            nyc_leaf(40.0, -75.0).parent(12),
+            &RefSet::Two(PolygonRef::candidate(6), PolygonRef::candidate(7)),
+            &mut tb,
+        );
+        let mut ids = std::collections::BTreeSet::new();
+        act.collect_inline_ids(&mut ids);
+        // Table-held ids (6, 7) are the lookup-table scan's job.
+        assert_eq!(ids.into_iter().collect::<Vec<_>>(), vec![5, MAX_POLYGON_ID]);
+    }
+
+    #[test]
     fn resolve_probe_variants() {
         let table = {
             let mut b = LookupTableBuilder::new();
@@ -1667,11 +1782,8 @@ mod tests {
             vec![(9, true)]
         );
         assert_eq!(
-            collect(Probe::Two(
-                PolygonRef::candidate(4),
-                PolygonRef::true_hit(5)
-            )),
-            vec![(4, false), (5, true)]
+            collect(Probe::One(PolygonRef::candidate(4))),
+            vec![(4, false)]
         );
         assert_eq!(
             collect(Probe::Table(0)),

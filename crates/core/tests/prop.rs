@@ -126,6 +126,77 @@ proptest! {
         }
     }
 
+    /// With 4-byte slots every multi-reference cell resolves through the
+    /// lookup table. Over cells that each carry two references (nesting
+    /// and duplicates make some carry more), every probe path — scalar,
+    /// batch, batch with depths, and a zero-copy snapshot view — returns
+    /// exactly the `RefSet` the super covering inserted for the leaf's
+    /// cell, and nothing off it.
+    #[test]
+    fn two_ref_cells_resolve_identically_on_every_probe_path(
+        cells in proptest::collection::vec(
+            (arb_nyc_latlng(), 12u8..=22, 0u32..8, 1u32..8, proptest::bool::ANY, proptest::bool::ANY),
+            1..20,
+        ),
+        probes in proptest::collection::vec(arb_nyc_latlng(), 1..64),
+    ) {
+        let mut pairs = Vec::new();
+        for &(ll, level, a, step, fa, fb) in &cells {
+            let cell = CellId::from_latlng(ll).parent(level);
+            pairs.push((cell, PolygonRef { id: a, interior: fa }));
+            pairs.push((cell, PolygonRef { id: (a + step) % 8, interior: fb }));
+        }
+        let sc = build_from_pairs(pairs.clone());
+        prop_assert!(sc.cells.iter().any(|(_, r)| matches!(r, RefSet::Two(..))));
+        let inserted: Vec<(CellId, Vec<PolygonRef>)> = sc
+            .cells
+            .iter()
+            .map(|(c, r)| {
+                let mut v: Vec<PolygonRef> = r.iter().collect();
+                v.sort_by_key(|r| r.id);
+                (*c, v)
+            })
+            .collect();
+        let index = ActIndex::from_supercover(sc, CoveringParams::new(15.0));
+        let mut bytes = Vec::new();
+        index.save_snapshot(&mut bytes).unwrap();
+        let buf = SnapshotBuf::from_bytes(&bytes).unwrap();
+        let view = buf.view().unwrap();
+
+        let mut leaves: Vec<CellId> = probes.iter().map(|&ll| CellId::from_latlng(ll)).collect();
+        for (cell, _) in &pairs {
+            leaves.push(cell.range_min());
+            leaves.push(cell.range_max());
+        }
+        let mut batch = vec![Probe::Miss; leaves.len()];
+        let mut depth_batch = vec![Probe::Miss; leaves.len()];
+        let mut depths = vec![0u8; leaves.len()];
+        let mut viewed = vec![Probe::Miss; leaves.len()];
+        index.probe_batch(&leaves, &mut batch);
+        index.act().lookup_batch_depths(&leaves, &mut depth_batch, &mut depths);
+        view.probe_batch(&leaves, &mut viewed);
+        for (i, &leaf) in leaves.iter().enumerate() {
+            let want = inserted
+                .iter()
+                .find(|(c, _)| c.contains(leaf))
+                .map(|(_, v)| v.clone())
+                .unwrap_or_default();
+            let scalar = index.probe_cell(leaf);
+            if want.len() >= 2 {
+                prop_assert!(matches!(scalar, Probe::Table(_)), "inline multi-ref at {:?}", leaf);
+            }
+            prop_assert_eq!(resolve(scalar, index.table()), want.clone(), "scalar at {:?}", leaf);
+            prop_assert_eq!(batch[i], scalar, "batch at {:?}", leaf);
+            prop_assert_eq!(depth_batch[i], scalar, "batch_depths at {:?}", leaf);
+            let mut from_view: Vec<PolygonRef> = view
+                .resolve_refs(viewed[i])
+                .map(|(id, interior)| PolygonRef { id, interior })
+                .collect();
+            from_view.sort_by_key(|r| r.id);
+            prop_assert_eq!(from_view, want, "view at {:?}", leaf);
+        }
+    }
+
     /// The sorted-array index answers identically to the trie.
     #[test]
     fn sorted_index_equals_trie(pairs in arb_pairs(), probes in proptest::collection::vec(arb_nyc_latlng(), 16)) {

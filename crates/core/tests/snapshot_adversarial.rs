@@ -43,21 +43,34 @@ fn section(bytes: &[u8], i: usize) -> (usize, usize) {
     (at(32 + 16 * i), at(40 + 16 * i))
 }
 
-/// Overwrites the first trie entry matching `pred` with `evil` and fixes
-/// the checksum — forges a structurally plausible, checksum-valid file
-/// whose arena would steer probes out of bounds without the loader's
-/// entry-level validation.
-fn forge_trie_entry(b: &mut [u8], pred: fn(u64) -> bool, evil: u64) {
+/// Overwrites the first 4-byte trie slot matching `pred` with
+/// `evil(section lengths)` and fixes the checksum — forges a structurally
+/// plausible, checksum-valid file whose arena would steer probes out of
+/// bounds without the loader's entry-level validation. `evil` receives
+/// `(nodes in the arena, words in the lookup table)`.
+fn forge_trie_slot(b: &mut [u8], pred: fn(u32) -> bool, evil: fn(usize, usize) -> u32) {
     let (off, len) = section(b, 0);
-    for i in (off..off + len).step_by(8) {
-        let e = u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
+    let forged = evil(len / 1024, section(b, 2).1 / 4);
+    for i in (off..off + len).step_by(4) {
+        let e = u32::from_le_bytes(b[i..i + 4].try_into().unwrap());
         if pred(e) {
-            b[i..i + 8].copy_from_slice(&evil.to_le_bytes());
+            b[i..i + 4].copy_from_slice(&forged.to_le_bytes());
             rewrite_checksum(b);
             return;
         }
     }
-    panic!("no matching trie entry in the fixture");
+    panic!("no matching trie slot in the fixture");
+}
+
+const TAG_CHILD: u32 = 0;
+const TAG_OFFSET: u32 = 3;
+
+fn is_child(e: u32) -> bool {
+    e & 3 == TAG_CHILD && e >> 2 != 0
+}
+
+fn is_offset(e: u32) -> bool {
+    e & 3 == TAG_OFFSET
 }
 
 struct Case {
@@ -228,17 +241,46 @@ const CASES: &[Case] = &[
         check: |e| matches!(e, SnapshotError::Inconsistent(_)),
     },
     Case {
-        // Tag 00 with a huge node index: an unvalidated probe descending
-        // through it would index far past the arena.
+        // Tag 00 with the largest 30-bit node index: an unvalidated probe
+        // descending through it would index far past the arena.
         name: "trie child pointer out of arena range (checksum fixed up)",
-        mutate: |b| forge_trie_entry(b, |e| e & 3 == 0 && e >> 2 != 0, u64::MAX << 2),
+        mutate: |b| forge_trie_slot(b, is_child, |_, _| u32::MAX << 2),
+        check: |e| matches!(e, SnapshotError::Inconsistent(_)),
+    },
+    Case {
+        // Tag 00 naming the node just past the arena's end.
+        name: "trie child pointer one past the last node (checksum fixed up)",
+        mutate: |b| forge_trie_slot(b, is_child, |nodes, _| (nodes as u32) << 2 | TAG_CHILD),
         check: |e| matches!(e, SnapshotError::Inconsistent(_)),
     },
     Case {
         // Tag 11 with an offset past the lookup table: an unvalidated
         // Probe::Table resolution would index past the table.
         name: "lookup-table offset out of range (checksum fixed up)",
-        mutate: |b| forge_trie_entry(b, |e| e & 3 == 3, (0x7FFF_FFF0u64 << 2) | 3),
+        mutate: |b| forge_trie_slot(b, is_offset, |_, _| (0x3FFF_FFF0 << 2) | TAG_OFFSET),
+        check: |e| matches!(e, SnapshotError::Inconsistent(_)),
+    },
+    Case {
+        // Tag 11 at the largest 30-bit offset.
+        name: "lookup-table offset at the 30-bit maximum (checksum fixed up)",
+        mutate: |b| forge_trie_slot(b, is_offset, |_, _| u32::MAX),
+        check: |e| matches!(e, SnapshotError::Inconsistent(_)),
+    },
+    Case {
+        // Tag 11 naming the word just past the table's end.
+        name: "lookup-table offset one past the table (checksum fixed up)",
+        mutate: |b| forge_trie_slot(b, is_offset, |_, words| (words as u32) << 2 | TAG_OFFSET),
+        check: |e| matches!(e, SnapshotError::Inconsistent(_)),
+    },
+    Case {
+        // Tag 11 naming the table's last word: its entry header is in
+        // range but the entry would run past the table.
+        name: "lookup-table entry overrunning the table (checksum fixed up)",
+        mutate: |b| {
+            forge_trie_slot(b, is_offset, |_, words| {
+                ((words as u32 - 1) << 2) | TAG_OFFSET
+            })
+        },
         check: |e| matches!(e, SnapshotError::Inconsistent(_)),
     },
 ];
@@ -308,7 +350,9 @@ fn random_garbage_never_panics() {
 #[test]
 fn version_zero_and_future_versions_are_rejected() {
     let pristine = valid_snapshot();
-    for version in [0u32, 2, 3, u32::MAX] {
+    // 1 is the retired 8-byte-slot layout (see also the v1 golden
+    // fixture in `tests/tests/snapshot_golden.rs`).
+    for version in [0u32, 1, 3, u32::MAX] {
         let mut bytes = pristine.clone();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         match ActIndex::load_snapshot(&mut bytes.as_slice()) {

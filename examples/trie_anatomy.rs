@@ -1,6 +1,6 @@
 //! Reproduces the paper's **Figure 2**: the internal anatomy of the
 //! Adaptive Cell Trie and its lookup table — node counts per depth, slot
-//! occupancy, the tagged-entry mix (child / one payload / two payloads /
+//! occupancy, the tagged-slot mix (child / one candidate / one true hit /
 //! lookup-table offset), and a decoded lookup walk for one query point.
 //!
 //! ```text
@@ -26,7 +26,7 @@ fn main() {
     println!("indexed cells:       {:>12}", st.indexed_cells);
     println!("denormalized slots:  {:>12}", st.denormalized_slots);
     println!(
-        "trie nodes:          {:>12}  (fanout 256, 2 KiB each)",
+        "trie nodes:          {:>12}  (fanout 256, 1 KiB each)",
         act.num_nodes()
     );
     println!("trie memory:         {:>12} bytes", act.memory_bytes());
@@ -54,10 +54,12 @@ fn main() {
             d * 4 + 4
         );
     }
-    let (one, two, offs) = ts.terminals;
+    let (cand, hit, offs) = ts.terminals;
     println!();
-    println!("terminal entries: {one} single payloads, {two} double payloads, {offs} lookup-table offsets");
-    println!("(the paper inlines 1–2 polygon references; ≥3 go through the lookup table)");
+    println!(
+        "terminal slots: {cand} candidate refs, {hit} true-hit refs, {offs} lookup-table offsets"
+    );
+    println!("(4-byte slots inline one polygon reference; ≥2 go through the lookup table)");
 
     // Walk one lookup and narrate it (Figure 2's dashed lookup path).
     let q = Coord::new(-73.9855, 40.7580);
@@ -71,16 +73,9 @@ fn main() {
     match index.probe_cell(leaf) {
         Probe::Miss => println!("  → miss (sentinel)"),
         Probe::One(r) => println!(
-            "  → single inlined payload: polygon {} ({})",
+            "  → single inline reference: polygon {} ({})",
             r.id,
             if r.interior { "true hit" } else { "candidate" }
-        ),
-        Probe::Two(a, b) => println!(
-            "  → two inlined payloads: polygon {} ({}) and polygon {} ({})",
-            a.id,
-            if a.interior { "true" } else { "cand" },
-            b.id,
-            if b.interior { "true" } else { "cand" }
         ),
         Probe::Table(off) => {
             let (t, c) = index.table().decode(off);

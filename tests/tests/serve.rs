@@ -9,7 +9,7 @@ use geom::{Coord, Polygon, Ring};
 use std::time::{Duration, Instant};
 
 fn fixture_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/snapshot_golden_v1.snap")
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/snapshot_golden_v2.snap")
 }
 
 fn square(cx: f64, cy: f64, half: f64) -> Polygon {

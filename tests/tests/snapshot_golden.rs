@@ -1,8 +1,12 @@
 //! Golden-snapshot regression: a committed fixture (built from a seeded
-//! `datagen` lattice) pins snapshot format version 1. Today's loader must
+//! `datagen` lattice) pins snapshot format version 2. Today's loader must
 //! read it, and today's writer must reproduce it **byte for byte** —
 //! any layout change breaks this test until the format version is bumped
 //! and the fixture re-blessed (see the `act_core::snapshot` module docs).
+//!
+//! The retired version-1 fixture (8-byte trie slots) stays committed as a
+//! negative case: every load path must refuse it with a typed
+//! [`SnapshotError::UnsupportedVersion`], never a panic.
 //!
 //! Re-bless after an intentional format change:
 //!
@@ -17,19 +21,23 @@
 //! machine's — true for the tier-1 linux-x86_64 CI; the byte-for-byte
 //! writer check is platform-independent.)
 
-use act_core::snapshot::SnapshotBuf;
-use act_core::ActIndex;
+use act_core::snapshot::{SnapshotBuf, SnapshotError};
+use act_core::{ActIndex, MappedSnapshot};
 use datagen::PointGen;
 
 /// The seeded dataset the fixture was built from. Changing any of these
 /// constants requires re-blessing the fixture.
 const GRID: (usize, usize) = (3, 2);
 const SEED: u64 = 11;
-// 4 km keeps the fixture tiny (11 trie nodes ≈ 23 kB) while still
+// 4 km keeps the fixture tiny (11 trie nodes ≈ 12 kB) while still
 // exercising a multi-node arena and a non-empty lookup table.
 const PRECISION_M: f64 = 4000.0;
 
 fn fixture_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/snapshot_golden_v2.snap")
+}
+
+fn retired_v1_fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/snapshot_golden_v1.snap")
 }
 
@@ -75,7 +83,7 @@ fn golden_snapshot_round_trips_byte_for_byte() {
     loaded.save_snapshot(&mut rewritten).unwrap();
     assert!(
         rewritten == fixture,
-        "writer no longer reproduces the v1 fixture byte-for-byte; \
+        "writer no longer reproduces the v2 fixture byte-for-byte; \
          if the format change is intentional, bump FORMAT_VERSION and re-bless"
     );
 
@@ -102,11 +110,34 @@ fn golden_snapshot_round_trips_byte_for_byte() {
     }
 }
 
-/// A delta lineage rooted at the golden v1 fixture: save a chain of
+#[test]
+fn retired_v1_fixture_is_a_typed_version_error_on_every_load_path() {
+    let path = retired_v1_fixture_path();
+    let bytes = std::fs::read(&path).expect("v1 fixture present");
+    assert_eq!(&bytes[0..8], b"ACTSNP01");
+    let is_v1 = |e: &SnapshotError| matches!(e, SnapshotError::UnsupportedVersion { found: 1 });
+
+    let owned = ActIndex::load_snapshot(&mut bytes.as_slice()).unwrap_err();
+    assert!(is_v1(&owned), "owned load: {owned:?}");
+
+    let heap_view = SnapshotBuf::from_bytes(&bytes).unwrap().view().unwrap_err();
+    assert!(is_v1(&heap_view), "heap view: {heap_view:?}");
+    let streamed = SnapshotBuf::read_from(&mut bytes.as_slice()).unwrap_err();
+    assert!(is_v1(&streamed), "streamed buffer: {streamed:?}");
+
+    let mapped = MappedSnapshot::open(&path).unwrap_err();
+    assert!(is_v1(&mapped), "mmap: {mapped:?}");
+    let heap = MappedSnapshot::open_heap(&path).unwrap_err();
+    assert!(is_v1(&heap), "heap-backed snapshot: {heap:?}");
+    let unaligned = MappedSnapshot::from_unaligned_bytes(&bytes).unwrap_err();
+    assert!(is_v1(&unaligned), "caller bytes: {unaligned:?}");
+}
+
+/// A delta lineage rooted at the golden v2 fixture: save a chain of
 /// ACTDLT01 deltas against the fixture's checksum, apply them in order,
 /// and verify the result equals the same edits replayed on a fresh load.
 /// The fixture file itself is read-only here — the lineage rides beside
-/// it in a temp dir — so v1 bytes stay pinned while the delta format
+/// it in a temp dir — so v2 bytes stay pinned while the delta format
 /// proves it can extend them.
 #[test]
 fn golden_fixture_anchors_a_delta_lineage() {
@@ -137,8 +168,8 @@ fn golden_fixture_anchors_a_delta_lineage() {
 
     let dir = std::env::temp_dir().join(format!("act-golden-delta-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let d1 = dir.join("v1.snap.d1");
-    let d2 = dir.join("v1.snap.d2");
+    let d1 = dir.join("v2.snap.d1");
+    let d2 = dir.join("v2.snap.d2");
 
     // Save the chain: insert a polygon, then remove polygon 0.
     let link0 = DeltaLink::for_base(base_sum);
