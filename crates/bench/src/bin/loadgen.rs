@@ -41,7 +41,7 @@
 //! fully-instrumented number, and the row carries the *server-side*
 //! per-stage latency distribution (queue wait, batch walk, exact
 //! refine, reply write, admission→flush total) pulled over the wire
-//! with a histogram-flagged STATS. Stage quantiles are log-bucket
+//! with a STATS read. Stage quantiles are log-bucket
 //! lower bounds, so `server_frame_p99 ≤ client_frame_p99` is asserted,
 //! not assumed.
 //!
@@ -498,8 +498,8 @@ fn run_dataset(
         }
     }
 
-    // Server-side per-stage distribution, over the wire (v3 flagged
-    // STATS) — the same path an external scraper uses.
+    // Server-side per-stage distribution, over the wire (STATS) — the
+    // same path an external scraper uses.
     let stats_ex = {
         let mut c = connect("stage stats")?;
         c.stats_ex().map_err(|e| format!("stats_ex: {e}"))?
@@ -570,7 +570,7 @@ fn run_dataset(
             )
             .int("server_batches", stats.batches)
             .num("mean_batch_width", batch_width)
-            .int("epoch", stats.epoch as u64)
+            .int("epoch", u64::from(server.epoch()))
             .bool("obs_enabled", true)
             .bool("server_p99_le_client_p99", true)
             .bool("counts_verified", true)
@@ -616,8 +616,8 @@ fn run_dataset(
 /// endpoint instead of an in-process spawn. Counts are verified against
 /// the local offline probe (the external fleet must serve the same
 /// snapshot); the exact-mode spot check is skipped because an external
-/// worker may run without a refiner. The phase also pulls a flagged
-/// STATS (recording merged per-stage quantiles when the target has
+/// worker may run without a refiner. The phase also pulls a STATS
+/// read (recording merged per-stage quantiles when the target has
 /// observability on) and probes the DUMP op, tolerating UNSUPPORTED.
 #[allow(clippy::too_many_arguments)]
 fn run_external(
@@ -990,7 +990,7 @@ fn run_router(
     assert_eq!(fleet_probes - warm_probes, points.len() as u64);
     let merged = {
         let mut c = connect("router stats")?;
-        c.stats().map_err(|e| format!("router stats: {e}"))?
+        c.ping().map_err(|e| format!("router ping: {e}"))?
     };
     assert_eq!(merged.counters.probes, fleet_probes);
     assert_eq!(merged.counters.shed, 0, "routed run must never shed");
@@ -1530,7 +1530,7 @@ fn run_zipf(
     s: f64,
 ) -> Result<Vec<String>, String> {
     // The host dataset's row carries the >= 1.3x contract: with cell
-    // frames (protocol v4) taking the shared coordinate->cell cost out
+    // frames taking the shared coordinate->cell cost out
     // of the timed loop, a hot-set hit is a flat-table lookup plus a
     // packed-word memcpy, while a miss still pays the full trie walk —
     // and on a shallow partition the walk is the dominant per-probe
@@ -1726,7 +1726,7 @@ struct ZipfRun {
     p50: f64,
     p99: f64,
     counts: Vec<u64>,
-    stats: act_serve::ServeStats,
+    stats: act_serve::CounterBlock,
 }
 
 /// One fresh single-worker server — with or without the cache — plus a
@@ -1749,7 +1749,7 @@ struct ZipfRun {
 /// the walk-vs-cache difference in constant harness cost. Every answer
 /// the cache can produce is still verified — it just isn't timed.
 ///
-/// The measured frames are **cell frames** (protocol v4): the harness
+/// The measured frames are **cell frames** (`FLAG_CELLS`): the harness
 /// pays coordinate->cell once at setup, outside the timed loop, exactly
 /// as a production S2 client would — so the recorded delta is the walk
 /// vs. the cache, not the fixed trigonometry both sides share. The
@@ -1761,7 +1761,7 @@ struct ZipfBench {
     frame: usize,
     workload_len: usize,
     counts: Vec<u64>,
-    warm: act_serve::ServeStats,
+    warm: act_serve::CounterBlock,
     best: Option<(f64, Vec<f64>)>,
 }
 
@@ -2036,7 +2036,7 @@ struct FairnessRun {
     greedy_shed_frames: u64,
     greedy_counts: Vec<u64>,
     greedy_goodput: f64,
-    stats: act_serve::ServeStats,
+    stats: act_serve::CounterBlock,
 }
 
 impl FairnessRun {

@@ -14,7 +14,7 @@
 //!
 //! `--metrics-addr` turns on the router's trace ring and serves
 //! Prometheus text on `GET /metrics` at that address: each scrape
-//! fans a histogram-flagged STATS out to every shard and renders the
+//! fans a STATS out to every shard and renders the
 //! merged fleet view plus per-shard (`shard="k"`-labeled) breakdowns.
 //! On SIGINT/SIGTERM the router drains its trace ring (breaker
 //! open/close events) as JSON lines to stdout before exiting.

@@ -32,8 +32,8 @@ pub enum ClientError {
     /// The peer violated the protocol (the string names how).
     Protocol(&'static str),
     /// The server answered with a non-OK status code. `retry_after_ms`
-    /// is the server's backoff hint when the reject carried one
-    /// (LOADSHED/BUSY under protocol v2).
+    /// is the server's backoff hint when the reject (LOADSHED/BUSY)
+    /// carried one.
     Server {
         /// The typed status byte (`STATUS_*`).
         status: u8,
@@ -139,33 +139,13 @@ impl Client {
         coords: &[Coord],
         exact: bool,
     ) -> Result<proto::ProbeReply, ClientError> {
-        self.stream
-            .write_all(&proto::encode_probe_request(coords, exact))?;
-        let (h, payload) = self.read_response()?;
-        // Status before the op echo: a BUSY reject arrives with op 0 (it
-        // answers the connection, not any frame) and must surface as the
-        // typed server status, not as a protocol violation.
-        if h.status != proto::STATUS_OK {
-            return Err(server_error(h.status, &payload));
-        }
-        if h.op != proto::OP_PROBE {
-            return Err(ClientError::Protocol("response op does not echo PROBE"));
-        }
-        if h.n as usize != coords.len() {
-            return Err(ClientError::Protocol("response point count mismatch"));
-        }
-        let refs = proto::decode_probe_payload(h.n, &payload).map_err(ClientError::Protocol)?;
-        Ok(proto::ProbeReply {
-            epoch: h.epoch,
-            refs,
-        })
+        self.probe_frame(&proto::encode_probe_request(coords, exact), coords.len())
     }
 
-    /// Probes a batch of pre-computed S2 leaf cells ([`proto::FLAG_CELLS`],
-    /// protocol v4): half the payload bytes of the coordinate form, and
-    /// the server skips the coordinate→cell conversion. Approximate mode
-    /// only — refinement needs coordinates. v1–v3 servers reject the
-    /// flag with BAD_REQUEST, surfaced as [`ClientError::Server`].
+    /// Probes a batch of pre-computed S2 leaf cells ([`proto::FLAG_CELLS`]):
+    /// half the payload bytes of the coordinate form, and the server
+    /// skips the coordinate→cell conversion. Approximate mode only —
+    /// refinement needs coordinates.
     ///
     /// # Errors
     /// As [`Client::probe`].
@@ -173,23 +153,7 @@ impl Client {
     /// # Panics
     /// Panics if `cells` exceeds [`proto::MAX_POINTS`].
     pub fn probe_cells(&mut self, cells: &[CellId]) -> Result<proto::ProbeReply, ClientError> {
-        self.stream
-            .write_all(&proto::encode_probe_cells_request(cells))?;
-        let (h, payload) = self.read_response()?;
-        if h.status != proto::STATUS_OK {
-            return Err(server_error(h.status, &payload));
-        }
-        if h.op != proto::OP_PROBE {
-            return Err(ClientError::Protocol("response op does not echo PROBE"));
-        }
-        if h.n as usize != cells.len() {
-            return Err(ClientError::Protocol("response point count mismatch"));
-        }
-        let refs = proto::decode_probe_payload(h.n, &payload).map_err(ClientError::Protocol)?;
-        Ok(proto::ProbeReply {
-            epoch: h.epoch,
-            refs,
-        })
+        self.probe_frame(&proto::encode_probe_cells_request(cells), cells.len())
     }
 
     /// Liveness check: returns the serving epoch and the counter block
@@ -198,43 +162,23 @@ impl Client {
     /// # Errors
     /// As [`Client::probe`].
     pub fn ping(&mut self) -> Result<proto::PingReply, ClientError> {
-        let counters = self.counters_request(proto::OP_PING, &proto::encode_ping_request())?;
+        let (h, payload) = self.request(&proto::encode_ping_request(), proto::OP_PING)?;
+        let counters = proto::decode_counters(&payload).map_err(ClientError::Protocol)?;
         Ok(proto::PingReply {
-            epoch: counters.0,
-            probes_served: counters.1.probes,
-            counters: counters.1,
+            epoch: h.epoch,
+            counters,
         })
     }
 
-    /// Counter/metrics snapshot (the monitoring twin of [`Client::ping`]).
-    ///
-    /// # Errors
-    /// As [`Client::probe`].
-    pub fn stats(&mut self) -> Result<proto::StatsReply, ClientError> {
-        let (epoch, counters) =
-            self.counters_request(proto::OP_STATS, &proto::encode_stats_request())?;
-        Ok(proto::StatsReply { epoch, counters })
-    }
-
-    /// The **flagged** (protocol v3) stats read: the extended counter
-    /// block — including the windowed queue high-water mark, which this
-    /// read consumes — plus every stage histogram the server keeps
-    /// (empty section when observability is off). v1/v2 servers answer
-    /// the flag with BAD_REQUEST, surfaced as [`ClientError::Server`].
+    /// The STATS read: the counter block — including the windowed queue
+    /// high-water mark, which this read consumes — plus every stage
+    /// histogram the server keeps (empty section when observability is
+    /// off).
     ///
     /// # Errors
     /// As [`Client::probe`].
     pub fn stats_ex(&mut self) -> Result<proto::StatsExReply, ClientError> {
-        self.stream.write_all(&proto::encode_stats_ex_request())?;
-        let (h, payload) = self.read_response()?;
-        if h.status != proto::STATUS_OK {
-            return Err(server_error(h.status, &payload));
-        }
-        if h.op != proto::OP_STATS {
-            return Err(ClientError::Protocol(
-                "response op does not echo the request",
-            ));
-        }
+        let (h, payload) = self.request(&proto::encode_stats_ex_request(), proto::OP_STATS)?;
         let (counters, histograms) =
             proto::decode_stats_ex_payload(&payload).map_err(ClientError::Protocol)?;
         Ok(proto::StatsExReply {
@@ -251,50 +195,51 @@ impl Client {
     /// # Errors
     /// As [`Client::probe`].
     pub fn dump(&mut self) -> Result<String, ClientError> {
-        self.stream.write_all(&proto::encode_dump_request())?;
-        let (h, payload) = self.read_response()?;
-        if h.status != proto::STATUS_OK {
-            return Err(server_error(h.status, &payload));
-        }
-        if h.op != proto::OP_DUMP {
-            return Err(ClientError::Protocol(
-                "response op does not echo the request",
-            ));
-        }
+        let (_, payload) = self.request(&proto::encode_dump_request(), proto::OP_DUMP)?;
         String::from_utf8(payload).map_err(|_| ClientError::Protocol("trace dump is not UTF-8"))
     }
 
-    fn counters_request(
+    /// The reply check both probe forms share: status, op echo, point
+    /// count, then the payload decode.
+    fn probe_frame(&mut self, frame: &[u8], n: usize) -> Result<proto::ProbeReply, ClientError> {
+        let (h, payload) = self.request(frame, proto::OP_PROBE)?;
+        if h.n as usize != n {
+            return Err(ClientError::Protocol("response point count mismatch"));
+        }
+        let refs = proto::decode_probe_payload(h.n, &payload).map_err(ClientError::Protocol)?;
+        Ok(proto::ProbeReply {
+            epoch: h.epoch,
+            refs,
+        })
+    }
+
+    /// Sends one request frame and reads its reply, checking the status
+    /// before the op echo: a BUSY reject arrives with op 0 (it answers
+    /// the connection, not any frame) and must surface as the typed
+    /// server status, not as a protocol violation.
+    fn request(
         &mut self,
-        op: u8,
         frame: &[u8],
-    ) -> Result<(u32, proto::CounterBlock), ClientError> {
+        op: u8,
+    ) -> Result<(proto::RespHeader, Vec<u8>), ClientError> {
         self.stream.write_all(frame)?;
-        let (h, payload) = self.read_response()?;
-        // Status first: BUSY carries op 0 (see Client::probe).
+        let body = proto::read_frame(&mut self.stream, MAX_RESP_BODY)?
+            .ok_or(ClientError::Protocol("connection closed mid-conversation"))?;
+        let (h, payload) = proto::decode_response(&body).map_err(ClientError::Protocol)?;
         if h.status != proto::STATUS_OK {
-            return Err(server_error(h.status, &payload));
+            return Err(server_error(h.status, payload));
         }
         if h.op != op {
             return Err(ClientError::Protocol(
                 "response op does not echo the request",
             ));
         }
-        let counters = proto::decode_counters(&payload).map_err(ClientError::Protocol)?;
-        Ok((h.epoch, counters))
-    }
-
-    fn read_response(&mut self) -> Result<(proto::RespHeader, Vec<u8>), ClientError> {
-        let body = proto::read_frame(&mut self.stream, MAX_RESP_BODY)?
-            .ok_or(ClientError::Protocol("connection closed mid-conversation"))?;
-        let (h, payload) = proto::decode_response(&body).map_err(ClientError::Protocol)?;
         Ok((h, payload.to_vec()))
     }
 }
 
 /// The typed error for a non-OK response, decoding the optional
-/// `retry_after_ms` hint that LOADSHED/BUSY rejects may carry (v1
-/// servers send none — `decode_retry_after` accepts an empty payload).
+/// `retry_after_ms` hint that LOADSHED/BUSY rejects may carry.
 fn server_error(status: u8, payload: &[u8]) -> ClientError {
     match status {
         proto::STATUS_LOADSHED | proto::STATUS_BUSY => match proto::decode_retry_after(payload) {
@@ -453,14 +398,6 @@ impl ResilientClient {
     /// As [`ResilientClient::probe`].
     pub fn ping(&mut self) -> Result<proto::PingReply, ClientError> {
         self.with_retries(Client::ping)
-    }
-
-    /// [`Client::stats`] with retries per the policy.
-    ///
-    /// # Errors
-    /// As [`ResilientClient::probe`].
-    pub fn stats(&mut self) -> Result<proto::StatsReply, ClientError> {
-        self.with_retries(Client::stats)
     }
 
     /// [`Client::stats_ex`] with retries per the policy.

@@ -71,9 +71,9 @@ pub mod swap;
 pub use cache::{CacheConfig, HotCellCache};
 pub use client::{Client, ClientError, ResilientClient, RetryPolicy};
 pub use obs::{ObsConfig, PipelineObs};
-pub use protocol::{CounterBlock, PingReply, ProbeReply, StatsExReply, StatsReply};
+pub use protocol::{CounterBlock, PingReply, ProbeReply, StatsExReply};
 pub use router::{Router, RouterConfig, RouterHandle};
-pub use server::{ServeConfig, ServeError, ServeStats, Server, ServerHandle};
+pub use server::{ServeConfig, ServeError, Server, ServerHandle};
 pub use swap::{delta_path, IndexStore, ServeIndex, WatchCounters, FOLD_AFTER_DELTAS};
 
 #[cfg(test)]
@@ -129,22 +129,23 @@ mod tests {
 
         let ping = client.ping().unwrap();
         assert_eq!(ping.epoch, 1);
-        assert_eq!(ping.probes_served, coords.len() as u64);
         // The PING payload carries the full counter block.
         assert_eq!(ping.counters.probes, coords.len() as u64);
         assert_eq!(ping.counters.shed, 0);
         assert_eq!(ping.counters.swaps, 0);
         assert!(ping.counters.queue_high_water_lanes <= coords.len() as u64);
 
-        // STATS mirrors PING (plus the frames exchanged meanwhile).
-        let stats_reply = client.stats().unwrap();
+        // STATS carries PING's block (plus the frames exchanged
+        // meanwhile) and the histogram section, empty with obs off.
+        let stats_reply = client.stats_ex().unwrap();
+        assert!(stats_reply.histograms.is_empty());
         assert_eq!(stats_reply.epoch, 1);
         assert_eq!(stats_reply.counters.probes, coords.len() as u64);
         assert_eq!(stats_reply.counters.accepted, 3);
 
         let stats = server.stats();
         assert_eq!(stats.probes, coords.len() as u64);
-        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.accepted + stats.bad_frames, 3);
         assert!(stats.batches >= 1);
         assert_eq!(stats.accepted, stats.answered + stats.shed);
         server.shutdown();
@@ -174,7 +175,7 @@ mod tests {
                     retry_after_ms,
                 }) => {
                     assert_eq!(status, protocol::STATUS_LOADSHED);
-                    // v2: a shed reply tells the client when to come back.
+                    // A shed reply tells the client when to come back.
                     let hint = retry_after_ms.expect("LOADSHED must carry a retry hint");
                     assert!(
                         (protocol::RETRY_AFTER_MIN_MS..=protocol::RETRY_AFTER_MAX_MS)
@@ -238,10 +239,7 @@ mod tests {
                 retry_after_ms,
             }) => {
                 assert_eq!(status, protocol::STATUS_BUSY);
-                assert!(
-                    retry_after_ms.is_some(),
-                    "BUSY must carry a retry hint under protocol v2"
-                );
+                assert!(retry_after_ms.is_some(), "BUSY must carry a retry hint");
             }
             other => panic!("expected BUSY through the Client, got {other:?}"),
         }

@@ -86,7 +86,7 @@ impl PipelineObs {
         }
     }
 
-    /// Snapshots every stage in wire order (the flagged-STATS section).
+    /// Snapshots every stage in wire order (the STATS histogram section).
     pub fn stage_histograms(&self) -> Vec<proto::StageHistogram> {
         [
             (proto::STAGE_QUEUE_WAIT, &self.queue_wait),
@@ -196,7 +196,7 @@ pub(crate) fn render_counters(
     );
     page.gauge(
         "act_window_high_water_lanes",
-        "Highest queue occupancy since the last flagged STATS read, in lanes.",
+        "Highest queue occupancy since the last STATS read, in lanes.",
         labels,
         c.window_high_water_lanes as f64,
     );

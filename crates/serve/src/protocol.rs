@@ -12,8 +12,6 @@
 //!                    server's polygon set; requires a Refiner)
 //!                    PROBE bit 1: CELLS (points are pre-computed S2
 //!                    leaf cell ids; excludes EXACT)
-//!                    STATS bit 0: HISTOGRAMS (append the stage
-//!                    histogram section to the reply)
 //!   u16  reserved    must be 0
 //!   u32  n           number of points (PROBE) or 0 (PING/STATS/DUMP)
 //!   then n × { f64 lng, f64 lat }              (PROBE, coordinate form)
@@ -32,9 +30,10 @@
 //!            approx mode: hit_bit = is_true_hit (candidates ride along
 //!            with bit 0 — the paper's ε-bounded approximate answer)
 //!            exact mode:  only actual members are listed, hit_bit = 1
-//!   PING / STATS: a counter block (see [`CounterBlock`])
-//!   STATS+HISTOGRAMS: an extended counter block followed by a stage
-//!          histogram section (see [`encode_stats_ex_payload`])
+//!   PING:  the counter block (see [`CounterBlock`])
+//!   STATS: the counter block followed by the stage histogram section
+//!          (see [`encode_stats_ex_payload`]; empty section when the
+//!          server runs without observability)
 //!   DUMP:  UTF-8 JSON lines, one sampled trace event per line (n = 0)
 //!   LOADSHED / BUSY: optionally a u32 retry_after_ms hint (n stays 0)
 //! ```
@@ -48,61 +47,13 @@
 //!
 //! ## Versioning
 //!
-//! [`PROTOCOL_VERSION`] is 3. The frame and header layouts are unchanged
-//! since version 1; each bump adds payload, never reshapes it, so the
-//! versions are compatible in both directions.
-//!
-//! Version 2 over version 1:
-//!
-//! * The PING/STATS counter block grew from ten to thirteen `u64` words
-//!   (`watch_errors`, `quarantines`, `panics_contained`). A version-2
-//!   client still accepts the 80-byte version-1 block and reads the
-//!   missing counters as zero ([`decode_counters`]).
-//! * `LOADSHED`/`BUSY` replies may now carry a 4-byte `retry_after_ms`
-//!   payload. Version-1 replies carried none; [`decode_retry_after`]
-//!   maps an empty payload to "no hint". Version-1 clients that ignore
-//!   reject payloads (the documented contract) are unaffected.
-//!
-//! Version 3 over version 2 — everything new is **opt-in by request**,
-//! so an older peer never sees a payload shape it cannot parse:
-//!
-//! * STATS accepts [`FLAG_HISTOGRAMS`]; the flagged reply carries a
-//!   fourteen-word extended counter block (adding
-//!   `window_high_water_lanes`, the queue high-water mark since the
-//!   previous flagged STATS read) plus a per-stage latency histogram
-//!   section ([`encode_stats_ex_payload`] / [`decode_stats_ex_payload`]).
-//!   A **plain** STATS (or PING) reply still carries the 104-byte
-//!   version-2 block, which version-2 clients parse unchanged; a
-//!   version-2 server answers a flagged STATS `BAD_REQUEST` (its
-//!   decoder requires zero flags), which a version-3 client can detect
-//!   and downgrade from. [`decode_counters`] accepts all three block
-//!   sizes (80/104/112).
-//! * `OP_DUMP` requests the server's sampled trace ring as UTF-8 JSON
-//!   lines (non-destructive). A version-2 server answers it
-//!   `BAD_REQUEST` (unknown op); a version-2 client never sends it.
-//!
-//! Version 4 over version 3 — again additive, again opt-in by request:
-//!
-//! * The extended counter block grew from fourteen to seventeen words
-//!   (the hot-cell cache hit/miss counters and the fairness-quota shed
-//!   counter — `cache_hits`, `cache_misses`, `quota_sheds`), following
-//!   the same append-only rule: [`decode_counters`] accepts all four
-//!   block sizes (80/104/112/136) and reads absent counters as zero,
-//!   and the plain PING/STATS block stays thirteen words. The flagged
-//!   STATS payload leads with the seventeen-word block
-//!   ([`COUNTER_BLOCK_LEN_V4`]).
-//! * PROBE accepts [`FLAG_CELLS`]: the payload is `n` pre-computed S2
-//!   leaf cell ids (`n × u64`) instead of `n` coordinate pairs. The
-//!   client pays the coordinate→cell conversion once at encode time and
-//!   the server skips it entirely — the standard S2 serving idiom, and
-//!   the variant the hot-cell cache is fastest against. Cell frames are
-//!   approximate-only: `FLAG_CELLS | FLAG_EXACT` is `BAD_REQUEST`,
-//!   because refinement tests the *coordinate* against real polygon
-//!   boundaries and a cell id no longer carries one. Arbitrary `u64`
-//!   values are safe — a garbage id prefix-matches nothing in the trie
-//!   and resolves to an empty answer. A version-3 server rejects the
-//!   unknown flag (`BAD_REQUEST`), which a client can detect and
-//!   downgrade from; a version-3 client never sets it.
+//! [`PROTOCOL_VERSION`] is 5. Every peer — worker, router, client, load
+//! generator, benchmark — is built from this workspace, so the protocol
+//! keeps no compatibility paths for older versions: PING and STATS carry
+//! exactly one [`COUNTER_BLOCK_LEN`]-byte block, and its fixed length is
+//! the version check ([`decode_counters`] rejects any other length).
+//! STATS always carries the stage histogram section and consumes the
+//! windowed queue high-water mark; STATS and PING take no flags.
 //!
 //! ## Admission-control statuses
 //!
@@ -122,33 +73,31 @@ use s2cell::CellId;
 use std::io::{self, Read, Write};
 
 /// Wire protocol version implemented by this build (see the module docs'
-/// "Versioning" section for what changed and why it is compatible).
-pub const PROTOCOL_VERSION: u32 = 4;
+/// "Versioning" section).
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Probe a batch of coordinates.
 pub const OP_PROBE: u8 = 1;
 /// Liveness / epoch / counter check.
 pub const OP_PING: u8 = 2;
-/// Counter/metrics snapshot (same payload as PING; a distinct op so
-/// monitoring traffic is distinguishable from liveness checks).
+/// Counter/metrics snapshot: PING's counter block plus the stage
+/// histogram section.
 pub const OP_STATS: u8 = 3;
 /// Dump the server's sampled trace ring as UTF-8 JSON lines
-/// (non-destructive; version 3+). With observability disabled the
-/// server answers `UNSUPPORTED`.
+/// (non-destructive). With observability disabled the server answers
+/// `UNSUPPORTED`.
 pub const OP_DUMP: u8 = 4;
 
 /// PROBE request flag bit 0: refine candidate hits to exact membership.
 pub const FLAG_EXACT: u8 = 1;
 /// PROBE request flag bit 1: the payload is `n × u64` pre-computed S2
-/// leaf cell ids instead of `n × 16`-byte coordinate pairs (version 4+).
-/// Mutually exclusive with [`FLAG_EXACT`] — refinement needs the
-/// coordinate, which a cell id no longer carries.
+/// leaf cell ids instead of `n × 16`-byte coordinate pairs. Mutually
+/// exclusive with [`FLAG_EXACT`] — refinement needs the coordinate,
+/// which a cell id no longer carries. The client pays the
+/// coordinate→cell conversion once at encode time and the server skips
+/// it entirely. Arbitrary `u64` values are safe: a garbage id
+/// prefix-matches nothing in the trie and resolves to an empty answer.
 pub const FLAG_CELLS: u8 = 2;
-/// STATS request flag bit 0: append the extended counter block and the
-/// stage histogram section to the reply (version 3+). Deliberately a
-/// *request* flag: a version-2 client never sets it, so it never
-/// receives the longer payload its decoder would reject.
-pub const FLAG_HISTOGRAMS: u8 = 1;
 
 /// Response status codes.
 pub const STATUS_OK: u8 = 0;
@@ -198,7 +147,7 @@ pub enum Request {
         /// Refine candidates via the server's polygon set.
         exact: bool,
     },
-    /// Probe pre-computed S2 leaf cells ([`FLAG_CELLS`]; version 4+).
+    /// Probe pre-computed S2 leaf cells ([`FLAG_CELLS`]).
     /// Always approximate — the exact flag is rejected on cell frames.
     ProbeCells {
         /// The query cells (leaf cell ids; garbage ids resolve empty).
@@ -206,13 +155,9 @@ pub enum Request {
     },
     /// Liveness check; the response carries epoch + the counter block.
     Ping,
-    /// Counter/metrics snapshot; without `histograms` the response
-    /// shape matches [`Request::Ping`], with it the payload is the
-    /// extended block + stage histogram section.
-    Stats {
-        /// [`FLAG_HISTOGRAMS`] was set.
-        histograms: bool,
-    },
+    /// Counter/metrics snapshot: the counter block plus the stage
+    /// histogram section.
+    Stats,
     /// Dump the sampled trace ring as JSON lines.
     Dump,
 }
@@ -235,32 +180,19 @@ pub struct ProbeReply {
 pub struct PingReply {
     /// Snapshot epoch currently serving.
     pub epoch: u32,
-    /// Total probe points answered since the server started
-    /// (`counters.probes`, kept as a field for convenience).
-    pub probes_served: u64,
-    /// The full serving counter block.
-    pub counters: CounterBlock,
-}
-
-/// A decoded stats response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsReply {
-    /// Snapshot epoch currently serving.
-    pub epoch: u32,
     /// The serving counter block.
     pub counters: CounterBlock,
 }
 
-/// A decoded **flagged** stats response (protocol v3): the extended
-/// counter block plus the per-stage histogram section. The section is
-/// empty when the answering server runs without observability — the
-/// counters (including the windowed high-water mark, which this read
-/// consumed) are still meaningful.
+/// A decoded stats response: the counter block plus the per-stage
+/// histogram section. The section is empty when the answering server
+/// runs without observability — the counters (including the windowed
+/// high-water mark, which this read consumed) are still meaningful.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsExReply {
     /// Snapshot epoch currently serving.
     pub epoch: u32,
-    /// The extended serving counter block.
+    /// The serving counter block.
     pub counters: CounterBlock,
     /// Per-stage histograms (merged across shards when a router
     /// answered).
@@ -268,9 +200,7 @@ pub struct StatsExReply {
 }
 
 /// The server's aggregate serving counters, as carried in PING and STATS
-/// payloads: thirteen little-endian `u64` words, in field order, plus a
-/// fourteenth (`window_high_water_lanes`) present only in the extended
-/// block a flagged STATS returns.
+/// payloads: seventeen little-endian `u64` words, in field order.
 ///
 /// Reconciliation invariant (after a graceful drain, with all replies
 /// delivered): `accepted == answered + shed` — every accepted frame got
@@ -314,27 +244,25 @@ pub struct CounterBlock {
     /// poisoned a single batch (its frames were answered `INTERNAL`)
     /// instead of the process.
     pub panics_contained: u64,
-    /// Queue high-water mark (lanes) **since the previous flagged STATS
-    /// read** — unlike `queue_high_water_lanes`, which is since server
-    /// start and goes stale after a one-off spike, this one resets to
-    /// the live occupancy baseline on every read, so a dashboard sees
-    /// recent pressure, not history. Version 3+, carried only in the
-    /// extended block; decodes as zero from older blocks.
+    /// Queue high-water mark (lanes) **since the previous STATS read** —
+    /// unlike `queue_high_water_lanes`, which is since server start and
+    /// goes stale after a one-off spike, this one resets on every STATS
+    /// read, so a dashboard sees recent pressure, not history. PING
+    /// reports it without resetting it.
     pub window_high_water_lanes: u64,
     /// Hot-cell cache hits: probed cells answered from the epoch-keyed
     /// result cache without a trie walk. Zero on servers running with
-    /// the cache disabled. Version 4+, extended block only.
+    /// the cache disabled.
     pub cache_hits: u64,
     /// Hot-cell cache misses: probed cells that walked the trie (and
     /// filled the cache, when enabled). With the cache disabled both
     /// cache counters stay zero — a miss is counted only when the cache
-    /// was actually consulted. Version 4+, extended block only.
+    /// was actually consulted.
     pub cache_misses: u64,
     /// Probe frames answered `LOADSHED` by the **per-client fairness
     /// quota** (the connection already had its full admitted-lanes
     /// budget in flight) rather than by queue depth. Always a subset of
-    /// `shed` — the reconciliation invariant is unchanged. Version 4+,
-    /// extended block only.
+    /// `shed` — the reconciliation invariant is unchanged.
     pub quota_sheds: u64,
 }
 
@@ -383,58 +311,13 @@ pub fn dedup_refs(refs: &mut PointRefs) {
     refs.dedup_by_key(|r| r.0);
 }
 
-/// Serialized size of a [`CounterBlock`] as carried by plain PING/STATS:
-/// thirteen `u64` words (protocol version 2 — kept as the default so
-/// version-2 clients parse unflagged replies unchanged).
-pub const COUNTER_BLOCK_LEN: usize = 104;
+/// Serialized size of a [`CounterBlock`]: seventeen `u64` words.
+pub const COUNTER_BLOCK_LEN: usize = 136;
 
-/// Serialized size of a version-1 counter block: ten `u64` words.
-/// Still accepted by [`decode_counters`], with the newer counters read
-/// as zero.
-pub const COUNTER_BLOCK_LEN_V1: usize = 80;
-
-/// Serialized size of the extended version-3 counter block: fourteen
-/// `u64` words. Still accepted by [`decode_counters`] (the version-4
-/// counters read as zero); flagged STATS now sends the v4 block.
-pub const COUNTER_BLOCK_LEN_V3: usize = 112;
-
-/// Serialized size of the extended (version-4) counter block a flagged
-/// STATS returns: seventeen `u64` words — v3 plus the hot-cell cache
-/// hit/miss counters and the fairness-quota shed counter.
-pub const COUNTER_BLOCK_LEN_V4: usize = 136;
-
-/// Serializes a counter block (plain PING/STATS response payload,
-/// thirteen words — `window_high_water_lanes` is dropped; it travels
-/// only in the extended block).
+/// Serializes a counter block (the PING payload, and the head of the
+/// STATS payload).
 pub fn encode_counters(c: &CounterBlock) -> [u8; COUNTER_BLOCK_LEN] {
-    let mut out = [0u8; COUNTER_BLOCK_LEN];
-    for (slot, w) in out.chunks_exact_mut(8).zip(counter_words(c)) {
-        slot.copy_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
-/// Serializes the extended seventeen-word counter block (the first part
-/// of a flagged-STATS payload).
-pub fn encode_counters_ex(c: &CounterBlock) -> [u8; COUNTER_BLOCK_LEN_V4] {
-    let mut out = [0u8; COUNTER_BLOCK_LEN_V4];
-    for (slot, w) in out
-        .chunks_exact_mut(8)
-        .zip(counter_words(c).into_iter().chain([
-            c.window_high_water_lanes,
-            c.cache_hits,
-            c.cache_misses,
-            c.quota_sheds,
-        ]))
-    {
-        slot.copy_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
-/// The thirteen always-present words, in wire order.
-fn counter_words(c: &CounterBlock) -> [u64; 13] {
-    [
+    let words = [
         c.probes,
         c.accepted,
         c.answered,
@@ -448,55 +331,51 @@ fn counter_words(c: &CounterBlock) -> [u64; 13] {
         c.watch_errors,
         c.quarantines,
         c.panics_contained,
-    ]
+        c.window_high_water_lanes,
+        c.cache_hits,
+        c.cache_misses,
+        c.quota_sheds,
+    ];
+    let mut out = [0u8; COUNTER_BLOCK_LEN];
+    for (slot, w) in out.chunks_exact_mut(8).zip(words) {
+        slot.copy_from_slice(&w.to_le_bytes());
+    }
+    out
 }
 
-/// Decodes a counter block from a PING/STATS response payload.
-///
-/// Accepts the extended seventeen-word block (v4), the fourteen-word
-/// block (v3), the thirteen-word block (v2), and, for compatibility
-/// with version-1 servers, the old ten-word block; counters a shorter
-/// block lacks decode as zero.
+/// Decodes a counter block.
 ///
 /// # Errors
-/// A static description of the structural violation.
+/// Any length other than [`COUNTER_BLOCK_LEN`] — the fixed length is the
+/// protocol's version check.
 pub fn decode_counters(payload: &[u8]) -> Result<CounterBlock, &'static str> {
-    if payload.len() != COUNTER_BLOCK_LEN
-        && payload.len() != COUNTER_BLOCK_LEN_V1
-        && payload.len() != COUNTER_BLOCK_LEN_V3
-        && payload.len() != COUNTER_BLOCK_LEN_V4
-    {
-        return Err(
-            "counter block is not ten (v1), thirteen (v2), fourteen (v3), or seventeen (v4) \
-             u64 words",
-        );
+    if payload.len() != COUNTER_BLOCK_LEN {
+        return Err("counter block is not seventeen u64 words");
     }
-    let v2 = payload.len() >= COUNTER_BLOCK_LEN;
-    let v3 = payload.len() >= COUNTER_BLOCK_LEN_V3;
-    let v4 = payload.len() >= COUNTER_BLOCK_LEN_V4;
+    let w = |k: usize| u64_at(payload, k * 8);
     Ok(CounterBlock {
-        probes: u64_at(payload, 0),
-        accepted: u64_at(payload, 8),
-        answered: u64_at(payload, 16),
-        shed: u64_at(payload, 24),
-        bad_frames: u64_at(payload, 32),
-        busy: u64_at(payload, 40),
-        batches: u64_at(payload, 48),
-        swaps: u64_at(payload, 56),
-        queue_high_water_lanes: u64_at(payload, 64),
-        delta_applies: u64_at(payload, 72),
-        watch_errors: if v2 { u64_at(payload, 80) } else { 0 },
-        quarantines: if v2 { u64_at(payload, 88) } else { 0 },
-        panics_contained: if v2 { u64_at(payload, 96) } else { 0 },
-        window_high_water_lanes: if v3 { u64_at(payload, 104) } else { 0 },
-        cache_hits: if v4 { u64_at(payload, 112) } else { 0 },
-        cache_misses: if v4 { u64_at(payload, 120) } else { 0 },
-        quota_sheds: if v4 { u64_at(payload, 128) } else { 0 },
+        probes: w(0),
+        accepted: w(1),
+        answered: w(2),
+        shed: w(3),
+        bad_frames: w(4),
+        busy: w(5),
+        batches: w(6),
+        swaps: w(7),
+        queue_high_water_lanes: w(8),
+        delta_applies: w(9),
+        watch_errors: w(10),
+        quarantines: w(11),
+        panics_contained: w(12),
+        window_high_water_lanes: w(13),
+        cache_hits: w(14),
+        cache_misses: w(15),
+        quota_sheds: w(16),
     })
 }
 
 // ---------------------------------------------------------------------
-// Stage histograms (flagged-STATS payload section)
+// Stage histograms (STATS payload section)
 // ---------------------------------------------------------------------
 
 /// Pipeline stage ids for the wire histogram section. The first five
@@ -552,21 +431,21 @@ pub struct StageHistogram {
 /// future stages while still bounding a hostile frame.
 pub const MAX_WIRE_HISTS: usize = 64;
 
-/// Serializes a flagged-STATS payload: the extended counter block, then
+/// Serializes a STATS payload: the counter block, then
 /// `u32 n_hists`, then per histogram `{ u8 stage, u8 pad[3], u64 sum,
 /// u32 n_buckets, n_buckets × u64 }`. Bucket arrays are trailing-zero
 /// trimmed by the snapshot, so an idle stage costs 17 bytes.
 pub fn encode_stats_ex_payload(c: &CounterBlock, hists: &[StageHistogram]) -> Vec<u8> {
     assert!(hists.len() <= MAX_WIRE_HISTS, "too many wire histograms");
     let mut out = Vec::with_capacity(
-        COUNTER_BLOCK_LEN_V4
+        COUNTER_BLOCK_LEN
             + 4
             + hists
                 .iter()
                 .map(|h| 16 + h.hist.buckets.len() * 8)
                 .sum::<usize>(),
     );
-    out.extend_from_slice(&encode_counters_ex(c));
+    out.extend_from_slice(&encode_counters(c));
     out.extend_from_slice(&(hists.len() as u32).to_le_bytes());
     for h in hists {
         debug_assert!(h.hist.buckets.len() <= act_obs::NUM_BUCKETS);
@@ -581,8 +460,8 @@ pub fn encode_stats_ex_payload(c: &CounterBlock, hists: &[StageHistogram]) -> Ve
     out
 }
 
-/// Decodes a flagged-STATS payload into the extended counter block and
-/// the stage histograms.
+/// Decodes a STATS payload into the counter block and the stage
+/// histograms.
 ///
 /// # Errors
 /// A static description of the structural violation — truncation at any
@@ -590,15 +469,15 @@ pub fn encode_stats_ex_payload(c: &CounterBlock, hists: &[StageHistogram]) -> Ve
 pub fn decode_stats_ex_payload(
     payload: &[u8],
 ) -> Result<(CounterBlock, Vec<StageHistogram>), &'static str> {
-    if payload.len() < COUNTER_BLOCK_LEN_V4 + 4 {
+    if payload.len() < COUNTER_BLOCK_LEN + 4 {
         return Err("stats payload truncated before the histogram section");
     }
-    let counters = decode_counters(&payload[..COUNTER_BLOCK_LEN_V4])?;
-    let n_hists = u32_at(payload, COUNTER_BLOCK_LEN_V4) as usize;
+    let counters = decode_counters(&payload[..COUNTER_BLOCK_LEN])?;
+    let n_hists = u32_at(payload, COUNTER_BLOCK_LEN) as usize;
     if n_hists > MAX_WIRE_HISTS {
         return Err("histogram section claims too many histograms");
     }
-    let mut at = COUNTER_BLOCK_LEN_V4 + 4;
+    let mut at = COUNTER_BLOCK_LEN + 4;
     let mut hists = Vec::with_capacity(n_hists);
     for _ in 0..n_hists {
         if at + 16 > payload.len() {
@@ -667,7 +546,8 @@ pub fn encode_retry_hint(ms: u32) -> [u8; RETRY_HINT_LEN] {
 }
 
 /// Extracts the optional `retry_after_ms` hint from a LOADSHED or BUSY
-/// reply payload. An empty payload (a version-1 server) is `None`.
+/// reply payload. An empty payload is `None` (the hint is optional, and
+/// the payload arrives from the network unvalidated).
 ///
 /// # Errors
 /// A static description of the structural violation.
@@ -747,31 +627,26 @@ pub fn encode_probe_cells_request(cells: &[CellId]) -> Vec<u8> {
 
 /// Renders a complete ping request frame.
 pub fn encode_ping_request() -> Vec<u8> {
-    encode_headless_request(OP_PING, 0)
+    encode_headless_request(OP_PING)
 }
 
-/// Renders a complete stats request frame.
-pub fn encode_stats_request() -> Vec<u8> {
-    encode_headless_request(OP_STATS, 0)
-}
-
-/// Renders a stats request with [`FLAG_HISTOGRAMS`] set (the reply
-/// carries the extended counter block + stage histogram section).
+/// Renders a complete stats request frame (the reply carries the counter
+/// block + stage histogram section).
 pub fn encode_stats_ex_request() -> Vec<u8> {
-    encode_headless_request(OP_STATS, FLAG_HISTOGRAMS)
+    encode_headless_request(OP_STATS)
 }
 
 /// Renders a complete trace-dump request frame.
 pub fn encode_dump_request() -> Vec<u8> {
-    encode_headless_request(OP_DUMP, 0)
+    encode_headless_request(OP_DUMP)
 }
 
-/// A request frame that is all header: op, flags, zero points.
-fn encode_headless_request(op: u8, flags: u8) -> Vec<u8> {
+/// A request frame that is all header: op, no flags, zero points.
+fn encode_headless_request(op: u8) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + REQ_HEADER_LEN);
     out.extend_from_slice(&(REQ_HEADER_LEN as u32).to_le_bytes());
     out.push(op);
-    out.push(flags);
+    out.push(0);
     out.extend_from_slice(&[0, 0]);
     out.extend_from_slice(&0u32.to_le_bytes());
     out
@@ -864,21 +739,15 @@ pub fn decode_request(body: &[u8]) -> Result<Request, &'static str> {
             })
         }
         OP_PING | OP_STATS | OP_DUMP => {
-            if op == OP_STATS {
-                if flags & !FLAG_HISTOGRAMS != 0 {
-                    return Err("unknown stats flags");
-                }
-            } else if flags != 0 {
-                return Err("ping/dump take no flags");
+            if flags != 0 {
+                return Err("ping/stats/dump take no flags");
             }
             if n != 0 || body.len() != REQ_HEADER_LEN {
                 return Err("ping/stats/dump carry no payload");
             }
             Ok(match op {
                 OP_PING => Request::Ping,
-                OP_STATS => Request::Stats {
-                    histograms: flags & FLAG_HISTOGRAMS != 0,
-                },
+                OP_STATS => Request::Stats,
                 _ => Request::Dump,
             })
         }
@@ -1202,65 +1071,50 @@ mod tests {
         assert!(decode_counters(&[0; 105]).is_err());
         // The old nine-word block is rejected, not misread.
         assert!(decode_counters(&[0; 72]).is_err());
-        // Near-miss extended sizes are rejected too.
+        // Near-miss sizes are rejected too.
         assert!(decode_counters(&[0; 135]).is_err());
         assert!(decode_counters(&[0; 137]).is_err());
     }
 
     #[test]
-    fn v4_counter_block_roundtrips_and_v3_reads_zeroes() {
+    fn full_counter_block_roundtrips() {
+        // Every word distinct, so a field landing in the wrong slot shows.
         let counters = CounterBlock {
             probes: 11,
             accepted: 5,
+            answered: 4,
+            shed: 1,
+            bad_frames: 2,
+            busy: 3,
+            batches: 6,
+            swaps: 7,
+            queue_high_water_lanes: 512,
+            delta_applies: 8,
+            watch_errors: 9,
+            quarantines: 10,
+            panics_contained: 12,
             window_high_water_lanes: 77,
             cache_hits: 1_000,
             cache_misses: 13,
-            quota_sheds: 4,
-            ..Default::default()
+            quota_sheds: 14,
         };
-        let full = encode_counters_ex(&counters);
-        assert_eq!(full.len(), COUNTER_BLOCK_LEN_V4);
-        assert_eq!(decode_counters(&full).unwrap(), counters);
-        // A fourteen-word (v3) block still decodes; the cache and quota
-        // counters read as zero.
-        let got = decode_counters(&full[..COUNTER_BLOCK_LEN_V3]).unwrap();
-        assert_eq!(got.window_high_water_lanes, 77);
-        assert_eq!(
-            (got.cache_hits, got.cache_misses, got.quota_sheds),
-            (0, 0, 0)
-        );
+        let bytes = encode_counters(&counters);
+        assert_eq!(bytes.len(), COUNTER_BLOCK_LEN);
+        assert_eq!(decode_counters(&bytes).unwrap(), counters);
     }
 
     #[test]
-    fn v1_counter_block_still_decodes() {
-        // A version-1 server sends ten words; the three newer counters
-        // read as zero, everything else lands in its field.
-        let full = encode_counters(&CounterBlock {
-            probes: 9,
-            accepted: 8,
-            answered: 6,
-            shed: 2,
-            delta_applies: 3,
-            watch_errors: 7,
-            quarantines: 7,
-            panics_contained: 7,
-            ..Default::default()
-        });
-        let got = decode_counters(&full[..COUNTER_BLOCK_LEN_V1]).unwrap();
-        assert_eq!(
-            (
-                got.probes,
-                got.accepted,
-                got.answered,
-                got.shed,
-                got.delta_applies
-            ),
-            (9, 8, 6, 2, 3)
-        );
-        assert_eq!(
-            (got.watch_errors, got.quarantines, got.panics_contained),
-            (0, 0, 0)
-        );
+    fn every_other_counter_block_length_is_rejected() {
+        let bytes = [7u8; 2 * COUNTER_BLOCK_LEN + 1];
+        for len in 0..=2 * COUNTER_BLOCK_LEN {
+            if len != COUNTER_BLOCK_LEN {
+                assert!(decode_counters(&bytes[..len]).is_err(), "length {len}");
+            }
+        }
+        // The retired ten-, thirteen- and fourteen-word blocks included.
+        for len in [80, 104, 112] {
+            assert!(decode_counters(&bytes[..len]).is_err(), "length {len}");
+        }
     }
 
     #[test]
@@ -1269,7 +1123,7 @@ mod tests {
             let payload = encode_retry_hint(ms);
             assert_eq!(decode_retry_after(&payload).unwrap(), Some(ms));
         }
-        // Version-1 rejects carry no payload: that is "no hint".
+        // A reject may carry no payload: that is "no hint".
         assert_eq!(decode_retry_after(&[]).unwrap(), None);
         assert!(decode_retry_after(&[1, 2, 3]).is_err());
         assert!(decode_retry_after(&[0; 5]).is_err());
@@ -1346,28 +1200,21 @@ mod tests {
 
     #[test]
     fn stats_request_roundtrip() {
-        let frame = encode_stats_request();
+        let frame = encode_stats_ex_request();
         let body = read_frame(&mut frame.as_slice(), MAX_REQ_BODY)
             .unwrap()
             .unwrap();
-        assert_eq!(
-            decode_request(&body).unwrap(),
-            Request::Stats { histograms: false }
-        );
-        // The HISTOGRAMS flag decodes; any other flag bit is an error.
-        let frame = encode_stats_ex_request();
-        assert_eq!(
-            decode_request(&frame[4..]).unwrap(),
-            Request::Stats { histograms: true }
-        );
-        let mut bad = encode_stats_request();
-        bad[5] = 2;
-        assert!(decode_request(&bad[4..]).is_err());
-        // PING still takes no flags at all — a version-2 server's view
-        // of a flagged STATS (flags must be zero) is exactly this error.
-        let mut bad = encode_ping_request();
-        bad[5] = FLAG_HISTOGRAMS;
-        assert!(decode_request(&bad[4..]).is_err());
+        assert_eq!(decode_request(&body).unwrap(), Request::Stats);
+        // STATS and PING take no flags: any flag bit is an error —
+        // including bit 0, the retired histogram flag.
+        for flag in [1u8, 2, 0x80] {
+            let mut bad = encode_stats_ex_request();
+            bad[5] = flag;
+            assert!(decode_request(&bad[4..]).is_err(), "stats flag {flag}");
+            let mut bad = encode_ping_request();
+            bad[5] = flag;
+            assert!(decode_request(&bad[4..]).is_err(), "ping flag {flag}");
+        }
     }
 
     #[test]
@@ -1420,13 +1267,8 @@ mod tests {
         assert_eq!(c, counters);
         assert_eq!(h, hists);
         assert_eq!(h[0].hist.count(), 3);
-        // The plain thirteen-word encoding drops the window mark…
-        let plain = decode_counters(&encode_counters(&counters)).unwrap();
-        assert_eq!(plain.window_high_water_lanes, 0);
-        assert_eq!(plain.queue_high_water_lanes, 900);
-        // …and the extended block alone also decodes via decode_counters.
-        let ex = decode_counters(&encode_counters_ex(&counters)).unwrap();
-        assert_eq!(ex, counters);
+        // The payload leads with exactly the PING counter block.
+        assert_eq!(&payload[..COUNTER_BLOCK_LEN], &encode_counters(&counters));
     }
 
     #[test]
@@ -1441,13 +1283,13 @@ mod tests {
         // Truncation at every boundary is rejected, never misread.
         for cut in [
             0,
-            COUNTER_BLOCK_LEN_V3,
-            COUNTER_BLOCK_LEN_V4,
-            COUNTER_BLOCK_LEN_V4 + 2,
+            COUNTER_BLOCK_LEN - 8,
+            COUNTER_BLOCK_LEN,
+            COUNTER_BLOCK_LEN + 2,
         ] {
             assert!(decode_stats_ex_payload(&good[..cut]).is_err(), "cut {cut}");
         }
-        for cut in COUNTER_BLOCK_LEN_V4 + 4..good.len() {
+        for cut in COUNTER_BLOCK_LEN + 4..good.len() {
             assert!(decode_stats_ex_payload(&good[..cut]).is_err(), "cut {cut}");
         }
         // Trailing bytes.
@@ -1456,17 +1298,17 @@ mod tests {
         assert!(decode_stats_ex_payload(&long).is_err());
         // Oversized histogram count.
         let mut bad = good.clone();
-        bad[COUNTER_BLOCK_LEN_V4..COUNTER_BLOCK_LEN_V4 + 4]
+        bad[COUNTER_BLOCK_LEN..COUNTER_BLOCK_LEN + 4]
             .copy_from_slice(&(MAX_WIRE_HISTS as u32 + 1).to_le_bytes());
         assert!(decode_stats_ex_payload(&bad).is_err());
         // Oversized bucket count.
         let mut bad = good.clone();
-        let n_at = COUNTER_BLOCK_LEN_V4 + 4 + 12;
+        let n_at = COUNTER_BLOCK_LEN + 4 + 12;
         bad[n_at..n_at + 4].copy_from_slice(&(act_obs::NUM_BUCKETS as u32 + 1).to_le_bytes());
         assert!(decode_stats_ex_payload(&bad).is_err());
         // Nonzero pad.
         let mut bad = good;
-        bad[COUNTER_BLOCK_LEN_V4 + 4 + 1] = 1;
+        bad[COUNTER_BLOCK_LEN + 4 + 1] = 1;
         assert!(decode_stats_ex_payload(&bad).is_err());
     }
 

@@ -36,9 +36,14 @@
 //! restarting shard shed, and the first successful contact clears the
 //! cooldown. PING/STATS fan out to every shard, bypass the cooldown
 //! (monitoring wants ground truth and doubles as recovery detection),
-//! and merge counter blocks via [`CounterBlock::merge`] with the fleet
-//! epoch reported as the **minimum** shard epoch (the conservative
-//! answer to "has everyone swapped yet?").
+//! and merge counter blocks via [`CounterBlock::merge`] (STATS also
+//! merges the stage histograms bucket-wise) with the fleet epoch
+//! reported as the **minimum** shard epoch (the conservative answer to
+//! "has everyone swapped yet?").
+//!
+//! Every fan-out — probe, PING/STATS, DUMP, and the `/metrics` scrape —
+//! goes through one scatter primitive, and probe/PING/STATS share one
+//! worst-status fold.
 
 use crate::client::{ClientError, ResilientClient, RetryPolicy};
 use crate::obs::{render_counters, render_histograms, render_trace_meta, ObsConfig};
@@ -75,7 +80,7 @@ pub struct RouterConfig {
     /// admissions (with their shard fan-out width) and per-shard breaker
     /// open/close transitions (the router keeps no latency histograms of
     /// its own — stage timings live in the workers and are gathered
-    /// through flagged STATS). `None` records nothing.
+    /// through STATS). `None` records nothing.
     pub obs: Option<ObsConfig>,
 }
 
@@ -194,9 +199,18 @@ enum Outcome<T> {
     Internal,
 }
 
+impl<T> Outcome<T> {
+    fn ok(self) -> Option<T> {
+        match self {
+            Outcome::Ok(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
 /// Folds a per-shard client failure into the routed vocabulary and
 /// updates the shard's circuit state.
-fn classify(state: &RouterState, shard: usize, err: &ClientError) -> Outcome<proto::ProbeReply> {
+fn classify<T>(state: &RouterState, shard: usize, err: &ClientError) -> Outcome<T> {
     // Exhausted wraps the failure that ended the last attempt; the
     // routed meaning is that of the inner error.
     let last = match err {
@@ -220,6 +234,121 @@ fn classify(state: &RouterState, shard: usize, err: &ClientError) -> Outcome<pro
             Outcome::Internal
         }
     }
+}
+
+/// The router's one scatter: `call` runs once per shard that `takes`
+/// selects, and each result updates that shard's breaker (`mark_up` on
+/// success, [`classify`] on failure). With `honor_cooldown`, a shard
+/// whose breaker is open sheds at once with the remaining cooldown as
+/// its hint instead of being called. Outcomes come back indexed by
+/// shard, `None` where the shard was not selected.
+fn scatter<T: Send>(
+    state: &RouterState,
+    clients: &mut [ResilientClient],
+    takes: impl Fn(usize) -> bool,
+    honor_cooldown: bool,
+    call: impl Fn(usize, &mut ResilientClient) -> Result<T, ClientError> + Sync,
+) -> Vec<Option<Outcome<T>>> {
+    let one = |k: usize, client: &mut ResilientClient| {
+        if let Some(hint) = honor_cooldown.then(|| state.down_hint(k)).flatten() {
+            return Outcome::Shed(hint);
+        }
+        match call(k, client) {
+            Ok(v) => {
+                state.mark_up(k);
+                Outcome::Ok(v)
+            }
+            Err(e) => classify(state, k, &e),
+        }
+    };
+    let mut outcomes: Vec<Option<Outcome<T>>> = clients.iter().map(|_| None).collect();
+    let chosen: Vec<usize> = (0..clients.len()).filter(|&k| takes(k)).collect();
+    if let [k] = chosen[..] {
+        // One participant (the common single-owner probe frame under
+        // geographic locality): answer inline, no thread to pay for.
+        outcomes[k] = Some(one(k, &mut clients[k]));
+        return outcomes;
+    }
+    let one = &one;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .iter_mut()
+            .enumerate()
+            .filter(|(k, _)| chosen.contains(k))
+            .map(|(k, client)| (k, scope.spawn(move || one(k, client))))
+            .collect();
+        for (k, h) in handles {
+            outcomes[k] = Some(h.join().unwrap_or(Outcome::Internal));
+        }
+    });
+    outcomes
+}
+
+/// Worst status wins across a scatter's outcomes: `UNSUPPORTED` (the
+/// capability is missing fleet-wide) over `INTERNAL` over `LOADSHED`
+/// (carrying the **largest** hint any shard suggested). `Err` is that
+/// reply frame for `op`; `Ok` holds each answering shard's value at its
+/// index.
+fn worst_status<T>(op: u8, outcomes: Vec<Option<Outcome<T>>>) -> Result<Vec<Option<T>>, Vec<u8>> {
+    let (mut unsupported, mut internal, mut shed_hint) = (false, false, None::<u32>);
+    let answers = outcomes
+        .into_iter()
+        .map(|o| match o? {
+            Outcome::Ok(v) => Some(v),
+            Outcome::Shed(h) => {
+                shed_hint = Some(shed_hint.map_or(h, |x| x.max(h)));
+                None
+            }
+            Outcome::Unsupported => {
+                unsupported = true;
+                None
+            }
+            Outcome::Internal => {
+                internal = true;
+                None
+            }
+        })
+        .collect();
+    if unsupported || internal {
+        let status = if unsupported {
+            proto::STATUS_UNSUPPORTED
+        } else {
+            proto::STATUS_INTERNAL
+        };
+        return Err(proto::encode_response(op, status, 0, 0, &[]));
+    }
+    match shed_hint {
+        Some(hint) => {
+            let hint = hint.clamp(proto::RETRY_AFTER_MIN_MS, proto::RETRY_AFTER_MAX_MS);
+            let payload = proto::encode_retry_hint(hint);
+            Err(proto::encode_response(
+                op,
+                proto::STATUS_LOADSHED,
+                0,
+                0,
+                &payload,
+            ))
+        }
+        None => Ok(answers),
+    }
+}
+
+/// The fleet-wide view of the answering shards' STATS replies: counters
+/// via [`CounterBlock::merge`] (sums, with both high-water marks taking
+/// the fleet **max**), histograms via [`proto::merge_stage_histograms`]
+/// (bucket-wise sums, which is exactly how log-bucketed histograms
+/// compose), and the minimum epoch (0 when nobody answered).
+fn merge_fleet(replies: &[Option<proto::StatsExReply>]) -> proto::StatsExReply {
+    let mut fleet = proto::StatsExReply {
+        epoch: replies.iter().flatten().map(|r| r.epoch).min().unwrap_or(0),
+        counters: CounterBlock::default(),
+        histograms: Vec::new(),
+    };
+    for r in replies.iter().flatten() {
+        fleet.counters.merge(&r.counters);
+        proto::merge_stage_histograms(&mut fleet.histograms, &r.histograms);
+    }
+    fleet
 }
 
 /// Spawns scatter-gather routers over a shard fleet.
@@ -299,7 +428,8 @@ impl RouterHandle {
     }
 
     /// A `/metrics` renderer for [`act_obs::MetricsServer`]. Each scrape
-    /// performs one flagged-STATS fan-out to the fleet and renders the
+    /// performs one STATS scatter to the fleet (on fresh connections,
+    /// updating the breakers like any routed STATS) and renders the
     /// **merged** counter/histogram families (no `shard` label, min
     /// epoch) followed by a per-shard breakdown (`shard="k"` labels),
     /// plus an `act_shard_down` breaker gauge per shard. A shard that
@@ -308,39 +438,33 @@ impl RouterHandle {
     pub fn metrics_fn(&self) -> Arc<dyn Fn() -> String + Send + Sync> {
         let state = Arc::clone(&self.state);
         Arc::new(move || {
+            let mut clients: Vec<ResilientClient> = state
+                .shard_addrs
+                .iter()
+                .map(|a| ResilientClient::from_resolved(*a, state.policy))
+                .collect();
+            let replies: Vec<Option<proto::StatsExReply>> =
+                scatter(&state, &mut clients, |_| true, false, |_, c| c.stats_ex())
+                    .into_iter()
+                    .map(|o| o.and_then(Outcome::ok))
+                    .collect();
+            let fleet = merge_fleet(&replies);
             let mut page = PromText::new();
-            let mut merged = CounterBlock::default();
-            let mut merged_hists: Vec<proto::StageHistogram> = Vec::new();
-            let mut epoch = u32::MAX;
-            let mut shards = Vec::new();
-            for (k, addr) in state.shard_addrs.iter().enumerate() {
-                let reply = ResilientClient::new(*addr, state.policy)
-                    .ok()
-                    .and_then(|mut c| c.stats_ex().ok());
-                if let Some(r) = &reply {
-                    epoch = epoch.min(r.epoch);
-                    merged.merge(&r.counters);
-                    proto::merge_stage_histograms(&mut merged_hists, &r.histograms);
-                }
-                shards.push((k.to_string(), reply));
-            }
-            if epoch == u32::MAX {
-                epoch = 0; // nobody answered; the gauges below still render
-            }
-            render_counters(&mut page, &[], epoch, &merged);
-            render_histograms(&mut page, &[], &merged_hists);
-            for (label, reply) in &shards {
-                let labels: [(&str, &str); 1] = [("shard", label.as_str())];
+            render_counters(&mut page, &[], fleet.epoch, &fleet.counters);
+            render_histograms(&mut page, &[], &fleet.histograms);
+            for (k, reply) in replies.iter().enumerate() {
                 if let Some(r) = reply {
+                    let label = k.to_string();
+                    let labels = [("shard", label.as_str())];
                     render_counters(&mut page, &labels, r.epoch, &r.counters);
                     render_histograms(&mut page, &labels, &r.histograms);
                 }
             }
-            for (k, (label, _)) in shards.iter().enumerate() {
+            for k in 0..replies.len() {
                 page.gauge(
                     "act_shard_down",
                     "1 while the shard's circuit breaker is open.",
-                    &[("shard", label.as_str())],
+                    &[("shard", k.to_string().as_str())],
                     if state.is_down(k) { 1.0 } else { 0.0 },
                 );
             }
@@ -552,10 +676,7 @@ fn route_request(
         proto::Request::Probe { coords, exact } => route_probe(state, clients, &coords, exact),
         proto::Request::ProbeCells { cells } => route_probe_cells(state, clients, &cells),
         proto::Request::Ping => route_counters(state, clients, proto::OP_PING),
-        proto::Request::Stats { histograms: false } => {
-            route_counters(state, clients, proto::OP_STATS)
-        }
-        proto::Request::Stats { histograms: true } => route_stats_ex(state, clients),
+        proto::Request::Stats => route_counters(state, clients, proto::OP_STATS),
         proto::Request::Dump => route_dump(state, clients),
     }
 }
@@ -610,7 +731,7 @@ fn route_probe_frames<P, F>(
 ) -> Vec<u8>
 where
     P: Copy + Sync,
-    F: Fn(&mut ResilientClient, &[P]) -> Result<proto::ProbeReply, crate::ClientError> + Sync,
+    F: Fn(&mut ResilientClient, &[P]) -> Result<proto::ProbeReply, ClientError> + Sync,
 {
     let n = state.num_shards();
     if points.is_empty() {
@@ -623,94 +744,40 @@ where
         owner.push(s);
         per_shard[s].push(p);
     }
-
-    let mut outcomes: Vec<Option<Outcome<proto::ProbeReply>>> = (0..n).map(|_| None).collect();
-    let shard_probe = |k: usize, client: &mut ResilientClient, pts: &[P]| {
-        if let Some(hint) = state.down_hint(k) {
-            return Outcome::Shed(hint);
-        }
-        match send(client, pts) {
-            Ok(reply) => {
-                state.mark_up(k);
-                Outcome::Ok(reply)
-            }
-            Err(e) => classify(state, k, &e),
-        }
-    };
-    let participating = per_shard.iter().filter(|p| !p.is_empty()).count();
     if let Some(t) = &state.trace {
         t.sampled(
             "admission",
             &[
                 ("lanes", points.len() as u64),
-                ("shards", participating as u64),
+                (
+                    "shards",
+                    per_shard.iter().filter(|p| !p.is_empty()).count() as u64,
+                ),
                 ("exact", u64::from(exact)),
             ],
         );
     }
-    if participating == 1 {
-        // Single-owner frame (the common case under geographic
-        // locality): answer inline, no scatter threads to pay for.
-        // Every point has the same owner, so the first point's owner
-        // *is* the shard — no searching, nothing to `expect`, and a
-        // connection thread that cannot panic on a routing assertion.
-        let k = owner[0];
-        outcomes[k] = Some(shard_probe(k, &mut clients[k], &per_shard[k]));
-    } else {
-        let shard_probe = &shard_probe;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (k, client) in clients.iter_mut().enumerate() {
-                let pts = &per_shard[k];
-                if pts.is_empty() {
-                    continue;
-                }
-                handles.push((k, scope.spawn(move || shard_probe(k, client, pts))));
-            }
-            for (k, h) in handles {
-                outcomes[k] = Some(h.join().unwrap_or(Outcome::Internal));
-            }
-        });
-    }
-
-    // Worst status wins; OK's epoch is the minimum participating epoch.
-    let mut unsupported = false;
-    let mut internal = false;
-    let mut shed_hint: Option<u32> = None;
-    let mut epoch = u32::MAX;
-    for o in outcomes.iter().flatten() {
-        match o {
-            Outcome::Ok(reply) => epoch = epoch.min(reply.epoch),
-            Outcome::Shed(h) => shed_hint = Some(shed_hint.map_or(*h, |x| x.max(*h))),
-            Outcome::Unsupported => unsupported = true,
-            Outcome::Internal => internal = true,
-        }
-    }
-    if unsupported {
-        return proto::encode_response(proto::OP_PROBE, proto::STATUS_UNSUPPORTED, 0, 0, &[]);
-    }
-    if internal {
-        return proto::encode_response(proto::OP_PROBE, proto::STATUS_INTERNAL, 0, 0, &[]);
-    }
-    if let Some(hint) = shed_hint {
-        let hint = hint.clamp(proto::RETRY_AFTER_MIN_MS, proto::RETRY_AFTER_MAX_MS);
-        return proto::encode_response(
-            proto::OP_PROBE,
-            proto::STATUS_LOADSHED,
-            0,
-            0,
-            &proto::encode_retry_hint(hint),
-        );
-    }
+    let outcomes = scatter(
+        state,
+        clients,
+        |k| !per_shard[k].is_empty(),
+        true,
+        |k, client| send(client, &per_shard[k]),
+    );
+    let replies = match worst_status(proto::OP_PROBE, outcomes) {
+        Ok(replies) => replies,
+        Err(frame) => return frame,
+    };
 
     // Gather: walk the request order, pulling each point's answer from
     // its owning shard's sub-reply (which preserved sub-batch order).
+    // Every owner answered OK — any other status returned above.
+    let epoch = replies.iter().flatten().map(|r| r.epoch).min().unwrap_or(0);
     let mut cursors = vec![0usize; n];
     let mut payload = Vec::new();
     for &s in &owner {
-        let reply = match &outcomes[s] {
-            Some(Outcome::Ok(r)) => r,
-            _ => unreachable!("owning shard answered OK — statuses handled above"),
+        let Some(reply) = &replies[s] else {
+            unreachable!("owning shard answered OK — statuses handled above")
         };
         let mut refs = reply.refs[cursors[s]].clone();
         cursors[s] += 1;
@@ -731,204 +798,57 @@ where
 
 /// PING/STATS fan out to every shard — bypassing cooldowns, so
 /// monitoring sees ground truth and a recovered shard is noticed — and
-/// merge into one fleet-wide counter block (min epoch).
-fn route_counters(state: &RouterState, clients: &mut [ResilientClient], op: u8) -> Vec<u8> {
-    let mut outcomes: Vec<Option<Outcome<(u32, CounterBlock)>>> =
-        (0..state.num_shards()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (k, client) in clients.iter_mut().enumerate() {
-            handles.push((
-                k,
-                scope.spawn(move || {
-                    let result = if op == proto::OP_PING {
-                        client.ping().map(|r| (r.epoch, r.counters))
-                    } else {
-                        client.stats().map(|r| (r.epoch, r.counters))
-                    };
-                    match result {
-                        Ok(ok) => {
-                            state.mark_up(k);
-                            Outcome::Ok(ok)
-                        }
-                        Err(e) => match classify(state, k, &e) {
-                            Outcome::Ok(_) => unreachable!("classify never constructs Ok"),
-                            Outcome::Shed(h) => Outcome::Shed(h),
-                            Outcome::Unsupported => Outcome::Unsupported,
-                            Outcome::Internal => Outcome::Internal,
-                        },
-                    }
-                }),
-            ));
-        }
-        for (k, h) in handles {
-            outcomes[k] = Some(h.join().unwrap_or(Outcome::Internal));
-        }
-    });
-
-    let mut merged = CounterBlock::default();
-    let mut unsupported = false;
-    let mut internal = false;
-    let mut shed_hint: Option<u32> = None;
-    let mut epoch = u32::MAX;
-    for o in outcomes.iter().flatten() {
-        match o {
-            Outcome::Ok((e, c)) => {
-                epoch = epoch.min(*e);
-                merged.merge(c);
-            }
-            Outcome::Shed(h) => shed_hint = Some(shed_hint.map_or(*h, |x| x.max(*h))),
-            Outcome::Unsupported => unsupported = true,
-            Outcome::Internal => internal = true,
-        }
-    }
-    if unsupported {
-        return proto::encode_response(op, proto::STATUS_UNSUPPORTED, 0, 0, &[]);
-    }
-    if internal {
-        return proto::encode_response(op, proto::STATUS_INTERNAL, 0, 0, &[]);
-    }
-    if let Some(hint) = shed_hint {
-        let hint = hint.clamp(proto::RETRY_AFTER_MIN_MS, proto::RETRY_AFTER_MAX_MS);
-        return proto::encode_response(
-            op,
-            proto::STATUS_LOADSHED,
-            0,
-            0,
-            &proto::encode_retry_hint(hint),
-        );
-    }
-    proto::encode_response(
-        op,
-        proto::STATUS_OK,
-        epoch,
-        0,
-        &proto::encode_counters(&merged),
-    )
-}
-
-/// The flagged (v3) STATS fan-out: every shard's extended counters and
-/// stage histograms, merged — counters via [`CounterBlock::merge`]
-/// (sums, with both high-water marks taking the fleet **max**),
-/// histograms via [`proto::merge_stage_histograms`] (bucket-wise sums,
-/// which is exactly how log-bucketed histograms compose). Worst status
+/// merge into one fleet-wide reply ([`merge_fleet`]). Worst status
 /// wins, as everywhere else on the router.
-fn route_stats_ex(state: &RouterState, clients: &mut [ResilientClient]) -> Vec<u8> {
-    let mut outcomes: Vec<Option<Outcome<proto::StatsExReply>>> =
-        (0..state.num_shards()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (k, client) in clients.iter_mut().enumerate() {
-            handles.push((
-                k,
-                scope.spawn(move || match client.stats_ex() {
-                    Ok(r) => {
-                        state.mark_up(k);
-                        Outcome::Ok(r)
-                    }
-                    Err(e) => match classify(state, k, &e) {
-                        Outcome::Ok(_) => unreachable!("classify never constructs Ok"),
-                        Outcome::Shed(h) => Outcome::Shed(h),
-                        Outcome::Unsupported => Outcome::Unsupported,
-                        Outcome::Internal => Outcome::Internal,
-                    },
-                }),
-            ));
-        }
-        for (k, h) in handles {
-            outcomes[k] = Some(h.join().unwrap_or(Outcome::Internal));
-        }
-    });
-
-    let mut merged = CounterBlock::default();
-    let mut hists: Vec<proto::StageHistogram> = Vec::new();
-    let mut unsupported = false;
-    let mut internal = false;
-    let mut shed_hint: Option<u32> = None;
-    let mut epoch = u32::MAX;
-    for o in outcomes.iter().flatten() {
-        match o {
-            Outcome::Ok(r) => {
-                epoch = epoch.min(r.epoch);
-                merged.merge(&r.counters);
-                proto::merge_stage_histograms(&mut hists, &r.histograms);
+fn route_counters(state: &RouterState, clients: &mut [ResilientClient], op: u8) -> Vec<u8> {
+    let outcomes = scatter(
+        state,
+        clients,
+        |_| true,
+        false,
+        |_, client| {
+            if op == proto::OP_PING {
+                client.ping().map(|r| proto::StatsExReply {
+                    epoch: r.epoch,
+                    counters: r.counters,
+                    histograms: Vec::new(),
+                })
+            } else {
+                client.stats_ex()
             }
-            Outcome::Shed(h) => shed_hint = Some(shed_hint.map_or(*h, |x| x.max(*h))),
-            Outcome::Unsupported => unsupported = true,
-            Outcome::Internal => internal = true,
-        }
-    }
-    if unsupported {
-        return proto::encode_response(proto::OP_STATS, proto::STATUS_UNSUPPORTED, 0, 0, &[]);
-    }
-    if internal {
-        return proto::encode_response(proto::OP_STATS, proto::STATUS_INTERNAL, 0, 0, &[]);
-    }
-    if let Some(hint) = shed_hint {
-        let hint = hint.clamp(proto::RETRY_AFTER_MIN_MS, proto::RETRY_AFTER_MAX_MS);
-        return proto::encode_response(
-            proto::OP_STATS,
-            proto::STATUS_LOADSHED,
-            0,
-            0,
-            &proto::encode_retry_hint(hint),
-        );
-    }
-    proto::encode_response(
-        proto::OP_STATS,
-        proto::STATUS_OK,
-        epoch,
-        0,
-        &proto::encode_stats_ex_payload(&merged, &hists),
-    )
+        },
+    );
+    let fleet = match worst_status(op, outcomes) {
+        Ok(replies) => merge_fleet(&replies),
+        Err(frame) => return frame,
+    };
+    let payload = if op == proto::OP_PING {
+        proto::encode_counters(&fleet.counters).to_vec()
+    } else {
+        proto::encode_stats_ex_payload(&fleet.counters, &fleet.histograms)
+    };
+    proto::encode_response(op, proto::STATUS_OK, fleet.epoch, 0, &payload)
 }
 
 /// DUMP fan-out: the router's own trace (sampled admissions + breaker
-/// transitions) first, then
-/// each answering shard's trace window, in shard order (each line is a
-/// self-contained JSON event). A shard without observability answers
-/// UNSUPPORTED and is skipped; the fleet answer is UNSUPPORTED only when
-/// *nothing* — router ring included — had a trace to give. Unreachable
-/// shards are skipped too: a dump is a diagnostic window, and a partial
-/// window beats a fleet-wide error while one shard restarts.
+/// transitions) first, then each answering shard's trace window, in
+/// shard order (each line is a self-contained JSON event). A shard
+/// without observability answers UNSUPPORTED and is skipped; the fleet
+/// answer is UNSUPPORTED only when *nothing* — router ring included —
+/// had a trace to give. Unreachable shards are skipped too: a dump is a
+/// diagnostic window, and a partial window beats a fleet-wide error
+/// while one shard restarts.
 fn route_dump(state: &RouterState, clients: &mut [ResilientClient]) -> Vec<u8> {
-    let mut parts: Vec<Option<String>> = (0..state.num_shards()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (k, client) in clients.iter_mut().enumerate() {
-            handles.push((
-                k,
-                scope.spawn(move || match client.dump() {
-                    Ok(lines) => {
-                        state.mark_up(k);
-                        Some(lines)
-                    }
-                    Err(e) => {
-                        // UNSUPPORTED means alive-without-obs, not sick.
-                        if !matches!(
-                            &e,
-                            ClientError::Server {
-                                status: proto::STATUS_UNSUPPORTED,
-                                ..
-                            }
-                        ) {
-                            classify(state, k, &e);
-                        }
-                        None
-                    }
-                }),
-            ));
-        }
-        for (k, h) in handles {
-            parts[k] = h.join().unwrap_or(None);
-        }
-    });
+    let parts: Vec<String> = scatter(state, clients, |_| true, false, |_, c| c.dump())
+        .into_iter()
+        .filter_map(|o| o.and_then(Outcome::ok))
+        .collect();
     let own = state.trace.as_ref().map(|t| t.dump_json_lines());
-    if own.is_none() && parts.iter().all(Option::is_none) {
+    if own.is_none() && parts.is_empty() {
         return proto::encode_response(proto::OP_DUMP, proto::STATUS_UNSUPPORTED, 0, 0, &[]);
     }
     let mut lines = own.unwrap_or_default();
-    for p in parts.into_iter().flatten() {
+    for p in parts {
         lines.push_str(&p);
     }
     proto::encode_response(proto::OP_DUMP, proto::STATUS_OK, 0, 0, lines.as_bytes())

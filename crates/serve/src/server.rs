@@ -210,45 +210,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Aggregate serving counters (see [`ServerHandle::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Probe points answered.
-    pub probes: u64,
-    /// Frames handled (accepted + malformed).
-    pub requests: u64,
-    /// Micro-batches executed (probes / batches = achieved batch width).
-    pub batches: u64,
-    /// Current snapshot epoch (1 + successful hot-swaps).
-    pub epoch: u32,
-    /// Well-formed frames taken in (probe/ping/stats, shed included).
-    pub accepted: u64,
-    /// Frames answered with a real (non-LOADSHED) reply.
-    pub answered: u64,
-    /// Probe frames answered `LOADSHED`.
-    pub shed: u64,
-    /// Malformed frames answered `BAD_REQUEST`.
-    pub bad_frames: u64,
-    /// Connections refused `BUSY` at the accept gate.
-    pub busy: u64,
-    /// Highest queue occupancy observed, in lanes (≤ configured depth).
-    pub queue_high_water_lanes: u64,
-    /// Worker panics contained by `catch_unwind` (each poisoned exactly
-    /// one batch, answered `INTERNAL`).
-    pub panics_contained: u64,
-    /// Transient IO errors hit by the snapshot watcher.
-    pub watch_errors: u64,
-    /// Corrupt/wrong-chain delta files quarantined by the watcher.
-    pub quarantines: u64,
-    /// Probed cells answered from the hot-cell cache (0 with no cache).
-    pub cache_hits: u64,
-    /// Probed cells that missed the cache and walked the trie.
-    pub cache_misses: u64,
-    /// Probe frames shed by the per-client fairness quota (a subset of
-    /// `shed`).
-    pub quota_sheds: u64,
-}
-
 /// One enqueued probe request.
 struct Job {
     cells: Vec<CellId>,
@@ -316,7 +277,7 @@ struct State {
     /// the measured drain rate behind retry-after hints.
     drained_lanes: AtomicU64,
     started: Instant,
-    /// Queue high-water mark since the last flagged STATS read (see
+    /// Queue high-water mark since the last STATS read (see
     /// `CounterBlock::window_high_water_lanes`). Always maintained —
     /// one relaxed `fetch_max` under the queue lock — so the windowed
     /// mark works with observability off too.
@@ -350,19 +311,42 @@ impl State {
         }
     }
 
-    /// The extended-stats payload for a flagged STATS reply: current
-    /// counters with the **windowed** high-water mark taken (reset to
-    /// zero — documented semantics of the flagged read) plus every stage
-    /// histogram (empty section with observability off).
-    fn stats_ex_payload(&self) -> Vec<u8> {
-        let mut block = self.counter_block();
-        block.window_high_water_lanes = self.window_hw_lanes.swap(0, Ordering::Relaxed);
-        let hists = self
-            .obs
-            .as_ref()
-            .map(|o| o.stage_histograms())
-            .unwrap_or_default();
-        proto::encode_stats_ex_payload(&block, &hists)
+    /// The reply frame for a header-only request. PING carries the
+    /// counter block; STATS adds every stage histogram (empty section
+    /// with observability off) and takes the **windowed** high-water
+    /// mark, resetting it to zero; DUMP carries the trace ring, or
+    /// answers `UNSUPPORTED` with observability off.
+    fn headless_reply(&self, req: &proto::Request) -> Vec<u8> {
+        let (op, status, payload) = match req {
+            proto::Request::Ping => (
+                proto::OP_PING,
+                proto::STATUS_OK,
+                proto::encode_counters(&self.counter_block()).to_vec(),
+            ),
+            proto::Request::Stats => {
+                let mut block = self.counter_block();
+                block.window_high_water_lanes = self.window_hw_lanes.swap(0, Ordering::Relaxed);
+                let hists = self
+                    .obs
+                    .as_ref()
+                    .map(|o| o.stage_histograms())
+                    .unwrap_or_default();
+                let payload = proto::encode_stats_ex_payload(&block, &hists);
+                (proto::OP_STATS, proto::STATUS_OK, payload)
+            }
+            // DUMP (the reader passes no probe here). Non-destructive:
+            // the ring keeps its window, so repeated dumps (and the
+            // SIGINT drain) overlap.
+            _ => match &self.obs {
+                Some(obs) => (
+                    proto::OP_DUMP,
+                    proto::STATUS_OK,
+                    obs.trace.dump_json_lines().into_bytes(),
+                ),
+                None => (proto::OP_DUMP, proto::STATUS_UNSUPPORTED, Vec::new()),
+            },
+        };
+        proto::encode_response(op, status, self.store.epoch(), 0, &payload)
     }
 
     /// The `retry_after_ms` hint for a reject emitted right now: the
@@ -524,27 +508,10 @@ impl ServerHandle {
         self.state.store.epoch()
     }
 
-    /// Aggregate serving counters so far.
-    pub fn stats(&self) -> ServeStats {
-        let c = self.state.counter_block();
-        ServeStats {
-            probes: c.probes,
-            requests: c.accepted + c.bad_frames,
-            batches: c.batches,
-            epoch: self.state.store.epoch(),
-            accepted: c.accepted,
-            answered: c.answered,
-            shed: c.shed,
-            bad_frames: c.bad_frames,
-            busy: c.busy,
-            queue_high_water_lanes: c.queue_high_water_lanes,
-            panics_contained: c.panics_contained,
-            watch_errors: c.watch_errors,
-            quarantines: c.quarantines,
-            cache_hits: c.cache_hits,
-            cache_misses: c.cache_misses,
-            quota_sheds: c.quota_sheds,
-        }
+    /// Aggregate serving counters so far — the block PING carries
+    /// (reading it leaves the windowed high-water mark in place).
+    pub fn stats(&self) -> proto::CounterBlock {
+        self.state.counter_block()
     }
 
     /// The sampled trace ring's current window as JSON lines, oldest
@@ -558,7 +525,7 @@ impl ServerHandle {
     /// [`act_obs::MetricsServer`]: the counter block as Prometheus
     /// counters/gauges, plus (with observability on) every stage
     /// histogram and the trace meta counter. Scrapes are read-only —
-    /// the windowed high-water mark is consumed by flagged STATS reads,
+    /// the windowed high-water mark is consumed by STATS reads,
     /// never by a scrape.
     pub fn metrics_fn(&self) -> Arc<dyn Fn() -> String + Send + Sync> {
         let state = Arc::clone(&self.state);
@@ -579,7 +546,7 @@ impl ServerHandle {
     /// that care about ordering — and it returns the **final** counters,
     /// captured after the drain, so work answered during the drain is
     /// included (a pre-shutdown `stats()` call would undercount it).
-    pub fn shutdown(mut self) -> ServeStats {
+    pub fn shutdown(mut self) -> proto::CounterBlock {
         self.stop();
         self.stats()
     }
@@ -858,59 +825,12 @@ fn reader_loop(
                 drain_unread(r);
                 return;
             }
-            Ok(proto::Request::Ping) => {
-                if !answer_counters(state, tx, proto::OP_PING, dead) {
-                    return;
-                }
-            }
-            Ok(proto::Request::Stats { histograms: false }) => {
-                if !answer_counters(state, tx, proto::OP_STATS, dead) {
-                    return;
-                }
-            }
-            Ok(proto::Request::Stats { histograms: true }) => {
-                // The flagged (v3) read: extended counter block plus the
-                // stage-histogram section, and the windowed high-water
-                // mark is consumed (reset) by this read.
+            Ok(req @ (proto::Request::Ping | proto::Request::Stats | proto::Request::Dump)) => {
                 state.accepted.fetch_add(1, Ordering::Relaxed);
                 state.answered.fetch_add(1, Ordering::Relaxed);
-                let payload = state.stats_ex_payload();
-                let f = proto::encode_response(
-                    proto::OP_STATS,
-                    proto::STATUS_OK,
-                    state.store.epoch(),
-                    0,
-                    &payload,
-                );
-                if !push_pending(tx, Pending::Ready(f), dead) {
-                    return;
-                }
-            }
-            Ok(proto::Request::Dump) => {
-                state.accepted.fetch_add(1, Ordering::Relaxed);
-                state.answered.fetch_add(1, Ordering::Relaxed);
-                let f = match &state.obs {
-                    Some(obs) => {
-                        // Non-destructive: the ring keeps its window, so
-                        // repeated dumps (and the SIGINT drain) overlap.
-                        let lines = obs.trace.dump_json_lines();
-                        proto::encode_response(
-                            proto::OP_DUMP,
-                            proto::STATUS_OK,
-                            state.store.epoch(),
-                            0,
-                            lines.as_bytes(),
-                        )
-                    }
-                    None => proto::encode_response(
-                        proto::OP_DUMP,
-                        proto::STATUS_UNSUPPORTED,
-                        state.store.epoch(),
-                        0,
-                        &[],
-                    ),
-                };
-                if !push_pending(tx, Pending::Ready(f), dead) {
+                // Through the pending FIFO, so it cannot overtake an
+                // in-flight probe reply.
+                if !push_pending(tx, Pending::Ready(state.headless_reply(&req)), dead) {
                     return;
                 }
             }
@@ -1040,21 +960,6 @@ fn drain_unread(r: &mut TcpStream) {
             Err(_) => return,
         }
     }
-}
-
-/// Counts and renders a PING/STATS answer — through the pending FIFO,
-/// so it cannot overtake an in-flight probe reply.
-fn answer_counters(
-    state: &State,
-    tx: &mpsc::SyncSender<Pending>,
-    op: u8,
-    dead: &AtomicBool,
-) -> bool {
-    state.accepted.fetch_add(1, Ordering::Relaxed);
-    state.answered.fetch_add(1, Ordering::Relaxed);
-    let payload = proto::encode_counters(&state.counter_block());
-    let f = proto::encode_response(op, proto::STATUS_OK, state.store.epoch(), 0, &payload);
-    push_pending(tx, Pending::Ready(f), dead)
 }
 
 /// Pushes an owed reply onto the bounded channel. A full channel means

@@ -1,14 +1,17 @@
 //! End-to-end tests for the observability pipeline: per-stage
-//! histograms over the wire (v3 flagged STATS), the sampled trace ring
-//! and its DUMP op, the `/metrics` exposition endpoint, and the
-//! router's gather/merge of per-shard scrapes.
+//! histograms over the wire (STATS), the sampled trace ring and its
+//! DUMP op, the `/metrics` exposition endpoint, and the router's
+//! gather/merge of per-shard scrapes.
 //!
-//! The fleet test asserts the tentpole invariant literally: the
-//! router's merged histogram section equals a client-side
+//! The fleet test asserts the merge invariant literally: the router's
+//! merged histogram section equals a client-side
 //! [`merge_stage_histograms`] over direct per-shard scrapes of the
-//! same traffic.
+//! same traffic. The mixed-fleet test covers the shards a scrape must
+//! tolerate: one without observability, and one that is dead.
 
-use act_core::{write_shard_files, ActIndex, Refiner, DEFAULT_SPLIT_LEVEL};
+use act_core::{
+    coord_to_cell, shard_of_cell, write_shard_files, ActIndex, Refiner, DEFAULT_SPLIT_LEVEL,
+};
 use act_serve::protocol as proto;
 use act_serve::{
     Client, ObsConfig, Router, RouterConfig, ServeConfig, Server, ServerHandle, StatsExReply,
@@ -193,9 +196,9 @@ fn stage_histograms_trace_dump_and_metrics_end_to_end() {
     assert!(text.contains("act_stage_seconds_count{stage=\"queue_wait\"}"));
     assert!(text.contains("le=\"+Inf\""));
 
-    // v2-style plain STATS still answers on the same connection.
-    let plain = c.stats().unwrap();
-    assert_eq!(plain.counters.probes, frames * pts.len() as u64);
+    // PING answers on the same connection with the same counters.
+    let ping = c.ping().unwrap();
+    assert_eq!(ping.counters.probes, frames * pts.len() as u64);
 }
 
 #[test]
@@ -215,7 +218,7 @@ fn obs_off_pays_nothing_on_the_wire() {
     let mut c = Client::connect(server.addr()).unwrap();
     c.probe(&probe_points(), false).unwrap();
 
-    // Flagged STATS still answers (counters + empty histogram section).
+    // STATS still answers (counters + empty histogram section).
     let reply = c.stats_ex().unwrap();
     assert!(reply.counters.probes > 0);
     assert!(reply.histograms.is_empty());
@@ -261,7 +264,7 @@ fn window_high_water_resets_per_flagged_read() {
     assert!(c.stats_ex().unwrap().counters.window_high_water_lanes > 0);
 }
 
-/// The fleet invariant: the router's merged STATS section must equal a
+/// The fleet invariant: the router's merged STATS reply must equal a
 /// client-side merge of direct per-shard scrapes — histogram buckets
 /// bucket-for-bucket, traffic counters field-for-field.
 #[test]
@@ -366,6 +369,99 @@ fn router_merge_equals_client_side_merge_of_shard_scrapes() {
 
     router.shutdown();
     for w in workers {
+        w.shutdown();
+    }
+}
+
+/// A fleet of three unlike shards behind one router: shard 0 with
+/// observability, shard 1 without it, shard 2 killed before the scrape.
+/// The routed DUMP is shard 0's ring alone; shard 1's UNSUPPORTED is not
+/// a health event (its breaker stays closed and it keeps answering
+/// probes); and `/metrics` renders the merged families of the shards
+/// that answered plus the dead shard's open breaker.
+#[test]
+fn mixed_fleet_dump_and_metrics_skip_the_unobserved_and_the_dead() {
+    const SHARDS: usize = 3;
+    let idx = ActIndex::build(&polys(), 15.0).unwrap();
+    let dir = fresh_dir("mixed");
+    let paths = write_shard_files(&idx, &dir, DEFAULT_SPLIT_LEVEL, SHARDS).unwrap();
+    let mut workers: Vec<Option<ServerHandle>> = paths
+        .iter()
+        .enumerate()
+        .map(|(k, p)| {
+            let config = ServeConfig {
+                watch: None,
+                obs: (k == 0).then(traced_obs),
+                ..ServeConfig::default()
+            };
+            Some(Server::spawn(p, config).unwrap())
+        })
+        .collect();
+    let addrs = workers.iter().flatten().map(|w| w.addr()).collect();
+    let router = Router::spawn(addrs, RouterConfig::default()).unwrap();
+
+    // Points spread over the globe so that every shard owns some.
+    let mut pts = probe_points();
+    for gx in 0..48 {
+        for gy in 0..16 {
+            pts.push(Coord::new(
+                -179.0 + 7.5 * gx as f64,
+                -80.0 + 10.5 * gy as f64,
+            ));
+        }
+    }
+    let mut by_shard: Vec<Vec<Coord>> = vec![Vec::new(); SHARDS];
+    for &p in &pts {
+        by_shard[shard_of_cell(coord_to_cell(p), DEFAULT_SPLIT_LEVEL, SHARDS)].push(p);
+    }
+    assert!(
+        by_shard.iter().all(|v| !v.is_empty()),
+        "every shard owns points"
+    );
+
+    let mut c = Client::connect(router.addr()).unwrap();
+    assert_eq!(c.probe(&pts, false).unwrap().refs.len(), pts.len());
+    workers[2].take().unwrap().shutdown();
+
+    // Routed DUMP: the router keeps no ring, shard 1 has none, shard 2
+    // is gone — what remains is exactly shard 0's window.
+    let dump = c.dump().unwrap();
+    let shard0 = Client::connect(workers[0].as_ref().unwrap().addr())
+        .unwrap()
+        .dump()
+        .unwrap();
+    assert_eq!(dump, shard0);
+    assert_eq!(
+        dump.lines().filter(|l| l.contains("\"admission\"")).count(),
+        1,
+        "shard 0 admitted its one sub-frame"
+    );
+
+    let metrics = act_obs::MetricsServer::spawn("127.0.0.1:0", router.metrics_fn()).unwrap();
+    let text = act_obs::scrape(metrics.addr()).unwrap();
+    let answered = (by_shard[0].len() + by_shard[1].len()) as u64;
+    assert!(text.contains(&format!("act_probes_total {answered}\n")));
+    for (k, owned) in by_shard.iter().enumerate().take(2) {
+        assert!(text.contains(&format!(
+            "act_probes_total{{shard=\"{k}\"}} {}\n",
+            owned.len()
+        )));
+    }
+    assert!(!text.contains("act_probes_total{shard=\"2\"}"));
+    assert!(
+        text.contains("act_stage_seconds_bucket"),
+        "shard 0's histograms"
+    );
+    assert!(text.contains("act_shard_down{shard=\"0\"} 0"));
+    assert!(text.contains("act_shard_down{shard=\"1\"} 0"));
+    assert!(text.contains("act_shard_down{shard=\"2\"} 1"));
+
+    // Shard 1's breaker never opened: a frame it owns alone answers OK.
+    let reply = c.probe(&by_shard[1], false).unwrap();
+    assert_eq!(reply.refs.len(), by_shard[1].len());
+
+    router.shutdown();
+    for w in workers.into_iter().flatten() {
         w.shutdown();
     }
 }

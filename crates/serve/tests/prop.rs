@@ -1,12 +1,12 @@
 //! Property tests for the wire protocol's admission-control and
-//! resilience surfaces: counter-block serialization across every
-//! protocol version (v1 × v2 × v3 × v4 compatibility matrix), response
-//! framing across every status (LOADSHED/BUSY included), the
-//! retry-after hint those two statuses carry, the header-only request
-//! ops (PING, STATS plain and flagged, DUMP), probe request round
-//! trips, and the flagged-STATS histogram section (round trip plus
-//! typed rejection of truncated, oversized, and padded malformations) —
-//! alongside the example-based frame tests in `protocol.rs`.
+//! resilience surfaces: the counter block (round trip, and typed
+//! rejection of every other length), response framing across every
+//! status (LOADSHED/BUSY included), the retry-after hint those two
+//! statuses carry, the header-only request ops (PING, STATS, DUMP),
+//! probe request round trips, and the STATS histogram section (round
+//! trip plus typed rejection of truncated, oversized, and padded
+//! malformations) — alongside the example-based frame tests in
+//! `protocol.rs`.
 
 use act_serve::protocol as proto;
 use geom::Coord;
@@ -65,77 +65,34 @@ fn arb_hist() -> impl Strategy<Value = proto::StageHistogram> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The version compatibility matrix in one property. A v4 (extended,
-    /// 17-word) block's prefixes ARE the older blocks: decoding the
-    /// first 80 bytes is the v1 read (newer counters zero), the first
-    /// 104 the v2 read (windowed mark zero), the first 112 the v3 read
-    /// (cache/quota counters zero), and the full 136 returns every
-    /// field — so any client version reading any server version's
-    /// block sees exactly the fields its protocol knows, never garbage.
+    /// The version matrix has one row: the counter block round-trips bit
+    /// for bit, and each block an earlier protocol version sent (80, 104
+    /// and 112 bytes — prefixes of today's block) is a typed error, not
+    /// a read with zeroed fields.
     #[test]
     fn counter_block_version_matrix(c in arb_counters()) {
-        let v4 = proto::encode_counters_ex(&c);
-        prop_assert_eq!(v4.len(), proto::COUNTER_BLOCK_LEN_V4);
-
-        // v4 → v4: bit-for-bit.
-        prop_assert_eq!(proto::decode_counters(&v4).unwrap(), c);
-
-        // v4 → v3 prefix: everything but the cache/quota counters.
-        prop_assert_eq!(
-            proto::decode_counters(&v4[..proto::COUNTER_BLOCK_LEN_V3]).unwrap(),
-            proto::CounterBlock { cache_hits: 0, cache_misses: 0, quota_sheds: 0, ..c }
-        );
-
-        // v4 → v2 prefix: the plain block, windowed mark zeroed too.
-        // The plain encoder emits exactly this prefix.
-        let v2 = proto::encode_counters(&c);
-        prop_assert_eq!(v2.len(), proto::COUNTER_BLOCK_LEN);
-        prop_assert_eq!(&v4[..proto::COUNTER_BLOCK_LEN], &v2[..]);
-        prop_assert_eq!(
-            proto::decode_counters(&v2).unwrap(),
-            proto::CounterBlock {
-                window_high_water_lanes: 0,
-                cache_hits: 0,
-                cache_misses: 0,
-                quota_sheds: 0,
-                ..c
-            }
-        );
-
-        // v4 → v1 prefix: the ten legacy counters, everything newer zero.
-        let v1 = proto::decode_counters(&v4[..proto::COUNTER_BLOCK_LEN_V1]).unwrap();
-        prop_assert_eq!(
-            v1,
-            proto::CounterBlock {
-                watch_errors: 0,
-                quarantines: 0,
-                panics_contained: 0,
-                window_high_water_lanes: 0,
-                cache_hits: 0,
-                cache_misses: 0,
-                quota_sheds: 0,
-                ..c
-            }
-        );
+        let bytes = proto::encode_counters(&c);
+        prop_assert_eq!(bytes.len(), proto::COUNTER_BLOCK_LEN);
+        prop_assert_eq!(proto::decode_counters(&bytes).unwrap(), c);
+        for retired in [80, 104, 112] {
+            prop_assert!(proto::decode_counters(&bytes[..retired]).is_err());
+        }
     }
 
-    /// Any length that is not exactly a v1, v2, v3, or v4 block is a
-    /// typed error, never a garbage decode.
+    /// Every length other than the block's, up to twice the block —
+    /// truncations and trailing garbage alike — is a typed error, never
+    /// a garbage decode.
     #[test]
     fn counter_block_rejects_wrong_lengths(
         c in arb_counters(),
-        cut in 0usize..proto::COUNTER_BLOCK_LEN_V4,
+        len in 0usize..=2 * proto::COUNTER_BLOCK_LEN,
     ) {
-        let bytes = proto::encode_counters_ex(&c);
-        if cut != proto::COUNTER_BLOCK_LEN_V1
-            && cut != proto::COUNTER_BLOCK_LEN
-            && cut != proto::COUNTER_BLOCK_LEN_V3
-        {
-            prop_assert!(proto::decode_counters(&bytes[..cut]).is_err());
+        let bytes = proto::encode_counters(&c);
+        let mut other = bytes.repeat(2);
+        other.truncate(len);
+        if len != proto::COUNTER_BLOCK_LEN {
+            prop_assert!(proto::decode_counters(&other).is_err());
         }
-        let mut long = bytes.to_vec();
-        long.push(0);
-        prop_assert!(proto::decode_counters(&long).is_err());
     }
 
     /// Response frames round-trip for every status the server can send —
@@ -156,8 +113,8 @@ proptest! {
     }
 
     /// The retry-after hint round-trips through a full LOADSHED frame
-    /// for any millisecond value, and its absence (the v1 empty payload)
-    /// decodes as `None` — both directions of the version bump.
+    /// for any millisecond value, and its absence (an empty payload)
+    /// decodes as `None`.
     #[test]
     fn retry_hint_roundtrips_and_v1_absence_is_none(
         ms in any::<u32>(),
@@ -198,42 +155,43 @@ proptest! {
         prop_assert!((proto::RETRY_AFTER_MIN_MS..=proto::RETRY_AFTER_MAX_MS).contains(&ms));
     }
 
-    /// PING and plain STATS responses carry a decodable counter block
-    /// whatever the counter values are (and drop the windowed mark —
-    /// that field travels only in the flagged reply).
+    /// PING and STATS responses carry a decodable counter block (STATS
+    /// followed by its histogram section) whatever the counter values
+    /// are — every word, the windowed mark and cache counters included.
     #[test]
     fn ping_and_stats_replies_roundtrip(c in arb_counters(), epoch in any::<u32>()) {
-        for op in [proto::OP_PING, proto::OP_STATS] {
-            let frame = proto::encode_response(op, proto::STATUS_OK, epoch, 0, &proto::encode_counters(&c));
+        for (op, payload) in [
+            (proto::OP_PING, proto::encode_counters(&c).to_vec()),
+            (proto::OP_STATS, proto::encode_stats_ex_payload(&c, &[])),
+        ] {
+            let frame = proto::encode_response(op, proto::STATUS_OK, epoch, 0, &payload);
             let body = proto::read_frame(&mut frame.as_slice(), usize::MAX).unwrap().unwrap();
             let (h, p) = proto::decode_response(&body).unwrap();
             prop_assert_eq!((h.op, h.status, h.epoch, h.n), (op, proto::STATUS_OK, epoch, 0));
-            prop_assert_eq!(
-                proto::decode_counters(p).unwrap(),
-                proto::CounterBlock {
-                    window_high_water_lanes: 0,
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    quota_sheds: 0,
-                    ..c
-                }
-            );
+            let got = if op == proto::OP_PING {
+                proto::decode_counters(p).unwrap()
+            } else {
+                proto::decode_stats_ex_payload(p).unwrap().0
+            };
+            prop_assert_eq!(got, c);
         }
     }
 
-    /// Every header-only request frame decodes back to its op — the
-    /// flagged STATS (v3 opt-in) included, and distinguished from the
-    /// plain one by the flag alone.
+    /// Every header-only request frame decodes back to its op, and any
+    /// flag bit on one — the retired STATS histogram flag included — is
+    /// a typed error.
     #[test]
-    fn headless_requests_roundtrip(which in 0usize..4) {
+    fn headless_requests_roundtrip(which in 0usize..3, flag in 1u8..=255) {
         let (frame, want) = match which {
             0 => (proto::encode_ping_request(), proto::Request::Ping),
-            1 => (proto::encode_stats_request(), proto::Request::Stats { histograms: false }),
-            2 => (proto::encode_stats_ex_request(), proto::Request::Stats { histograms: true }),
+            1 => (proto::encode_stats_ex_request(), proto::Request::Stats),
             _ => (proto::encode_dump_request(), proto::Request::Dump),
         };
         let body = proto::read_frame(&mut frame.as_slice(), proto::MAX_REQ_BODY).unwrap().unwrap();
         prop_assert_eq!(proto::decode_request(&body).unwrap(), want);
+        let mut flagged = body;
+        flagged[1] = flag;
+        prop_assert!(proto::decode_request(&flagged).is_err());
     }
 
     /// Probe requests round-trip for any finite coordinate set and flag.
@@ -248,7 +206,7 @@ proptest! {
         prop_assert_eq!(proto::decode_request(&body).unwrap(), proto::Request::Probe { coords, exact });
     }
 
-    /// The flagged-STATS payload (extended counters + histogram section)
+    /// The STATS payload (counter block + histogram section)
     /// round-trips for any histogram set that fits the caps.
     #[test]
     fn stats_ex_payload_roundtrip(
@@ -261,7 +219,7 @@ proptest! {
         prop_assert_eq!(dh, hists);
     }
 
-    /// EVERY strict prefix of a flagged-STATS payload is a typed error —
+    /// EVERY strict prefix of a STATS payload is a typed error —
     /// truncation can never silently drop a histogram or a bucket — and
     /// so is any trailing garbage after the section.
     #[test]
@@ -289,7 +247,7 @@ proptest! {
         // n_hists over the cap.
         let mut p = proto::encode_stats_ex_payload(&c, &[]);
         let n = proto::MAX_WIRE_HISTS as u32 + extra;
-        p[proto::COUNTER_BLOCK_LEN_V4..proto::COUNTER_BLOCK_LEN_V4 + 4]
+        p[proto::COUNTER_BLOCK_LEN..proto::COUNTER_BLOCK_LEN + 4]
             .copy_from_slice(&n.to_le_bytes());
         prop_assert!(proto::decode_stats_ex_payload(&p).is_err());
 
@@ -299,7 +257,7 @@ proptest! {
             hist: act_obs::HistogramSnapshot { sum: 0, buckets: vec![1] },
         };
         let mut p = proto::encode_stats_ex_payload(&c, &[hist]);
-        let at = proto::COUNTER_BLOCK_LEN_V4 + 4 + 12; // n_buckets field
+        let at = proto::COUNTER_BLOCK_LEN + 4 + 12; // n_buckets field
         let n = act_obs::NUM_BUCKETS as u32 + extra;
         p[at..at + 4].copy_from_slice(&n.to_le_bytes());
         prop_assert!(proto::decode_stats_ex_payload(&p).is_err());
@@ -319,7 +277,7 @@ proptest! {
             hist: act_obs::HistogramSnapshot { sum: 9, buckets: vec![2, 0, 1] },
         };
         let mut p = proto::encode_stats_ex_payload(&c, &[hist]);
-        p[proto::COUNTER_BLOCK_LEN_V4 + 4 + 1 + which] = byte;
+        p[proto::COUNTER_BLOCK_LEN + 4 + 1 + which] = byte;
         prop_assert!(proto::decode_stats_ex_payload(&p).is_err());
     }
 

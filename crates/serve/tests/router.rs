@@ -213,12 +213,12 @@ fn router_merges_fleet_counters_and_reports_min_epoch() {
     // was answered by exactly one worker, so fleet probes == points.
     let ping = client.ping().unwrap();
     assert_eq!(ping.epoch, 1, "min epoch across the fleet");
-    assert_eq!(ping.probes_served, pts.len() as u64);
+    assert_eq!(ping.counters.probes, pts.len() as u64);
     assert_eq!(
         ping.counters.accepted,
         ping.counters.answered + ping.counters.shed
     );
-    let stats = client.stats().unwrap();
+    let stats = client.stats_ex().unwrap();
     assert_eq!(stats.counters.probes, pts.len() as u64);
     assert_eq!(stats.counters.shed, 0);
 
@@ -358,7 +358,7 @@ fn rolling_hot_swap_full_and_delta_under_load_drops_nothing() {
     // worker published twice (full swap + delta), and the delta path
     // was the one actually taken.
     let mut client = Client::connect(router.addr()).unwrap();
-    let stats = client.stats().unwrap();
+    let stats = client.ping().unwrap();
     assert_eq!(stats.epoch, 3, "both shards reached epoch 3");
     assert_eq!(stats.counters.swaps, 2 * NUM_SHARDS as u64);
     assert_eq!(stats.counters.delta_applies, NUM_SHARDS as u64);

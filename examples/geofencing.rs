@@ -160,7 +160,12 @@ fn serve_mode(addr: &str, snap_path: &str, ds: &datagen::Dataset) {
             let s = server.stats();
             println!(
                 "epoch {}: {} probes in {} requests ({} micro-batches, {} shed, {} busy)",
-                s.epoch, s.probes, s.requests, s.batches, s.shed, s.busy
+                server.epoch(),
+                s.probes,
+                s.accepted + s.bad_frames,
+                s.batches,
+                s.shed,
+                s.busy
             );
         }
     }
@@ -170,9 +175,9 @@ fn serve_mode(addr: &str, snap_path: &str, ds: &datagen::Dataset) {
     let s = server.shutdown();
     println!(
         "act-serve: drained. epoch {}: {} probes in {} requests ({} micro-batches, {} shed, {} bad, {} busy, queue high-water {} lanes)",
-        s.epoch,
+        s.swaps + 1,
         s.probes,
-        s.requests,
+        s.accepted + s.bad_frames,
         s.batches,
         s.shed,
         s.bad_frames,
@@ -228,7 +233,9 @@ fn fleet_mode(addr: &str, shards: usize, snap_path: &str, ds: &datagen::Dataset)
         let s = w.shutdown();
         println!(
             "shard {k}: {} probes in {} requests ({} shed)",
-            s.probes, s.requests, s.shed
+            s.probes,
+            s.accepted + s.bad_frames,
+            s.shed
         );
     }
 }

@@ -4,7 +4,7 @@
 //! on (`ServeConfig::obs`), drives a burst of probe traffic, and then
 //! reads the system back through all three windows:
 //!
-//! 1. **Stage histograms over the wire** — a v3 flagged STATS
+//! 1. **Stage histograms over the wire** — a STATS read
 //!    (`Client::stats_ex`) returns per-stage latency distributions
 //!    (queue wait → walk → refine → write → frame total) plus the
 //!    batch-width and probe-depth histograms; the example prints a

@@ -336,7 +336,7 @@ fn delta_hot_swap_drops_no_requests_and_changes_answers() {
     // The counters attribute both flips to delta applies, and a fresh
     // connection lands on the delta'd epoch.
     let mut fresh = Client::connect(server.addr()).unwrap();
-    let counters = fresh.stats().unwrap().counters;
+    let counters = fresh.ping().unwrap().counters;
     assert_eq!(
         counters.delta_applies, 2,
         "both updates must be delta applies"
