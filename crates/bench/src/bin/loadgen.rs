@@ -1,66 +1,92 @@
-//! loadgen — drives an `act-serve` server over TCP and records the
-//! client-observed latency distribution and throughput to
-//! `BENCH_serve.json` (committed at the repo root).
+//! loadgen — drives an `act-serve` server (or a sharded fleet behind
+//! `act-route`) over TCP, checks every answer it records against an
+//! offline probe of the same snapshot, and writes client-observed
+//! throughput and latency rows to `BENCH_serve.json` (committed at the
+//! repo root).
 //!
 //! ```text
 //! cargo run --release -p bench --bin loadgen -- \
 //!     [--datasets census] [--points N] [--seed S] [--threads C] [--batch B] \
-//!     [--snapshot DIR] [--overload]
+//!     [--snapshot DIR] [--router-addr HOST:PORT] \
+//!     [--overload] [--faults] [--router] [--zipf S] [--greedy]
 //! ```
 //!
-//! The server is spawned **in-process** on an ephemeral loopback port —
-//! same code path as an external `act-serve`, but the run is
-//! self-contained and the numbers include the full protocol round trip
-//! (frame encode → TCP → decode → cell conversion → micro-batched probe
-//! → response encode → TCP → decode). `--threads` is the number of
-//! client connections (micro-batches form *across* connections),
-//! `--batch` the points per request frame.
+//! # Shared functions
 //!
-//! Every run verifies before it records: the per-zone counts aggregated
-//! from server replies must equal an offline probe of the same snapshot
-//! over the same points, and an exact-mode sample must match refining
-//! locally. On a single-core container the server and clients share one
-//! hardware thread, so recorded numbers are a *floor* — see the
-//! machine stamp.
+//! Each phase is one short function that owns its server configuration,
+//! its contract asserts and its row. Underneath, every phase runs on the
+//! same few plain functions, none of which knows which phase called it:
 //!
-//! Every response read carries a deadline: a wedged server surfaces as a
-//! typed `"failed": true` row in `BENCH_serve.json` (and a non-zero
-//! exit), never as a hung benchmark.
+//! - [`offline_counts`] is the oracle: per-zone counts from one batched
+//!   probe of the mapped snapshot. A phase compares what the server
+//!   answered against it before recording anything.
+//! - [`connect`] and [`connect_raw`] dial with the read deadline set, so
+//!   a wedged server surfaces as a typed `"failed": true` row and a
+//!   non-zero exit, never as a hung benchmark. [`warmup`] sends 64
+//!   frames to touch the target's mapped pages.
+//! - [`closed_loop`] drives `--threads` connections, each owning a
+//!   contiguous stripe of the points with one `--batch`-point frame in
+//!   flight. It returns the summed counts, one latency per frame and
+//!   the wall time. Micro-batches form *across* connections.
+//! - [`pipelined`] drives one connection with its writer and reader
+//!   decoupled. Every reply goes through [`read_reply`]: an OK must echo
+//!   the probe op and the frame's point count, a LOADSHED must carry no
+//!   entries and a well-formed retry hint, and any other status is an
+//!   error.
 //!
-//! `--overload` adds a second phase against a **fresh, deliberately
-//! small** server: queue depth D lanes, one worker whose per-batch delay
-//! pins capacity to a known constant, and pipelining clients driving ≥4×
-//! that capacity. The phase asserts the admission-control contract —
-//! every frame answered (`OK` or `LOADSHED`, nothing dropped), queue
-//! high-water ≤ D, `accepted = answered + shed` — verifies the `OK`
-//! answers against an offline probe of exactly those frames, and records
-//! shed rate + goodput-under-overload rows.
+//! Recorded latencies cover the full protocol round trip: encode, TCP,
+//! decode, cell conversion, micro-batched probe, and back. When server
+//! and clients share few hardware threads the numbers are a floor; see
+//! the machine stamp.
 //!
-//! The throughput phase runs with the observability pipeline **on**
-//! (`ObsConfig::default()`): the recorded throughput is the
-//! fully-instrumented number, and the row carries the *server-side*
-//! per-stage latency distribution (queue wait, batch walk, exact
-//! refine, reply write, admission→flush total) pulled over the wire
-//! with a STATS read. Stage quantiles are log-bucket
-//! lower bounds, so `server_frame_p99 ≤ client_frame_p99` is asserted,
-//! not assumed.
+//! # Phases
 //!
-//! `--router-addr HOST:PORT` drives an **already-running** `act-route`
-//! (or `act-serve`) instead of spawning in-process — the CI
-//! observability smoke uses this to point loadgen at a fleet started
-//! with `--metrics-addr`. The external fleet must serve the same
-//! dataset snapshot; counts are still verified against the local
-//! offline probe, and the in-process phases (overload/faults/router)
-//! are skipped.
+//! **Throughput** (always, unless `--router-addr`): an in-process server
+//! with the observability pipeline on, so the headline is the fully
+//! instrumented number. Counts are verified, a 2,000-point exact-mode
+//! sample must equal local refinement, nothing may be shed, and the
+//! server-side frame p99 (a log-bucket lower bound read over STATS) must
+//! not exceed the client p99. The row carries the server's per-stage
+//! quantiles.
 //!
-//! `--router` adds the sharded-serving phase: the snapshot splits into
-//! [`ROUTER_SHARDS`] per-shard snapshots (`act_core::write_shard_files`),
-//! one worker per shard, and the scatter-gather router in front — the
-//! same wire protocol, so the measured path is identical to the
-//! single-process run plus the extra hop. The phase verifies the routed
-//! counts against the offline probe, cross-checks the router's merged
-//! counter block against the per-worker sums, and records routed
-//! throughput next to the single-process number from the first phase.
+//! **External** (`--router-addr HOST:PORT`): the same closed loop against
+//! an already-running `act-route` or `act-serve` that serves the same
+//! snapshot. Counts are verified, and STATS and DUMP are exercised (DUMP
+//! may answer UNSUPPORTED). With `--zipf S` it also sends skewed repeat
+//! frames so a cache-enabled worker hits; with `--greedy` it sends one
+//! pipelined burst so a quota-enforcing worker sheds. Both are verified
+//! too (for the burst, its OK answers). The in-process phases below are
+//! skipped.
+//!
+//! **Router** (`--router`): the snapshot is split into [`ROUTER_SHARDS`]
+//! shard snapshots, one in-process worker each, behind the
+//! scatter-gather router. Counts are verified, the router's merged
+//! counter block must equal the per-worker sums, and nothing may be
+//! shed. The row records the ratio to the throughput phase.
+//!
+//! **Overload** (`--overload`): a small, capacity-pinned server (queue
+//! depth D lanes, one worker with a fixed per-batch delay) under
+//! pipelined connections that offer several times its capacity. Every
+//! frame must be answered OK or LOADSHED, the queue high-water must stay
+//! ≤ D, accepted = answered + shed, and the OK answers are verified. The
+//! row records shed rate and goodput.
+//!
+//! **Faults** (`--faults`, needs `--features fault-injection`): a seeded
+//! schedule of worker panics, socket resets and stalls fires under one
+//! `ResilientClient`'s traffic. No frame may be lost, every panic must be
+//! contained and the counters must reconcile. The row records the time
+//! from the last fault to the first clean reply.
+//!
+//! **Zipf** (`--zipf S`): Zipf(S) traffic over a fixed hot set against
+//! two single-worker servers, cache off and cache on. Both sides are
+//! verified, cache hits + misses must equal the probes, and the host
+//! dataset's cache-on throughput must be ≥ 1.3× cache-off.
+//!
+//! **Fairness** (`--greedy`): one greedy pipelined connection against
+//! polite `ResilientClient`s on a capacity-pinned worker, run without and
+//! with a per-connection lane quota. Every answer is verified, the
+//! counters must reconcile, and the worst polite client's goodput must
+//! rise ≥ 5× with the quota.
 
 use act_core::{coord_to_cell, MappedSnapshot, Probe, Refiner};
 use act_serve::{protocol as proto, Client, ObsConfig, ServeConfig, Server};
@@ -68,8 +94,11 @@ use bench::json::{array, machine_stamp, pretty, Obj};
 use bench::{make_points, paper_datasets, snapshot_path, Opts};
 use geom::Coord;
 use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+/// Snapshot precision (metres) every phase serves.
+const PRECISION_M: f64 = 15.0;
 /// Points per exact-mode verification sample.
 const EXACT_SAMPLE: usize = 2_000;
 /// Response-read deadline: far above any healthy frame latency, far
@@ -83,7 +112,7 @@ const OVERLOAD_DEPTH_LANES: usize = 1_024;
 const OVERLOAD_FRAME: usize = 256;
 // The *server-side* per-connection in-flight cap for the phase. The
 // client pipelines without a window of its own (decoupled writer +
-// always-draining reader, see `overload_conn`), so this cap — and TCP
+// always-draining reader, see `pipelined`), so this cap — and TCP
 // backpressure behind it — is what bounds the server's buffering.
 const OVERLOAD_WINDOW: usize = 32;
 const OVERLOAD_CONNS: usize = 4;
@@ -109,7 +138,7 @@ const OVERLOAD_TARGET_X_CAPACITY: f64 = 4.0;
 const ZIPF_HOT_SET: usize = 65_536;
 const ZIPF_FRAME: usize = 4_096;
 const ZIPF_MAX_POINTS: usize = 2_097_152;
-/// Measured-pass repetitions per [`zipf_run`]; the recorded time is the
+/// Measured-pass repetitions per [`zipf_phase`] side; the recorded time is the
 /// best rep. One rep is ~100 ms of wall clock, short enough that one
 /// scheduler hiccup swings the ratio by tens of percent — best-of-N
 /// reads through the noise to the server's actual steady-state rate.
@@ -166,15 +195,6 @@ const ROUTER_SHARDS: usize = 4;
 /// split so imbalance is visible, not assumed away.
 const ROUTER_SPLIT_LEVEL: u8 = 10;
 
-/// One connection's measured-run outcome: per-zone counts + frame
-/// latencies (µs), or the typed failure that ends the run.
-type ConnResult = Result<(Vec<u64>, Vec<f64>), String>;
-/// One overload connection's outcome: per-frame OK mask (false =
-/// LOADSHED) + zone counts over the OK frames + how long the writer
-/// took to push its whole stripe onto the wire (the offered-load side
-/// of the measurement, distinct from when replies finished arriving).
-type OverloadResult = Result<(Vec<bool>, Vec<u64>, Duration), String>;
-
 /// A seeded Zipf(s) rank sampler over `0..n`: precomputed CDF +
 /// xorshift64* uniforms + binary search. Deterministic, so the cache-off
 /// and cache-on runs (and any re-run with the same seed) draw the exact
@@ -213,12 +233,258 @@ impl Zipf {
     }
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
+fn sorted(mut lat_us: Vec<f64>) -> Vec<f64> {
+    lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    lat_us
+}
+
+/// p50/p99/max of a set of frame latencies in µs (`NaN` when empty).
+struct Latency {
+    p50: f64,
+    p99: f64,
+    max: f64,
+}
+
+impl Latency {
+    fn of(sorted_us: &[f64]) -> Latency {
+        let at = |p: f64| match sorted_us.len() {
+            0 => f64::NAN,
+            n => sorted_us[((n - 1) as f64 * p).round() as usize],
+        };
+        Latency {
+            p50: at(0.50),
+            p99: at(0.99),
+            max: at(1.0),
+        }
     }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// Adds one reply's `(polygon id, hit)` lists to per-zone counts.
+fn tally(counts: &mut [u64], refs: &[proto::PointRefs]) {
+    for &(id, _) in refs.iter().flatten() {
+        counts[id as usize] += 1;
+    }
+}
+
+/// Per-zone counts from an offline probe of `pts` against the mapped
+/// snapshot — the oracle every serving phase verifies against.
+fn offline_counts(snap: &MappedSnapshot, pts: &[Coord], num_zones: usize) -> Vec<u64> {
+    let view = snap.view();
+    let cells: Vec<_> = pts.iter().map(|&c| coord_to_cell(c)).collect();
+    let mut probes = vec![Probe::Miss; cells.len()];
+    view.probe_batch(&cells, &mut probes);
+    let mut counts = vec![0u64; num_zones];
+    for &p in &probes {
+        for (id, _) in view.resolve_refs(p) {
+            counts[id as usize] += 1;
+        }
+    }
+    counts
+}
+
+/// A protocol client with the read deadline set.
+fn connect(addr: SocketAddr) -> Result<Client, String> {
+    let mut c = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    c.set_read_timeout(Some(READ_DEADLINE))
+        .map_err(|e| format!("set deadline on {addr}: {e}"))?;
+    Ok(c)
+}
+
+/// A raw stream for pre-encoded or pipelined frames: Nagle off, read
+/// deadline set.
+fn connect_raw(addr: SocketAddr) -> Result<TcpStream, String> {
+    let s = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    s.set_nodelay(true)
+        .and_then(|()| s.set_read_timeout(Some(READ_DEADLINE)))
+        .map_err(|e| format!("configure {addr}: {e}"))?;
+    Ok(s)
+}
+
+/// Touches the target's mapped pages: the first 64 frames, answers
+/// discarded.
+fn warmup(addr: SocketAddr, points: &[Coord], frame: usize) -> Result<(), String> {
+    let mut c = connect(addr)?;
+    for chunk in points.chunks(frame).take(64) {
+        c.probe(chunk, false)
+            .map_err(|e| format!("warmup probe: {e}"))?;
+    }
+    Ok(())
+}
+
+/// A closed-loop run: summed per-zone counts, one latency per frame (µs,
+/// sorted), and the wall time.
+struct Run {
+    counts: Vec<u64>,
+    lat_us: Vec<f64>,
+    secs: f64,
+}
+
+/// Drives `conns` connections at `addr`, each owning a contiguous stripe
+/// of `points` and sending it `frame` points at a time, one frame in
+/// flight.
+fn closed_loop(
+    addr: SocketAddr,
+    points: &[Coord],
+    conns: usize,
+    frame: usize,
+    num_zones: usize,
+) -> Result<Run, String> {
+    let t0 = Instant::now();
+    let stripe = points.len().div_ceil(conns).max(1);
+    let per_conn: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = points
+            .chunks(stripe)
+            .map(|mine| {
+                scope.spawn(move || -> Result<_, String> {
+                    let mut client = connect(addr)?;
+                    let mut counts = vec![0u64; num_zones];
+                    let mut lat_us = Vec::with_capacity(mine.len().div_ceil(frame));
+                    for chunk in mine.chunks(frame) {
+                        let t = Instant::now();
+                        let reply = client
+                            .probe(chunk, false)
+                            .map_err(|e| format!("probe frame: {e}"))?;
+                        lat_us.push(t.elapsed().as_secs_f64() * 1e6);
+                        tally(&mut counts, &reply.refs);
+                    }
+                    Ok((counts, lat_us))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    let secs = t0.elapsed().as_secs_f64();
+    let mut counts = vec![0u64; num_zones];
+    let mut lat_us = Vec::new();
+    for r in per_conn {
+        let (c, l) = r?;
+        counts.iter_mut().zip(c).for_each(|(acc, v)| *acc += v);
+        lat_us.extend(l);
+    }
+    Ok(Run {
+        counts,
+        lat_us: sorted(lat_us),
+        secs,
+    })
+}
+
+/// A pipelined probe frame's answer.
+#[derive(Debug, PartialEq)]
+enum Reply {
+    Ok(Vec<proto::PointRefs>),
+    Shed,
+}
+
+/// Why a pipelined reply was rejected.
+#[derive(Debug, PartialEq)]
+enum BadReply {
+    Read(String),
+    Closed,
+    Malformed(&'static str),
+    Op(u8),
+    Count { n: u32, sent: usize },
+    ShedEntries(u32),
+    Status(u8),
+}
+
+/// Reads the next reply and checks it answers a probe frame of `sent`
+/// points: the probe op echoed, an OK with exactly `sent` entries and a
+/// well-formed payload, or a LOADSHED with no entries and a well-formed
+/// retry hint. Any other status is an error.
+fn read_reply(r: &mut impl std::io::Read, sent: usize) -> Result<Reply, BadReply> {
+    let body = proto::read_frame(r, 1 << 26)
+        .map_err(|e| BadReply::Read(format!("{e} (deadline {READ_DEADLINE:?})")))?
+        .ok_or(BadReply::Closed)?;
+    let (h, payload) = proto::decode_response(&body).map_err(BadReply::Malformed)?;
+    if h.op != proto::OP_PROBE {
+        return Err(BadReply::Op(h.op));
+    }
+    match h.status {
+        proto::STATUS_OK if h.n as usize != sent => Err(BadReply::Count { n: h.n, sent }),
+        proto::STATUS_OK => proto::decode_probe_payload(h.n, payload)
+            .map(Reply::Ok)
+            .map_err(BadReply::Malformed),
+        proto::STATUS_LOADSHED if h.n != 0 => Err(BadReply::ShedEntries(h.n)),
+        proto::STATUS_LOADSHED => proto::decode_retry_after(payload)
+            .map(|_| Reply::Shed)
+            .map_err(BadReply::Malformed),
+        s => Err(BadReply::Status(s)),
+    }
+}
+
+/// One pipelined connection's outcome: each frame's fate in request
+/// order (true = OK, false = LOADSHED), per-zone counts over the OK
+/// frames, and how long the writer took to put every frame on the wire.
+struct Piped {
+    ok: Vec<bool>,
+    counts: Vec<u64>,
+    write_secs: f64,
+}
+
+impl Piped {
+    fn ok_frames(&self) -> u64 {
+        self.ok.iter().filter(|&&ok| ok).count() as u64
+    }
+}
+
+/// Drives one connection with its write and read sides decoupled: a
+/// scoped writer thread sends every frame `frames` yields while this
+/// thread reads and checks each reply with [`read_reply`]. The writer
+/// hands each sent frame's point count to the reader over a channel, so
+/// the reader waits only for replies that are owed.
+///
+/// The decoupling matters: a single-threaded sliding window blocks on
+/// each admitted frame's service latency at the window front, which
+/// throttles the offered load back to about capacity. The server's
+/// `max_inflight_frames` plus the always-draining reader keep both sides
+/// deadlock-free.
+fn pipelined<'a>(
+    addr: SocketAddr,
+    frames: impl Iterator<Item = &'a [Coord]> + Send,
+    num_zones: usize,
+) -> Result<Piped, String> {
+    let mut stream = connect_raw(addr)?;
+    let mut wstream = stream.try_clone().map_err(|e| e.to_string())?;
+    let (sent_tx, sent_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(move || -> Result<f64, String> {
+            let t0 = Instant::now();
+            for chunk in frames {
+                wstream
+                    .write_all(&proto::encode_probe_request(chunk, false))
+                    .map_err(|e| format!("pipelined write: {e}"))?;
+                if sent_tx.send(chunk.len()).is_err() {
+                    break; // the reader failed; its error is the one reported
+                }
+            }
+            Ok(t0.elapsed().as_secs_f64())
+        });
+        let (mut ok, mut counts) = (Vec::new(), vec![0u64; num_zones]);
+        let read = sent_rx.iter().try_for_each(|sent| {
+            let reply = read_reply(&mut stream, sent)
+                .map_err(|e| format!("pipelined reply {}: {e:?}", ok.len()))?;
+            if let Reply::Ok(refs) = &reply {
+                tally(&mut counts, refs);
+            }
+            ok.push(reply != Reply::Shed);
+            Ok::<(), String>(())
+        });
+        if read.is_err() {
+            // Unblock a writer stalled on a server that stopped reading.
+            stream.shutdown(std::net::Shutdown::Both).ok();
+        }
+        drop(sent_rx);
+        let write_secs = writer.join().expect("pipelined writer thread");
+        read?;
+        Ok(Piped {
+            ok,
+            counts,
+            write_secs: write_secs?,
+        })
+    })
 }
 
 /// The server-side pipeline stages recorded into the bench row, in
@@ -248,25 +514,20 @@ fn stage_us(hists: &[proto::StageHistogram], stage: u8, q: f64) -> f64 {
 
 /// Appends the per-stage server-side p50/p99 columns to a bench row.
 fn with_stage_quantiles(mut row: Obj, hists: &[proto::StageHistogram]) -> Obj {
+    const QUANTILES: [(&str, f64); 2] = [("p50", 0.50), ("p99", 0.99)];
     for &(name, stage) in TIME_STAGES {
-        row = row
-            .num(
-                &format!("server_{name}_p50_us"),
-                stage_us(hists, stage, 0.50),
-            )
-            .num(
-                &format!("server_{name}_p99_us"),
-                stage_us(hists, stage, 0.99),
+        for (tag, q) in QUANTILES {
+            row = row.num(
+                &format!("server_{name}_{tag}_us"),
+                stage_us(hists, stage, q),
             );
+        }
     }
-    row.num(
-        "server_probe_depth_p50",
-        stage_raw(hists, proto::STAGE_PROBE_DEPTH, 0.50),
-    )
-    .num(
-        "server_probe_depth_p99",
-        stage_raw(hists, proto::STAGE_PROBE_DEPTH, 0.99),
-    )
+    for (tag, q) in QUANTILES {
+        let depth = stage_raw(hists, proto::STAGE_PROBE_DEPTH, q);
+        row = row.num(&format!("server_probe_depth_{tag}"), depth);
+    }
+    row
 }
 
 fn main() {
@@ -339,9 +600,28 @@ fn main() {
     }
 }
 
-/// The full per-dataset pipeline: snapshot, offline truth, the measured
-/// throughput run, verification, and (optionally) the overload phase.
-/// Client-side I/O failures come back as `Err` rows, not hangs.
+/// The dataset's snapshot under `dir`, built and saved on first use and
+/// reused afterwards (restarts ship snapshots, not polygon sets).
+fn cached_snapshot(dir: &str, ds: &datagen::Dataset) -> std::path::PathBuf {
+    let path = snapshot_path(dir, &ds.name, PRECISION_M);
+    if !bench::snapshot_is_current(&path) {
+        let t = Instant::now();
+        let built = act_core::ActIndex::build(&ds.polygons, PRECISION_M).expect("build index");
+        println!(
+            "built {} index in {:.2} s (cached for reruns)",
+            ds.name,
+            t.elapsed().as_secs_f64()
+        );
+        let mut f = std::fs::File::create(&path).expect("create snapshot");
+        built.save_snapshot(&mut f).expect("save snapshot");
+    }
+    path
+}
+
+/// One dataset: its snapshot and workload, then either the external
+/// phase alone or the throughput phase followed by each selected
+/// in-process phase. Client-side I/O failures come back as `Err` rows,
+/// not hangs.
 fn run_dataset(
     ds: &datagen::Dataset,
     dir: &str,
@@ -349,51 +629,19 @@ fn run_dataset(
     frame: usize,
     opts: &Opts,
 ) -> Result<Vec<String>, String> {
-    let precision = 15.0;
     println!(
-        "\n=== {} ({} polygons, {precision} m) ===",
+        "\n=== {} ({} polygons, {PRECISION_M} m) ===",
         ds.name,
         ds.polygons.len()
     );
-
-    // Snapshot cache: build + save on first run, reuse afterwards
-    // (restarts ship snapshots, not polygon sets).
-    let path = snapshot_path(dir, &ds.name, precision);
-    if !bench::snapshot_is_current(&path) {
-        let t = Instant::now();
-        let built = act_core::ActIndex::build(&ds.polygons, precision).expect("build index");
-        println!(
-            "built index in {:.2} s (no cached snapshot)",
-            t.elapsed().as_secs_f64()
-        );
-        let mut f = std::fs::File::create(&path).expect("create snapshot");
-        built.save_snapshot(&mut f).expect("save snapshot");
-    }
-
-    // The workload, striped across connections.
-    let points = make_points(ds, opts.points, opts.seed);
-    let num_zones = ds.polygons.len();
-
-    // Offline truth from the same snapshot the server maps.
+    let path = cached_snapshot(dir, ds);
     let snap = MappedSnapshot::open(&path).expect("map snapshot");
-    let mut expected = vec![0u64; num_zones];
-    {
-        let view = snap.view();
-        let cells: Vec<_> = points.iter().map(|&c| coord_to_cell(c)).collect();
-        let mut probes = vec![Probe::Miss; cells.len()];
-        view.probe_batch(&cells, &mut probes);
-        for &p in &probes {
-            for (id, _) in view.resolve_refs(p) {
-                expected[id as usize] += 1;
-            }
-        }
-    }
-
+    let points = make_points(ds, opts.points, opts.seed);
     if let Some(addr) = &opts.router_addr {
         return Ok(vec![run_external(
             ds,
+            &snap,
             &points,
-            &expected,
             connections,
             frame,
             addr,
@@ -401,191 +649,16 @@ fn run_dataset(
         )?]);
     }
 
-    let server = Server::spawn(
-        &path,
-        ServeConfig {
-            refiner: Some(Refiner::new(&ds.polygons)),
-            watch: None,
-            // The headline throughput is measured with the full
-            // observability pipeline on — overhead is part of the row.
-            obs: Some(ObsConfig::default()),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("spawn act-serve");
-    let addr = server.addr();
-    let connect = |what: &str| -> Result<Client, String> {
-        let mut c = Client::connect(addr).map_err(|e| format!("{what}: connect: {e}"))?;
-        c.set_read_timeout(Some(READ_DEADLINE))
-            .map_err(|e| format!("{what}: set deadline: {e}"))?;
-        Ok(c)
-    };
-
-    // Warmup: touch the mapped pages through the server.
-    {
-        let mut c = connect("warmup")?;
-        for chunk in points.chunks(frame).take(64) {
-            c.probe(chunk, false)
-                .map_err(|e| format!("warmup probe: {e}"))?;
-        }
-    }
-    let warm_probes = server.stats().probes;
-
-    // Measured run: each connection owns a contiguous stripe.
-    let t0 = Instant::now();
-    let stripe = points.len().div_ceil(connections);
-    let results: Vec<ConnResult> = std::thread::scope(|scope| {
-        let point_stripes: Vec<&[Coord]> = points.chunks(stripe.max(1)).collect();
-        let handles: Vec<_> = point_stripes
-            .into_iter()
-            .map(|mine| {
-                scope.spawn(move || {
-                    let mut client = connect("measured run")?;
-                    let mut counts = vec![0u64; num_zones];
-                    let mut lat_us = Vec::with_capacity(mine.len() / frame + 1);
-                    for chunk in mine.chunks(frame) {
-                        let t = Instant::now();
-                        let reply = client
-                            .probe(chunk, false)
-                            .map_err(|e| format!("probe frame: {e}"))?;
-                        lat_us.push(t.elapsed().as_secs_f64() * 1e6);
-                        for refs in &reply.refs {
-                            for &(id, _) in refs {
-                                counts[id as usize] += 1;
-                            }
-                        }
-                    }
-                    Ok((counts, lat_us))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let secs = t0.elapsed().as_secs_f64();
-
-    // Verify: aggregated server answers ≡ offline probe.
-    let mut counts = vec![0u64; num_zones];
-    let mut latencies = Vec::new();
-    for r in results {
-        let (c, l) = r?;
-        for (acc, v) in counts.iter_mut().zip(c) {
-            *acc += v;
-        }
-        latencies.extend(l);
-    }
-    assert_eq!(counts, expected, "served counts diverged — not recording");
-
-    // Exact-mode spot check against local refinement.
-    let exact_n = points.len().min(EXACT_SAMPLE);
-    {
-        let refiner = Refiner::new(&ds.polygons);
-        let view = snap.view();
-        let mut c = connect("exact check")?;
-        let sample = &points[..exact_n];
-        let reply = c
-            .probe(sample, true)
-            .map_err(|e| format!("exact probe: {e}"))?;
-        for (pt, got) in sample.iter().zip(&reply.refs) {
-            let want: Vec<(u32, bool)> = view
-                .resolve_refs(view.probe_coord(*pt))
-                .filter(|&(id, interior)| interior || refiner.contains(id, *pt))
-                .map(|(id, _)| (id, true))
-                .collect();
-            assert_eq!(*got, want, "exact mode diverged at {pt} — not recording");
-        }
-    }
-
-    // Server-side per-stage distribution, over the wire (STATS) — the
-    // same path an external scraper uses.
-    let stats_ex = {
-        let mut c = connect("stage stats")?;
-        c.stats_ex().map_err(|e| format!("stats_ex: {e}"))?
-    };
-
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let stats = server.stats();
-    let measured_probes = stats.probes - warm_probes - exact_n as u64;
-    assert_eq!(measured_probes, points.len() as u64);
-    assert_eq!(
-        stats.shed, 0,
-        "the throughput phase must never shed (default depth)"
-    );
-    assert_eq!(stats.accepted, stats.answered + stats.shed);
-    let throughput = points.len() as f64 / secs;
-    let (p50, p99) = (percentile(&latencies, 0.50), percentile(&latencies, 0.99));
-    let batch_width = stats.probes as f64 / stats.batches.max(1) as f64;
-    println!(
-        "served {} probes in {secs:.2} s  ({:.2} M probes/s, {connections} conn, {frame}/frame)",
-        points.len(),
-        throughput / 1e6
-    );
-    println!(
-        "latency/frame: p50 {p50:.0} us, p99 {p99:.0} us, max {:.0} us; mean micro-batch width {batch_width:.1}",
-        latencies.last().copied().unwrap_or(f64::NAN)
-    );
-
-    // Sanity: the server-side admission→flush total must sit at or
-    // below what clients observed for the same frames (stage quantiles
-    // are bucket lower bounds; the client adds encode/TCP/decode).
-    let hists = &stats_ex.histograms;
-    let server_frame_p99_us = stage_us(hists, proto::STAGE_FRAME_TOTAL, 0.99);
-    assert!(
-        server_frame_p99_us <= p99,
-        "server-side frame p99 ({server_frame_p99_us:.0} us) exceeded client-side p99 ({p99:.0} us)"
-    );
-    println!(
-        "server stages p50/p99 us: queue_wait {:.1}/{:.1}, walk {:.1}/{:.1}, refine {:.1}/{:.1}, \
-         write {:.1}/{:.1}, frame_total {:.1}/{:.1}; probe depth p99 {:.0}",
-        stage_us(hists, proto::STAGE_QUEUE_WAIT, 0.50),
-        stage_us(hists, proto::STAGE_QUEUE_WAIT, 0.99),
-        stage_us(hists, proto::STAGE_WALK, 0.50),
-        stage_us(hists, proto::STAGE_WALK, 0.99),
-        stage_us(hists, proto::STAGE_REFINE, 0.50),
-        stage_us(hists, proto::STAGE_REFINE, 0.99),
-        stage_us(hists, proto::STAGE_WRITE, 0.50),
-        stage_us(hists, proto::STAGE_WRITE, 0.99),
-        stage_us(hists, proto::STAGE_FRAME_TOTAL, 0.50),
-        stage_us(hists, proto::STAGE_FRAME_TOTAL, 0.99),
-        stage_raw(hists, proto::STAGE_PROBE_DEPTH, 0.99),
-    );
-
-    let mut rows = vec![with_stage_quantiles(
-        Obj::new()
-            .str("dataset", &ds.name)
-            .int("polygons", num_zones as u64)
-            .num("precision_m", precision)
-            .int("points", points.len() as u64)
-            .int("connections", connections as u64)
-            .int("points_per_frame", frame as u64)
-            .num("secs", secs)
-            .num("probes_per_sec", throughput)
-            .num("frame_latency_p50_us", p50)
-            .num("frame_latency_p99_us", p99)
-            .num(
-                "frame_latency_max_us",
-                latencies.last().copied().unwrap_or(f64::NAN),
-            )
-            .int("server_batches", stats.batches)
-            .num("mean_batch_width", batch_width)
-            .int("epoch", u64::from(server.epoch()))
-            .bool("obs_enabled", true)
-            .bool("server_p99_le_client_p99", true)
-            .bool("counts_verified", true)
-            .bool("exact_mode_verified", true),
-        hists,
-    )
-    .build()];
-    server.shutdown();
-
+    let expected = offline_counts(&snap, &points, ds.polygons.len());
+    let (row, throughput) =
+        run_throughput(ds, &path, &snap, &points, &expected, connections, frame)?;
+    let mut rows = vec![row];
     if opts.router {
         rows.push(run_router(
             ds,
             &path,
-            &snap,
             &points,
+            &expected,
             connections,
             frame,
             throughput,
@@ -611,19 +684,139 @@ fn run_dataset(
     Ok(rows)
 }
 
-/// The external-target phase (`--router-addr`): the same striped
-/// workload driven at an already-running `act-route` or `act-serve`
-/// endpoint instead of an in-process spawn. Counts are verified against
-/// the local offline probe (the external fleet must serve the same
-/// snapshot); the exact-mode spot check is skipped because an external
-/// worker may run without a refiner. The phase also pulls a STATS
-/// read (recording merged per-stage quantiles when the target has
-/// observability on) and probes the DUMP op, tolerating UNSUPPORTED.
-#[allow(clippy::too_many_arguments)]
-fn run_external(
+/// The throughput phase: the closed loop against an in-process server
+/// with observability on. Returns the row and the measured probes/s
+/// (the router phase's denominator).
+fn run_throughput(
     ds: &datagen::Dataset,
+    path: &std::path::Path,
+    snap: &MappedSnapshot,
     points: &[Coord],
     expected: &[u64],
+    connections: usize,
+    frame: usize,
+) -> Result<(String, f64), String> {
+    let server = Server::spawn(
+        path,
+        ServeConfig {
+            refiner: Some(Refiner::new(&ds.polygons)),
+            watch: None,
+            // The headline throughput is measured with the full
+            // observability pipeline on — overhead is part of the row.
+            obs: Some(ObsConfig::default()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("spawn act-serve");
+    let addr = server.addr();
+    warmup(addr, points, frame)?;
+    let warm_probes = server.stats().probes;
+    let run = closed_loop(addr, points, connections, frame, ds.polygons.len())?;
+    assert_eq!(
+        run.counts, expected,
+        "served counts diverged — not recording"
+    );
+
+    // Exact-mode spot check against local refinement.
+    let sample = &points[..points.len().min(EXACT_SAMPLE)];
+    let refiner = Refiner::new(&ds.polygons);
+    let view = snap.view();
+    let reply = connect(addr)?
+        .probe(sample, true)
+        .map_err(|e| format!("exact probe: {e}"))?;
+    for (pt, got) in sample.iter().zip(&reply.refs) {
+        let want: Vec<(u32, bool)> = view
+            .resolve_refs(view.probe_coord(*pt))
+            .filter(|&(id, interior)| interior || refiner.contains(id, *pt))
+            .map(|(id, _)| (id, true))
+            .collect();
+        assert_eq!(*got, want, "exact mode diverged at {pt} — not recording");
+    }
+
+    // Server-side per-stage distribution, over the wire (STATS) — the
+    // same path an external scraper uses.
+    let stats_ex = connect(addr)?
+        .stats_ex()
+        .map_err(|e| format!("stats_ex: {e}"))?;
+    let stats = server.stats();
+    let measured_probes = stats.probes - warm_probes - sample.len() as u64;
+    assert_eq!(measured_probes, points.len() as u64);
+    assert_eq!(
+        stats.shed, 0,
+        "the throughput phase must never shed (default depth)"
+    );
+    assert_eq!(stats.accepted, stats.answered + stats.shed);
+    let throughput = points.len() as f64 / run.secs;
+    let Latency { p50, p99, max } = Latency::of(&run.lat_us);
+    let batch_width = stats.probes as f64 / stats.batches.max(1) as f64;
+    println!(
+        "served {} probes in {:.2} s  ({:.2} M probes/s, {connections} conn, {frame}/frame)",
+        points.len(),
+        run.secs,
+        throughput / 1e6
+    );
+    println!(
+        "latency/frame: p50 {p50:.0} us, p99 {p99:.0} us, max {max:.0} us; mean micro-batch width {batch_width:.1}"
+    );
+
+    // Sanity: the server-side admission→flush total must sit at or
+    // below what clients observed for the same frames (stage quantiles
+    // are bucket lower bounds; the client adds encode/TCP/decode).
+    let hists = &stats_ex.histograms;
+    let server_frame_p99_us = stage_us(hists, proto::STAGE_FRAME_TOTAL, 0.99);
+    assert!(
+        server_frame_p99_us <= p99,
+        "server-side frame p99 ({server_frame_p99_us:.0} us) exceeded client-side p99 ({p99:.0} us)"
+    );
+    let stages: Vec<String> = TIME_STAGES
+        .iter()
+        .map(|&(name, stage)| {
+            let (a, b) = (stage_us(hists, stage, 0.50), stage_us(hists, stage, 0.99));
+            format!("{name} {a:.1}/{b:.1}")
+        })
+        .collect();
+    println!(
+        "server stages p50/p99 us: {}; probe depth p99 {:.0}",
+        stages.join(", "),
+        stage_raw(hists, proto::STAGE_PROBE_DEPTH, 0.99),
+    );
+
+    let row = Obj::new()
+        .str("dataset", &ds.name)
+        .int("polygons", ds.polygons.len() as u64)
+        .num("precision_m", PRECISION_M)
+        .int("points", points.len() as u64)
+        .int("connections", connections as u64)
+        .int("points_per_frame", frame as u64)
+        .num("secs", run.secs)
+        .num("probes_per_sec", throughput)
+        .num("frame_latency_p50_us", p50)
+        .num("frame_latency_p99_us", p99)
+        .num("frame_latency_max_us", max)
+        .int("server_batches", stats.batches)
+        .num("mean_batch_width", batch_width)
+        .int("epoch", u64::from(server.epoch()))
+        .bool("obs_enabled", true)
+        .bool("server_p99_le_client_p99", true)
+        .bool("counts_verified", true)
+        .bool("exact_mode_verified", true);
+    let row = with_stage_quantiles(row, hists).build();
+    server.shutdown();
+    Ok((row, throughput))
+}
+
+/// The external-target phase (`--router-addr`): the closed loop against
+/// an already-running `act-route` or `act-serve` endpoint instead of an
+/// in-process spawn. Counts are verified against the local offline
+/// probe (the external fleet must serve the same snapshot); the
+/// exact-mode spot check is skipped because an external worker may run
+/// without a refiner. The phase also pulls a STATS read (recording
+/// merged per-stage quantiles when the target has observability on) and
+/// probes the DUMP op, tolerating UNSUPPORTED.
+fn run_external(
+    ds: &datagen::Dataset,
+    snap: &MappedSnapshot,
+    points: &[Coord],
     connections: usize,
     frame: usize,
     addr: &str,
@@ -637,65 +830,9 @@ fn run_external(
         .ok_or_else(|| format!("--router-addr {addr} resolved to nothing"))?;
     let num_zones = ds.polygons.len();
     println!("external: driving {addr} with {connections} conn(s), {frame}/frame");
-    let connect = |what: &str| -> Result<Client, String> {
-        let mut c = Client::connect(addr).map_err(|e| format!("{what}: connect {addr}: {e}"))?;
-        c.set_read_timeout(Some(READ_DEADLINE))
-            .map_err(|e| format!("{what}: set deadline: {e}"))?;
-        Ok(c)
-    };
-
-    // Warmup: touch the fleet's mapped pages through the endpoint.
-    {
-        let mut c = connect("external warmup")?;
-        for chunk in points.chunks(frame).take(64) {
-            c.probe(chunk, false)
-                .map_err(|e| format!("external warmup probe: {e}"))?;
-        }
-    }
-
-    let t0 = Instant::now();
-    let stripe = points.len().div_ceil(connections);
-    let results: Vec<ConnResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = points
-            .chunks(stripe.max(1))
-            .map(|mine| {
-                scope.spawn(move || {
-                    let mut client = connect("external run")?;
-                    let mut counts = vec![0u64; num_zones];
-                    let mut lat_us = Vec::with_capacity(mine.len() / frame + 1);
-                    for chunk in mine.chunks(frame) {
-                        let t = Instant::now();
-                        let reply = client
-                            .probe(chunk, false)
-                            .map_err(|e| format!("external probe: {e}"))?;
-                        lat_us.push(t.elapsed().as_secs_f64() * 1e6);
-                        for refs in &reply.refs {
-                            for &(id, _) in refs {
-                                counts[id as usize] += 1;
-                            }
-                        }
-                    }
-                    Ok((counts, lat_us))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("external client thread"))
-            .collect()
-    });
-    let secs = t0.elapsed().as_secs_f64();
-
-    let mut counts = vec![0u64; num_zones];
-    let mut latencies = Vec::new();
-    for r in results {
-        let (c, l) = r?;
-        for (acc, v) in counts.iter_mut().zip(c) {
-            *acc += v;
-        }
-        latencies.extend(l);
-    }
-    if counts != expected {
+    warmup(addr, points, frame)?;
+    let run = closed_loop(addr, points, connections, frame, num_zones)?;
+    if run.counts != offline_counts(snap, points, num_zones) {
         return Err(
             "external counts diverged from the local offline probe — is the fleet serving the \
              same snapshot?"
@@ -706,23 +843,20 @@ fn run_external(
     // Observability over the wire: merged stage histograms when the
     // target runs with obs on (empty section otherwise), and the DUMP
     // op (UNSUPPORTED when no trace ring is configured).
-    let stats_ex = {
-        let mut c = connect("external stats")?;
-        c.stats_ex()
-            .map_err(|e| format!("external stats_ex: {e}"))?
-    };
+    let stats_ex = connect(addr)?
+        .stats_ex()
+        .map_err(|e| format!("external stats_ex: {e}"))?;
     let hists = &stats_ex.histograms;
     let has_stage_hists = hists
         .iter()
         .any(|h| h.stage == proto::STAGE_FRAME_TOTAL && h.hist.count() > 0);
-    let dump_lines = {
-        let mut c = connect("external dump")?;
-        c.dump().ok().map(|text| text.lines().count() as u64)
-    };
+    let dump_lines = connect(addr)?
+        .dump()
+        .ok()
+        .map(|text| text.lines().count() as u64);
 
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let throughput = points.len() as f64 / secs;
-    let (p50, p99) = (percentile(&latencies, 0.50), percentile(&latencies, 0.99));
+    let throughput = points.len() as f64 / run.secs;
+    let Latency { p50, p99, .. } = Latency::of(&run.lat_us);
     if has_stage_hists {
         let server_p99 = stage_us(hists, proto::STAGE_FRAME_TOTAL, 0.99);
         // The external fleet's histograms cover *all* its traffic (ours
@@ -734,9 +868,10 @@ fn run_external(
         );
     }
     println!(
-        "external: {} probes in {secs:.2} s ({:.2} M probes/s); p50 {p50:.0} us p99 {p99:.0} us; \
+        "external: {} probes in {:.2} s ({:.2} M probes/s); p50 {p50:.0} us p99 {p99:.0} us; \
          stage histograms {}, trace dump {}",
         points.len(),
+        run.secs,
         throughput / 1e6,
         if has_stage_hists { "present" } else { "absent" },
         match dump_lines {
@@ -748,19 +883,19 @@ fn run_external(
     // `--zipf` against an external target: drive skewed repeat traffic at
     // the endpoint so a cache-enabled worker accumulates hits — the CI
     // cache smoke scrapes `act_cache_hits_total` off /metrics afterwards.
+    // The cached answers are verified like any others.
     let mut zipf_smoke_frames = 0u64;
     if let Some(s) = opts.zipf {
         let hot = &points[..points.len().min(ZIPF_HOT_SET)];
         let mut sampler = Zipf::new(hot.len(), s, 0x51_F0ED);
-        let mut c = connect("external zipf smoke")?;
-        let mut buf = Vec::with_capacity(frame);
-        for _ in 0..ZIPF_SMOKE_FRAMES {
-            buf.clear();
-            buf.extend((0..frame).map(|_| hot[sampler.next_rank()]));
-            c.probe(&buf, false)
-                .map_err(|e| format!("external zipf probe: {e}"))?;
-            zipf_smoke_frames += 1;
+        let skewed: Vec<Coord> = (0..ZIPF_SMOKE_FRAMES * frame)
+            .map(|_| hot[sampler.next_rank()])
+            .collect();
+        let smoke = closed_loop(addr, &skewed, 1, frame, num_zones)?;
+        if smoke.counts != offline_counts(snap, &skewed, num_zones) {
+            return Err("external zipf smoke: answers diverged from the offline probe".into());
         }
+        zipf_smoke_frames = smoke.lat_us.len() as u64;
         println!(
             "external: zipf({s}) smoke — {zipf_smoke_frames} frames × {frame} pts over {} hot points",
             hot.len()
@@ -770,12 +905,25 @@ fn run_external(
     // `--greedy` against an external target: one pipelined burst that
     // keeps many lanes in flight on a single connection, so a
     // quota-enforcing worker sheds the over-quota frames — the CI
-    // fairness smoke scrapes `act_quota_sheds_total` afterwards.
-    let mut burst_ok = 0u64;
-    let mut burst_shed = 0u64;
+    // fairness smoke scrapes `act_quota_sheds_total` afterwards. Every
+    // OK answer is the same frame's, so the burst's books verify as
+    // OK frames × that frame's offline counts.
+    let (mut burst_ok, mut burst_shed) = (0u64, 0u64);
     if opts.greedy {
         let burst_frame = &points[..points.len().min(FAIR_FRAME)];
-        (burst_ok, burst_shed) = greedy_burst(addr, burst_frame)?;
+        let frames = std::iter::repeat_n(burst_frame, GREEDY_BURST_FRAMES);
+        let burst = pipelined(addr, frames, num_zones)?;
+        burst_ok = burst.ok_frames();
+        burst_shed = burst.ok.len() as u64 - burst_ok;
+        let once = offline_counts(snap, burst_frame, num_zones);
+        if burst
+            .counts
+            .iter()
+            .zip(&once)
+            .any(|(&got, &c)| got != c * burst_ok)
+        {
+            return Err("external greedy burst: OK answers diverged from the offline probe".into());
+        }
         println!(
             "external: greedy burst — {GREEDY_BURST_FRAMES} frames × {} pts pipelined: \
              {burst_ok} OK, {burst_shed} shed",
@@ -790,7 +938,7 @@ fn run_external(
         .int("points", points.len() as u64)
         .int("connections", connections as u64)
         .int("points_per_frame", frame as u64)
-        .num("secs", secs)
+        .num("secs", run.secs)
         .num("probes_per_sec", throughput)
         .num("frame_latency_p50_us", p50)
         .num("frame_latency_p99_us", p99)
@@ -804,63 +952,18 @@ fn run_external(
     Ok(with_stage_quantiles(row, hists).build())
 }
 
-/// One pipelined burst at an external endpoint: [`GREEDY_BURST_FRAMES`]
-/// frames written back-to-back by a decoupled writer while this thread
-/// drains the replies (same deadlock-free shape as [`overload_conn`]).
-/// Returns (OK frames, LOADSHED frames); any other status is an error.
-fn greedy_burst(addr: std::net::SocketAddr, chunk: &[Coord]) -> Result<(u64, u64), String> {
-    let stream = std::net::TcpStream::connect(addr).map_err(|e| format!("burst connect: {e}"))?;
-    stream.set_nodelay(true).map_err(|e| e.to_string())?;
-    stream
-        .set_read_timeout(Some(READ_DEADLINE))
-        .map_err(|e| e.to_string())?;
-    let mut wstream = stream.try_clone().map_err(|e| e.to_string())?;
-    let frame_bytes = proto::encode_probe_request(chunk, false);
-    std::thread::scope(|scope| {
-        let writer = scope.spawn(move || -> Result<(), String> {
-            for _ in 0..GREEDY_BURST_FRAMES {
-                wstream
-                    .write_all(&frame_bytes)
-                    .map_err(|e| format!("burst write: {e}"))?;
-            }
-            Ok(())
-        });
-        let mut stream = stream;
-        let (mut ok, mut shed) = (0u64, 0u64);
-        for _ in 0..GREEDY_BURST_FRAMES {
-            let body = proto::read_frame(&mut stream, 1 << 26)
-                .map_err(|e| format!("burst read: {e}"))?
-                .ok_or("burst: server closed mid-conversation")?;
-            let (h, _) = proto::decode_response(&body).map_err(|e| e.to_string())?;
-            match h.status {
-                proto::STATUS_OK => ok += 1,
-                proto::STATUS_LOADSHED => shed += 1,
-                s => {
-                    return Err(format!(
-                        "burst: frame answered {} — only OK or LOADSHED is legal",
-                        proto::status_name(s)
-                    ))
-                }
-            }
-        }
-        writer.join().expect("burst writer thread")?;
-        Ok((ok, shed))
-    })
-}
-
 /// The sharded-serving phase: sharder → [`ROUTER_SHARDS`] in-process
-/// workers → scatter-gather router, the same workload driven through
-/// the router's endpoint, counts verified against the offline probe and
-/// the merged counter block cross-checked against per-worker sums. The
-/// recorded ratio vs the single-process run is the scale-out headline;
-/// on a box with fewer cores than workers it is a floor, not the
-/// ceiling (see the machine stamp).
-#[allow(clippy::too_many_arguments)]
+/// workers → scatter-gather router, the closed loop driven through the
+/// router's endpoint, counts verified against the offline probe of the
+/// unsharded snapshot and the merged counter block cross-checked against
+/// per-worker sums. The recorded ratio vs the single-process run is the
+/// scale-out headline; on a box with fewer cores than workers it is a
+/// floor, not the ceiling (see the machine stamp).
 fn run_router(
     ds: &datagen::Dataset,
     path: &std::path::Path,
-    snap: &MappedSnapshot,
     points: &[Coord],
+    expected: &[u64],
     connections: usize,
     frame: usize,
     single_process_throughput: f64,
@@ -868,7 +971,6 @@ fn run_router(
     use act_core::write_shard_files;
     use act_serve::{Router, RouterConfig};
 
-    let num_zones = ds.polygons.len();
     println!("router: sharding into {ROUTER_SHARDS} workers, {connections} conn(s), {frame}/frame");
 
     // Shard the cached snapshot. The shards are derived artifacts —
@@ -907,104 +1009,35 @@ fn run_router(
     )
     .map_err(|e| format!("router: spawn: {e}"))?;
     let addr = router.addr();
-    let connect = |what: &str| -> Result<Client, String> {
-        let mut c = Client::connect(addr).map_err(|e| format!("{what}: connect: {e}"))?;
-        c.set_read_timeout(Some(READ_DEADLINE))
-            .map_err(|e| format!("{what}: set deadline: {e}"))?;
-        Ok(c)
-    };
-
-    // Warmup: touch every shard's mapped pages through the router.
-    {
-        let mut c = connect("router warmup")?;
-        for chunk in points.chunks(frame).take(64) {
-            c.probe(chunk, false)
-                .map_err(|e| format!("router warmup probe: {e}"))?;
-        }
-    }
+    warmup(addr, points, frame)?;
     let warm_probes: u64 = workers.iter().map(|w| w.stats().probes).sum();
-
-    // Measured routed run: same striping as the single-process phase.
-    let t0 = Instant::now();
-    let stripe = points.len().div_ceil(connections);
-    let results: Vec<ConnResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = points
-            .chunks(stripe.max(1))
-            .map(|mine| {
-                scope.spawn(move || {
-                    let mut client = connect("routed run")?;
-                    let mut counts = vec![0u64; num_zones];
-                    let mut lat_us = Vec::with_capacity(mine.len() / frame + 1);
-                    for chunk in mine.chunks(frame) {
-                        let t = Instant::now();
-                        let reply = client
-                            .probe(chunk, false)
-                            .map_err(|e| format!("routed probe: {e}"))?;
-                        lat_us.push(t.elapsed().as_secs_f64() * 1e6);
-                        for refs in &reply.refs {
-                            for &(id, _) in refs {
-                                counts[id as usize] += 1;
-                            }
-                        }
-                    }
-                    Ok((counts, lat_us))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("routed client thread"))
-            .collect()
-    });
-    let secs = t0.elapsed().as_secs_f64();
-
-    let mut counts = vec![0u64; num_zones];
-    let mut latencies = Vec::new();
-    for r in results {
-        let (c, l) = r?;
-        for (acc, v) in counts.iter_mut().zip(c) {
-            *acc += v;
-        }
-        latencies.extend(l);
-    }
-
-    // Oracle: routed counts ≡ offline probe of the unsharded snapshot.
-    let mut expected = vec![0u64; num_zones];
-    {
-        let view = snap.view();
-        let cells: Vec<_> = points.iter().map(|&c| coord_to_cell(c)).collect();
-        let mut probes = vec![Probe::Miss; cells.len()];
-        view.probe_batch(&cells, &mut probes);
-        for &p in &probes {
-            for (id, _) in view.resolve_refs(p) {
-                expected[id as usize] += 1;
-            }
-        }
-    }
-    assert_eq!(counts, expected, "routed counts diverged — not recording");
+    let run = closed_loop(addr, points, connections, frame, ds.polygons.len())?;
+    assert_eq!(
+        run.counts, expected,
+        "routed counts diverged — not recording"
+    );
 
     // Books: every probe point was answered by exactly one worker, and
     // the router's merged counter block equals the sum of the parts.
     let per_shard: Vec<u64> = workers.iter().map(|w| w.stats().probes).collect();
     let fleet_probes: u64 = per_shard.iter().sum();
     assert_eq!(fleet_probes - warm_probes, points.len() as u64);
-    let merged = {
-        let mut c = connect("router stats")?;
-        c.ping().map_err(|e| format!("router ping: {e}"))?
-    };
+    let merged = connect(addr)?
+        .ping()
+        .map_err(|e| format!("router ping: {e}"))?;
     assert_eq!(merged.counters.probes, fleet_probes);
     assert_eq!(merged.counters.shed, 0, "routed run must never shed");
     assert_eq!(merged.epoch, 1, "fresh fleet min epoch");
 
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let throughput = points.len() as f64 / secs;
+    let throughput = points.len() as f64 / run.secs;
     let speedup = throughput / single_process_throughput;
-    let (p50, p99) = (percentile(&latencies, 0.50), percentile(&latencies, 0.99));
+    let Latency { p50, p99, .. } = Latency::of(&run.lat_us);
     println!(
-        "router: {} probes in {secs:.2} s ({:.2} M probes/s routed vs {:.2} M single-process, \
+        "router: {} probes in {:.2} s ({:.2} M probes/s routed vs {:.2} M single-process, \
          {speedup:.2}x with {ROUTER_SHARDS} workers); latency/frame p50 {p50:.0} us p99 {p99:.0} us; \
          per-shard probes {per_shard:?}",
         points.len(),
+        run.secs,
         throughput / 1e6,
         single_process_throughput / 1e6
     );
@@ -1022,19 +1055,12 @@ fn run_router(
         .int("split_level", ROUTER_SPLIT_LEVEL as u64)
         .raw(
             "fleet_probes_per_shard",
-            format!(
-                "[{}]",
-                per_shard
-                    .iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
+            array(per_shard.iter().map(u64::to_string)),
         )
         .int("points", points.len() as u64)
         .int("connections", connections as u64)
         .int("points_per_frame", frame as u64)
-        .num("secs", secs)
+        .num("secs", run.secs)
         .num("probes_per_sec_routed", throughput)
         .num("probes_per_sec_single_process", single_process_throughput)
         .num("routed_over_single_process", speedup)
@@ -1065,7 +1091,8 @@ fn run_faults(
 
     const FAULT_FRAME: usize = 256;
     const FAULT_MAX_FRAMES: usize = 600;
-    let frames: Vec<&[Coord]> = points.chunks(FAULT_FRAME).take(FAULT_MAX_FRAMES).collect();
+    let points = &points[..points.len().min(FAULT_FRAME * FAULT_MAX_FRAMES)];
+    let frames: Vec<&[Coord]> = points.chunks(FAULT_FRAME).collect();
 
     // The schedule: 4 worker panics spread across the soak, 3 mid-reply
     // socket resets, 4 socket stalls. Hit numbers are per-site, so the
@@ -1123,7 +1150,6 @@ fn run_faults(
     let mut counts = vec![0u64; ds.polygons.len()];
     let mut fault_lat_us = Vec::new();
     let mut clean_lat_us = Vec::new();
-    let mut fault_end: Option<Instant> = None;
     let mut recovery = None;
     for (k, chunk) in frames.iter().enumerate() {
         let t = Instant::now();
@@ -1131,21 +1157,13 @@ fn run_faults(
             .probe(chunk, false)
             .map_err(|e| format!("faults: frame {k} not absorbed by retries: {e}"))?;
         let us = t.elapsed().as_secs_f64() * 1e6;
-        for refs in &reply.refs {
-            for &(id, _) in refs {
-                counts[id as usize] += 1;
-            }
-        }
+        tally(&mut counts, &reply.refs);
         if faults.total_fires() < planned_fires {
             fault_lat_us.push(us);
         } else {
-            if fault_end.is_none() {
-                // This frame completed after the final injected fault:
-                // its completion is the recovery point.
-                let now = Instant::now();
-                fault_end = Some(now);
-                recovery = Some(t.elapsed());
-            }
+            // The first frame to complete after the final injected
+            // fault: its completion is the recovery point.
+            recovery.get_or_insert_with(|| t.elapsed());
             clean_lat_us.push(us);
         }
     }
@@ -1158,23 +1176,9 @@ fn run_faults(
 
     // Every frame was eventually answered correctly: aggregated counts
     // must equal the offline probe of the same frames.
-    let mut want = vec![0u64; ds.polygons.len()];
-    {
-        let view = snap.view();
-        let cells: Vec<_> = frames
-            .iter()
-            .flat_map(|f| f.iter().map(|&c| coord_to_cell(c)))
-            .collect();
-        let mut probes = vec![Probe::Miss; cells.len()];
-        view.probe_batch(&cells, &mut probes);
-        for &p in &probes {
-            for (id, _) in view.resolve_refs(p) {
-                want[id as usize] += 1;
-            }
-        }
-    }
     assert_eq!(
-        counts, want,
+        counts,
+        offline_counts(snap, points, ds.polygons.len()),
         "answers under fault injection diverged — not recording"
     );
 
@@ -1191,10 +1195,8 @@ fn run_faults(
         "every injected panic must be contained (none took a worker down)"
     );
 
-    fault_lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    clean_lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let p99_fault = percentile(&fault_lat_us, 0.99);
-    let p99_clean = percentile(&clean_lat_us, 0.99);
+    let p99_fault = Latency::of(&sorted(fault_lat_us)).p99;
+    let p99_clean = Latency::of(&sorted(clean_lat_us)).p99;
     let recovery_ms = recovery.map_or(f64::NAN, |d| d.as_secs_f64() * 1e3);
     println!(
         "faults: p99 {p99_fault:.0} us during the fault window vs {p99_clean:.0} us after; \
@@ -1237,8 +1239,8 @@ fn run_overload(
     snap: &MappedSnapshot,
     points: &[Coord],
 ) -> Result<String, String> {
-    let n_points = points.len().min(OVERLOAD_MAX_POINTS);
-    let points = &points[..n_points];
+    let num_zones = ds.polygons.len();
+    let points = &points[..points.len().min(OVERLOAD_MAX_POINTS)];
     let frames: Vec<&[Coord]> = points.chunks(OVERLOAD_FRAME).collect();
     let capacity_lanes_per_sec = OVERLOAD_BATCH_LANES as f64 / OVERLOAD_BATCH_DELAY.as_secs_f64();
     println!(
@@ -1263,16 +1265,14 @@ fn run_overload(
     .expect("spawn overload act-serve");
     let addr = server.addr();
 
-    // Pipelined drive: each connection owns a stripe of frames, keeps a
-    // window of OVERLOAD_WINDOW requests on the wire, and records which
-    // frames were answered OK vs LOADSHED (in order — the protocol
-    // answers a connection's frames in request order).
+    // Pipelined drive: each connection owns a stripe of frames and
+    // records which were answered OK vs LOADSHED, in order.
     let t0 = Instant::now();
     let stripe = frames.len().div_ceil(OVERLOAD_CONNS).max(1);
-    let per_conn: Vec<OverloadResult> = std::thread::scope(|scope| {
+    let per_conn: Vec<Result<Piped, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = frames
             .chunks(stripe)
-            .map(|mine| scope.spawn(move || overload_conn(addr, mine, ds.polygons.len())))
+            .map(|mine| scope.spawn(move || pipelined(addr, mine.iter().copied(), num_zones)))
             .collect();
         handles
             .into_iter()
@@ -1282,17 +1282,18 @@ fn run_overload(
     let secs = t0.elapsed().as_secs_f64();
 
     let mut ok_mask: Vec<bool> = Vec::with_capacity(frames.len());
-    let mut got_counts = vec![0u64; ds.polygons.len()];
+    let mut got_counts = vec![0u64; num_zones];
     let mut write_secs = 0f64;
     for r in per_conn {
-        let (mask, counts, write_dur) = r?;
-        ok_mask.extend(mask);
-        for (acc, v) in got_counts.iter_mut().zip(counts) {
-            *acc += v;
-        }
+        let conn = r?;
+        ok_mask.extend(conn.ok);
+        got_counts
+            .iter_mut()
+            .zip(conn.counts)
+            .for_each(|(acc, v)| *acc += v);
         // Connections blast concurrently, so the slowest writer bounds
         // when the full point set had been offered.
-        write_secs = write_secs.max(write_dur.as_secs_f64());
+        write_secs = write_secs.max(conn.write_secs);
     }
     assert_eq!(
         ok_mask.len(),
@@ -1302,25 +1303,15 @@ fn run_overload(
 
     // Verify the OK answers against an offline probe of exactly those
     // frames — shedding must never corrupt what *is* answered.
-    let mut want_counts = vec![0u64; ds.polygons.len()];
-    {
-        let view = snap.view();
-        let ok_cells: Vec<_> = ok_mask
-            .iter()
-            .zip(&frames)
-            .filter(|(ok, _)| **ok)
-            .flat_map(|(_, f)| f.iter().map(|&c| coord_to_cell(c)))
-            .collect();
-        let mut probes = vec![Probe::Miss; ok_cells.len()];
-        view.probe_batch(&ok_cells, &mut probes);
-        for &p in &probes {
-            for (id, _) in view.resolve_refs(p) {
-                want_counts[id as usize] += 1;
-            }
-        }
-    }
+    let ok_points: Vec<Coord> = ok_mask
+        .iter()
+        .zip(&frames)
+        .filter(|(ok, _)| **ok)
+        .flat_map(|(_, f)| f.iter().copied())
+        .collect();
     assert_eq!(
-        got_counts, want_counts,
+        got_counts,
+        offline_counts(snap, &ok_points, num_zones),
         "OK answers under overload diverged from offline probe — not recording"
     );
 
@@ -1351,19 +1342,13 @@ fn run_overload(
     );
     assert!(shed_frames > 0, "overload phase must actually shed");
 
-    let ok_points: usize = ok_mask
-        .iter()
-        .zip(&frames)
-        .filter(|(ok, _)| **ok)
-        .map(|(_, f)| f.len())
-        .sum();
     // Offered load is measured on the *write* side: the slowest writer's
     // blast time is when the full point set had been pushed onto the
     // wire. Dividing by the full-run wall clock (which includes waiting
     // for the last reply) conflated "offered" with "answered" and
     // understated the overload multiple.
     let offered_per_sec = points.len() as f64 / write_secs;
-    let goodput_per_sec = ok_points as f64 / secs;
+    let goodput_per_sec = ok_points.len() as f64 / secs;
     let shed_rate = shed_frames as f64 / frames.len() as f64;
     let offered_x_capacity = offered_per_sec / capacity_lanes_per_sec;
     // TCP backpressure behind `max_inflight_frames` can throttle the
@@ -1418,106 +1403,11 @@ fn run_overload(
         .build())
 }
 
-/// Drives one overload connection over its stripe of frames with the
-/// write and read sides fully decoupled: a scoped writer thread blasts
-/// every frame while this thread drains replies as fast as they arrive.
-/// The decoupling matters — a single-threaded sliding window blocks on
-/// each *admitted* frame's service latency at the window front, which
-/// self-throttles the offered load back down to roughly capacity (a
-/// stable equilibrium that defeats the whole point of the phase). The
-/// server's `max_inflight_frames` plus the always-draining reader keep
-/// both sides deadlock-free.
-fn overload_conn(
-    addr: std::net::SocketAddr,
-    mine: &[&[Coord]],
-    num_zones: usize,
-) -> OverloadResult {
-    let stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("overload connect: {e}"))?;
-    stream.set_nodelay(true).map_err(|e| e.to_string())?;
-    stream
-        .set_read_timeout(Some(READ_DEADLINE))
-        .map_err(|e| e.to_string())?;
-    let mut wstream = stream.try_clone().map_err(|e| e.to_string())?;
-    std::thread::scope(|scope| {
-        let writer = scope.spawn(move || -> Result<Duration, String> {
-            let w0 = Instant::now();
-            for chunk in mine {
-                wstream
-                    .write_all(&proto::encode_probe_request(chunk, false))
-                    .map_err(|e| format!("overload write: {e}"))?;
-            }
-            Ok(w0.elapsed())
-        });
-
-        let mut stream = stream;
-        let mut ok_mask = Vec::with_capacity(mine.len());
-        let mut counts = vec![0u64; num_zones];
-        // Replies arrive in request order; the k-th reply is frame k's.
-        for chunk in mine {
-            let body = proto::read_frame(&mut stream, 1 << 26)
-                .map_err(|e| format!("overload read (deadline {READ_DEADLINE:?}): {e}"))?
-                .ok_or("overload: server closed mid-conversation")?;
-            let (h, payload) = proto::decode_response(&body).map_err(|e| e.to_string())?;
-            if h.op != proto::OP_PROBE {
-                return Err(format!("overload: unexpected op {}", h.op));
-            }
-            match h.status {
-                proto::STATUS_OK => {
-                    if h.n as usize != chunk.len() {
-                        return Err("overload: OK reply with wrong point count".into());
-                    }
-                    let refs =
-                        proto::decode_probe_payload(h.n, payload).map_err(|e| e.to_string())?;
-                    for one in refs {
-                        for (id, _) in one {
-                            counts[id as usize] += 1;
-                        }
-                    }
-                    ok_mask.push(true);
-                }
-                proto::STATUS_LOADSHED => {
-                    if h.n != 0 {
-                        return Err("overload: LOADSHED reply carries entries".into());
-                    }
-                    // v2 sheds carry an optional 4-byte retry hint.
-                    proto::decode_retry_after(payload).map_err(|e| e.to_string())?;
-                    ok_mask.push(false);
-                }
-                s => {
-                    return Err(format!(
-                        "overload: frame answered {} — only OK or LOADSHED is legal",
-                        proto::status_name(s)
-                    ))
-                }
-            }
-        }
-        let write_dur = writer.join().expect("overload writer thread")?;
-        Ok((ok_mask, counts, write_dur))
-    })
-}
-
-/// Per-zone counts from an offline probe of `pts` against the mapped
-/// snapshot — the oracle every serving phase verifies against.
-fn offline_counts(snap: &MappedSnapshot, pts: &[Coord], num_zones: usize) -> Vec<u64> {
-    let view = snap.view();
-    let cells: Vec<_> = pts.iter().map(|&c| coord_to_cell(c)).collect();
-    let mut probes = vec![Probe::Miss; cells.len()];
-    view.probe_batch(&cells, &mut probes);
-    let mut counts = vec![0u64; num_zones];
-    for &p in &probes {
-        for (id, _) in view.resolve_refs(p) {
-            counts[id as usize] += 1;
-        }
-    }
-    counts
-}
-
 /// The hot-cell cache phase (`--zipf S`): a Zipf(S)-skewed workload over
 /// a fixed [`ZIPF_HOT_SET`] drives two fresh servers from the same
 /// snapshot — identical except one runs with the result cache on — and
 /// the row records both throughputs, the hit rate, and the speedup
-/// (timed over a minimal-drain pass; see [`zipf_run`]). The cache-on
+/// (timed over minimal-drain passes; see [`ZipfBench`]). The cache-on
 /// counts are verified against the same offline probe as the cache-off
 /// counts, so a stale or corrupted cached answer fails the phase
 /// instead of being recorded.
@@ -1535,31 +1425,11 @@ fn run_zipf(
     // packed-word memcpy, while a miss still pays the full trie walk —
     // and on a shallow partition the walk is the dominant per-probe
     // cost, so eliminating it shows up whole.
-    let host_row = zipf_phase(
-        &ds.name,
-        ds.polygons.len(),
-        path,
-        snap,
-        points,
-        seed,
-        s,
-        Some(1.3),
-    )?;
+    let host_row = zipf_phase(ds, path, snap, points, seed, s, Some(1.3))?;
 
     let surge = datagen::surge_zones(seed, 16, 8, 8);
-    let dir = path.parent().unwrap_or_else(|| std::path::Path::new("."));
-    let surge_path = snapshot_path(dir.to_str().unwrap_or("."), &surge.name, 15.0);
-    if !bench::snapshot_is_current(&surge_path) {
-        let t = Instant::now();
-        let built = act_core::ActIndex::build(&surge.polygons, 15.0).expect("build surge index");
-        println!(
-            "zipf: built {} in {:.1} s (cached for reruns)",
-            surge.name,
-            t.elapsed().as_secs_f64()
-        );
-        let mut f = std::fs::File::create(&surge_path).expect("create surge snapshot");
-        built.save_snapshot(&mut f).expect("save surge snapshot");
-    }
+    let dir = path.parent().and_then(|d| d.to_str()).unwrap_or(".");
+    let surge_path = cached_snapshot(dir, &surge);
     let surge_snap = MappedSnapshot::open(&surge_path).expect("map surge snapshot");
     let surge_points = make_points(&surge, ZIPF_MAX_POINTS, seed);
     // The surge preset stacks 16 overlapping zone layers (16 refs per
@@ -1569,8 +1439,7 @@ fn run_zipf(
     // machine noise — the contract rides on the host row, and this one
     // is recorded as evidence, not gated.
     let surge_row = zipf_phase(
-        &surge.name,
-        surge.polygons.len(),
+        &surge,
         &surge_path,
         &surge_snap,
         &surge_points,
@@ -1584,10 +1453,8 @@ fn run_zipf(
 /// One dataset's cache-off vs cache-on comparison; `min_speedup` is the
 /// acceptance floor, asserted when present (see [`run_zipf`] for which
 /// datasets carry one and why).
-#[allow(clippy::too_many_arguments)]
 fn zipf_phase(
-    name: &str,
-    num_zones: usize,
+    ds: &datagen::Dataset,
     path: &std::path::Path,
     snap: &MappedSnapshot,
     points: &[Coord],
@@ -1597,6 +1464,7 @@ fn zipf_phase(
 ) -> Result<String, String> {
     use act_serve::CacheConfig;
 
+    let (name, num_zones) = (&ds.name, ds.polygons.len());
     let hot = &points[..points.len().min(ZIPF_HOT_SET)];
     let n_points = points.len().min(ZIPF_MAX_POINTS);
     let frame = ZIPF_FRAME.min(proto::MAX_POINTS);
@@ -1674,9 +1542,9 @@ fn zipf_phase(
         "zipf[{name}]: cache off {:.2} M probes/s (p99 {:.0} us) vs cache on {:.2} M probes/s \
          (p99 {:.0} us) — {speedup:.2}x, hit rate {:.2}%",
         off_tput / 1e6,
-        off.p99,
+        off.lat.p99,
         on_tput / 1e6,
-        on.p99,
+        on.lat.p99,
         hit_rate * 100.0
     );
     if let Some(floor) = min_speedup {
@@ -1703,10 +1571,10 @@ fn zipf_phase(
         .num("probes_per_sec_cache_off", off_tput)
         .num("probes_per_sec_cache_on", on_tput)
         .num("cache_on_over_cache_off", speedup)
-        .num("frame_latency_p50_us_cache_off", off.p50)
-        .num("frame_latency_p99_us_cache_off", off.p99)
-        .num("frame_latency_p50_us_cache_on", on.p50)
-        .num("frame_latency_p99_us_cache_on", on.p99)
+        .num("frame_latency_p50_us_cache_off", off.lat.p50)
+        .num("frame_latency_p99_us_cache_off", off.lat.p99)
+        .num("frame_latency_p50_us_cache_on", on.lat.p50)
+        .num("frame_latency_p99_us_cache_on", on.lat.p99)
         .int("cache_hits", on.stats.cache_hits)
         .int("cache_misses", on.stats.cache_misses)
         .num("cache_hit_rate", hit_rate)
@@ -1723,8 +1591,7 @@ fn zipf_phase(
 /// alone.
 struct ZipfRun {
     secs: f64,
-    p50: f64,
-    p99: f64,
+    lat: Latency,
     counts: Vec<u64>,
     stats: act_serve::CounterBlock,
 }
@@ -1734,12 +1601,12 @@ struct ZipfRun {
 /// **verification** pass; each [`ZipfBench::rep`] is one **measured**
 /// pass, and [`ZipfBench::finish`] keeps the best.
 ///
-/// The verification pass replays the whole workload with a full decode
-/// and returns per-zone counts for the offline-oracle check. Running it
-/// first also makes it the warmup: it touches every mapped page and (on
-/// the cache side) fills every hot cell, so the measured reps time the
-/// steady hot-set state on both sides instead of each side's distinct
-/// cold-start costs.
+/// The verification pass is a one-connection [`closed_loop`] over the
+/// whole workload with a full decode, returning per-zone counts for the
+/// offline-oracle check. Running it first also makes it the warmup: it
+/// touches every mapped page and (on the cache side) fills every hot
+/// cell, so the measured reps time the steady hot-set state on both
+/// sides instead of each side's distinct cold-start costs.
 ///
 /// The measured reps send pre-encoded frames over a raw stream and
 /// check only each reply's header, so the recorded throughput tracks
@@ -1756,7 +1623,7 @@ struct ZipfRun {
 /// verification pass still exercises the coordinate form.
 struct ZipfBench {
     server: act_serve::ServerHandle,
-    stream: std::net::TcpStream,
+    stream: TcpStream,
     frames: Vec<Vec<u8>>,
     frame: usize,
     workload_len: usize,
@@ -1788,36 +1655,14 @@ impl ZipfBench {
             },
         )
         .expect("spawn zipf act-serve");
-        let mut client =
-            Client::connect(server.addr()).map_err(|e| format!("zipf connect: {e}"))?;
-        client
-            .set_read_timeout(Some(READ_DEADLINE))
-            .map_err(|e| format!("zipf deadline: {e}"))?;
-
-        let mut counts = vec![0u64; num_zones];
-        for chunk in workload.chunks(frame) {
-            let reply = client
-                .probe(chunk, false)
-                .map_err(|e| format!("zipf verify: {e}"))?;
-            for refs in &reply.refs {
-                for &(id, _) in refs {
-                    counts[id as usize] += 1;
-                }
-            }
-        }
+        let counts = closed_loop(server.addr(), workload, 1, frame, num_zones)?.counts;
         let warm = server.stats();
-
         let cells: Vec<s2cell::CellId> = workload.iter().map(|&c| coord_to_cell(c)).collect();
         let frames: Vec<Vec<u8>> = cells
             .chunks(frame)
             .map(proto::encode_probe_cells_request)
             .collect();
-        let stream = std::net::TcpStream::connect(server.addr())
-            .map_err(|e| format!("zipf measured connect: {e}"))?;
-        stream.set_nodelay(true).map_err(|e| e.to_string())?;
-        stream
-            .set_read_timeout(Some(READ_DEADLINE))
-            .map_err(|e| e.to_string())?;
+        let stream = connect_raw(server.addr())?;
         Ok(Self {
             server,
             stream,
@@ -1889,8 +1734,7 @@ impl ZipfBench {
                 }
             }
         }
-        let (secs, mut lat_us) = self.best.expect("at least one rep");
-        lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        let (secs, lat_us) = self.best.expect("at least one rep");
         let mut stats = self.server.stats();
         // Only the measured reps' cache traffic: subtract the
         // verification pass that warmed it, so hits + misses line up
@@ -1900,8 +1744,7 @@ impl ZipfBench {
         self.server.shutdown();
         ZipfRun {
             secs,
-            p50: percentile(&lat_us, 0.50),
-            p99: percentile(&lat_us, 0.99),
+            lat: Latency::of(&sorted(lat_us)),
             counts: self.counts,
             stats,
         }
@@ -1941,25 +1784,23 @@ fn run_fairness(
     // The greedy connection repeats one fixed frame (its books then
     // verify as ok_frames × the frame's offline counts); each polite
     // client owns a distinct stripe.
+    let num_zones = ds.polygons.len();
     let greedy_frame = &points[..FAIR_FRAME];
-    let greedy_expected = offline_counts(snap, greedy_frame, ds.polygons.len());
-    let stripes: Vec<&[Coord]> = (0..FAIR_POLITE_CLIENTS)
-        .map(|j| {
-            let at = FAIR_FRAME + FAIR_POLITE_FRAME * j * FAIR_POLITE_FRAMES;
-            &points[at..at + FAIR_POLITE_FRAME * FAIR_POLITE_FRAMES]
-        })
+    let greedy_expected = offline_counts(snap, greedy_frame, num_zones);
+    let stripes: Vec<&[Coord]> = points[FAIR_FRAME..need]
+        .chunks(FAIR_POLITE_FRAME * FAIR_POLITE_FRAMES)
         .collect();
     let stripe_expected: Vec<Vec<u64>> = stripes
         .iter()
-        .map(|st| offline_counts(snap, st, ds.polygons.len()))
+        .map(|st| offline_counts(snap, st, num_zones))
         .collect();
 
-    let off = fairness_run(path, greedy_frame, &stripes, ds.polygons.len(), None)?;
+    let off = fairness_run(path, greedy_frame, &stripes, num_zones, None)?;
     let on = fairness_run(
         path,
         greedy_frame,
         &stripes,
-        ds.polygons.len(),
+        num_zones,
         Some(FAIR_QUOTA_LANES),
     )?;
     for run in [&off, &on] {
@@ -1968,10 +1809,10 @@ fn run_fairness(
         }
         let want_greedy: Vec<u64> = greedy_expected
             .iter()
-            .map(|c| c * run.greedy_ok_frames)
+            .map(|c| c * run.greedy.ok_frames())
             .collect();
         assert_eq!(
-            run.greedy_counts, want_greedy,
+            run.greedy.counts, want_greedy,
             "greedy OK answers diverged — not recording"
         );
         assert_eq!(run.stats.accepted, run.stats.answered + run.stats.shed);
@@ -1985,14 +1826,12 @@ fn run_fairness(
     let worst_off = off.worst_goodput();
     let worst_on = on.worst_goodput();
     let gain = worst_on / worst_off;
+    let [ok_off, shed_off] = off.greedy_frames();
+    let [ok_on, shed_on] = on.greedy_frames();
     println!(
         "fairness: worst polite goodput {worst_off:.0} pts/s without quota vs {worst_on:.0} \
-         pts/s with — {gain:.1}x; greedy {} OK / {} shed frames without, {} OK / {} shed \
-         ({} quota) with",
-        off.greedy_ok_frames,
-        off.greedy_shed_frames,
-        on.greedy_ok_frames,
-        on.greedy_shed_frames,
+         pts/s with — {gain:.1}x; greedy {ok_off} OK / {shed_off} shed frames without, \
+         {ok_on} OK / {shed_on} shed ({} quota) with",
         on.stats.quota_sheds
     );
     assert!(
@@ -2015,10 +1854,10 @@ fn run_fairness(
         .num("quota_over_no_quota", gain)
         .num("greedy_goodput_no_quota", off.greedy_goodput)
         .num("greedy_goodput_with_quota", on.greedy_goodput)
-        .int("greedy_ok_frames_no_quota", off.greedy_ok_frames)
-        .int("greedy_shed_frames_no_quota", off.greedy_shed_frames)
-        .int("greedy_ok_frames_with_quota", on.greedy_ok_frames)
-        .int("greedy_shed_frames_with_quota", on.greedy_shed_frames)
+        .int("greedy_ok_frames_no_quota", ok_off)
+        .int("greedy_shed_frames_no_quota", shed_off)
+        .int("greedy_ok_frames_with_quota", ok_on)
+        .int("greedy_shed_frames_with_quota", shed_on)
         .int("quota_sheds", on.stats.quota_sheds)
         .int("polite_retries_no_quota", off.polite_retries)
         .int("polite_retries_with_quota", on.polite_retries)
@@ -2032,9 +1871,7 @@ struct FairnessRun {
     polite_goodput: Vec<f64>,
     polite_counts: Vec<Vec<u64>>,
     polite_retries: u64,
-    greedy_ok_frames: u64,
-    greedy_shed_frames: u64,
-    greedy_counts: Vec<u64>,
+    greedy: Piped,
     greedy_goodput: f64,
     stats: act_serve::CounterBlock,
 }
@@ -2046,8 +1883,17 @@ impl FairnessRun {
             .copied()
             .fold(f64::INFINITY, f64::min)
     }
+
+    /// The greedy connection's (OK, LOADSHED) frame counts.
+    fn greedy_frames(&self) -> [u64; 2] {
+        let ok = self.greedy.ok_frames();
+        [ok, self.greedy.ok.len() as u64 - ok]
+    }
 }
 
+/// One fairness pass: the greedy connection is a [`pipelined`] writer
+/// repeating one frame until every polite client has finished its
+/// stripe.
 fn fairness_run(
     path: &std::path::Path,
     greedy_frame: &[Coord],
@@ -2076,7 +1922,11 @@ fn fairness_run(
     let stop = AtomicBool::new(false);
     let t0 = Instant::now();
     let (polite, greedy) = std::thread::scope(|scope| {
-        let greedy = scope.spawn(|| greedy_conn(addr, greedy_frame, num_zones, &stop));
+        let greedy = scope.spawn(|| {
+            let frames =
+                std::iter::repeat(greedy_frame).take_while(|_| !stop.load(Ordering::Acquire));
+            pipelined(addr, frames, num_zones)
+        });
         let handles: Vec<_> = stripes
             .iter()
             .map(|mine| scope.spawn(move || polite_conn(addr, mine, num_zones)))
@@ -2099,92 +1949,16 @@ fn fairness_run(
         polite_counts.push(counts);
         polite_retries += retries;
     }
-    let (greedy_ok_frames, greedy_shed_frames, greedy_counts) = greedy?;
+    let greedy = greedy?;
     let stats = server.stats();
     server.shutdown();
     Ok(FairnessRun {
         polite_goodput,
         polite_counts,
         polite_retries,
-        greedy_ok_frames,
-        greedy_shed_frames,
-        greedy_counts,
-        greedy_goodput: greedy_ok_frames as f64 * greedy_frame.len() as f64 / secs,
+        greedy_goodput: (greedy.ok_frames() as usize * greedy_frame.len()) as f64 / secs,
+        greedy,
         stats,
-    })
-}
-
-/// The greedy connection: a decoupled writer blasts the same frame until
-/// told to stop while this thread drains every reply (OK or LOADSHED).
-/// The always-draining reader keeps the server's in-flight cap from
-/// deadlocking the writer, exactly as in [`overload_conn`].
-fn greedy_conn(
-    addr: std::net::SocketAddr,
-    chunk: &[Coord],
-    num_zones: usize,
-    stop: &std::sync::atomic::AtomicBool,
-) -> Result<(u64, u64, Vec<u64>), String> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let stream = std::net::TcpStream::connect(addr).map_err(|e| format!("greedy connect: {e}"))?;
-    stream.set_nodelay(true).map_err(|e| e.to_string())?;
-    stream
-        .set_read_timeout(Some(READ_DEADLINE))
-        .map_err(|e| e.to_string())?;
-    let mut wstream = stream.try_clone().map_err(|e| e.to_string())?;
-    let frame_bytes = proto::encode_probe_request(chunk, false);
-    let written = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        let writer = scope.spawn(|| -> Result<(), String> {
-            while !stop.load(Ordering::Acquire) {
-                wstream
-                    .write_all(&frame_bytes)
-                    .map_err(|e| format!("greedy write: {e}"))?;
-                written.fetch_add(1, Ordering::Release);
-            }
-            Ok(())
-        });
-        let mut stream = stream;
-        let (mut read, mut ok, mut shed) = (0u64, 0u64, 0u64);
-        let mut counts = vec![0u64; num_zones];
-        loop {
-            if read >= written.load(Ordering::Acquire) {
-                if writer.is_finished() && read >= written.load(Ordering::Acquire) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(200));
-                continue;
-            }
-            let body = proto::read_frame(&mut stream, 1 << 26)
-                .map_err(|e| format!("greedy read: {e}"))?
-                .ok_or("greedy: server closed mid-conversation")?;
-            let (h, payload) = proto::decode_response(&body).map_err(|e| e.to_string())?;
-            match h.status {
-                proto::STATUS_OK => {
-                    let refs =
-                        proto::decode_probe_payload(h.n, payload).map_err(|e| e.to_string())?;
-                    for one in refs {
-                        for (id, _) in one {
-                            counts[id as usize] += 1;
-                        }
-                    }
-                    ok += 1;
-                }
-                proto::STATUS_LOADSHED => {
-                    proto::decode_retry_after(payload).map_err(|e| e.to_string())?;
-                    shed += 1;
-                }
-                s => {
-                    return Err(format!(
-                        "greedy: frame answered {} — only OK or LOADSHED is legal",
-                        proto::status_name(s)
-                    ))
-                }
-            }
-            read += 1;
-        }
-        writer.join().expect("greedy writer thread")?;
-        Ok((ok, shed, counts))
     })
 }
 
@@ -2193,7 +1967,7 @@ fn greedy_conn(
 /// the server's retry hint — the civic behavior the quota is there to
 /// protect. Returns (elapsed secs, per-zone counts, retries).
 fn polite_conn(
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     stripe: &[Coord],
     num_zones: usize,
 ) -> Result<(f64, Vec<u64>, u64), String> {
@@ -2216,11 +1990,147 @@ fn polite_conn(
         let reply = client
             .probe(chunk, false)
             .map_err(|e| format!("polite probe: {e}"))?;
-        for refs in &reply.refs {
-            for &(id, _) in refs {
-                counts[id as usize] += 1;
-            }
-        }
+        tally(&mut counts, &reply.refs);
     }
     Ok((t0.elapsed().as_secs_f64(), counts, client.retries()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use geom::{Polygon, Ring};
+
+    /// An OK probe payload: per point, a count word then one ref word
+    /// per `(id, hit)`.
+    fn ok_payload(refs: &[proto::PointRefs]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for one in refs {
+            out.extend_from_slice(&(one.len() as u32).to_le_bytes());
+            for &(id, hit) in one {
+                out.extend_from_slice(&proto::encode_ref(id, hit).to_le_bytes());
+            }
+        }
+        out
+    }
+
+    fn reply(op: u8, status: u8, n: u32, payload: &[u8]) -> Vec<u8> {
+        proto::encode_response(op, status, 1, n, payload)
+    }
+
+    #[test]
+    fn read_reply_decodes_ok_and_loadshed_in_order() {
+        let refs = vec![vec![(3, true)], vec![], vec![(1, false), (2, true)]];
+        let mut wire = reply(proto::OP_PROBE, proto::STATUS_OK, 3, &ok_payload(&refs));
+        let hint = proto::encode_retry_hint(7);
+        wire.extend(reply(proto::OP_PROBE, proto::STATUS_LOADSHED, 0, &hint));
+        wire.extend(reply(proto::OP_PROBE, proto::STATUS_LOADSHED, 0, &[]));
+        let mut r = wire.as_slice();
+        assert_eq!(read_reply(&mut r, 3), Ok(Reply::Ok(refs)));
+        assert_eq!(read_reply(&mut r, 5), Ok(Reply::Shed));
+        assert_eq!(read_reply(&mut r, 5), Ok(Reply::Shed));
+        assert_eq!(read_reply(&mut r, 5), Err(BadReply::Closed));
+    }
+
+    #[test]
+    fn read_reply_rejects_each_malformed_answer() {
+        let refs = vec![vec![(3, true)], vec![]];
+        let payload = ok_payload(&refs);
+        let cases = [
+            (
+                reply(proto::OP_PROBE, proto::STATUS_OK, 2, &payload),
+                3,
+                BadReply::Count { n: 2, sent: 3 },
+            ),
+            (
+                reply(proto::OP_PING, proto::STATUS_OK, 2, &payload),
+                2,
+                BadReply::Op(proto::OP_PING),
+            ),
+            (
+                reply(proto::OP_PROBE, proto::STATUS_LOADSHED, 2, &[]),
+                2,
+                BadReply::ShedEntries(2),
+            ),
+            (
+                reply(proto::OP_PROBE, proto::STATUS_INTERNAL, 0, &[]),
+                2,
+                BadReply::Status(proto::STATUS_INTERNAL),
+            ),
+            (
+                reply(proto::OP_PROBE, proto::STATUS_OK, 2, &payload[..6]),
+                2,
+                BadReply::Malformed("probe payload truncated inside a ref list"),
+            ),
+            (
+                reply(proto::OP_PROBE, proto::STATUS_LOADSHED, 0, &[1, 2]),
+                2,
+                BadReply::Malformed("reject payload is not an optional u32 retry hint"),
+            ),
+        ];
+        for (wire, sent, want) in cases {
+            assert_eq!(read_reply(&mut wire.as_slice(), sent), Err(want));
+        }
+        let cut = reply(proto::OP_PROBE, proto::STATUS_OK, 2, &payload);
+        assert!(matches!(
+            read_reply(&mut &cut[..cut.len() - 1], 2),
+            Err(BadReply::Read(_))
+        ));
+    }
+
+    fn square(cx: f64, cy: f64, half: f64) -> Polygon {
+        Polygon::new(
+            Ring::new(vec![
+                Coord::new(cx - half, cy - half),
+                Coord::new(cx + half, cy - half),
+                Coord::new(cx + half, cy + half),
+                Coord::new(cx - half, cy + half),
+            ]),
+            vec![],
+        )
+    }
+
+    #[test]
+    fn closed_loop_matches_the_offline_oracle() {
+        let polys: Vec<Polygon> = (0..4)
+            .map(|k| square(-74.05 + 0.03 * k as f64, 40.70, 0.02))
+            .collect();
+        let index = act_core::ActIndex::build(&polys, PRECISION_M).unwrap();
+        let mut bytes = Vec::new();
+        index.save_snapshot(&mut bytes).unwrap();
+        let path = std::env::temp_dir().join(format!("loadgen-test-{}.snap", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let snap = MappedSnapshot::open(&path).unwrap();
+        let server = Server::spawn(
+            &path,
+            ServeConfig {
+                watch: None,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+
+        let points: Vec<Coord> = (0..1_000)
+            .map(|k| {
+                Coord::new(
+                    -74.08 + 0.00013 * k as f64,
+                    40.70 + 0.00001 * (k % 7) as f64,
+                )
+            })
+            .collect();
+        let (conns, frame) = (3, 64);
+        let run = closed_loop(server.addr(), &points, conns, frame, polys.len()).unwrap();
+        let want = offline_counts(&snap, &points, polys.len());
+        assert!(want.iter().all(|&c| c > 0), "every square is probed");
+        assert_eq!(run.counts, want);
+        let frames: usize = points
+            .chunks(points.len().div_ceil(conns))
+            .map(|stripe| stripe.len().div_ceil(frame))
+            .sum();
+        assert_eq!(run.lat_us.len(), frames);
+        assert!(run.lat_us.windows(2).all(|w| w[0] <= w[1]), "sorted");
+        assert_eq!(Latency::of(&run.lat_us).max, run.lat_us[frames - 1]);
+        assert_eq!(server.stats().probes, points.len() as u64);
+        server.shutdown();
+        std::fs::remove_file(&path).ok();
+    }
 }

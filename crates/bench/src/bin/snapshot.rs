@@ -130,7 +130,7 @@ fn main() {
                 let mapped = MappedSnapshot::open(&path).expect("map snapshot");
                 mmap_runs.push(t.elapsed().as_secs_f64());
                 assert!(mapped.is_mmap() || !cfg!(unix), "unix must really map");
-                mapped.probe_batch(&cells, &mut got);
+                mapped.view().probe_batch(&cells, &mut got);
                 assert_eq!(got, want, "mmap probes diverged — not recording");
             }
         }

@@ -108,7 +108,7 @@ pub fn array(items: impl IntoIterator<Item = String>) -> String {
 
 /// Pretty-prints a compact JSON string with two-space indentation — enough
 /// for the structures this crate emits (no escaped quotes containing
-/// braces are ever present in our keys/values beyond [`escape`] output).
+/// braces are ever present in our keys/values beyond `escape` output).
 pub fn pretty(compact: &str) -> String {
     let mut out = String::with_capacity(compact.len() * 2);
     let mut depth = 0usize;

@@ -410,21 +410,6 @@ impl ActIndex {
         crate::snapshot::load(r)
     }
 
-    /// Opens a snapshot file as a query-ready
-    /// [`MappedSnapshot`](crate::snapshot::MappedSnapshot): memory-mapped
-    /// where the platform allows (probes run off the page cache, warm
-    /// loads copy almost nothing), an owned aligned heap read otherwise.
-    /// This is the warm-start entry point a serving fleet wants —
-    /// restarts ship snapshots, not polygon sets.
-    ///
-    /// # Errors
-    /// As [`ActIndex::load_snapshot`].
-    pub fn map_snapshot(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<crate::snapshot::MappedSnapshot, SnapshotError> {
-        crate::snapshot::MappedSnapshot::open(path)
-    }
-
     /// True when two indexes are the same query artifact byte for byte:
     /// node arena, roots, lookup-table words, and insertion counters all
     /// equal (build wall-times excluded — they are measurements, not
@@ -731,7 +716,7 @@ impl ActIndex {
     }
 
     /// A deadline-bounded slice of [`ActIndex::compact`]: does rebuild
-    /// work until `deadline` (checked every [`COMPACT_CHECK_EVERY`]
+    /// work until `deadline` (checked every `COMPACT_CHECK_EVERY`
     /// cells) and pauses the rest for the next call. Returns `true` when
     /// the compaction completed — or when there was nothing to do —
     /// `false` when work remains. Probes against the index stay valid

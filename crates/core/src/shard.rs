@@ -293,7 +293,7 @@ mod tests {
             let c = Coord::new(-74.0, 40.7);
             let want = idx.lookup_refs(c);
             if shard_of_cell(coord_to_cell(c), DEFAULT_SPLIT_LEVEL, 3) == k {
-                assert_eq!(snap.lookup_refs(c), want);
+                assert_eq!(snap.view().lookup_refs(c), want);
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();

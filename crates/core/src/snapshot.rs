@@ -1006,42 +1006,6 @@ impl MappedSnapshot {
         &self.stats
     }
 
-    /// Probes with a precomputed leaf cell id (see [`ActIndex::probe_cell`]).
-    #[inline]
-    pub fn probe_cell(&self, leaf: CellId) -> Probe {
-        self.view().probe_cell(leaf)
-    }
-
-    /// Probes a batch of leaf cell ids (see [`ActIndex::probe_batch`]).
-    ///
-    /// # Panics
-    /// Panics if `cells.len() != out.len()`.
-    #[inline]
-    pub fn probe_batch(&self, cells: &[CellId], out: &mut [Probe]) {
-        self.view().probe_batch(cells, out);
-    }
-
-    /// Probes a batch recording per-cell termination depths (see
-    /// [`ActIndex::probe_batch_depths`]).
-    ///
-    /// # Panics
-    /// Panics if the three slices' lengths disagree.
-    #[inline]
-    pub fn probe_batch_depths(&self, cells: &[CellId], out: &mut [Probe], depths: &mut [u8]) {
-        self.view().probe_batch_depths(cells, out, depths);
-    }
-
-    /// Probes with a lat/lng coordinate (see [`ActIndex::probe_coord`]).
-    #[inline]
-    pub fn probe_coord(&self, c: Coord) -> Probe {
-        self.view().probe_coord(c)
-    }
-
-    /// The `(polygon id, is_true_hit)` pairs for a query point.
-    pub fn lookup_refs(&self, c: Coord) -> Vec<(u32, bool)> {
-        self.view().lookup_refs(c)
-    }
-
     /// Deep-copies the snapshot into an owned [`ActIndex`].
     pub fn to_owned_index(&self) -> ActIndex {
         self.view().to_owned_index()
@@ -1218,15 +1182,15 @@ mod tests {
         assert_eq!(mapped.stats().act_bytes, idx.stats().act_bytes);
         for k in 0..200 {
             let c = Coord::new(-74.1 + 0.001 * k as f64, 40.70);
-            assert_eq!(mapped.probe_coord(c), idx.probe_coord(c), "at {c}");
-            assert_eq!(mapped.lookup_refs(c), idx.lookup_refs(c), "at {c}");
+            assert_eq!(mapped.view().probe_coord(c), idx.probe_coord(c), "at {c}");
+            assert_eq!(mapped.view().lookup_refs(c), idx.lookup_refs(c), "at {c}");
         }
         assert!(mapped.to_owned_index().identical_to(&idx));
         // The explicit heap path answers identically and is not a map.
         let heap = MappedSnapshot::open_heap(&path).unwrap();
         assert!(!heap.is_mmap());
         let c = Coord::new(-74.05, 40.70);
-        assert_eq!(heap.probe_coord(c), mapped.probe_coord(c));
+        assert_eq!(heap.view().probe_coord(c), mapped.view().probe_coord(c));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1253,7 +1217,7 @@ mod tests {
         assert!(!snap.is_mmap());
         for k in 0..200 {
             let c = Coord::new(-74.1 + 0.001 * k as f64, 40.70);
-            assert_eq!(snap.probe_coord(c), idx.probe_coord(c), "at {c}");
+            assert_eq!(snap.view().probe_coord(c), idx.probe_coord(c), "at {c}");
         }
     }
 

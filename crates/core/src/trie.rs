@@ -153,7 +153,7 @@ impl Probe {
 /// prefix the walk actually consumed, plus the depth it terminated at.
 ///
 /// A lookup for `query` reads the 3 face bits and then `depth` bytes of
-/// the position bit string (see [`RawTrie::lookup`]); nothing below that
+/// the position bit string (see `RawTrie::lookup`); nothing below that
 /// prefix can influence the result. Two queries sharing the top
 /// `3 + 8·depth` bits therefore terminate at the same entry with the
 /// same answer — and, because the walk is deterministic, at the same
@@ -475,7 +475,7 @@ pub struct Act {
 }
 
 impl Clone for Act {
-    /// Copies the arena with room for [`CLONE_SPARE_NODES`] more nodes.
+    /// Copies the arena with room for `CLONE_SPARE_NODES` more nodes.
     /// Clones exist to be mutated (the live-update scratch index), and an
     /// exact-capacity arena below the allocator's mmap threshold (32 MB
     /// with glibc) would copy itself whole on its first node allocation

@@ -42,7 +42,7 @@
 //! issuing its per-lane loads independently across a 2048-lane batch
 //! (memory-level parallelism), so to *beat* the walk a hit must be one
 //! predictable load itself. A slot is 32 bytes — key, epoch, ref count,
-//! and up to [`INLINE_REFS`] refs packed `(id << 1) | hit` — so the
+//! and up to `INLINE_REFS` refs packed `(id << 1) | hit` — so the
 //! common hit touches exactly one cache line and the batch loop's loads
 //! are independent across lanes, overlappable the same way the walk's
 //! are. Longer ref lists spill to a contiguous per-shard arena (an
@@ -360,7 +360,7 @@ impl HotCellCache {
     /// - the shard lock is reacquired only when the shard changes
     ///   (consecutive cells of real traffic land in the same shard
     ///   nearly always — the selector bits are a geographic prefix);
-    /// - lanes are processed in groups of [`MLP_GROUP`]: each group
+    /// - lanes are processed in groups of `MLP_GROUP`: each group
     ///   first computes every lane's home slot at the two MRU depths
     ///   (pure arithmetic), then copies all those slots out in one
     ///   dependency-free loop — the table is bigger than L2, so these
@@ -368,7 +368,7 @@ impl HotCellCache {
     ///   core keep a group's worth in flight at once;
     /// - only lanes the speculation misses (displaced key, third depth,
     ///   corpse, genuine miss) fall back to the serial
-    ///   [`HotCellCache::lookup`] chain.
+    ///   `HotCellCache::lookup` chain.
     pub fn get_batch(
         &self,
         leaves: &[CellId],
@@ -450,7 +450,7 @@ impl HotCellCache {
     /// termination `depth` with the ref set it resolved to under
     /// `epoch` — `refs` already packed as wire words (see the module
     /// docs). Depth-0 probes are not cached (see module docs); neither
-    /// are lists longer than [`MAX_CACHED_REFS`]. No allocation on any
+    /// are lists longer than `MAX_CACHED_REFS`. No allocation on any
     /// fill — short lists pack into the slot, long ones append to the
     /// shard's spill arena.
     pub fn insert(&self, leaf: CellId, depth: u8, epoch: u32, refs: &[u32]) {

@@ -10,7 +10,7 @@
 //!   closed before a thread is ever spawned.
 //! * Each **connection thread** decodes frames, converts coordinates to
 //!   leaf cells (spreading that work across connections), and admits a
-//!   [`Job`] to the shared bounded queue. Up to
+//!   `Job` to the shared bounded queue. Up to
 //!   [`ServeConfig::max_inflight_frames`] frames may be in flight per
 //!   connection (a pipelining client overlaps request and response
 //!   streams); once the cap is hit the thread **stops reading** until the

@@ -158,10 +158,7 @@ impl ServeIndex {
 
     /// `(polygon id, is_true_hit)` pairs for one query point.
     pub fn lookup_refs(&self, c: Coord) -> Vec<(u32, bool)> {
-        match self {
-            ServeIndex::Mapped(snap) => snap.lookup_refs(c),
-            ServeIndex::Owned(ix) => ix.lookup_refs(c),
-        }
+        self.view().lookup_refs(c)
     }
 }
 
@@ -1077,8 +1074,9 @@ mod tests {
         );
         assert!(!delta_path(&path, 2).exists());
         let folded = MappedSnapshot::open(&path).unwrap();
-        assert!(folded.lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
-        assert!(!folded.lookup_refs(Coord::new(-73.9, 40.7)).is_empty());
+        let view = folded.view();
+        assert!(view.lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
+        assert!(!view.lookup_refs(Coord::new(-73.9, 40.7)).is_empty());
         std::thread::sleep(Duration::from_millis(60));
         assert_eq!(store.epoch(), 3, "fold must not trigger a reload");
 

@@ -72,13 +72,13 @@ fn golden_fixture_mmap_view_equals_heap_load() {
     // Scalar + batch probe equality across the grid.
     let pts = fixture_probe_grid();
     for &c in &pts {
-        assert_eq!(mapped.probe_coord(c), heap.probe_coord(c), "at {c}");
-        assert_eq!(mapped.lookup_refs(c), heap.lookup_refs(c), "at {c}");
+        assert_eq!(mapped.view().probe_coord(c), heap.probe_coord(c), "at {c}");
+        assert_eq!(mapped.view().lookup_refs(c), heap.lookup_refs(c), "at {c}");
     }
     let cells: Vec<_> = pts.iter().map(|&c| act_core::coord_to_cell(c)).collect();
     let mut got = vec![Probe::Miss; cells.len()];
     let mut want = vec![Probe::Miss; cells.len()];
-    mapped.probe_batch(&cells, &mut got);
+    mapped.view().probe_batch(&cells, &mut got);
     heap.probe_batch(&cells, &mut want);
     assert_eq!(got, want);
 
@@ -109,7 +109,7 @@ fn golden_fixture_served_via_deliberately_unaligned_buffer() {
     let aligned = SnapshotBuf::from_bytes(&bytes).unwrap();
     let view = aligned.view().unwrap();
     for &c in &fixture_probe_grid() {
-        assert_eq!(snap.probe_coord(c), view.probe_coord(c), "at {c}");
+        assert_eq!(snap.view().probe_coord(c), view.probe_coord(c), "at {c}");
     }
 }
 
