@@ -6,17 +6,26 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin baseline [--points N] [--threads 1,2,4] [--batch B]
+//!     [--datasets boroughs,neighborhoods,census,surge]
 //! ```
 //!
 //! Build runs reuse [`act_core::ActIndex::build_parallel`] and assert the
 //! parallel arena is byte-identical to the serial one before recording a
 //! time — a baseline entry for a wrong index would be worse than none.
+//! Each build also records `build_peak_mb`: how far the process's peak
+//! RSS rose above its RSS before the build (the index plus the build's
+//! transient), read from `/proc/self/status` (0 where unavailable).
+//!
+//! Besides the three paper datasets, `surge` is the 16-layer surge-zone
+//! stack (~16 refs per point), built at its 60 m and 15 m tiers: the
+//! push-down-heavy case of the super-covering merge.
 
 use act_core::ActIndex;
 use bench::json::{array, pretty, Obj};
 use bench::{
     feasible, make_points, paper_datasets, run_act_join, run_act_join_batch, to_cells, Opts,
 };
+use datagen::Dataset;
 use jobs::JobPool;
 use std::time::Instant;
 
@@ -39,6 +48,30 @@ fn build_precision(name: &str, full: bool) -> f64 {
     }
 }
 
+/// The surge stack's tiers: its act-bench tier and the paper's 15 m.
+const SURGE_PRECISIONS: [f64; 2] = [60.0, 15.0];
+
+/// A `/proc/self/status` field in MB (0 where /proc is unavailable).
+fn status_mb(field: &str) -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with(field))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// Runs `build`, returning its result and how far the peak RSS rose
+/// above the RSS before it, in MB.
+fn with_build_peak<T>(build: impl FnOnce() -> T) -> (T, f64) {
+    // Writing 5 to clear_refs resets VmHWM to the current RSS.
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+    let before = status_mb("VmRSS:");
+    let out = build();
+    (out, (status_mb("VmHWM:") - before).max(0.0))
+}
+
 fn main() {
     let opts = Opts::parse();
     let threads = opts.threads_or(&DEFAULT_THREADS);
@@ -55,11 +88,21 @@ fn main() {
     let mut build_entries = Vec::new();
     let mut probe_entries = Vec::new();
 
-    for ds in paper_datasets(opts.seed) {
-        if !opts.wants(&ds.name) {
-            continue;
+    let mut runs: Vec<(Dataset, f64)> = paper_datasets(opts.seed)
+        .into_iter()
+        .filter(|ds| opts.wants(&ds.name))
+        .map(|ds| {
+            let precision = build_precision(&ds.name, opts.full);
+            (ds, precision)
+        })
+        .collect();
+    if opts.wants("surge") {
+        for precision in SURGE_PRECISIONS {
+            runs.push((datagen::surge_zones(opts.seed, 16, 8, 8), precision));
         }
-        let precision = build_precision(&ds.name, opts.full);
+    }
+
+    for (ds, precision) in runs {
         println!(
             "\n=== {} ({} polygons, {precision} m) ===",
             ds.name,
@@ -68,11 +111,13 @@ fn main() {
 
         // ----- build: serial reference -----
         let t = Instant::now();
-        let serial = ActIndex::build(&ds.polygons, precision).expect("single-face datasets");
+        let (serial, serial_peak_mb) = with_build_peak(|| {
+            ActIndex::build(&ds.polygons, precision).expect("single-face datasets")
+        });
         let serial_secs = t.elapsed().as_secs_f64();
         let st = serial.stats();
         println!(
-            "build serial: {serial_secs:.3} s (coverings {:.3} s, supercover {:.3} s, insert {:.3} s)",
+            "build serial: {serial_secs:.3} s (coverings {:.3} s, supercover {:.3} s, insert {:.3} s), peak +{serial_peak_mb:.0} MB",
             st.build_coverings_secs, st.build_supercover_secs, st.build_insert_secs
         );
 
@@ -117,8 +162,10 @@ fn main() {
         for &t_count in &threads {
             let pool = JobPool::new(t_count);
             let t = Instant::now();
-            let par = ActIndex::build_parallel(&ds.polygons, precision, &pool)
-                .expect("single-face datasets");
+            let (par, par_peak_mb) = with_build_peak(|| {
+                ActIndex::build_parallel(&ds.polygons, precision, &pool)
+                    .expect("single-face datasets")
+            });
             let par_secs = t.elapsed().as_secs_f64();
             let identical = par.act().slots() == serial.act().slots()
                 && par.act().roots() == serial.act().roots()
@@ -129,7 +176,7 @@ fn main() {
             );
             let pst = par.stats();
             println!(
-                "build {t_count} thread(s): {par_secs:.3} s  ({:.2}x vs serial)",
+                "build {t_count} thread(s): {par_secs:.3} s  ({:.2}x vs serial), peak +{par_peak_mb:.0} MB",
                 serial_secs / par_secs
             );
             parallel_entries.push(
@@ -139,6 +186,7 @@ fn main() {
                     .num("covering_secs", pst.build_coverings_secs)
                     .num("supercover_secs", pst.build_supercover_secs)
                     .num("insert_secs", pst.build_insert_secs)
+                    .num("build_peak_mb", par_peak_mb)
                     .num("speedup_vs_serial", serial_secs / par_secs)
                     .bool("byte_identical", identical)
                     .build(),
@@ -150,6 +198,7 @@ fn main() {
                 .int("polygons", ds.polygons.len() as u64)
                 .num("precision_m", precision)
                 .int("indexed_cells", st.indexed_cells)
+                .int("pushdown_splits", st.pushdown_splits)
                 .int("act_bytes", st.act_bytes as u64)
                 .raw(
                     "serial",
@@ -158,6 +207,7 @@ fn main() {
                         .num("covering_secs", st.build_coverings_secs)
                         .num("supercover_secs", st.build_supercover_secs)
                         .num("insert_secs", st.build_insert_secs)
+                        .num("build_peak_mb", serial_peak_mb)
                         .build(),
                 )
                 .raw("parallel", array(parallel_entries))

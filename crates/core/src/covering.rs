@@ -17,7 +17,7 @@
 
 use crate::uvpoly::{MultiFaceError, UvPolygon, UvRect};
 use geom::{CellRelation, Polygon};
-use s2cell::coords::st_to_uv;
+use s2cell::coords::{st_to_uv, POS_TO_IJ, POS_TO_ORIENTATION, SWAP_MASK};
 use s2cell::{metrics, CellId, MAX_SIZE};
 
 /// Parameters of a covering computation.
@@ -50,6 +50,9 @@ impl CoveringParams {
 #[derive(Debug, Clone, Default)]
 pub struct Covering {
     /// `(cell, interior)` pairs; `interior == true` marks a true-hit cell.
+    /// The cells are disjoint and, as [`cover_uv_polygon`] emits them,
+    /// sorted by `range_min` (Hilbert order) — the order the super
+    /// covering's merge requires.
     pub cells: Vec<(CellId, bool)>,
 }
 
@@ -73,18 +76,10 @@ pub fn cover_polygon(poly: &Polygon, params: &CoveringParams) -> Result<Covering
     Ok(cover_uv_polygon(&uv, params))
 }
 
-/// Computes the covering of an already-projected polygon.
+/// Computes the covering of an already-projected polygon, its cells in
+/// Hilbert order.
 pub fn cover_uv_polygon(uv: &UvPolygon, params: &CoveringParams) -> Covering {
-    let terminal = params.terminal_level();
-    let mut out = Covering::default();
-    let mut scratch = RecursionScratch {
-        uv,
-        terminal,
-        out: &mut out,
-    };
-    // Start at the face cell: i, j in [0, 2^30), level 0.
-    scratch.recurse(0, 0, 0, None);
-    out
+    cover_within(uv, params.terminal_level(), CellId::from_face(uv.face))
 }
 
 /// Computes the covering of `uv` restricted to the region of `within`
@@ -97,7 +92,10 @@ pub fn cover_uv_polygon_within(
     within: s2cell::CellId,
 ) -> Covering {
     debug_assert_eq!(within.face(), uv.face, "cell must be on the polygon's face");
-    let terminal = params.terminal_level().max(within.level());
+    cover_within(uv, params.terminal_level().max(within.level()), within)
+}
+
+fn cover_within(uv: &UvPolygon, terminal: u8, within: CellId) -> Covering {
     let mut out = Covering::default();
     let mut scratch = RecursionScratch {
         uv,
@@ -107,7 +105,12 @@ pub fn cover_uv_polygon_within(
     let level = within.level();
     let (_, i, j, _) = within.to_face_ij_orientation();
     let size = 1u32 << (s2cell::MAX_LEVEL - level);
-    scratch.recurse(level, i & !(size - 1), j & !(size - 1), None);
+    // The Hilbert orientation of `within`: its face's, turned at each
+    // step down from the face.
+    let orientation = (1..=level).fold(uv.face & SWAP_MASK, |o, l| {
+        o ^ POS_TO_ORIENTATION[within.child_position(l) as usize]
+    });
+    scratch.recurse(within, i & !(size - 1), j & !(size - 1), orientation, None);
     out
 }
 
@@ -118,29 +121,38 @@ struct RecursionScratch<'a> {
 }
 
 impl RecursionScratch<'_> {
-    /// `i_lo`, `j_lo` are the cell's minimum leaf coordinates; `level` its
-    /// subdivision level; `subset` the parent's relevant edge indices.
-    fn recurse(&mut self, level: u8, i_lo: u32, j_lo: u32, subset: Option<&[u32]>) {
-        let rect = cell_uv_rect(level, i_lo, j_lo);
-        let (rel, sub) = self.uv.relate_rect(&rect, subset);
+    /// `i_lo`, `j_lo` are the cell's minimum leaf coordinates,
+    /// `orientation` its Hilbert orientation, `subset` the parent's
+    /// relevant edge indices.
+    fn recurse(
+        &mut self,
+        cell: CellId,
+        i_lo: u32,
+        j_lo: u32,
+        orientation: u8,
+        subset: Option<&[u32]>,
+    ) {
+        let level = cell.level();
+        let (rel, sub) = self
+            .uv
+            .relate_rect(&cell_uv_rect(level, i_lo, j_lo), subset);
         match rel {
             CellRelation::Outside => {}
-            CellRelation::Inside => {
-                self.out
-                    .cells
-                    .push((cell_id_on_face(self.uv.face, level, i_lo, j_lo), true));
-            }
+            CellRelation::Inside => self.out.cells.push((cell, true)),
+            CellRelation::Boundary if level >= self.terminal => self.out.cells.push((cell, false)),
             CellRelation::Boundary => {
-                if level >= self.terminal {
-                    self.out
-                        .cells
-                        .push((cell_id_on_face(self.uv.face, level, i_lo, j_lo), false));
-                } else {
-                    let half = 1u32 << (s2cell::MAX_LEVEL - level - 1);
-                    self.recurse(level + 1, i_lo, j_lo, Some(&sub));
-                    self.recurse(level + 1, i_lo + half, j_lo, Some(&sub));
-                    self.recurse(level + 1, i_lo, j_lo + half, Some(&sub));
-                    self.recurse(level + 1, i_lo + half, j_lo + half, Some(&sub));
+                // Children in curve order, so cells come out sorted.
+                let half = 1u32 << (s2cell::MAX_LEVEL - level - 1);
+                for (pos, child) in cell.children().into_iter().enumerate() {
+                    let ij = u32::from(POS_TO_IJ[orientation as usize][pos]);
+                    let (i, j) = (i_lo + half * (ij >> 1), j_lo + half * (ij & 1));
+                    self.recurse(
+                        child,
+                        i,
+                        j,
+                        orientation ^ POS_TO_ORIENTATION[pos],
+                        Some(&sub),
+                    );
                 }
             }
         }
@@ -161,12 +173,6 @@ fn cell_uv_rect(level: u8, i_lo: u32, j_lo: u32) -> UvRect {
         v_lo: st_to_uv(t_lo),
         v_hi: st_to_uv(t_hi),
     }
-}
-
-/// The id of the cell with minimum leaf coordinates (i_lo, j_lo) at `level`
-/// on `face`.
-fn cell_id_on_face(face: u8, level: u8, i_lo: u32, j_lo: u32) -> CellId {
-    CellId::from_face_ij(face, i_lo, j_lo).parent(level)
 }
 
 #[cfg(test)]
@@ -238,15 +244,33 @@ mod tests {
     fn cells_are_disjoint() {
         let poly = nyc_square(-74.0, 40.7, 0.015);
         let cov = cover_polygon(&poly, &CoveringParams::new(60.0)).unwrap();
-        let mut sorted: Vec<CellId> = cov.cells.iter().map(|(c, _)| *c).collect();
-        sorted.sort_by_key(|c| c.range_min().0);
-        for w in sorted.windows(2) {
+        // Emitted in range order, not just disjoint once sorted.
+        for w in cov.cells.windows(2) {
             assert!(
-                w[0].range_max().0 < w[1].range_min().0,
-                "cells {:?} and {:?} overlap",
-                w[0],
-                w[1]
+                w[0].0.range_max().0 < w[1].0.range_min().0,
+                "cells {:?} and {:?} overlap or are out of order",
+                w[0].0,
+                w[1].0
             );
+        }
+    }
+
+    #[test]
+    fn covering_within_a_cell_is_in_range_order() {
+        let poly = nyc_square(-74.0, 40.7, 0.015);
+        let uv = UvPolygon::from_polygon(&poly).unwrap();
+        // Cells of every orientation: several levels, both sides of the
+        // square's boundary.
+        for level in [3u8, 9, 12, 13] {
+            for corner in [(40.69, -74.01), (40.71, -73.99), (40.7, -74.0)] {
+                let ll = LatLng::from_degrees(corner.0, corner.1);
+                let within = CellId::from_latlng(ll).parent(level);
+                let cov = cover_uv_polygon_within(&uv, &CoveringParams::new(15.0), within);
+                for w in cov.cells.windows(2) {
+                    assert!(w[0].0.range_max().0 < w[1].0.range_min().0);
+                }
+                assert!(cov.cells.iter().all(|(c, _)| within.contains(*c)));
+            }
         }
     }
 

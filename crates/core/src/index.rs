@@ -8,7 +8,7 @@ use crate::covering::{cover_uv_polygon, Covering, CoveringParams};
 use crate::lookup::{LookupTable, LookupTableBuilder};
 use crate::refs::{RefSet, MAX_POLYGON_ID};
 use crate::snapshot::SnapshotError;
-use crate::supercover::{build_super_covering, build_super_covering_sharded, SuperCovering};
+use crate::supercover::{stream_super_covering, SuperCovering};
 use crate::trie::{Act, Probe};
 
 use crate::uvpoly::{MultiFaceError, UvPolygon};
@@ -39,9 +39,13 @@ pub struct BuildStats {
     pub lookup_table_bytes: usize,
     /// Wall time to compute per-polygon coverings, seconds.
     pub build_coverings_secs: f64,
-    /// Wall time to merge the super covering, seconds.
+    /// Wall time of the super-covering sweep, seconds. A build from
+    /// polygons streams the sweep into the trie, so this field carries
+    /// the fused sweep + trie populate.
     pub build_supercover_secs: f64,
-    /// Wall time to populate the trie, seconds.
+    /// Wall time to finish the trie and lookup table, seconds: after a
+    /// streamed build only the lookup-table finish; from an already-merged
+    /// [`SuperCovering`], the whole populate.
     pub build_insert_secs: f64,
 }
 
@@ -220,37 +224,20 @@ impl ActIndex {
     /// Panics if more than 2³⁰ polygons are supplied (payloads hold 30-bit
     /// ids) or if the precision is below the ~6 cm level-28 limit.
     pub fn build(polygons: &[Polygon], precision_m: f64) -> Result<ActIndex, MultiFaceError> {
-        assert!(
-            polygons.len() <= MAX_POLYGON_ID as usize + 1,
-            "more than 2^30 polygons"
-        );
-        let params = CoveringParams::new(precision_m);
-
-        // Phase 1: per-polygon coverings. See build_parallel for the
-        // fanned-out version; this serial loop is the reference the
-        // parallel build must reproduce byte-for-byte.
-        let t0 = Instant::now();
-        let mut coverings = Vec::with_capacity(polygons.len());
-        for poly in polygons {
-            let uv = UvPolygon::from_polygon(poly)?;
-            coverings.push(cover_uv_polygon(&uv, &params));
-        }
-        let covering_secs = t0.elapsed().as_secs_f64();
-
-        Ok(Self::from_coverings(coverings, params, covering_secs))
+        Self::build_parallel(polygons, precision_m, &jobs::JobPool::new(1))
     }
 
-    /// [`ActIndex::build`] with both build hot spots fanned out over
-    /// `pool`: per-polygon coverings (phase 1, embarrassingly parallel) and
-    /// the super-covering merge (phase 2, sharded by cube face). The trie
-    /// populate (phase 3) stays serial — it is a fraction of build time and
-    /// arena allocation order must not depend on thread interleaving.
+    /// [`ActIndex::build`] with the per-polygon coverings (phase 1,
+    /// embarrassingly parallel) fanned out over `pool`. The super-covering
+    /// sweep and the trie populate it streams into (phases 2 and 3) stay
+    /// serial, so arena allocation order never depends on thread
+    /// interleaving.
     ///
     /// Output is **deterministic**: coverings are collected in polygon
-    /// order and face shards concatenate in face order, so the node arena,
-    /// lookup table, and every [`BuildStats`] counter are identical to the
-    /// serial build whatever `pool`'s width (only the wall-time fields
-    /// differ). A 1-thread pool degenerates to inline execution.
+    /// order, so the node arena, lookup table, and every [`BuildStats`]
+    /// counter are the same whatever `pool`'s width (only the wall-time
+    /// fields differ). [`ActIndex::build`] is this on a 1-thread pool,
+    /// which degenerates to inline execution.
     ///
     /// # Errors
     /// Returns an error if any polygon spans multiple cube faces.
@@ -278,25 +265,17 @@ impl ActIndex {
             .collect::<Result<Vec<Covering>, MultiFaceError>>()?;
         let covering_secs = t0.elapsed().as_secs_f64();
 
-        let covering_cells: u64 = coverings.iter().map(|c| c.cells.len() as u64).sum();
-
-        // Phase 2: super covering, one shard per cube face.
-        let t1 = Instant::now();
-        let sc = build_super_covering_sharded(&coverings, pool);
-        drop(coverings);
-        let supercover_secs = t1.elapsed().as_secs_f64();
-
-        Ok(Self::finish(
-            sc,
-            params,
-            covering_cells,
-            covering_secs,
-            supercover_secs,
-        ))
+        Ok(Self::from_coverings(coverings, params, covering_secs))
     }
 
     /// Assembles the index from precomputed coverings (`coverings[i]` is
-    /// polygon `i`'s). Exposed for parallel builds and ablations.
+    /// polygon `i`'s, sorted as [`cover_uv_polygon`] emits it): one
+    /// super-covering sweep (duplicate removal, conflict resolution)
+    /// streamed cell by cell into the trie, each covering freed once
+    /// merged. Exposed for parallel builds and ablations.
+    ///
+    /// # Panics
+    /// Panics if a covering's cells are not sorted by `range_min`.
     pub fn from_coverings(
         coverings: Vec<Covering>,
         params: CoveringParams,
@@ -304,45 +283,34 @@ impl ActIndex {
     ) -> ActIndex {
         let covering_cells: u64 = coverings.iter().map(|c| c.cells.len() as u64).sum();
 
-        // Phase 2: super covering (duplicate removal, conflict resolution).
         let t1 = Instant::now();
-        let sc = build_super_covering(&coverings);
-        drop(coverings);
+        let mut act = Act::new();
+        let mut table_builder = LookupTableBuilder::new();
+        let pushdown_splits = stream_super_covering(coverings, |cell, refs| {
+            act.insert(cell, refs, &mut table_builder)
+        });
         let supercover_secs = t1.elapsed().as_secs_f64();
 
-        Self::finish(sc, params, covering_cells, covering_secs, supercover_secs)
+        let mut index = Self::from_populated(act, table_builder, params, Instant::now());
+        index.stats.covering_cells = covering_cells;
+        index.stats.pushdown_splits = pushdown_splits;
+        index.stats.build_coverings_secs = covering_secs;
+        index.stats.build_supercover_secs = supercover_secs;
+        index
     }
 
     /// Assembles an index directly from an already-merged super covering.
     /// Used by the adaptive index (which maintains its own cell set) and by
     /// baseline comparisons that share one covering across index types.
-    pub fn from_supercover(
-        sc: crate::supercover::SuperCovering,
-        params: CoveringParams,
-    ) -> ActIndex {
-        Self::finish(sc, params, 0, 0.0, 0.0)
-    }
-
-    /// Phase 3 (trie populate) + stats assembly, shared by every build
-    /// entry point.
-    fn finish(
-        sc: SuperCovering,
-        params: CoveringParams,
-        covering_cells: u64,
-        covering_secs: f64,
-        supercover_secs: f64,
-    ) -> ActIndex {
-        let t2 = Instant::now();
+    pub fn from_supercover(sc: SuperCovering, params: CoveringParams) -> ActIndex {
+        let t = Instant::now();
         let mut act = Act::new();
         let mut table_builder = LookupTableBuilder::new();
         for (cell, refs) in &sc.cells {
             act.insert(*cell, refs, &mut table_builder);
         }
-        let mut index = Self::from_populated(act, table_builder, params, t2);
-        index.stats.covering_cells = covering_cells;
+        let mut index = Self::from_populated(act, table_builder, params, t);
         index.stats.pushdown_splits = sc.pushdown_splits;
-        index.stats.build_coverings_secs = covering_secs;
-        index.stats.build_supercover_secs = supercover_secs;
         index
     }
 

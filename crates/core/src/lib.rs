@@ -78,5 +78,5 @@ pub use shard::{
 };
 pub use snapshot::{header_checksum, ActIndexView, MappedSnapshot, SnapshotBuf, SnapshotError};
 pub use sorted_index::SortedCellIndex;
-pub use supercover::{build_super_covering, build_super_covering_sharded, SuperCovering};
+pub use supercover::{build_super_covering, SuperCovering};
 pub use trie::{probe_cell_key, resolve_probe, Act, Probe};

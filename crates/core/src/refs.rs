@@ -106,18 +106,24 @@ impl RefSet {
     /// id and resolving duplicates: if the same polygon appears as both true
     /// hit and candidate, **true hit wins** (the stronger claim — this
     /// happens when a pushed-down interior ancestor meets a boundary cell;
-    /// the descendant is genuinely inside the polygon).
+    /// the descendant is genuinely inside the polygon). Allocates only when
+    /// the set grows past two references.
     pub fn merge(&mut self, r: PolygonRef) {
-        let mut v: Vec<PolygonRef> = self.iter().collect();
-        match v.binary_search_by_key(&r.id, |x| x.id) {
-            Ok(i) => {
-                if r.interior {
-                    v[i].interior = true;
-                }
+        match self {
+            RefSet::One(a) if a.id == r.id => a.interior |= r.interior,
+            RefSet::One(a) => *self = RefSet::Two((*a).min(r), (*a).max(r)),
+            RefSet::Two(a, _) if a.id == r.id => a.interior |= r.interior,
+            RefSet::Two(_, b) if b.id == r.id => b.interior |= r.interior,
+            RefSet::Two(a, b) => {
+                let mut v = vec![*a, *b, r];
+                v.sort_unstable_by_key(|x| x.id);
+                *self = RefSet::Many(v);
             }
-            Err(i) => v.insert(i, r),
+            RefSet::Many(v) => match v.binary_search_by_key(&r.id, |x| x.id) {
+                Ok(i) => v[i].interior |= r.interior,
+                Err(i) => v.insert(i, r),
+            },
         }
-        *self = RefSet::from_sorted(v);
     }
 
     /// Builds from a sorted, deduplicated, non-empty vec.
@@ -217,6 +223,52 @@ mod tests {
         let mut s = RefSet::single(PolygonRef::true_hit(7));
         s.merge(PolygonRef::candidate(7));
         assert_eq!(s.iter().next().unwrap(), PolygonRef::true_hit(7));
+    }
+
+    #[test]
+    fn merge_covers_every_variant() {
+        let (c, t) = (PolygonRef::candidate, PolygonRef::true_hit);
+        let merged = |mut s: RefSet, r: PolygonRef| {
+            s.merge(r);
+            s
+        };
+        // One: the same id (true hit wins either way), a smaller id, a
+        // larger id.
+        assert_eq!(merged(RefSet::One(c(4)), t(4)), RefSet::One(t(4)));
+        assert_eq!(merged(RefSet::One(t(4)), c(4)), RefSet::One(t(4)));
+        assert_eq!(merged(RefSet::One(c(4)), c(4)), RefSet::One(c(4)));
+        assert_eq!(merged(RefSet::One(c(4)), t(2)), RefSet::Two(t(2), c(4)));
+        assert_eq!(merged(RefSet::One(c(4)), c(9)), RefSet::Two(c(4), c(9)));
+        // Two: either id again (true hit wins), then a new id in each of
+        // the three positions.
+        let two = RefSet::Two(c(4), c(8));
+        assert_eq!(merged(two.clone(), t(4)), RefSet::Two(t(4), c(8)));
+        assert_eq!(merged(two.clone(), t(8)), RefSet::Two(c(4), t(8)));
+        assert_eq!(
+            merged(RefSet::Two(t(4), t(8)), c(8)),
+            RefSet::Two(t(4), t(8))
+        );
+        assert_eq!(
+            merged(two.clone(), c(1)),
+            RefSet::Many(vec![c(1), c(4), c(8)])
+        );
+        assert_eq!(
+            merged(two.clone(), t(6)),
+            RefSet::Many(vec![c(4), t(6), c(8)])
+        );
+        assert_eq!(merged(two, c(9)), RefSet::Many(vec![c(4), c(8), c(9)]));
+        // Many: an id already present (true hit wins, candidate never
+        // downgrades), a new one.
+        let many = RefSet::Many(vec![c(1), t(4), c(8)]);
+        assert_eq!(
+            merged(many.clone(), t(8)),
+            RefSet::Many(vec![c(1), t(4), t(8)])
+        );
+        assert_eq!(merged(many.clone(), c(4)), many);
+        assert_eq!(
+            merged(many, c(5)),
+            RefSet::Many(vec![c(1), t(4), c(5), c(8)])
+        );
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //!
 //! The shard key of a cell is its **prefix at the split level** `L`:
 //! the top `3 + 2·L` bits of the cell id (3 cube-face bits plus two
-//! position bits per level) — the same face-major ordering
-//! [`crate::supercover::build_super_covering_sharded`] cuts the build
-//! along, extended below the face so small deployments still spread
-//! load. A cell at level ≥ `L` has exactly one such prefix (its
-//! level-`L` ancestor's), so `shard = prefix mod N` assigns it — and
+//! position bits per level) — the face-major curve order the
+//! [`crate::supercover`] sweep emits cells in, cut below the face so
+//! small deployments still spread load. A cell at level ≥ `L` has
+//! exactly one such prefix (its level-`L` ancestor's), so
+//! `shard = prefix mod N` assigns it — and
 //! every probe leaf that can reach it — to exactly one shard. A cell
 //! *coarser* than `L` spans a contiguous prefix range; it is
 //! **replicated** into every shard that range touches, so whichever

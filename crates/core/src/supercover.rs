@@ -25,10 +25,34 @@
 //! The result is a set of **disjoint, unique** cells, each with a merged
 //! [`RefSet`] — exactly what [`crate::trie::Act::insert`] requires so that
 //! a lookup returns at most one entry.
+//!
+//! ## One sweep
+//!
+//! Both conflicts are resolved in one pass over the input cells in
+//! `(range_min, level)` order, where an ancestor comes right before its
+//! first descendant. The sweep keeps a stack of open input cells; each
+//! carries its own references merged with those of every enclosing open
+//! cell. A duplicate merges into the top cell. A nested cell first fills
+//! the gap from the sweep's cursor up to itself with the largest aligned
+//! cells inside the top cell, then opens on the stack. A cell outside the
+//! top cell closes it: the rest of the closed cell is filled the same way.
+//!
+//! The output is the **coarsest** conflict-free partition — exactly the
+//! cells that repeated one-level push-downs reach — in range order, so it
+//! streams straight into the trie and is never materialized on the build
+//! path. Each input cell's split count is the number of internal nodes of
+//! its push-down tree: `(emitted inside it − 1) / 3`.
+//!
+//! Cost: a k-way merge of n covering cells from k sorted coverings,
+//! O(n log k), plus O(1) per output cell. Memory beyond the coverings (each
+//! freed as soon as the merge has drained it) is a stack as deep as the
+//! deepest nesting.
 
 use crate::covering::Covering;
 use crate::refs::{PolygonRef, RefSet};
 use s2cell::CellId;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// The merged covering of a whole polygon set.
 #[derive(Debug, Default)]
@@ -53,110 +77,173 @@ impl SuperCovering {
 
 /// Builds the super covering from per-polygon coverings.
 ///
-/// `coverings[i]` must be the covering of polygon id `i`.
-pub fn build_super_covering(coverings: &[Covering]) -> SuperCovering {
-    let mut items: Vec<(CellId, PolygonRef)> = Vec::new();
-    for (poly_id, cov) in coverings.iter().enumerate() {
-        let id = poly_id as u32;
-        for &(cell, interior) in &cov.cells {
-            items.push((cell, PolygonRef { id, interior }));
-        }
-    }
-    build_from_pairs(items)
-}
-
-/// [`build_super_covering`], sharded by cube face across `pool`.
+/// `coverings[i]` must be the covering of polygon id `i`, with its cells
+/// sorted by `range_min` as [`crate::covering::cover_uv_polygon`] emits
+/// them.
 ///
-/// Cells on different faces can neither nest nor collide, and the global
-/// sort key (`range_min`, whose top bits are the face) orders whole faces
-/// contiguously — so merging each face independently and concatenating the
-/// results in face order yields the **exact** cell sequence (and push-down
-/// split count) of the serial merge. [`crate::ActIndex::build_parallel`]
-/// relies on this for byte-identical arenas.
-pub fn build_super_covering_sharded(coverings: &[Covering], pool: &jobs::JobPool) -> SuperCovering {
-    let mut by_face: Vec<Vec<(CellId, PolygonRef)>> = (0..6).map(|_| Vec::new()).collect();
-    for (poly_id, cov) in coverings.iter().enumerate() {
-        let id = poly_id as u32;
-        for &(cell, interior) in &cov.cells {
-            by_face[cell.face() as usize].push((cell, PolygonRef { id, interior }));
-        }
-    }
-    let parts = pool.map_owned(by_face, build_from_pairs);
-    let mut out = SuperCovering::default();
-    out.cells.reserve(parts.iter().map(|p| p.cells.len()).sum());
-    for part in parts {
-        out.cells.extend(part.cells);
-        out.pushdown_splits += part.pushdown_splits;
-    }
-    out
+/// # Panics
+/// Panics if a covering's cells are out of order.
+pub fn build_super_covering(coverings: &[Covering]) -> SuperCovering {
+    collect(merge(coverings.iter().map(|c| c.cells.iter().copied())))
 }
 
-/// Builds from raw `(cell, reference)` pairs (used by tests and by adaptive
-/// extensions that inject extra cells).
+/// [`build_super_covering`] streamed: each output cell goes to `emit` in
+/// range order and is never stored, and each covering is freed as soon as
+/// the merge has drained it. Returns the push-down split count.
+///
+/// # Panics
+/// As [`build_super_covering`].
+pub(crate) fn stream_super_covering(
+    coverings: Vec<Covering>,
+    emit: impl FnMut(CellId, &RefSet),
+) -> u64 {
+    sweep(
+        merge(coverings.into_iter().map(|c| c.cells.into_iter())),
+        emit,
+    )
+}
+
+/// Builds from raw `(cell, reference)` pairs in any order — duplicated and
+/// nested freely (used by live inserts, the adaptive index and tests).
 pub fn build_from_pairs(mut items: Vec<(CellId, PolygonRef)>) -> SuperCovering {
-    let mut pushdown_splits = 0u64;
+    items.sort_unstable_by_key(|&(c, _)| sweep_key(c));
+    collect(items)
+}
 
-    // Resolve nesting by repeated push-down. Quadtree cells are laminar, so
-    // after sorting by (range_min, level) an ancestor immediately precedes
-    // its first descendant; a stack scan finds all nestings in O(n).
-    loop {
-        items.sort_unstable_by_key(|(c, _)| (c.range_min().0, c.level()));
-        let mut marked = vec![false; items.len()];
-        let mut any = false;
-        let mut stack: Vec<(usize, u64)> = Vec::new(); // (index, range_max)
-        for (idx, (cell, _)) in items.iter().enumerate() {
-            let min = cell.range_min().0;
-            let max = cell.range_max().0;
-            while let Some(&(_, top_max)) = stack.last() {
-                if top_max < min {
-                    stack.pop();
-                } else {
-                    break;
-                }
-            }
-            for &(anc_idx, _) in &stack {
-                // Everything on the stack whose range is strictly larger
-                // contains this cell. Equal cells are duplicates (merged
-                // later), not nestings.
-                if items[anc_idx].0 != *cell && !marked[anc_idx] {
-                    marked[anc_idx] = true;
-                    any = true;
-                }
-            }
-            stack.push((idx, max));
-        }
-        if !any {
-            break;
-        }
-        // Split every marked ancestor one level down.
-        let mut next: Vec<(CellId, PolygonRef)> = Vec::with_capacity(items.len() + 3);
-        for (idx, (cell, r)) in items.iter().enumerate() {
-            if marked[idx] {
-                pushdown_splits += 1;
-                for child in cell.children() {
-                    next.push((child, *r));
-                }
-            } else {
-                next.push((*cell, *r));
-            }
-        }
-        items = next;
-    }
-
-    // Merge duplicates (items are sorted; equal cells are adjacent because
-    // equal ids share (range_min, level)).
-    let mut cells: Vec<(CellId, RefSet)> = Vec::with_capacity(items.len());
-    for (cell, r) in items {
-        match cells.last_mut() {
-            Some((last, refs)) if *last == cell => refs.merge(r),
-            _ => cells.push((cell, RefSet::single(r))),
-        }
-    }
-
+/// Runs the sweep and keeps what it emits.
+fn collect(items: impl IntoIterator<Item = (CellId, PolygonRef)>) -> SuperCovering {
+    let mut cells = Vec::new();
+    let pushdown_splits = sweep(items, |cell, refs| cells.push((cell, refs.clone())));
     SuperCovering {
         cells,
         pushdown_splits,
     }
+}
+
+/// The order the sweep consumes cells in: by range start, ancestors first.
+fn sweep_key(cell: CellId) -> (u64, u8) {
+    (cell.range_min().0, cell.level())
+}
+
+/// The k-way merge of per-polygon `(cell, interior)` streams, each sorted
+/// by [`sweep_key`], into one `(cell, ref)` stream in that order. Source
+/// `i` is polygon `i`'s covering; it is dropped once drained.
+fn merge<I: Iterator<Item = (CellId, bool)>>(
+    sources: impl Iterator<Item = I>,
+) -> impl Iterator<Item = (CellId, PolygonRef)> {
+    let mut sources: Vec<Option<I>> = sources.map(Some).collect();
+    // Each live source's next `(sweep key, polygon id, cell, interior)`,
+    // the smallest key on top.
+    let mut heads: BinaryHeap<_> = (sources.iter_mut().enumerate())
+        .filter_map(|(id, src)| {
+            let (cell, interior) = src.as_mut()?.next()?;
+            Some(Reverse((sweep_key(cell), id as u32, cell, interior)))
+        })
+        .collect();
+    std::iter::from_fn(move || {
+        let mut head = heads.peek_mut()?;
+        let Reverse((key, id, cell, interior)) = *head;
+        let source = &mut sources[id as usize];
+        match source.as_mut().and_then(Iterator::next) {
+            Some((next, next_interior)) => {
+                assert!(
+                    sweep_key(next) >= key,
+                    "covering of polygon {id} is not sorted by range_min: \
+                     {next:?} follows {cell:?}"
+                );
+                *head = Reverse((sweep_key(next), id, next, next_interior));
+            }
+            None => {
+                PeekMut::pop(head);
+                *source = None;
+            }
+        }
+        Some((cell, PolygonRef { id, interior }))
+    })
+}
+
+/// One open input cell on the sweep's stack.
+struct Frame {
+    cell: CellId,
+    /// The cell's own references merged with every enclosing frame's.
+    refs: RefSet,
+    /// Input pairs at exactly this cell.
+    items: u64,
+    /// Output cells emitted inside this cell so far.
+    emitted: u64,
+}
+
+/// Streams the coarsest conflict-free partition of `items` — pairs sorted
+/// by [`sweep_key`] — into `emit` in range order, and returns the number
+/// of push-down splits it stands for.
+fn sweep(
+    items: impl IntoIterator<Item = (CellId, PolygonRef)>,
+    mut emit: impl FnMut(CellId, &RefSet),
+) -> u64 {
+    let mut stack: Vec<Frame> = Vec::new();
+    // The first leaf (see `leaf_start`) inside the top frame that no
+    // emitted cell covers yet.
+    let mut cursor = 0u64;
+    let mut splits = 0u64;
+    // Emits the largest aligned cells covering leaves `cursor..end` of
+    // `top`, each with its references.
+    let mut fill = |top: &mut Frame, cursor: &mut u64, end: u64| {
+        while *cursor < end {
+            // A cell of 4^k leaves starts at a multiple of 4^k.
+            let align = cursor.trailing_zeros() / 2;
+            let fit = (end - *cursor).ilog2() / 2;
+            let leaves = 1u64 << (2 * align.min(fit));
+            emit(CellId((*cursor << 1) + leaves), &top.refs);
+            top.emitted += 1;
+            *cursor += leaves;
+        }
+    };
+    // `None` marks the end of the input, which closes every frame.
+    for item in items.into_iter().map(Some).chain([None]) {
+        // Close each frame the cell lies outside of: fill its rest, pop it.
+        while let Some(top) = stack.last_mut() {
+            if item.is_some_and(|(cell, _)| top.cell.contains(cell)) {
+                break;
+            }
+            fill(top, &mut cursor, leaf_start(top.cell.next()));
+            let done = stack.pop().expect("the frame just filled");
+            debug_assert_eq!((done.emitted - 1) % 3, 0, "a split tree has 3k + 1 leaves");
+            splits += done.items * (done.emitted - 1) / 3;
+            if let Some(parent) = stack.last_mut() {
+                parent.emitted += done.emitted;
+            }
+        }
+        let Some((cell, r)) = item else { break };
+        match stack.last_mut() {
+            Some(top) if top.cell == cell => {
+                top.refs.merge(r);
+                top.items += 1;
+            }
+            top => {
+                let mut refs = RefSet::single(r);
+                if let Some(top) = top {
+                    fill(top, &mut cursor, leaf_start(cell));
+                    refs = top.refs.clone();
+                    refs.merge(r);
+                }
+                stack.push(Frame {
+                    cell,
+                    refs,
+                    items: 1,
+                    emitted: 0,
+                });
+                cursor = leaf_start(cell);
+            }
+        }
+    }
+    splits
+}
+
+/// The index of a cell's first leaf along the curve (leaf ids are odd, so
+/// this is `range_min / 2`); a cell of `n` leaves at leaf index `a` has id
+/// `2a + n`.
+fn leaf_start(cell: CellId) -> u64 {
+    cell.range_min().0 >> 1
 }
 
 #[cfg(test)]
@@ -280,17 +367,15 @@ mod tests {
         assert!(sc.is_empty());
     }
 
-    #[test]
-    fn sharded_matches_serial_across_faces() {
-        use crate::covering::Covering;
-        // Coverings spanning three faces, with duplicates and nesting on
-        // each face.
+    /// Hand-built coverings spanning three faces, with duplicates and
+    /// nesting on each face.
+    fn three_face_coverings() -> Vec<Covering> {
         let nyc = leaf(); // face 4
         let equator = CellId::from_latlng(LatLng::from_degrees(0.0, 0.0));
         let pole = CellId::from_latlng(LatLng::from_degrees(89.0, 10.0));
         assert_ne!(nyc.face(), equator.face());
         assert_ne!(equator.face(), pole.face());
-        let coverings = vec![
+        vec![
             Covering {
                 cells: vec![
                     (nyc.parent(12), true),
@@ -305,21 +390,67 @@ mod tests {
                     (pole.parent(11), false),   // nests under poly 0's cell
                 ],
             },
-        ];
-        let serial = build_super_covering(&coverings);
-        for threads in [1usize, 2, 4] {
-            let pool = jobs::JobPool::new(threads);
-            let sharded = build_super_covering_sharded(&coverings, &pool);
-            assert_eq!(sharded.pushdown_splits, serial.pushdown_splits);
-            assert_eq!(sharded.cells.len(), serial.cells.len());
-            for (a, b) in sharded.cells.iter().zip(&serial.cells) {
-                assert_eq!(a.0, b.0);
-                assert_eq!(
-                    a.1.iter().collect::<Vec<_>>(),
-                    b.1.iter().collect::<Vec<_>>()
-                );
+        ]
+    }
+
+    #[test]
+    fn merged_coverings_match_pairs_across_faces() {
+        let mut coverings = three_face_coverings();
+        for cov in &mut coverings {
+            cov.cells.sort_by_key(|&(c, _)| c.range_min());
+        }
+        let mut pairs = Vec::new();
+        for (id, cov) in coverings.iter().enumerate() {
+            for &(cell, interior) in &cov.cells {
+                pairs.push((
+                    cell,
+                    PolygonRef {
+                        id: id as u32,
+                        interior,
+                    },
+                ));
             }
         }
+        let merged = build_super_covering(&coverings);
+        let from_pairs = build_from_pairs(pairs);
+        assert!(merged.pushdown_splits > 0);
+        assert_eq!(merged.pushdown_splits, from_pairs.pushdown_splits);
+        assert_eq!(merged.cells, from_pairs.cells);
+        let mut streamed = Vec::new();
+        let splits = stream_super_covering(coverings, |c, r| streamed.push((c, r.clone())));
+        assert_eq!(splits, merged.pushdown_splits);
+        assert_eq!(streamed, merged.cells);
+    }
+
+    #[test]
+    #[should_panic(expected = "covering of polygon 0 is not sorted by range_min")]
+    fn unsorted_covering_is_refused() {
+        // Polygon 0's hand-built cells run face 4, face 0, face 2.
+        build_super_covering(&three_face_coverings());
+    }
+
+    #[test]
+    fn pushdown_splits_count_every_item_split_tree() {
+        let l = leaf();
+        // Two items at the level-10 cell, one at level 12 inside it: each
+        // level-10 item splits at levels 10 and 11 (2 splits), 3 + 3 + 1
+        // = 7 output cells.
+        let sc = build_from_pairs(vec![
+            (l.parent(10), ca(0)),
+            (l.parent(12), th(1)),
+            (l.parent(10), th(2)),
+        ]);
+        assert_eq!(sc.len(), 7);
+        assert_eq!(sc.pushdown_splits, 4);
+        // Output is the coarsest partition, in range order, covering the
+        // level-10 cell exactly.
+        for w in sc.cells.windows(2) {
+            assert_eq!(w[0].0.range_max().0 + 2, w[1].0.range_min().0);
+        }
+        assert_eq!(sc.cells[0].0.range_min(), l.parent(10).range_min());
+        assert_eq!(sc.cells[6].0.range_max(), l.parent(10).range_max());
+        assert_eq!(sc.cells.iter().filter(|(c, _)| c.level() == 11).count(), 3);
+        assert_eq!(sc.cells.iter().filter(|(c, _)| c.level() == 12).count(), 4);
     }
 
     #[test]

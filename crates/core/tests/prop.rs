@@ -14,6 +14,8 @@ use proptest::prelude::*;
 use s2cell::{CellId, LatLng};
 use std::collections::BTreeMap;
 
+mod reference;
+
 fn arb_nyc_latlng() -> impl Strategy<Value = LatLng> {
     (40.5f64..40.9, -74.2f64..-73.8).prop_map(|(lat, lng)| LatLng::from_degrees(lat, lng))
 }
@@ -36,6 +38,29 @@ fn arb_pairs() -> impl Strategy<Value = Vec<(CellId, PolygonRef)>> {
             })
             .collect()
     })
+}
+
+/// Pairs drawn from the ancestors of three nearby leaves, so nearly every
+/// cell nests in or duplicates another — the push-down's worst case.
+fn arb_nested_pairs() -> impl Strategy<Value = Vec<(CellId, PolygonRef)>> {
+    (
+        arb_nyc_latlng(),
+        proptest::collection::vec((0usize..3, 8u8..=20, 0u32..5, proptest::bool::ANY), 1..32),
+    )
+        .prop_map(|(ll, specs)| {
+            let base = CellId::from_latlng(ll);
+            let leaves = [
+                base,
+                base.parent(21).next().range_min(),
+                base.parent(16).prev().range_max(),
+            ];
+            specs
+                .into_iter()
+                .map(|(k, level, id, interior)| {
+                    (leaves[k].parent(level), PolygonRef { id, interior })
+                })
+                .collect()
+        })
 }
 
 /// The reference semantics of a covering pair set at a leaf: the merged
@@ -100,6 +125,19 @@ proptest! {
             let expected = model_refs_at(&pairs, leaf);
             let got = resolve(act.lookup(leaf), &table);
             prop_assert_eq!(got, expected, "at leaf {:?}", leaf);
+        }
+    }
+
+    /// The one-pass sweep reproduces the round-based push-down it
+    /// replaced — the same cells in the same order, the same reference
+    /// sets, the same split count — for any duplicated and nested input.
+    #[test]
+    fn sweep_matches_round_based_reference(pairs in arb_pairs(), nested in arb_nested_pairs()) {
+        for input in [pairs, nested] {
+            let want = reference::build_from_pairs(input.clone());
+            let got = build_from_pairs(input);
+            prop_assert_eq!(got.pushdown_splits, want.pushdown_splits);
+            prop_assert_eq!(got.cells, want.cells);
         }
     }
 

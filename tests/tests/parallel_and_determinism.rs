@@ -1,11 +1,18 @@
 //! Parallel-driver equivalence and whole-pipeline determinism — for both
-//! hot paths: the parallel index build (must be byte-identical to serial)
-//! and the batched/multithreaded probe drivers (must count identically to
-//! the scalar sequential join).
+//! hot paths: the parallel index build (must be byte-identical to serial
+//! and to the round-based push-down reference) and the
+//! batched/multithreaded probe drivers (must count identically to the
+//! scalar sequential join).
 
-use act_core::{join_approx_cells_batch, join_parallel_cells, ActIndex};
-use datagen::PointGen;
+use act_core::{
+    cover_polygon, join_approx_cells_batch, join_parallel_cells, ActIndex, CoveringParams,
+    PolygonRef,
+};
+use datagen::{Dataset, PointGen};
 use jobs::JobPool;
+
+#[path = "../../crates/core/tests/reference/mod.rs"]
+mod reference;
 
 #[test]
 fn parallel_join_equals_sequential_on_datasets() {
@@ -70,6 +77,50 @@ fn parallel_build_byte_identical_on_dataset() {
             assert_eq!(par.probe_coord(pt), serial.probe_coord(pt));
         }
     }
+}
+
+/// The streamed build (coverings merged in one sweep straight into the
+/// trie) is byte-identical to an index populated from the round-based
+/// push-down reference over the same coverings.
+fn assert_sweep_matches_reference(ds: &Dataset, precision_m: f64) {
+    let params = CoveringParams::new(precision_m);
+    let mut pairs = Vec::new();
+    for (id, poly) in ds.polygons.iter().enumerate() {
+        let cov = cover_polygon(poly, &params).unwrap();
+        let id = id as u32;
+        pairs.extend(
+            cov.cells
+                .iter()
+                .map(|&(cell, interior)| (cell, PolygonRef { id, interior })),
+        );
+    }
+    let want = ActIndex::from_supercover(reference::build_from_pairs(pairs), params);
+    let got = ActIndex::build_parallel(&ds.polygons, precision_m, &JobPool::new(2)).unwrap();
+    let name = format!("{} @ {precision_m} m", ds.name);
+    assert_eq!(got.act().slots(), want.act().slots(), "{name}: node arena");
+    assert_eq!(got.act().roots(), want.act().roots(), "{name}: roots");
+    assert!(got.identical_to(&want), "{name}: lookup-table words");
+    let (g, w) = (got.stats(), want.stats());
+    assert_eq!(g.indexed_cells, w.indexed_cells, "{name}: indexed cells");
+    assert_eq!(
+        g.pushdown_splits, w.pushdown_splits,
+        "{name}: push-down splits"
+    );
+}
+
+#[test]
+fn sweep_matches_reference_on_boroughs_and_neighborhoods() {
+    assert_sweep_matches_reference(&datagen::boroughs(42), 4.0);
+    assert_sweep_matches_reference(&datagen::neighborhoods(42), 15.0);
+}
+
+/// The surge stack at 60 m: 16 overlapping layers, 3.57 M push-down
+/// splits. The reference's rounds take ~10 s here, so this runs in CI's
+/// release step (`--include-ignored`) rather than in the default suite.
+#[test]
+#[ignore = "slow reference: run with --release -- --include-ignored"]
+fn sweep_matches_reference_on_surge() {
+    assert_sweep_matches_reference(&datagen::surge_zones(42, 16, 8, 8), 60.0);
 }
 
 #[test]
