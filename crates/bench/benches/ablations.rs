@@ -115,6 +115,7 @@ fn bench_radix_vs_binary_search(c: &mut Criterion) {
         params,
         0.0,
     );
+    let view = index.as_view();
 
     let mut group = c.benchmark_group("ablation_radix_vs_binary_search");
     group.throughput(Throughput::Elements(BATCH as u64));
@@ -124,7 +125,7 @@ fn bench_radix_vs_binary_search(c: &mut Criterion) {
         b.iter(|| {
             let mut hits = 0u64;
             for &cell in &cells {
-                if !matches!(index.probe_cell(cell), act_core::Probe::Miss) {
+                if !matches!(view.probe_cell(cell), act_core::Probe::Miss) {
                     hits += 1;
                 }
             }

@@ -89,7 +89,7 @@ fn main() {
         let sample = make_points(&ds, VERIFY_POINTS, opts.seed);
         let cells = to_cells(&sample);
         let mut want = vec![Probe::Miss; cells.len()];
-        built.probe_batch(&cells, &mut want);
+        built.as_view().probe_batch(&cells, &mut want);
         let mut got = vec![Probe::Miss; cells.len()];
 
         // Owned loads.
@@ -103,7 +103,7 @@ fn main() {
                 loaded.identical_to(&built),
                 "loaded index diverged — not recording"
             );
-            loaded.probe_batch(&cells, &mut got);
+            loaded.as_view().probe_batch(&cells, &mut got);
             assert_eq!(got, want, "loaded probes diverged — not recording");
         }
 
@@ -172,8 +172,10 @@ fn main() {
         let new_id = ds.polygons.len() as u32;
         // Resolved-id ground truth (raw probes encode arena offsets,
         // which legitimately shift when the arena mutates).
-        let want_refs: Vec<Vec<(u32, bool)>> =
-            sample.iter().map(|&p| built.lookup_refs(p)).collect();
+        let want_refs: Vec<Vec<(u32, bool)>> = sample
+            .iter()
+            .map(|&p| built.as_view().lookup_refs(p))
+            .collect();
         let mut scratch = built.clone();
         scratch.prime_mutations(); // one-time, like the watcher's lineage open
         let mut delta_runs = Vec::new();
@@ -189,7 +191,7 @@ fn main() {
             // Modulo the freshly inserted polygon, every sample point
             // must resolve exactly as in the built index.
             for (p, w) in sample.iter().zip(&want_refs) {
-                let mut refs = live.lookup_refs(*p);
+                let mut refs = live.as_view().lookup_refs(*p);
                 refs.retain(|r| r.0 != new_id);
                 assert_eq!(
                     &refs, w,

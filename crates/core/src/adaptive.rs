@@ -285,7 +285,7 @@ mod tests {
         // Every approximate hit is within the *achieved* precision.
         for k in 0..500 {
             let p = Coord::new(-74.03 + 0.00012 * k as f64, 40.7);
-            for (id, _) in b.index.lookup_refs(p) {
+            for (id, _) in b.index.as_view().lookup_refs(p) {
                 assert!(
                     polys[id as usize].distance_meters(p) <= b.achieved_precision_m * 1.0001,
                     "violation at {p}"
@@ -333,6 +333,7 @@ mod tests {
                 .collect();
             let reported: Vec<u32> = adaptive
                 .index()
+                .as_view()
                 .lookup_refs(c)
                 .iter()
                 .map(|&(id, _)| id)

@@ -148,18 +148,16 @@ pub fn save_delta<W: Write>(
     Ok((link.advance(sum), sum))
 }
 
-/// Convenience wrapper over [`save_delta`]: writes to a temp file beside
-/// `path` and renames it into place, so watchers never see a torn delta.
+/// Convenience wrapper over [`save_delta`]: installs the file through
+/// [`crate::write_file_atomic`], so watchers never see a torn delta.
 pub fn save_delta_file(
     ops: &[DeltaOp],
     link: DeltaLink,
     path: &Path,
 ) -> Result<(DeltaLink, u64), SnapshotError> {
-    let tmp = path.with_extension("tmp-delta");
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-    let out = save_delta(ops, link, &mut f)?;
-    f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-    std::fs::rename(&tmp, path)?;
+    let mut bytes = Vec::new();
+    let out = save_delta(ops, link, &mut bytes)?;
+    crate::write_file_atomic(path, &bytes)?;
     Ok(out)
 }
 

@@ -9,7 +9,7 @@ use crate::lookup::{LookupTable, LookupTableBuilder};
 use crate::refs::{RefSet, MAX_POLYGON_ID};
 use crate::snapshot::SnapshotError;
 use crate::supercover::{stream_super_covering, SuperCovering};
-use crate::trie::{Act, Probe};
+use crate::trie::Act;
 
 use crate::uvpoly::{MultiFaceError, UvPolygon};
 use geom::{Coord, Polygon};
@@ -54,15 +54,13 @@ pub struct BuildStats {
 /// Built once via [`ActIndex::build`] and then either served as-is or
 /// mutated in place: [`ActIndex::insert_polygon`] and
 /// [`ActIndex::remove_polygon`] edit the live trie (inserts append into
-/// the node arena, removals tombstone references), and a lazy
-/// [`ActIndex::compact`] rewrites the arena once the accumulated garbage
-/// crosses [`ActIndex::COMPACT_WASTE_THRESHOLD`]. Compaction is
-/// **time-bounded and resumable**: [`ActIndex::compact_deadline`] does a
-/// deadline's worth of rebuild work off to the side (probes keep running
-/// against the untouched live trie) and picks up where it left off on
-/// the next call; a mutation in between invalidates the partial rebuild
-/// and it restarts from the mutated state.
-#[derive(Debug)]
+/// the node arena, removals tombstone references). Once the accumulated
+/// garbage crosses [`ActIndex::COMPACT_WASTE_THRESHOLD`], the mutation
+/// that crossed it runs [`ActIndex::compact`] to completion before it
+/// returns: one streamed pass that re-inserts the live cells into a
+/// fresh trie, the same populate [`crate::split_index`] runs per shard.
+/// Queries take the borrowed view [`ActIndex::as_view`].
+#[derive(Debug, Clone)]
 pub struct ActIndex {
     act: Act,
     table: LookupTable,
@@ -92,33 +90,6 @@ pub struct ActIndex {
     /// touches (copy-on-write per id), so cloning a primed index copies
     /// the id map, not the cells. Transient: not persisted in snapshots.
     cell_inventory: Option<Inventory>,
-    /// Bumped by every structural mutation; a paused [`CompactState`]
-    /// snapshots it so interleaved mutations invalidate the partial
-    /// rebuild instead of silently losing their edits.
-    mutation_epoch: u64,
-    /// Paused incremental compaction, if one is mid-flight.
-    compact_state: Option<CompactState>,
-    /// Deadline budget automatic (threshold-triggered) compactions run
-    /// under; `None` keeps the historical run-to-completion behavior.
-    compact_budget: Option<std::time::Duration>,
-}
-
-impl Clone for ActIndex {
-    fn clone(&self) -> ActIndex {
-        ActIndex {
-            act: self.act.clone(),
-            table: self.table.clone(),
-            stats: self.stats.clone(),
-            waste_bytes: self.waste_bytes,
-            live_ids: self.live_ids.clone(),
-            cell_inventory: self.cell_inventory.clone(),
-            mutation_epoch: self.mutation_epoch,
-            // A paused rebuild references only this index's state; the
-            // clone restarts compaction on its own schedule.
-            compact_state: None,
-            compact_budget: self.compact_budget,
-        }
-    }
 }
 
 /// Per-id cell inventory (see `ActIndex::cell_inventory`).
@@ -185,33 +156,6 @@ impl IdSlots {
         self.recent[0].1
     }
 }
-
-/// A paused incremental compaction: the live cell set extracted up
-/// front, plus the replacement trie/table rebuilt `pos` cells deep.
-struct CompactState {
-    cells: Vec<(CellId, RefSet)>,
-    pos: usize,
-    act: Act,
-    tb: LookupTableBuilder,
-    /// The owner's [`ActIndex::mutation_epoch`] when extraction ran; a
-    /// mismatch at resume time means the cell set is stale.
-    epoch: u64,
-}
-
-impl std::fmt::Debug for CompactState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompactState")
-            .field("pos", &self.pos)
-            .field("cells", &self.cells.len())
-            .field("epoch", &self.epoch)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Cells re-inserted between deadline checks during an incremental
-/// compaction: coarse enough to amortize the clock read, fine enough
-/// that a 5 ms budget is overshot by microseconds, not milliseconds.
-const COMPACT_CHECK_EVERY: usize = 32;
 
 impl ActIndex {
     /// Builds the index for `polygons` with precision bound `precision_m`
@@ -348,9 +292,6 @@ impl ActIndex {
             waste_bytes: 0,
             live_ids: None,
             cell_inventory: None,
-            mutation_epoch: 0,
-            compact_state: None,
-            compact_budget: None,
         }
     }
 
@@ -413,35 +354,6 @@ impl ActIndex {
     #[inline]
     pub fn memory_bytes(&self) -> usize {
         self.act.memory_bytes() + self.table.memory_bytes()
-    }
-
-    /// Probes with a precomputed leaf cell id — the hot path.
-    #[inline]
-    pub fn probe_cell(&self, leaf: CellId) -> Probe {
-        self.act.lookup(leaf)
-    }
-
-    /// Probes a batch of precomputed leaf cell ids, writing one [`Probe`]
-    /// per query — the batched hot path (see [`Act::lookup_batch`] for why
-    /// this beats a loop over [`ActIndex::probe_cell`]).
-    ///
-    /// # Panics
-    /// Panics if `cells.len() != out.len()`.
-    #[inline]
-    pub fn probe_batch(&self, cells: &[CellId], out: &mut [Probe]) {
-        self.act.lookup_batch(cells, out);
-    }
-
-    /// Probes with a lat/lng coordinate (degree-space `Coord`).
-    #[inline]
-    pub fn probe_coord(&self, c: Coord) -> Probe {
-        self.act
-            .lookup(CellId::from_latlng(LatLng::from_degrees(c.y, c.x)))
-    }
-
-    /// Returns the `(polygon id, is_true_hit)` pairs for a query point.
-    pub fn lookup_refs(&self, c: Coord) -> Vec<(u32, bool)> {
-        crate::trie::resolve_probe(self.probe_coord(c), &self.table).collect()
     }
 
     /// A borrowed zero-copy view over this index — the same query surface
@@ -676,125 +588,32 @@ impl ActIndex {
     /// dropping orphaned nodes and tombstoned table entries. Mutations
     /// call this automatically once [`ActIndex::waste_ratio`] crosses
     /// [`ActIndex::COMPACT_WASTE_THRESHOLD`]; it is also safe to call at
-    /// any time. Probe results are unchanged. Runs to completion,
-    /// resuming (or restarting, if a mutation intervened) any paused
-    /// incremental compaction.
+    /// any time. Probe results are unchanged.
+    ///
+    /// One streamed pass, run to completion: the read-only cell walk
+    /// feeds each live `(cell, refs)` pair straight into a fresh trie
+    /// and table — the populate [`crate::split_index`] runs for one
+    /// shard, so the result is byte-identical to a one-shard split — and
+    /// no cell list is ever built. The live-id set and the per-id
+    /// inventory, if built, are then re-read exact from the new trie.
     pub fn compact(&mut self) {
-        while !self.compact_step(None) {}
-    }
-
-    /// A deadline-bounded slice of [`ActIndex::compact`]: does rebuild
-    /// work until `deadline` (checked every `COMPACT_CHECK_EVERY`
-    /// cells) and pauses the rest for the next call. Returns `true` when
-    /// the compaction completed — or when there was nothing to do —
-    /// `false` when work remains. Probes against the index stay valid
-    /// and unchanged between slices: the rebuild happens off to the
-    /// side and is swapped in atomically on the completing call.
-    ///
-    /// This is the one owner of the compaction policy: a new compaction
-    /// starts only once [`ActIndex::waste_ratio`] exceeds
-    /// [`ActIndex::COMPACT_WASTE_THRESHOLD`]; below it the call returns
-    /// `true` at once, however much (or little) waste there is — a
-    /// rebuild of the whole arena does not pay for itself on a few
-    /// kilobytes of garbage. A compaction already in progress always
-    /// continues. Budgeted automatic compactions (see
-    /// [`ActIndex::set_compact_budget`]) and idle callers such as the
-    /// serve watcher go through this same gate.
-    ///
-    /// A mutation between slices invalidates the paused rebuild (it was
-    /// extracted from a trie that no longer exists); the next call
-    /// restarts extraction from the mutated state. The extraction pass
-    /// itself is not sliced — it is a read-only arena walk, a small
-    /// fraction of the insert work — so a single call can overshoot a
-    /// very tight deadline by the extraction cost.
-    pub fn compact_deadline(&mut self, deadline: Instant) -> bool {
-        if !self.compaction_due() {
-            return true;
-        }
-        self.compact_step(Some(deadline))
-    }
-
-    /// True while a compaction is in progress or the waste has crossed
-    /// [`ActIndex::COMPACT_WASTE_THRESHOLD`].
-    fn compaction_due(&self) -> bool {
-        self.compact_state.is_some() || self.waste_ratio() > Self::COMPACT_WASTE_THRESHOLD
-    }
-
-    /// True while an incremental compaction is paused mid-rebuild.
-    pub fn compact_in_progress(&self) -> bool {
-        self.compact_state.is_some()
-    }
-
-    /// Sets the deadline budget automatic (threshold-triggered)
-    /// compactions run under: with a budget, a mutation that crosses
-    /// [`ActIndex::COMPACT_WASTE_THRESHOLD`] does at most one budget's
-    /// worth of compaction work before returning, and later mutations
-    /// (or [`ActIndex::compact_deadline`] calls) continue it. `None`
-    /// restores the historical stop-the-world compact-on-threshold.
-    pub fn set_compact_budget(&mut self, budget: Option<std::time::Duration>) {
-        self.compact_budget = budget;
-    }
-
-    /// The engine behind every compact entry point. `deadline: None`
-    /// finishes in one call; otherwise pauses once the deadline passes.
-    /// Returns `true` when the rebuild was swapped in.
-    fn compact_step(&mut self, deadline: Option<Instant>) -> bool {
-        // A paused rebuild from before a mutation is stale: drop it.
-        if self
-            .compact_state
-            .as_ref()
-            .is_some_and(|st| st.epoch != self.mutation_epoch)
-        {
-            self.compact_state = None;
-        }
-        let mut st = match self.compact_state.take() {
-            Some(st) => st,
-            None => CompactState {
-                cells: self.act.extract_all(self.table.words()),
-                pos: 0,
-                act: Act::new(),
-                tb: LookupTableBuilder::new(),
-                epoch: self.mutation_epoch,
-            },
-        };
-        while st.pos < st.cells.len() {
-            let stop = (st.pos + COMPACT_CHECK_EVERY).min(st.cells.len());
-            for (cell, refs) in &st.cells[st.pos..stop] {
-                st.act.insert(*cell, refs, &mut st.tb);
-            }
-            st.pos = stop;
-            if let Some(dl) = deadline {
-                if st.pos < st.cells.len() && Instant::now() >= dl {
-                    self.compact_state = Some(st);
-                    return false;
-                }
-            }
-        }
-        // Done: swap the rebuild in. The extracted cells are exactly the
-        // live set, so this is the one place the id superset — and the
-        // per-id cell inventory — can be made exact again.
-        self.act = st.act;
-        self.table = st.tb.build();
-        if self.live_ids.is_some() {
-            let mut ids = std::collections::BTreeSet::new();
-            for (_, refs) in &st.cells {
-                for r in refs.iter() {
-                    ids.insert(r.id);
-                }
-            }
-            self.live_ids = Some(ids);
-        }
-        if self.cell_inventory.is_some() {
-            self.cell_inventory = None; // release the old lists first
-            self.cell_inventory = Some(build_inventory(|f| {
-                for (cell, refs) in &st.cells {
-                    f(*cell, refs);
-                }
-            }));
-        }
+        let mut act = Act::new();
+        let mut tb = LookupTableBuilder::new();
+        self.act.for_each_cell(self.table.words(), |cell, refs| {
+            act.insert(cell, &refs, &mut tb)
+        });
+        self.act = act;
+        self.table = tb.build();
         self.waste_bytes = 0;
+        // The new trie holds exactly the live set, so this is the one
+        // place the id superset and the inventory become exact again.
+        let had_ids = self.live_ids.take().is_some();
+        if self.cell_inventory.take().is_some() {
+            self.ensure_inventory();
+        } else if had_ids {
+            self.ensure_live_ids();
+        }
         self.note_mutation(crate::trie::MutationWaste::default());
-        true
     }
 
     /// Estimated garbage bytes accumulated by mutations since the last
@@ -815,12 +634,8 @@ impl ActIndex {
     }
 
     fn maybe_compact(&mut self) {
-        match self.compact_budget {
-            Some(budget) => {
-                self.compact_deadline(Instant::now() + budget);
-            }
-            None if self.compaction_due() => self.compact(),
-            None => {}
+        if self.waste_ratio() > Self::COMPACT_WASTE_THRESHOLD {
+            self.compact();
         }
     }
 
@@ -828,10 +643,8 @@ impl ActIndex {
     /// refreshes the size/count fields of [`BuildStats`] (the build
     /// wall-time fields keep their original values; cell counts follow
     /// the live trie and are approximate between compactions, exact
-    /// right after one). Also bumps the mutation epoch, which is what
-    /// invalidates a paused incremental compaction.
+    /// right after one).
     fn note_mutation(&mut self, waste: crate::trie::MutationWaste) {
-        self.mutation_epoch += 1;
         self.waste_bytes +=
             waste.orphaned_nodes * crate::trie::NODE_BYTES as u64 + waste.stale_table_words * 4;
         self.stats.indexed_cells = self.act.inserted_cells();
@@ -850,6 +663,7 @@ pub fn coord_to_cell(c: Coord) -> CellId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trie::Probe;
     use geom::Ring;
 
     fn square(cx: f64, cy: f64, half: f64) -> Polygon {
@@ -869,13 +683,16 @@ mod tests {
         let polys = vec![square(-74.05, 40.70, 0.02), square(-73.95, 40.70, 0.02)];
         let idx = ActIndex::build(&polys, 15.0).unwrap();
         // Deep inside polygon 0: a true hit for 0, nothing for 1.
-        let refs = idx.lookup_refs(Coord::new(-74.05, 40.70));
+        let refs = idx.as_view().lookup_refs(Coord::new(-74.05, 40.70));
         assert_eq!(refs, vec![(0, true)]);
         // Deep inside polygon 1.
-        let refs = idx.lookup_refs(Coord::new(-73.95, 40.70));
+        let refs = idx.as_view().lookup_refs(Coord::new(-73.95, 40.70));
         assert_eq!(refs, vec![(1, true)]);
         // Far away: miss.
-        assert!(idx.lookup_refs(Coord::new(-74.2, 40.9)).is_empty());
+        assert!(idx
+            .as_view()
+            .lookup_refs(Coord::new(-74.2, 40.9))
+            .is_empty());
         // Stats populated.
         let st = idx.stats();
         assert!(st.indexed_cells > 0);
@@ -894,15 +711,15 @@ mod tests {
     fn removing_one_of_two_polygons_leaves_inline_single_refs() {
         let mut idx = nested_pair();
         let inner = Coord::new(-74.00, 40.70);
-        assert!(matches!(idx.probe_coord(inner), Probe::Table(_)));
-        assert_eq!(idx.lookup_refs(inner), vec![(0, true), (1, true)]);
+        assert!(matches!(idx.as_view().probe_coord(inner), Probe::Table(_)));
+        assert_eq!(idx.as_view().lookup_refs(inner), vec![(0, true), (1, true)]);
         assert!(idx.remove_polygon(1));
         assert!(
             idx.waste_ratio() < ActIndex::COMPACT_WASTE_THRESHOLD,
             "no auto-compaction"
         );
         assert_eq!(
-            idx.probe_coord(inner),
+            idx.as_view().probe_coord(inner),
             Probe::One(crate::refs::PolygonRef::true_hit(0))
         );
         // Every table entry named polygon 1, so the whole table is now
@@ -914,7 +731,7 @@ mod tests {
         idx.compact();
         assert_eq!(idx.table().len_words(), 0);
         assert_eq!(
-            idx.probe_coord(inner),
+            idx.as_view().probe_coord(inner),
             Probe::One(crate::refs::PolygonRef::true_hit(0))
         );
     }
@@ -948,7 +765,7 @@ mod tests {
         // A point just outside the edge (within ε) should be a candidate
         // or a miss — never a true hit.
         let just_outside = Coord::new(-74.0 + 0.02 + 0.00002, 40.7); // ~1.7 m out
-        for (id, interior) in idx.lookup_refs(just_outside) {
+        for (id, interior) in idx.as_view().lookup_refs(just_outside) {
             assert_eq!(id, 0);
             assert!(!interior, "points outside must not be true hits");
         }
@@ -963,7 +780,7 @@ mod tests {
             square(-73.98, 40.70, 0.02), // left edge at -74.0
         ];
         let idx = ActIndex::build(&polys, 4.0).unwrap();
-        let refs = idx.lookup_refs(Coord::new(-74.0, 40.70));
+        let refs = idx.as_view().lookup_refs(Coord::new(-74.0, 40.70));
         let ids: Vec<u32> = refs.iter().map(|(id, _)| *id).collect();
         assert!(
             ids.contains(&0),
@@ -1015,78 +832,65 @@ mod tests {
             .map(|k| coord_to_cell(Coord::new(-74.1 + 0.001 * k as f64, 40.70)))
             .collect();
         let mut out = vec![Probe::Miss; cells.len()];
-        idx.probe_batch(&cells, &mut out);
+        idx.as_view().probe_batch(&cells, &mut out);
         for (c, p) in cells.iter().zip(&out) {
-            assert_eq!(*p, idx.probe_cell(*c));
+            assert_eq!(*p, idx.as_view().probe_cell(*c));
         }
     }
 
     /// The pathological tombstone load: remove most of a dense index so
-    /// the threshold-crossing compaction is large, then prove the
-    /// deadline API pauses it, resumes it across calls, keeps probes
-    /// correct the whole way, and restarts cleanly when a mutation
-    /// invalidates the paused rebuild.
+    /// the removals cross the waste threshold, and prove the mutation
+    /// that crosses it compacts to completion, probes stay correct the
+    /// whole way, and later mutations and compactions still land.
     #[test]
-    fn deadline_compaction_pauses_resumes_and_survives_mutation() {
-        use std::time::Duration;
+    fn threshold_compaction_runs_to_completion_and_survives_mutation() {
         let polys: Vec<Polygon> = (0..30)
             .map(|k| square(-74.0 + 0.024 * k as f64, 40.7, 0.01))
             .collect();
         let mut idx = ActIndex::build(&polys, 15.0).unwrap();
-        // A zero budget means threshold-triggered compactions do one
-        // slice and pause — the waste pile-up below survives them.
-        idx.set_compact_budget(Some(Duration::ZERO));
-        for id in 0..25u32 {
+        let built_bytes = idx.memory_bytes();
+        assert!(idx.remove_polygon(0));
+        assert!(idx.waste_bytes() > 0, "a removal must leave garbage behind");
+        for id in 1..20u32 {
             assert!(idx.remove_polygon(id));
+            assert!(
+                idx.waste_ratio() <= ActIndex::COMPACT_WASTE_THRESHOLD,
+                "removal {id} left waste above the threshold"
+            );
         }
+        // Only a compaction shrinks the arena: removals orphan nodes in
+        // place.
         assert!(
-            idx.waste_bytes() > 0 || idx.compact_in_progress(),
-            "mass removal must leave garbage behind"
+            idx.memory_bytes() < built_bytes / 2,
+            "mass removal never compacted ({built_bytes} -> {} bytes)",
+            idx.memory_bytes()
         );
-        let probe_at =
-            |idx: &ActIndex, k: usize| idx.lookup_refs(Coord::new(-74.0 + 0.024 * k as f64, 40.7));
+        let probe_at = |idx: &ActIndex, k: usize| {
+            idx.as_view()
+                .lookup_refs(Coord::new(-74.0 + 0.024 * k as f64, 40.7))
+        };
         let check_survivors = |idx: &ActIndex| {
-            for k in 0..25 {
+            for k in 0..20 {
                 assert!(probe_at(idx, k).is_empty(), "removed polygon {k} answered");
             }
-            for k in 25..30 {
+            for k in 20..30 {
                 assert_eq!(probe_at(idx, k), vec![(k as u32, true)], "survivor {k}");
             }
         };
         check_survivors(&idx);
 
-        // An already-expired deadline: the slice must pause, not finish
-        // (the surviving cells far exceed one check quantum).
-        assert!(
-            !idx.compact_deadline(Instant::now()),
-            "an expired deadline must pause a large compaction"
-        );
-        assert!(idx.compact_in_progress());
-        // The paused rebuild is invisible to probes.
-        check_survivors(&idx);
-
-        // A mutation invalidates the paused rebuild and still lands.
+        // A mutation after the compaction lands.
         idx.insert_polygon(30, &square(-74.0 + 0.024 * 30.0, 40.7, 0.01))
             .unwrap();
         assert_eq!(probe_at(&idx, 30), vec![(30, true)]);
-
-        // Drive the restarted compaction to completion in slices.
-        let mut slices = 0u32;
-        while !idx.compact_deadline(Instant::now() + Duration::from_micros(200)) {
-            slices += 1;
-            assert!(slices < 100_000, "compaction never converged");
-        }
-        assert!(!idx.compact_in_progress());
-        assert_eq!(idx.waste_bytes(), 0, "completed compaction clears waste");
         check_survivors(&idx);
-        assert_eq!(probe_at(&idx, 30), vec![(30, true)]);
 
-        // compact() is still the run-to-completion wrapper.
-        idx.set_compact_budget(None);
+        // An explicit compaction clears the waste a removal left.
         assert!(idx.remove_polygon(30));
+        assert!(idx.waste_bytes() > 0);
         idx.compact();
-        assert!(!idx.compact_in_progress());
-        assert_eq!(idx.waste_bytes(), 0);
+        assert_eq!(idx.waste_bytes(), 0, "a compaction clears waste");
+        assert!(probe_at(&idx, 30).is_empty());
         check_survivors(&idx);
     }
 
@@ -1095,6 +899,9 @@ mod tests {
         let polys = vec![square(-74.0, 40.7, 0.02)];
         let idx = ActIndex::build(&polys, 15.0).unwrap();
         let c = Coord::new(-74.01, 40.705);
-        assert_eq!(idx.probe_coord(c), idx.probe_cell(coord_to_cell(c)));
+        assert_eq!(
+            idx.as_view().probe_coord(c),
+            idx.as_view().probe_cell(coord_to_cell(c))
+        );
     }
 }

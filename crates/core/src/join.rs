@@ -56,9 +56,9 @@ pub fn join_approx_cells(index: &ActIndex, cells: &[CellId], counts: &mut [u64])
         points: cells.len() as u64,
         ..JoinStats::default()
     };
-    let table = index.table();
+    let (view, table) = (index.as_view(), index.table());
     for &cell in cells {
-        accumulate(index.probe_cell(cell), table, counts, &mut stats);
+        accumulate(view.probe_cell(cell), table, counts, &mut stats);
     }
     stats
 }
@@ -99,10 +99,9 @@ pub fn join_approx_coords(index: &ActIndex, coords: &[Coord], counts: &mut [u64]
         points: coords.len() as u64,
         ..JoinStats::default()
     };
-    let table = index.table();
+    let (view, table) = (index.as_view(), index.table());
     for &c in coords {
-        let probe = index.probe_coord(c);
-        accumulate(probe, table, counts, &mut stats);
+        accumulate(view.probe_coord(c), table, counts, &mut stats);
     }
     stats
 }
@@ -186,9 +185,9 @@ pub fn join_exact(
         points: coords.len() as u64,
         ..JoinStats::default()
     };
-    let table = index.table();
+    let (view, table) = (index.as_view(), index.table());
     for &c in coords {
-        match index.probe_coord(c) {
+        match view.probe_coord(c) {
             Probe::Miss => stats.misses += 1,
             Probe::One(r) => refine_one(r.id, r.interior, c, refiner, counts, &mut stats),
             Probe::Table(off) => {
@@ -383,7 +382,7 @@ mod tests {
         join_approx_coords(&idx, &pts, &mut approx);
         // Every approximate hit must be within ε of the polygon.
         for &c in &pts {
-            for (id, _) in idx.lookup_refs(c) {
+            for (id, _) in idx.as_view().lookup_refs(c) {
                 let d = polys[id as usize].distance_meters(c);
                 assert!(
                     d <= idx.stats().precision_m,

@@ -40,7 +40,7 @@
 //! let index = ActIndex::build(&[midtown], 15.0).unwrap();
 //!
 //! // Probe a point: Times Square is a true hit for polygon 0.
-//! let refs = index.lookup_refs(Coord::new(-73.9855, 40.7580));
+//! let refs = index.as_view().lookup_refs(Coord::new(-73.9855, 40.7580));
 //! assert_eq!(refs, vec![(0, true)]);
 //! ```
 
@@ -76,7 +76,9 @@ pub use shard::{
     shard_file_name, shard_of_cell, shard_paths, shards_for_cell, split_index, write_shard_files,
     DEFAULT_SPLIT_LEVEL,
 };
-pub use snapshot::{header_checksum, ActIndexView, MappedSnapshot, SnapshotBuf, SnapshotError};
+pub use snapshot::{
+    header_checksum, write_file_atomic, ActIndexView, MappedSnapshot, SnapshotBuf, SnapshotError,
+};
 pub use sorted_index::SortedCellIndex;
 pub use supercover::{build_super_covering, SuperCovering};
 pub use trie::{probe_cell_key, resolve_probe, Act, Probe};

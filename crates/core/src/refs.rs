@@ -7,7 +7,7 @@
 //! boundary (a **candidate hit** — a point in the cell is within the
 //! precision bound ε of the polygon, but possibly outside it).
 //!
-//! Following the paper, a reference is packed into a 31-bit payload whose
+//! The paper packs a reference into a 31-bit payload whose
 //! least-significant bit is the interior flag, leaving 30 bits for the
 //! polygon id (up to 2³⁰ ≈ 1.07 B polygons). The trie's 4-byte slots
 //! carry the same 30-bit id with the flag moved into the slot tag (see
@@ -38,22 +38,6 @@ impl PolygonRef {
         PolygonRef {
             id,
             interior: false,
-        }
-    }
-
-    /// Packs into the 31-bit payload: `(id << 1) | interior`.
-    #[inline]
-    pub fn encode(&self) -> u32 {
-        debug_assert!(self.id <= MAX_POLYGON_ID);
-        (self.id << 1) | self.interior as u32
-    }
-
-    /// Unpacks a 31-bit payload.
-    #[inline]
-    pub fn decode(payload: u32) -> PolygonRef {
-        PolygonRef {
-            id: payload >> 1,
-            interior: payload & 1 == 1,
         }
     }
 }
@@ -178,29 +162,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn payload_roundtrip() {
-        for &(id, interior) in &[
-            (0u32, false),
-            (0, true),
-            (12345, true),
-            (MAX_POLYGON_ID, false),
-        ] {
-            let r = PolygonRef { id, interior };
-            let enc = r.encode();
-            assert!(enc < (1 << 31), "payload must fit 31 bits");
-            assert_eq!(PolygonRef::decode(enc), r);
-        }
-    }
-
-    #[test]
-    fn interior_flag_is_lsb() {
-        // The paper: "we differentiate between a true hit and a candidate
-        // hit using the least significant bit of the 31 bit payload".
-        assert_eq!(PolygonRef::true_hit(5).encode() & 1, 1);
-        assert_eq!(PolygonRef::candidate(5).encode() & 1, 0);
-    }
-
-    #[test]
     fn merge_grows_and_sorts() {
         let mut s = RefSet::single(PolygonRef::candidate(5));
         assert_eq!(s.len(), 1);
@@ -268,29 +229,6 @@ mod tests {
         assert_eq!(
             merged(many, c(5)),
             RefSet::Many(vec![c(1), t(4), c(5), c(8)])
-        );
-    }
-
-    #[test]
-    fn max_polygon_id_boundary() {
-        // 30-bit id space: MAX encodes into 31 bits with either flag, and
-        // the id survives the round trip exactly at the boundary.
-        assert_eq!(MAX_POLYGON_ID, (1 << 30) - 1);
-        for interior in [false, true] {
-            let r = PolygonRef {
-                id: MAX_POLYGON_ID,
-                interior,
-            };
-            let enc = r.encode();
-            assert!(enc < (1 << 31), "31-bit payload overflow at MAX");
-            assert_eq!(PolygonRef::decode(enc), r);
-        }
-        // The true-hit payload at MAX is the largest representable payload.
-        assert_eq!(PolygonRef::true_hit(MAX_POLYGON_ID).encode(), (1 << 31) - 1);
-        // Ids remain distinguishable at the top of the range.
-        assert_ne!(
-            PolygonRef::candidate(MAX_POLYGON_ID).encode(),
-            PolygonRef::candidate(MAX_POLYGON_ID - 1).encode()
         );
     }
 

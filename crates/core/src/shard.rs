@@ -141,7 +141,7 @@ pub fn shard_paths(dir: &Path, num_shards: usize) -> Vec<PathBuf> {
 }
 
 /// [`split_index`] + save: writes `shard-<k>-of-<n>.snap` under `dir`
-/// (created if missing) via sibling-write + atomic rename, returning
+/// (created if missing) through [`crate::write_file_atomic`], returning
 /// the shard paths in shard order.
 ///
 /// # Errors
@@ -159,9 +159,7 @@ pub fn write_shard_files(
     for (shard, path) in shards.iter().zip(&paths) {
         let mut bytes = Vec::new();
         shard.save_snapshot(&mut bytes)?;
-        let tmp = path.with_extension("snap.tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)?;
+        crate::write_file_atomic(path, &bytes)?;
     }
     Ok(paths)
 }
@@ -202,7 +200,7 @@ mod tests {
     fn leaf_routes_into_owning_cells_shard_set() {
         let polys = test_polys();
         let idx = ActIndex::build(&polys, 15.0).unwrap();
-        for (cell, _) in idx.act().extract_all(idx.table().words()) {
+        idx.act().for_each_cell(idx.table().words(), |cell, _| {
             for n in [1usize, 2, 4, 7] {
                 let shards = shards_for_cell(cell, DEFAULT_SPLIT_LEVEL, n);
                 assert!(!shards.is_empty());
@@ -215,7 +213,7 @@ mod tests {
                     );
                 }
             }
-        }
+        });
     }
 
     #[test]
@@ -246,9 +244,9 @@ mod tests {
             for gx in 0..40 {
                 for gy in 0..8 {
                     let c = Coord::new(-74.2 + 0.06 * gx as f64, 40.55 + 0.05 * gy as f64);
-                    let want = idx.lookup_refs(c);
+                    let want = idx.as_view().lookup_refs(c);
                     let s = shard_of_cell(coord_to_cell(c), DEFAULT_SPLIT_LEVEL, n);
-                    let got = shards[s].lookup_refs(c);
+                    let got = shards[s].as_view().lookup_refs(c);
                     assert_eq!(got, want, "point {c:?} via shard {s} of {n}");
                 }
             }
@@ -268,6 +266,14 @@ mod tests {
             split_index(idx, DEFAULT_SPLIT_LEVEL, 1)[0].identical_to(&compacted)
         };
         assert!(same_as_compacted(&idx));
+        // The build streams the sweep into the trie in the same range
+        // order, so compacting an unmutated index rewrites the same
+        // arena, roots and table words.
+        let mut compacted = idx.clone();
+        compacted.compact();
+        assert_eq!(compacted.act().slots(), idx.act().slots());
+        assert_eq!(compacted.act().roots(), idx.act().roots());
+        assert_eq!(compacted.table().words(), idx.table().words());
         assert!(idx.remove_polygon(3));
         idx.insert_polygon(3, &square(-73.86, 40.71, 0.03)).unwrap();
         idx.insert_polygon(40, &square(-73.5, 40.7, 0.02)).unwrap();
@@ -291,7 +297,7 @@ mod tests {
             // Validates magic, checksum, and stats-vs-section lengths.
             let snap = crate::MappedSnapshot::open(p).unwrap();
             let c = Coord::new(-74.0, 40.7);
-            let want = idx.lookup_refs(c);
+            let want = idx.as_view().lookup_refs(c);
             if shard_of_cell(coord_to_cell(c), DEFAULT_SPLIT_LEVEL, 3) == k {
                 assert_eq!(snap.view().lookup_refs(c), want);
             }

@@ -641,14 +641,16 @@ impl<'a> ActIndexView<'a> {
         }
     }
 
-    /// Probes with a precomputed leaf cell id (see
-    /// [`ActIndex::probe_cell`]).
+    /// Probes with a precomputed leaf cell id — the hot path (see
+    /// [`crate::Act::lookup`]).
     #[inline]
     pub fn probe_cell(&self, leaf: CellId) -> Probe {
         self.raw().lookup(leaf)
     }
 
-    /// Probes a batch of leaf cell ids (see [`ActIndex::probe_batch`]).
+    /// Probes a batch of leaf cell ids, writing one [`Probe`] per query —
+    /// the batched hot path (see [`crate::Act::lookup_batch`] for why this
+    /// beats a loop over [`ActIndexView::probe_cell`]).
     ///
     /// # Panics
     /// Panics if `cells.len() != out.len()`.
@@ -667,14 +669,13 @@ impl<'a> ActIndexView<'a> {
         self.raw().lookup_batch_depths(cells, out, depths);
     }
 
-    /// Probes with a lat/lng coordinate (see [`ActIndex::probe_coord`]).
+    /// Probes with a lat/lng coordinate (degree-space `Coord`).
     #[inline]
     pub fn probe_coord(&self, c: Coord) -> Probe {
         self.probe_cell(crate::index::coord_to_cell(c))
     }
 
-    /// The `(polygon id, is_true_hit)` pairs for a query point (see
-    /// [`ActIndex::lookup_refs`]).
+    /// The `(polygon id, is_true_hit)` pairs for a query point.
     pub fn lookup_refs(&self, c: Coord) -> Vec<(u32, bool)> {
         resolve_probe_words(self.probe_coord(c), self.table).collect()
     }
@@ -1030,6 +1031,35 @@ pub fn header_checksum(bytes: &[u8]) -> Option<u64> {
         .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte slice")))
 }
 
+/// Replaces the file at `path` with `bytes`: writes the sibling
+/// `<name>.tmp`, flushes it to disk with `sync_all`, renames it over
+/// `path`, then syncs the directory so the rename itself is durable.
+/// Rename is atomic on unix, so readers (and a restart after a crash)
+/// find the old file or the new one whole, never a torn mix; a mapping
+/// of the old file stays valid, since its inode lives until unmapped.
+///
+/// # Errors
+/// Propagates I/O errors; a failed write removes the sibling and leaves
+/// `path` untouched.
+pub fn write_file_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return written;
+    }
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
+}
+
 /// Recomputes and patches the header checksum of a snapshot image in
 /// place. Test-only hook: lets corruption tests mutate payload fields and
 /// still reach the deeper validation layers behind the checksum.
@@ -1117,8 +1147,8 @@ mod tests {
         assert_eq!(view.memory_bytes(), idx.memory_bytes());
         for k in 0..400 {
             let c = Coord::new(-74.1 + 0.0005 * k as f64, 40.70);
-            assert_eq!(view.probe_coord(c), idx.probe_coord(c), "at {c}");
-            assert_eq!(view.lookup_refs(c), idx.lookup_refs(c), "at {c}");
+            assert_eq!(view.probe_coord(c), idx.as_view().probe_coord(c), "at {c}");
+            assert_eq!(view.lookup_refs(c), idx.as_view().lookup_refs(c), "at {c}");
         }
         let cells: Vec<CellId> = (0..300)
             .map(|k| crate::index::coord_to_cell(Coord::new(-74.1 + 0.001 * k as f64, 40.70)))
@@ -1126,7 +1156,7 @@ mod tests {
         let mut got = vec![Probe::Miss; cells.len()];
         let mut want = vec![Probe::Miss; cells.len()];
         view.probe_batch(&cells, &mut got);
-        idx.probe_batch(&cells, &mut want);
+        idx.as_view().probe_batch(&cells, &mut want);
         assert_eq!(got, want);
     }
 
@@ -1136,7 +1166,10 @@ mod tests {
         let bytes = save_to_vec(&idx);
         let loaded = ActIndex::load_snapshot(&mut bytes.as_slice()).unwrap();
         assert_eq!(loaded.act().slots(), idx.act().slots());
-        assert_eq!(loaded.probe_coord(Coord::new(-74.0, 40.7)), Probe::Miss);
+        assert_eq!(
+            loaded.as_view().probe_coord(Coord::new(-74.0, 40.7)),
+            Probe::Miss
+        );
         let buf = SnapshotBuf::from_bytes(&bytes).unwrap();
         assert_eq!(
             buf.view().unwrap().probe_coord(Coord::new(-74.0, 40.7)),
@@ -1182,8 +1215,16 @@ mod tests {
         assert_eq!(mapped.stats().act_bytes, idx.stats().act_bytes);
         for k in 0..200 {
             let c = Coord::new(-74.1 + 0.001 * k as f64, 40.70);
-            assert_eq!(mapped.view().probe_coord(c), idx.probe_coord(c), "at {c}");
-            assert_eq!(mapped.view().lookup_refs(c), idx.lookup_refs(c), "at {c}");
+            assert_eq!(
+                mapped.view().probe_coord(c),
+                idx.as_view().probe_coord(c),
+                "at {c}"
+            );
+            assert_eq!(
+                mapped.view().lookup_refs(c),
+                idx.as_view().lookup_refs(c),
+                "at {c}"
+            );
         }
         assert!(mapped.to_owned_index().identical_to(&idx));
         // The explicit heap path answers identically and is not a map.
@@ -1217,7 +1258,11 @@ mod tests {
         assert!(!snap.is_mmap());
         for k in 0..200 {
             let c = Coord::new(-74.1 + 0.001 * k as f64, 40.70);
-            assert_eq!(snap.view().probe_coord(c), idx.probe_coord(c), "at {c}");
+            assert_eq!(
+                snap.view().probe_coord(c),
+                idx.as_view().probe_coord(c),
+                "at {c}"
+            );
         }
     }
 
@@ -1252,7 +1297,7 @@ mod tests {
             let c = Coord::new(-74.08 + 0.001 * k as f64, 40.70);
             let probe = view.probe_coord(c);
             let via_resolve: Vec<(u32, bool)> = view.resolve_refs(probe).collect();
-            assert_eq!(via_resolve, idx.lookup_refs(c), "at {c}");
+            assert_eq!(via_resolve, idx.as_view().lookup_refs(c), "at {c}");
         }
     }
 
@@ -1277,13 +1322,13 @@ mod tests {
         let (mut inline, mut tabled) = ([false; 2], [false; 2]);
         for k in 0..2_000 {
             let c = Coord::new(-74.11 + 0.00003 * k as f64, 40.70 + 0.000_01 * k as f64);
-            let want = idx.lookup_refs(c);
-            assert_eq!(owned.lookup_refs(c), want, "owned at {c}");
+            let want = idx.as_view().lookup_refs(c);
+            assert_eq!(owned.as_view().lookup_refs(c), want, "owned at {c}");
             assert_eq!(heap.lookup_refs(c), want, "heap view at {c}");
             assert_eq!(mmap.lookup_refs(c), want, "mmap view at {c}");
             for &(id, hit) in &want {
                 if id == MAX_POLYGON_ID {
-                    match idx.probe_coord(c) {
+                    match idx.as_view().probe_coord(c) {
                         Probe::One(_) => inline[usize::from(hit)] = true,
                         _ => tabled[usize::from(hit)] = true,
                     }
@@ -1304,5 +1349,22 @@ mod tests {
         let direct = ActIndex::load_snapshot(&mut bytes.as_slice()).unwrap();
         assert_eq!(owned.act().slots(), direct.act().slots());
         assert_eq!(owned.table().words(), direct.table().words());
+    }
+
+    #[test]
+    fn write_file_atomic_replaces_content_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("act-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("base.snap");
+        write_file_atomic(&path, b"first").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"first");
+        write_file_atomic(&path, b"second, longer").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second, longer");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("base.snap")]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -823,14 +823,6 @@ impl Act {
         }
     }
 
-    /// The full live cell set `(cell, refs)` in range order — the
-    /// compaction source. The trie is left untouched.
-    pub(crate) fn extract_all(&self, words: &[u32]) -> Vec<(CellId, RefSet)> {
-        let mut out = Vec::new();
-        self.for_each_cell(words, |cell, refs| out.push((cell, refs)));
-        out
-    }
-
     /// Extracts every `(cell, refs)` pair stored under `node` (which
     /// covers `node_cell`) into `out`, in range order, and clears the
     /// subtree: its nodes become all-zero orphans, counted in `waste`.

@@ -210,7 +210,7 @@ proptest! {
         let mut depth_batch = vec![Probe::Miss; leaves.len()];
         let mut depths = vec![0u8; leaves.len()];
         let mut viewed = vec![Probe::Miss; leaves.len()];
-        index.probe_batch(&leaves, &mut batch);
+        index.as_view().probe_batch(&leaves, &mut batch);
         index.act().lookup_batch_depths(&leaves, &mut depth_batch, &mut depths);
         view.probe_batch(&leaves, &mut viewed);
         for (i, &leaf) in leaves.iter().enumerate() {
@@ -219,7 +219,7 @@ proptest! {
                 .find(|(c, _)| c.contains(leaf))
                 .map(|(_, v)| v.clone())
                 .unwrap_or_default();
-            let scalar = index.probe_cell(leaf);
+            let scalar = index.as_view().probe_cell(leaf);
             if want.len() >= 2 {
                 prop_assert!(matches!(scalar, Probe::Table(_)), "inline multi-ref at {:?}", leaf);
             }
@@ -322,20 +322,20 @@ proptest! {
         let coords: Vec<Coord> = probes.iter().map(|&(x, y)| Coord::new(x, y)).collect();
         let cells: Vec<CellId> = coords.iter().map(|&c| act_core::coord_to_cell(c)).collect();
         for (&c, &cell) in coords.iter().zip(&cells) {
-            let want = built.probe_cell(cell);
-            prop_assert_eq!(owned.probe_cell(cell), want, "owned probe at {}", c);
+            let want = built.as_view().probe_cell(cell);
+            prop_assert_eq!(owned.as_view().probe_cell(cell), want, "owned probe at {}", c);
             prop_assert_eq!(view.probe_cell(cell), want, "view probe at {}", c);
-            prop_assert_eq!(owned.lookup_refs(c), built.lookup_refs(c), "owned refs at {}", c);
-            prop_assert_eq!(view.lookup_refs(c), built.lookup_refs(c), "view refs at {}", c);
+            prop_assert_eq!(owned.as_view().lookup_refs(c), built.as_view().lookup_refs(c), "owned refs at {}", c);
+            prop_assert_eq!(view.lookup_refs(c), built.as_view().lookup_refs(c), "view refs at {}", c);
         }
         // lookup_batch ≡ scalar on both loaded forms.
         let mut owned_out = vec![Probe::Miss; cells.len()];
         let mut view_out = vec![Probe::Miss; cells.len()];
-        owned.probe_batch(&cells, &mut owned_out);
+        owned.as_view().probe_batch(&cells, &mut owned_out);
         view.probe_batch(&cells, &mut view_out);
         for (i, &cell) in cells.iter().enumerate() {
-            prop_assert_eq!(owned_out[i], built.probe_cell(cell));
-            prop_assert_eq!(view_out[i], built.probe_cell(cell));
+            prop_assert_eq!(owned_out[i], built.as_view().probe_cell(cell));
+            prop_assert_eq!(view_out[i], built.as_view().probe_cell(cell));
         }
     }
 }
@@ -368,7 +368,7 @@ proptest! {
 
         for (dx, dy) in probes {
             let p = Coord::new(cx + dx, cy + dy);
-            let matched = !index.lookup_refs(p).is_empty();
+            let matched = !index.as_view().lookup_refs(p).is_empty();
             let dist = poly.distance_meters(p);
             if poly.contains(p) {
                 prop_assert!(matched, "false negative at {} (dist {})", p, dist);
@@ -406,7 +406,7 @@ proptest! {
         let index = ActIndex::build(std::slice::from_ref(&poly), 15.0).unwrap();
         for (dx, dy) in probes {
             let p = Coord::new(cx + dx, cy + dy);
-            for (_, interior) in index.lookup_refs(p) {
+            for (_, interior) in index.as_view().lookup_refs(p) {
                 if interior {
                     prop_assert!(poly.contains(p), "true hit outside polygon at {}", p);
                 }
@@ -503,8 +503,8 @@ fn mutation_probe_points(script: &[EditOp], probes: &[(f64, f64)]) -> Vec<Coord>
 /// The first of `pts` where `a` and `b` answer differently (as sets).
 fn first_divergence(a: &ActIndex, b: &ActIndex, pts: &[Coord]) -> Option<Coord> {
     pts.iter().copied().find(|&c| {
-        let mut got = a.lookup_refs(c);
-        let mut want = b.lookup_refs(c);
+        let mut got = a.as_view().lookup_refs(c);
+        let mut want = b.as_view().lookup_refs(c);
         got.sort_unstable();
         want.sort_unstable();
         got != want
@@ -605,8 +605,8 @@ proptest! {
         prop_assert!(!idx.remove_polygon(victim), "double remove must be a no-op");
         idx.insert_polygon(victim, &polys[victim as usize]).unwrap();
         for &c in &pts {
-            let mut got = idx.lookup_refs(c);
-            let mut want = built.lookup_refs(c);
+            let mut got = idx.as_view().lookup_refs(c);
+            let mut want = built.as_view().lookup_refs(c);
             got.sort_unstable();
             want.sort_unstable();
             prop_assert_eq!(got, want, "remove+reinsert at {} diverged", c);
@@ -618,7 +618,7 @@ proptest! {
             prop_assert!(idx.remove_polygon(id));
         }
         for &c in &pts {
-            prop_assert!(idx.lookup_refs(c).is_empty(), "ghost refs at {}", c);
+            prop_assert!(idx.as_view().lookup_refs(c).is_empty(), "ghost refs at {}", c);
         }
         idx.compact();
         prop_assert_eq!(idx.stats().indexed_cells, 0);
@@ -629,8 +629,8 @@ proptest! {
             grown.insert_polygon(i as u32, p).unwrap();
         }
         for &c in &pts {
-            let mut got = grown.lookup_refs(c);
-            let mut want = built.lookup_refs(c);
+            let mut got = grown.as_view().lookup_refs(c);
+            let mut want = built.as_view().lookup_refs(c);
             got.sort_unstable();
             want.sort_unstable();
             prop_assert_eq!(got, want, "grown-from-empty at {} diverged", c);

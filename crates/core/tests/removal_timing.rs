@@ -6,10 +6,13 @@
 //!
 //! Builds the census lattice, primes mutation state, and times
 //! `remove_polygon` on a spread of present ids. With the per-id cell
-//! inventory this walks only the cells each id touches; the pre-PR-8
-//! implementation scanned the whole ref arena per removal.
+//! inventory this walks only the cells each id touches, not the whole
+//! ref arena. It then times one `compact()` of the edited index and
+//! checks that it clears all waste without changing a probe answer on a
+//! 100k-point sample.
 
 use act_core::ActIndex;
+use datagen::PointGen;
 use std::time::Instant;
 
 #[test]
@@ -41,4 +44,33 @@ fn census_scale_removal_timing() {
     }
     let per = t.elapsed().as_secs_f64() * 1e6 / ids.len() as f64;
     println!("removal: {} ids, {per:.1} us/removal", ids.len());
+
+    assert!(index.waste_bytes() > 0, "removals must leave garbage");
+
+    // One compaction of the edited index, timed; probe answers on the
+    // sample must be the same before and after.
+    let sample = PointGen::nyc_taxi_like(ds.bbox, 7).take_vec(100_000);
+    let answers = |index: &ActIndex| -> Vec<Vec<(u32, bool)>> {
+        let view = index.as_view();
+        sample.iter().map(|&c| view.lookup_refs(c)).collect()
+    };
+    let before = answers(&index);
+    let (bytes, waste) = (index.memory_bytes(), index.waste_bytes());
+    let t = Instant::now();
+    index.compact();
+    println!(
+        "compact: {:.2} s, {:.1} -> {:.1} MB, {waste} B of waste cleared",
+        t.elapsed().as_secs_f64(),
+        bytes as f64 / 1e6,
+        index.memory_bytes() as f64 / 1e6
+    );
+    assert_eq!(index.waste_bytes(), 0, "a compaction clears all waste");
+    let after = answers(&index);
+    for (k, (want, got)) in before.iter().zip(&after).enumerate() {
+        assert_eq!(
+            got, want,
+            "compaction changed the answer at {:?}",
+            sample[k]
+        );
+    }
 }

@@ -124,7 +124,7 @@ mod tests {
         assert_eq!(reply.epoch, 1);
         assert_eq!(reply.refs.len(), coords.len());
         for (c, got) in coords.iter().zip(&reply.refs) {
-            assert_eq!(*got, idx.lookup_refs(*c), "at {c}");
+            assert_eq!(*got, idx.as_view().lookup_refs(*c), "at {c}");
         }
 
         let ping = client.ping().unwrap();
@@ -317,6 +317,7 @@ mod tests {
         let reply = client.probe(&coords, true).unwrap();
         for (c, got) in coords.iter().zip(&reply.refs) {
             let want: Vec<(u32, bool)> = idx
+                .as_view()
                 .lookup_refs(*c)
                 .into_iter()
                 .filter(|&(id, interior)| interior || refiner.contains(id, *c))
@@ -384,7 +385,7 @@ mod tests {
                             .collect();
                         let reply = client.probe(&coords, false).unwrap();
                         for (c, got) in coords.iter().zip(&reply.refs) {
-                            assert_eq!(*got, idx.lookup_refs(*c), "at {c}");
+                            assert_eq!(*got, idx.as_view().lookup_refs(*c), "at {c}");
                         }
                     }
                 })

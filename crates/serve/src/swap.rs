@@ -46,13 +46,13 @@
 //! plus one inventory, which the two share: a clone copies the id map,
 //! and an apply replaces only the lists of the ids it touches.
 //!
-//! Compaction runs only once an index's waste ratio crosses
-//! [`ActIndex::COMPACT_WASTE_THRESHOLD`], in [`WATCH_COMPACT_BUDGET`]
-//! slices: on idle polls, and under the same budget inside an apply, so
-//! no apply ever rewrites the whole arena in one go. Out of scope: one
-//! arena instead of two needs structural sharing inside the node arena,
-//! and compaction's extraction pass (one read of the live cell set) is
-//! still not sliced.
+//! Compaction follows the index's own policy: the apply whose edits
+//! push the scratch's waste ratio past
+//! [`ActIndex::COMPACT_WASTE_THRESHOLD`] runs [`ActIndex::compact`] to
+//! completion before it publishes: one streamed pass into a fresh trie.
+//! That one apply pays a full rewrite (about 1.5 s on census); applies
+//! below the threshold and idle polls pay nothing. Out of scope: one
+//! arena instead of two needs structural sharing inside the node arena.
 //!
 //! ## Failure handling
 //!
@@ -73,9 +73,10 @@
 //! * **Invalid base snapshots** keep the current index serving and are
 //!   retried when the path's signature changes again.
 //!
-//! Prefer `write to a sibling + rename` over in-place rewrites: rename
-//! is atomic on unix, and the old mapping stays valid because the old
-//! inode lives until unmapped.
+//! Replace files through [`act_core::write_file_atomic`] (write a
+//! sibling, fsync, rename), never in place: rename is atomic on unix,
+//! and the old mapping stays valid because the old inode lives until
+//! unmapped.
 
 use act_core::{apply_delta_file, ActIndex, DeltaLink, MappedSnapshot, SnapshotError};
 use act_obs::TraceRing;
@@ -95,14 +96,6 @@ pub const FOLD_AFTER_DELTAS: u64 = 16;
 /// Ceiling on the watcher's exponential error backoff: however long a
 /// disk flaps, the watcher re-checks at least this often.
 pub const WATCH_BACKOFF_CAP: Duration = Duration::from_secs(5);
-
-/// Per-call deadline budget for compaction work on the watcher's scratch
-/// index, both on idle polls and inside applies (it is the lineage
-/// index's [`ActIndex::set_compact_budget`]): mutation bursts (delta
-/// applies with heavy tombstone load) can no longer stall the
-/// apply-to-publish path behind a monolithic arena rewrite — compaction
-/// proceeds in these slices and resumes across polls.
-pub const WATCH_COMPACT_BUDGET: Duration = Duration::from_millis(5);
 
 /// Counters the watcher shares with the serving stack (they ride the
 /// PING/STATS counter block).
@@ -355,14 +348,13 @@ struct Lineage {
     /// The published state (what the store serves once a delta landed);
     /// `None` until this lineage's first apply is published.
     working: Option<Arc<ServeIndex>>,
-    /// A private owned index primed for mutation, with the watcher's
-    /// compaction budget: the owned copy of the mapped base when the
-    /// lineage opens, afterwards a clone of `working`. Deltas apply here
-    /// *in place*, so no arena clone is on the apply-to-publish latency
-    /// path — the scratch is re-cloned from the published index right
-    /// after each swap, while readers are already on the new epoch (and
-    /// after the first swap has released the mapped base). `None` only
-    /// transiently mid-apply.
+    /// A private owned index primed for mutation: the owned copy of the
+    /// mapped base when the lineage opens, afterwards a clone of
+    /// `working`. Deltas apply here *in place*, so no arena clone is on
+    /// the apply-to-publish latency path — the scratch is re-cloned from
+    /// the published index right after each swap, while readers are
+    /// already on the new epoch (and after the first swap has released
+    /// the mapped base). `None` only transiently mid-apply.
     scratch: Option<ActIndex>,
     applied: u64,
 }
@@ -489,19 +481,6 @@ fn quarantine_delta(dpath: &Path) -> io::Result<PathBuf> {
     let qpath = dpath.with_file_name(name);
     std::fs::rename(dpath, &qpath)?;
     Ok(qpath)
-}
-
-/// Spends the idle-poll compaction budget on the lineage scratch: delta
-/// bursts with heavy tombstone load shed their arena waste a slice at a
-/// time between polls instead of stalling an apply behind a monolithic
-/// rewrite. Below the waste threshold this does nothing
-/// ([`ActIndex::compact_deadline`] owns that policy).
-fn idle_compact(lineage: &mut Option<Lineage>) {
-    if let Some(lin) = lineage {
-        if let Some(scratch) = lin.scratch.as_mut() {
-            scratch.compact_deadline(std::time::Instant::now() + WATCH_COMPACT_BUDGET);
-        }
-    }
 }
 
 /// Polls `path` every `interval` until `shutdown`, swapping validated
@@ -637,7 +616,6 @@ pub fn watch_loop_opts(
         let Some(dsig) = dsig else {
             // Fully idle poll: no pending work, clean IO.
             err_streak = 0;
-            idle_compact(&mut lineage);
             continue;
         };
         if Some(dsig) == delta_failed || !dstable {
@@ -656,7 +634,6 @@ pub fn watch_loop_opts(
                 continue; // unreachable: no lineage means mapped base
             };
             let mut owned = snap.to_owned_index();
-            owned.set_compact_budget(Some(WATCH_COMPACT_BUDGET));
             // One-time: build the live-id set and inventory now so
             // every apply is as fast as the steady state.
             owned.prime_mutations();
@@ -783,8 +760,9 @@ pub fn watch_loop_opts(
 }
 
 /// Folds the lineage's working index into a new base snapshot: write to
-/// a sibling, fsync, rename over the base path, delete the consumed
-/// delta files, and restart the chain from the new base checksum.
+/// a sibling, fsync, rename over the base path (all three through
+/// [`act_core::write_file_atomic`]), delete the consumed delta files, and
+/// restart the chain from the new base checksum.
 fn fold_lineage(base: &Path, lin: &mut Lineage) -> Result<(), act_core::SnapshotError> {
     let Some(ServeIndex::Owned(working)) = lin.working.as_deref() else {
         unreachable!("a fold follows a publish");
@@ -792,9 +770,7 @@ fn fold_lineage(base: &Path, lin: &mut Lineage) -> Result<(), act_core::Snapshot
     let mut bytes = Vec::new();
     working.save_snapshot(&mut bytes)?;
     let new_sum = act_core::header_checksum(&bytes).expect("save_snapshot wrote a whole header");
-    let tmp = base.with_extension("fold-tmp");
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, base)?;
+    act_core::write_file_atomic(base, &bytes)?;
     for seq in 1..lin.link.next_seq {
         let _ = std::fs::remove_file(delta_path(base, seq));
     }
@@ -1103,8 +1079,7 @@ mod tests {
     /// Waste below the compaction threshold is left alone: after an
     /// insert delta, a remove delta (which leaves tombstone garbage) and
     /// a run of idle polls, the next apply publishes an index that still
-    /// carries that garbage and has no compaction in flight. The idle
-    /// slice used to start a whole-arena rebuild on any waste at all.
+    /// carries that garbage.
     #[allow(clippy::needless_update)]
     #[test]
     fn watcher_leaves_waste_below_threshold_uncompacted() {
@@ -1143,7 +1118,7 @@ mod tests {
             let ServeIndex::Owned(ix) = &*idx else {
                 panic!("a delta apply publishes an owned index");
             };
-            (ix.waste_bytes(), ix.waste_ratio(), ix.compact_in_progress())
+            (ix.waste_bytes(), ix.waste_ratio())
         };
 
         let link = DeltaLink::for_base(base_sum);
@@ -1156,7 +1131,7 @@ mod tests {
         let rm = DeltaOp::Remove { id: 20 };
         let (link, _) = save_delta_file(&[rm], link, &delta_path(&path, 2)).unwrap();
         wait_epoch(3);
-        let (waste, ratio, _) = published();
+        let (waste, ratio) = published();
         assert!(waste > 0, "the remove must leave garbage behind");
         assert!(
             ratio < ActIndex::COMPACT_WASTE_THRESHOLD,
@@ -1171,14 +1146,10 @@ mod tests {
         };
         save_delta_file(&[add], link, &delta_path(&path, 3)).unwrap();
         wait_epoch(4);
-        let (waste_after, _, in_progress) = published();
+        let (waste_after, _) = published();
         assert!(
             waste_after >= waste,
             "idle polls compacted below the threshold ({waste} -> {waste_after} bytes)"
-        );
-        assert!(
-            !in_progress,
-            "no compaction may be in flight below the threshold"
         );
         let (idx, _) = store.current();
         assert!(!idx.lookup_refs(Coord::new(-72.9, 40.7)).is_empty());
@@ -1187,6 +1158,96 @@ mod tests {
         shutdown.store(true, Ordering::Release);
         assert_eq!(handle.join().unwrap(), 3);
         for seq in 1..=3 {
+            let _ = std::fs::remove_file(delta_path(&path, seq));
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// One delta whose removals push the waste past the compaction
+    /// threshold: the apply compacts to completion before it publishes,
+    /// so the published index is back under the threshold, answers
+    /// right, and the next delta applies on top of it.
+    #[allow(clippy::needless_update)]
+    #[test]
+    fn watcher_compacts_when_one_delta_crosses_the_threshold() {
+        let base: Vec<Polygon> = (0..12)
+            .map(|k| square(-74.0 + 0.05 * f64::from(k), 40.7, 0.02))
+            .collect();
+        let path = snap_file("past-threshold", &base);
+        let base_sum = act_core::header_checksum(&std::fs::read(&path).unwrap()).unwrap();
+        let store = Arc::new(IndexStore::new(MappedSnapshot::open(&path).unwrap()));
+        let base_bytes = store.current().0.view().memory_bytes();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let initial = snapshot_signature(&path);
+        let handle = {
+            let (store, shutdown, path) = (store.clone(), shutdown.clone(), path.clone());
+            std::thread::spawn(move || {
+                watch_loop_opts(
+                    &path,
+                    &store,
+                    &shutdown,
+                    initial,
+                    WatchOptions {
+                        interval: Duration::from_millis(5),
+                        ..WatchOptions::default()
+                    },
+                )
+            })
+        };
+        let wait_epoch = |want: u32| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while store.epoch() < want && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(store.epoch(), want, "epoch did not reach {want}");
+        };
+        let at = |k: u32| Coord::new(-74.0 + 0.05 * f64::from(k), 40.7);
+
+        // Remove nine of the twelve polygons in one delta.
+        let removals: Vec<DeltaOp> = (0..9).map(|id| DeltaOp::Remove { id }).collect();
+        let link = DeltaLink::for_base(base_sum);
+        let (link, _) = save_delta_file(&removals, link, &delta_path(&path, 1)).unwrap();
+        wait_epoch(2);
+        let (idx, _) = store.current();
+        let ServeIndex::Owned(ix) = &*idx else {
+            panic!("a delta apply publishes an owned index");
+        };
+        assert!(
+            ix.waste_ratio() < ActIndex::COMPACT_WASTE_THRESHOLD,
+            "the crossing apply must compact ({})",
+            ix.waste_ratio()
+        );
+        // Removals orphan nodes in place; only a compaction shrinks the
+        // arena below the base's.
+        assert!(
+            ix.memory_bytes() < base_bytes / 2,
+            "no compaction ran ({base_bytes} -> {} bytes)",
+            ix.memory_bytes()
+        );
+        for k in 0..9 {
+            assert!(idx.lookup_refs(at(k)).is_empty(), "removed polygon {k}");
+        }
+        for k in 9..12 {
+            assert_eq!(idx.lookup_refs(at(k)), vec![(k, true)], "survivor {k}");
+        }
+        drop(idx);
+
+        // The next delta lands on the compacted index.
+        let add = DeltaOp::Insert {
+            id: 20,
+            polygon: square(-74.0, 40.7, 0.02),
+        };
+        save_delta_file(&[add], link, &delta_path(&path, 2)).unwrap();
+        wait_epoch(3);
+        let (idx, _) = store.current();
+        assert_eq!(idx.lookup_refs(at(0)), vec![(20, true)]);
+        assert_eq!(idx.lookup_refs(at(11)), vec![(11, true)]);
+        assert!(idx.lookup_refs(at(1)).is_empty());
+        drop(idx);
+
+        shutdown.store(true, Ordering::Release);
+        assert_eq!(handle.join().unwrap(), 2);
+        for seq in 1..=2 {
             let _ = std::fs::remove_file(delta_path(&path, seq));
         }
         std::fs::remove_file(&path).unwrap();

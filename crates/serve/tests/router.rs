@@ -122,7 +122,7 @@ fn routed_probes_match_the_unsharded_oracle() {
         for (c, got) in pts.iter().zip(&reply.refs) {
             assert_eq!(
                 *got,
-                sorted(idx.lookup_refs(*c)),
+                sorted(idx.as_view().lookup_refs(*c)),
                 "at {c} ({num_shards} shards)"
             );
             for &(id, _) in got {
@@ -270,9 +270,9 @@ fn rolling_hot_swap_full_and_delta_under_load_drops_nothing() {
         .iter()
         .map(|&c| {
             [
-                sorted(idx0.lookup_refs(c)),
-                sorted(idx1.lookup_refs(c)),
-                sorted(idx2.lookup_refs(c)),
+                sorted(idx0.as_view().lookup_refs(c)),
+                sorted(idx1.as_view().lookup_refs(c)),
+                sorted(idx2.as_view().lookup_refs(c)),
             ]
         })
         .collect();
@@ -368,7 +368,11 @@ fn rolling_hot_swap_full_and_delta_under_load_drops_nothing() {
     // index.
     let reply = client.probe(&pts, false).unwrap();
     for (c, got) in pts.iter().zip(&reply.refs) {
-        assert_eq!(*got, sorted(idx2.lookup_refs(*c)), "end state at {c}");
+        assert_eq!(
+            *got,
+            sorted(idx2.as_view().lookup_refs(*c)),
+            "end state at {c}"
+        );
     }
 
     router.shutdown();
@@ -446,7 +450,11 @@ fn worker_death_yields_typed_errors_and_cooldown_sheds_not_hangs_or_lies() {
     // Batches owned entirely by the surviving shard: still exact.
     let reply = client.probe(&by_shard[0], false).unwrap();
     for (c, got) in by_shard[0].iter().zip(&reply.refs) {
-        assert_eq!(*got, sorted(idx.lookup_refs(*c)), "surviving shard at {c}");
+        assert_eq!(
+            *got,
+            sorted(idx.as_view().lookup_refs(*c)),
+            "surviving shard at {c}"
+        );
     }
 
     router.shutdown();
@@ -509,7 +517,11 @@ fn routed_probes_stay_exact_with_worker_caches_on() {
         let reply = client.probe(&pts, false).unwrap();
         assert_eq!(reply.refs.len(), pts.len());
         for (c, got) in pts.iter().zip(&reply.refs) {
-            assert_eq!(*got, sorted(idx.lookup_refs(*c)), "{pass} pass at {c}");
+            assert_eq!(
+                *got,
+                sorted(idx.as_view().lookup_refs(*c)),
+                "{pass} pass at {c}"
+            );
         }
     }
     router.shutdown();

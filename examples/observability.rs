@@ -163,7 +163,7 @@ fn main() {
     let p = gen.point_at(3);
     let served = client.probe(&[p], false).expect("probe").refs[0].len();
     assert_eq!(
-        index.lookup_refs(p).len(),
+        index.as_view().lookup_refs(p).len(),
         served,
         "offline and served answers agree at {p}"
     );

@@ -49,7 +49,7 @@ fn main() {
         ("JFK-ish", Coord::new(-73.78, 40.64)),
     ];
     for (label, p) in queries {
-        let refs = index.lookup_refs(p);
+        let refs = index.as_view().lookup_refs(p);
         if refs.is_empty() {
             println!("{label:>15}: no zone");
         } else {
@@ -69,7 +69,7 @@ fn main() {
 
     // 4. The raw probe API for hot paths (no allocation):
     let cell = act_core::coord_to_cell(Coord::new(-73.9855, 40.7580));
-    match index.probe_cell(cell) {
+    match index.as_view().probe_cell(cell) {
         Probe::One(r) => println!("raw probe: polygon {} interior={}", r.id, r.interior),
         other => println!("raw probe: {other:?}"),
     }

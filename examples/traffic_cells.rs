@@ -107,7 +107,7 @@ fn main() {
     let mut violations = 0u64;
     let mut checked = 0u64;
     for &p in positions.iter().take(200_000) {
-        for (id, _) in index.lookup_refs(p) {
+        for (id, _) in index.as_view().lookup_refs(p) {
             checked += 1;
             if ds.polygons[id as usize].distance_meters(p) > precision {
                 violations += 1;

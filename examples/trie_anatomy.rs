@@ -70,7 +70,7 @@ fn main() {
         "  key bytes: {:?}",
         (0..7).map(|d| leaf.key_byte(d)).collect::<Vec<_>>()
     );
-    match index.probe_cell(leaf) {
+    match index.as_view().probe_cell(leaf) {
         Probe::Miss => println!("  → miss (sentinel)"),
         Probe::One(r) => println!(
             "  → single inline reference: polygon {} ({})",

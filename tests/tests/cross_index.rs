@@ -21,7 +21,7 @@ fn refine(refs: Vec<(u32, bool)>, refiner: &Refiner, p: Coord) -> Vec<u32> {
 }
 
 fn exact_via_act(index: &ActIndex, refiner: &Refiner, p: Coord, out: &mut Vec<u32>) {
-    *out = refine(index.lookup_refs(p), refiner, p);
+    *out = refine(index.as_view().lookup_refs(p), refiner, p);
 }
 
 #[test]
@@ -119,7 +119,7 @@ fn act_filter_is_no_looser_than_epsilon() {
     let mut act_worst: f64 = 0.0;
     let mut rtree_worst: f64 = 0.0;
     for &p in &pts {
-        for (id, _) in act.lookup_refs(p) {
+        for (id, _) in act.as_view().lookup_refs(p) {
             act_worst = act_worst.max(ds.polygons[id as usize].distance_meters(p));
         }
         for id in tree.query_point(p) {
@@ -291,9 +291,9 @@ fn edit_scripts_agree_with_grid_and_rtree_oracles() {
         }
         for &p in &pts {
             let truth = exact_ids(&live, p);
-            let via_live = refine(&live, act.lookup_refs(p), p);
+            let via_live = refine(&live, act.as_view().lookup_refs(p), p);
             assert_eq!(via_live, truth, "step {step}: live ACT diverged at {p}");
-            let via_rebuilt = refine(&live, rebuilt.lookup_refs(p), p);
+            let via_rebuilt = refine(&live, rebuilt.as_view().lookup_refs(p), p);
             assert_eq!(via_rebuilt, truth, "step {step}: rebuild diverged at {p}");
             let mut via_grid: Vec<u32> = flat
                 .query(p)

@@ -26,7 +26,7 @@ fn census_full_60m_builds_and_probes() {
     assert!(stats.misses < 2_000, "misses {}", stats.misses);
     // The precision guarantee on a sample.
     for &p in pts.iter().take(2_000) {
-        for (id, interior) in index.lookup_refs(p) {
+        for (id, interior) in index.as_view().lookup_refs(p) {
             let d = ds.polygons[id as usize].distance_meters(p);
             if interior {
                 assert_eq!(d, 0.0);
@@ -58,7 +58,7 @@ fn boroughs_full_4m_guarantee() {
     let index = ActIndex::build(&ds.polygons, 4.0).unwrap();
     let pts = PointGen::nyc_taxi_like(ds.bbox, 9).take_vec(50_000);
     for &p in &pts {
-        for (id, interior) in index.lookup_refs(p) {
+        for (id, interior) in index.as_view().lookup_refs(p) {
             let d = ds.polygons[id as usize].distance_meters(p);
             if interior {
                 assert_eq!(d, 0.0);

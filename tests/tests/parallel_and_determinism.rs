@@ -74,7 +74,10 @@ fn parallel_build_byte_identical_on_dataset() {
         // The two builds must also answer queries identically.
         let pts = PointGen::nyc_taxi_like(ds.bbox, 3).take_vec(5_000);
         for &pt in &pts {
-            assert_eq!(par.probe_coord(pt), serial.probe_coord(pt));
+            assert_eq!(
+                par.as_view().probe_coord(pt),
+                serial.as_view().probe_coord(pt)
+            );
         }
     }
 }

@@ -9,7 +9,7 @@ fn assert_guarantee(ds: &datagen::Dataset, index: &ActIndex, eps: f64, n_probes:
     let gen = PointGen::nyc_taxi_like(ds.bbox, seed);
     let mut matches = 0u64;
     for p in gen.iter_range(0, n_probes as u64) {
-        let refs = index.lookup_refs(p);
+        let refs = index.as_view().lookup_refs(p);
         // No false negatives: a containing polygon is always reported.
         // (Only check polygons whose bbox contains p, for speed.)
         for (i, poly) in ds.polygons.iter().enumerate() {
@@ -113,7 +113,7 @@ fn epsilon_is_tight_in_practice() {
     let gen = PointGen::nyc_taxi_like(ds.bbox, 21);
     let mut worst: f64 = 0.0;
     for p in gen.iter_range(0, 50_000) {
-        for (id, interior) in index.lookup_refs(p) {
+        for (id, interior) in index.as_view().lookup_refs(p) {
             if !interior {
                 let poly = &ds.polygons[id as usize];
                 if !poly.contains(p) {

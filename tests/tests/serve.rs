@@ -72,14 +72,22 @@ fn golden_fixture_mmap_view_equals_heap_load() {
     // Scalar + batch probe equality across the grid.
     let pts = fixture_probe_grid();
     for &c in &pts {
-        assert_eq!(mapped.view().probe_coord(c), heap.probe_coord(c), "at {c}");
-        assert_eq!(mapped.view().lookup_refs(c), heap.lookup_refs(c), "at {c}");
+        assert_eq!(
+            mapped.view().probe_coord(c),
+            heap.as_view().probe_coord(c),
+            "at {c}"
+        );
+        assert_eq!(
+            mapped.view().lookup_refs(c),
+            heap.as_view().lookup_refs(c),
+            "at {c}"
+        );
     }
     let cells: Vec<_> = pts.iter().map(|&c| act_core::coord_to_cell(c)).collect();
     let mut got = vec![Probe::Miss; cells.len()];
     let mut want = vec![Probe::Miss; cells.len()];
     mapped.view().probe_batch(&cells, &mut got);
-    heap.probe_batch(&cells, &mut want);
+    heap.as_view().probe_batch(&cells, &mut want);
     assert_eq!(got, want);
 
     // And the mapped snapshot deep-copies back to the identical index.
@@ -193,8 +201,14 @@ fn hot_swap_drops_no_requests_and_changes_answers() {
     let in_a = Coord::new(-74.05, 40.70);
     let in_b = Coord::new(-73.95, 40.70);
     let frame = [in_a, in_b];
-    let want_a = (idx_a.lookup_refs(in_a), idx_a.lookup_refs(in_b));
-    let want_b = (idx_b.lookup_refs(in_a), idx_b.lookup_refs(in_b));
+    let want_a = (
+        idx_a.as_view().lookup_refs(in_a),
+        idx_a.as_view().lookup_refs(in_b),
+    );
+    let want_b = (
+        idx_b.as_view().lookup_refs(in_a),
+        idx_b.as_view().lookup_refs(in_b),
+    );
     assert_ne!(want_a, want_b, "the swap must be observable");
 
     // Continuous traffic; swap the file mid-stream (sibling + rename,

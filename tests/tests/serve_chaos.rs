@@ -135,7 +135,7 @@ fn hot_swaps_under_shedding_with_a_stalled_reader() {
                             for (pt, got) in pts.iter().zip(&reply.refs) {
                                 assert_eq!(
                                     *got,
-                                    idx.lookup_refs(*pt),
+                                    idx.as_view().lookup_refs(*pt),
                                     "epoch {} answer diverged at {pt}",
                                     reply.epoch
                                 );
@@ -196,7 +196,11 @@ fn hot_swaps_under_shedding_with_a_stalled_reader() {
                             let refs = proto::decode_probe_payload(h.n, payload).unwrap();
                             let idx = index_for_epoch(h.epoch, idx_a, idx_b);
                             for (pt, got) in f.iter().zip(&refs) {
-                                assert_eq!(*got, idx.lookup_refs(*pt), "stalled frame {k} at {pt}");
+                                assert_eq!(
+                                    *got,
+                                    idx.as_view().lookup_refs(*pt),
+                                    "stalled frame {k} at {pt}"
+                                );
                             }
                         }
                         proto::STATUS_LOADSHED => {
@@ -337,7 +341,11 @@ fn shutdown_drains_accepted_frames_and_nothing_more() {
         );
         let refs = proto::decode_probe_payload(h.n, payload).unwrap();
         for (pt, got) in f.iter().zip(&refs) {
-            assert_eq!(*got, idx.lookup_refs(*pt), "drained frame {k} at {pt}");
+            assert_eq!(
+                *got,
+                idx.as_view().lookup_refs(*pt),
+                "drained frame {k} at {pt}"
+            );
         }
     }
     // …and nothing more: the stream ends. A frame sent now is never
@@ -409,7 +417,7 @@ fn warm_cache_stays_exact_across_full_and_delta_epoch_flips() {
             for (pt, got) in pts.iter().zip(&reply.refs) {
                 assert_eq!(
                     *got,
-                    idx.lookup_refs(*pt),
+                    idx.as_view().lookup_refs(*pt),
                     "epoch {epoch} pass {pass} diverged from the oracle at {pt}"
                 );
             }

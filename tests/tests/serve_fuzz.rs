@@ -123,7 +123,11 @@ fn assert_still_serving(addr: std::net::SocketAddr, idx: &ActIndex, grid: &[Coor
     c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let reply = c.probe(grid, false).expect("post-attack probe");
     for (pt, got) in grid.iter().zip(&reply.refs) {
-        assert_eq!(*got, idx.lookup_refs(*pt), "post-attack divergence at {pt}");
+        assert_eq!(
+            *got,
+            idx.as_view().lookup_refs(*pt),
+            "post-attack divergence at {pt}"
+        );
     }
 }
 
@@ -176,7 +180,11 @@ fn seeded_malformed_frames_never_panic_never_wedge_never_disturb() {
                 while !stop.load(Ordering::Acquire) {
                     let reply = c.probe(grid, false).expect("sentinel probe");
                     for (pt, got) in grid.iter().zip(&reply.refs) {
-                        assert_eq!(*got, idx.lookup_refs(*pt), "sentinel divergence at {pt}");
+                        assert_eq!(
+                            *got,
+                            idx.as_view().lookup_refs(*pt),
+                            "sentinel divergence at {pt}"
+                        );
                     }
                     rounds += 1;
                     // Throttle: the point is continuous coverage, not
@@ -307,7 +315,7 @@ fn seeded_malformed_frames_never_panic_never_wedge_never_disturb() {
                     );
                     let refs = proto::decode_probe_payload(h.n, payload).unwrap();
                     for (pt, got) in probe.iter().zip(&refs) {
-                        assert_eq!(*got, idx.lookup_refs(*pt), "{what}: at {pt}");
+                        assert_eq!(*got, idx.as_view().lookup_refs(*pt), "{what}: at {pt}");
                     }
                     let mut junk = proto::encode_ping_request();
                     junk[4] = 0; // op 0 is invalid
@@ -448,7 +456,7 @@ fn half_written_delta_between_polls_applies_only_once_complete() {
         (ds.bbox.min.y + ds.bbox.max.y) / 2.0,
     );
     let frame = [inside];
-    let want = idx.lookup_refs(inside);
+    let want = idx.as_view().lookup_refs(inside);
 
     // The delta: remove every polygon the probe point matches (so the
     // apply is observable), serialized to bytes we can tear at will.

@@ -25,7 +25,7 @@ fn quickstart_true_hit_vs_candidate_hit() {
 
     // Deep-interior probe (Times Square): must be a *true hit* — reported
     // from a cell entirely inside the polygon, no geometry check needed.
-    let refs = index.lookup_refs(Coord::new(-73.9855, 40.7580));
+    let refs = index.as_view().lookup_refs(Coord::new(-73.9855, 40.7580));
     assert_eq!(refs, vec![(0, true)], "quickstart doc example drifted");
 
     // March a transect across the eastern edge (x = -73.96), from 40 m
@@ -39,7 +39,7 @@ fn quickstart_true_hit_vs_candidate_hit() {
     let mut candidate_hits = 0;
     for step in -20..=20 {
         let p = Coord::new(-73.96 + 2.0 * step as f64 * meter_lng, 40.76);
-        let refs = index.lookup_refs(p);
+        let refs = index.as_view().lookup_refs(p);
         let dist = poly.distance_meters(p);
         if poly.contains(p) {
             assert!(!refs.is_empty(), "false negative {dist} m inside");
@@ -60,7 +60,10 @@ fn quickstart_true_hit_vs_candidate_hit() {
     assert!(candidate_hits > 0, "no candidate hit along the transect");
 
     // Probe far outside (Brooklyn, ~8 km away): no match at all.
-    assert!(index.lookup_refs(Coord::new(-73.95, 40.65)).is_empty());
+    assert!(index
+        .as_view()
+        .lookup_refs(Coord::new(-73.95, 40.65))
+        .is_empty());
 }
 
 #[test]

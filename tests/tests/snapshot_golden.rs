@@ -104,8 +104,12 @@ fn golden_snapshot_round_trips_byte_for_byte() {
     // 4. Probes through fixture, view, and fresh index all agree.
     let pts = PointGen::nyc_taxi_like(ds.bbox, 3).take_vec(2_000);
     for &p in &pts {
-        let want = fresh.lookup_refs(p);
-        assert_eq!(loaded.lookup_refs(p), want, "fixture disagrees at {p}");
+        let want = fresh.as_view().lookup_refs(p);
+        assert_eq!(
+            loaded.as_view().lookup_refs(p),
+            want,
+            "fixture disagrees at {p}"
+        );
         assert_eq!(view.lookup_refs(p), want, "view disagrees at {p}");
     }
 }
@@ -207,13 +211,13 @@ fn golden_fixture_anchors_a_delta_lineage() {
     let pts = PointGen::nyc_taxi_like(ds.bbox, 7).take_vec(2_000);
     for &p in &pts {
         assert_eq!(
-            live.lookup_refs(p),
-            want.lookup_refs(p),
+            live.as_view().lookup_refs(p),
+            want.as_view().lookup_refs(p),
             "delta-applied fixture diverged at {p}"
         );
     }
     assert!(
-        !live.lookup_refs(c).is_empty(),
+        !live.as_view().lookup_refs(c).is_empty(),
         "inserted polygon must probe"
     );
 
