@@ -1,15 +1,21 @@
-//! loadgen — drives an `act-serve` server (or a sharded fleet behind
-//! `act-route`) over TCP, checks every answer it records against an
-//! offline probe of the same snapshot, and writes client-observed
-//! throughput and latency rows to `BENCH_serve.json` (committed at the
+//! loadgen — a contract driver for the serving behaviour `act-bench` has
+//! no workload for: overload, faults, the hot-cell cache, fairness, and
+//! driving an external fleet (`act-serve` or `act-route`) over TCP. It
+//! checks every answer it records against an offline probe of the same
+//! snapshot, and writes its rows to `BENCH_serve.json` (committed at the
 //! repo root).
 //!
 //! ```text
 //! cargo run --release -p bench --bin loadgen -- \
 //!     [--datasets census] [--points N] [--seed S] [--threads C] [--batch B] \
 //!     [--snapshot DIR] [--router-addr HOST:PORT] \
-//!     [--overload] [--faults] [--router] [--zipf S] [--greedy]
+//!     [--overload] [--faults] [--zipf S] [--greedy]
 //! ```
+//!
+//! At least one phase flag or `--router-addr` is required; without one,
+//! loadgen prints the usage message and exits non-zero. Closed-loop
+//! throughput and the routed fleet are `act-bench`'s serve-census and
+//! route-census workloads, which check every reply frame by frame.
 //!
 //! # Shared functions
 //!
@@ -41,28 +47,14 @@
 //!
 //! # Phases
 //!
-//! **Throughput** (always, unless `--router-addr`): an in-process server
-//! with the observability pipeline on, so the headline is the fully
-//! instrumented number. Counts are verified, a 2,000-point exact-mode
-//! sample must equal local refinement, nothing may be shed, and the
-//! server-side frame p99 (a log-bucket lower bound read over STATS) must
-//! not exceed the client p99. The row carries the server's per-stage
-//! quantiles.
-//!
-//! **External** (`--router-addr HOST:PORT`): the same closed loop against
-//! an already-running `act-route` or `act-serve` that serves the same
+//! **External** (`--router-addr HOST:PORT`): the closed loop against an
+//! already-running `act-route` or `act-serve` that serves the same
 //! snapshot. Counts are verified, and STATS and DUMP are exercised (DUMP
 //! may answer UNSUPPORTED). With `--zipf S` it also sends skewed repeat
 //! frames so a cache-enabled worker hits; with `--greedy` it sends one
 //! pipelined burst so a quota-enforcing worker sheds. Both are verified
 //! too (for the burst, its OK answers). The in-process phases below are
 //! skipped.
-//!
-//! **Router** (`--router`): the snapshot is split into [`ROUTER_SHARDS`]
-//! shard snapshots, one in-process worker each, behind the
-//! scatter-gather router. Counts are verified, the router's merged
-//! counter block must equal the per-worker sums, and nothing may be
-//! shed. The row records the ratio to the throughput phase.
 //!
 //! **Overload** (`--overload`): a small, capacity-pinned server (queue
 //! depth D lanes, one worker with a fixed per-batch delay) under
@@ -88,10 +80,10 @@
 //! counters must reconcile, and the worst polite client's goodput must
 //! rise ≥ 5× with the quota.
 
-use act_core::{coord_to_cell, MappedSnapshot, Probe, Refiner};
+use act_core::{coord_to_cell, MappedSnapshot, Probe};
 use act_serve::{protocol as proto, Client, ObsConfig, ServeConfig, Server};
 use bench::json::{array, machine_stamp, pretty, Obj};
-use bench::{make_points, paper_datasets, snapshot_path, Opts};
+use bench::{make_points, paper_datasets, snapshot_path, Opts, USAGE};
 use geom::Coord;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -99,8 +91,6 @@ use std::time::{Duration, Instant};
 
 /// Snapshot precision (metres) every phase serves.
 const PRECISION_M: f64 = 15.0;
-/// Points per exact-mode verification sample.
-const EXACT_SAMPLE: usize = 2_000;
 /// Response-read deadline: far above any healthy frame latency, far
 /// below "the bench hung overnight".
 const READ_DEADLINE: Duration = Duration::from_secs(30);
@@ -185,16 +175,6 @@ const FAIR_QUOTA_LANES: usize = 256;
 /// (`--router-addr --greedy`, the CI fairness smoke).
 const GREEDY_BURST_FRAMES: usize = 64;
 
-/// Sharded-serving phase shape: the fleet size behind the router.
-const ROUTER_SHARDS: usize = 4;
-/// Split level for the routed phase. The paper datasets are one
-/// metropolitan area; at the global default (level 4, ~600 km cells)
-/// the whole city is one prefix and one shard does all the work. Level
-/// 10 (~10 km cells) spreads an NYC-sized bbox over ~100 prefixes so
-/// the fleet actually shares the load — the row records the per-shard
-/// split so imbalance is visible, not assumed away.
-const ROUTER_SPLIT_LEVEL: u8 = 10;
-
 /// A seeded Zipf(s) rank sampler over `0..n`: precomputed CDF +
 /// xorshift64* uniforms + binary search. Deterministic, so the cache-off
 /// and cache-on runs (and any re-run with the same seed) draw the exact
@@ -238,11 +218,10 @@ fn sorted(mut lat_us: Vec<f64>) -> Vec<f64> {
     lat_us
 }
 
-/// p50/p99/max of a set of frame latencies in µs (`NaN` when empty).
+/// p50/p99 of a set of frame latencies in µs (`NaN` when empty).
 struct Latency {
     p50: f64,
     p99: f64,
-    max: f64,
 }
 
 impl Latency {
@@ -254,7 +233,6 @@ impl Latency {
         Latency {
             p50: at(0.50),
             p99: at(0.99),
-            max: at(1.0),
         }
     }
 }
@@ -532,6 +510,10 @@ fn with_stage_quantiles(mut row: Obj, hists: &[proto::StageHistogram]) -> Obj {
 
 fn main() {
     let opts = Opts::parse();
+    if let Err(e) = opts.check_loadgen_phase() {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    }
     let selected: Vec<String> = if opts.datasets.is_empty() {
         // The acceptance configuration: the census-scale lattice.
         vec!["census".into()]
@@ -583,7 +565,7 @@ fn main() {
         .str("bench", "serve")
         .str(
             "command",
-            "cargo run --release -p bench --features fault-injection --bin loadgen -- --overload --faults --router --zipf 1.1 --greedy",
+            "cargo run --release -p bench --features fault-injection --bin loadgen -- --overload --faults --zipf 1.1 --greedy",
         )
         .raw("machine", machine_stamp())
         .int("seed", opts.seed)
@@ -619,9 +601,8 @@ fn cached_snapshot(dir: &str, ds: &datagen::Dataset) -> std::path::PathBuf {
 }
 
 /// One dataset: its snapshot and workload, then either the external
-/// phase alone or the throughput phase followed by each selected
-/// in-process phase. Client-side I/O failures come back as `Err` rows,
-/// not hangs.
+/// phase alone or each selected in-process phase. Client-side I/O
+/// failures come back as `Err` rows, not hangs.
 fn run_dataset(
     ds: &datagen::Dataset,
     dir: &str,
@@ -649,21 +630,7 @@ fn run_dataset(
         )?]);
     }
 
-    let expected = offline_counts(&snap, &points, ds.polygons.len());
-    let (row, throughput) =
-        run_throughput(ds, &path, &snap, &points, &expected, connections, frame)?;
-    let mut rows = vec![row];
-    if opts.router {
-        rows.push(run_router(
-            ds,
-            &path,
-            &points,
-            &expected,
-            connections,
-            frame,
-            throughput,
-        )?);
-    }
+    let mut rows = Vec::new();
     if opts.overload {
         rows.push(run_overload(ds, &path, &snap, &points)?);
     }
@@ -682,127 +649,6 @@ fn run_dataset(
         );
     }
     Ok(rows)
-}
-
-/// The throughput phase: the closed loop against an in-process server
-/// with observability on. Returns the row and the measured probes/s
-/// (the router phase's denominator).
-fn run_throughput(
-    ds: &datagen::Dataset,
-    path: &std::path::Path,
-    snap: &MappedSnapshot,
-    points: &[Coord],
-    expected: &[u64],
-    connections: usize,
-    frame: usize,
-) -> Result<(String, f64), String> {
-    let server = Server::spawn(
-        path,
-        ServeConfig {
-            refiner: Some(Refiner::new(&ds.polygons)),
-            watch: None,
-            // The headline throughput is measured with the full
-            // observability pipeline on — overhead is part of the row.
-            obs: Some(ObsConfig::default()),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("spawn act-serve");
-    let addr = server.addr();
-    warmup(addr, points, frame)?;
-    let warm_probes = server.stats().probes;
-    let run = closed_loop(addr, points, connections, frame, ds.polygons.len())?;
-    assert_eq!(
-        run.counts, expected,
-        "served counts diverged — not recording"
-    );
-
-    // Exact-mode spot check against local refinement.
-    let sample = &points[..points.len().min(EXACT_SAMPLE)];
-    let refiner = Refiner::new(&ds.polygons);
-    let view = snap.view();
-    let reply = connect(addr)?
-        .probe(sample, true)
-        .map_err(|e| format!("exact probe: {e}"))?;
-    for (pt, got) in sample.iter().zip(&reply.refs) {
-        let want: Vec<(u32, bool)> = view
-            .resolve_refs(view.probe_coord(*pt))
-            .filter(|&(id, interior)| interior || refiner.contains(id, *pt))
-            .map(|(id, _)| (id, true))
-            .collect();
-        assert_eq!(*got, want, "exact mode diverged at {pt} — not recording");
-    }
-
-    // Server-side per-stage distribution, over the wire (STATS) — the
-    // same path an external scraper uses.
-    let stats_ex = connect(addr)?
-        .stats_ex()
-        .map_err(|e| format!("stats_ex: {e}"))?;
-    let stats = server.stats();
-    let measured_probes = stats.probes - warm_probes - sample.len() as u64;
-    assert_eq!(measured_probes, points.len() as u64);
-    assert_eq!(
-        stats.shed, 0,
-        "the throughput phase must never shed (default depth)"
-    );
-    assert_eq!(stats.accepted, stats.answered + stats.shed);
-    let throughput = points.len() as f64 / run.secs;
-    let Latency { p50, p99, max } = Latency::of(&run.lat_us);
-    let batch_width = stats.probes as f64 / stats.batches.max(1) as f64;
-    println!(
-        "served {} probes in {:.2} s  ({:.2} M probes/s, {connections} conn, {frame}/frame)",
-        points.len(),
-        run.secs,
-        throughput / 1e6
-    );
-    println!(
-        "latency/frame: p50 {p50:.0} us, p99 {p99:.0} us, max {max:.0} us; mean micro-batch width {batch_width:.1}"
-    );
-
-    // Sanity: the server-side admission→flush total must sit at or
-    // below what clients observed for the same frames (stage quantiles
-    // are bucket lower bounds; the client adds encode/TCP/decode).
-    let hists = &stats_ex.histograms;
-    let server_frame_p99_us = stage_us(hists, proto::STAGE_FRAME_TOTAL, 0.99);
-    assert!(
-        server_frame_p99_us <= p99,
-        "server-side frame p99 ({server_frame_p99_us:.0} us) exceeded client-side p99 ({p99:.0} us)"
-    );
-    let stages: Vec<String> = TIME_STAGES
-        .iter()
-        .map(|&(name, stage)| {
-            let (a, b) = (stage_us(hists, stage, 0.50), stage_us(hists, stage, 0.99));
-            format!("{name} {a:.1}/{b:.1}")
-        })
-        .collect();
-    println!(
-        "server stages p50/p99 us: {}; probe depth p99 {:.0}",
-        stages.join(", "),
-        stage_raw(hists, proto::STAGE_PROBE_DEPTH, 0.99),
-    );
-
-    let row = Obj::new()
-        .str("dataset", &ds.name)
-        .int("polygons", ds.polygons.len() as u64)
-        .num("precision_m", PRECISION_M)
-        .int("points", points.len() as u64)
-        .int("connections", connections as u64)
-        .int("points_per_frame", frame as u64)
-        .num("secs", run.secs)
-        .num("probes_per_sec", throughput)
-        .num("frame_latency_p50_us", p50)
-        .num("frame_latency_p99_us", p99)
-        .num("frame_latency_max_us", max)
-        .int("server_batches", stats.batches)
-        .num("mean_batch_width", batch_width)
-        .int("epoch", u64::from(server.epoch()))
-        .bool("obs_enabled", true)
-        .bool("server_p99_le_client_p99", true)
-        .bool("counts_verified", true)
-        .bool("exact_mode_verified", true);
-    let row = with_stage_quantiles(row, hists).build();
-    server.shutdown();
-    Ok((row, throughput))
 }
 
 /// The external-target phase (`--router-addr`): the closed loop against
@@ -950,126 +796,6 @@ fn run_external(
         .int("greedy_burst_shed_frames", burst_shed)
         .bool("counts_verified", true);
     Ok(with_stage_quantiles(row, hists).build())
-}
-
-/// The sharded-serving phase: sharder → [`ROUTER_SHARDS`] in-process
-/// workers → scatter-gather router, the closed loop driven through the
-/// router's endpoint, counts verified against the offline probe of the
-/// unsharded snapshot and the merged counter block cross-checked against
-/// per-worker sums. The recorded ratio vs the single-process run is the
-/// scale-out headline; on a box with fewer cores than workers it is a
-/// floor, not the ceiling (see the machine stamp).
-fn run_router(
-    ds: &datagen::Dataset,
-    path: &std::path::Path,
-    points: &[Coord],
-    expected: &[u64],
-    connections: usize,
-    frame: usize,
-    single_process_throughput: f64,
-) -> Result<String, String> {
-    use act_core::write_shard_files;
-    use act_serve::{Router, RouterConfig};
-
-    println!("router: sharding into {ROUTER_SHARDS} workers, {connections} conn(s), {frame}/frame");
-
-    // Shard the cached snapshot. The shards are derived artifacts —
-    // rebuilt per run, removed after — so a refreshed base snapshot can
-    // never race stale shards.
-    let index = {
-        let mut f = std::fs::File::open(path).map_err(|e| format!("router: open snapshot: {e}"))?;
-        act_core::ActIndex::load_snapshot(&mut f).map_err(|e| format!("router: load: {e}"))?
-    };
-    let shard_dir = path.with_extension("shards");
-    let t = Instant::now();
-    let shard_paths = write_shard_files(&index, &shard_dir, ROUTER_SPLIT_LEVEL, ROUTER_SHARDS)
-        .map_err(|e| format!("router: shard: {e}"))?;
-    println!("router: sharded in {:.2} s", t.elapsed().as_secs_f64());
-    drop(index);
-
-    let workers: Vec<_> = shard_paths
-        .iter()
-        .map(|p| {
-            Server::spawn(
-                p,
-                ServeConfig {
-                    watch: None,
-                    ..ServeConfig::default()
-                },
-            )
-            .expect("spawn shard worker")
-        })
-        .collect();
-    let router = Router::spawn(
-        workers.iter().map(|w| w.addr()).collect(),
-        RouterConfig {
-            split_level: ROUTER_SPLIT_LEVEL,
-            ..RouterConfig::default()
-        },
-    )
-    .map_err(|e| format!("router: spawn: {e}"))?;
-    let addr = router.addr();
-    warmup(addr, points, frame)?;
-    let warm_probes: u64 = workers.iter().map(|w| w.stats().probes).sum();
-    let run = closed_loop(addr, points, connections, frame, ds.polygons.len())?;
-    assert_eq!(
-        run.counts, expected,
-        "routed counts diverged — not recording"
-    );
-
-    // Books: every probe point was answered by exactly one worker, and
-    // the router's merged counter block equals the sum of the parts.
-    let per_shard: Vec<u64> = workers.iter().map(|w| w.stats().probes).collect();
-    let fleet_probes: u64 = per_shard.iter().sum();
-    assert_eq!(fleet_probes - warm_probes, points.len() as u64);
-    let merged = connect(addr)?
-        .ping()
-        .map_err(|e| format!("router ping: {e}"))?;
-    assert_eq!(merged.counters.probes, fleet_probes);
-    assert_eq!(merged.counters.shed, 0, "routed run must never shed");
-    assert_eq!(merged.epoch, 1, "fresh fleet min epoch");
-
-    let throughput = points.len() as f64 / run.secs;
-    let speedup = throughput / single_process_throughput;
-    let Latency { p50, p99, .. } = Latency::of(&run.lat_us);
-    println!(
-        "router: {} probes in {:.2} s ({:.2} M probes/s routed vs {:.2} M single-process, \
-         {speedup:.2}x with {ROUTER_SHARDS} workers); latency/frame p50 {p50:.0} us p99 {p99:.0} us; \
-         per-shard probes {per_shard:?}",
-        points.len(),
-        run.secs,
-        throughput / 1e6,
-        single_process_throughput / 1e6
-    );
-
-    router.shutdown();
-    for w in workers {
-        w.shutdown();
-    }
-    std::fs::remove_dir_all(&shard_dir).ok();
-
-    Ok(Obj::new()
-        .str("dataset", &ds.name)
-        .str("mode", "router")
-        .int("shards", ROUTER_SHARDS as u64)
-        .int("split_level", ROUTER_SPLIT_LEVEL as u64)
-        .raw(
-            "fleet_probes_per_shard",
-            array(per_shard.iter().map(u64::to_string)),
-        )
-        .int("points", points.len() as u64)
-        .int("connections", connections as u64)
-        .int("points_per_frame", frame as u64)
-        .num("secs", run.secs)
-        .num("probes_per_sec_routed", throughput)
-        .num("probes_per_sec_single_process", single_process_throughput)
-        .num("routed_over_single_process", speedup)
-        .num("frame_latency_p50_us", p50)
-        .num("frame_latency_p99_us", p99)
-        .int("fleet_probes", fleet_probes)
-        .bool("counts_verified", true)
-        .bool("merged_counters_verified", true)
-        .build())
 }
 
 /// The fault soak: a seeded, deterministic fault schedule — worker
@@ -2128,7 +1854,8 @@ mod tests {
             .sum();
         assert_eq!(run.lat_us.len(), frames);
         assert!(run.lat_us.windows(2).all(|w| w[0] <= w[1]), "sorted");
-        assert_eq!(Latency::of(&run.lat_us).max, run.lat_us[frames - 1]);
+        // 18 frames: the p99 rank, round(17 × 0.99), is the slowest frame.
+        assert_eq!(Latency::of(&run.lat_us).p99, run.lat_us[frames - 1]);
         assert_eq!(server.stats().probes, points.len() as u64);
         server.shutdown();
         std::fs::remove_file(&path).ok();

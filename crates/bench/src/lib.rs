@@ -10,8 +10,9 @@
 //! * `snapshot` — build-once/load-many index-persistence baseline
 //!   (`BENCH_snapshot.json`, committed at the repo root; `--mmap` adds
 //!   the memory-mapped load rows)
-//! * `loadgen`  — drives an in-process `act-serve` over TCP and records
-//!   client-observed latency/throughput (`BENCH_serve.json`)
+//! * `loadgen`  — drives `act-serve` and `act-route` over TCP through
+//!   overload, faults, the hot-cell cache and fairness, or an external
+//!   fleet, and records the contract rows (`BENCH_serve.json`)
 //!
 //! Criterion benches (`cargo bench`): `throughput`, `scalability`,
 //! `ablations`, `build_phase`.
@@ -52,17 +53,13 @@ pub struct Opts {
     pub snapshot: Option<String>,
     /// Also measure memory-mapped snapshot loads (`snapshot` bin).
     pub mmap: bool,
-    /// Also run the overload phase (`loadgen` bin): drive a
+    /// Run the overload phase (`loadgen` bin): drive a
     /// small-queue server past capacity and record shed rate + goodput.
     pub overload: bool,
-    /// Also run the fault-injection soak (`loadgen` bin, requires the
+    /// Run the fault-injection soak (`loadgen` bin, requires the
     /// `fault-injection` feature): drive live traffic through a seeded
     /// fault schedule and record recovery rows.
     pub faults: bool,
-    /// Also run the sharded-routing phase (`loadgen` bin): split the
-    /// index across a worker fleet behind a scatter-gather router and
-    /// record routed goodput vs the single-process baseline.
-    pub router: bool,
     /// Drive an already-running `act-route` (or `act-serve`) at this
     /// address instead of spawning servers in-process (`loadgen` bin).
     /// The external fleet must serve the same dataset snapshot the
@@ -72,7 +69,7 @@ pub struct Opts {
     /// points from a Zipf(s) distribution over a fixed hot set and
     /// record cache-off vs cache-on throughput/latency rows.
     pub zipf: Option<f64>,
-    /// Also run the fairness phase (`loadgen` bin): one greedy client
+    /// Run the fairness phase (`loadgen` bin): one greedy client
     /// floods a capacity-pinned server while polite clients probe, and
     /// worst-client goodput is recorded quota-off vs quota-on.
     pub greedy: bool,
@@ -91,7 +88,6 @@ impl Default for Opts {
             mmap: false,
             overload: false,
             faults: false,
-            router: false,
             router_addr: None,
             zipf: None,
             greedy: false,
@@ -112,29 +108,27 @@ usage: <bin> [options]
                     load-and-verify them on later runs
   --mmap            also measure memory-mapped snapshot loads
                     (snapshot bin; adds the mmap rows to BENCH_snapshot.json)
-  --overload        also run the overload phase (loadgen bin): drive a
+  --overload        run the overload phase (loadgen bin): drive a
                     small-queue server past capacity and record shed rate
                     + goodput rows into BENCH_serve.json
-  --faults          also run the fault-injection soak (loadgen bin, built
+  --faults          run the fault-injection soak (loadgen bin, built
                     with --features fault-injection): seeded worker
                     panics, torn deltas, socket resets under live load;
                     records recovery rows into BENCH_serve.json
-  --router          also run the sharded-routing phase (loadgen bin):
-                    shard the index across a worker fleet behind the
-                    scatter-gather router and record routed goodput vs
-                    the single-process baseline into BENCH_serve.json
   --router-addr A   drive an already-running act-route (or act-serve) at
                     HOST:PORT instead of spawning in-process (loadgen
                     bin); the external fleet must serve the same dataset
                     snapshot the workload verifies against
-  --zipf S          also run the hot-cell cache phase (loadgen bin):
+  --zipf S          run the hot-cell cache phase (loadgen bin):
                     draw probes Zipf(S)-skewed over a fixed hot set and
                     record cache-off vs cache-on throughput + p99 rows
                     into BENCH_serve.json (S > 0; 1.0 ~ classic zipf)
-  --greedy          also run the fairness phase (loadgen bin): a greedy
+  --greedy          run the fairness phase (loadgen bin): a greedy
                     client floods a capacity-pinned server while polite
                     clients probe; records worst-client goodput with and
                     without --quota-lanes into BENCH_serve.json
+loadgen needs at least one of --overload, --faults, --zipf, --greedy or
+--router-addr.
 (env: ACT_FULL=1 behaves like --full)";
 
 impl Opts {
@@ -213,7 +207,6 @@ impl Opts {
                 "--mmap" => o.mmap = true,
                 "--overload" => o.overload = true,
                 "--faults" => o.faults = true,
-                "--router" => o.router = true,
                 "--router-addr" => {
                     let addr = value(args, &mut i, "--router-addr")?;
                     if addr.is_empty() {
@@ -235,6 +228,23 @@ impl Opts {
             i += 1;
         }
         Ok(o)
+    }
+
+    /// `loadgen` runs only what it is asked for: at least one phase
+    /// (`--overload`, `--faults`, `--zipf`, `--greedy`) or an external
+    /// target (`--router-addr`). Errs, for the usage message, when none
+    /// is given.
+    pub fn check_loadgen_phase(&self) -> Result<(), String> {
+        let phases = [self.overload, self.faults, self.zipf.is_some(), self.greedy];
+        if phases.contains(&true) || self.router_addr.is_some() {
+            Ok(())
+        } else {
+            Err(
+                "loadgen needs a phase (--overload, --faults, --zipf S, --greedy) \
+                 or --router-addr HOST:PORT"
+                    .to_string(),
+            )
+        }
     }
 
     /// True if dataset `name` is selected.
@@ -467,7 +477,6 @@ mod tests {
             "--mmap",
             "--overload",
             "--faults",
-            "--router",
             "--router-addr",
             "127.0.0.1:9000",
             "--zipf",
@@ -485,12 +494,10 @@ mod tests {
         assert!(o.mmap);
         assert!(o.overload);
         assert!(o.faults);
-        assert!(o.router);
         assert_eq!(o.router_addr.as_deref(), Some("127.0.0.1:9000"));
         assert_eq!(o.zipf, Some(1.2));
         assert!(o.greedy);
         let defaults = parse(&[]).unwrap();
-        assert!(!defaults.router);
         assert!(defaults.router_addr.is_none());
         assert!(defaults.zipf.is_none());
         assert!(!defaults.greedy);
@@ -518,6 +525,32 @@ mod tests {
         assert!(parse(&["--snapshot", ""])
             .unwrap_err()
             .contains("directory"));
+    }
+
+    #[test]
+    fn loadgen_needs_a_phase_or_an_external_target() {
+        let err = parse(&["--points", "1000"])
+            .unwrap()
+            .check_loadgen_phase()
+            .unwrap_err();
+        assert!(err.contains("needs a phase"), "{err}");
+        for args in [
+            &["--overload"][..],
+            &["--faults"],
+            &["--zipf", "1.1"],
+            &["--greedy"],
+            &["--router-addr", "127.0.0.1:9000"],
+        ] {
+            assert_eq!(
+                parse(args).unwrap().check_loadgen_phase(),
+                Ok(()),
+                "{args:?}"
+            );
+        }
+        // The retired in-process router phase is no longer a flag.
+        assert!(parse(&["--router"])
+            .unwrap_err()
+            .contains("unknown argument"));
     }
 
     #[test]

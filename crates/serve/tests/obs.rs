@@ -264,6 +264,62 @@ fn window_high_water_resets_per_flagged_read() {
     assert!(c.stats_ex().unwrap().counters.window_high_water_lanes > 0);
 }
 
+/// The server's `frame_total` (admission → reply flushed) never
+/// overstates what a client saw. A fresh server gets exactly the frames
+/// the client times — no warm-up, no exact frame — and each recorded
+/// span sits inside the client's timing of that frame:
+/// - the frame is admitted only after the client starts sending it;
+/// - the span closes after the reply's socket write returns, and a
+///   preempted writer can close it after the client has already read
+///   the reply. So the client stops its clock at the reply to a PING
+///   sent behind the frame: the connection's writer records a frame's
+///   span before it writes any later reply.
+///
+/// Order statistics keep that per-frame bound, and a quantile reports
+/// its bucket's lower bound, so each server quantile is at most the
+/// client latency at the same rank, `ceil(q · n)`.
+#[test]
+fn server_frame_quantiles_never_exceed_the_client_round_trip() {
+    const FRAMES: usize = 200;
+    let idx = ActIndex::build(&polys(), 15.0).unwrap();
+    let dir = fresh_dir("p99");
+    let path = snapshot(&dir, &idx);
+    let server = spawn_obs_server(&path, None);
+    let pts = probe_points();
+
+    let mut c = Client::connect(server.addr()).unwrap();
+    let mut client_ns: Vec<u64> = (0..FRAMES)
+        .map(|_| {
+            let t = Instant::now();
+            c.probe(&pts, false).unwrap();
+            c.ping().unwrap();
+            t.elapsed().as_nanos() as u64
+        })
+        .collect();
+    client_ns.sort_unstable();
+
+    // Settle on the timed frames, then read again: the settling STATS
+    // frames must not have been recorded either.
+    settled_stats_ex(&mut c, FRAMES as u64);
+    let reply = c.stats_ex().unwrap();
+    let frame_total = hist(&reply, proto::STAGE_FRAME_TOTAL);
+    assert_eq!(
+        frame_total.count(),
+        FRAMES as u64,
+        "frame_total records each timed frame once, and nothing else"
+    );
+    for q in [0.5, 0.99, 1.0] {
+        let rank = ((q * FRAMES as f64).ceil() as usize).max(1);
+        let (at_server, at_client) = (frame_total.quantile(q), client_ns[rank - 1]);
+        assert!(
+            at_server <= at_client,
+            "server frame_total q{q} ({at_server} ns) exceeds the client's ({at_client} ns)"
+        );
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The fleet invariant: the router's merged STATS reply must equal a
 /// client-side merge of direct per-shard scrapes — histogram buckets
 /// bucket-for-bucket, traffic counters field-for-field.

@@ -146,21 +146,31 @@ fn server_roundtrip_matches_join_exact_counts() {
     let mut approx_want = vec![0u64; ds.polygons.len()];
     act_core::join_approx_coords(&idx, &points, &mut approx_want);
 
+    // Per point: approx mode answers the walk's refs unfiltered, exact
+    // mode keeps the interior refs and the candidates the refiner
+    // confirms, each reported as a true hit.
+    let view = idx.as_view();
     let mut client = Client::connect(server.addr()).unwrap();
     let mut exact_got = vec![0u64; ds.polygons.len()];
     let mut approx_got = vec![0u64; ds.polygons.len()];
     for chunk in points.chunks(1024) {
-        let reply = client.probe(chunk, true).unwrap();
-        assert_eq!(reply.refs.len(), chunk.len());
-        for refs in &reply.refs {
-            for &(id, hit) in refs {
-                assert!(hit, "exact mode only reports memberships");
+        let exact = client.probe(chunk, true).unwrap();
+        let approx = client.probe(chunk, false).unwrap();
+        assert_eq!(exact.refs.len(), chunk.len());
+        assert_eq!(approx.refs.len(), chunk.len());
+        for ((&pt, exact), approx) in chunk.iter().zip(&exact.refs).zip(&approx.refs) {
+            let refs: Vec<(u32, bool)> = view.resolve_refs(view.probe_coord(pt)).collect();
+            let members: Vec<(u32, bool)> = refs
+                .iter()
+                .filter(|&&(id, interior)| interior || refiner.contains(id, pt))
+                .map(|&(id, _)| (id, true))
+                .collect();
+            assert_eq!(*exact, members, "exact reply ≡ local refinement at {pt}");
+            assert_eq!(*approx, refs, "approx reply ≡ unfiltered refs at {pt}");
+            for &(id, _) in exact {
                 exact_got[id as usize] += 1;
             }
-        }
-        let reply = client.probe(chunk, false).unwrap();
-        for refs in &reply.refs {
-            for &(id, _) in refs {
+            for &(id, _) in approx {
                 approx_got[id as usize] += 1;
             }
         }
@@ -170,6 +180,13 @@ fn server_roundtrip_matches_join_exact_counts() {
         approx_got, approx_want,
         "served approx counts ≡ join_approx_coords"
     );
+
+    // The server's books: every point probed twice (exact + approx), no
+    // frame shed, and every accepted frame answered or shed.
+    let stats = server.stats();
+    assert_eq!(stats.probes, 2 * points.len() as u64);
+    assert_eq!(stats.shed, 0, "the default queue depth never sheds here");
+    assert_eq!(stats.accepted, stats.answered + stats.shed);
     server.shutdown();
     std::fs::remove_file(&path).unwrap();
 }
