@@ -30,15 +30,18 @@
 //!   slow reader's backlog into TCP backpressure on that client alone, a
 //!   connection cap answers `BUSY` at the accept gate, and
 //!   [`ServerHandle::shutdown`] drains: stop accepting, answer every
-//!   accepted frame, flush, join. Counters for all of it ride the PING
-//!   reply and the STATS frame ([`protocol::CounterBlock`]).
+//!   accepted frame, flush (for at most a fixed 5 s per connection),
+//!   join. Counters for all of it ride the PING reply and the STATS
+//!   frame ([`protocol::CounterBlock`]).
 //! * **Horizontal scale-out** — [`act_core::write_shard_files`] splits
 //!   one snapshot into N per-shard snapshots, N workers each serve one,
 //!   and a scatter-gather [`Router`] speaks the same frame protocol in
 //!   front of them: probe batches partition by shard, fan out over
 //!   pooled [`ResilientClient`]s, and stitch back in request order with
 //!   merged counters and drain/fault-aware per-shard circuit breaking
-//!   (see [`router`]).
+//!   (see [`router`]). The router meets its clients through the
+//!   server's own connection front end: the same accept gate, request
+//!   reader, malformed-frame close and drain deadline.
 //!
 //! See [`protocol`] for the frame layout, [`server`] for the threading
 //! model and overload semantics, and the repo README's "Serving" section
@@ -60,6 +63,7 @@
 
 pub mod cache;
 pub mod client;
+mod conn;
 #[cfg(feature = "fault-injection")]
 pub mod faults;
 pub mod obs;
@@ -101,6 +105,45 @@ mod tests {
         p.push(format!("act-serve-test-{}-{name}.snap", std::process::id()));
         std::fs::write(&p, bytes).unwrap();
         (p, idx)
+    }
+
+    /// Runs `check` against a server, then against a one-shard router in
+    /// front of a fresh worker, each endpoint capped at `max_connections`.
+    /// `check` gets the server's handle on the first run, `None` on the
+    /// router run.
+    fn on_both_endpoints(
+        name: &str,
+        max_connections: usize,
+        check: impl Fn(std::net::SocketAddr, Option<&ServerHandle>),
+    ) {
+        let (path, _idx) = snap_file(name, &[square(-74.0, 40.7, 0.02)]);
+        let config = || ServeConfig {
+            watch: None,
+            ..ServeConfig::default()
+        };
+        let server = Server::spawn(
+            &path,
+            ServeConfig {
+                max_connections,
+                ..config()
+            },
+        )
+        .unwrap();
+        check(server.addr(), Some(&server));
+        server.shutdown();
+        let worker = Server::spawn(&path, config()).unwrap();
+        let router = Router::spawn(
+            vec![worker.addr()],
+            RouterConfig {
+                max_connections,
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
+        check(router.addr(), None);
+        router.shutdown();
+        worker.shutdown();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -201,75 +244,67 @@ mod tests {
 
     #[test]
     fn connection_cap_answers_busy_and_frees_on_close() {
-        use std::io::Read;
-        let (path, _idx) = snap_file("busy", &[square(-74.0, 40.7, 0.02)]);
-        let server = Server::spawn(
-            &path,
-            ServeConfig {
-                max_connections: 1,
-                watch: None,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let mut first = Client::connect(server.addr()).unwrap();
-        // Force the first connection through the accept loop before the
-        // second one races it for the single slot.
-        first.ping().unwrap();
+        on_both_endpoints("busy", 1, |addr, server| {
+            use std::io::Read;
+            let mut first = Client::connect(addr).unwrap();
+            // Force the first connection through the accept loop before the
+            // second one races it for the single slot.
+            first.ping().unwrap();
 
-        let mut second = std::net::TcpStream::connect(server.addr()).unwrap();
-        second
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .unwrap();
-        let body = protocol::read_frame(&mut second, 1 << 20).unwrap().unwrap();
-        let (h, _) = protocol::decode_response(&body).unwrap();
-        assert_eq!(h.status, protocol::STATUS_BUSY);
-        assert_eq!(h.op, 0, "BUSY has no request to echo");
-        // …and the connection is closed right after the BUSY frame.
-        let mut rest = Vec::new();
-        assert_eq!(second.read_to_end(&mut rest).unwrap(), 0);
-        assert!(server.stats().busy >= 1);
-
-        // The typed Client surfaces BUSY as a server status (op 0 must
-        // not trip the op-echo check).
-        let mut third = Client::connect(server.addr()).unwrap();
-        match third.ping() {
-            Err(ClientError::Server {
-                status,
-                retry_after_ms,
-            }) => {
-                assert_eq!(status, protocol::STATUS_BUSY);
-                assert!(retry_after_ms.is_some(), "BUSY must carry a retry hint");
+            let mut second = std::net::TcpStream::connect(addr).unwrap();
+            second
+                .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .unwrap();
+            let body = protocol::read_frame(&mut second, 1 << 20).unwrap().unwrap();
+            let (h, _) = protocol::decode_response(&body).unwrap();
+            assert_eq!(h.status, protocol::STATUS_BUSY);
+            assert_eq!(h.op, 0, "BUSY has no request to echo");
+            // …and the connection is closed right after the BUSY frame.
+            let mut rest = Vec::new();
+            assert_eq!(second.read_to_end(&mut rest).unwrap(), 0);
+            if let Some(server) = server {
+                assert!(server.stats().busy >= 1);
             }
-            other => panic!("expected BUSY through the Client, got {other:?}"),
-        }
 
-        // Closing the served connection frees the slot.
-        drop(first);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let mut again = loop {
-            let mut c = Client::connect(server.addr()).unwrap();
-            match c.ping() {
-                Ok(_) => break c,
-                Err(_) => {
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "slot was never released"
-                    );
-                    std::thread::sleep(std::time::Duration::from_millis(10));
+            // The typed Client surfaces BUSY as a server status (op 0 must
+            // not trip the op-echo check).
+            let mut third = Client::connect(addr).unwrap();
+            match third.ping() {
+                Err(ClientError::Server {
+                    status,
+                    retry_after_ms,
+                }) => {
+                    assert_eq!(status, protocol::STATUS_BUSY);
+                    assert!(retry_after_ms.is_some(), "BUSY must carry a retry hint");
                 }
+                other => panic!("expected BUSY through the Client, got {other:?}"),
             }
-        };
-        assert_eq!(
-            again
-                .probe(&[Coord::new(-74.0, 40.7)], false)
-                .unwrap()
-                .refs
-                .len(),
-            1
-        );
-        server.shutdown();
-        std::fs::remove_file(&path).unwrap();
+
+            // Closing the served connection frees the slot.
+            drop(first);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            let mut again = loop {
+                let mut c = Client::connect(addr).unwrap();
+                match c.ping() {
+                    Ok(_) => break c,
+                    Err(_) => {
+                        assert!(
+                            std::time::Instant::now() < deadline,
+                            "slot was never released"
+                        );
+                        std::thread::sleep(std::time::Duration::from_millis(10));
+                    }
+                }
+            };
+            assert_eq!(
+                again
+                    .probe(&[Coord::new(-74.0, 40.7)], false)
+                    .unwrap()
+                    .refs
+                    .len(),
+                1
+            );
+        });
     }
 
     #[test]
@@ -332,29 +367,22 @@ mod tests {
     #[test]
     fn malformed_frame_gets_bad_request_then_close() {
         use std::io::{Read, Write};
-        let (path, _idx) = snap_file("badframe", &[square(-74.0, 40.7, 0.02)]);
-        let server = Server::spawn(
-            &path,
-            ServeConfig {
-                watch: None,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-        // A header-only body with an unknown op.
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&8u32.to_le_bytes());
-        frame.extend_from_slice(&[99, 0, 0, 0, 0, 0, 0, 0]);
-        stream.write_all(&frame).unwrap();
-        let body = protocol::read_frame(&mut stream, 1 << 20).unwrap().unwrap();
-        let (h, _) = protocol::decode_response(&body).unwrap();
-        assert_eq!(h.status, protocol::STATUS_BAD_REQUEST);
-        // The server closes after a bad frame.
-        let mut rest = Vec::new();
-        assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
-        server.shutdown();
-        std::fs::remove_file(&path).unwrap();
+        let max_connections = ServeConfig::default().max_connections;
+        on_both_endpoints("badframe", max_connections, |addr, _| {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            // A header-only body with an unknown op.
+            let mut frame = Vec::new();
+            frame.extend_from_slice(&8u32.to_le_bytes());
+            frame.extend_from_slice(&[99, 0, 0, 0, 0, 0, 0, 0]);
+            stream.write_all(&frame).unwrap();
+            let body = protocol::read_frame(&mut stream, 1 << 20).unwrap().unwrap();
+            let (h, _) = protocol::decode_response(&body).unwrap();
+            assert_eq!(h.status, protocol::STATUS_BAD_REQUEST);
+            assert_eq!(h.op, 99, "the reject echoes the request's op");
+            // The endpoint closes after a bad frame.
+            let mut rest = Vec::new();
+            assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
+        });
     }
 
     #[test]

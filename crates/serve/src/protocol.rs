@@ -820,8 +820,8 @@ pub fn decode_probe_payload(n: u32, payload: &[u8]) -> Result<Vec<PointRefs>, &'
 }
 
 // ---------------------------------------------------------------------
-// Blocking frame I/O (client side and tests; the server uses its own
-// shutdown-aware reader)
+// Blocking frame I/O (client side and tests; the server and the router
+// read requests through their shared drain-aware reader)
 // ---------------------------------------------------------------------
 
 /// Reads one length-prefixed frame body. `Ok(None)` is a clean EOF at a

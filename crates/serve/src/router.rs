@@ -44,16 +44,29 @@
 //! Every fan-out — probe, PING/STATS, DUMP, and the `/metrics` scrape —
 //! goes through one scatter primitive, and probe/PING/STATS share one
 //! worst-status fold.
+//!
+//! ## Connections and drain
+//!
+//! Clients meet the router through the same connection front end as a
+//! worker: the same accept gate (`BUSY` at
+//! [`RouterConfig::max_connections`]), the same reader, and the same
+//! close on a malformed frame (`BAD_REQUEST` echoing the op, then FIN).
+//! Each connection then runs one synchronous read → route → write loop.
+//! [`RouterHandle::shutdown`] stops accepting and stops reading: a frame
+//! not fully read when the drain starts is abandoned, never routed, and
+//! a frame that was read is always answered. Reply writes obey the
+//! worker's drain deadline, so a client that stops reading holds
+//! shutdown for at most 5 s.
 
 use crate::client::{ClientError, ResilientClient, RetryPolicy};
+use crate::conn::{self, DrainClock, Front};
 use crate::obs::{render_counters, render_histograms, render_trace_meta, ObsConfig};
 use crate::protocol::{self as proto, CounterBlock};
 use act_core::{coord_to_cell, shard_of_cell, DEFAULT_SPLIT_LEVEL};
 use act_obs::{PromText, TraceRing};
 use geom::Coord;
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -69,7 +82,8 @@ pub struct RouterConfig {
     /// Retry policy for every per-shard client connection.
     pub policy: RetryPolicy,
     /// Inbound connection cap; excess connections are answered with one
-    /// `BUSY` frame and closed, exactly like a worker's accept gate.
+    /// `BUSY` frame (op 0, the default retry hint) and closed by the
+    /// same accept gate a worker uses.
     pub max_connections: usize,
     /// How long a shard that just failed is considered down. Probes
     /// needing it during the window shed immediately with the remaining
@@ -110,8 +124,8 @@ struct RouterState {
     policy: RetryPolicy,
     cooldown: Duration,
     health: Vec<Mutex<ShardHealth>>,
-    draining: AtomicBool,
-    conns_live: AtomicUsize,
+    /// The drain flag, the connection cap and the connection threads.
+    front: Front,
     /// Sampled-admission + breaker-transition trace ring; `None`
     /// records nothing.
     trace: Option<Arc<TraceRing>>,
@@ -376,8 +390,7 @@ impl Router {
             policy: config.policy,
             cooldown: config.cooldown,
             health,
-            draining: AtomicBool::new(false),
-            conns_live: AtomicUsize::new(0),
+            front: Front::new(config.max_connections),
             trace: config.obs.as_ref().map(|c| {
                 Arc::new(TraceRing::new(
                     c.trace_capacity,
@@ -386,19 +399,21 @@ impl Router {
                 ))
             }),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
-            let (st, cn) = (Arc::clone(&state), Arc::clone(&conns));
-            let max_connections = config.max_connections;
+            let st = Arc::clone(&state);
             std::thread::Builder::new()
                 .name("act-route-accept".to_string())
-                .spawn(move || accept_loop(listener, st, cn, max_connections))
+                .spawn(move || {
+                    let refuse = |s| conn::refuse_busy(s, 0, proto::RETRY_AFTER_DEFAULT_MS);
+                    let served = Arc::clone(&st);
+                    let serve = move |stream| conn_loop(stream, &served);
+                    conn::accept_loop(listener, &st.front, "act-route-conn", refuse, serve);
+                })
                 .expect("spawn router accept loop")
         };
         Ok(RouterHandle {
             addr,
             state,
-            conns,
             accept: Some(accept),
         })
     }
@@ -410,7 +425,6 @@ impl Router {
 pub struct RouterHandle {
     addr: SocketAddr,
     state: Arc<RouterState>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -475,23 +489,21 @@ impl RouterHandle {
         })
     }
 
-    /// Stops the router: no new connections, in-flight frames answered,
-    /// all threads joined.
+    /// Stops the router: no new connections, every frame already read
+    /// answered (a client that stops reading gets 5 s), all threads
+    /// joined.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        if self.state.draining.swap(true, Ordering::AcqRel) {
+        if !self.state.front.start_drain() {
             return;
         }
         if let Some(a) = self.accept.take() {
             let _ = a.join();
         }
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
-        for c in conns {
-            let _ = c.join();
-        }
+        self.state.front.join_connections();
     }
 }
 
@@ -502,76 +514,13 @@ impl Drop for RouterHandle {
 }
 
 // ---------------------------------------------------------------------
-// Accept + connection threads
+// Connection threads
 // ---------------------------------------------------------------------
-
-fn accept_loop(
-    listener: TcpListener,
-    state: Arc<RouterState>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    max_connections: usize,
-) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    while !state.draining.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if state.conns_live.load(Ordering::Acquire) >= max_connections {
-                    refuse_busy(stream);
-                    continue;
-                }
-                state.conns_live.fetch_add(1, Ordering::AcqRel);
-                let st = Arc::clone(&state);
-                let handle = std::thread::Builder::new()
-                    .name("act-route-conn".to_string())
-                    .spawn(move || {
-                        // Decrement-on-exit guard so a panicking
-                        // connection can never leak a connection slot.
-                        struct Live<'a>(&'a RouterState);
-                        impl Drop for Live<'_> {
-                            fn drop(&mut self) {
-                                self.0.conns_live.fetch_sub(1, Ordering::AcqRel);
-                            }
-                        }
-                        let _live = Live(&st);
-                        conn_loop(stream, &st);
-                    })
-                    .expect("spawn router connection thread");
-                let mut guard = conns.lock().unwrap_or_else(PoisonError::into_inner);
-                guard.push(handle);
-                if guard.len() > 64 {
-                    guard.retain(|h| !h.is_finished());
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-}
-
-/// Answers a connection refused at the accept gate: one `BUSY` frame
-/// (op 0, default retry hint), best effort, then close.
-fn refuse_busy(mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let hint = proto::encode_retry_hint(proto::RETRY_AFTER_DEFAULT_MS);
-    let frame = proto::encode_response(0, proto::STATUS_BUSY, 0, 0, &hint);
-    let _ = stream.write_all(&frame);
-}
 
 /// One inbound connection: a lazily dialed client per shard (the pool),
 /// frames answered in order until clean EOF, a malformed frame
 /// (`BAD_REQUEST`, then close), or drain.
 fn conn_loop(mut stream: TcpStream, state: &RouterState) {
-    let _ = stream.set_nodelay(true);
-    // The read timeout is the drain poll: at an idle frame boundary the
-    // handler wakes, checks the draining flag, and exits cleanly. A
-    // frame already being read is always finished and answered first —
-    // drain never drops an accepted request.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     // Shard addresses were resolved once at router spawn; building the
     // pool is infallible. (The old `ResilientClient::new(..).expect(..)`
     // re-resolved per connection and could panic this thread on a
@@ -581,90 +530,24 @@ fn conn_loop(mut stream: TcpStream, state: &RouterState) {
         .iter()
         .map(|a| ResilientClient::from_resolved(*a, state.policy))
         .collect();
+    let mut clock = DrainClock::default();
+    let stop = || state.front.draining();
     loop {
-        let body = match read_frame_drain_aware(&mut stream, state) {
-            Ok(Some(body)) => body,
+        let reply = match conn::read_request(&mut stream, &stop) {
+            Ok(Some(req)) => route_request(state, &mut clients, req),
             Ok(None) => return,
-            Err(_) => return,
-        };
-        let reply = match proto::decode_request(&body) {
-            Ok(req) => route_request(state, &mut clients, req),
-            Err(_) => {
-                let frame = proto::encode_response(0, proto::STATUS_BAD_REQUEST, 0, 0, &[]);
-                let _ = stream.write_all(&frame);
+            Err(op) => {
+                let f = proto::encode_response(op, proto::STATUS_BAD_REQUEST, 0, 0, &[]);
+                let _ = conn::write_all_retry(&mut stream, &f, &mut clock, &state.front);
+                conn::drain_unread(&mut stream);
                 return;
             }
         };
-        if stream.write_all(&reply).is_err() {
+        // No drain check here: a frame that was read is always answered.
+        if conn::write_all_retry(&mut stream, &reply, &mut clock, &state.front).is_err() {
             return;
         }
     }
-}
-
-/// [`proto::read_frame`] that treats a read timeout at an idle frame
-/// boundary as a drain-check tick. Mid-frame the reader keeps waiting
-/// (the bytes are coming; giving up would desynchronize the stream) —
-/// drain only interrupts *between* frames.
-fn read_frame_drain_aware(
-    stream: &mut TcpStream,
-    state: &RouterState,
-) -> io::Result<Option<Vec<u8>>> {
-    use std::io::Read;
-    let mut len = [0u8; 4];
-    let mut at = 0usize;
-    while at < 4 {
-        match stream.read(&mut len[at..]) {
-            Ok(0) => {
-                return if at == 0 {
-                    Ok(None)
-                } else {
-                    Err(io::ErrorKind::UnexpectedEof.into())
-                };
-            }
-            Ok(k) => at += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if at == 0
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-            {
-                if state.draining.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let body_len = u32::from_le_bytes(len) as usize;
-    if body_len > proto::MAX_REQ_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame exceeds the protocol's size cap",
-        ));
-    }
-    let mut body = vec![0u8; body_len];
-    let mut at = 0usize;
-    while at < body_len {
-        match stream.read(&mut body[at..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(k) => at += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(body))
 }
 
 fn route_request(

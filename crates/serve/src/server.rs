@@ -7,7 +7,9 @@
 //! * One **accept loop** hands each connection its own reader thread —
 //!   unless the server is at [`ServeConfig::max_connections`], in which
 //!   case the connection is answered with a single `BUSY` frame and
-//!   closed before a thread is ever spawned.
+//!   closed before a thread is ever spawned. The accept gate, the
+//!   drain-aware frame reader, the malformed-frame close and the drain
+//!   deadline are the connection front end the router shares.
 //! * Each **connection thread** decodes frames, converts coordinates to
 //!   leaf cells (spreading that work across connections), and admits a
 //!   `Job` to the shared bounded queue. Up to
@@ -51,11 +53,12 @@
 //!    linearization point, not a race.
 //! 3. Workers drain every job still queued, then exit — every accepted
 //!    frame gets its real answer.
-//! 4. Connection threads flush their pending replies (bounded by
-//!    [`ServeConfig::drain_grace`], so one stalled client cannot wedge
+//! 4. Connection threads flush their pending replies (bounded by a
+//!    fixed 5 s drain grace, so one stalled client cannot wedge
 //!    shutdown), then close.
 
 use crate::cache::{CacheConfig, HotCellCache};
+use crate::conn::{self, DrainClock, Front};
 use crate::obs::{render_counters, render_histograms, render_trace_meta, ObsConfig, PipelineObs};
 use crate::protocol as proto;
 use crate::swap::{snapshot_signature, watch_loop_opts, IndexStore, WatchCounters, WatchOptions};
@@ -65,11 +68,11 @@ use geom::Coord;
 use s2cell::CellId;
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -153,9 +156,6 @@ pub struct ServeConfig {
     /// Max simultaneously served connections; the accept loop answers
     /// excess connections with one `BUSY` frame and closes them.
     pub max_connections: usize,
-    /// How long a draining connection keeps trying to flush owed replies
-    /// before giving up (protects shutdown from a stalled client).
-    pub drain_grace: Duration,
     /// Fault-injection / capacity-pinning knob: sleep this long before
     /// every micro-batch. `None` (the default) in production; the chaos
     /// suite and `loadgen --overload` use it to make "capacity" a known
@@ -199,7 +199,6 @@ impl Default for ServeConfig {
             queue_depth_lanes: proto::MAX_POINTS,
             max_inflight_frames: 16,
             max_connections: 256,
-            drain_grace: Duration::from_secs(5),
             batch_delay: None,
             obs: None,
             cache: None,
@@ -247,13 +246,12 @@ struct State {
     refiner: Option<Refiner>,
     queue: Mutex<Queue>,
     ready: Condvar,
-    draining: AtomicBool,
+    /// The drain flag, the connection cap and the connection threads.
+    front: Front,
     batch_lanes: usize,
     queue_depth_lanes: usize,
     max_inflight: usize,
-    drain_grace: Duration,
     batch_delay: Option<Duration>,
-    conns_live: AtomicUsize,
     probes: AtomicU64,
     accepted: AtomicU64,
     answered: AtomicU64,
@@ -407,13 +405,11 @@ impl Server {
                 lanes: 0,
             }),
             ready: Condvar::new(),
-            draining: AtomicBool::new(false),
+            front: Front::new(config.max_connections),
             batch_lanes: config.batch_lanes.max(1),
             queue_depth_lanes: config.queue_depth_lanes,
             max_inflight: config.max_inflight_frames.max(1),
-            drain_grace: config.drain_grace,
             batch_delay: config.batch_delay,
-            conns_live: AtomicUsize::new(0),
             probes: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             answered: AtomicU64::new(0),
@@ -437,8 +433,6 @@ impl Server {
             #[cfg(feature = "fault-injection")]
             faults: config.faults,
         });
-        let max_connections = config.max_connections;
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let mut threads = Vec::new();
         for w in 0..config.workers.max(1) {
@@ -451,11 +445,19 @@ impl Server {
             );
         }
         {
-            let (st, cn) = (Arc::clone(&state), Arc::clone(&conns));
+            let st = Arc::clone(&state);
             threads.push(
                 std::thread::Builder::new()
                     .name("act-serve-accept".to_string())
-                    .spawn(move || accept_loop(listener, st, cn, max_connections))
+                    .spawn(move || {
+                        let refuse = |stream| {
+                            st.busy.fetch_add(1, Ordering::Relaxed);
+                            conn::refuse_busy(stream, st.store.epoch(), st.retry_hint_ms());
+                        };
+                        let served = Arc::clone(&st);
+                        let serve = move |stream| conn_loop(stream, &served);
+                        conn::accept_loop(listener, &st.front, "act-serve-conn", refuse, serve);
+                    })
                     .expect("spawn accept loop"),
             );
         }
@@ -472,14 +474,15 @@ impl Server {
             };
             std::thread::Builder::new()
                 .name("act-serve-watch".to_string())
-                .spawn(move || watch_loop_opts(&p, &st.store, &st.draining, initial_sig, opts))
+                .spawn(move || {
+                    watch_loop_opts(&p, &st.store, &st.front.draining, initial_sig, opts)
+                })
                 .expect("spawn snapshot watcher")
         });
 
         Ok(ServerHandle {
             addr,
             state,
-            conns,
             threads,
             watcher,
         })
@@ -492,7 +495,6 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<State>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     threads: Vec<JoinHandle<()>>,
     watcher: Option<JoinHandle<u64>>,
 }
@@ -552,7 +554,7 @@ impl ServerHandle {
     }
 
     fn stop(&mut self) {
-        if self.state.draining.swap(true, Ordering::AcqRel) {
+        if !self.state.front.start_drain() {
             return;
         }
         // Notify while holding the queue mutex: a worker that already
@@ -573,10 +575,7 @@ impl ServerHandle {
         // Accept loop is down: the connection set is final. Join it (the
         // workers above drained the queue first, so every pending reply
         // the connections are flushing already exists).
-        let conns = std::mem::take(&mut *self.conns.lock().expect("conns lock"));
-        for c in conns {
-            let _ = c.join();
-        }
+        self.state.front.join_connections();
     }
 }
 
@@ -587,77 +586,8 @@ impl Drop for ServerHandle {
 }
 
 // ---------------------------------------------------------------------
-// Accept + connection threads
+// Connection threads
 // ---------------------------------------------------------------------
-
-fn accept_loop(
-    listener: TcpListener,
-    state: Arc<State>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    max_connections: usize,
-) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    while !state.draining.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if state.conns_live.load(Ordering::Acquire) >= max_connections {
-                    state.busy.fetch_add(1, Ordering::Relaxed);
-                    refuse_busy(stream, &state);
-                    continue;
-                }
-                state.conns_live.fetch_add(1, Ordering::AcqRel);
-                let st = Arc::clone(&state);
-                let handle = std::thread::Builder::new()
-                    .name("act-serve-conn".to_string())
-                    .spawn(move || {
-                        // Decrement-on-exit guard so a panicking
-                        // connection can never leak a connection slot.
-                        struct Live<'a>(&'a State);
-                        impl Drop for Live<'_> {
-                            fn drop(&mut self) {
-                                self.0.conns_live.fetch_sub(1, Ordering::AcqRel);
-                            }
-                        }
-                        let _live = Live(&st);
-                        conn_loop(stream, &st);
-                    })
-                    .expect("spawn connection thread");
-                let mut guard = conns.lock().expect("conns lock");
-                guard.push(handle);
-                // Reap finished connections so a long-lived server's
-                // handle list doesn't grow without bound.
-                if guard.len() > 64 {
-                    guard.retain(|h| !h.is_finished());
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-}
-
-/// Answers a connection refused at the accept gate: one `BUSY` frame
-/// (op 0 — there is no request to echo) carrying a retry-after hint,
-/// best effort, then close.
-fn refuse_busy(mut stream: TcpStream, state: &State) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let hint = proto::encode_retry_hint(state.retry_hint_ms());
-    let frame = proto::encode_response(0, proto::STATUS_BUSY, state.store.epoch(), 0, &hint);
-    let _ = stream.write_all(&frame);
-}
-
-/// How a shutdown-aware buffered read ended.
-enum Fill {
-    Full,
-    CleanEof,
-    Drain,
-}
 
 /// Admission verdict for one probe frame.
 enum Admission {
@@ -674,7 +604,7 @@ fn try_enqueue(state: &State, job: Job) -> Admission {
     let lanes = job.cells.len();
     {
         let mut q = state.queue.lock().expect("probe queue");
-        if state.draining.load(Ordering::Acquire) {
+        if state.front.draining() {
             return Admission::Draining;
         }
         if q.lanes + lanes > state.queue_depth_lanes {
@@ -703,41 +633,6 @@ enum Pending {
     Ready(Vec<u8>),
 }
 
-/// The drain-grace clock shared by every blocking wait on a connection:
-/// unbounded until draining (or a terminal flush) starts, then one fixed
-/// deadline for everything that remains.
-struct DrainClock {
-    grace: Duration,
-    deadline: Option<Instant>,
-}
-
-impl DrainClock {
-    fn new(grace: Duration) -> DrainClock {
-        DrainClock {
-            grace,
-            deadline: None,
-        }
-    }
-
-    /// Starts the countdown now (idempotent).
-    fn arm(&mut self) {
-        self.deadline
-            .get_or_insert_with(|| Instant::now() + self.grace);
-    }
-
-    /// True when blocking work should give up: armed (directly, or
-    /// because the server is draining) and past the deadline.
-    fn expired(&mut self, state: &State) -> bool {
-        if self.deadline.is_none() {
-            if !state.draining.load(Ordering::Acquire) {
-                return false;
-            }
-            self.arm();
-        }
-        Instant::now() >= self.deadline.expect("armed above")
-    }
-}
-
 /// A connection is two threads sharing the socket: this **reader**
 /// (the `act-serve-conn` thread itself) decodes frames, admits jobs, and
 /// pushes one [`Pending`] entry per frame onto a **bounded** in-order
@@ -748,15 +643,7 @@ impl DrainClock {
 /// cap: when the client's responses back up, the channel fills, the
 /// reader stops reading, and TCP backpressure does the rest.
 fn conn_loop(stream: TcpStream, state: &State) {
-    // BSD-derived unixes make accepted sockets inherit the listener's
-    // O_NONBLOCK (Linux does not); force blocking so the read timeout
-    // below actually blocks instead of busy-spinning on WouldBlock.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    // The read timeout is only a drain-poll tick, never request latency.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
     let Ok(w) = stream.try_clone() else { return };
-    let _ = w.set_write_timeout(Some(Duration::from_millis(50)));
     let (tx, rx) = mpsc::sync_channel::<Pending>(state.max_inflight);
     // Either side setting this tells the other to wind down (writer hit
     // an error or its drain deadline; reader hit EOF is signaled by the
@@ -789,43 +676,24 @@ fn reader_loop(
     dead: &AtomicBool,
     inflight_lanes: &Arc<AtomicU64>,
 ) {
+    let stop = || state.front.draining() || dead.load(Ordering::Acquire);
     loop {
-        let body = match read_request_frame(r, state, dead) {
-            Ok(Some(b)) => b,
+        let req = match conn::read_request(r, &stop) {
+            Ok(Some(req)) => req,
             // Clean EOF, drain, or writer death: stop reading. What is
             // already owed still flows through the writer.
             Ok(None) => return,
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Oversized frame: typed reject, then close.
+            Err(op) => {
                 state.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let f = proto::encode_response(
-                    0,
-                    proto::STATUS_BAD_REQUEST,
-                    state.store.epoch(),
-                    0,
-                    &[],
-                );
+                let epoch = state.store.epoch();
+                let f = proto::encode_response(op, proto::STATUS_BAD_REQUEST, epoch, 0, &[]);
                 let _ = push_pending(tx, Pending::Ready(f), dead);
-                drain_unread(r);
+                conn::drain_unread(r);
                 return;
             }
-            Err(_) => return,
         };
-        match proto::decode_request(&body) {
-            Err(_) => {
-                state.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let f = proto::encode_response(
-                    body.first().copied().unwrap_or(0),
-                    proto::STATUS_BAD_REQUEST,
-                    state.store.epoch(),
-                    0,
-                    &[],
-                );
-                let _ = push_pending(tx, Pending::Ready(f), dead);
-                drain_unread(r);
-                return;
-            }
-            Ok(req @ (proto::Request::Ping | proto::Request::Stats | proto::Request::Dump)) => {
+        match req {
+            req @ (proto::Request::Ping | proto::Request::Stats | proto::Request::Dump) => {
                 state.accepted.fetch_add(1, Ordering::Relaxed);
                 state.answered.fetch_add(1, Ordering::Relaxed);
                 // Through the pending FIFO, so it cannot overtake an
@@ -834,7 +702,7 @@ fn reader_loop(
                     return;
                 }
             }
-            Ok(req @ (proto::Request::Probe { .. } | proto::Request::ProbeCells { .. })) => {
+            req @ (proto::Request::Probe { .. } | proto::Request::ProbeCells { .. }) => {
                 // Cell frames ship pre-computed S2 leaves, so the
                 // conversion below (the priciest fixed cost on the
                 // probe path) only runs for coordinate frames; the
@@ -937,31 +805,6 @@ fn reader_loop(
     }
 }
 
-/// After a typed reject on a malformed frame, consume (and discard) the
-/// request bytes the client may still be sending — bounded in bytes and
-/// time — so closing the socket performs an orderly FIN instead of an
-/// RST. Closing with unread data in the receive buffer makes the kernel
-/// reset the connection, and a reset discards the queued reject before
-/// the client can read it: the race the fuzz suite used to tolerate.
-/// Exits as soon as the client pauses (one read-timeout tick), goes
-/// quiet (EOF), or the bounds trip — a hostile sender cannot hold the
-/// thread.
-fn drain_unread(r: &mut TcpStream) {
-    let deadline = Instant::now() + Duration::from_millis(200);
-    let mut sunk = 0usize;
-    let mut buf = [0u8; 4096];
-    while sunk < 64 * 1024 && Instant::now() < deadline {
-        match r.read(&mut buf) {
-            Ok(0) => return, // client finished sending
-            Ok(k) => sunk += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // WouldBlock/TimedOut: nothing in flight right now — the
-            // socket's short read timeout already waited long enough.
-            Err(_) => return,
-        }
-    }
-}
-
 /// Pushes an owed reply onto the bounded channel. A full channel means
 /// the connection is at its in-flight cap: the reader (our caller)
 /// blocks here — which is exactly the read-side slowdown — until the
@@ -988,14 +831,14 @@ fn push_pending(tx: &mpsc::SyncSender<Pending>, entry: Pending, dead: &AtomicBoo
 /// still delivered — that is the flush half of the graceful drain —
 /// bounded by the drain grace once draining begins.
 fn writer_loop(state: &State, mut w: TcpStream, rx: mpsc::Receiver<Pending>, dead: &AtomicBool) {
-    let mut clock = DrainClock::new(state.drain_grace);
+    let mut clock = DrainClock::default();
     let result: io::Result<()> = (|| {
         loop {
             let entry = loop {
                 match rx.recv_timeout(Duration::from_millis(25)) {
                     Ok(e) => break e,
                     Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if clock.expired(state) {
+                        if clock.expired(&state.front) {
                             return Err(io::ErrorKind::TimedOut.into());
                         }
                     }
@@ -1020,7 +863,7 @@ fn writer_loop(state: &State, mut w: TcpStream, rx: mpsc::Receiver<Pending>, dea
                             )
                         }
                         Err(mpsc::RecvTimeoutError::Timeout) => {
-                            if clock.expired(state) {
+                            if clock.expired(&state.front) {
                                 return Err(io::ErrorKind::TimedOut.into());
                             }
                         }
@@ -1050,11 +893,11 @@ fn writer_loop(state: &State, mut w: TcpStream, rx: mpsc::Receiver<Pending>, dea
             match (&state.obs, admitted) {
                 (Some(obs), Some(t0)) => {
                     let w0 = Instant::now();
-                    write_all_retry(state, &mut w, &frame, &mut clock)?;
+                    conn::write_all_retry(&mut w, &frame, &mut clock, &state.front)?;
                     obs.write.record(w0.elapsed().as_nanos() as u64);
                     obs.frame_total.record(t0.elapsed().as_nanos() as u64);
                 }
-                _ => write_all_retry(state, &mut w, &frame, &mut clock)?,
+                _ => conn::write_all_retry(&mut w, &frame, &mut clock, &state.front)?,
             }
         }
     })();
@@ -1062,97 +905,6 @@ fn writer_loop(state: &State, mut w: TcpStream, rx: mpsc::Receiver<Pending>, dea
     // Tell the reader; a send failure path follows for anything still
     // buffered (workers' sends to dropped receivers are ignored).
     dead.store(true, Ordering::Release);
-}
-
-/// Writes a whole frame, riding out write timeouts (the write half
-/// carries a short timeout so a stalled client is re-checked against the
-/// drain deadline instead of blocking shutdown forever).
-fn write_all_retry(
-    state: &State,
-    w: &mut TcpStream,
-    frame: &[u8],
-    clock: &mut DrainClock,
-) -> io::Result<()> {
-    let mut at = 0;
-    while at < frame.len() {
-        match w.write(&frame[at..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(k) => at += k,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if clock.expired(state) {
-                    return Err(io::ErrorKind::TimedOut.into());
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Reads one request frame body; `Ok(None)` means the connection is done
-/// (clean EOF, server drain, or a dead writer).
-fn read_request_frame(
-    r: &mut TcpStream,
-    state: &State,
-    dead: &AtomicBool,
-) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match fill(r, &mut len, state, dead)? {
-        Fill::Full => {}
-        Fill::CleanEof | Fill::Drain => return Ok(None),
-    }
-    let body_len = u32::from_le_bytes(len) as usize;
-    if body_len > proto::MAX_REQ_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "request frame exceeds the protocol cap",
-        ));
-    }
-    let mut body = vec![0u8; body_len];
-    match fill(r, &mut body, state, dead)? {
-        Fill::Full => Ok(Some(body)),
-        Fill::CleanEof => Err(io::ErrorKind::UnexpectedEof.into()),
-        Fill::Drain => Ok(None),
-    }
-}
-
-/// Fills `buf`, retrying read timeouts; each timeout tick polls the
-/// draining flag (so drain is observed mid-frame without losing framing)
-/// and the writer's death (so a half-dead connection never keeps
-/// reading).
-fn fill(r: &mut TcpStream, buf: &mut [u8], state: &State, dead: &AtomicBool) -> io::Result<Fill> {
-    let mut at = 0;
-    while at < buf.len() {
-        if state.draining.load(Ordering::Acquire) || dead.load(Ordering::Acquire) {
-            return Ok(Fill::Drain);
-        }
-        match r.read(&mut buf[at..]) {
-            Ok(0) => {
-                return if at == 0 {
-                    Ok(Fill::CleanEof)
-                } else {
-                    Err(io::ErrorKind::UnexpectedEof.into())
-                };
-            }
-            Ok(k) => at += k,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Fill::Full)
 }
 
 // ---------------------------------------------------------------------
@@ -1169,7 +921,7 @@ fn worker_loop(state: &State) {
                     // real answer, so workers exit only on empty+drain.
                     break;
                 }
-                if state.draining.load(Ordering::Acquire) {
+                if state.front.draining() {
                     return;
                 }
                 q = state.ready.wait(q).expect("probe queue wait");

@@ -535,3 +535,113 @@ fn routed_probes_stay_exact_with_worker_caches_on() {
     assert_eq!(quota_sheds, 0, "a generous quota must never shed");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Drain with a routed frame in flight: the router has read the frame
+/// and waits on a slow worker when shutdown starts. A frame that was
+/// read is always answered, so the client still gets its real answer,
+/// and then the stream ends.
+#[test]
+fn router_drain_answers_the_frame_in_flight_then_closes() {
+    use act_serve::protocol as proto;
+    use std::io::{Read, Write};
+    let polys = fleet_polys();
+    let idx = ActIndex::build(&polys, 15.0).unwrap();
+    let pts = probe_grid();
+    let dir = fresh_dir("drain-in-flight");
+    let (workers, router) = spawn_fleet(&idx, &dir, 1, || ServeConfig {
+        watch: None,
+        batch_delay: Some(Duration::from_millis(200)),
+        ..ServeConfig::default()
+    });
+    let mut stream = std::net::TcpStream::connect(router.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(&proto::encode_probe_request(&pts, false))
+        .unwrap();
+    // Once the worker has accepted the routed frame, its answer is
+    // 200 ms away and the router is waiting inside its scatter.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while workers[0].stats().accepted == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the frame never reached the worker"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    router.shutdown();
+
+    let body = proto::read_frame(&mut stream, 1 << 24)
+        .unwrap()
+        .expect("a frame read before the drain must be answered");
+    let (h, payload) = proto::decode_response(&body).unwrap();
+    assert_eq!(h.status, proto::STATUS_OK);
+    let refs = proto::decode_probe_payload(h.n, payload).unwrap();
+    assert_eq!(refs.len(), pts.len());
+    for (c, got) in pts.iter().zip(&refs) {
+        assert_eq!(*got, sorted(idx.as_view().lookup_refs(*c)), "at {c}");
+    }
+    let mut rest = Vec::new();
+    assert_eq!(
+        stream.read_to_end(&mut rest).unwrap(),
+        0,
+        "the stream ends after the answer"
+    );
+    for w in workers {
+        w.shutdown();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A client that pipelines 64 KB probe frames and never reads a reply
+/// fills both socket directions, leaving the router blocked in its reply
+/// write. Shutdown must still return within the 5 s drain grace (plus
+/// 2 s of slack) instead of waiting on that client forever.
+#[test]
+fn router_shutdown_is_bounded_when_a_client_never_reads() {
+    use act_serve::protocol as proto;
+    use std::io::Write;
+    let polys = fleet_polys();
+    let idx = ActIndex::build(&polys, 15.0).unwrap();
+    let dir = fresh_dir("stalled-client");
+    let (workers, router) = spawn_fleet(&idx, &dir, 1, || ServeConfig {
+        watch: None,
+        ..ServeConfig::default()
+    });
+    // 4,095 points: a 64 KB frame with its length prefix.
+    let pts: Vec<Coord> = probe_grid().into_iter().cycle().take(4095).collect();
+    let frame = proto::encode_probe_request(&pts, false);
+    let mut stream = std::net::TcpStream::connect(router.addr()).unwrap();
+    stream
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    // Pipeline until a write stalls: the router has stopped reading
+    // because it cannot write its replies.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut sent = 0usize;
+    loop {
+        match stream.write(&frame[sent % frame.len()..]) {
+            Ok(k) => sent += k,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => break,
+            Err(e) => panic!("pipelining failed before the stall: {e}"),
+        }
+        assert!(Instant::now() < deadline, "the router never stalled");
+    }
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        router.shutdown();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(7)).is_ok(),
+        "a client that never reads held shutdown past the drain grace"
+    );
+    drop(stream);
+    for w in workers {
+        w.shutdown();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -92,7 +92,6 @@ fn hot_swaps_under_shedding_with_a_stalled_reader() {
             max_inflight_frames: 32,
             batch_delay: Some(Duration::from_micros(500)),
             watch: Some(Duration::from_millis(10)),
-            drain_grace: Duration::from_secs(5),
             // The hot-cell cache rides the whole soak: its epoch keying
             // must keep every verified answer exact through the swaps.
             cache: Some(CacheConfig::default()),

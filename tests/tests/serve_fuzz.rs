@@ -1,11 +1,12 @@
-//! Deterministic protocol fuzzing against a live act-serve: a seeded
-//! RNG generates ≥500 malformed frames — truncations, oversized length
-//! prefixes, garbage opcodes, bad flags/reserved bytes, point-count
-//! mismatches, non-finite coordinates, mid-frame disconnects — and fires
-//! each at the server on its own connection. The contract under attack:
+//! Deterministic protocol fuzzing against a live act-serve and a live
+//! router: a seeded RNG generates ≥500 malformed frames — truncations,
+//! oversized length prefixes, garbage opcodes, bad flags/reserved bytes,
+//! point-count mismatches, non-finite coordinates, mid-frame
+//! disconnects — and fires each at the endpoint on its own connection.
+//! Both endpoints face the same corpus. The contract under attack:
 //!
-//! * the server never panics and never wedges (every read here carries a
-//!   deadline, so a wedge fails the test instead of hanging it);
+//! * the endpoint never panics and never wedges (every read here carries
+//!   a deadline, so a wedge fails the test instead of hanging it);
 //! * every malformed frame is answered with a **typed** `BAD_REQUEST`
 //!   (then close) or met with a clean close — never garbage, never
 //!   silence on an intact connection;
@@ -13,8 +14,8 @@
 //!   answers the whole time, and the server still serves after the last
 //!   attack.
 
-use act_core::ActIndex;
-use act_serve::{protocol as proto, Client, ServeConfig, Server};
+use act_core::{write_shard_files, ActIndex};
+use act_serve::{protocol as proto, Client, Router, RouterConfig, ServeConfig, Server};
 use geom::Coord;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -142,8 +143,72 @@ fn seeded_malformed_frames_never_panic_never_wedge_never_disturb() {
         },
     )
     .unwrap();
-    let addr = server.addr();
+    fuzz_endpoint(server.addr(), &idx);
 
+    // Counters coherent, nothing shed (the attack never fills the
+    // default queue) and plenty rejected.
+    let stats = server.stats();
+    assert!(
+        stats.bad_frames >= (FUZZ_CASES / 3) as u64,
+        "most categories must have produced typed rejects (got {})",
+        stats.bad_frames
+    );
+    assert_eq!(stats.shed, 0);
+    assert_eq!(stats.accepted, stats.answered + stats.shed);
+    server.shutdown();
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// The same corpus against a router at split level 10 over two shards
+/// cut from the same index: routed answers equal the unsharded index,
+/// so the sentinel and the post-attack oracle are unchanged.
+#[test]
+fn seeded_malformed_frames_never_panic_never_wedge_never_disturb_a_router() {
+    let (path, idx) = snap_file("fuzz-router");
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("act-fuzz-{}-router", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let workers: Vec<_> = write_shard_files(&idx, &dir, 10, 2)
+        .unwrap()
+        .iter()
+        .map(|p| {
+            let config = ServeConfig {
+                watch: None,
+                ..ServeConfig::default()
+            };
+            Server::spawn(p, config).unwrap()
+        })
+        .collect();
+    let router = Router::spawn(
+        workers.iter().map(|w| w.addr()).collect(),
+        RouterConfig {
+            split_level: 10,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    fuzz_endpoint(router.addr(), &idx);
+
+    // The fleet's merged books: nothing shed, every accepted frame
+    // answered.
+    let mut c = Client::connect(router.addr()).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let fleet = c.stats_ex().expect("fleet STATS").counters;
+    assert_eq!(fleet.shed, 0);
+    assert_eq!(fleet.accepted, fleet.answered + fleet.shed);
+    router.shutdown();
+    for w in workers {
+        w.shutdown();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Fires the seeded corpus at the endpoint at `addr` while a sentinel
+/// connection probes continuously, then checks the endpoint still
+/// answers like `idx`.
+fn fuzz_endpoint(addr: std::net::SocketAddr, idx: &ActIndex) {
     let ds = datagen::blocks_scaled(3, 2, 11);
     let (lo, hi) = (ds.bbox.min, ds.bbox.max);
     let grid: Vec<Coord> = (0..48)
@@ -172,7 +237,7 @@ fn seeded_malformed_frames_never_panic_never_wedge_never_disturb() {
         }
         let _stop_guard = StopOnDrop(&stop);
         let sentinel = {
-            let (stop, grid, idx) = (&stop, &grid, &idx);
+            let (stop, grid) = (&stop, &grid);
             scope.spawn(move || {
                 let mut c = Client::connect(addr).expect("sentinel connect");
                 c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -326,7 +391,7 @@ fn seeded_malformed_frames_never_panic_never_wedge_never_disturb() {
             // A periodic pulse through a fresh, fully well-formed
             // connection (cheap; catches a wedge early with a case id).
             if case % 64 == 0 {
-                assert_still_serving(addr, &idx, &grid);
+                assert_still_serving(addr, idx, &grid);
             }
         }
         stop.store(true, Ordering::Release);
@@ -337,19 +402,8 @@ fn seeded_malformed_frames_never_panic_never_wedge_never_disturb() {
         "the well-formed connection must have made progress during the attack"
     );
 
-    // Post-attack: still serving, counters coherent, nothing shed (the
-    // attack never fills the default queue) and plenty rejected.
-    assert_still_serving(addr, &idx, &grid);
-    let stats = server.stats();
-    assert!(
-        stats.bad_frames >= (FUZZ_CASES / 3) as u64,
-        "most categories must have produced typed rejects (got {})",
-        stats.bad_frames
-    );
-    assert_eq!(stats.shed, 0);
-    assert_eq!(stats.accepted, stats.answered + stats.shed);
-    server.shutdown();
-    std::fs::remove_file(&path).unwrap();
+    // Post-attack: still serving.
+    assert_still_serving(addr, idx, &grid);
 }
 
 /// Mid-reply socket resets: clients pipeline several fat probe frames
