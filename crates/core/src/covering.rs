@@ -53,10 +53,53 @@ pub struct Covering {
     /// The cells are disjoint and, as [`cover_uv_polygon`] emits them,
     /// sorted by `range_min` (Hilbert order) — the order the super
     /// covering's merge requires.
+    ///
+    /// At 16 bytes per pair plus growth slack, this is the covering's
+    /// working form only: an index build packs each covering to 8 bytes
+    /// per cell, exact-sized, as soon as it is computed. Every covering is
+    /// alive when the trie starts, and the memory the sweep frees goes
+    /// back to the allocator, not to the trie's arena, so the form held
+    /// in flight sets the build's peak.
     pub cells: Vec<(CellId, bool)>,
 }
 
+/// A covering as an index build holds it: one `u64` per cell, the cell
+/// id with the interior flag in bit 0 (see [`pack_cell`]), in an
+/// exact-size allocation.
+pub(crate) type PackedCovering = Box<[u64]>;
+
+/// Packs `(cell, interior)` into one word. A cell id's lowest set bit
+/// marks its level (bit 0 for a level-30 leaf, bit 2 for level 29, …), so
+/// bit 0 is clear for every cell above leaf level, and coverings stop at
+/// [`crate::trie::MAX_INDEX_LEVEL`].
+///
+/// # Panics
+/// Panics on a leaf cell, whose bit 0 is taken.
+pub(crate) fn pack_cell(cell: CellId, interior: bool) -> u64 {
+    assert!(
+        !cell.is_leaf(),
+        "cannot pack leaf cell {cell:?}: its bit 0 is the level sentinel"
+    );
+    cell.0 | u64::from(interior)
+}
+
+/// The `(cell, interior)` pair [`pack_cell`] packed.
+pub(crate) fn unpack_cell(packed: u64) -> (CellId, bool) {
+    (CellId(packed & !1), packed & 1 == 1)
+}
+
 impl Covering {
+    /// This covering at 8 bytes per cell, exact-sized.
+    ///
+    /// # Panics
+    /// As [`pack_cell`].
+    pub(crate) fn pack(&self) -> PackedCovering {
+        self.cells
+            .iter()
+            .map(|&(cell, interior)| pack_cell(cell, interior))
+            .collect()
+    }
+
     /// Number of interior cells.
     pub fn num_interior(&self) -> usize {
         self.cells.iter().filter(|(_, i)| *i).count()
@@ -313,6 +356,32 @@ mod tests {
             coarse.num_boundary(),
             fine.num_boundary()
         );
+    }
+
+    #[test]
+    fn packing_round_trips_cell_and_interior_flag() {
+        let leaf = CellId::from_latlng(LatLng::from_degrees(40.7580, -73.9855));
+        let cells = (0..6)
+            .map(CellId::from_face)
+            .chain([1, 15, 28].map(|level| leaf.parent(level)));
+        for cell in cells {
+            for interior in [false, true] {
+                let packed = pack_cell(cell, interior);
+                assert_eq!(unpack_cell(packed), (cell, interior), "{cell:?}");
+            }
+        }
+        let cov = Covering {
+            cells: vec![(leaf.parent(12), true), (leaf.parent(28), false)],
+        };
+        let unpacked: Vec<_> = cov.pack().iter().map(|&w| unpack_cell(w)).collect();
+        assert_eq!(unpacked, cov.cells);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot pack leaf cell")]
+    fn packing_a_leaf_cell_panics() {
+        let leaf = CellId::from_latlng(LatLng::from_degrees(40.7580, -73.9855));
+        pack_cell(leaf, false);
     }
 
     #[test]

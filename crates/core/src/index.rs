@@ -4,7 +4,7 @@
 //! reported in the paper's Table I (indexed cells, ACT size, lookup-table
 //! size, covering build time, super-covering build time).
 
-use crate::covering::{cover_uv_polygon, Covering, CoveringParams};
+use crate::covering::{cover_uv_polygon, Covering, CoveringParams, PackedCovering};
 use crate::lookup::{LookupTable, LookupTableBuilder};
 use crate::refs::{RefSet, MAX_POLYGON_ID};
 use crate::snapshot::SnapshotError;
@@ -199,33 +199,50 @@ impl ActIndex {
         );
         let params = CoveringParams::new(precision_m);
 
-        // Phase 1: independent per-polygon coverings, in input order.
+        // Phase 1: independent per-polygon coverings, in input order, each
+        // packed in its own job, so a thread holds one unpacked covering
+        // at a time.
         let t0 = Instant::now();
         let coverings = pool
             .map(polygons, |poly| {
-                UvPolygon::from_polygon(poly).map(|uv| cover_uv_polygon(&uv, &params))
+                UvPolygon::from_polygon(poly).map(|uv| cover_uv_polygon(&uv, &params).pack())
             })
             .into_iter()
-            .collect::<Result<Vec<Covering>, MultiFaceError>>()?;
+            .collect::<Result<Vec<PackedCovering>, MultiFaceError>>()?;
         let covering_secs = t0.elapsed().as_secs_f64();
 
-        Ok(Self::from_coverings(coverings, params, covering_secs))
+        Ok(Self::from_packed(coverings, params, covering_secs))
     }
 
     /// Assembles the index from precomputed coverings (`coverings[i]` is
     /// polygon `i`'s, sorted as [`cover_uv_polygon`] emits it): one
     /// super-covering sweep (duplicate removal, conflict resolution)
-    /// streamed cell by cell into the trie, each covering freed once
-    /// merged. Exposed for parallel builds and ablations.
+    /// streamed cell by cell into the trie. Exposed for ablations.
+    ///
+    /// Each covering is first packed to 8 bytes per cell, exact-sized, as
+    /// [`ActIndex::build`] holds it, and freed once merged. That memory
+    /// returns to the allocator, not to the trie, so the packed coverings
+    /// plus the trie are the build's peak.
     ///
     /// # Panics
-    /// Panics if a covering's cells are not sorted by `range_min`.
+    /// Panics if a covering's cells are not sorted by `range_min`, or if
+    /// one holds a leaf (level-30) cell.
     pub fn from_coverings(
         coverings: Vec<Covering>,
         params: CoveringParams,
         covering_secs: f64,
     ) -> ActIndex {
-        let covering_cells: u64 = coverings.iter().map(|c| c.cells.len() as u64).sum();
+        let packed = coverings.into_iter().map(|c| c.pack()).collect();
+        Self::from_packed(packed, params, covering_secs)
+    }
+
+    /// [`ActIndex::from_coverings`] over coverings already packed.
+    fn from_packed(
+        coverings: Vec<PackedCovering>,
+        params: CoveringParams,
+        covering_secs: f64,
+    ) -> ActIndex {
+        let covering_cells: u64 = coverings.iter().map(|c| c.len() as u64).sum();
 
         let t1 = Instant::now();
         let mut act = Act::new();

@@ -44,11 +44,12 @@
 //! its push-down tree: `(emitted inside it − 1) / 3`.
 //!
 //! Cost: a k-way merge of n covering cells from k sorted coverings,
-//! O(n log k), plus O(1) per output cell. Memory beyond the coverings (each
-//! freed as soon as the merge has drained it) is a stack as deep as the
-//! deepest nesting.
+//! O(n log k), plus O(1) per output cell. Memory beyond the coverings is a
+//! stack as deep as the deepest nesting. The build holds each covering
+//! packed at 8 bytes per cell (see [`Covering::cells`]) and frees it once
+//! the merge has drained it.
 
-use crate::covering::Covering;
+use crate::covering::{unpack_cell, Covering, PackedCovering};
 use crate::refs::{PolygonRef, RefSet};
 use s2cell::CellId;
 use std::cmp::Reverse;
@@ -87,20 +88,23 @@ pub fn build_super_covering(coverings: &[Covering]) -> SuperCovering {
     collect(merge(coverings.iter().map(|c| c.cells.iter().copied())))
 }
 
-/// [`build_super_covering`] streamed: each output cell goes to `emit` in
-/// range order and is never stored, and each covering is freed as soon as
-/// the merge has drained it. Returns the push-down split count.
+/// [`build_super_covering`] over packed coverings, streamed: each output
+/// cell goes to `emit` in range order and is never stored, and each
+/// covering is freed as soon as the merge has drained it. That memory goes
+/// back to the allocator, not to the trie `emit` fills, so the packed
+/// coverings' size, not the 16-byte [`Covering`] form's, is what the build
+/// adds to the trie's peak. Returns the push-down split count.
 ///
 /// # Panics
 /// As [`build_super_covering`].
 pub(crate) fn stream_super_covering(
-    coverings: Vec<Covering>,
+    coverings: Vec<PackedCovering>,
     emit: impl FnMut(CellId, &RefSet),
 ) -> u64 {
-    sweep(
-        merge(coverings.into_iter().map(|c| c.cells.into_iter())),
-        emit,
-    )
+    let sources = coverings
+        .into_iter()
+        .map(|c| Vec::from(c).into_iter().map(unpack_cell));
+    sweep(merge(sources), emit)
 }
 
 /// Builds from raw `(cell, reference)` pairs in any order — duplicated and
@@ -417,7 +421,8 @@ mod tests {
         assert_eq!(merged.pushdown_splits, from_pairs.pushdown_splits);
         assert_eq!(merged.cells, from_pairs.cells);
         let mut streamed = Vec::new();
-        let splits = stream_super_covering(coverings, |c, r| streamed.push((c, r.clone())));
+        let packed = coverings.iter().map(Covering::pack).collect();
+        let splits = stream_super_covering(packed, |c, r| streamed.push((c, r.clone())));
         assert_eq!(splits, merged.pushdown_splits);
         assert_eq!(streamed, merged.cells);
     }

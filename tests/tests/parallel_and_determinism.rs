@@ -5,8 +5,8 @@
 //! scalar sequential join).
 
 use act_core::{
-    cover_polygon, join_approx_cells_batch, join_parallel_cells, ActIndex, CoveringParams,
-    PolygonRef,
+    build_super_covering, cover_polygon, join_approx_cells_batch, join_parallel_cells, ActIndex,
+    Covering, CoveringParams, PolygonRef,
 };
 use datagen::{Dataset, PointGen};
 use jobs::JobPool;
@@ -80,6 +80,62 @@ fn parallel_build_byte_identical_on_dataset() {
             );
         }
     }
+}
+
+fn coverings(ds: &Dataset, params: &CoveringParams) -> Vec<Covering> {
+    (ds.polygons.iter())
+        .map(|poly| cover_polygon(poly, params).unwrap())
+        .collect()
+}
+
+/// The build packs each covering's interior flag into bit 0 of its cell
+/// ids. Both packed entry points, `build_parallel` and `from_coverings`,
+/// must give the same index as a populate from `build_super_covering`,
+/// which merges the coverings unpacked.
+#[test]
+fn packed_builds_match_the_unpacked_merge() {
+    let ds = datagen::neighborhoods(42);
+    let params = CoveringParams::new(15.0);
+    let covs = coverings(&ds, &params);
+    let unpacked = ActIndex::from_supercover(build_super_covering(&covs), params);
+    let from_coverings = ActIndex::from_coverings(covs, params, 0.0);
+    assert!(from_coverings.identical_to(&unpacked));
+    for threads in [1usize, 2] {
+        let built = ActIndex::build_parallel(&ds.polygons, 15.0, &JobPool::new(threads)).unwrap();
+        assert!(built.identical_to(&from_coverings), "{threads} threads");
+        assert_eq!(
+            built.stats().covering_cells,
+            from_coverings.stats().covering_cells
+        );
+    }
+}
+
+/// The true-hit ablation: with every interior flag cleared, the index
+/// reports no true hit, yet the same polygons per point as the full one.
+#[test]
+fn cleared_interior_flags_give_no_true_hits_and_the_same_ids() {
+    let ds = datagen::neighborhoods(42);
+    let params = CoveringParams::new(15.0);
+    let full = ActIndex::build(&ds.polygons, 15.0).unwrap();
+    let mut ablated = coverings(&ds, &params);
+    for cov in &mut ablated {
+        for (_, interior) in &mut cov.cells {
+            *interior = false;
+        }
+    }
+    let ablated = ActIndex::from_coverings(ablated, params, 0.0);
+    let ids = |refs: Vec<(u32, bool)>| refs.into_iter().map(|(id, _)| id).collect::<Vec<_>>();
+    let mut full_true_hits = 0;
+    for pt in PointGen::nyc_taxi_like(ds.bbox, 11).take_vec(10_000) {
+        let (want, got) = (
+            full.as_view().lookup_refs(pt),
+            ablated.as_view().lookup_refs(pt),
+        );
+        full_true_hits += want.iter().filter(|&&(_, interior)| interior).count();
+        assert!(got.iter().all(|&(_, interior)| !interior), "{pt}: {got:?}");
+        assert_eq!(ids(got), ids(want), "{pt}");
+    }
+    assert!(full_true_hits > 0, "the sample must reach interior cells");
 }
 
 /// The streamed build (coverings merged in one sweep straight into the
