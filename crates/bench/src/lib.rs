@@ -10,15 +10,20 @@
 //! * `snapshot` — build-once/load-many index-persistence baseline
 //!   (`BENCH_snapshot.json`, committed at the repo root; `--mmap` adds
 //!   the memory-mapped load rows)
-//! * `loadgen`  — drives `act-serve` and `act-route` over TCP through
-//!   overload, faults, the hot-cell cache and fairness, or an external
-//!   fleet, and records the contract rows (`BENCH_serve.json`)
+//! * `act-bench` — the repository's benchmark: five end-to-end workloads
+//!   and a per-layer ledger (its own package; see its README)
+//!
+//! The serving contracts live in tests, not here: overload, fairness and
+//! faults in `tests/tests/serve_chaos.rs` and `serve_faults.rs`, the
+//! hot-cell cache's floor in `cache_floor.rs`, and the drive of an
+//! external fleet in `fleet_drive.rs`.
 //!
 //! Criterion benches (`cargo bench`): `throughput`, `scalability`,
 //! `ablations`, `build_phase`.
 //!
-//! All binaries share the [`Opts`] flags (see [`USAGE`]); unknown flags
-//! print the usage message and exit non-zero.
+//! The experiment binaries (all but `act-bench`, which parses its own)
+//! share the [`Opts`] flags (see [`USAGE`]); unknown flags print the
+//! usage message and exit non-zero.
 
 #![forbid(unsafe_code)]
 
@@ -53,26 +58,6 @@ pub struct Opts {
     pub snapshot: Option<String>,
     /// Also measure memory-mapped snapshot loads (`snapshot` bin).
     pub mmap: bool,
-    /// Run the overload phase (`loadgen` bin): drive a
-    /// small-queue server past capacity and record shed rate + goodput.
-    pub overload: bool,
-    /// Run the fault-injection soak (`loadgen` bin, requires the
-    /// `fault-injection` feature): drive live traffic through a seeded
-    /// fault schedule and record recovery rows.
-    pub faults: bool,
-    /// Drive an already-running `act-route` (or `act-serve`) at this
-    /// address instead of spawning servers in-process (`loadgen` bin).
-    /// The external fleet must serve the same dataset snapshot the
-    /// workload verifies against.
-    pub router_addr: Option<String>,
-    /// Skew exponent for the zipf phase (`loadgen` bin): draw query
-    /// points from a Zipf(s) distribution over a fixed hot set and
-    /// record cache-off vs cache-on throughput/latency rows.
-    pub zipf: Option<f64>,
-    /// Run the fairness phase (`loadgen` bin): one greedy client
-    /// floods a capacity-pinned server while polite clients probe, and
-    /// worst-client goodput is recorded quota-off vs quota-on.
-    pub greedy: bool,
 }
 
 impl Default for Opts {
@@ -86,11 +71,6 @@ impl Default for Opts {
             batch: act_core::DEFAULT_PROBE_BATCH,
             snapshot: None,
             mmap: false,
-            overload: false,
-            faults: false,
-            router_addr: None,
-            zipf: None,
-            greedy: false,
         }
     }
 }
@@ -108,27 +88,6 @@ usage: <bin> [options]
                     load-and-verify them on later runs
   --mmap            also measure memory-mapped snapshot loads
                     (snapshot bin; adds the mmap rows to BENCH_snapshot.json)
-  --overload        run the overload phase (loadgen bin): drive a
-                    small-queue server past capacity and record shed rate
-                    + goodput rows into BENCH_serve.json
-  --faults          run the fault-injection soak (loadgen bin, built
-                    with --features fault-injection): seeded worker
-                    panics, torn deltas, socket resets under live load;
-                    records recovery rows into BENCH_serve.json
-  --router-addr A   drive an already-running act-route (or act-serve) at
-                    HOST:PORT instead of spawning in-process (loadgen
-                    bin); the external fleet must serve the same dataset
-                    snapshot the workload verifies against
-  --zipf S          run the hot-cell cache phase (loadgen bin):
-                    draw probes Zipf(S)-skewed over a fixed hot set and
-                    record cache-off vs cache-on throughput + p99 rows
-                    into BENCH_serve.json (S > 0; 1.0 ~ classic zipf)
-  --greedy          run the fairness phase (loadgen bin): a greedy
-                    client floods a capacity-pinned server while polite
-                    clients probe; records worst-client goodput with and
-                    without --quota-lanes into BENCH_serve.json
-loadgen needs at least one of --overload, --faults, --zipf, --greedy or
---router-addr.
 (env: ACT_FULL=1 behaves like --full)";
 
 impl Opts {
@@ -205,46 +164,11 @@ impl Opts {
                     o.snapshot = Some(dir.to_string());
                 }
                 "--mmap" => o.mmap = true,
-                "--overload" => o.overload = true,
-                "--faults" => o.faults = true,
-                "--router-addr" => {
-                    let addr = value(args, &mut i, "--router-addr")?;
-                    if addr.is_empty() {
-                        return Err("--router-addr expects HOST:PORT".to_string());
-                    }
-                    o.router_addr = Some(addr.to_string());
-                }
-                "--zipf" => {
-                    let s = value(args, &mut i, "--zipf")?
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|s| s.is_finite() && *s > 0.0)
-                        .ok_or_else(|| "--zipf expects a positive exponent".to_string())?;
-                    o.zipf = Some(s);
-                }
-                "--greedy" => o.greedy = true,
                 other => return Err(format!("unknown argument: {other}")),
             }
             i += 1;
         }
         Ok(o)
-    }
-
-    /// `loadgen` runs only what it is asked for: at least one phase
-    /// (`--overload`, `--faults`, `--zipf`, `--greedy`) or an external
-    /// target (`--router-addr`). Errs, for the usage message, when none
-    /// is given.
-    pub fn check_loadgen_phase(&self) -> Result<(), String> {
-        let phases = [self.overload, self.faults, self.zipf.is_some(), self.greedy];
-        if phases.contains(&true) || self.router_addr.is_some() {
-            Ok(())
-        } else {
-            Err(
-                "loadgen needs a phase (--overload, --faults, --zipf S, --greedy) \
-                 or --router-addr HOST:PORT"
-                    .to_string(),
-            )
-        }
     }
 
     /// True if dataset `name` is selected.
@@ -475,13 +399,6 @@ mod tests {
             "--snapshot",
             "target/snaps",
             "--mmap",
-            "--overload",
-            "--faults",
-            "--router-addr",
-            "127.0.0.1:9000",
-            "--zipf",
-            "1.2",
-            "--greedy",
         ])
         .unwrap();
         assert_eq!(o.points, 1_000_000);
@@ -492,20 +409,6 @@ mod tests {
         assert_eq!(o.batch, 128);
         assert_eq!(o.snapshot.as_deref(), Some("target/snaps"));
         assert!(o.mmap);
-        assert!(o.overload);
-        assert!(o.faults);
-        assert_eq!(o.router_addr.as_deref(), Some("127.0.0.1:9000"));
-        assert_eq!(o.zipf, Some(1.2));
-        assert!(o.greedy);
-        let defaults = parse(&[]).unwrap();
-        assert!(defaults.router_addr.is_none());
-        assert!(defaults.zipf.is_none());
-        assert!(!defaults.greedy);
-        assert!(parse(&["--router-addr", ""])
-            .unwrap_err()
-            .contains("HOST:PORT"));
-        assert!(parse(&["--zipf", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--zipf", "nan"]).unwrap_err().contains("positive"));
     }
 
     #[test]
@@ -525,32 +428,20 @@ mod tests {
         assert!(parse(&["--snapshot", ""])
             .unwrap_err()
             .contains("directory"));
-    }
-
-    #[test]
-    fn loadgen_needs_a_phase_or_an_external_target() {
-        let err = parse(&["--points", "1000"])
-            .unwrap()
-            .check_loadgen_phase()
-            .unwrap_err();
-        assert!(err.contains("needs a phase"), "{err}");
-        for args in [
+        // Load-generation flags belong to no experiment bin.
+        for retired in [
             &["--overload"][..],
             &["--faults"],
+            &["--router-addr", "127.0.0.1:9000"],
             &["--zipf", "1.1"],
             &["--greedy"],
-            &["--router-addr", "127.0.0.1:9000"],
+            &["--router"],
         ] {
-            assert_eq!(
-                parse(args).unwrap().check_loadgen_phase(),
-                Ok(()),
-                "{args:?}"
+            assert!(
+                parse(retired).unwrap_err().contains("unknown argument"),
+                "{retired:?}"
             );
         }
-        // The retired in-process router phase is no longer a flag.
-        assert!(parse(&["--router"])
-            .unwrap_err()
-            .contains("unknown argument"));
     }
 
     #[test]

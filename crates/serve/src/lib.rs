@@ -45,8 +45,8 @@
 //!
 //! See [`protocol`] for the frame layout, [`server`] for the threading
 //! model and overload semantics, and the repo README's "Serving" section
-//! for the operator story (`loadgen`, atomic snapshot replacement,
-//! exact-mode contract, overload behavior & shutdown).
+//! for the operator story (atomic snapshot replacement, exact-mode
+//! contract, overload behavior & shutdown).
 //!
 //! ```no_run
 //! use act_serve::{Client, ServeConfig, Server};

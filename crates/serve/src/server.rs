@@ -158,8 +158,8 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// Fault-injection / capacity-pinning knob: sleep this long before
     /// every micro-batch. `None` (the default) in production; the chaos
-    /// suite and `loadgen --overload` use it to make "capacity" a known
-    /// constant so shedding is deterministic.
+    /// suite's shedding and fairness tests use it to make "capacity" a
+    /// known constant, so shedding is deterministic.
     pub batch_delay: Option<Duration>,
     /// Pipeline observability: per-stage latency histograms, the
     /// batch-size and probe-depth histograms, and the sampled trace

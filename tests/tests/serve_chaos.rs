@@ -13,12 +13,20 @@
 //! * and the graceful drain answers everything accepted before
 //!   `shutdown()`, nothing after.
 //!
-//! Time-budgeted: the whole file runs in well under 5 s.
+//! Last, the fairness quota: one greedy pipeliner against polite
+//! retrying clients on a capacity-pinned worker, where the
+//! per-connection lane quota must lift the worst polite client's
+//! goodput at least 5×.
+//!
+//! Time-budgeted: the whole file runs in about 5 s.
 
 use act_core::{header_checksum, save_delta_file, ActIndex, DeltaLink, DeltaOp};
 use act_serve::{
-    delta_path, protocol as proto, CacheConfig, Client, ClientError, ServeConfig, Server,
+    delta_path, protocol as proto, CacheConfig, Client, ClientError, ResilientClient, RetryPolicy,
+    ServeConfig, Server,
 };
+use act_tests::{pipeline_copies, ref_set};
+use datagen::PointGen;
 use geom::{Coord, Polygon, Ring};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,6 +65,16 @@ fn chaos_points(n: usize, salt: u64) -> Vec<Coord> {
             Coord::new(-74.08 + 0.16 * t, 40.70 + 0.01 * (t - 0.5))
         })
         .collect()
+}
+
+/// Raises the stop flag when dropped, so background clients stop even
+/// when the thread driving them panics and the scope is unwinding.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
 }
 
 /// The index the echoed epoch was served from: the test swaps
@@ -105,12 +123,6 @@ fn hot_swaps_under_shedding_with_a_stalled_reader() {
     let client_frames = AtomicU64::new(0);
     let client_sheds = AtomicU64::new(0);
     std::thread::scope(|scope| {
-        struct StopOnDrop<'a>(&'a AtomicBool);
-        impl Drop for StopOnDrop<'_> {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::Release);
-            }
-        }
         let _stop_guard = StopOnDrop(&stop);
 
         // Three well-behaved clients: continuous verified traffic
@@ -464,4 +476,136 @@ fn warm_cache_stays_exact_across_full_and_delta_epoch_flips() {
     server.shutdown();
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(delta_path(&path, 1));
+}
+
+/// Fairness shape: one greedy connection pipelines `FAIR_FRAME`-point
+/// frames nonstop while polite clients each work through a fixed stripe,
+/// against one worker whose per-batch delay pins its capacity to
+/// `FAIR_BATCH_LANES / FAIR_BATCH_DELAY` lanes/s, so host speed does not
+/// move the result.
+///
+/// The queue is deep next to the batch on purpose: queue depth is what an
+/// unquota'd greedy connection gets to own, and every lane it owns
+/// stretches the backlog-proportional retry hint a shed polite client
+/// honours before trying again. The quota caps any one connection at one
+/// batch's worth, which leaves the same deep queue nearly empty and the
+/// polite clients rotating at fair share.
+const FAIR_FRAME: usize = 256;
+const FAIR_POLITE_FRAME: usize = 256;
+const FAIR_POLITE_CLIENTS: usize = 3;
+const FAIR_POLITE_FRAMES: usize = 32;
+const FAIR_BATCH_LANES: usize = 256;
+const FAIR_BATCH_DELAY: Duration = Duration::from_millis(2);
+const FAIR_DEPTH_LANES: usize = 8_192;
+const FAIR_WINDOW: usize = 32;
+const FAIR_QUOTA_LANES: usize = 256;
+
+/// The per-connection lane quota against a greedy pipeliner: the same
+/// fight run without and then with `client_quota_lanes`. Every polite
+/// answer and every greedy OK answer is checked per point against the
+/// offline probe, the books reconcile on both runs, only the quota run
+/// sheds for quota, and the quota lifts the worst polite client's
+/// goodput ≥ 5×.
+#[test]
+fn lane_quota_lifts_the_worst_polite_client_past_a_greedy_pipeliner() {
+    let ds = datagen::neighborhoods(42);
+    let idx = ActIndex::build(&ds.polygons, 15.0).unwrap();
+    let path = temp_path("fairness");
+    save_snapshot_to(&path, &idx);
+    let view = &idx.as_view();
+    let need = FAIR_FRAME + FAIR_POLITE_FRAME * FAIR_POLITE_CLIENTS * FAIR_POLITE_FRAMES;
+    let points = PointGen::nyc_taxi_like(ds.bbox, 42).take_vec(need);
+    // The greedy connection repeats one fixed frame; each polite client
+    // owns a distinct stripe.
+    let greedy_frame = &points[..FAIR_FRAME];
+    let greedy_want: Vec<_> = greedy_frame
+        .iter()
+        .map(|&p| ref_set(view.lookup_refs(p)))
+        .collect();
+    let stripes: Vec<&[Coord]> = points[FAIR_FRAME..]
+        .chunks(FAIR_POLITE_FRAME * FAIR_POLITE_FRAMES)
+        .collect();
+
+    let run = |quota: Option<usize>| {
+        let server = Server::spawn(
+            &path,
+            ServeConfig {
+                workers: 1,
+                batch_lanes: FAIR_BATCH_LANES,
+                queue_depth_lanes: FAIR_DEPTH_LANES,
+                max_inflight_frames: FAIR_WINDOW,
+                batch_delay: Some(FAIR_BATCH_DELAY),
+                client_quota_lanes: quota,
+                watch: None,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.addr();
+        let stop = AtomicBool::new(false);
+        let (worst, greedy) = std::thread::scope(|scope| {
+            let stop_guard = StopOnDrop(&stop);
+            let greedy = scope.spawn(|| {
+                pipeline_copies(addr, greedy_frame, &greedy_want, |_| {
+                    !stop.load(Ordering::Acquire)
+                })
+            });
+            // A polite client honours each LOADSHED's retry hint through
+            // a ResilientClient — the behaviour the quota protects.
+            let polite: Vec<_> = stripes
+                .iter()
+                .map(|stripe| {
+                    scope.spawn(move || {
+                        let mut client = ResilientClient::from_resolved(
+                            addr,
+                            RetryPolicy {
+                                max_attempts: 100_000,
+                                base_backoff: Duration::from_millis(1),
+                                max_backoff: Duration::from_millis(20),
+                                read_timeout: Duration::from_secs(30),
+                                deadline: Some(Duration::from_secs(120)),
+                                ..RetryPolicy::default()
+                            },
+                        );
+                        let t0 = Instant::now();
+                        for chunk in stripe.chunks(FAIR_POLITE_FRAME) {
+                            let reply = client.probe(chunk, false).expect("polite probe");
+                            for (pt, got) in chunk.iter().zip(&reply.refs) {
+                                assert_eq!(*got, view.lookup_refs(*pt), "polite answer at {pt}");
+                            }
+                        }
+                        stripe.len() as f64 / t0.elapsed().as_secs_f64()
+                    })
+                })
+                .collect();
+            let worst = polite
+                .into_iter()
+                .map(|h| h.join().expect("polite client"))
+                .fold(f64::INFINITY, f64::min);
+            drop(stop_guard);
+            (worst, greedy.join().expect("greedy client"))
+        });
+        let stats = server.stats();
+        server.shutdown();
+        assert_eq!(stats.accepted, stats.answered + stats.shed);
+        (worst, greedy, stats)
+    };
+
+    let (worst_off, greedy_off, off) = run(None);
+    let (worst_on, greedy_on, on) = run(Some(FAIR_QUOTA_LANES));
+    assert_eq!(off.quota_sheds, 0, "no quota, no quota sheds");
+    assert!(
+        on.quota_sheds > 0,
+        "the quota run must actually shed over-quota frames"
+    );
+    let gain = worst_on / worst_off;
+    println!(
+        "fairness: worst polite goodput {worst_off:.0} pts/s without quota vs {worst_on:.0} \
+         with — {gain:.1}x; greedy {greedy_off:?} without, {greedy_on:?} with"
+    );
+    assert!(
+        gain >= 5.0,
+        "quota only improved worst-client goodput {gain:.1}x — below the 5x floor"
+    );
+    std::fs::remove_file(&path).unwrap();
 }
