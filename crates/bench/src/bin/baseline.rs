@@ -72,6 +72,16 @@ fn with_build_peak<T>(build: impl FnOnce() -> T) -> (T, f64) {
     (out, (status_mb("VmHWM:") - before).max(0.0))
 }
 
+/// A build's phase split as this thread saw it. Coverings overlap the
+/// sweep, so the first figure is the bound pass plus the sweep's time
+/// covering or waiting for coverings, not every covering's time.
+fn phases(st: &act_core::BuildStats) -> String {
+    format!(
+        "coverings {:.3} s, sweep + populate {:.3} s, table finish {:.3} s",
+        st.build_coverings_secs, st.build_supercover_secs, st.build_insert_secs
+    )
+}
+
 fn main() {
     let opts = Opts::parse();
     let threads = opts.threads_or(&DEFAULT_THREADS);
@@ -117,8 +127,8 @@ fn main() {
         let serial_secs = t.elapsed().as_secs_f64();
         let st = serial.stats();
         println!(
-            "build serial: {serial_secs:.3} s (coverings {:.3} s, supercover {:.3} s, insert {:.3} s), peak +{serial_peak_mb:.0} MB",
-            st.build_coverings_secs, st.build_supercover_secs, st.build_insert_secs
+            "build serial: {serial_secs:.3} s ({}), peak +{serial_peak_mb:.0} MB",
+            phases(st)
         );
 
         // --snapshot DIR: persist the built index on first run; on later
@@ -176,8 +186,9 @@ fn main() {
             );
             let pst = par.stats();
             println!(
-                "build {t_count} thread(s): {par_secs:.3} s  ({:.2}x vs serial), peak +{par_peak_mb:.0} MB",
-                serial_secs / par_secs
+                "build {t_count} thread(s): {par_secs:.3} s  ({:.2}x vs serial; {}), peak +{par_peak_mb:.0} MB",
+                serial_secs / par_secs,
+                phases(pst)
             );
             parallel_entries.push(
                 Obj::new()

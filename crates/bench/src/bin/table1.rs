@@ -8,6 +8,12 @@
 //! Columns follow the paper: indexed cells \[M\], ACT \[MB\], lookup table
 //! \[MB\], build individual coverings \[s\], build super covering \[s\]. We add
 //! the denormalized slot count and the trie node count for analysis.
+//!
+//! The builds here are serial, so the two build columns add up to about
+//! each build's wall time: the first holds every covering (and the pass
+//! that finds each polygon's covering bound), the second the sweep fused
+//! with the trie populate. A parallel build splits them differently; see
+//! `BuildStats::build_coverings_secs`.
 
 use act_core::ActIndex;
 use bench::{feasible, fmt_bytes, fmt_mcells, paper_datasets, Opts, PRECISIONS};

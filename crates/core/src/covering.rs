@@ -56,10 +56,10 @@ pub struct Covering {
     ///
     /// At 16 bytes per pair plus growth slack, this is the covering's
     /// working form only: an index build packs each covering to 8 bytes
-    /// per cell, exact-sized, as soon as it is computed. Every covering is
-    /// alive when the trie starts, and the memory the sweep frees goes
-    /// back to the allocator, not to the trie's arena, so the form held
-    /// in flight sets the build's peak.
+    /// per cell, exact-sized, as soon as it is computed. It covers each
+    /// polygon just before the sweep reaches the polygon's
+    /// [`covering_bound`] and frees the covering once merged, so only the
+    /// coverings open at the sweep's position are alive at once.
     pub cells: Vec<(CellId, bool)>,
 }
 
@@ -138,6 +138,35 @@ pub fn cover_uv_polygon_within(
     cover_within(uv, params.terminal_level().max(within.level()), within)
 }
 
+/// The bound of `uv`'s covering: the deepest cell that contains every
+/// cell [`cover_uv_polygon`] emits for it at `params`, never finer than
+/// the terminal level.
+///
+/// It follows the covering's own descent from the face cell, with the
+/// same edge subsets and so the same float arithmetic: it steps into a
+/// child while the cell is a boundary cell above the terminal level and
+/// exactly one child is not outside the polygon. The covering recursion
+/// finds the other three children outside too, so every covering cell
+/// lies in the cell the descent stops at, by construction. An index build
+/// admits each polygon's covering into the super-covering merge only when
+/// the sweep reaches this cell.
+pub fn covering_bound(uv: &UvPolygon, params: &CoveringParams) -> CellId {
+    let terminal = params.terminal_level();
+    let mut node = Node::within(CellId::from_face(uv.face));
+    let (mut rel, mut sub) = uv.relate_rect(&node.rect(), None);
+    while rel == CellRelation::Boundary && node.cell.level() < terminal {
+        let live: Vec<_> = (node.children().into_iter())
+            .map(|child| (child, uv.relate_rect(&child.rect(), Some(&sub))))
+            .filter(|(_, (rel, _))| *rel != CellRelation::Outside)
+            .collect();
+        let Ok([(child, (child_rel, child_sub))]) = <[_; 1]>::try_from(live) else {
+            break;
+        };
+        (node, rel, sub) = (child, child_rel, child_sub);
+    }
+    node.cell
+}
+
 fn cover_within(uv: &UvPolygon, terminal: u8, within: CellId) -> Covering {
     let mut out = Covering::default();
     let mut scratch = RecursionScratch {
@@ -145,16 +174,56 @@ fn cover_within(uv: &UvPolygon, terminal: u8, within: CellId) -> Covering {
         terminal,
         out: &mut out,
     };
-    let level = within.level();
-    let (_, i, j, _) = within.to_face_ij_orientation();
-    let size = 1u32 << (s2cell::MAX_LEVEL - level);
-    // The Hilbert orientation of `within`: its face's, turned at each
-    // step down from the face.
-    let orientation = (1..=level).fold(uv.face & SWAP_MASK, |o, l| {
-        o ^ POS_TO_ORIENTATION[within.child_position(l) as usize]
-    });
-    scratch.recurse(within, i & !(size - 1), j & !(size - 1), orientation, None);
+    scratch.recurse(Node::within(within), None);
     out
+}
+
+/// A cell as the covering recursion visits it, with its minimum leaf
+/// coordinates and Hilbert orientation.
+#[derive(Clone, Copy)]
+struct Node {
+    cell: CellId,
+    i_lo: u32,
+    j_lo: u32,
+    orientation: u8,
+}
+
+impl Node {
+    fn within(cell: CellId) -> Node {
+        let level = cell.level();
+        let (face, i, j, _) = cell.to_face_ij_orientation();
+        let size = 1u32 << (s2cell::MAX_LEVEL - level);
+        // The Hilbert orientation of `cell`: its face's, turned at each
+        // step down from the face.
+        let orientation = (1..=level).fold(face & SWAP_MASK, |o, l| {
+            o ^ POS_TO_ORIENTATION[cell.child_position(l) as usize]
+        });
+        Node {
+            cell,
+            i_lo: i & !(size - 1),
+            j_lo: j & !(size - 1),
+            orientation,
+        }
+    }
+
+    /// The four children, in curve order.
+    fn children(&self) -> [Node; 4] {
+        let half = 1u32 << (s2cell::MAX_LEVEL - self.cell.level() - 1);
+        let children = self.cell.children();
+        std::array::from_fn(|pos| {
+            let ij = u32::from(POS_TO_IJ[self.orientation as usize][pos]);
+            Node {
+                cell: children[pos],
+                i_lo: self.i_lo + half * (ij >> 1),
+                j_lo: self.j_lo + half * (ij & 1),
+                orientation: self.orientation ^ POS_TO_ORIENTATION[pos],
+            }
+        })
+    }
+
+    fn rect(&self) -> UvRect {
+        cell_uv_rect(self.cell.level(), self.i_lo, self.j_lo)
+    }
 }
 
 struct RecursionScratch<'a> {
@@ -164,38 +233,19 @@ struct RecursionScratch<'a> {
 }
 
 impl RecursionScratch<'_> {
-    /// `i_lo`, `j_lo` are the cell's minimum leaf coordinates,
-    /// `orientation` its Hilbert orientation, `subset` the parent's
-    /// relevant edge indices.
-    fn recurse(
-        &mut self,
-        cell: CellId,
-        i_lo: u32,
-        j_lo: u32,
-        orientation: u8,
-        subset: Option<&[u32]>,
-    ) {
-        let level = cell.level();
-        let (rel, sub) = self
-            .uv
-            .relate_rect(&cell_uv_rect(level, i_lo, j_lo), subset);
+    /// `subset` is the parent's relevant edge indices.
+    fn recurse(&mut self, node: Node, subset: Option<&[u32]>) {
+        let (rel, sub) = self.uv.relate_rect(&node.rect(), subset);
         match rel {
             CellRelation::Outside => {}
-            CellRelation::Inside => self.out.cells.push((cell, true)),
-            CellRelation::Boundary if level >= self.terminal => self.out.cells.push((cell, false)),
+            CellRelation::Inside => self.out.cells.push((node.cell, true)),
+            CellRelation::Boundary if node.cell.level() >= self.terminal => {
+                self.out.cells.push((node.cell, false))
+            }
             CellRelation::Boundary => {
                 // Children in curve order, so cells come out sorted.
-                let half = 1u32 << (s2cell::MAX_LEVEL - level - 1);
-                for (pos, child) in cell.children().into_iter().enumerate() {
-                    let ij = u32::from(POS_TO_IJ[orientation as usize][pos]);
-                    let (i, j) = (i_lo + half * (ij >> 1), j_lo + half * (ij & 1));
-                    self.recurse(
-                        child,
-                        i,
-                        j,
-                        orientation ^ POS_TO_ORIENTATION[pos],
-                        Some(&sub),
-                    );
+                for child in node.children() {
+                    self.recurse(child, Some(&sub));
                 }
             }
         }

@@ -4,11 +4,11 @@
 //! reported in the paper's Table I (indexed cells, ACT size, lookup-table
 //! size, covering build time, super-covering build time).
 
-use crate::covering::{cover_uv_polygon, Covering, CoveringParams, PackedCovering};
+use crate::covering::{cover_uv_polygon, covering_bound, Covering, CoveringParams, PackedCovering};
 use crate::lookup::{LookupTable, LookupTableBuilder};
 use crate::refs::{RefSet, MAX_POLYGON_ID};
 use crate::snapshot::SnapshotError;
-use crate::supercover::{stream_super_covering, SuperCovering};
+use crate::supercover::{admission_order, first_cell_order, stream_super_covering, SuperCovering};
 use crate::trie::Act;
 
 use crate::uvpoly::{MultiFaceError, UvPolygon};
@@ -16,7 +16,7 @@ use geom::{Coord, Polygon};
 use s2cell::{CellId, LatLng};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Build-phase metrics (the paper's Table I rows).
 #[derive(Debug, Clone, Default)]
@@ -37,11 +37,20 @@ pub struct BuildStats {
     pub act_bytes: usize,
     /// Lookup-table size in bytes.
     pub lookup_table_bytes: usize,
-    /// Wall time to compute per-polygon coverings, seconds.
+    /// Time spent on per-polygon coverings, seconds, as the building
+    /// thread sees it. The coverings overlap the sweep, so this is the
+    /// bound pass (every polygon projected and its
+    /// [`crate::covering::covering_bound`] found, on the pool) plus the
+    /// time the sweep spent covering a polygon itself or waiting for the
+    /// pool's covering. Coverings the pool's other threads computed while
+    /// the sweep ran are not in it; on a 1-thread build, every covering
+    /// is.
     pub build_coverings_secs: f64,
-    /// Wall time of the super-covering sweep, seconds. A build from
-    /// polygons streams the sweep into the trie, so this field carries
-    /// the fused sweep + trie populate.
+    /// Wall time of the super-covering sweep, seconds, less the covering
+    /// time counted in `build_coverings_secs`. A build from polygons
+    /// streams the sweep into the trie, so this field carries the fused
+    /// sweep + trie populate. With `build_coverings_secs`, it adds up to
+    /// the build's wall time before the lookup-table finish.
     pub build_supercover_secs: f64,
     /// Wall time to finish the trie and lookup table, seconds: after a
     /// streamed build only the lookup-table finish; from an already-merged
@@ -171,20 +180,28 @@ impl ActIndex {
         Self::build_parallel(polygons, precision_m, &jobs::JobPool::new(1))
     }
 
-    /// [`ActIndex::build`] with the per-polygon coverings (phase 1,
-    /// embarrassingly parallel) fanned out over `pool`. The super-covering
-    /// sweep and the trie populate it streams into (phases 2 and 3) stay
-    /// serial, so arena allocation order never depends on thread
-    /// interleaving.
+    /// [`ActIndex::build`] as a pipeline over `pool`: the per-polygon
+    /// coverings (phase 1, embarrassingly parallel) overlap the serial
+    /// super-covering sweep and the trie populate it streams into (phases
+    /// 2 and 3).
     ///
-    /// Output is **deterministic**: coverings are collected in polygon
-    /// order, so the node arena, lookup table, and every [`BuildStats`]
-    /// counter are the same whatever `pool`'s width (only the wall-time
-    /// fields differ). [`ActIndex::build`] is this on a 1-thread pool,
-    /// which degenerates to inline execution.
+    /// A parallel pass first projects each polygon and computes its
+    /// covering's bound ([`crate::covering::covering_bound`]). The pool
+    /// then covers the polygons in order of their bounds, a bounded window
+    /// ahead of the sweep, and the sweep admits each covering only when it
+    /// reaches that bound and frees it once drained. So the build never
+    /// holds every covering at once. While the sweep waits for a covering,
+    /// the calling thread computes one itself.
+    ///
+    /// Output is **deterministic**: the sweep consumes the coverings in one
+    /// fixed order and stays serial, so the node arena, lookup table, and
+    /// every [`BuildStats`] counter are the same whatever `pool`'s width
+    /// (only the wall-time fields differ). [`ActIndex::build`] is this on
+    /// a 1-thread pool, which runs everything inline.
     ///
     /// # Errors
-    /// Returns an error if any polygon spans multiple cube faces.
+    /// Returns an error if any polygon spans multiple cube faces: the
+    /// error of the lowest such polygon id, whatever `pool`'s width.
     ///
     /// # Panics
     /// As [`ActIndex::build`].
@@ -199,19 +216,27 @@ impl ActIndex {
         );
         let params = CoveringParams::new(precision_m);
 
-        // Phase 1: independent per-polygon coverings, in input order, each
-        // packed in its own job, so a thread holds one unpacked covering
-        // at a time.
         let t0 = Instant::now();
-        let coverings = pool
+        let bounds = pool
             .map(polygons, |poly| {
-                UvPolygon::from_polygon(poly).map(|uv| cover_uv_polygon(&uv, &params).pack())
+                UvPolygon::from_polygon(poly).map(|uv| covering_bound(&uv, &params))
             })
             .into_iter()
-            .collect::<Result<Vec<PackedCovering>, MultiFaceError>>()?;
-        let covering_secs = t0.elapsed().as_secs_f64();
+            .collect::<Result<Vec<CellId>, MultiFaceError>>()?;
+        let order = admission_order(bounds);
+        let bound_secs = t0.elapsed().as_secs_f64();
 
-        Ok(Self::from_packed(coverings, params, covering_secs))
+        // Each job re-projects its polygon rather than every projection
+        // staying alive, and packs its covering, so a thread holds one
+        // unpacked covering at a time.
+        let cover = |&(_, id): &(CellId, u32)| {
+            let uv = UvPolygon::from_polygon(&polygons[id as usize])
+                .expect("the bound pass projected every polygon");
+            cover_uv_polygon(&uv, &params).pack()
+        };
+        Ok(pool.map_stream(&order, cover, |coverings| {
+            Self::from_stream(&order, coverings, params, bound_secs)
+        }))
     }
 
     /// Assembles the index from precomputed coverings (`coverings[i]` is
@@ -219,10 +244,9 @@ impl ActIndex {
     /// super-covering sweep (duplicate removal, conflict resolution)
     /// streamed cell by cell into the trie. Exposed for ablations.
     ///
-    /// Each covering is first packed to 8 bytes per cell, exact-sized, as
-    /// [`ActIndex::build`] holds it, and freed once merged. That memory
-    /// returns to the allocator, not to the trie, so the packed coverings
-    /// plus the trie are the build's peak.
+    /// The same merge as [`ActIndex::build_parallel`]'s, with each
+    /// covering's bound set to its first cell. Each covering is packed to
+    /// 8 bytes per cell, exact-sized, and freed once merged.
     ///
     /// # Panics
     /// Panics if a covering's cells are not sorted by `range_min`, or if
@@ -232,31 +256,44 @@ impl ActIndex {
         params: CoveringParams,
         covering_secs: f64,
     ) -> ActIndex {
-        let packed = coverings.into_iter().map(|c| c.pack()).collect();
-        Self::from_packed(packed, params, covering_secs)
+        let order = first_cell_order(&coverings);
+        let mut packed: Vec<PackedCovering> = coverings.into_iter().map(|c| c.pack()).collect();
+        let mut stream = (order.iter()).map(|&(_, id)| std::mem::take(&mut packed[id as usize]));
+        Self::from_stream(&order, &mut stream, params, covering_secs)
     }
 
-    /// [`ActIndex::from_coverings`] over coverings already packed.
-    fn from_packed(
-        coverings: Vec<PackedCovering>,
+    /// The sweep over `coverings`, which arrive in `order` (see
+    /// [`crate::supercover::admission_order`]), streamed into a fresh trie.
+    /// `covering_secs` is the time spent on coverings before the sweep;
+    /// the time the sweep then spends waiting for or computing coverings
+    /// counts toward it as well.
+    fn from_stream(
+        order: &[(CellId, u32)],
+        coverings: &mut dyn Iterator<Item = PackedCovering>,
         params: CoveringParams,
         covering_secs: f64,
     ) -> ActIndex {
-        let covering_cells: u64 = coverings.iter().map(|c| c.len() as u64).sum();
-
         let t1 = Instant::now();
+        let (mut covering_cells, mut waited) = (0u64, Duration::ZERO);
+        let timed = std::iter::from_fn(|| {
+            let t = Instant::now();
+            let covering = coverings.next();
+            waited += t.elapsed();
+            covering_cells += covering.as_ref().map_or(0, |c| c.len() as u64);
+            covering
+        });
         let mut act = Act::new();
         let mut table_builder = LookupTableBuilder::new();
-        let pushdown_splits = stream_super_covering(coverings, |cell, refs| {
+        let pushdown_splits = stream_super_covering(order, timed, |cell, refs| {
             act.insert(cell, refs, &mut table_builder)
         });
-        let supercover_secs = t1.elapsed().as_secs_f64();
+        let pipeline = t1.elapsed();
 
         let mut index = Self::from_populated(act, table_builder, params, Instant::now());
         index.stats.covering_cells = covering_cells;
         index.stats.pushdown_splits = pushdown_splits;
-        index.stats.build_coverings_secs = covering_secs;
-        index.stats.build_supercover_secs = supercover_secs;
+        index.stats.build_coverings_secs = covering_secs + waited.as_secs_f64();
+        index.stats.build_supercover_secs = (pipeline - waited).as_secs_f64();
         index
     }
 
@@ -838,6 +875,30 @@ mod tests {
                 par.stats().lookup_table_bytes,
                 serial.stats().lookup_table_bytes
             );
+        }
+    }
+
+    /// The bound pass projects every polygon before any covering, so it
+    /// is where a multi-face polygon fails the build: with two of them,
+    /// the lower id's error comes back at every pool width.
+    #[test]
+    fn build_returns_the_lowest_ids_multi_face_error() {
+        let mut polys: Vec<Polygon> = (0..12)
+            .map(|k| square(-74.1 + 0.02 * k as f64, 40.7, 0.005))
+            .collect();
+        // Cube faces meet along the meridians at ±45° near the equator.
+        polys[3] = square(-45.0, 0.0, 1.0);
+        polys[8] = square(45.0, 0.0, 1.0);
+        let (low, high) = (
+            MultiFaceError { faces: (4, 0) },
+            MultiFaceError { faces: (0, 1) },
+        );
+        assert_eq!(UvPolygon::from_polygon(&polys[3]).unwrap_err(), low);
+        assert_eq!(UvPolygon::from_polygon(&polys[8]).unwrap_err(), high);
+        for threads in [1usize, 2, 4] {
+            let pool = jobs::JobPool::new(threads);
+            let err = ActIndex::build_parallel(&polys, 60.0, &pool).unwrap_err();
+            assert_eq!(err, low, "{threads} threads");
         }
     }
 

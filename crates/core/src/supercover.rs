@@ -43,11 +43,25 @@
 //! path. Each input cell's split count is the number of internal nodes of
 //! its push-down tree: `(emitted inside it − 1) / 3`.
 //!
+//! ## Coverings just in time
+//!
+//! The merge does not need every covering up front. Each polygon has a
+//! *bound*, a cell where none of its covering's cells starts earlier: an
+//! index build uses [`crate::covering::covering_bound`], which contains the
+//! whole covering. Polygons are admitted in order of their bounds' starts,
+//! each just before the merge would yield a cell at or past that start,
+//! which is the first moment one of its cells could be next. So an index
+//! build covers polygons in that order on its pool while the serial sweep
+//! runs, and holds only the coverings open at the sweep's position: on
+//! census at 15 m, at most ~385 k of its 10.8 M covering cells (3.6%) at
+//! once. Overlapping layers keep more open: 61% on the 16-layer surge
+//! stack at 15 m.
+//!
 //! Cost: a k-way merge of n covering cells from k sorted coverings,
-//! O(n log k), plus O(1) per output cell. Memory beyond the coverings is a
-//! stack as deep as the deepest nesting. The build holds each covering
-//! packed at 8 bytes per cell (see [`Covering::cells`]) and frees it once
-//! the merge has drained it.
+//! O(n log k), plus O(1) per output cell. Memory beyond the open coverings
+//! (and the few the pool has computed ahead of the sweep) is a stack as
+//! deep as the deepest nesting. The build holds each covering packed at 8
+//! bytes per cell and frees it once the merge has drained it.
 
 use crate::covering::{unpack_cell, Covering, PackedCovering};
 use crate::refs::{PolygonRef, RefSet};
@@ -85,26 +99,52 @@ impl SuperCovering {
 /// # Panics
 /// Panics if a covering's cells are out of order.
 pub fn build_super_covering(coverings: &[Covering]) -> SuperCovering {
-    collect(merge(coverings.iter().map(|c| c.cells.iter().copied())))
+    let order = first_cell_order(coverings);
+    let sources = (order.iter()).map(|&(_, id)| coverings[id as usize].cells.iter().copied());
+    collect(merge(&order, sources))
 }
 
-/// [`build_super_covering`] over packed coverings, streamed: each output
-/// cell goes to `emit` in range order and is never stored, and each
-/// covering is freed as soon as the merge has drained it. That memory goes
-/// back to the allocator, not to the trie `emit` fills, so the packed
-/// coverings' size, not the 16-byte [`Covering`] form's, is what the build
-/// adds to the trie's peak. Returns the push-down split count.
+/// [`build_super_covering`] over packed coverings that arrive one by one,
+/// streamed: each output cell goes to `emit` in range order and is never
+/// stored. `order` lists each polygon's bound and id as [`admission_order`]
+/// sorts them, and `coverings` yields their coverings in that order. The
+/// merge pulls a covering only when the sweep reaches its bound and frees
+/// it once drained, so the coverings alive at once are those open at the
+/// sweep's position, not the whole set. Returns the push-down split
+/// count.
 ///
 /// # Panics
-/// As [`build_super_covering`].
+/// As [`build_super_covering`], and if a covering starts before its bound
+/// or `coverings` ends early.
 pub(crate) fn stream_super_covering(
-    coverings: Vec<PackedCovering>,
+    order: &[(CellId, u32)],
+    coverings: impl Iterator<Item = PackedCovering>,
     emit: impl FnMut(CellId, &RefSet),
 ) -> u64 {
-    let sources = coverings
-        .into_iter()
-        .map(|c| Vec::from(c).into_iter().map(unpack_cell));
-    sweep(merge(sources), emit)
+    let sources = coverings.map(|c| Vec::from(c).into_iter().map(unpack_cell));
+    sweep(merge(order, sources), emit)
+}
+
+/// The order the merge admits polygons in: `bounds[i]` is polygon `i`'s
+/// bound, a cell where no cell of its covering starts earlier; the result
+/// pairs each bound with its id, sorted by `(bound.range_min, id)`.
+pub(crate) fn admission_order(bounds: impl IntoIterator<Item = CellId>) -> Vec<(CellId, u32)> {
+    let mut order: Vec<_> = bounds.into_iter().zip(0u32..).collect();
+    order.sort_unstable_by_key(|&(bound, id)| (bound.range_min(), id));
+    order
+}
+
+/// [`admission_order`] for coverings computed up front: each bound is the
+/// covering's first cell (face 0 for an empty one, which has no cell to
+/// place).
+pub(crate) fn first_cell_order<'a>(
+    coverings: impl IntoIterator<Item = &'a Covering>,
+) -> Vec<(CellId, u32)> {
+    admission_order(coverings.into_iter().map(|c| {
+        c.cells
+            .first()
+            .map_or(CellId::from_face(0), |&(cell, _)| cell)
+    }))
 }
 
 /// Builds from raw `(cell, reference)` pairs in any order — duplicated and
@@ -129,37 +169,73 @@ fn sweep_key(cell: CellId) -> (u64, u8) {
     (cell.range_min().0, cell.level())
 }
 
+/// An open stream's next cell in [`merge`]: `(sweep key, polygon id,
+/// slot, cell, interior)`.
+type Head = ((u64, u8), u32, usize, CellId, bool);
+
 /// The k-way merge of per-polygon `(cell, interior)` streams, each sorted
-/// by [`sweep_key`], into one `(cell, ref)` stream in that order. Source
-/// `i` is polygon `i`'s covering; it is dropped once drained.
-fn merge<I: Iterator<Item = (CellId, bool)>>(
-    sources: impl Iterator<Item = I>,
-) -> impl Iterator<Item = (CellId, PolygonRef)> {
-    let mut sources: Vec<Option<I>> = sources.map(Some).collect();
-    // Each live source's next `(sweep key, polygon id, cell, interior)`,
-    // the smallest key on top.
-    let mut heads: BinaryHeap<_> = (sources.iter_mut().enumerate())
-        .filter_map(|(id, src)| {
-            let (cell, interior) = src.as_mut()?.next()?;
-            Some(Reverse((sweep_key(cell), id as u32, cell, interior)))
-        })
-        .collect();
+/// by [`sweep_key`], into one `(cell, ref)` stream in that order, ties
+/// broken by polygon id.
+///
+/// `order` is an [`admission_order`] and `sources` yields the polygons'
+/// streams in it. Before the merge yields a cell starting at r, it admits
+/// every polygon whose bound starts at or before r: it pulls that
+/// polygon's stream and pushes its first cell. A polygon not yet admitted
+/// cannot hold the next cell, since its cells all start after r. So the
+/// output is the same as merging every stream from the start, while a
+/// stream is only pulled when needed and dropped once drained.
+fn merge<'a, I: Iterator<Item = (CellId, bool)> + 'a>(
+    order: &'a [(CellId, u32)],
+    mut sources: impl Iterator<Item = I> + 'a,
+) -> impl Iterator<Item = (CellId, PolygonRef)> + 'a {
+    let mut pending = order.iter().peekable();
+    // Admitted streams not yet drained, and the free slots among them.
+    let mut open: Vec<Option<I>> = Vec::new();
+    let mut free: Vec<usize> = Vec::new();
+    // Each open stream's next cell, the smallest key on top.
+    let mut heads: BinaryHeap<Reverse<Head>> = BinaryHeap::new();
     std::iter::from_fn(move || {
+        loop {
+            let next_start = heads
+                .peek()
+                .map_or(u64::MAX, |Reverse(((start, _), ..))| *start);
+            let Some(&(bound, id)) =
+                pending.next_if(|(bound, _)| bound.range_min().0 <= next_start)
+            else {
+                break;
+            };
+            let mut source = sources
+                .next()
+                .expect("a covering for every polygon in the order");
+            let Some((cell, interior)) = source.next() else {
+                continue;
+            };
+            assert!(
+                cell.range_min() >= bound.range_min(),
+                "covering of polygon {id} starts at {cell:?}, before its bound {bound:?}"
+            );
+            let slot = free.pop().unwrap_or(open.len());
+            if slot == open.len() {
+                open.push(None);
+            }
+            open[slot] = Some(source);
+            heads.push(Reverse((sweep_key(cell), id, slot, cell, interior)));
+        }
         let mut head = heads.peek_mut()?;
-        let Reverse((key, id, cell, interior)) = *head;
-        let source = &mut sources[id as usize];
-        match source.as_mut().and_then(Iterator::next) {
+        let Reverse((key, id, slot, cell, interior)) = *head;
+        match open[slot].as_mut().and_then(Iterator::next) {
             Some((next, next_interior)) => {
                 assert!(
                     sweep_key(next) >= key,
                     "covering of polygon {id} is not sorted by range_min: \
                      {next:?} follows {cell:?}"
                 );
-                *head = Reverse((sweep_key(next), id, next, next_interior));
+                *head = Reverse((sweep_key(next), id, slot, next, next_interior));
             }
             None => {
                 PeekMut::pop(head);
-                *source = None;
+                open[slot] = None;
+                free.push(slot);
             }
         }
         Some((cell, PolygonRef { id, interior }))
@@ -253,6 +329,7 @@ fn leaf_start(cell: CellId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::covering::pack_cell;
     use s2cell::LatLng;
 
     fn leaf() -> CellId {
@@ -421,8 +498,9 @@ mod tests {
         assert_eq!(merged.pushdown_splits, from_pairs.pushdown_splits);
         assert_eq!(merged.cells, from_pairs.cells);
         let mut streamed = Vec::new();
-        let packed = coverings.iter().map(Covering::pack).collect();
-        let splits = stream_super_covering(packed, |c, r| streamed.push((c, r.clone())));
+        let order = first_cell_order(&coverings);
+        let packed = order.iter().map(|&(_, id)| coverings[id as usize].pack());
+        let splits = stream_super_covering(&order, packed, |c, r| streamed.push((c, r.clone())));
         assert_eq!(splits, merged.pushdown_splits);
         assert_eq!(streamed, merged.cells);
     }
@@ -432,6 +510,19 @@ mod tests {
     fn unsorted_covering_is_refused() {
         // Polygon 0's hand-built cells run face 4, face 0, face 2.
         build_super_covering(&three_face_coverings());
+    }
+
+    #[test]
+    #[should_panic(expected = "covering of polygon 1 starts at")]
+    fn covering_before_its_bound_is_refused() {
+        let l = leaf();
+        // Polygon 1 claims to start at the level-12 cell's second child,
+        // but its covering starts at the first.
+        let [first, second, ..] = l.parent(12).children();
+        let order = [(l.parent(10), 0), (second, 1)];
+        let coverings = [vec![l.parent(10)], vec![first]]
+            .map(|cells| cells.into_iter().map(|c| pack_cell(c, false)).collect());
+        stream_super_covering(&order, coverings.into_iter(), |_, _| {});
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! semantics preservation, the precision guarantee, index agreement, and
 //! live-mutation (insert/remove/compact) ≡ fresh rebuild.
 
-use act_core::covering::cover_uv_polygon;
+use act_core::covering::{cover_uv_polygon, covering_bound};
 use act_core::snapshot::SnapshotBuf;
 use act_core::supercover::build_from_pairs;
 use act_core::uvpoly::UvPolygon;
@@ -411,6 +411,76 @@ proptest! {
                     prop_assert!(poly.contains(p), "true hit outside polygon at {}", p);
                 }
             }
+        }
+    }
+}
+
+/// A polygon around `center` for the covering-bound property, by `kind`:
+/// a convex polygon of radius `r_m` meters, the same with a hole, a cell's
+/// corners, or the midpoints of a cell's edges (every vertex on a cell
+/// edge). The cells are at `level`.
+fn bound_polygon(kind: u8, center: LatLng, r_m: f64, angles: &[f64], level: u8) -> Polygon {
+    let (cx, cy) = (center.lng_degrees(), center.lat_degrees());
+    let ring_at = |r_m: f64| {
+        let r_deg = r_m / 111_000.0;
+        let verts = angles
+            .iter()
+            .map(|&th| Coord::new(cx + r_deg * th.cos(), cy + 0.75 * r_deg * th.sin()));
+        Ring::new(verts.collect())
+    };
+    let cell = s2cell::Cell::from_cellid(CellId::from_latlng(center).parent(level));
+    let corners = cell
+        .vertices_latlng()
+        .map(|ll| Coord::new(ll.lng_degrees(), ll.lat_degrees()));
+    match kind {
+        0 => Polygon::new(ring_at(r_m), vec![]),
+        1 => Polygon::new(ring_at(r_m), vec![ring_at(r_m / 3.0)]),
+        2 => Polygon::new(Ring::new(corners.to_vec()), vec![]),
+        _ => {
+            let mid = |a: Coord, b: Coord| Coord::new(0.5 * (a.x + b.x), 0.5 * (a.y + b.y));
+            let edges = (0..4).map(|k| mid(corners[k], corners[(k + 1) % 4]));
+            Polygon::new(Ring::new(edges.collect()), vec![])
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The bound an index build admits each covering at: a cell no finer
+    /// than L(ε) that contains every cell of the covering, and the deepest
+    /// such cell, so the covering spans at least two of its children
+    /// unless it is the bound itself or the bound is at L(ε). Radii run
+    /// from 0.1 m, below one terminal cell at every ε, to 3 km.
+    #[test]
+    fn covering_lies_inside_its_bound(
+        kind in 0u8..4,
+        center in arb_nyc_latlng(),
+        log_r_m in -1.0f64..3.5,
+        angles in proptest::collection::vec(0.0f64..std::f64::consts::TAU, 6..12),
+        level in 8u8..=24,
+        precision in prop_oneof![Just(60.0f64), Just(15.0), Just(4.0)],
+    ) {
+        let mut angles = angles;
+        angles.sort_by(f64::total_cmp);
+        angles.dedup_by(|a, b| (*a - *b).abs() < 1e-3);
+        prop_assume!(angles.len() >= 3);
+        let poly = bound_polygon(kind, center, 10f64.powf(log_r_m), &angles, level);
+        let params = CoveringParams::new(precision);
+        let uv = UvPolygon::from_polygon(&poly).unwrap();
+        let bound = covering_bound(&uv, &params);
+        let cells: Vec<CellId> = cover_uv_polygon(&uv, &params).cells.iter().map(|&(c, _)| c).collect();
+        prop_assert!(
+            bound.level() <= params.terminal_level(),
+            "bound {:?} finer than L(ε) = {}", bound, params.terminal_level()
+        );
+        for &cell in &cells {
+            prop_assert!(bound.contains(cell), "kind {}: {:?} outside bound {:?}", kind, cell, bound);
+        }
+        if cells != [bound] && bound.level() < params.terminal_level() {
+            let children: std::collections::BTreeSet<CellId> =
+                cells.iter().map(|c| c.parent(bound.level() + 1)).collect();
+            prop_assert!(children.len() >= 2, "kind {}: bound {:?} is not the deepest", kind, bound);
         }
     }
 }

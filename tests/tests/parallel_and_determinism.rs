@@ -48,36 +48,48 @@ fn parallel_join_more_threads_than_points() {
 /// The tentpole determinism contract: whatever the pool width, the
 /// parallel build's node arena is byte-identical to the serial build's and
 /// every structural BuildStats counter matches (wall-time fields may of
-/// course differ).
+/// course differ). The pool covers polygons while the sweep runs, so the
+/// surge stack at 15 m, where the most coverings are open at once, is the
+/// hardest case for the order the sweep receives them in; `holed` covers
+/// polygons with holes.
 #[test]
 fn parallel_build_byte_identical_on_dataset() {
-    let ds = datagen::neighborhoods(42);
-    let serial = ActIndex::build(&ds.polygons, 15.0).unwrap();
-    for threads in [1usize, 2, 4, 7] {
-        let pool = JobPool::new(threads);
-        let par = ActIndex::build_parallel(&ds.polygons, 15.0, &pool).unwrap();
-        assert_eq!(
-            par.act().slots(),
-            serial.act().slots(),
-            "node arena differs at {threads} threads"
-        );
-        assert_eq!(par.act().roots(), serial.act().roots());
-        let (s, p) = (serial.stats(), par.stats());
-        assert_eq!(p.precision_m, s.precision_m);
-        assert_eq!(p.terminal_level, s.terminal_level);
-        assert_eq!(p.covering_cells, s.covering_cells);
-        assert_eq!(p.indexed_cells, s.indexed_cells);
-        assert_eq!(p.denormalized_slots, s.denormalized_slots);
-        assert_eq!(p.pushdown_splits, s.pushdown_splits);
-        assert_eq!(p.act_bytes, s.act_bytes);
-        assert_eq!(p.lookup_table_bytes, s.lookup_table_bytes);
-        // The two builds must also answer queries identically.
-        let pts = PointGen::nyc_taxi_like(ds.bbox, 3).take_vec(5_000);
-        for &pt in &pts {
+    let sets = [
+        (datagen::neighborhoods(42), 15.0),
+        (datagen::surge_zones(42, 16, 8, 8), 15.0),
+        (datagen::holed(6, 6, 3), 15.0),
+    ];
+    for (ds, precision_m) in sets {
+        let name = format!("{} @ {precision_m} m", ds.name);
+        let serial = ActIndex::build(&ds.polygons, precision_m).unwrap();
+        for threads in [1usize, 2, 4, 7] {
+            let pool = JobPool::new(threads);
+            let par = ActIndex::build_parallel(&ds.polygons, precision_m, &pool).unwrap();
             assert_eq!(
-                par.as_view().probe_coord(pt),
-                serial.as_view().probe_coord(pt)
+                par.act().slots(),
+                serial.act().slots(),
+                "{name}: node arena differs at {threads} threads"
             );
+            assert_eq!(par.act().roots(), serial.act().roots(), "{name}");
+            assert!(par.identical_to(&serial), "{name}: lookup-table words");
+            let (s, p) = (serial.stats(), par.stats());
+            assert_eq!(p.precision_m, s.precision_m);
+            assert_eq!(p.terminal_level, s.terminal_level);
+            assert_eq!(p.covering_cells, s.covering_cells, "{name}");
+            assert_eq!(p.indexed_cells, s.indexed_cells, "{name}");
+            assert_eq!(p.denormalized_slots, s.denormalized_slots, "{name}");
+            assert_eq!(p.pushdown_splits, s.pushdown_splits, "{name}");
+            assert_eq!(p.act_bytes, s.act_bytes, "{name}");
+            assert_eq!(p.lookup_table_bytes, s.lookup_table_bytes, "{name}");
+            // The two builds must also answer queries identically.
+            let pts = PointGen::nyc_taxi_like(ds.bbox, 3).take_vec(5_000);
+            for &pt in &pts {
+                assert_eq!(
+                    par.as_view().probe_coord(pt),
+                    serial.as_view().probe_coord(pt),
+                    "{name}: {pt} at {threads} threads"
+                );
+            }
         }
     }
 }
