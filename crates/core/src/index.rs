@@ -63,8 +63,11 @@ pub struct BuildStats {
 /// Built once via [`ActIndex::build`] and then either served as-is or
 /// mutated in place: [`ActIndex::insert_polygon`] and
 /// [`ActIndex::remove_polygon`] edit the live trie (inserts append into
-/// the node arena, removals tombstone references). Once the accumulated
-/// garbage crosses [`ActIndex::COMPACT_WASTE_THRESHOLD`], the mutation
+/// the node arena, removals tombstone references). A clone shares the
+/// trie's base segment, and the edits of either copy only the nodes they
+/// write (see [`crate::trie`]); a copied-out node counts as waste. Once
+/// the accumulated garbage crosses
+/// [`ActIndex::COMPACT_WASTE_THRESHOLD`], the mutation
 /// that crossed it runs [`ActIndex::compact`] to completion before it
 /// returns: one streamed pass that re-inserts the live cells into a
 /// fresh trie, the same populate [`crate::split_index`] runs per shard.
@@ -317,11 +320,12 @@ impl ActIndex {
     /// the trie and table. The shard splitter streams each shard's
     /// cells straight into one of these.
     pub(crate) fn from_populated(
-        act: Act,
+        mut act: Act,
         table_builder: LookupTableBuilder,
         params: CoveringParams,
         populate_start: Instant,
     ) -> ActIndex {
+        act.freeze();
         let table = table_builder.build();
         let stats = BuildStats {
             precision_m: params.precision_m,
@@ -371,6 +375,16 @@ impl ActIndex {
     /// corruption; never panics on malformed input.
     pub fn load_snapshot(r: &mut impl std::io::Read) -> Result<ActIndex, SnapshotError> {
         crate::snapshot::load(r)
+    }
+
+    /// An owned, mutable index over a mapped snapshot that shares the
+    /// mapping as its arena's base: it copies the roots and the lookup
+    /// table, not the arena. It answers as the snapshot does, and a
+    /// mutation copies only the nodes it writes (see [`crate::trie`]),
+    /// so the mapping stays its only full arena. Use
+    /// [`crate::MappedSnapshot::to_owned_index`] for a deep copy.
+    pub fn from_mapped(snap: Arc<crate::MappedSnapshot>) -> ActIndex {
+        snap.shared_index()
     }
 
     /// True when two indexes are the same query artifact byte for byte:
@@ -477,7 +491,7 @@ impl ActIndex {
         let sc = crate::supercover::build_from_pairs(pairs);
         let mut tb = LookupTableBuilder::from_table(std::mem::take(&mut self.table));
         for (cell, refs) in &sc.cells {
-            self.act.insert(*cell, refs, &mut tb);
+            self.act.insert_with_waste(*cell, refs, &mut tb, &mut waste);
         }
         self.table = tb.build();
         if let Some(ids) = &mut self.live_ids {
@@ -638,6 +652,21 @@ impl ActIndex {
         self.ensure_inventory();
     }
 
+    /// Approximate heap bytes of the mutation state
+    /// [`ActIndex::prime_mutations`] builds: the per-id cell lists (8
+    /// bytes per listed cell and a 16-byte header each), the id map that
+    /// holds them, and the live-id set. 0 before the first mutation.
+    pub fn mutation_state_bytes(&self) -> usize {
+        let lists = self.cell_inventory.as_ref().map_or(0, |inv| {
+            let entry = std::mem::size_of::<(u32, Arc<[CellId]>)>() + 1;
+            inv.values().map(|l| 16 + l.len() * 8).sum::<usize>() + inv.capacity() * entry
+        });
+        // About 8 bytes per id: a B-tree node holds up to 11 four-byte
+        // keys beside a few words of links.
+        let ids = self.live_ids.as_ref().map_or(0, |ids| ids.len() * 8);
+        lists + ids
+    }
+
     /// Rewrites the node arena and lookup table from the live cell set,
     /// dropping orphaned nodes and tombstoned table entries. Mutations
     /// call this automatically once [`ActIndex::waste_ratio`] crosses
@@ -648,14 +677,17 @@ impl ActIndex {
     /// feeds each live `(cell, refs)` pair straight into a fresh trie
     /// and table — the populate [`crate::split_index`] runs for one
     /// shard, so the result is byte-identical to a one-shard split — and
-    /// no cell list is ever built. The live-id set and the per-id
-    /// inventory, if built, are then re-read exact from the new trie.
+    /// no cell list is ever built. The fresh arena becomes the trie's
+    /// new base as it is, uncopied, so clones share it. The live-id set
+    /// and the per-id inventory, if built, are then re-read exact from
+    /// the new trie.
     pub fn compact(&mut self) {
         let mut act = Act::new();
         let mut tb = LookupTableBuilder::new();
         self.act.for_each_cell(self.table.words(), |cell, refs| {
             act.insert(cell, &refs, &mut tb)
         });
+        act.freeze();
         self.act = act;
         self.table = tb.build();
         self.waste_bytes = 0;

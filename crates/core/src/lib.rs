@@ -77,7 +77,8 @@ pub use shard::{
     DEFAULT_SPLIT_LEVEL,
 };
 pub use snapshot::{
-    header_checksum, write_file_atomic, ActIndexView, MappedSnapshot, SnapshotBuf, SnapshotError,
+    header_checksum, write_file_atomic, write_file_atomic_with, ActIndexView, MappedSnapshot,
+    SnapshotBuf, SnapshotError,
 };
 pub use sorted_index::SortedCellIndex;
 pub use supercover::{build_super_covering, SuperCovering};

@@ -140,9 +140,10 @@ pub fn shard_paths(dir: &Path, num_shards: usize) -> Vec<PathBuf> {
         .collect()
 }
 
-/// [`split_index`] + save: writes `shard-<k>-of-<n>.snap` under `dir`
-/// (created if missing) through [`crate::write_file_atomic`], returning
-/// the shard paths in shard order.
+/// [`split_index`] + save: streams `shard-<k>-of-<n>.snap` under `dir`
+/// (created if missing) through [`crate::ActIndexView::save_file`], with
+/// no image of a shard in memory, returning the shard paths in shard
+/// order.
 ///
 /// # Errors
 /// Propagates I/O and serialization errors; a failed shard leaves no
@@ -157,9 +158,7 @@ pub fn write_shard_files(
     let shards = split_index(index, split_level, num_shards);
     let paths = shard_paths(dir, num_shards);
     for (shard, path) in shards.iter().zip(&paths) {
-        let mut bytes = Vec::new();
-        shard.save_snapshot(&mut bytes)?;
-        crate::write_file_atomic(path, &bytes)?;
+        shard.as_view().save_file(path)?;
     }
     Ok(paths)
 }

@@ -78,6 +78,16 @@
 //!   cheaply thereafter. Files or buffers that cannot be mapped or are
 //!   misaligned fall back to an owned aligned heap copy instead of
 //!   erroring — mapping is an optimization, never a correctness risk.
+//! * **Shared, mutable** — [`ActIndex::from_mapped`] opens an owned
+//!   index over an `Arc` of a [`MappedSnapshot`] whose trie arena *is*
+//!   the mapping: only the roots and the lookup table are copied, and
+//!   edits copy the nodes they write (see [`crate::trie`]).
+//!
+//! Writers stream: [`ActIndex::save_snapshot`] and
+//! [`ActIndexView::save_file`] write an index's TRIE section as its
+//! arena's base segment followed by its owned nodes, so a shared index
+//! saves the same bytes as its one-segment deep copy, and no image of
+//! the file is built in memory.
 //!
 //! ## Bumping the format version
 //!
@@ -97,6 +107,7 @@ use geom::Coord;
 use s2cell::CellId;
 use std::fmt;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 /// The 8-byte magic prefix of every snapshot.
 pub const MAGIC: [u8; 8] = *b"ACTSNP01";
@@ -322,13 +333,15 @@ fn words_as_bytes_mut(words: &mut [u64]) -> &mut [u8] {
 /// Serializes `index` into `w` in the version-2 format, returning the
 /// number of bytes written. See [`ActIndex::save_snapshot`].
 pub fn save(index: &ActIndex, w: &mut impl Write) -> Result<u64, SnapshotError> {
-    let act = index.act();
-    let slots = act.slots();
-    let table = index.table().words();
-    let stats = index.stats();
+    write_view(&index.as_view(), w).map(|(len, _)| len)
+}
 
+/// The header and META words of `view`'s snapshot, the header's checksum
+/// word filled in.
+fn image_words(view: &ActIndexView<'_>) -> ([u64; HEADER_WORDS], [u64; META_WORDS]) {
+    let (base, ext, table, stats) = (view.base, view.ext, view.table, &view.stats);
     let trie_off = HEADER_LEN;
-    let trie_len = slots.len() * 4;
+    let trie_len = (base.len() + ext.len()) * 4;
     let roots_off = trie_off + trie_len;
     let table_off = roots_off + align8(ROOTS_LEN);
     let table_len = table.len() * 4;
@@ -336,8 +349,8 @@ pub fn save(index: &ActIndex, w: &mut impl Write) -> Result<u64, SnapshotError> 
     let total_len = meta_off + META_LEN;
 
     let meta_words: [u64; META_WORDS] = [
-        act.inserted_cells(),
-        act.denormalized_slots(),
+        view.inserted_cells,
+        view.denormalized_slots,
         stats.precision_m.to_bits(),
         stats.terminal_level as u64,
         stats.covering_cells,
@@ -372,18 +385,29 @@ pub fn save(index: &ActIndex, w: &mut impl Write) -> Result<u64, SnapshotError> 
     }
     let mut h = fnv1a_words(FNV_OFFSET, &header[0..3]);
     h = fnv1a_words(h, &header[4..HEADER_WORDS]);
-    h = fnv1a_u32_words(h, slots);
-    h = fnv1a_u32_words(h, act.roots());
+    // Each segment is whole nodes, an even number of slots, so hashing
+    // them one after the other pairs slots into words as one array would.
+    h = fnv1a_u32_words(h, base);
+    h = fnv1a_u32_words(h, ext);
+    h = fnv1a_u32_words(h, &view.roots);
     h = fnv1a_u32_words(h, table);
     h = fnv1a_words(h, &meta_words);
     header[3] = h;
+    (header, meta_words)
+}
 
+/// Streams `view`'s version-2 snapshot to `w`: the TRIE section is the
+/// base segment, then the ext. Returns the bytes written and the
+/// snapshot's whole-file checksum.
+fn write_view(view: &ActIndexView<'_>, w: &mut impl Write) -> Result<(u64, u64), SnapshotError> {
+    let (header, meta_words) = image_words(view);
     write_words(w, &header)?;
-    write_u32_words(w, slots)?;
-    write_u32_words(w, act.roots())?;
-    write_u32_words(w, table)?;
+    write_u32_words(w, view.base)?;
+    write_u32_words(w, view.ext)?;
+    write_u32_words(w, &view.roots)?;
+    write_u32_words(w, view.table)?;
     write_words(w, &meta_words)?;
-    Ok(total_len as u64)
+    Ok((header[2], header[3]))
 }
 
 // ---------------------------------------------------------------------
@@ -502,7 +526,10 @@ fn validate(words: &[u64]) -> Result<Layout, SnapshotError> {
 /// [`ActIndex`].
 #[derive(Debug, Clone)]
 pub struct ActIndexView<'a> {
-    slots: &'a [u32],
+    /// The arena's base segment (the whole arena, for a snapshot).
+    base: &'a [u32],
+    /// The arena's owned nodes past the base (empty for a snapshot).
+    ext: &'a [u32],
     roots: [u32; 6],
     table: &'a [u32],
     stats: BuildStats,
@@ -558,7 +585,8 @@ impl<'a> ActIndexView<'a> {
         // index out of bounds, however the bytes were produced — the
         // checksum alone is no defense against a *constructed* file.
         RawTrie {
-            slots,
+            base: slots,
+            ext: &[],
             roots: &roots,
         }
         .validate_entries(table)
@@ -599,7 +627,8 @@ impl<'a> ActIndexView<'a> {
         Ok((
             lay,
             ActIndexView {
-                slots,
+                base: slots,
+                ext: &[],
                 roots,
                 table,
                 stats,
@@ -614,8 +643,10 @@ impl<'a> ActIndexView<'a> {
     /// serving code can treat owned (mutated) and mapped indexes
     /// uniformly. No validation — the index is trusted by construction.
     pub(crate) fn from_index(ix: &'a ActIndex) -> ActIndexView<'a> {
+        let raw = ix.act().raw();
         ActIndexView {
-            slots: ix.act().slots(),
+            base: raw.base,
+            ext: raw.ext,
             roots: *ix.act().roots(),
             table: ix.table().words(),
             stats: ix.stats().clone(),
@@ -636,7 +667,8 @@ impl<'a> ActIndexView<'a> {
     #[inline]
     fn raw(&self) -> RawTrie<'_> {
         RawTrie {
-            slots: self.slots,
+            base: self.base,
+            ext: self.ext,
             roots: &self.roots,
         }
     }
@@ -689,20 +721,41 @@ impl<'a> ActIndexView<'a> {
     /// Nodes in the borrowed arena (including the sentinel).
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.slots.len() / FANOUT
+        (self.base.len() + self.ext.len()) / FANOUT
     }
 
     /// Bytes of index data the view borrows (trie + lookup table).
     #[inline]
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(self.slots) + std::mem::size_of_val(self.table)
+        std::mem::size_of_val(self.base)
+            + std::mem::size_of_val(self.ext)
+            + std::mem::size_of_val(self.table)
     }
 
-    /// Deep-copies the borrowed sections into an owned [`ActIndex`].
+    /// The whole-file checksum of this view's snapshot, which
+    /// [`ActIndex::save_snapshot`] or [`ActIndexView::save_file`] would
+    /// write: the identity a delta lineage over it binds to. One pass
+    /// over the arena; nothing is written.
+    pub fn snapshot_checksum(&self) -> u64 {
+        image_words(self).0[3]
+    }
+
+    /// Writes this view's snapshot to `path` through
+    /// [`write_file_atomic_with`], streamed with no image of it in
+    /// memory, and returns its whole-file checksum.
+    ///
+    /// # Errors
+    /// Propagates I/O errors; a failed write leaves `path` untouched.
+    pub fn save_file(&self, path: &std::path::Path) -> Result<u64, SnapshotError> {
+        write_file_atomic_with(path, |w| write_view(self, w).map(|(_, sum)| sum))
+    }
+
+    /// Deep-copies the borrowed sections into an owned [`ActIndex`] with
+    /// a one-segment arena.
     pub fn to_owned_index(&self) -> ActIndex {
         ActIndex::from_parts(
             Act::from_raw_parts(
-                self.slots.to_vec(),
+                [self.base, self.ext].concat(),
                 self.roots,
                 self.inserted_cells,
                 self.denormalized_slots,
@@ -976,16 +1029,32 @@ impl MappedSnapshot {
     /// arithmetic plus a small stats copy.
     pub fn view(&self) -> ActIndexView<'_> {
         let bytes = self.backing.bytes();
-        let (trie_off, trie_len) = self.layout.trie;
         let (table_off, table_len) = self.layout.table;
         ActIndexView {
-            slots: bytes_as_u32s(&bytes[trie_off..trie_off + trie_len]),
+            base: self.trie_slots(),
+            ext: &[],
             roots: self.roots,
             table: bytes_as_u32s(&bytes[table_off..table_off + table_len]),
             stats: self.stats.clone(),
             inserted_cells: self.inserted_cells,
             denormalized_slots: self.denormalized_slots,
         }
+    }
+
+    /// The validated TRIE section: the node arena, as probed.
+    #[inline]
+    pub(crate) fn trie_slots(&self) -> &[u32] {
+        let (off, len) = self.layout.trie;
+        bytes_as_u32s(&self.backing.bytes()[off..off + len])
+    }
+
+    /// An owned, mutable index over this snapshot; see
+    /// [`ActIndex::from_mapped`].
+    pub(crate) fn shared_index(self: Arc<Self>) -> ActIndex {
+        let table = LookupTable::from_words(self.view().table.to_vec());
+        let (roots, stats) = (self.roots, self.stats.clone());
+        let (cells, slots) = (self.inserted_cells, self.denormalized_slots);
+        ActIndex::from_parts(Act::over_mapped(self, roots, cells, slots), table, stats)
     }
 
     /// True when the backing is a live file mapping (false on the heap
@@ -1031,23 +1100,44 @@ pub fn header_checksum(bytes: &[u8]) -> Option<u64> {
         .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte slice")))
 }
 
-/// Replaces the file at `path` with `bytes`: writes the sibling
-/// `<name>.tmp`, flushes it to disk with `sync_all`, renames it over
-/// `path`, then syncs the directory so the rename itself is durable.
-/// Rename is atomic on unix, so readers (and a restart after a crash)
-/// find the old file or the new one whole, never a torn mix; a mapping
-/// of the old file stays valid, since its inode lives until unmapped.
+/// Replaces the file at `path` with `bytes`; see
+/// [`write_file_atomic_with`].
 ///
 /// # Errors
 /// Propagates I/O errors; a failed write removes the sibling and leaves
 /// `path` untouched.
 pub fn write_file_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    write_file_atomic_with(path, |w| w.write_all(bytes))
+}
+
+/// Replaces the file at `path` with what `write` streams: writes the
+/// sibling `<name>.tmp` through a buffer, flushes it to disk with
+/// `sync_all`, renames it over `path`, then syncs the directory so the
+/// rename itself is durable. Rename is atomic on unix, so readers (and a
+/// restart after a crash) find the old file or the new one whole, never a
+/// torn mix; a mapping of the old file stays valid, since its inode lives
+/// until unmapped. Returns what `write` returned.
+///
+/// # Errors
+/// Propagates `write`'s errors and I/O errors; a failed write removes
+/// the sibling and leaves `path` untouched.
+pub fn write_file_atomic_with<T, E: From<std::io::Error>>(
+    path: &std::path::Path,
+    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> Result<T, E>,
+) -> Result<T, E> {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     let tmp = path.with_file_name(name);
-    let written = std::fs::File::create(&tmp)
-        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
-        .and_then(|()| std::fs::rename(&tmp, path));
+    let written = std::fs::File::create(&tmp).map_err(E::from).and_then(|f| {
+        let mut w = std::io::BufWriter::new(f);
+        let out = write(&mut w)?;
+        let f = w
+            .into_inner()
+            .map_err(std::io::IntoInnerError::into_error)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        Ok(out)
+    });
     if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
         return written;
@@ -1057,7 +1147,7 @@ pub fn write_file_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Resul
         let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
         std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")))?.sync_all()?;
     }
-    Ok(())
+    written
 }
 
 /// Recomputes and patches the header checksum of a snapshot image in

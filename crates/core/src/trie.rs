@@ -50,9 +50,30 @@
 //!
 //! ## Safety
 //!
-//! Nodes live in a flat `Vec<u32>` arena and child references are node
+//! Nodes live in a flat `u32` arena and child references are node
 //! indices. This keeps the implementation 100% safe Rust with the same
 //! cache behaviour as raw pointers (one dependent load per level).
+//!
+//! ## Two segments: a shared base and owned nodes
+//!
+//! An [`Act`]'s arena is two segments. Nodes `0..B` are the **base**, a
+//! read-only segment behind an `Arc`: a finished build's or compaction's
+//! heap arena, or the trie section of a mapped snapshot. Nodes `B..` are
+//! the **ext**, an owned `Vec<u32>`. A built, compacted or mapped trie
+//! has an empty ext; so every probe of one reads one segment, and the
+//! walks test for a second segment once per call, not per slot.
+//!
+//! Clones share the base and copy only the ext, so a live index and the
+//! copy its next edit is applied to hold one arena between them. The
+//! mutation walks are path copying (Driscoll, Sarnak, Sleator and Tarjan,
+//! "Making Data Structures Persistent", 1989) at node grain: the first
+//! write to a base node another trie can see copies it into the ext and
+//! repoints its parent slot or face root, and the descent from the root
+//! has already made that parent writable. The copied-out base node is an
+//! orphan of this trie, counted as waste like any other, so the
+//! compaction threshold still bounds it. A heap base this trie alone
+//! holds is written in place, so an index nobody shares mutates exactly
+//! as one flat arena would.
 //!
 //! ## Batched probing
 //!
@@ -65,7 +86,11 @@
 
 use crate::lookup::{LookupTable, LookupTableBuilder};
 use crate::refs::{PolygonRef, RefSet, MAX_POLYGON_ID};
+use crate::snapshot::MappedSnapshot;
 use s2cell::CellId;
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Entries per node (fanout).
 pub const FANOUT: usize = 256;
@@ -206,17 +231,77 @@ impl DepthSink for [u8] {
     }
 }
 
-/// A borrowed `(node arena, roots)` pair: the probe-side core of the
+/// How a walk reads global slot `i` of an arena: one segment, or a
+/// shared base followed by owned nodes (see the module docs). The walks
+/// are generic over it, so a one-segment arena walks with no segment
+/// test at all.
+trait Arena: Copy {
+    fn slot(self, i: usize) -> u32;
+}
+
+/// A one-segment arena.
+#[derive(Clone, Copy)]
+struct Flat<'a>(&'a [u32]);
+
+impl Arena for Flat<'_> {
+    #[inline(always)]
+    fn slot(self, i: usize) -> u32 {
+        self.0[i]
+    }
+}
+
+/// A shared base followed by owned nodes.
+#[derive(Clone, Copy)]
+struct Split<'a> {
+    base: &'a [u32],
+    ext: &'a [u32],
+}
+
+impl Arena for Split<'_> {
+    #[inline(always)]
+    fn slot(self, i: usize) -> u32 {
+        if i < self.base.len() {
+            self.base[i]
+        } else {
+            self.ext[i - self.base.len()]
+        }
+    }
+}
+
+/// A borrowed `(base, ext, roots)` triple: the probe-side core of the
 /// trie, shared by the owned [`Act`] and the zero-copy snapshot views in
 /// [`crate::snapshot`]. All lookup walks live here so a memory-mapped
 /// arena probes through exactly the code paths the built one does.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RawTrie<'a> {
-    pub(crate) slots: &'a [u32],
+    /// Nodes `0..B` (see the module docs).
+    pub(crate) base: &'a [u32],
+    /// Nodes `B..`; empty for built, compacted and mapped tries.
+    pub(crate) ext: &'a [u32],
     pub(crate) roots: &'a [u32; 6],
 }
 
-impl RawTrie<'_> {
+impl<'a> RawTrie<'a> {
+    /// The arena as one segment, when it is one.
+    #[inline]
+    fn flat(self) -> Option<Flat<'a>> {
+        if self.ext.is_empty() {
+            Some(Flat(self.base))
+        } else if self.base.is_empty() {
+            Some(Flat(self.ext))
+        } else {
+            None
+        }
+    }
+
+    #[inline]
+    fn split(self) -> Split<'a> {
+        Split {
+            base: self.base,
+            ext: self.ext,
+        }
+    }
+
     /// See [`Act::lookup`].
     #[inline]
     pub(crate) fn lookup(self, query: CellId) -> Probe {
@@ -227,24 +312,10 @@ impl RawTrie<'_> {
     /// accesses made (0 for an empty root face, 1..=7 otherwise).
     #[inline]
     pub(crate) fn lookup_depth(self, query: CellId) -> (Probe, u8) {
-        let mut node = self.roots[(query.0 >> 61) as usize] as usize;
-        if node == 0 {
-            return (Probe::Miss, 0);
+        match self.flat() {
+            Some(flat) => walk_depth(flat, self.roots, query),
+            None => walk_depth(self.split(), self.roots, query),
         }
-        // Position bits at the top of the word; consume 8 per level.
-        let mut key = query.0 << 3;
-        for depth in 1..=7u8 {
-            let e = self.slots[node * FANOUT + (key >> 56) as usize];
-            key <<= 8;
-            if e & TAG_MASK != TAG_CHILD {
-                return (Probe::from_terminal(e), depth);
-            }
-            if e == 0 {
-                return (Probe::Miss, depth);
-            }
-            node = (e >> 2) as usize;
-        }
-        (Probe::Miss, 7)
     }
 
     /// See [`Act::lookup_batch`].
@@ -288,59 +359,17 @@ impl RawTrie<'_> {
         }
     }
 
-    /// One level-synchronous block (≤ [`MAX_PROBE_BLOCK`] lanes): lanes
-    /// advance one level together and resolved lanes are compacted out,
-    /// so the loads of one level are independent and overlap in the
-    /// memory pipeline. `depths` gets each lane's node-access count
-    /// (0 for an empty root face, 1..=7 otherwise) — the serving
-    /// pipeline's probed-cell-depth hook; with `()` the walk records
-    /// nothing and costs nothing extra.
+    /// One level-synchronous block over whichever arena shape this is.
+    #[inline]
     fn lookup_block<D: DepthSink + ?Sized>(
         self,
         queries: &[CellId],
         out: &mut [Probe],
         depths: &mut D,
     ) {
-        debug_assert!(queries.len() <= MAX_PROBE_BLOCK);
-        let mut node = [0u32; MAX_PROBE_BLOCK];
-        let mut key = [0u64; MAX_PROBE_BLOCK];
-        // Active lane ids, compacted as lanes resolve.
-        let mut lanes = [0u16; MAX_PROBE_BLOCK];
-        let mut live = 0usize;
-        for (i, (&q, o)) in queries.iter().zip(out.iter_mut()).enumerate() {
-            let root = self.roots[(q.0 >> 61) as usize];
-            *o = Probe::Miss;
-            depths.record(i, 0);
-            if root != 0 {
-                node[i] = root;
-                key[i] = q.0 << 3;
-                lanes[live] = i as u16;
-                live += 1;
-            }
-        }
-        for depth in 1..=7u8 {
-            if live == 0 {
-                return;
-            }
-            let mut kept = 0usize;
-            for j in 0..live {
-                let i = lanes[j] as usize;
-                let b = (key[i] >> 56) as usize;
-                key[i] <<= 8;
-                let e = self.slots[node[i] as usize * FANOUT + b];
-                // A lane that runs off the key after 7 levels keeps
-                // depth 7 (and the Miss written above).
-                depths.record(i, depth);
-                if e & TAG_MASK != TAG_CHILD {
-                    out[i] = Probe::from_terminal(e);
-                } else if e != 0 {
-                    node[i] = e >> 2;
-                    lanes[kept] = i as u16;
-                    kept += 1;
-                }
-                // e == 0: the sentinel child, stays the Miss written above.
-            }
-            live = kept;
+        match self.flat() {
+            Some(flat) => walk_block(flat, self.roots, queries, out, depths),
+            None => walk_block(self.split(), self.roots, queries, out, depths),
         }
     }
 
@@ -350,38 +379,122 @@ impl RawTrie<'_> {
     /// never index out of bounds, whatever the bytes came from; `Err` is
     /// the first violation's reason.
     pub(crate) fn validate_entries(self, table: &[u32]) -> Result<(), &'static str> {
-        let num_nodes = self.slots.len() / FANOUT;
+        let num_nodes = (self.base.len() + self.ext.len()) / FANOUT;
         // Denormalization repeats one value across runs of up to 256
         // slots; a repeat was checked already (and 0, the sentinel
         // child, is always valid).
         let mut prev = 0u32;
-        for &e in self.slots {
-            if e == prev {
-                continue;
-            }
-            prev = e;
-            match e & TAG_MASK {
-                TAG_CHILD if (e >> 2) as usize >= num_nodes => {
-                    return Err("trie child pointer out of arena range");
+        // Segment by segment: one chained iterator would test which
+        // segment it is in at every slot.
+        for segment in [self.base, self.ext] {
+            for &e in segment {
+                if e == prev {
+                    continue;
                 }
-                TAG_OFFSET => {
-                    // Entry layout: [n_true, trues…, n_cand, cands…].
-                    let off = (e >> 2) as usize;
-                    let n_true = *table.get(off).ok_or("lookup-table offset out of range")?;
-                    let at = off + 1 + n_true as usize;
-                    let n_cand = *table
-                        .get(at)
-                        .ok_or("lookup-table entry exceeds the table")?;
-                    if at + 1 + n_cand as usize > table.len() {
-                        return Err("lookup-table entry exceeds the table");
+                prev = e;
+                match e & TAG_MASK {
+                    TAG_CHILD if (e >> 2) as usize >= num_nodes => {
+                        return Err("trie child pointer out of arena range");
                     }
+                    TAG_OFFSET => {
+                        // Entry layout: [n_true, trues…, n_cand, cands…].
+                        let off = (e >> 2) as usize;
+                        let n_true = *table.get(off).ok_or("lookup-table offset out of range")?;
+                        let at = off + 1 + n_true as usize;
+                        let n_cand = *table
+                            .get(at)
+                            .ok_or("lookup-table entry exceeds the table")?;
+                        if at + 1 + n_cand as usize > table.len() {
+                            return Err("lookup-table entry exceeds the table");
+                        }
+                    }
+                    // Inline references decode without indexing anything —
+                    // any 30-bit id is safe.
+                    _ => {}
                 }
-                // Inline references decode without indexing anything —
-                // any 30-bit id is safe.
-                _ => {}
             }
         }
         Ok(())
+    }
+}
+
+/// The scalar walk of [`RawTrie::lookup_depth`] over `arena`.
+#[inline]
+fn walk_depth(arena: impl Arena, roots: &[u32; 6], query: CellId) -> (Probe, u8) {
+    let mut node = roots[(query.0 >> 61) as usize] as usize;
+    if node == 0 {
+        return (Probe::Miss, 0);
+    }
+    // Position bits at the top of the word; consume 8 per level.
+    let mut key = query.0 << 3;
+    for depth in 1..=7u8 {
+        let e = arena.slot(node * FANOUT + (key >> 56) as usize);
+        key <<= 8;
+        if e & TAG_MASK != TAG_CHILD {
+            return (Probe::from_terminal(e), depth);
+        }
+        if e == 0 {
+            return (Probe::Miss, depth);
+        }
+        node = (e >> 2) as usize;
+    }
+    (Probe::Miss, 7)
+}
+
+/// One level-synchronous block (≤ [`MAX_PROBE_BLOCK`] lanes) over
+/// `arena`: lanes advance one level together and resolved lanes are
+/// compacted out, so the loads of one level are independent and overlap
+/// in the memory pipeline. `depths` gets each lane's node-access count
+/// (0 for an empty root face, 1..=7 otherwise) — the serving pipeline's
+/// probed-cell-depth hook; with `()` the walk records nothing and costs
+/// nothing extra.
+fn walk_block<D: DepthSink + ?Sized>(
+    arena: impl Arena,
+    roots: &[u32; 6],
+    queries: &[CellId],
+    out: &mut [Probe],
+    depths: &mut D,
+) {
+    debug_assert!(queries.len() <= MAX_PROBE_BLOCK);
+    let mut node = [0u32; MAX_PROBE_BLOCK];
+    let mut key = [0u64; MAX_PROBE_BLOCK];
+    // Active lane ids, compacted as lanes resolve.
+    let mut lanes = [0u16; MAX_PROBE_BLOCK];
+    let mut live = 0usize;
+    for (i, (&q, o)) in queries.iter().zip(out.iter_mut()).enumerate() {
+        let root = roots[(q.0 >> 61) as usize];
+        *o = Probe::Miss;
+        depths.record(i, 0);
+        if root != 0 {
+            node[i] = root;
+            key[i] = q.0 << 3;
+            lanes[live] = i as u16;
+            live += 1;
+        }
+    }
+    for depth in 1..=7u8 {
+        if live == 0 {
+            return;
+        }
+        let mut kept = 0usize;
+        for j in 0..live {
+            let i = lanes[j] as usize;
+            let b = (key[i] >> 56) as usize;
+            key[i] <<= 8;
+            let e = arena.slot(node[i] as usize * FANOUT + b);
+            // A lane that runs off the key after 7 levels keeps
+            // depth 7 (and the Miss written above).
+            depths.record(i, depth);
+            if e & TAG_MASK != TAG_CHILD {
+                out[i] = Probe::from_terminal(e);
+            } else if e != 0 {
+                node[i] = e >> 2;
+                lanes[kept] = i as u16;
+                kept += 1;
+            }
+            // e == 0: the sentinel child, stays the Miss written above.
+        }
+        live = kept;
     }
 }
 
@@ -455,15 +568,87 @@ fn run_cell(node_cell: CellId, base: usize, size: usize) -> CellId {
     c
 }
 
-/// Spare node capacity a clone of an [`Act`] carries (64 KiB).
-const CLONE_SPARE_NODES: usize = 64;
+/// The shared, read-only first segment of an [`Act`]'s arena (see the
+/// module docs).
+#[derive(Debug, Clone)]
+enum Base {
+    /// A heap arena: a finished build's or compaction's, or an owned
+    /// snapshot load. Written in place while one trie holds it alone.
+    Heap(Arc<Vec<u32>>),
+    /// The trie section of a mapped snapshot; never written.
+    Mapped(Arc<MappedSnapshot>),
+}
+
+impl Base {
+    #[inline]
+    fn slots(&self) -> &[u32] {
+        match self {
+            Base::Heap(slots) => slots,
+            Base::Mapped(snap) => snap.trie_slots(),
+        }
+    }
+
+    /// The heap arena, when no other trie holds it.
+    #[inline]
+    fn unique(&mut self) -> Option<&mut Vec<u32>> {
+        match self {
+            Base::Heap(slots) => Arc::get_mut(slots),
+            Base::Mapped(_) => None,
+        }
+    }
+}
+
+/// A root-to-node descent of the mutation walks. Its nodes are made
+/// writable lazily, from the root down, on the first write at or below
+/// them (see [`Act::own_prefix`]), so a descent that ends up writing
+/// nothing copies nothing.
+struct Descent {
+    face: usize,
+    /// Node per depth; `nodes[0]` is the face root.
+    nodes: [u32; 8],
+    /// `bytes[d]` is the slot of `nodes[d]` that holds `nodes[d + 1]`.
+    bytes: [u8; 8],
+    len: usize,
+    /// `nodes[..owned]` are writable.
+    owned: usize,
+}
+
+impl Descent {
+    fn new(face: usize, root: u32) -> Descent {
+        let mut nodes = [0; 8];
+        nodes[0] = root;
+        Descent {
+            face,
+            nodes,
+            bytes: [0; 8],
+            len: 1,
+            owned: 0,
+        }
+    }
+
+    fn push(&mut self, byte: usize, child: u32) {
+        self.bytes[self.len - 1] = byte as u8;
+        self.nodes[self.len] = child;
+        self.len += 1;
+    }
+
+    fn last(&self) -> usize {
+        self.nodes[self.len - 1] as usize
+    }
+}
 
 /// The Adaptive Cell Trie.
-#[derive(Debug)]
+///
+/// A clone shares the base segment of the node arena and copies only
+/// the nodes the original owns outside it (see the module docs).
+#[derive(Debug, Clone)]
 pub struct Act {
-    /// Flat node arena: node `i` occupies `slots[i*256 .. (i+1)*256]`.
-    /// Node 0 is the all-zero sentinel.
-    slots: Vec<u32>,
+    /// Nodes `0..B`: node `i` occupies `base[i*256 .. (i+1)*256]`. Node 0
+    /// is the all-zero sentinel.
+    base: Base,
+    /// Nodes `B..`: the nodes this trie allocated while its base was
+    /// shared or frozen, and the base nodes it copied out to write them.
+    ext: Vec<u32>,
     /// Root node index per cube face (0 = no data on that face).
     roots: [u32; 6],
     /// Number of cells inserted (before denormalization) — the paper's
@@ -472,24 +657,6 @@ pub struct Act {
     inserted_cells: u64,
     /// Number of slot writes performed by denormalization.
     denormalized_slots: u64,
-}
-
-impl Clone for Act {
-    /// Copies the arena with room for `CLONE_SPARE_NODES` more nodes.
-    /// Clones exist to be mutated (the live-update scratch index), and an
-    /// exact-capacity arena below the allocator's mmap threshold (32 MB
-    /// with glibc) would copy itself whole on its first node allocation
-    /// instead of growing in place.
-    fn clone(&self) -> Act {
-        let mut slots = Vec::with_capacity(self.slots.len() + CLONE_SPARE_NODES * FANOUT);
-        slots.extend_from_slice(&self.slots);
-        Act {
-            slots,
-            roots: self.roots,
-            inserted_cells: self.inserted_cells,
-            denormalized_slots: self.denormalized_slots,
-        }
-    }
 }
 
 impl Default for Act {
@@ -502,7 +669,8 @@ impl Act {
     /// Creates an empty trie (just the sentinel node).
     pub fn new() -> Act {
         Act {
-            slots: vec![0u32; FANOUT],
+            base: Base::Heap(Arc::default()),
+            ext: vec![0u32; FANOUT],
             roots: [0; 6],
             inserted_cells: 0,
             denormalized_slots: 0,
@@ -521,10 +689,37 @@ impl Act {
         debug_assert!(!slots.is_empty() && slots.len().is_multiple_of(FANOUT));
         debug_assert!(roots.iter().all(|&r| (r as usize) < slots.len() / FANOUT));
         Act {
-            slots,
+            base: Base::Heap(Arc::new(slots)),
+            ext: Vec::new(),
             roots,
             inserted_cells,
             denormalized_slots,
+        }
+    }
+
+    /// A trie whose base is a validated mapped snapshot's arena, shared,
+    /// not copied: writes copy the nodes they touch into the ext.
+    pub(crate) fn over_mapped(
+        snap: Arc<MappedSnapshot>,
+        roots: [u32; 6],
+        inserted_cells: u64,
+        denormalized_slots: u64,
+    ) -> Act {
+        Act {
+            base: Base::Mapped(snap),
+            ext: Vec::new(),
+            roots,
+            inserted_cells,
+            denormalized_slots,
+        }
+    }
+
+    /// Makes a freshly populated arena the base, without copying it, so
+    /// that clones share it. A trie whose base already holds nodes is
+    /// left as it is.
+    pub(crate) fn freeze(&mut self) {
+        if self.base.slots().is_empty() {
+            self.base = Base::Heap(Arc::new(std::mem::take(&mut self.ext)));
         }
     }
 
@@ -532,20 +727,99 @@ impl Act {
     #[inline]
     pub(crate) fn raw(&self) -> RawTrie<'_> {
         RawTrie {
-            slots: &self.slots,
+            base: self.base.slots(),
+            ext: &self.ext,
             roots: &self.roots,
         }
     }
 
+    /// The 256 slots of node `n`.
+    #[inline]
+    fn node(&self, n: usize) -> &[u32] {
+        let (base, at) = (self.base.slots(), n * FANOUT);
+        if at < base.len() {
+            &base[at..at + FANOUT]
+        } else {
+            &self.ext[at - base.len()..at - base.len() + FANOUT]
+        }
+    }
+
+    /// The 256 slots of node `n`, for writing; `n` must be writable (see
+    /// [`Act::own`]).
+    #[inline]
+    fn node_mut(&mut self, n: usize) -> &mut [u32] {
+        let (b, at) = (self.base.slots().len(), n * FANOUT);
+        if at >= b {
+            &mut self.ext[at - b..at - b + FANOUT]
+        } else {
+            let base =
+                (self.base.unique()).expect("a shared base node is written through its copy");
+            &mut base[at..at + FANOUT]
+        }
+    }
+
+    /// True when this trie may write node `n` in place: an ext node, or
+    /// a node of a base no other trie holds.
+    #[inline]
+    fn writable(&mut self, n: usize) -> bool {
+        n * FANOUT >= self.base.slots().len() || self.base.unique().is_some()
+    }
+
+    /// Node `n`, writable: `n` itself when [`Act::writable`], otherwise
+    /// a copy of it appended to the ext, whose index the caller stores in
+    /// `n`'s parent slot or face root. The shared original becomes an
+    /// orphan of this trie, counted in `waste`.
+    fn own(&mut self, n: u32, waste: &mut MutationWaste) -> u32 {
+        if self.writable(n as usize) {
+            return n;
+        }
+        let copy = self.alloc_node();
+        let base = self.base.slots();
+        let (src, dst) = (n as usize * FANOUT, copy as usize * FANOUT - base.len());
+        self.ext[dst..dst + FANOUT].copy_from_slice(&base[src..src + FANOUT]);
+        waste.orphaned_nodes += 1;
+        copy
+    }
+
+    /// Makes `path.nodes[..upto]` writable from the root down, storing
+    /// each copy's index in its (already writable) parent or face root;
+    /// returns `path.nodes[upto - 1]`.
+    fn own_prefix(&mut self, path: &mut Descent, upto: usize, waste: &mut MutationWaste) -> usize {
+        for d in path.owned..upto {
+            let n = self.own(path.nodes[d], waste);
+            if n != path.nodes[d] {
+                if d == 0 {
+                    self.roots[path.face] = n;
+                } else {
+                    let b = path.bytes[d - 1] as usize;
+                    self.node_mut(path.nodes[d - 1] as usize)[b] = encode_child(n);
+                }
+                path.nodes[d] = n;
+            }
+        }
+        path.owned = path.owned.max(upto);
+        path.nodes[upto - 1] as usize
+    }
+
+    /// [`Act::own_prefix`] over the whole descent.
+    fn own_path(&mut self, path: &mut Descent, waste: &mut MutationWaste) -> usize {
+        self.own_prefix(path, path.len, waste)
+    }
+
     #[inline]
     fn alloc_node(&mut self) -> u32 {
-        let idx = (self.slots.len() / FANOUT) as u32;
+        let idx = (self.base.slots().len() + self.ext.len()) / FANOUT;
         assert!(
-            idx <= MAX_POLYGON_ID,
+            idx <= MAX_POLYGON_ID as usize,
             "ACT arena exceeds 2^30 nodes; cannot be addressed by 30-bit child indices"
         );
-        self.slots.resize(self.slots.len() + FANOUT, 0);
-        idx
+        match self.base.unique() {
+            // With no ext, a base held alone ends where the arena does,
+            // so it grows in place.
+            Some(base) if self.ext.is_empty() => base.resize(base.len() + FANOUT, 0),
+            _ => self.ext.resize(self.ext.len() + FANOUT, 0),
+        }
+        idx as u32
     }
 
     /// Inserts a cell with its reference set.
@@ -555,6 +829,18 @@ impl Act {
     /// * no inserted cell is an ancestor or descendant of another
     /// * no cell is inserted twice
     pub fn insert(&mut self, cell: CellId, refs: &RefSet, table: &mut LookupTableBuilder) {
+        self.insert_with_waste(cell, refs, table, &mut MutationWaste::default());
+    }
+
+    /// [`Act::insert`], counting the shared base nodes its descent
+    /// copies out in `waste`.
+    pub(crate) fn insert_with_waste(
+        &mut self,
+        cell: CellId,
+        refs: &RefSet,
+        table: &mut LookupTableBuilder,
+        waste: &mut MutationWaste,
+    ) {
         debug_assert!(cell.is_valid());
         let level = cell.level();
         assert!(
@@ -564,12 +850,15 @@ impl Act {
 
         let entry = encode_terminal(refs, table);
 
+        // Every node on the path is written below (a child pointer or
+        // the cell's slots), so the descent owns it as it goes.
         let face = cell.face() as usize;
-        if self.roots[face] == 0 {
-            let n = self.alloc_node();
-            self.roots[face] = n;
-        }
-        let mut node = self.roots[face] as usize;
+        let root = match self.roots[face] {
+            0 => self.alloc_node(),
+            root => self.own(root, waste),
+        };
+        self.roots[face] = root;
+        let mut node = root as usize;
 
         if level == 0 {
             // A face cell covers the whole root node.
@@ -581,22 +870,21 @@ impl Act {
         let d_last = ((level - 1) / GRANULARITY) as u32;
         for d in 0..d_last {
             let b = cell.key_byte(d) as usize;
-            let slot = node * FANOUT + b;
-            let e = self.slots[slot];
-            match e & TAG_MASK {
-                TAG_CHILD => {
-                    let mut idx = e >> 2;
-                    if idx == 0 {
-                        idx = self.alloc_node();
-                        self.slots[slot] = encode_child(idx);
-                    }
-                    node = idx as usize;
-                }
-                _ => panic!(
+            let e = self.node(node)[b];
+            if e & TAG_MASK != TAG_CHILD {
+                panic!(
                     "ACT insert: cell {cell:?} is nested under an already-indexed cell; \
                      the super covering must resolve nesting before insertion"
-                ),
+                );
             }
+            let child = match e >> 2 {
+                0 => self.alloc_node(),
+                idx => self.own(idx, waste),
+            };
+            if child != e >> 2 {
+                self.node_mut(node)[b] = encode_child(child);
+            }
+            node = child as usize;
         }
 
         let bits = 2 * (level as u32 - GRANULARITY as u32 * d_last);
@@ -608,14 +896,14 @@ impl Act {
         self.inserted_cells += 1;
     }
 
+    /// Writes `entry` over `count` empty slots of the writable `node`.
     fn fill_range(&mut self, node: usize, base: usize, count: usize, entry: u32) {
-        for s in base..base + count {
-            let slot = node * FANOUT + s;
+        for slot in &mut self.node_mut(node)[base..base + count] {
             assert_eq!(
-                self.slots[slot], 0,
+                *slot, 0,
                 "ACT insert: slot already occupied; cells must be disjoint and unique"
             );
-            self.slots[slot] = entry;
+            *slot = entry;
         }
         self.denormalized_slots += count as u64;
     }
@@ -671,11 +959,33 @@ impl Act {
         (probe, depth * GRANULARITY)
     }
 
-    /// The raw node arena (node `i` is `slots()[i*256..(i+1)*256]`).
-    /// Exposed so builds can be compared for byte-identity.
+    /// The node arena (node `i` is `slots()[i*256..(i+1)*256]`), exposed
+    /// so builds can be compared for byte-identity. Borrowed while the
+    /// arena is one segment; a trie that owns nodes beside a shared base
+    /// returns the two segments concatenated.
+    pub fn slots(&self) -> Cow<'_, [u32]> {
+        let raw = self.raw();
+        match raw.flat() {
+            Some(Flat(slots)) => Cow::Borrowed(slots),
+            None => Cow::Owned([raw.base, raw.ext].concat()),
+        }
+    }
+
+    /// True when this trie and `other` read one shared base segment, as
+    /// a clone and its original do.
+    pub fn shares_base_with(&self, other: &Act) -> bool {
+        match (&self.base, &other.base) {
+            (Base::Heap(a), Base::Heap(b)) => Arc::ptr_eq(a, b),
+            (Base::Mapped(a), Base::Mapped(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Bytes of the nodes this trie owns beside its base: what a clone
+    /// copies of the arena.
     #[inline]
-    pub fn slots(&self) -> &[u32] {
-        &self.slots
+    pub fn ext_bytes(&self) -> usize {
+        self.ext.len() * std::mem::size_of::<u32>()
     }
 
     /// The per-face root node indices.
@@ -687,13 +997,14 @@ impl Act {
     /// Number of nodes (including the sentinel).
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.slots.len() / FANOUT
+        (self.base.slots().len() + self.ext.len()) / FANOUT
     }
 
-    /// Memory consumed by the node arena in bytes (the paper's "ACT \[MB\]").
+    /// Memory consumed by the node arena in bytes (the paper's "ACT \[MB\]"),
+    /// both segments counted.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<u32>()
+        self.num_nodes() * NODE_BYTES
     }
 
     /// Number of `insert` calls (cells before denormalization).
@@ -726,8 +1037,7 @@ impl Act {
             st.occupied_per_depth.resize(depth + 1, 0);
         }
         st.nodes_per_depth[depth] += 1;
-        for s in 0..FANOUT {
-            let e = self.slots[node * FANOUT + s];
+        for &e in self.node(node) {
             if e == 0 {
                 continue;
             }
@@ -747,33 +1057,35 @@ impl Act {
     // they invert denormalization (maximal aligned uniform slot runs map
     // back to cells), extract the `(cell, refs)` pairs a region holds,
     // and zero what they extracted so `insert` can repopulate the freed
-    // slots. Child nodes cut loose this way stay in the arena as all-zero
-    // orphans until [`crate::ActIndex::compact`] rewrites it.
+    // slots. Child nodes cut loose this way stay in the arena as orphans
+    // until [`crate::ActIndex::compact`] rewrites it. Every write goes to
+    // a writable node: the walks copy shared base nodes out on their
+    // first write (see [`Act::own`]).
 
     /// The maximal aligned uniform run containing slot `s` of `node`
     /// (entry `e`, non-child). May merge sibling cells that happen to
     /// carry the same entry — probe-equivalent, since every leaf in the
     /// merged block resolves to the same entry either way.
     fn expand_run(&self, node: usize, s: usize, e: u32) -> (usize, usize) {
+        let slots = self.node(node);
         for size in [256usize, 64, 16, 4] {
             let base = s & !(size - 1);
-            if self.slots[node * FANOUT + base..node * FANOUT + base + size]
-                .iter()
-                .all(|&x| x == e)
-            {
+            if slots[base..base + size].iter().all(|&x| x == e) {
                 return (base, size);
             }
         }
         (s, 1)
     }
 
-    /// Zeroes an extracted run and keeps the insertion counters honest.
-    fn zero_run(&mut self, node: usize, base: usize, size: usize) {
-        for s in base..base + size {
-            self.slots[node * FANOUT + s] = 0;
+    /// Writes `ne` over the terminal run `[base, base + size)` of the
+    /// writable `node`, keeping the insertion counters honest when the
+    /// run empties.
+    fn set_run(&mut self, node: usize, base: usize, size: usize, ne: u32) {
+        self.node_mut(node)[base..base + size].fill(ne);
+        if ne == 0 {
+            self.denormalized_slots = self.denormalized_slots.saturating_sub(size as u64);
+            self.inserted_cells = self.inserted_cells.saturating_sub(1);
         }
-        self.denormalized_slots = self.denormalized_slots.saturating_sub(size as u64);
-        self.inserted_cells = self.inserted_cells.saturating_sub(1);
     }
 
     /// Visits every live `(cell, refs)` pair in range order — read-only,
@@ -796,9 +1108,10 @@ impl Act {
         words: &[u32],
         f: &mut F,
     ) {
+        let slots = self.node(node);
         let mut s = 0usize;
         while s < FANOUT {
-            let e = self.slots[node * FANOUT + s];
+            let e = slots[s];
             if e == 0 {
                 s += 1;
             } else if e & TAG_MASK == TAG_CHILD {
@@ -811,10 +1124,7 @@ impl Act {
                 let size = [256usize, 64, 16, 4]
                     .into_iter()
                     .find(|&cand| {
-                        s.is_multiple_of(cand)
-                            && self.slots[node * FANOUT + s..node * FANOUT + s + cand]
-                                .iter()
-                                .all(|&x| x == e)
+                        s.is_multiple_of(cand) && slots[s..s + cand].iter().all(|&x| x == e)
                     })
                     .unwrap_or(1);
                 f(run_cell(node_cell, s, size), entry_refset(e, words));
@@ -825,7 +1135,7 @@ impl Act {
 
     /// Extracts every `(cell, refs)` pair stored under `node` (which
     /// covers `node_cell`) into `out`, in range order, and clears the
-    /// subtree: its nodes become all-zero orphans, counted in `waste`.
+    /// subtree (see [`Act::clear_node`]).
     fn extract_node(
         &mut self,
         node: usize,
@@ -845,12 +1155,18 @@ impl Act {
             .saturating_sub((out.len() - before) as u64);
     }
 
-    /// Zeroes every slot under `node`, counting the child nodes cut loose
-    /// as orphans; returns the number of terminal slots cleared.
+    /// Clears every slot under `node`, counting the child nodes cut loose
+    /// as orphans; returns the number of terminal slots cleared. Nodes
+    /// this trie may write are zeroed; shared base nodes cut loose are
+    /// left as they are.
     fn clear_node(&mut self, node: usize, waste: &mut MutationWaste) -> u64 {
+        let mut held = [0u32; FANOUT];
+        held.copy_from_slice(self.node(node));
+        if self.writable(node) {
+            self.node_mut(node).fill(0);
+        }
         let mut slots = 0;
-        for s in 0..FANOUT {
-            let e = std::mem::take(&mut self.slots[node * FANOUT + s]);
+        for e in held {
             if e == 0 {
                 continue;
             }
@@ -874,13 +1190,15 @@ impl Act {
         // up to 256 slots, so skipping consecutive repeats removes the
         // bulk of the set insertions (the scan itself stays linear).
         let mut prev = 0u32;
-        for &e in &self.slots {
-            if e == prev {
-                continue;
-            }
-            prev = e;
-            if matches!(e & TAG_MASK, TAG_CANDIDATE | TAG_TRUE_HIT) {
-                into.insert(e >> 2);
+        for segment in [self.base.slots(), &self.ext] {
+            for &e in segment {
+                if e == prev {
+                    continue;
+                }
+                prev = e;
+                if matches!(e & TAG_MASK, TAG_CANDIDATE | TAG_TRUE_HIT) {
+                    into.insert(e >> 2);
+                }
             }
         }
     }
@@ -906,35 +1224,39 @@ impl Act {
             "cell level exceeds MAX_INDEX_LEVEL"
         );
         let face = cell.face();
-        let mut node = self.roots[face as usize] as usize;
-        if node == 0 {
+        let root = self.roots[face as usize];
+        if root == 0 {
             return;
         }
         let mut node_cell = CellId::from_face(face);
         if level == 0 {
             // A face cell overlaps everything on the face.
-            self.extract_node(node, node_cell, words, out, waste);
+            let root = self.own(root, waste);
+            self.roots[face as usize] = root;
+            self.extract_node(root as usize, node_cell, words, out, waste);
             return;
         }
+        let mut path = Descent::new(face as usize, root);
         let d_last = ((level - 1) / GRANULARITY) as u32;
         for d in 0..d_last {
             let b = cell.key_byte(d) as usize;
-            let e = self.slots[node * FANOUT + b];
+            let e = self.node(path.last())[b];
             match e & TAG_MASK {
                 TAG_CHILD => {
-                    let idx = (e >> 2) as usize;
+                    let idx = e >> 2;
                     if idx == 0 {
                         return; // nothing indexed under here
                     }
                     node_cell = slot_cell(node_cell, b);
-                    node = idx;
+                    path.push(b, idx);
                 }
                 _ => {
                     // An ancestor terminal covers `cell` entirely: its
                     // denormalized run is the only overlap.
+                    let node = self.own_path(&mut path, waste);
                     let (base, size) = self.expand_run(node, b, e);
                     out.push((run_cell(node_cell, base, size), entry_refset(e, words)));
-                    self.zero_run(node, base, size);
+                    self.set_run(node, base, size, 0);
                     return;
                 }
             }
@@ -947,23 +1269,27 @@ impl Act {
         let count = 1usize << (8 - bits);
         let mut s = base;
         while s < base + count {
-            let e = self.slots[node * FANOUT + s];
+            let e = self.node(path.last())[s];
             if e == 0 {
                 s += 1;
                 continue;
             }
+            let node = self.own_path(&mut path, waste);
             if e & TAG_MASK == TAG_CHILD {
-                let idx = (e >> 2) as usize;
-                if idx != 0 {
-                    self.extract_node(idx, slot_cell(node_cell, s), words, out, waste);
-                    self.slots[node * FANOUT + s] = 0;
-                    waste.orphaned_nodes += 1;
-                }
+                self.extract_node(
+                    (e >> 2) as usize,
+                    slot_cell(node_cell, s),
+                    words,
+                    out,
+                    waste,
+                );
+                self.node_mut(node)[s] = 0;
+                waste.orphaned_nodes += 1;
                 s += 1;
             } else {
                 let (rbase, rsize) = self.expand_run(node, s, e);
                 out.push((run_cell(node_cell, rbase, rsize), entry_refset(e, words)));
-                self.zero_run(node, rbase, rsize);
+                self.set_run(node, rbase, rsize, 0);
                 s = rbase + rsize; // a containing run ends past the range
             }
         }
@@ -982,15 +1308,15 @@ impl Act {
     /// each id touched at insert time, so removal visits exactly those
     /// territories — O(cells touched), not O(arena). Idempotent per
     /// cell; a stale inventory entry (territory no longer referencing
-    /// `id`) rewrites nothing. `memo` caches entry rewrites across the
-    /// calls of one removal; `changed` accumulates whether any slot was
-    /// rewritten.
+    /// `id`) rewrites — and copies — nothing. `memo` caches entry
+    /// rewrites across the calls of one removal; `changed` accumulates
+    /// whether any slot was rewritten.
     pub(crate) fn remove_refs_in_cell(
         &mut self,
         cell: CellId,
         id: u32,
         tb: &mut LookupTableBuilder,
-        memo: &mut std::collections::HashMap<u32, u32>,
+        memo: &mut HashMap<u32, u32>,
         changed: &mut bool,
         waste: &mut MutationWaste,
     ) {
@@ -1000,44 +1326,49 @@ impl Act {
             level <= MAX_INDEX_LEVEL,
             "cell level exceeds MAX_INDEX_LEVEL"
         );
-        let face = cell.face();
-        let root = self.roots[face as usize] as usize;
+        let face = cell.face() as usize;
+        let root = self.roots[face];
         if root == 0 {
             return;
         }
         if level == 0 {
             // A face cell's territory is the whole root subtree.
-            if self.remove_rec(root, id, tb, memo, changed, waste) {
-                self.roots[face as usize] = 0;
+            let (root, empty) = self.remove_rec(root, id, tb, memo, changed, waste);
+            if empty {
+                self.roots[face] = 0;
                 waste.orphaned_nodes += 1;
+            } else {
+                self.roots[face] = root;
             }
             return;
         }
-        let mut node = root;
-        // The descent path (node per depth), for bottom-up pruning of
-        // nodes the rewrite empties — the waste they become must be
-        // counted or lazy compaction would never see tombstone garbage.
-        let mut path = [0usize; 8];
-        path[0] = root;
+        // The descent path, for bottom-up pruning of nodes the rewrite
+        // empties — the waste they become must be counted or lazy
+        // compaction would never see tombstone garbage.
+        let mut path = Descent::new(face, root);
         let d_last = ((level - 1) / GRANULARITY) as u32;
         for d in 0..d_last {
             let b = cell.key_byte(d) as usize;
-            let e = self.slots[node * FANOUT + b];
+            let e = self.node(path.last())[b];
             match e & TAG_MASK {
                 TAG_CHILD => {
-                    let idx = (e >> 2) as usize;
+                    let idx = e >> 2;
                     if idx == 0 {
                         return; // nothing indexed under here
                     }
-                    node = idx;
-                    path[d as usize + 1] = idx;
+                    path.push(b, idx);
                 }
                 _ => {
                     // An ancestor terminal covers `cell` entirely: its
                     // denormalized run is the only territory to rewrite.
-                    let (rbase, rsize) = self.expand_run(node, b, e);
-                    self.rewrite_run(node, rbase, rsize, e, id, tb, memo, changed, waste);
-                    self.prune_path(cell, &path[..d as usize + 1], waste);
+                    let (rbase, rsize) = self.expand_run(path.last(), b, e);
+                    let ne = memo_rewrite(e, id, tb, memo, waste);
+                    if ne != e {
+                        *changed = true;
+                        let node = self.own_path(&mut path, waste);
+                        self.set_run(node, rbase, rsize, ne);
+                    }
+                    self.prune_path(&mut path, waste);
                     return;
                 }
             }
@@ -1050,125 +1381,121 @@ impl Act {
         let count = 1usize << (8 - bits);
         let mut s = base;
         while s < base + count {
-            let e = self.slots[node * FANOUT + s];
+            let e = self.node(path.last())[s];
             if e == 0 {
                 s += 1;
                 continue;
             }
             if e & TAG_MASK == TAG_CHILD {
-                let idx = (e >> 2) as usize;
-                if idx != 0 && self.remove_rec(idx, id, tb, memo, changed, waste) {
-                    self.slots[node * FANOUT + s] = 0;
+                let idx = e >> 2;
+                let (child, empty) = self.remove_rec(idx, id, tb, memo, changed, waste);
+                if empty {
+                    let node = self.own_path(&mut path, waste);
+                    self.node_mut(node)[s] = 0;
                     waste.orphaned_nodes += 1;
+                } else if child != idx {
+                    let node = self.own_path(&mut path, waste);
+                    self.node_mut(node)[s] = encode_child(child);
                 }
                 s += 1;
             } else {
-                let (rbase, rsize) = self.expand_run(node, s, e);
-                self.rewrite_run(node, rbase, rsize, e, id, tb, memo, changed, waste);
+                let (rbase, rsize) = self.expand_run(path.last(), s, e);
+                let ne = memo_rewrite(e, id, tb, memo, waste);
+                if ne != e {
+                    *changed = true;
+                    let node = self.own_path(&mut path, waste);
+                    self.set_run(node, rbase, rsize, ne);
+                }
                 s = rbase + rsize; // a containing run ends past the range
             }
         }
-        self.prune_path(cell, &path[..d_last as usize + 1], waste);
+        self.prune_path(&mut path, waste);
     }
 
     /// Prunes the descent path bottom-up after a targeted removal: each
     /// node the rewrite left all-zero is cut from its parent (or its
     /// face root) and counted as an orphan, so probes into the emptied
     /// territory short-circuit and the waste metric sees the garbage.
-    fn prune_path(&mut self, cell: CellId, path: &[usize], waste: &mut MutationWaste) {
-        for d in (0..path.len()).rev() {
-            let node = path[d];
-            if !self.slots[node * FANOUT..(node + 1) * FANOUT]
-                .iter()
-                .all(|&x| x == 0)
-            {
+    fn prune_path(&mut self, path: &mut Descent, waste: &mut MutationWaste) {
+        for d in (0..path.len).rev() {
+            if !self.node(path.nodes[d] as usize).iter().all(|&x| x == 0) {
                 return;
             }
             if d == 0 {
-                self.roots[cell.face() as usize] = 0;
+                self.roots[path.face] = 0;
             } else {
-                let b = cell.key_byte(d as u32 - 1) as usize;
-                self.slots[path[d - 1] * FANOUT + b] = 0;
+                let parent = self.own_prefix(path, d, waste);
+                self.node_mut(parent)[path.bytes[d - 1] as usize] = 0;
             }
             waste.orphaned_nodes += 1;
         }
     }
 
-    /// Rewrites one terminal run without polygon `id` (memoized), keeping
-    /// the slot counters honest when the run empties; returns the run's
-    /// new slot value.
-    #[allow(clippy::too_many_arguments)]
-    fn rewrite_run(
-        &mut self,
-        node: usize,
-        rbase: usize,
-        rsize: usize,
-        e: u32,
-        id: u32,
-        tb: &mut LookupTableBuilder,
-        memo: &mut std::collections::HashMap<u32, u32>,
-        changed: &mut bool,
-        waste: &mut MutationWaste,
-    ) -> u32 {
-        let ne = match memo.get(&e) {
-            Some(&ne) => ne,
-            None => {
-                let ne = rewrite_without(e, id, tb, waste);
-                memo.insert(e, ne);
-                ne
-            }
-        };
-        if ne != e {
-            *changed = true;
-            for i in rbase..rbase + rsize {
-                self.slots[node * FANOUT + i] = ne;
-            }
-            if ne == 0 {
-                self.denormalized_slots = self.denormalized_slots.saturating_sub(rsize as u64);
-                self.inserted_cells = self.inserted_cells.saturating_sub(1);
-            }
-        }
-        ne
-    }
-
-    /// Returns true when `node` is all-zero after the rewrite.
+    /// Strips polygon `id` from every run under `node`. Returns the
+    /// node's index afterwards — a copy once it had to be written, which
+    /// the caller stores in its parent slot — and whether it is now
+    /// all-zero.
     fn remove_rec(
         &mut self,
-        node: usize,
+        mut node: u32,
         id: u32,
         tb: &mut LookupTableBuilder,
-        memo: &mut std::collections::HashMap<u32, u32>,
+        memo: &mut HashMap<u32, u32>,
         changed: &mut bool,
         waste: &mut MutationWaste,
-    ) -> bool {
+    ) -> (u32, bool) {
         let mut all_zero = true;
         let mut s = 0usize;
         while s < FANOUT {
-            let e = self.slots[node * FANOUT + s];
+            let e = self.node(node as usize)[s];
             if e == 0 {
                 s += 1;
                 continue;
             }
             if e & TAG_MASK == TAG_CHILD {
-                let idx = (e >> 2) as usize;
-                if self.remove_rec(idx, id, tb, memo, changed, waste) {
-                    self.slots[node * FANOUT + s] = 0;
+                let idx = e >> 2;
+                let (child, empty) = self.remove_rec(idx, id, tb, memo, changed, waste);
+                if empty {
+                    node = self.own(node, waste);
+                    self.node_mut(node as usize)[s] = 0;
                     waste.orphaned_nodes += 1;
                 } else {
                     all_zero = false;
+                    if child != idx {
+                        node = self.own(node, waste);
+                        self.node_mut(node as usize)[s] = encode_child(child);
+                    }
                 }
                 s += 1;
             } else {
-                let (rbase, rsize) = self.expand_run(node, s, e);
-                let ne = self.rewrite_run(node, rbase, rsize, e, id, tb, memo, changed, waste);
+                let (rbase, rsize) = self.expand_run(node as usize, s, e);
+                let ne = memo_rewrite(e, id, tb, memo, waste);
+                if ne != e {
+                    *changed = true;
+                    node = self.own(node, waste);
+                    self.set_run(node as usize, rbase, rsize, ne);
+                }
                 if ne != 0 {
                     all_zero = false;
                 }
                 s = rbase + rsize;
             }
         }
-        all_zero
+        (node, all_zero)
     }
+}
+
+/// [`rewrite_without`], memoized across the calls of one removal.
+fn memo_rewrite(
+    e: u32,
+    id: u32,
+    tb: &mut LookupTableBuilder,
+    memo: &mut HashMap<u32, u32>,
+    waste: &mut MutationWaste,
+) -> u32 {
+    *memo
+        .entry(e)
+        .or_insert_with(|| rewrite_without(e, id, tb, waste))
 }
 
 /// Rewrites a terminal slot with polygon `id`'s reference dropped;

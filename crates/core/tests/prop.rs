@@ -707,3 +707,94 @@ proptest! {
         }
     }
 }
+
+/// A fresh temp path per call, so concurrent cases never share a file.
+fn unique_temp_path(tag: &str) -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    std::env::temp_dir().join(format!("act-prop-{}-{tag}-{n}.snap", std::process::id()))
+}
+
+/// Applies one edit to `idx` and to the model of live polygons.
+fn apply_edit(idx: &mut ActIndex, live: &mut BTreeMap<u32, Polygon>, op: &EditOp) {
+    match *op {
+        EditOp::Insert { id, cx, cy, half } => {
+            let p = square(cx, cy, half);
+            idx.insert_polygon(id, &p).unwrap();
+            live.insert(id, p);
+        }
+        EditOp::Remove { id } => {
+            assert_eq!(idx.remove_polygon(id), live.remove(&id).is_some());
+        }
+        EditOp::Compact => idx.compact(),
+    }
+}
+
+fn answers(idx: &ActIndex, pts: &[Coord]) -> Vec<Vec<(u32, bool)>> {
+    pts.iter()
+        .map(|&c| {
+            let mut refs = idx.as_view().lookup_refs(c);
+            refs.sort_unstable();
+            refs
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Copy-on-write over a mapped base, per point: a random edit script
+    /// runs epoch by epoch the way the delta watcher runs it — each edit
+    /// lands on a clone of the previous epoch, opened over the mapped
+    /// snapshot — and must answer every probe point like the same script
+    /// on a deep `to_owned_index` copy and like a rebuild. After each
+    /// edit the previous epoch must still answer its own (pre-edit) set.
+    /// A compaction of the result must equal a one-shard split of it
+    /// byte for byte.
+    #[test]
+    fn edits_over_a_mapped_base_copy_only_what_they_write(
+        initial in arb_squares(),
+        script in arb_edit_script(),
+        probes in proptest::collection::vec((-74.2f64..-73.8, 40.5f64..40.9), 24),
+    ) {
+        let precision = 60.0;
+        let mut live: BTreeMap<u32, Polygon> = initial
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (i as u32, p.clone()))
+            .collect();
+        let path = unique_temp_path("cow");
+        rebuild(&live, precision).as_view().save_file(&path).unwrap();
+        let snap = std::sync::Arc::new(act_core::MappedSnapshot::open(&path).unwrap());
+        std::fs::remove_file(&path).unwrap();
+        let pts = mutation_probe_points(&script, &probes);
+
+        let mut deep = snap.to_owned_index();
+        let mut epoch = ActIndex::from_mapped(std::sync::Arc::clone(&snap));
+        epoch.prime_mutations();
+        let mut deep_live = live.clone();
+        for op in &script {
+            let before = answers(&epoch, &pts);
+            let mut next = epoch.clone();
+            apply_edit(&mut next, &mut live, op);
+            apply_edit(&mut deep, &mut deep_live, op);
+            prop_assert_eq!(answers(&epoch, &pts), before,
+                "the previous epoch changed under {:?}", op);
+            epoch = next;
+        }
+        prop_assert_eq!(first_divergence(&epoch, &deep, &pts), None,
+            "diverged from the same script on a deep copy");
+        let fresh = rebuild(&live, precision);
+        prop_assert_eq!(first_divergence(&epoch, &fresh, &pts), None,
+            "diverged from a fresh rebuild");
+        prop_assert!(answers(&ActIndex::from_mapped(snap), &pts)
+            == answers(&rebuild(&initial.iter().enumerate()
+                .map(|(i, p)| (i as u32, p.clone())).collect(), precision), &pts),
+            "the mapped base changed");
+
+        let split = act_core::split_index(&epoch, act_core::DEFAULT_SPLIT_LEVEL, 1).remove(0);
+        epoch.compact();
+        prop_assert!(epoch.identical_to(&split), "compaction differs from a one-shard split");
+        prop_assert_eq!(epoch.act().ext_bytes(), 0, "a compaction leaves one segment");
+    }
+}

@@ -35,24 +35,28 @@
 //!
 //! ## Memory model
 //!
-//! The first delta opens the lineage: the mapped base is copied into an
-//! owned index, primed for mutation (its live-id set and per-id cell
-//! inventory, see [`ActIndex::prime_mutations`]), and the delta is
-//! applied to that copy directly — no second copy exists before the
-//! first publish. Publishing it drops the store's hold on the mapping,
-//! so the base's pages leave the process once in-flight batches finish.
-//! Only then is the next scratch cloned from the published index. From
-//! there on the steady state is two owned arenas (published + scratch)
-//! plus one inventory, which the two share: a clone copies the id map,
-//! and an apply replaces only the lists of the ids it touches.
+//! Churn holds one arena: the mapping. The first delta opens the
+//! lineage with [`ActIndex::from_mapped`], an owned index whose trie
+//! arena *is* the mapped base, shared: it copies the roots and the
+//! lookup table, and is primed for mutation (its live-id set and per-id
+//! cell inventory, see [`ActIndex::prime_mutations`]). An apply copies
+//! the trie nodes it writes into the index's own small segment and
+//! repoints their parents (path copying, see [`act_core::trie`]); the
+//! mapping is never written. After each publish the next scratch is a
+//! clone of the published index, which shares the mapping, copies the
+//! few copied-out nodes, the table and the id map, and shares every
+//! per-id inventory list. So the published index and the scratch differ
+//! only by the nodes the last apply wrote, and the index the store
+//! served before (the previous epoch) keeps answering its own state for
+//! the batches still on it.
 //!
-//! Compaction follows the index's own policy: the apply whose edits
-//! push the scratch's waste ratio past
-//! [`ActIndex::COMPACT_WASTE_THRESHOLD`] runs [`ActIndex::compact`] to
-//! completion before it publishes: one streamed pass into a fresh trie.
-//! That one apply pays a full rewrite (about 1.5 s on census); applies
-//! below the threshold and idle polls pay nothing. Out of scope: one
-//! arena instead of two needs structural sharing inside the node arena.
+//! Compaction follows the index's own policy: copied-out base nodes
+//! count as waste, and the apply whose edits push the scratch's waste
+//! ratio past [`ActIndex::COMPACT_WASTE_THRESHOLD`] runs
+//! [`ActIndex::compact`] to completion before it publishes: one streamed
+//! pass into a fresh heap arena, which becomes the shared base in the
+//! mapping's place. That one apply pays a full rewrite (about 1.5 s on
+//! census); applies below the threshold and idle polls pay nothing.
 //!
 //! ## Failure handling
 //!
@@ -133,8 +137,9 @@ impl WatchCounters {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum ServeIndex {
-    /// The mmap-backed full snapshot (boot and full-reload path).
-    Mapped(MappedSnapshot),
+    /// The mmap-backed full snapshot (boot and full-reload path), shared
+    /// with the delta lineage opened over it.
+    Mapped(Arc<MappedSnapshot>),
     /// A live index with delta edits applied (delta hot-apply path).
     Owned(ActIndex),
 }
@@ -146,6 +151,26 @@ impl ServeIndex {
         match self {
             ServeIndex::Mapped(snap) => snap.view(),
             ServeIndex::Owned(ix) => ix.as_view(),
+        }
+    }
+
+    /// A private, mutable index that answers like this one and shares
+    /// its trie arena: over the mapped base, [`ActIndex::from_mapped`];
+    /// over an owned index, a clone.
+    fn fork(&self) -> ActIndex {
+        match self {
+            ServeIndex::Mapped(snap) => ActIndex::from_mapped(Arc::clone(snap)),
+            ServeIndex::Owned(ix) => ix.clone(),
+        }
+    }
+
+    /// The whole-file checksum of this index's snapshot, the identity a
+    /// delta lineage over it binds to: read from the mapped base's
+    /// header, or hashed from an owned index.
+    fn checksum(&self) -> u64 {
+        match self {
+            ServeIndex::Mapped(snap) => snap.checksum(),
+            ServeIndex::Owned(ix) => ix.as_view().snapshot_checksum(),
         }
     }
 
@@ -176,7 +201,7 @@ impl IndexStore {
     /// Starts serving `snap` at epoch 1.
     pub fn new(snap: MappedSnapshot) -> IndexStore {
         IndexStore {
-            current: Mutex::new(Arc::new(ServeIndex::Mapped(snap))),
+            current: Mutex::new(Arc::new(ServeIndex::Mapped(Arc::new(snap)))),
             epoch: AtomicU64::new(1),
             delta_applies: AtomicU64::new(0),
         }
@@ -202,7 +227,7 @@ impl IndexStore {
     /// epoch. In-flight batches finish on whatever
     /// [`IndexStore::current`] gave them.
     pub fn swap(&self, snap: MappedSnapshot) -> u32 {
-        self.publish(Arc::new(ServeIndex::Mapped(snap)))
+        self.publish(Arc::new(ServeIndex::Mapped(Arc::new(snap))))
     }
 
     /// Publishes an owned (delta-edited) index for future batches and
@@ -345,29 +370,40 @@ pub fn delta_path(base: &Path, seq: u64) -> PathBuf {
 /// the last fold.
 struct Lineage {
     link: DeltaLink,
-    /// The published state (what the store serves once a delta landed);
-    /// `None` until this lineage's first apply is published.
-    working: Option<Arc<ServeIndex>>,
-    /// A private owned index primed for mutation: the owned copy of the
-    /// mapped base when the lineage opens, afterwards a clone of
-    /// `working`. Deltas apply here *in place*, so no arena clone is on
-    /// the apply-to-publish latency path — the scratch is re-cloned from
-    /// the published index right after each swap, while readers are
-    /// already on the new epoch (and after the first swap has released
-    /// the mapped base). `None` only transiently mid-apply.
+    /// The state the chain has reached, as the store serves it: the
+    /// mapped base until this lineage's first apply is published.
+    working: Arc<ServeIndex>,
+    /// A private index primed for mutation that shares `working`'s arena
+    /// (see the module docs' memory model). Deltas apply here *in
+    /// place*, so nothing is copied on the apply-to-publish latency path
+    /// — the scratch is re-armed from the published index right after
+    /// each swap, while readers are already on the new epoch. `None`
+    /// only transiently mid-apply.
     scratch: Option<ActIndex>,
     applied: u64,
 }
 
 impl Lineage {
-    /// Re-arms the scratch as a copy of the published state; `false`
-    /// when nothing has been published yet.
-    fn rearm(&mut self) -> bool {
-        let Some(ServeIndex::Owned(working)) = self.working.as_deref() else {
-            return false;
+    /// Opens a lineage over the state the store serves.
+    fn open(working: Arc<ServeIndex>) -> Lineage {
+        let mut lineage = Lineage {
+            link: DeltaLink::for_base(working.checksum()),
+            working,
+            scratch: None,
+            applied: 0,
         };
-        self.scratch = Some(working.clone());
-        true
+        lineage.rearm();
+        lineage
+    }
+
+    /// Re-arms the scratch as a copy of `working`. Forking the mapped
+    /// base builds the live-id set and inventory once, so every apply is
+    /// as fast as the steady state; a clone of a published index shares
+    /// them.
+    fn rearm(&mut self) {
+        let mut scratch = self.working.fork();
+        scratch.prime_mutations();
+        self.scratch = Some(scratch);
     }
 }
 
@@ -623,28 +659,9 @@ pub fn watch_loop_opts(
             continue;
         }
 
-        // Open the lineage on first use: the scratch starts as an owned
-        // copy of the mapped base the store is serving, and the first
-        // delta applies to it directly (see the module docs' memory
-        // model). `cur` is dropped at the end of this block so the
-        // watcher holds no reference to the mapping.
-        if lineage.is_none() {
-            let (cur, _) = store.current();
-            let ServeIndex::Mapped(snap) = &*cur else {
-                continue; // unreachable: no lineage means mapped base
-            };
-            let mut owned = snap.to_owned_index();
-            // One-time: build the live-id set and inventory now so
-            // every apply is as fast as the steady state.
-            owned.prime_mutations();
-            lineage = Some(Lineage {
-                link: DeltaLink::for_base(snap.checksum()),
-                working: None,
-                scratch: Some(owned),
-                applied: 0,
-            });
-        }
-        let lin = lineage.as_mut().expect("opened above");
+        // Open the lineage on first use, over the base the store is
+        // serving (see the module docs' memory model).
+        let lin = lineage.get_or_insert_with(|| Lineage::open(store.current().0));
 
         // Apply in place on the pre-armed scratch; on success it is
         // published as-is and a fresh scratch is cloned afterwards —
@@ -658,10 +675,7 @@ pub fn watch_loop_opts(
                 let epoch = store.swap_owned(next);
                 publishes += 1;
                 lin.link = new_link;
-                // The swap dropped the store's hold on the previous
-                // state (the mapped base, on the first apply); replacing
-                // `working` drops ours, before the clone below.
-                lin.working = Some(store.current().0);
+                lin.working = store.current().0;
                 // Re-arm: readers are already on the new epoch while
                 // this clone runs.
                 lin.rearm();
@@ -707,16 +721,8 @@ pub fn watch_loop_opts(
             Err(e) => {
                 // A rejected delta may have left the scratch prefix-
                 // applied (per-op failures mutate before erroring), so
-                // rebuild it from the published state. `drop(next)`
-                // first: holding old + published + new scratch at once
-                // would spike memory to three arenas. With nothing
-                // published yet there is no state to rebuild from: drop
-                // the lineage, and the next good file reopens it from
-                // the base the store still serves.
-                drop(next);
-                if !lin.rearm() {
-                    lineage = None;
-                }
+                // re-arm it from the published state.
+                lin.rearm();
                 if matches!(e, SnapshotError::Io(_)) {
                     // Short/failed read: no verdict on the bytes. Leave
                     // `delta_prev_poll` standing so the very next poll
@@ -759,18 +765,12 @@ pub fn watch_loop_opts(
     publishes
 }
 
-/// Folds the lineage's working index into a new base snapshot: write to
-/// a sibling, fsync, rename over the base path (all three through
-/// [`act_core::write_file_atomic`]), delete the consumed delta files, and
-/// restart the chain from the new base checksum.
+/// Folds the lineage's working index into a new base snapshot: stream
+/// it to a sibling, fsync, rename over the base path (all three through
+/// [`act_core::ActIndexView::save_file`]), delete the consumed delta
+/// files, and restart the chain from the checksum the writer returned.
 fn fold_lineage(base: &Path, lin: &mut Lineage) -> Result<(), act_core::SnapshotError> {
-    let Some(ServeIndex::Owned(working)) = lin.working.as_deref() else {
-        unreachable!("a fold follows a publish");
-    };
-    let mut bytes = Vec::new();
-    working.save_snapshot(&mut bytes)?;
-    let new_sum = act_core::header_checksum(&bytes).expect("save_snapshot wrote a whole header");
-    act_core::write_file_atomic(base, &bytes)?;
+    let new_sum = lin.working.view().save_file(base)?;
     for seq in 1..lin.link.next_seq {
         let _ = std::fs::remove_file(delta_path(base, seq));
     }
@@ -1049,6 +1049,14 @@ mod tests {
             "fold must delete consumed deltas"
         );
         assert!(!delta_path(&path, 2).exists());
+        // The fold streamed the published index's snapshot, byte for
+        // byte.
+        let ServeIndex::Owned(published) = &*store.current().0 else {
+            panic!("a delta apply publishes an owned index");
+        };
+        let mut image = Vec::new();
+        published.save_snapshot(&mut image).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), image);
         let folded = MappedSnapshot::open(&path).unwrap();
         let view = folded.view();
         assert!(view.lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
