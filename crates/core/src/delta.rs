@@ -35,8 +35,11 @@
 //! calls, and each delta's checksum becomes the `prev_sum` the next must
 //! name. Applying a delta from a different base, out of order, or twice
 //! fails with [`SnapshotError::Inconsistent`] before the index is touched.
+//! So does an op id above [`MAX_POLYGON_ID`], which no index can hold:
+//! writers refuse one and readers reject a file that carries one.
 
 use crate::index::ActIndex;
+use crate::refs::MAX_POLYGON_ID;
 use crate::snapshot::{fnv1a_words, SnapshotError, FNV_OFFSET};
 use geom::{Coord, Polygon, Ring};
 use std::io::Write;
@@ -105,6 +108,10 @@ impl DeltaLink {
 /// Encodes `ops` as the next delta in `link`'s lineage and writes it to
 /// `w`. Returns the advanced link (for chaining further deltas) and the
 /// written delta's checksum.
+///
+/// # Errors
+/// [`SnapshotError::Inconsistent`], before anything is written, when an
+/// op's id exceeds [`MAX_POLYGON_ID`]; any error `w` returns.
 pub fn save_delta<W: Write>(
     ops: &[DeltaOp],
     link: DeltaLink,
@@ -112,6 +119,8 @@ pub fn save_delta<W: Write>(
 ) -> Result<(DeltaLink, u64), SnapshotError> {
     let mut words: Vec<u64> = vec![0; HEADER_WORDS];
     for op in ops {
+        let (DeltaOp::Insert { id, .. } | DeltaOp::Remove { id }) = op;
+        check_id(*id)?;
         match op {
             DeltaOp::Insert { id, polygon } => {
                 words.push(u64::from(OP_INSERT) | (u64::from(*id) << 32));
@@ -231,7 +240,7 @@ impl Delta {
                 .ok_or(SnapshotError::Inconsistent("op record past end of delta"))?;
             at += 1;
             let opcode = (op_word & 0xFFFF_FFFF) as u32;
-            let id = (op_word >> 32) as u32;
+            let id = check_id((op_word >> 32) as u32)?;
             match opcode {
                 OP_REMOVE => ops.push(DeltaOp::Remove { id }),
                 OP_INSERT => {
@@ -333,6 +342,14 @@ impl Delta {
         }
         Ok(())
     }
+}
+
+/// Refuses an op id no index can hold (inserting one panics).
+fn check_id(id: u32) -> Result<u32, SnapshotError> {
+    if id > MAX_POLYGON_ID {
+        return Err(SnapshotError::Inconsistent("delta op id exceeds 30 bits"));
+    }
+    Ok(id)
 }
 
 fn read_count(words: &[u64], at: &mut usize, what: &'static str) -> Result<usize, SnapshotError> {
@@ -470,6 +487,44 @@ mod tests {
         assert!(matches!(
             Delta::from_bytes(&bad),
             Err(SnapshotError::BadMagic)
+        ));
+    }
+
+    /// An op id above 30 bits is refused on both sides: the writer
+    /// writes nothing, and a checksum-valid file carrying one (as a
+    /// foreign writer could produce) fails to decode instead of
+    /// panicking the apply.
+    #[test]
+    fn over_30_bit_ids_are_refused() {
+        let huge = MAX_POLYGON_ID + 1;
+        for op in [
+            DeltaOp::Remove { id: huge },
+            DeltaOp::Insert {
+                id: u32::MAX,
+                polygon: square(-74.0, 40.7, 0.01),
+            },
+        ] {
+            let mut buf = Vec::new();
+            assert!(matches!(
+                save_delta(&[op], DeltaLink::for_base(5), &mut buf),
+                Err(SnapshotError::Inconsistent(_))
+            ));
+            assert!(buf.is_empty(), "nothing is written");
+        }
+
+        // Patch a valid file's op id and re-seal its checksum.
+        let mut buf = Vec::new();
+        save_delta(&sample_ops(), DeltaLink::for_base(5), &mut buf).unwrap();
+        let mut words: Vec<u64> = buf
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        words[HEADER_WORDS] = u64::from(OP_INSERT) | (u64::from(huge) << 32);
+        words[3] = delta_checksum(&words);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert!(matches!(
+            Delta::from_bytes(&bytes),
+            Err(SnapshotError::Inconsistent(_))
         ));
     }
 

@@ -418,10 +418,18 @@ impl<'a> RawTrie<'a> {
     }
 }
 
+/// The root node of `query`'s cube face, 0 (an empty face) when its
+/// face bits are 6 or 7: no valid cell has them, but a cell frame may
+/// carry any `u64`.
+#[inline]
+fn root_of(roots: &[u32; 6], query: CellId) -> u32 {
+    roots.get((query.0 >> 61) as usize).copied().unwrap_or(0)
+}
+
 /// The scalar walk of [`RawTrie::lookup_depth`] over `arena`.
 #[inline]
 fn walk_depth(arena: impl Arena, roots: &[u32; 6], query: CellId) -> (Probe, u8) {
-    let mut node = roots[(query.0 >> 61) as usize] as usize;
+    let mut node = root_of(roots, query) as usize;
     if node == 0 {
         return (Probe::Miss, 0);
     }
@@ -462,7 +470,7 @@ fn walk_block<D: DepthSink + ?Sized>(
     let mut lanes = [0u16; MAX_PROBE_BLOCK];
     let mut live = 0usize;
     for (i, (&q, o)) in queries.iter().zip(out.iter_mut()).enumerate() {
-        let root = roots[(q.0 >> 61) as usize];
+        let root = root_of(roots, q);
         *o = Probe::Miss;
         depths.record(i, 0);
         if root != 0 {
@@ -1585,6 +1593,29 @@ mod tests {
         let act = Act::new();
         assert_eq!(act.lookup(nyc_leaf(40.7, -74.0)), Probe::Miss);
         assert_eq!(act.num_nodes(), 1); // sentinel only
+    }
+
+    /// Face bits 6 and 7 name no cube face: a cell frame carrying such an
+    /// id must miss at depth 0 on every walk, however full the trie.
+    #[test]
+    fn garbage_face_bits_miss_at_depth_zero() {
+        let mut act = Act::new();
+        let mut tb = LookupTableBuilder::new();
+        for face in 0..6u8 {
+            let cell = CellId::from_face(face).child(1).child(2);
+            act.insert(cell, &RefSet::single(PolygonRef::true_hit(1)), &mut tb);
+        }
+        let garbage = [CellId(u64::MAX), CellId(6 << 61), CellId(7 << 61)];
+        for &q in &garbage {
+            assert_eq!(act.lookup_with_slot_level(q), (Probe::Miss, 0), "{q:?}");
+        }
+        let mut out = vec![Probe::One(PolygonRef::true_hit(9)); garbage.len()];
+        act.lookup_batch(&garbage, &mut out);
+        assert_eq!(out, vec![Probe::Miss; garbage.len()]);
+        let mut depths = vec![9u8; garbage.len()];
+        act.lookup_batch_depths(&garbage, &mut out, &mut depths);
+        assert_eq!(out, vec![Probe::Miss; garbage.len()]);
+        assert_eq!(depths, vec![0; garbage.len()]);
     }
 
     #[test]

@@ -470,7 +470,6 @@ impl Server {
                 trace: st.obs.as_ref().map(|o| Arc::clone(&o.trace)),
                 #[cfg(feature = "fault-injection")]
                 faults: st.faults.clone(),
-                ..WatchOptions::default()
             };
             std::thread::Builder::new()
                 .name("act-serve-watch".to_string())

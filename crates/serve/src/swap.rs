@@ -16,8 +16,8 @@
 //! [`act_core::delta`]) to the running index — a few fence edits arrive
 //! in milliseconds without remapping the multi-hundred-MB base.
 //!
-//! [`watch_loop`] is the operator-facing half. Each poll it checks two
-//! things:
+//! [`watch_loop_opts`] is the operator-facing half. Each poll it checks
+//! two things:
 //!
 //! 1. **The base snapshot path.** When its signature changes and holds
 //!    still for one interval, the file is opened, validated, and
@@ -32,6 +32,25 @@
 //!    [`FOLD_AFTER_DELTAS`] applies the watcher *folds*: it writes the
 //!    working index as a new base (sibling + rename), deletes the
 //!    consumed delta files, and restarts the lineage at seq 1.
+//!
+//! ## Decisions and IO
+//!
+//! The watcher is two parts. A pure state machine, `Watcher::step`,
+//! makes every decision: it takes one observation (a tick, a file
+//! signature, or an outcome kind — ok, IO error, invalid bytes) and
+//! answers with the next action (stat, reload, apply, quarantine, fold,
+//! or sleep this long). It holds the base and delta debounce (one
+//! `Debounce` type for both files), the lineage cursor, which also
+//! counts the applies toward the fold, and the error streak; it touches
+//! no path, store, clock, fault plan or file. A thin shell carries the
+//! actions out — stats, opens, applies, publishes, quarantines, folds —
+//! and [`watch_loop_opts`] sleeps between its polls. Because the shell
+//! runs one poll at a time, the seeded model property
+//! `watcher_matches_a_rebuild_under_seeded_scripts` (this module's
+//! tests) drives it over a temp dir with no thread and no sleep, and
+//! checks every published index point by point against a rebuild of the
+//! base plus its good deltas; a failing script replays from the seed it
+//! prints.
 //!
 //! ## Memory model
 //!
@@ -84,7 +103,6 @@
 
 use act_core::{apply_delta_file, ActIndex, DeltaLink, MappedSnapshot, SnapshotError};
 use act_obs::TraceRing;
-use geom::Coord;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -118,14 +136,6 @@ impl WatchCounters {
     /// Corrupt/wrong-chain delta files renamed to `*.quarantine`.
     pub fn quarantines(&self) -> u64 {
         self.quarantines.load(Ordering::Relaxed)
-    }
-
-    fn note_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_quarantine(&self) {
-        self.quarantines.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -172,11 +182,6 @@ impl ServeIndex {
             ServeIndex::Mapped(snap) => snap.checksum(),
             ServeIndex::Owned(ix) => ix.as_view().snapshot_checksum(),
         }
-    }
-
-    /// `(polygon id, is_true_hit)` pairs for one query point.
-    pub fn lookup_refs(&self, c: Coord) -> Vec<(u32, bool)> {
-        self.view().lookup_refs(c)
     }
 }
 
@@ -298,17 +303,9 @@ fn file_id(_meta: &std::fs::Metadata) -> u64 {
 /// can count and back off instead of silently degrading.
 fn content_fingerprint(path: &Path) -> io::Result<u64> {
     use std::io::Read;
-    let mut f = std::fs::File::open(path)?;
     let mut buf = [0u8; FINGERPRINT_BYTES];
-    let mut n = 0usize;
-    while n < buf.len() {
-        match f.read(&mut buf[n..]) {
-            Ok(0) => break,
-            Ok(k) => n += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
+    let mut file = std::fs::File::open(path)?.take(FINGERPRINT_BYTES as u64);
+    let n = io::copy(&mut file, &mut &mut buf[..])? as usize;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in &buf[..n] {
         h ^= u64::from(b);
@@ -340,7 +337,7 @@ pub fn try_signature(path: &Path) -> io::Result<Option<Signature>> {
 
 /// The change signature of the snapshot file at `path` right now.
 /// Capture it **before** opening the snapshot you are about to serve and
-/// hand it to [`watch_loop`]: reading it later races a concurrent
+/// hand it to [`watch_loop_opts`]: reading it later races a concurrent
 /// replacement (the watcher would baseline on the new file while the
 /// store still serves the old one, missing the swap forever). The
 /// capture-then-open order makes the race benign — at worst the watcher
@@ -364,10 +361,9 @@ pub fn delta_path(base: &Path, seq: u64) -> PathBuf {
     base.with_file_name(name)
 }
 
-/// The delta lineage the watcher is carrying: where the chain is, the
-/// index with every applied delta folded in (shared with the store), a
-/// pre-armed mutable copy for the next apply, and how many applies since
-/// the last fold.
+/// The delta lineage the shell is carrying: the chain's [`DeltaLink`],
+/// the index with every applied delta folded in (shared with the store),
+/// and a pre-armed mutable copy for the next apply.
 struct Lineage {
     link: DeltaLink,
     /// The state the chain has reached, as the store serves it: the
@@ -380,7 +376,6 @@ struct Lineage {
     /// each swap, while readers are already on the new epoch. `None`
     /// only transiently mid-apply.
     scratch: Option<ActIndex>,
-    applied: u64,
 }
 
 impl Lineage {
@@ -390,7 +385,6 @@ impl Lineage {
             link: DeltaLink::for_base(working.checksum()),
             working,
             scratch: None,
-            applied: 0,
         };
         lineage.rearm();
         lineage
@@ -407,14 +401,11 @@ impl Lineage {
     }
 }
 
-/// Knobs for [`watch_loop_opts`]. `..WatchOptions::default()` keeps
-/// call sites stable as fields grow.
+/// What [`watch_loop_opts`] needs besides the path, the store, the
+/// shutdown flag and the initial signature.
 pub struct WatchOptions {
     /// Steady-state poll interval (backoff multiplies it on errors).
     pub interval: Duration,
-    /// Deltas applied before the watcher folds them into a new base
-    /// (tests fold quickly).
-    pub fold_after: u64,
     /// Shared error/quarantine counters (ride the STATS counter block).
     pub counters: Arc<WatchCounters>,
     /// Trace ring shared with the serving pipeline: swap, delta-apply,
@@ -425,19 +416,6 @@ pub struct WatchOptions {
     /// Armed fault plan, when chaos-testing the watcher.
     #[cfg(feature = "fault-injection")]
     pub faults: Option<Arc<Faults>>,
-}
-
-impl Default for WatchOptions {
-    fn default() -> WatchOptions {
-        WatchOptions {
-            interval: Duration::from_millis(500),
-            fold_after: FOLD_AFTER_DELTAS,
-            counters: Arc::new(WatchCounters::default()),
-            trace: None,
-            #[cfg(feature = "fault-injection")]
-            faults: None,
-        }
-    }
 }
 
 /// Sleeps `total` in small slices so a graceful drain never waits a
@@ -468,90 +446,359 @@ fn backoff(interval: Duration, streak: u32) -> Duration {
         .max(interval)
 }
 
-/// A signature poll, routed through the fault plan when one is armed.
-fn poll_signature(path: &Path, _opts: &WatchOptions) -> io::Result<Option<Signature>> {
-    #[cfg(feature = "fault-injection")]
-    if let Some(f) = &_opts.faults {
-        if f.check(Site::WatchStat).is_some() {
-            return Err(f.injected_error(Site::WatchStat));
+/// What the watcher asks the shell to do next. Each action but `Sleep`
+/// is answered by one [`Observation`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Action {
+    /// Wait this long, then poll (answered by `Tick`).
+    Sleep(Duration),
+    /// Stat the base path (answered by `Stat`, or `Io`).
+    StatBase,
+    /// Open, validate and publish the base; the lineage is dropped.
+    Reload,
+    /// Stat delta `seq` (answered by `Stat`, or `Io`).
+    StatDelta(u64),
+    /// Apply delta `seq` to the lineage, opening it over the served index
+    /// first, and publish the result.
+    Apply(u64),
+    /// Rename delta `seq` aside (`Ok`, or `Io` when it stays).
+    Quarantine(u64),
+    /// Write the lineage as the new base and delete its deltas (answered
+    /// by `Stat` of the new base, or `Io`).
+    Fold,
+}
+
+/// What the shell found carrying out the last [`Action`]: all the
+/// watcher ever sees of the world — ticks, signatures and the three
+/// kinds of outcome it tells apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Observation {
+    /// The pause before a poll has elapsed.
+    Tick,
+    /// A file's signature, `None` when there is no file.
+    Stat(Option<Signature>),
+    /// The open, apply, quarantine or fold succeeded.
+    Ok,
+    /// An IO error: no verdict on the bytes, so retry under backoff.
+    Io,
+    /// Bytes that are not a valid snapshot, or not the lineage's next
+    /// delta.
+    Invalid,
+}
+
+/// One file's change gate, the same for the base path and the next
+/// delta: act on a signature once it holds still for one interval (an
+/// in-place writer mid-copy keeps moving it), unless it is the file
+/// already loaded or one already judged invalid.
+#[derive(Debug, Clone, Copy, Default)]
+struct Debounce {
+    /// What the previous poll saw.
+    last: Option<Signature>,
+    loaded: Option<Signature>,
+    failed: Option<Signature>,
+}
+
+impl Debounce {
+    /// Settled on the file `sig` names: it is the one in use.
+    fn settled(sig: Option<Signature>) -> Debounce {
+        Debounce {
+            last: sig,
+            loaded: sig,
+            failed: None,
         }
     }
-    try_signature(path)
+
+    /// Records this poll's signature; true when it names a file to act
+    /// on now.
+    fn ready(&mut self, sig: Option<Signature>) -> bool {
+        let stable = sig == self.last;
+        self.last = sig;
+        stable && sig.is_some() && sig != self.loaded && sig != self.failed
+    }
 }
 
-/// A base-snapshot open attempt, routed through the fault plan.
-fn open_snapshot(path: &Path, _opts: &WatchOptions) -> Result<MappedSnapshot, SnapshotError> {
-    #[cfg(feature = "fault-injection")]
-    if let Some(f) = &_opts.faults {
-        if f.check(Site::SnapshotOpen).is_some() {
-            return Err(SnapshotError::Io(f.injected_error(Site::SnapshotOpen)));
+/// The watcher's decisions, as a pure state machine: it sees only
+/// signatures, outcome kinds and ticks, and answers each with the next
+/// [`Action`]. It holds no path, store, clock, fault plan or file.
+#[derive(Debug)]
+struct Watcher {
+    interval: Duration,
+    base: Debounce,
+    delta: Debounce,
+    /// The lineage cursor: the next delta's sequence number, 1 when no
+    /// lineage is open. It counts the deltas applied since the lineage
+    /// opened or last folded, so it also decides the fold.
+    next_seq: u64,
+    /// Consecutive polls ended by an IO error.
+    streak: u32,
+    /// The action the next observation answers.
+    pending: Action,
+}
+
+impl Watcher {
+    /// A watcher whose store serves the base file `initial` names.
+    fn new(initial: Option<Signature>, interval: Duration) -> Watcher {
+        Watcher {
+            interval,
+            base: Debounce::settled(initial),
+            delta: Debounce::default(),
+            next_seq: 1,
+            streak: 0,
+            pending: Action::Sleep(interval),
         }
     }
-    MappedSnapshot::open(path)
+
+    /// Takes what the last action came to and decides the next one.
+    fn step(&mut self, seen: Observation) -> Action {
+        use Observation::{Invalid, Io, Ok, Stat, Tick};
+        let next = match (self.pending, seen) {
+            (Action::Sleep(_), Tick) => Action::StatBase,
+            (Action::StatBase, Stat(sig)) if self.base.ready(sig) => Action::Reload,
+            (Action::StatBase, Stat(_)) => Action::StatDelta(self.next_seq),
+            (Action::Reload, Ok) => {
+                // A new base supersedes the lineage in progress.
+                self.base = Debounce::settled(self.base.last);
+                self.delta = Debounce::default();
+                self.next_seq = 1;
+                self.idle()
+            }
+            (Action::Reload, Invalid) => {
+                // Keep serving; retry when the signature changes again.
+                self.base.failed = self.base.last;
+                Action::StatDelta(self.next_seq)
+            }
+            (Action::StatDelta(seq), Stat(sig)) if self.delta.ready(sig) => Action::Apply(seq),
+            (Action::StatDelta(_), Stat(_)) => self.idle(),
+            (Action::Apply(seq), Ok) => {
+                self.delta = Debounce::default();
+                self.next_seq = seq + 1;
+                self.streak = 0;
+                if seq >= FOLD_AFTER_DELTAS {
+                    Action::Fold
+                } else {
+                    self.pause()
+                }
+            }
+            // Corrupt or wrong-chain bytes: move them aside, so the
+            // lineage resumes the moment a good file lands at this seq.
+            (Action::Apply(seq), Invalid) => Action::Quarantine(seq),
+            (Action::Quarantine(_), Ok) => {
+                self.delta = Debounce::default();
+                self.idle()
+            }
+            (Action::Quarantine(_), _) => {
+                // It stays in place: ignore it until it changes.
+                self.delta.failed = self.delta.last;
+                self.pause()
+            }
+            (Action::Fold, Stat(sig)) => {
+                // The fold rewrote the base with the probe semantics
+                // already served: settle on it without reloading.
+                self.base = Debounce::settled(sig);
+                self.next_seq = 1;
+                self.pause()
+            }
+            // A failed fold is best-effort: the next apply retries it.
+            (Action::Fold, _) => self.pause(),
+            // A failed stat, open or apply says nothing about whether
+            // the file changed: back off and re-check it next poll.
+            (_, Io) => {
+                self.streak = self.streak.saturating_add(1);
+                self.pause()
+            }
+            (pending, seen) => unreachable!("{seen:?} does not answer {pending:?}"),
+        };
+        self.pending = next;
+        next
+    }
+
+    /// Sleep after a poll that ended without an IO error.
+    fn idle(&mut self) -> Action {
+        self.streak = 0;
+        self.pause()
+    }
+
+    fn pause(&self) -> Action {
+        Action::Sleep(backoff(self.interval, self.streak))
+    }
 }
 
-/// A delta apply attempt, routed through the fault plan.
-fn apply_delta(
-    next: &mut ActIndex,
-    dpath: &Path,
-    link: DeltaLink,
-    _opts: &WatchOptions,
-) -> Result<DeltaLink, SnapshotError> {
-    #[cfg(feature = "fault-injection")]
-    if let Some(f) = &_opts.faults {
-        if f.check(Site::DeltaOpen).is_some() {
-            return Err(SnapshotError::Io(f.injected_error(Site::DeltaOpen)));
+/// The watcher's IO: carries out each [`Action`] on the files, the
+/// store, the counters and the fault plan, and reports what it found.
+struct Shell<'a> {
+    path: &'a Path,
+    store: &'a IndexStore,
+    opts: &'a WatchOptions,
+    lineage: Option<Lineage>,
+    publishes: u64,
+}
+
+impl Shell<'_> {
+    /// One poll: a tick, then the watcher's actions until it asks to
+    /// sleep. Returns the pause it asked for.
+    fn poll(&mut self, watcher: &mut Watcher) -> Duration {
+        let mut seen = Observation::Tick;
+        loop {
+            let action = watcher.step(seen);
+            #[cfg(feature = "fault-injection")]
+            if let Some(f) = &self.opts.faults {
+                let site = match action {
+                    Action::StatBase | Action::StatDelta(_) => Some(Site::WatchStat),
+                    Action::Reload => Some(Site::SnapshotOpen),
+                    Action::Apply(_) => Some(Site::DeltaOpen),
+                    _ => None,
+                };
+                if let Some(site) = site.filter(|&site| f.check(site).is_some()) {
+                    seen = self.judge("watch", self.path, f.injected_error(site).into());
+                    continue;
+                }
+            }
+            seen = match action {
+                Action::Sleep(pause) => return pause,
+                Action::StatBase => self.stat(self.path),
+                Action::StatDelta(seq) => self.stat(&delta_path(self.path, seq)),
+                Action::Reload => self.reload(),
+                Action::Apply(seq) => self.apply(seq),
+                Action::Quarantine(seq) => self.quarantine(seq),
+                Action::Fold => self.fold(),
+            };
         }
     }
-    apply_delta_file(next, dpath, link)
+
+    fn stat(&self, path: &Path) -> Observation {
+        match try_signature(path) {
+            Ok(sig) => Observation::Stat(sig),
+            Err(e) => self.judge("watch stat of", path, e.into()),
+        }
+    }
+
+    /// A failed stat, open or apply as the watcher sees it: an IO error
+    /// is counted and retried; any other error judges the bytes invalid.
+    fn judge(&self, what: &str, path: &Path, error: SnapshotError) -> Observation {
+        match error {
+            SnapshotError::Io(e) => {
+                self.opts.counters.errors.fetch_add(1, Ordering::Relaxed);
+                eprintln!("act-serve: {what} {path:?} failed ({e}); backing off");
+                Observation::Io
+            }
+            e => {
+                eprintln!("act-serve: {what} {path:?} rejected ({e})");
+                Observation::Invalid
+            }
+        }
+    }
+
+    fn trace(&self, kind: &'static str, fields: &[(&'static str, u64)]) {
+        if let Some(t) = &self.opts.trace {
+            t.always(kind, fields);
+        }
+    }
+
+    /// A full reload: opens, validates and publishes the base snapshot,
+    /// superseding any delta lineage in progress.
+    fn reload(&mut self) -> Observation {
+        let path = self.path;
+        let snap = match MappedSnapshot::open(path) {
+            Ok(snap) => snap,
+            Err(e) => return self.judge("snapshot", path, e),
+        };
+        let epoch = self.store.swap(snap);
+        self.publishes += 1;
+        self.lineage = None;
+        self.trace("swap", &[("epoch", u64::from(epoch))]);
+        eprintln!("act-serve: hot-swapped snapshot {path:?} (epoch {epoch})");
+        Observation::Ok
+    }
+
+    /// Applies delta `seq` in place on the lineage's pre-armed scratch
+    /// (opening the lineage over the served index first) and publishes
+    /// it as-is; the next scratch is cloned afterwards, while readers are
+    /// already on the new epoch, keeping the clone off the
+    /// apply-to-publish latency path.
+    fn apply(&mut self, seq: u64) -> Observation {
+        let store = self.store;
+        let dpath = delta_path(self.path, seq);
+        let lin = self
+            .lineage
+            .get_or_insert_with(|| Lineage::open(store.current().0));
+        let mut next = lin.scratch.take().expect("armed between applies");
+        match apply_delta_file(&mut next, &dpath, lin.link) {
+            Ok(link) => {
+                let epoch = store.swap_owned(next);
+                lin.link = link;
+                lin.working = store.current().0;
+                lin.rearm();
+                self.publishes += 1;
+                self.trace("delta_apply", &[("epoch", u64::from(epoch)), ("seq", seq)]);
+                eprintln!("act-serve: applied delta {dpath:?} (epoch {epoch})");
+                Observation::Ok
+            }
+            Err(e) => {
+                // A rejected delta may have left the scratch prefix-
+                // applied (per-op failures mutate before erroring), so
+                // re-arm it from the published state.
+                lin.rearm();
+                self.judge("delta", &dpath, e)
+            }
+        }
+    }
+
+    /// Renames a rejected delta to `<file>.quarantine`, so the watcher
+    /// never re-reads the bad bytes and the operator can inspect them.
+    fn quarantine(&self, seq: u64) -> Observation {
+        let dpath = delta_path(self.path, seq);
+        let mut qpath = dpath.clone().into_os_string();
+        qpath.push(".quarantine");
+        if let Err(e) = std::fs::rename(&dpath, &qpath) {
+            eprintln!("act-serve: quarantine of {dpath:?} failed ({e}); skipping it");
+            return Observation::Io;
+        }
+        self.opts
+            .counters
+            .quarantines
+            .fetch_add(1, Ordering::Relaxed);
+        self.trace("quarantine", &[("seq", seq)]);
+        eprintln!("act-serve: quarantined {dpath:?} to {qpath:?}");
+        Observation::Ok
+    }
+
+    /// Folds the lineage's working index into a new base snapshot: stream
+    /// it to a sibling, fsync, rename over the base path (all three
+    /// through [`act_core::ActIndexView::save_file`]), delete the
+    /// consumed delta files, and restart the chain from the checksum the
+    /// writer returned. Answers with the new base's signature.
+    fn fold(&mut self) -> Observation {
+        let (path, lin) = (self.path, self.lineage.as_mut().expect("fold after apply"));
+        match lin.working.view().save_file(path) {
+            Ok(sum) => {
+                for seq in 1..lin.link.next_seq {
+                    let _ = std::fs::remove_file(delta_path(path, seq));
+                }
+                lin.link = DeltaLink::for_base(sum);
+                eprintln!("act-serve: folded the delta lineage into {path:?}");
+                Observation::Stat(snapshot_signature(path))
+            }
+            Err(e) => {
+                eprintln!("act-serve: delta fold failed ({e}); will retry");
+                Observation::Io
+            }
+        }
+    }
 }
 
-/// Renames a rejected delta to `<file>.quarantine` so the watcher never
-/// re-reads the bad bytes and the operator can inspect them.
-fn quarantine_delta(dpath: &Path) -> io::Result<PathBuf> {
-    let mut name = dpath
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    name.push_str(".quarantine");
-    let qpath = dpath.with_file_name(name);
-    std::fs::rename(dpath, &qpath)?;
-    Ok(qpath)
-}
-
-/// Polls `path` every `interval` until `shutdown`, swapping validated
-/// new snapshots — and applying validated sibling delta files — into
-/// `store`. `initial` is the signature of the file the store is
+/// Polls `path` every `opts.interval` until `shutdown`, swapping
+/// validated new snapshots — and applying validated sibling delta files
+/// — into `store`. `initial` is the signature of the file the store is
 /// currently serving, captured by the caller **before** it opened that
 /// snapshot (see [`snapshot_signature`]). Returns the number of
 /// successful publishes (full swaps + delta applies).
 ///
 /// A change is acted on only after its signature holds still for one
-/// full interval (an in-place writer mid-copy keeps moving the mtime);
-/// a signature whose load failed *validation* is remembered and not
-/// retried until it changes again. Transient IO failures are different:
-/// they are counted, retried under capped exponential backoff, and never
-/// mistaken for "no change" (see the module docs' failure taxonomy).
-pub fn watch_loop(
-    path: &Path,
-    interval: Duration,
-    store: &IndexStore,
-    shutdown: &AtomicBool,
-    initial: Option<Signature>,
-) -> u64 {
-    watch_loop_opts(
-        path,
-        store,
-        shutdown,
-        initial,
-        WatchOptions {
-            interval,
-            ..WatchOptions::default()
-        },
-    )
-}
-
-/// [`watch_loop`] with every knob exposed (see [`WatchOptions`]).
+/// full interval; a signature whose load failed *validation* is
+/// remembered and not retried until it changes again. Transient IO
+/// failures are different: they are counted, retried under capped
+/// exponential backoff, and never mistaken for "no change" (see the
+/// module docs' failure taxonomy).
 pub fn watch_loop_opts(
     path: &Path,
     store: &IndexStore,
@@ -559,231 +806,27 @@ pub fn watch_loop_opts(
     initial: Option<Signature>,
     opts: WatchOptions,
 ) -> u64 {
-    let interval = opts.interval;
-    let fold_after = opts.fold_after;
-    let mut loaded_sig = initial;
-    let mut failed_sig: Option<Signature> = None;
-    let mut prev_poll = loaded_sig;
-    let mut lineage: Option<Lineage> = None;
-    let mut delta_prev_poll: Option<Signature> = None;
-    let mut delta_failed: Option<Signature> = None;
-    let mut publishes = 0u64;
-    // Consecutive transient-error polls; doubles the pause (capped).
-    let mut err_streak = 0u32;
-    while !shutdown.load(Ordering::Acquire) {
-        let pause = if err_streak == 0 {
-            interval
-        } else {
-            backoff(interval, err_streak)
-        };
-        if !sleep_sliced(pause, shutdown) {
-            return publishes;
-        }
-
-        // 1. The base path: a changed, stable, valid snapshot is a full
-        //    reload and supersedes any delta lineage in progress.
-        let sig = match poll_signature(path, &opts) {
-            Ok(s) => s,
-            Err(e) => {
-                // Says nothing about whether the file changed — count it
-                // and retry under backoff rather than re-baselining.
-                opts.counters.note_error();
-                err_streak = err_streak.saturating_add(1);
-                eprintln!("act-serve: watch stat of {path:?} failed ({e}); backing off");
-                continue;
-            }
-        };
-        let stable = sig == prev_poll;
-        prev_poll = sig;
-        if let Some(sig) = sig {
-            if Some(sig) != loaded_sig && Some(sig) != failed_sig && stable {
-                match open_snapshot(path, &opts) {
-                    Ok(snap) => {
-                        let epoch = store.swap(snap);
-                        publishes += 1;
-                        loaded_sig = Some(sig);
-                        failed_sig = None;
-                        lineage = None;
-                        delta_prev_poll = None;
-                        delta_failed = None;
-                        err_streak = 0;
-                        if let Some(t) = &opts.trace {
-                            t.always("swap", &[("epoch", u64::from(epoch))]);
-                        }
-                        eprintln!("act-serve: hot-swapped snapshot {path:?} (epoch {epoch})");
-                        continue;
-                    }
-                    Err(SnapshotError::Io(e)) => {
-                        // Short/failed read: the bytes were never
-                        // judged, so do NOT remember this signature as
-                        // failed — back off and re-attempt the open.
-                        opts.counters.note_error();
-                        err_streak = err_streak.saturating_add(1);
-                        eprintln!("act-serve: snapshot read at {path:?} failed ({e}); backing off");
-                        continue;
-                    }
-                    Err(e) => {
-                        // Invalid bytes: keep serving the old snapshot;
-                        // retry when the signature changes again.
-                        failed_sig = Some(sig);
-                        eprintln!(
-                            "act-serve: new snapshot at {path:?} rejected ({e}); keeping current"
-                        );
-                    }
-                }
-            }
-        }
-        // Base vanished or unchanged: look for the next delta sibling.
-
-        // 2. The next delta in the lineage (seq 1 when none is open).
-        let next_seq = lineage.as_ref().map_or(1, |l| l.link.next_seq);
-        let dpath = delta_path(path, next_seq);
-        let dsig = match poll_signature(&dpath, &opts) {
-            Ok(s) => s,
-            Err(e) => {
-                opts.counters.note_error();
-                err_streak = err_streak.saturating_add(1);
-                eprintln!("act-serve: watch stat of {dpath:?} failed ({e}); backing off");
-                continue;
-            }
-        };
-        let dstable = dsig == delta_prev_poll;
-        delta_prev_poll = dsig;
-        let Some(dsig) = dsig else {
-            // Fully idle poll: no pending work, clean IO.
-            err_streak = 0;
-            continue;
-        };
-        if Some(dsig) == delta_failed || !dstable {
-            err_streak = 0;
-            continue;
-        }
-
-        // Open the lineage on first use, over the base the store is
-        // serving (see the module docs' memory model).
-        let lin = lineage.get_or_insert_with(|| Lineage::open(store.current().0));
-
-        // Apply in place on the pre-armed scratch; on success it is
-        // published as-is and a fresh scratch is cloned afterwards —
-        // keeping the clone off the apply-to-publish latency path.
-        let mut next = lin
-            .scratch
-            .take()
-            .expect("scratch is armed between applies");
-        match apply_delta(&mut next, &dpath, lin.link, &opts) {
-            Ok(new_link) => {
-                let epoch = store.swap_owned(next);
-                publishes += 1;
-                lin.link = new_link;
-                lin.working = store.current().0;
-                // Re-arm: readers are already on the new epoch while
-                // this clone runs.
-                lin.rearm();
-                lin.applied += 1;
-                delta_prev_poll = None;
-                delta_failed = None;
-                err_streak = 0;
-                if let Some(t) = &opts.trace {
-                    t.always(
-                        "delta_apply",
-                        &[
-                            ("epoch", u64::from(epoch)),
-                            ("seq", next_seq),
-                            ("lineage", lin.applied),
-                        ],
-                    );
-                }
-                eprintln!(
-                    "act-serve: applied delta {dpath:?} (epoch {epoch}, \
-                     {} in lineage)",
-                    lin.applied
-                );
-                if lin.applied >= fold_after {
-                    match fold_lineage(path, lin) {
-                        Ok(()) => {
-                            // The fold rewrote the base file with
-                            // identical probe semantics: baseline the
-                            // watcher on it without reloading.
-                            loaded_sig = snapshot_signature(path);
-                            prev_poll = loaded_sig;
-                            failed_sig = None;
-                            eprintln!("act-serve: folded {fold_after} deltas into {path:?}");
-                        }
-                        Err(e) => {
-                            // Fold is best-effort: the lineage keeps
-                            // extending and the next apply retries it.
-                            lin.applied = fold_after.saturating_sub(1);
-                            eprintln!("act-serve: delta fold failed ({e}); will retry");
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                // A rejected delta may have left the scratch prefix-
-                // applied (per-op failures mutate before erroring), so
-                // re-arm it from the published state.
-                lin.rearm();
-                if matches!(e, SnapshotError::Io(_)) {
-                    // Short/failed read: no verdict on the bytes. Leave
-                    // `delta_prev_poll` standing so the very next poll
-                    // (after backoff) retries the same stable file.
-                    opts.counters.note_error();
-                    err_streak = err_streak.saturating_add(1);
-                    eprintln!("act-serve: delta read at {dpath:?} failed ({e}); backing off");
-                } else {
-                    // Corrupt or wrong-chain bytes: quarantine so the
-                    // lineage resumes the moment a good file lands at
-                    // this sequence, and the bad file is never re-read.
-                    match quarantine_delta(&dpath) {
-                        Ok(qpath) => {
-                            opts.counters.note_quarantine();
-                            delta_prev_poll = None;
-                            delta_failed = None;
-                            err_streak = 0;
-                            if let Some(t) = &opts.trace {
-                                t.always("quarantine", &[("seq", next_seq)]);
-                            }
-                            eprintln!(
-                                "act-serve: delta at {dpath:?} rejected ({e}); \
-                                 quarantined to {qpath:?}"
-                            );
-                        }
-                        Err(re) => {
-                            // Can't move it aside: fall back to the old
-                            // remember-and-skip behavior.
-                            delta_failed = Some(dsig);
-                            eprintln!(
-                                "act-serve: delta at {dpath:?} rejected ({e}); \
-                                 quarantine failed ({re}); ignoring until it changes"
-                            );
-                        }
-                    }
-                }
-            }
-        }
+    let mut watcher = Watcher::new(initial, opts.interval);
+    let mut shell = Shell {
+        path,
+        store,
+        opts: &opts,
+        lineage: None,
+        publishes: 0,
+    };
+    let mut pause = opts.interval;
+    while !shutdown.load(Ordering::Acquire) && sleep_sliced(pause, shutdown) {
+        pause = shell.poll(&mut watcher);
     }
-    publishes
-}
-
-/// Folds the lineage's working index into a new base snapshot: stream
-/// it to a sibling, fsync, rename over the base path (all three through
-/// [`act_core::ActIndexView::save_file`]), delete the consumed delta
-/// files, and restart the chain from the checksum the writer returned.
-fn fold_lineage(base: &Path, lin: &mut Lineage) -> Result<(), act_core::SnapshotError> {
-    let new_sum = lin.working.view().save_file(base)?;
-    for seq in 1..lin.link.next_seq {
-        let _ = std::fs::remove_file(delta_path(base, seq));
-    }
-    lin.link = DeltaLink::for_base(new_sum);
-    lin.applied = 0;
-    Ok(())
+    shell.publishes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use act_core::{save_delta_file, DeltaOp};
-    use geom::{Polygon, Ring};
+    use geom::{Coord, Polygon, Ring};
+    use std::collections::BTreeMap;
 
     fn square(cx: f64, cy: f64, half: f64) -> Polygon {
         Polygon::new(
@@ -807,6 +850,18 @@ mod tests {
         p
     }
 
+    /// Watcher options polling every `ms` milliseconds, with fresh
+    /// counters and no trace ring or fault plan.
+    fn options(ms: u64) -> WatchOptions {
+        WatchOptions {
+            interval: Duration::from_millis(ms),
+            counters: Arc::default(),
+            trace: None,
+            #[cfg(feature = "fault-injection")]
+            faults: None,
+        }
+    }
+
     #[test]
     fn swap_bumps_epoch_and_keeps_old_arcs_alive() {
         let a = snap_file("a", &[square(-74.0, 40.7, 0.02)]);
@@ -815,7 +870,7 @@ mod tests {
         let (old, e1) = store.current();
         assert_eq!(e1, 1);
         let inside_a = Coord::new(-74.0, 40.7);
-        assert!(!old.lookup_refs(inside_a).is_empty());
+        assert!(!old.view().lookup_refs(inside_a).is_empty());
 
         let e2 = store.swap(MappedSnapshot::open(&b).unwrap());
         assert_eq!(e2, 2);
@@ -826,8 +881,8 @@ mod tests {
         assert_eq!(e, 2);
         // New snapshot answers differently; the old Arc still answers as
         // before (in-flight batches are undisturbed).
-        assert!(new.lookup_refs(inside_a).is_empty());
-        assert!(!old.lookup_refs(inside_a).is_empty());
+        assert!(new.view().lookup_refs(inside_a).is_empty());
+        assert!(!old.view().lookup_refs(inside_a).is_empty());
         std::fs::remove_file(&a).unwrap();
         std::fs::remove_file(&b).unwrap();
     }
@@ -860,12 +915,12 @@ mod tests {
         // Probing and swapping must both still work.
         let (idx, e1) = store.current();
         assert_eq!(e1, 1);
-        assert!(!idx.lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
+        assert!(!idx.view().lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
         let e2 = store.swap(MappedSnapshot::open(&b).unwrap());
         assert_eq!(e2, 2);
         let (idx, e) = store.current();
         assert_eq!(e, 2);
-        assert!(!idx.lookup_refs(Coord::new(-73.9, 40.7)).is_empty());
+        assert!(!idx.view().lookup_refs(Coord::new(-73.9, 40.7)).is_empty());
         std::fs::remove_file(&a).unwrap();
         std::fs::remove_file(&b).unwrap();
     }
@@ -879,7 +934,7 @@ mod tests {
         let handle = {
             let (store, shutdown, path) = (store.clone(), shutdown.clone(), path.clone());
             std::thread::spawn(move || {
-                watch_loop(&path, Duration::from_millis(10), &store, &shutdown, initial)
+                watch_loop_opts(&path, &store, &shutdown, initial, options(10))
             })
         };
 
@@ -948,9 +1003,6 @@ mod tests {
     /// Delta files beside the base are validated, applied in lineage
     /// order without remapping the base, and folded into a new base once
     /// the threshold is crossed; garbage deltas are rejected harmlessly.
-    // The `..default()` spread is needless only when `fault-injection`
-    // is off (it supplies the cfg'd `faults` field when it is on).
-    #[allow(clippy::needless_update)]
     #[test]
     fn watcher_applies_deltas_and_folds() {
         let path = snap_file("delta", &[square(-74.0, 40.7, 0.02)]);
@@ -963,17 +1015,14 @@ mod tests {
             let (store, shutdown, path) = (store.clone(), shutdown.clone(), path.clone());
             let counters = Arc::clone(&counters);
             std::thread::spawn(move || {
-                // fold_after = 2 so this test exercises the fold.
                 watch_loop_opts(
                     &path,
                     &store,
                     &shutdown,
                     initial,
                     WatchOptions {
-                        interval: Duration::from_millis(10),
-                        fold_after: 2,
                         counters,
-                        ..WatchOptions::default()
+                        ..options(10)
                     },
                 )
             })
@@ -1021,25 +1070,34 @@ mod tests {
             matches!(&*idx, ServeIndex::Owned(_)),
             "delta apply must not remap"
         );
-        assert!(!idx.lookup_refs(Coord::new(-73.9, 40.7)).is_empty());
-        assert!(!idx.lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
+        assert!(!idx.view().lookup_refs(Coord::new(-73.9, 40.7)).is_empty());
+        assert!(!idx.view().lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
 
-        // Delta 2: remove the original polygon. This crosses
-        // fold_after = 2, so the base file is rewritten and deltas are
-        // deleted.
+        // Delta 2: remove the original polygon.
         let rm = DeltaOp::Remove { id: 0 };
-        save_delta_file(&[rm], link, &delta_path(&path, 2)).unwrap();
+        let (mut link, _) = save_delta_file(&[rm], link, &delta_path(&path, 2)).unwrap();
         wait_epoch(3);
         assert_eq!(store.delta_applies(), 2);
         let (idx, _) = store.current();
-        assert!(idx.lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
-        assert!(!idx.lookup_refs(Coord::new(-73.9, 40.7)).is_empty());
+        assert!(idx.view().lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
+        assert!(!idx.view().lookup_refs(Coord::new(-73.9, 40.7)).is_empty());
+        drop(idx);
+
+        // Empty deltas up to FOLD_AFTER_DELTAS: the last one crosses it,
+        // so the base file is rewritten and deltas are deleted.
+        for seq in 3..=FOLD_AFTER_DELTAS {
+            link = save_delta_file(&[], link, &delta_path(&path, seq))
+                .unwrap()
+                .0;
+        }
+        let folded_epoch = FOLD_AFTER_DELTAS as u32 + 1;
+        wait_epoch(folded_epoch);
 
         // The fold: consumed delta files disappear, the rewritten base
         // answers like the live index, and the watcher does NOT reload
         // it (epoch stays put).
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while (delta_path(&path, 1).exists() || delta_path(&path, 2).exists())
+        while (1..=FOLD_AFTER_DELTAS).any(|seq| delta_path(&path, seq).exists())
             && std::time::Instant::now() < deadline
         {
             std::thread::sleep(Duration::from_millis(5));
@@ -1049,6 +1107,7 @@ mod tests {
             "fold must delete consumed deltas"
         );
         assert!(!delta_path(&path, 2).exists());
+        assert!(!delta_path(&path, FOLD_AFTER_DELTAS).exists());
         // The fold streamed the published index's snapshot, byte for
         // byte.
         let ServeIndex::Owned(published) = &*store.current().0 else {
@@ -1062,7 +1121,11 @@ mod tests {
         assert!(view.lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
         assert!(!view.lookup_refs(Coord::new(-73.9, 40.7)).is_empty());
         std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(store.epoch(), 3, "fold must not trigger a reload");
+        assert_eq!(
+            store.epoch(),
+            folded_epoch,
+            "fold must not trigger a reload"
+        );
 
         // The new lineage restarts at seq 1 against the folded base.
         let folded_sum = act_core::header_checksum(&std::fs::read(&path).unwrap()).unwrap();
@@ -1072,13 +1135,13 @@ mod tests {
             polygon: square(-73.8, 40.7, 0.02),
         };
         save_delta_file(&[add2], link, &delta_path(&path, 1)).unwrap();
-        wait_epoch(4);
+        wait_epoch(folded_epoch + 1);
         let (idx, _) = store.current();
-        assert!(!idx.lookup_refs(Coord::new(-73.8, 40.7)).is_empty());
+        assert!(!idx.view().lookup_refs(Coord::new(-73.8, 40.7)).is_empty());
 
         shutdown.store(true, Ordering::Release);
         let publishes = handle.join().unwrap();
-        assert_eq!(publishes, 3);
+        assert_eq!(publishes, FOLD_AFTER_DELTAS + 1);
         let _ = std::fs::remove_file(delta_path(&path, 1));
         let _ = std::fs::remove_file(&qpath);
         std::fs::remove_file(&path).unwrap();
@@ -1088,7 +1151,6 @@ mod tests {
     /// insert delta, a remove delta (which leaves tombstone garbage) and
     /// a run of idle polls, the next apply publishes an index that still
     /// carries that garbage.
-    #[allow(clippy::needless_update)]
     #[test]
     fn watcher_leaves_waste_below_threshold_uncompacted() {
         let base: Vec<Polygon> = (0..12)
@@ -1102,16 +1164,7 @@ mod tests {
         let handle = {
             let (store, shutdown, path) = (store.clone(), shutdown.clone(), path.clone());
             std::thread::spawn(move || {
-                watch_loop_opts(
-                    &path,
-                    &store,
-                    &shutdown,
-                    initial,
-                    WatchOptions {
-                        interval: Duration::from_millis(5),
-                        ..WatchOptions::default()
-                    },
-                )
+                watch_loop_opts(&path, &store, &shutdown, initial, options(5))
             })
         };
         let wait_epoch = |want: u32| {
@@ -1160,8 +1213,8 @@ mod tests {
             "idle polls compacted below the threshold ({waste} -> {waste_after} bytes)"
         );
         let (idx, _) = store.current();
-        assert!(!idx.lookup_refs(Coord::new(-72.9, 40.7)).is_empty());
-        assert!(idx.lookup_refs(Coord::new(-73.3, 40.7)).is_empty());
+        assert!(!idx.view().lookup_refs(Coord::new(-72.9, 40.7)).is_empty());
+        assert!(idx.view().lookup_refs(Coord::new(-73.3, 40.7)).is_empty());
 
         shutdown.store(true, Ordering::Release);
         assert_eq!(handle.join().unwrap(), 3);
@@ -1175,7 +1228,6 @@ mod tests {
     /// threshold: the apply compacts to completion before it publishes,
     /// so the published index is back under the threshold, answers
     /// right, and the next delta applies on top of it.
-    #[allow(clippy::needless_update)]
     #[test]
     fn watcher_compacts_when_one_delta_crosses_the_threshold() {
         let base: Vec<Polygon> = (0..12)
@@ -1190,16 +1242,7 @@ mod tests {
         let handle = {
             let (store, shutdown, path) = (store.clone(), shutdown.clone(), path.clone());
             std::thread::spawn(move || {
-                watch_loop_opts(
-                    &path,
-                    &store,
-                    &shutdown,
-                    initial,
-                    WatchOptions {
-                        interval: Duration::from_millis(5),
-                        ..WatchOptions::default()
-                    },
-                )
+                watch_loop_opts(&path, &store, &shutdown, initial, options(5))
             })
         };
         let wait_epoch = |want: u32| {
@@ -1233,10 +1276,17 @@ mod tests {
             ix.memory_bytes()
         );
         for k in 0..9 {
-            assert!(idx.lookup_refs(at(k)).is_empty(), "removed polygon {k}");
+            assert!(
+                idx.view().lookup_refs(at(k)).is_empty(),
+                "removed polygon {k}"
+            );
         }
         for k in 9..12 {
-            assert_eq!(idx.lookup_refs(at(k)), vec![(k, true)], "survivor {k}");
+            assert_eq!(
+                idx.view().lookup_refs(at(k)),
+                vec![(k, true)],
+                "survivor {k}"
+            );
         }
         drop(idx);
 
@@ -1248,9 +1298,9 @@ mod tests {
         save_delta_file(&[add], link, &delta_path(&path, 2)).unwrap();
         wait_epoch(3);
         let (idx, _) = store.current();
-        assert_eq!(idx.lookup_refs(at(0)), vec![(20, true)]);
-        assert_eq!(idx.lookup_refs(at(11)), vec![(11, true)]);
-        assert!(idx.lookup_refs(at(1)).is_empty());
+        assert_eq!(idx.view().lookup_refs(at(0)), vec![(20, true)]);
+        assert_eq!(idx.view().lookup_refs(at(11)), vec![(11, true)]);
+        assert!(idx.view().lookup_refs(at(1)).is_empty());
         drop(idx);
 
         shutdown.store(true, Ordering::Release);
@@ -1261,10 +1311,10 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// A rejected first delta must not leave a half-opened lineage
-    /// behind: nothing was published, so the lineage is dropped and the
-    /// next good file reopens it from the mapped base.
-    #[allow(clippy::needless_update)]
+    /// A rejected first delta must not leak into the lineage: its first
+    /// op has already mutated the scratch when the apply fails, so the
+    /// lineage stays open and re-arms its scratch from the mapped base,
+    /// and the next good file applies on that clean copy.
     #[test]
     fn rejected_first_delta_reopens_lineage_on_next_good_file() {
         let path = snap_file("first-reject", &[square(-74.0, 40.7, 0.02)]);
@@ -1283,9 +1333,8 @@ mod tests {
                     &shutdown,
                     initial,
                     WatchOptions {
-                        interval: Duration::from_millis(5),
                         counters,
-                        ..WatchOptions::default()
+                        ..options(5)
                     },
                 )
             })
@@ -1327,12 +1376,12 @@ mod tests {
         }
         assert_eq!(store.epoch(), 2, "the good file opens a fresh lineage");
         let (idx, _) = store.current();
-        assert!(!idx.lookup_refs(Coord::new(-73.8, 40.7)).is_empty());
+        assert!(!idx.view().lookup_refs(Coord::new(-73.8, 40.7)).is_empty());
         assert!(
-            idx.lookup_refs(Coord::new(-73.9, 40.7)).is_empty(),
+            idx.view().lookup_refs(Coord::new(-73.9, 40.7)).is_empty(),
             "the rejected delta's first op must not survive"
         );
-        assert!(!idx.lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
+        assert!(!idx.view().lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
 
         shutdown.store(true, Ordering::Release);
         assert_eq!(handle.join().unwrap(), 1);
@@ -1375,10 +1424,9 @@ mod tests {
                     &shutdown,
                     initial,
                     WatchOptions {
-                        interval: Duration::from_millis(5),
                         counters,
                         faults: Some(faults),
-                        ..WatchOptions::default()
+                        ..options(5)
                     },
                 )
             })
@@ -1405,5 +1453,555 @@ mod tests {
         shutdown.store(true, Ordering::Release);
         handle.join().unwrap();
         std::fs::remove_file(&path).unwrap();
+    }
+
+    // ---------------------------------------------------------------
+    // The seeded model: the shell driven one poll at a time over a temp
+    // dir (no thread, no sleep) through scripted file events, each
+    // published index checked point by point against a rebuild.
+    // ---------------------------------------------------------------
+
+    /// splitmix64: a failing script replays from its seed alone.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    const MODEL_PRECISION_M: f64 = 60.0;
+    const MODEL_INTERVAL: Duration = Duration::from_millis(10);
+    const MODEL_SEEDS: u64 = 6;
+    const MODEL_EVENTS: usize = 60;
+
+    /// An index over `live` built from scratch, each polygon under its id.
+    fn rebuild(live: &BTreeMap<u32, Polygon>) -> ActIndex {
+        let params = act_core::CoveringParams::new(MODEL_PRECISION_M);
+        let n = live.keys().next_back().map_or(0, |&id| id + 1);
+        let coverings = (0..n)
+            .map(|id| match live.get(&id) {
+                Some(p) => act_core::cover_polygon(p, &params).unwrap(),
+                None => act_core::Covering::default(),
+            })
+            .collect();
+        ActIndex::from_coverings(coverings, params, 0.0)
+    }
+
+    /// A small square somewhere along the model's strip; neighbours
+    /// overlap, so cells carry several refs.
+    fn random_square(rng: &mut Rng) -> Polygon {
+        let cx = -74.0 + 0.05 * rng.below(14) as f64 + 0.01 * rng.below(3) as f64;
+        let cy = 40.69 + 0.01 * rng.below(3) as f64;
+        square(cx, cy, [0.012, 0.02, 0.03][rng.below(3) as usize])
+    }
+
+    /// Seals delta words the way the writer does: FNV-1a over every
+    /// word but the checksum word 3.
+    fn seal(words: &mut [u64]) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (i, &w) in words.iter().enumerate() {
+            if i != 3 {
+                h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        words[3] = h;
+    }
+
+    /// Removes the script's temp dir however the script ends.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// The ways a delta file can be rejected; each must be quarantined.
+    const BAD_DELTAS: [&str; 6] = [
+        "corrupt",
+        "truncated",
+        "out-of-order",
+        "wrong-chain",
+        "over-30-bit-id",
+        "fails-mid-apply",
+    ];
+
+    /// The shell under test, the watcher it drives, and the model the
+    /// published index must match.
+    struct Harness<'a> {
+        shell: Shell<'a>,
+        watcher: Watcher,
+        rng: Rng,
+        /// The polygon set of the current base plus its good deltas.
+        live: BTreeMap<u32, Polygon>,
+        /// The writer's cursor: what the next good delta chains onto.
+        link: DeltaLink,
+        epoch: u32,
+        quarantines: u64,
+        errors: u64,
+        /// Opens and applies attempted so far, by fault site.
+        attempts: [u64; 2],
+        points: Vec<Coord>,
+        seen: &'a mut BTreeMap<&'static str, u32>,
+        /// The event under way, for failure messages.
+        event: String,
+    }
+
+    impl Harness<'_> {
+        fn path(&self) -> &Path {
+            self.shell.path
+        }
+
+        /// One poll, then the books. `streak` is how many polls in a
+        /// row, this one included, have ended on an IO error (0 for a
+        /// clean poll); it fixes the pause the watcher must ask for.
+        fn poll(&mut self, streak: u32) {
+            let pause = self.shell.poll(&mut self.watcher);
+            let counters = &self.shell.opts.counters;
+            let at = &self.event;
+            assert_eq!(pause, backoff(MODEL_INTERVAL, streak), "pause, {at}");
+            assert_eq!(self.shell.store.epoch(), self.epoch, "epoch, {at}");
+            assert_eq!(
+                counters.quarantines(),
+                self.quarantines,
+                "quarantines, {at}"
+            );
+            assert_eq!(counters.errors(), self.errors, "errors, {at}");
+        }
+
+        /// The published index answers like a rebuild of the model.
+        fn check(&self) {
+            let want = rebuild(&self.live);
+            let (got, _) = self.shell.store.current();
+            for &c in &self.points {
+                let mut a = got.view().lookup_refs(c);
+                let mut b = want.as_view().lookup_refs(c);
+                a.sort_unstable();
+                b.sort_unstable();
+                assert_eq!(a, b, "diverges from a rebuild at {c}, {}", self.event);
+            }
+        }
+
+        /// Polls until the reload (`site` 0) or apply (1) that the next
+        /// poll attempts gets past the fault plan: with
+        /// `fault-injection`, the plan fails the 2nd and every 5th
+        /// attempt after it at each site with an IO error, which the
+        /// watcher must count and retry under backoff, never quarantine.
+        fn attempt(&mut self, site: usize) {
+            self.attempts[site] += 1;
+            while cfg!(feature = "fault-injection") && self.attempts[site] % 5 == 2 {
+                self.errors += 1;
+                self.poll(1);
+                self.attempts[site] += 1;
+            }
+        }
+
+        fn note(&mut self, what: &'static str) {
+            *self.seen.entry(what).or_default() += 1;
+        }
+
+        /// Writes `live` as the base snapshot; returns its checksum.
+        fn write_base(&self, live: &BTreeMap<u32, Polygon>) -> u64 {
+            let mut bytes = Vec::new();
+            rebuild(live).save_snapshot(&mut bytes).unwrap();
+            act_core::write_file_atomic(self.path(), &bytes).unwrap();
+            act_core::header_checksum(&bytes).unwrap()
+        }
+
+        fn delta_bytes(&self, ops: &[DeltaOp], link: DeltaLink) -> Vec<u8> {
+            let mut bytes = Vec::new();
+            act_core::save_delta(ops, link, &mut bytes).unwrap();
+            bytes
+        }
+
+        fn write_delta(&self, bytes: &[u8]) {
+            let dpath = delta_path(self.path(), self.link.next_seq);
+            act_core::write_file_atomic(&dpath, bytes).unwrap();
+        }
+
+        /// A good delta: seen once, then applied on the next poll; the
+        /// apply that reaches `FOLD_AFTER_DELTAS` also folds.
+        fn good_delta(&mut self, ops: Vec<DeltaOp>) {
+            let before = self.shell.store.current().0;
+            let mut bytes = Vec::new();
+            let (link, _) = act_core::save_delta(&ops, self.link, &mut bytes).unwrap();
+            self.write_delta(&bytes);
+            self.poll(0);
+            self.attempt(1);
+            for op in ops {
+                match op {
+                    DeltaOp::Insert { id, polygon } => self.live.insert(id, polygon),
+                    DeltaOp::Remove { id } => self.live.remove(&id),
+                };
+            }
+            self.epoch += 1;
+            self.poll(0);
+            self.check();
+            let after = self.shell.store.current().0;
+            let ServeIndex::Owned(ix) = &*after else {
+                panic!("a delta apply publishes an owned index");
+            };
+            let shared = match &*before {
+                ServeIndex::Mapped(snap) => ix
+                    .act()
+                    .shares_base_with(ActIndex::from_mapped(Arc::clone(snap)).act()),
+                ServeIndex::Owned(prev) => ix.act().shares_base_with(prev.act()),
+            };
+            if !shared {
+                self.note("compaction");
+            }
+            self.link = link;
+            if link.next_seq > FOLD_AFTER_DELTAS {
+                self.note("fold");
+                for seq in 1..link.next_seq {
+                    assert!(!delta_path(self.path(), seq).exists(), "fold left d{seq}");
+                }
+                let mut image = Vec::new();
+                ix.save_snapshot(&mut image).unwrap();
+                let base = std::fs::read(self.path()).unwrap();
+                assert!(base == image, "the fold must write the published index");
+                self.link = DeltaLink::for_base(act_core::header_checksum(&base).unwrap());
+            }
+        }
+
+        /// A rejected delta: seen once, quarantined on the next poll,
+        /// the served index unchanged.
+        fn bad_delta(&mut self, kind: &'static str) {
+            let good = [DeltaOp::Insert {
+                id: 3,
+                polygon: square(-73.85, 40.7, 0.02),
+            }];
+            let bytes = match kind {
+                "corrupt" => {
+                    let mut b = self.delta_bytes(&good, self.link);
+                    let at = self.rng.below(b.len() as u64) as usize;
+                    b[at] ^= 1 << self.rng.below(8);
+                    b
+                }
+                "truncated" => {
+                    let b = self.delta_bytes(&good, self.link);
+                    b[..1 + self.rng.below(b.len() as u64 - 1) as usize].to_vec()
+                }
+                "out-of-order" => self.delta_bytes(
+                    &good,
+                    DeltaLink {
+                        next_seq: self.link.next_seq + 1,
+                        ..self.link
+                    },
+                ),
+                "wrong-chain" => self.delta_bytes(
+                    &good,
+                    DeltaLink {
+                        prev_sum: self.link.prev_sum ^ 1,
+                        ..self.link
+                    },
+                ),
+                "over-30-bit-id" => {
+                    let b = self.delta_bytes(&good, self.link);
+                    let mut words: Vec<u64> = b
+                        .chunks_exact(8)
+                        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                        .collect();
+                    words[8] = 1 | (u64::from(act_core::MAX_POLYGON_ID + 1) << 32);
+                    seal(&mut words);
+                    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+                }
+                _ => {
+                    // The first op mutates the scratch; the second spans
+                    // two cube faces and fails the apply.
+                    let spans_faces = DeltaOp::Insert {
+                        id: 4,
+                        polygon: square(45.0, 0.0, 2.0),
+                    };
+                    self.delta_bytes(&[good[0].clone(), spans_faces], self.link)
+                }
+            };
+            self.note(kind);
+            self.write_delta(&bytes);
+            self.poll(0);
+            self.attempt(1);
+            self.quarantines += 1;
+            self.poll(0);
+            let dpath = delta_path(self.path(), self.link.next_seq);
+            let mut qpath = dpath.clone().into_os_string();
+            qpath.push(".quarantine");
+            assert!(!dpath.exists(), "{kind} delta left in its slot");
+            std::fs::remove_file(qpath).expect("quarantined file");
+        }
+
+        /// An operator replaces the base (removing the lineage's files),
+        /// sometimes writing the new lineage's first delta with it: the
+        /// base reloads on the second poll; the delta, seen first under
+        /// the new lineage on the third, applies on the fourth.
+        fn replace_base(&mut self) {
+            if self.link.next_seq > 1 {
+                self.note("base-replaced-mid-lineage");
+            }
+            for seq in 1..self.link.next_seq {
+                std::fs::remove_file(delta_path(self.path(), seq)).unwrap();
+            }
+            let live: BTreeMap<u32, Polygon> = (0..4 + self.rng.below(9) as u32)
+                .map(|id| (id, random_square(&mut self.rng)))
+                .collect();
+            let link = DeltaLink::for_base(self.write_base(&live));
+            let first = (self.rng.below(2) == 0).then(|| {
+                let ops = vec![DeltaOp::Insert {
+                    id: 20,
+                    polygon: random_square(&mut self.rng),
+                }];
+                let mut bytes = Vec::new();
+                let next = act_core::save_delta(&ops, link, &mut bytes).unwrap().0;
+                act_core::write_file_atomic(&delta_path(self.path(), 1), &bytes).unwrap();
+                (ops, next)
+            });
+            self.poll(0);
+            self.attempt(0);
+            self.epoch += 1;
+            self.live = live;
+            self.link = link;
+            self.poll(0);
+            self.check();
+            if let Some((ops, next)) = first {
+                self.poll(0);
+                self.attempt(1);
+                let DeltaOp::Insert { id, polygon } = ops[0].clone() else {
+                    unreachable!()
+                };
+                self.live.insert(id, polygon);
+                self.epoch += 1;
+                self.poll(0);
+                self.check();
+                self.link = next;
+            }
+        }
+
+        /// Bytes that are no snapshot land on the base path: judged
+        /// invalid once stable, the current index keeps serving and the
+        /// lineage goes on over it.
+        fn invalid_base(&mut self) {
+            self.note("invalid-base");
+            act_core::write_file_atomic(self.path(), b"not a snapshot").unwrap();
+            self.poll(0);
+            self.attempt(0);
+            self.poll(0);
+            self.poll(0);
+        }
+
+        /// `polls` stats in a row fail — a directory where the base or
+        /// the next delta should be — and the watcher backs off, doubling
+        /// its pause; the first clean poll after goes back to the
+        /// interval and nothing is published.
+        fn stat_flap(&mut self, polls: u32) {
+            let base = self.rng.below(2) == 0;
+            let (at, aside) = if base {
+                self.note("base-stat-flap");
+                let aside = self.path().with_extension("aside");
+                std::fs::rename(self.path(), &aside).unwrap();
+                (self.path().to_path_buf(), Some(aside))
+            } else {
+                self.note("delta-stat-flap");
+                (delta_path(self.path(), self.link.next_seq), None)
+            };
+            std::fs::create_dir(&at).unwrap();
+            for streak in 1..=polls {
+                self.errors += 1;
+                self.poll(streak);
+            }
+            std::fs::remove_dir(&at).unwrap();
+            if let Some(aside) = aside {
+                std::fs::rename(aside, &at).unwrap();
+            }
+            self.poll(0);
+        }
+
+        fn random_ops(&mut self) -> Vec<DeltaOp> {
+            (0..self.rng.below(4))
+                .map(|_| {
+                    let id = self.rng.below(16) as u32;
+                    if self.rng.below(3) == 0 {
+                        DeltaOp::Remove { id }
+                    } else {
+                        DeltaOp::Insert {
+                            id,
+                            polygon: random_square(&mut self.rng),
+                        }
+                    }
+                })
+                .collect()
+        }
+    }
+
+    /// Runs `script` on a harness over a fresh temp dir whose base holds
+    /// 12 random squares, then checks every publish was the shell's.
+    fn with_harness(
+        seed: u64,
+        seen: &mut BTreeMap<&'static str, u32>,
+        script: impl FnOnce(&mut Harness),
+    ) {
+        let dir = TempDir(
+            std::env::temp_dir().join(format!("act-watch-model-{}-{seed}", std::process::id())),
+        );
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let path = dir.0.join("zones.snap");
+        let mut rng = Rng(seed);
+        let live: BTreeMap<u32, Polygon> = (0..12).map(|k| (k, random_square(&mut rng))).collect();
+        let mut bytes = Vec::new();
+        rebuild(&live).save_snapshot(&mut bytes).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let sum = act_core::header_checksum(&bytes).unwrap();
+        let initial = snapshot_signature(&path);
+        let store = IndexStore::new(MappedSnapshot::open(&path).unwrap());
+        #[cfg(feature = "fault-injection")]
+        let faults = {
+            use crate::faults::{FaultPlan, FaultSpec, Site};
+            let spec = |site| FaultSpec {
+                site,
+                first: 2,
+                every: 5,
+                count: u64::MAX,
+            };
+            let plan = FaultPlan::new(seed).with(spec(Site::SnapshotOpen));
+            Some(plan.with(spec(Site::DeltaOpen)).arm())
+        };
+        let opts = WatchOptions {
+            #[cfg(feature = "fault-injection")]
+            faults,
+            ..options(MODEL_INTERVAL.as_millis() as u64)
+        };
+        let mut h = Harness {
+            shell: Shell {
+                path: &path,
+                store: &store,
+                opts: &opts,
+                lineage: None,
+                publishes: 0,
+            },
+            watcher: Watcher::new(initial, MODEL_INTERVAL),
+            rng,
+            live,
+            link: DeltaLink::for_base(sum),
+            epoch: 1,
+            quarantines: 0,
+            errors: 0,
+            attempts: [0; 2],
+            points: (0..96)
+                .map(|k| {
+                    Coord::new(
+                        -74.05 + 0.0075 * f64::from(k),
+                        40.66 + 0.007 * f64::from(k % 9),
+                    )
+                })
+                .collect(),
+            seen,
+            event: String::new(),
+        };
+        h.check();
+        script(&mut h);
+        assert_eq!(
+            h.shell.publishes,
+            u64::from(h.epoch - 1),
+            "every publish is the shell's"
+        );
+    }
+
+    /// One seeded script of `MODEL_EVENTS` file events.
+    fn run_script(seed: u64, seen: &mut BTreeMap<&'static str, u32>) {
+        with_harness(seed, seen, |h| {
+            for event in 0..MODEL_EVENTS {
+                let pick = h.rng.below(16);
+                h.event = format!("event {event} (kind {pick}, next seq {})", h.link.next_seq);
+                match pick {
+                    0..=7 => {
+                        let ops = h.random_ops();
+                        h.good_delta(ops);
+                    }
+                    8..=10 => {
+                        let kind = BAD_DELTAS[h.rng.below(BAD_DELTAS.len() as u64) as usize];
+                        h.bad_delta(kind);
+                    }
+                    11 => {
+                        // Remove all but one polygon: past the compaction
+                        // threshold in one delta.
+                        let ids: Vec<u32> = h.live.keys().skip(1).copied().collect();
+                        let ops = ids.into_iter().map(|id| DeltaOp::Remove { id }).collect();
+                        h.good_delta(ops);
+                    }
+                    12 => h.replace_base(),
+                    13 => h.invalid_base(),
+                    14 => {
+                        let polls = 1 + h.rng.below(4) as u32;
+                        h.stat_flap(polls);
+                    }
+                    _ => {
+                        h.poll(0);
+                        h.check();
+                    }
+                }
+            }
+        });
+    }
+
+    /// The model property: for seeded scripts of good, corrupt,
+    /// truncated, out-of-order, wrong-chain and over-30-bit deltas, base
+    /// replacements mid-lineage, invalid bases and flapping stat errors,
+    /// the watcher publishes exactly when the debounce allows, backs off
+    /// as specified, quarantines exactly the bad files, folds at
+    /// `FOLD_AFTER_DELTAS` without reloading, compacts past the
+    /// threshold — and every published index answers, point by point,
+    /// like a rebuild of the current base plus its good deltas in order.
+    #[test]
+    fn watcher_matches_a_rebuild_under_seeded_scripts() {
+        let mut seen = BTreeMap::new();
+        for seed in 1..=MODEL_SEEDS {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_script(seed, &mut seen)
+            }));
+            if let Err(cause) = run {
+                let why = cause
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| cause.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default();
+                panic!(
+                    "watcher model failed at seed {seed} (replay: run_script({seed}, ..)): {why}"
+                );
+            }
+        }
+        let wanted = [
+            "fold",
+            "compaction",
+            "base-replaced-mid-lineage",
+            "invalid-base",
+        ];
+        let flaps = ["base-stat-flap", "delta-stat-flap"];
+        for what in wanted.iter().chain(&flaps).chain(&BAD_DELTAS) {
+            assert!(
+                seen.contains_key(what),
+                "no script covered {what}: {seen:?}"
+            );
+        }
+    }
+
+    /// A checksum-valid delta with an op id above 30 bits (one a foreign
+    /// writer could produce) is quarantined like any invalid file, and
+    /// the next good delta at that sequence applies.
+    #[test]
+    fn over_30_bit_delta_id_is_quarantined_then_the_next_delta_applies() {
+        with_harness(7, &mut BTreeMap::new(), |h| {
+            h.bad_delta("over-30-bit-id");
+            h.good_delta(vec![DeltaOp::Insert {
+                id: 3,
+                polygon: square(-73.85, 40.7, 0.02),
+            }]);
+        });
     }
 }

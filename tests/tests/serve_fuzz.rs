@@ -2,7 +2,8 @@
 //! router: a seeded RNG generates ≥500 malformed frames — truncations,
 //! oversized length prefixes, garbage opcodes, bad flags/reserved bytes,
 //! point-count mismatches, non-finite coordinates, mid-frame
-//! disconnects — and fires each at the endpoint on its own connection.
+//! disconnects — plus well-formed cell frames of ids no cell has, and
+//! fires each at the endpoint on its own connection.
 //! Both endpoints face the same corpus. The contract under attack:
 //!
 //! * the endpoint never panics and never wedges (every read here carries
@@ -10,6 +11,8 @@
 //! * every malformed frame is answered with a **typed** `BAD_REQUEST`
 //!   (then close) or met with a clean close — never garbage, never
 //!   silence on an intact connection;
+//! * a cell frame is answered OK whatever its `u64` ids hold: one whose
+//!   face bits are 6 or 7 names no cell and misses, and no walk panics;
 //! * a concurrent well-formed connection keeps getting byte-correct
 //!   answers the whole time, and the server still serves after the last
 //!   attack.
@@ -17,6 +20,7 @@
 use act_core::{write_shard_files, ActIndex};
 use act_serve::{protocol as proto, Client, Router, RouterConfig, ServeConfig, Server};
 use geom::Coord;
+use s2cell::CellId;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -155,6 +159,7 @@ fn seeded_malformed_frames_never_panic_never_wedge_never_disturb() {
     );
     assert_eq!(stats.shed, 0);
     assert_eq!(stats.accepted, stats.answered + stats.shed);
+    assert_eq!(stats.panics_contained, 0, "no frame may panic a walk");
     server.shutdown();
     std::fs::remove_file(&path).unwrap();
 }
@@ -197,6 +202,7 @@ fn seeded_malformed_frames_never_panic_never_wedge_never_disturb_a_router() {
     let fleet = c.stats_ex().expect("fleet STATS").counters;
     assert_eq!(fleet.shed, 0);
     assert_eq!(fleet.accepted, fleet.answered + fleet.shed);
+    assert_eq!(fleet.panics_contained, 0, "no frame may panic a walk");
     router.shutdown();
     for w in workers {
         w.shutdown();
@@ -265,7 +271,7 @@ fn fuzz_endpoint(addr: std::net::SocketAddr, idx: &ActIndex) {
         let mut rng = Rng(SEED);
         for case in 0..FUZZ_CASES {
             let what = format!("case {case}");
-            match rng.below(9) {
+            match rng.below(10) {
                 // Garbage body under a correct length prefix, op forced
                 // invalid so the expectation is deterministic.
                 0 => {
@@ -360,6 +366,25 @@ fn fuzz_endpoint(addr: std::net::SocketAddr, idx: &ActIndex) {
                     let mut s = attack_conn(addr);
                     s.write_all(&f[..cut]).unwrap();
                     drop(s); // no FIN-then-read: just vanish
+                }
+                // A well-formed cell frame of ids whose face bits are 6
+                // or 7 (u64::MAX among them): answered OK, every id a
+                // miss.
+                8 => {
+                    let cells: Vec<CellId> = (0..rng.below(8))
+                        .map(|_| CellId((6 + rng.below(2)) << 61 | rng.next() >> 3))
+                        .chain([CellId(u64::MAX)])
+                        .collect();
+                    let mut c = Client::connect(addr).expect("cell-frame connect");
+                    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                    let reply = c
+                        .probe_cells(&cells)
+                        .unwrap_or_else(|e| panic!("{what}: cell frame: {e}"));
+                    assert_eq!(reply.refs.len(), cells.len(), "{what}: cell frame");
+                    assert!(
+                        reply.refs.iter().all(Vec::is_empty),
+                        "{what}: ids that name no cell must miss"
+                    );
                 }
                 // A valid frame answered correctly, THEN garbage on the
                 // same connection: the good answer must arrive first.
