@@ -62,15 +62,17 @@ pub struct BuildStats {
 ///
 /// Built once via [`ActIndex::build`] and then either served as-is or
 /// mutated in place: [`ActIndex::insert_polygon`] and
-/// [`ActIndex::remove_polygon`] edit the live trie (inserts append into
-/// the node arena, removals tombstone references). A clone shares the
-/// trie's base segment, and the edits of either copy only the nodes they
-/// write (see [`crate::trie`]); a copied-out node counts as waste. Once
-/// the accumulated garbage crosses
-/// [`ActIndex::COMPACT_WASTE_THRESHOLD`], the mutation
-/// that crossed it runs [`ActIndex::compact`] to completion before it
-/// returns: one streamed pass that re-inserts the live cells into a
-/// fresh trie, the same populate [`crate::split_index`] runs per shard.
+/// [`ActIndex::remove_polygon`] edit the live trie through one walk of
+/// each touched cell's territory: an insert takes the overlapped cells
+/// out and re-inserts them merged with its own, a removal strips the id's
+/// references and cuts loose the nodes that leaves empty. A clone
+/// shares the trie's base segment, and the edits of either copy only the
+/// nodes they write (see [`crate::trie`]); a copied-out node counts as
+/// waste. Once the accumulated garbage crosses
+/// [`ActIndex::COMPACT_WASTE_THRESHOLD`], the mutation that crossed it
+/// runs [`ActIndex::compact`] to completion before it returns: one
+/// streamed pass that re-inserts the live cells into a fresh trie, the
+/// same populate [`crate::split_index`] runs per shard.
 /// Queries take the borrowed view [`ActIndex::as_view`].
 #[derive(Debug, Clone)]
 pub struct ActIndex {
@@ -82,8 +84,8 @@ pub struct ActIndex {
     /// Transient: not persisted in snapshots.
     waste_bytes: u64,
     /// Superset of the polygon ids the trie can reference (stale entries
-    /// from tombstoned removals may linger until a compaction — that
-    /// only costs a wasted scan, never a wrong answer). `None` until the
+    /// from removals may linger until a compaction — that only costs a
+    /// wasted scan, never a wrong answer). `None` until the
     /// first mutation builds it — read off the cell inventory's keys, or
     /// by one flat arena scan when a removal needs it first; maintained
     /// incrementally afterwards so upserts of unseen ids skip the
@@ -467,16 +469,19 @@ impl ActIndex {
             self.remove_inner(id);
         }
 
-        // Extract + clear everything overlapping the new covering, then
-        // let the super-covering engine resolve the combined set. Its
-        // outputs are descendants-or-equal of its inputs, i.e. confined
-        // to the territory the clearing pass just freed, so re-insertion
-        // cannot collide with surviving cells.
+        // Take out everything overlapping the new covering, then let the
+        // super-covering engine resolve the combined set. Its outputs are
+        // descendants-or-equal of its inputs, i.e. confined to the
+        // territory the walk just freed, so re-insertion cannot collide
+        // with surviving cells.
         let mut waste = crate::trie::MutationWaste::default();
+        let mut tb = LookupTableBuilder::from_table(std::mem::take(&mut self.table));
         let mut affected: Vec<(CellId, RefSet)> = Vec::new();
         for &(cell, _) in &covering.cells {
-            self.act
-                .clear_overlaps(cell, self.table.words(), &mut affected, &mut waste);
+            self.act.rewrite_territory(cell, &mut waste, |cell, e| {
+                affected.push((cell, crate::trie::take_refs(e, &mut tb)));
+                0
+            });
         }
         let mut pairs: Vec<(CellId, crate::refs::PolygonRef)> =
             Vec::with_capacity(covering.cells.len() + affected.len());
@@ -489,7 +494,6 @@ impl ActIndex {
             }
         }
         let sc = crate::supercover::build_from_pairs(pairs);
-        let mut tb = LookupTableBuilder::from_table(std::mem::take(&mut self.table));
         for (cell, refs) in &sc.cells {
             self.act.insert_with_waste(*cell, refs, &mut tb, &mut waste);
         }
@@ -521,7 +525,7 @@ impl ActIndex {
     }
 
     /// Removes polygon `id` from the live index: every reference to it is
-    /// tombstoned out of the trie, emptied subtrees are pruned so probes
+    /// rewritten out of the trie, emptied subtrees are cut loose so probes
     /// miss, and the arena/table garbage this leaves behind is reclaimed
     /// by the next (possibly automatic) [`ActIndex::compact`]. Returns
     /// whether the index referenced `id` at all.
@@ -556,19 +560,20 @@ impl ActIndex {
                 let mut cells = cells.to_vec();
                 cells.sort_unstable();
                 cells.dedup();
-                let mut memo = HashMap::new();
-                let mut changed = false;
+                // Each entry's rewrite, memoized across the territories.
+                let (mut memo, mut stale) = (HashMap::new(), 0);
                 for cell in cells {
-                    self.act.remove_refs_in_cell(
-                        cell,
-                        id,
-                        &mut tb,
-                        &mut memo,
-                        &mut changed,
-                        &mut waste,
-                    );
+                    let path = self.act.rewrite_territory(cell, &mut waste, |_, e| {
+                        *memo.entry(e).or_insert_with(|| {
+                            crate::trie::rewrite_without(e, id, &mut tb, &mut stale)
+                        })
+                    });
+                    if let Some(mut path) = path {
+                        self.act.prune_path(&mut path, &mut waste);
+                    }
                 }
-                changed
+                waste.stale_table_words += stale;
+                memo.into_iter().any(|(e, ne)| e != ne)
             }
             None => false,
         };
@@ -668,7 +673,7 @@ impl ActIndex {
     }
 
     /// Rewrites the node arena and lookup table from the live cell set,
-    /// dropping orphaned nodes and tombstoned table entries. Mutations
+    /// dropping orphaned nodes and superseded table entries. Mutations
     /// call this automatically once [`ActIndex::waste_ratio`] crosses
     /// [`ActIndex::COMPACT_WASTE_THRESHOLD`]; it is also safe to call at
     /// any time. Probe results are unchanged.
@@ -819,6 +824,36 @@ mod tests {
         assert_eq!(
             idx.as_view().probe_coord(inner),
             Probe::One(crate::refs::PolygonRef::true_hit(0))
+        );
+    }
+
+    /// The table reopens with an empty dedup map; the insert's walk
+    /// registers every set it takes out, so the sets that come back
+    /// unchanged (the nested pair's runs pushed down around the new
+    /// square) re-intern to their old words. Only sets holding the new
+    /// polygon are appended.
+    #[test]
+    fn an_insert_appends_table_words_only_for_the_sets_it_changes() {
+        let mut idx = nested_pair();
+        let old = idx.table().len_words();
+        idx.insert_polygon(2, &square(-73.996, 40.70, 0.001))
+            .unwrap();
+        let words = idx.table().words();
+        assert!(words.len() > old, "the overlap interns new sets");
+        let mut off = old;
+        while off < words.len() {
+            let (t, c) = crate::lookup::decode_at(words, off as u32);
+            assert!(
+                t.contains(&2) || c.contains(&2),
+                "appended a set without the new polygon: {t:?} {c:?}"
+            );
+            off += 2 + t.len() + c.len();
+        }
+        // The words the pushed-down runs re-used still answer.
+        let outside = Coord::new(-73.9985, 40.70);
+        assert_eq!(
+            idx.as_view().lookup_refs(outside),
+            vec![(0, true), (1, true)]
         );
     }
 

@@ -51,21 +51,17 @@ impl LookupTableBuilder {
     }
 
     /// Reopens a built table for appending (the live-mutation path):
-    /// existing entries keep their offsets — trie entries pointing at them
-    /// stay valid — and the dedup map is rebuilt by walking the encoded
-    /// entries so re-interned sets resolve to the words already present.
+    /// existing entries keep their offsets, so trie entries pointing at
+    /// them stay valid. The dedup map starts empty rather than being
+    /// rebuilt from every word: a mutation registers the entries it
+    /// visits, so re-interning one of those sets returns its old offset.
+    /// A new set equal to an entry nobody registered appends a duplicate
+    /// of it, a few words that the next compaction drops.
     pub fn from_table(table: LookupTable) -> LookupTableBuilder {
-        let mut b = LookupTableBuilder {
+        LookupTableBuilder {
             data: table.data,
             ..LookupTableBuilder::default()
-        };
-        let mut off = 0usize;
-        while off < b.data.len() {
-            let len = entry_at(&b.data, off).len();
-            b.dedup_entry(off);
-            off += len;
         }
-        b
     }
 
     /// The raw word array so far (offsets returned by
@@ -99,8 +95,9 @@ impl LookupTableBuilder {
     }
 
     /// Registers the entry at `off` with the dedup maps and returns the
-    /// offset of the first identical entry (`off` itself when it is new).
-    fn dedup_entry(&mut self, off: usize) -> u32 {
+    /// offset of the first identical entry registered (`off` itself when
+    /// it is new).
+    pub(crate) fn dedup_entry(&mut self, off: usize) -> u32 {
         let entry = entry_at(&self.data, off);
         let first = *self.dedup.entry(entry_hash(entry)).or_insert(off as u32);
         if first as usize == off || entry_at(&self.data, first as usize) == entry {
@@ -257,12 +254,21 @@ mod tests {
         assert_ne!(flipped, first);
         assert_ne!(both, first);
         assert_ne!(both, flipped);
-        // And after reopening a built table, the same sets resolve to the
-        // offsets already there.
-        let mut reopened = LookupTableBuilder::from_table(b.build());
+        // And after reopening a built table, the sets registered again
+        // resolve to the offsets already there.
+        let table = b.build();
+        let mut reopened = LookupTableBuilder::from_table(table.clone());
+        reopened.dedup_entry(first as usize);
+        reopened.dedup_entry(flipped as usize);
         assert_eq!(reopened.intern(&pair(true, false)), first);
         assert_eq!(reopened.intern(&pair(false, true)), flipped);
         assert_eq!(reopened.words().len(), 3 * 4);
+        // An identical set nobody registered is appended again: the
+        // reopened map holds only what was registered.
+        let mut unregistered = LookupTableBuilder::from_table(table);
+        assert_eq!(unregistered.intern(&pair(true, true)), 3 * 4);
+        assert_eq!(unregistered.intern(&pair(true, true)), 3 * 4);
+        assert_eq!(unregistered.words().len(), 4 * 4);
     }
 
     #[test]

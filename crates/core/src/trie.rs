@@ -65,7 +65,7 @@
 //!
 //! Clones share the base and copy only the ext, so a live index and the
 //! copy its next edit is applied to hold one arena between them. The
-//! mutation walks are path copying (Driscoll, Sarnak, Sleator and Tarjan,
+//! mutations are path copying (Driscoll, Sarnak, Sleator and Tarjan,
 //! "Making Data Structures Persistent", 1989) at node grain: the first
 //! write to a base node another trie can see copies it into the ext and
 //! repoints its parent slot or face root, and the descent from the root
@@ -89,7 +89,6 @@ use crate::refs::{PolygonRef, RefSet, MAX_POLYGON_ID};
 use crate::snapshot::MappedSnapshot;
 use s2cell::CellId;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Entries per node (fanout).
@@ -506,14 +505,14 @@ fn walk_block<D: DepthSink + ?Sized>(
     }
 }
 
-/// Arena bookkeeping returned by the mutating walks: how much of the
+/// Arena bookkeeping counted by the mutations: how much of the
 /// index became garbage (unreachable nodes, superseded lookup-table
 /// entries). [`crate::ActIndex`] accumulates these into its waste ratio
 /// to decide when a lazy compaction pays for itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct MutationWaste {
-    /// Nodes that became unreachable from the roots (their slots are
-    /// zeroed, but the arena still holds them until a compaction).
+    /// Nodes that became unreachable from the roots (zeroed where this
+    /// trie may write them; the arena holds them until a compaction).
     pub(crate) orphaned_nodes: u64,
     /// Lookup-table words left behind by rewritten `Many` entries.
     pub(crate) stale_table_words: u64,
@@ -576,6 +575,24 @@ fn run_cell(node_cell: CellId, base: usize, size: usize) -> CellId {
     c
 }
 
+/// Where `cell` lives in the trie: the node `d_last` key bytes below its
+/// face root, and the aligned slot range `[base, base + count)` of that
+/// node it denormalizes to. A face cell is the whole root node.
+fn cell_slots(cell: CellId) -> (u32, usize, usize) {
+    let level = cell.level();
+    assert!(
+        level <= MAX_INDEX_LEVEL,
+        "cell level {level} exceeds MAX_INDEX_LEVEL"
+    );
+    if level == 0 {
+        return (0, 0, FANOUT);
+    }
+    let d_last = ((level - 1) / GRANULARITY) as u32;
+    // The last node holds 1..=4 of the cell's levels: a run of 64/16/4/1.
+    let count = 1usize << (8 - 2 * (level as u32 - GRANULARITY as u32 * d_last));
+    (d_last, cell.key_byte(d_last) as usize & !(count - 1), count)
+}
+
 /// The shared, read-only first segment of an [`Act`]'s arena (see the
 /// module docs).
 #[derive(Debug, Clone)]
@@ -606,11 +623,11 @@ impl Base {
     }
 }
 
-/// A root-to-node descent of the mutation walks. Its nodes are made
+/// A root-to-node descent of a mutation. Its nodes are made
 /// writable lazily, from the root down, on the first write at or below
 /// them (see [`Act::own_prefix`]), so a descent that ends up writing
 /// nothing copies nothing.
-struct Descent {
+pub(crate) struct Descent {
     face: usize,
     /// Node per depth; `nodes[0]` is the face root.
     nodes: [u32; 8],
@@ -850,12 +867,7 @@ impl Act {
         waste: &mut MutationWaste,
     ) {
         debug_assert!(cell.is_valid());
-        let level = cell.level();
-        assert!(
-            level <= MAX_INDEX_LEVEL,
-            "cell level {level} exceeds MAX_INDEX_LEVEL"
-        );
-
+        let (d_last, base, count) = cell_slots(cell);
         let entry = encode_terminal(refs, table);
 
         // Every node on the path is written below (a child pointer or
@@ -867,15 +879,6 @@ impl Act {
         };
         self.roots[face] = root;
         let mut node = root as usize;
-
-        if level == 0 {
-            // A face cell covers the whole root node.
-            self.fill_range(node, 0, FANOUT, entry);
-            self.inserted_cells += 1;
-            return;
-        }
-
-        let d_last = ((level - 1) / GRANULARITY) as u32;
         for d in 0..d_last {
             let b = cell.key_byte(d) as usize;
             let e = self.node(node)[b];
@@ -894,12 +897,6 @@ impl Act {
             }
             node = child as usize;
         }
-
-        let bits = 2 * (level as u32 - GRANULARITY as u32 * d_last);
-        debug_assert!((2..=8).contains(&bits));
-        let byte = cell.key_byte(d_last) as usize;
-        let base = byte & !((1usize << (8 - bits)) - 1);
-        let count = 1usize << (8 - bits);
         self.fill_range(node, base, count, entry);
         self.inserted_cells += 1;
     }
@@ -1061,14 +1058,17 @@ impl Act {
 
     // ---- live mutation (incremental inserts / removals) ----------------
     //
-    // The walks below are the write-side complement of the probe walks:
-    // they invert denormalization (maximal aligned uniform slot runs map
-    // back to cells), extract the `(cell, refs)` pairs a region holds,
-    // and zero what they extracted so `insert` can repopulate the freed
-    // slots. Child nodes cut loose this way stay in the arena as orphans
-    // until [`crate::ActIndex::compact`] rewrites it. Every write goes to
-    // a writable node: the walks copy shared base nodes out on their
-    // first write (see [`Act::own`]).
+    // Both mutations go through one territory walk,
+    // [`Act::rewrite_territory`], the write-side complement of the probe
+    // walks. It inverts denormalization (maximal aligned uniform slot
+    // runs map back to cells) and lets its caller decide each run's new
+    // entry: an insert takes every run out (entry 0) and re-inserts the
+    // merged set into the freed slots; a removal strips one polygon id.
+    // Child nodes a rewrite empties are cut loose and stay in the arena
+    // as orphans until [`crate::ActIndex::compact`] rewrites it. Every
+    // write goes to a writable node: the walk copies a shared base node
+    // out on its first write (see [`Act::own`]), and never copies one it
+    // leaves unchanged or empties.
 
     /// The maximal aligned uniform run containing slot `s` of `node`
     /// (entry `e`, non-child). May merge sibling cells that happen to
@@ -1083,17 +1083,6 @@ impl Act {
             }
         }
         (s, 1)
-    }
-
-    /// Writes `ne` over the terminal run `[base, base + size)` of the
-    /// writable `node`, keeping the insertion counters honest when the
-    /// run empties.
-    fn set_run(&mut self, node: usize, base: usize, size: usize, ne: u32) {
-        self.node_mut(node)[base..base + size].fill(ne);
-        if ne == 0 {
-            self.denormalized_slots = self.denormalized_slots.saturating_sub(size as u64);
-            self.inserted_cells = self.inserted_cells.saturating_sub(1);
-        }
     }
 
     /// Visits every live `(cell, refs)` pair in range order — read-only,
@@ -1141,53 +1130,6 @@ impl Act {
         }
     }
 
-    /// Extracts every `(cell, refs)` pair stored under `node` (which
-    /// covers `node_cell`) into `out`, in range order, and clears the
-    /// subtree (see [`Act::clear_node`]).
-    fn extract_node(
-        &mut self,
-        node: usize,
-        node_cell: CellId,
-        words: &[u32],
-        out: &mut Vec<(CellId, RefSet)>,
-        waste: &mut MutationWaste,
-    ) {
-        let before = out.len();
-        self.walk_node(node, node_cell, words, &mut |cell, refs| {
-            out.push((cell, refs))
-        });
-        let slots = self.clear_node(node, waste);
-        self.denormalized_slots = self.denormalized_slots.saturating_sub(slots);
-        self.inserted_cells = self
-            .inserted_cells
-            .saturating_sub((out.len() - before) as u64);
-    }
-
-    /// Clears every slot under `node`, counting the child nodes cut loose
-    /// as orphans; returns the number of terminal slots cleared. Nodes
-    /// this trie may write are zeroed; shared base nodes cut loose are
-    /// left as they are.
-    fn clear_node(&mut self, node: usize, waste: &mut MutationWaste) -> u64 {
-        let mut held = [0u32; FANOUT];
-        held.copy_from_slice(self.node(node));
-        if self.writable(node) {
-            self.node_mut(node).fill(0);
-        }
-        let mut slots = 0;
-        for e in held {
-            if e == 0 {
-                continue;
-            }
-            if e & TAG_MASK == TAG_CHILD {
-                slots += self.clear_node((e >> 2) as usize, waste);
-                waste.orphaned_nodes += 1;
-            } else {
-                slots += 1;
-            }
-        }
-        slots
-    }
-
     /// Collects every polygon id held inline in single-reference slots by
     /// a flat scan of the whole arena — orphaned nodes included, so
     /// together with a lookup-table scan the result is a *superset* of
@@ -1211,220 +1153,133 @@ impl Act {
         }
     }
 
-    /// Extracts and clears every indexed cell overlapping `cell` (the
-    /// cell's ancestors, itself, and its descendants — quadtree cells are
-    /// laminar, so nothing else can overlap). After this returns, `cell`'s
-    /// whole territory probes as a miss and [`Act::insert`] can write into
-    /// it. Extracted ancestor runs may extend beyond `cell` (a coarser
-    /// denormalized run covers it); those slots are cleared too, and the
-    /// returned pairs carry everything needed to re-insert them.
-    pub(crate) fn clear_overlaps(
+    /// The one territory walk of both mutations. `cell`'s territory is
+    /// the run of a coarser denormalized ancestor when one covers `cell`;
+    /// otherwise `cell`'s slot range and the subtrees below it (quadtree
+    /// cells are laminar, so nothing else overlaps `cell`). Every terminal
+    /// run in it goes to `f` as `(run cell, entry)`, and the entry `f`
+    /// returns is written back: 0 empties the run. A run that extends
+    /// past `cell` is rewritten whole.
+    ///
+    /// Returns the descent to the node holding the territory, for
+    /// [`Act::prune_path`], or `None` when nothing is indexed there.
+    pub(crate) fn rewrite_territory(
         &mut self,
         cell: CellId,
-        words: &[u32],
-        out: &mut Vec<(CellId, RefSet)>,
         waste: &mut MutationWaste,
-    ) {
+        mut f: impl FnMut(CellId, u32) -> u32,
+    ) -> Option<Descent> {
         debug_assert!(cell.is_valid());
-        let level = cell.level();
-        assert!(
-            level <= MAX_INDEX_LEVEL,
-            "cell level exceeds MAX_INDEX_LEVEL"
-        );
+        let (d_last, mut base, mut count) = cell_slots(cell);
         let face = cell.face();
         let root = self.roots[face as usize];
         if root == 0 {
-            return;
-        }
-        let mut node_cell = CellId::from_face(face);
-        if level == 0 {
-            // A face cell overlaps everything on the face.
-            let root = self.own(root, waste);
-            self.roots[face as usize] = root;
-            self.extract_node(root as usize, node_cell, words, out, waste);
-            return;
+            return None;
         }
         let mut path = Descent::new(face as usize, root);
-        let d_last = ((level - 1) / GRANULARITY) as u32;
+        let mut node_cell = CellId::from_face(face);
         for d in 0..d_last {
             let b = cell.key_byte(d) as usize;
             let e = self.node(path.last())[b];
-            match e & TAG_MASK {
-                TAG_CHILD => {
-                    let idx = e >> 2;
-                    if idx == 0 {
-                        return; // nothing indexed under here
-                    }
-                    node_cell = slot_cell(node_cell, b);
-                    path.push(b, idx);
-                }
-                _ => {
-                    // An ancestor terminal covers `cell` entirely: its
-                    // denormalized run is the only overlap.
-                    let node = self.own_path(&mut path, waste);
-                    let (base, size) = self.expand_run(node, b, e);
-                    out.push((run_cell(node_cell, base, size), entry_refset(e, words)));
-                    self.set_run(node, base, size, 0);
-                    return;
-                }
-            }
-        }
-        // Final node: the slot range `cell` denormalizes to. Runs are
-        // aligned, so each either lies inside the range or contains it.
-        let bits = 2 * (level as u32 - GRANULARITY as u32 * d_last);
-        let byte = cell.key_byte(d_last) as usize;
-        let base = byte & !((1usize << (8 - bits)) - 1);
-        let count = 1usize << (8 - bits);
-        let mut s = base;
-        while s < base + count {
-            let e = self.node(path.last())[s];
             if e == 0 {
-                s += 1;
-                continue;
+                return None; // nothing indexed under here
             }
-            let node = self.own_path(&mut path, waste);
-            if e & TAG_MASK == TAG_CHILD {
-                self.extract_node(
-                    (e >> 2) as usize,
-                    slot_cell(node_cell, s),
-                    words,
-                    out,
-                    waste,
-                );
-                self.node_mut(node)[s] = 0;
-                waste.orphaned_nodes += 1;
-                s += 1;
-            } else {
-                let (rbase, rsize) = self.expand_run(node, s, e);
-                out.push((run_cell(node_cell, rbase, rsize), entry_refset(e, words)));
-                self.set_run(node, rbase, rsize, 0);
-                s = rbase + rsize; // a containing run ends past the range
+            if e & TAG_MASK != TAG_CHILD {
+                // An ancestor terminal covers `cell` entirely: its
+                // denormalized run is the whole territory.
+                (base, count) = self.expand_run(path.last(), b, e);
+                break;
             }
+            node_cell = slot_cell(node_cell, b);
+            path.push(b, e >> 2);
         }
+        let range = base..base + count;
+        if let Some(slots) = self.rewrite_slots(path.last(), node_cell, range, &mut f, waste) {
+            let node = self.own_path(&mut path, waste);
+            self.node_mut(node).copy_from_slice(&slots);
+        }
+        Some(path)
     }
 
-    /// Strips references to polygon `id` under `cell`'s territory only,
-    /// tombstoning in place: terminal runs are rewritten (a table set
-    /// shrinks to a smaller set or to a single inline reference, a sole
-    /// ref empties the run), emptied subtrees under
-    /// the territory are pruned so probes into them miss, and superseded
-    /// `Many` entries leave their old words in the table as garbage
-    /// (counted in `waste`). The descent also handles the run *covering*
-    /// `cell` when its slots were merged into a coarser denormalized
-    /// ancestor run. This is the per-id-inventory complement of the old
-    /// whole-arena removal walk: [`crate::ActIndex`] records which cells
-    /// each id touched at insert time, so removal visits exactly those
-    /// territories — O(cells touched), not O(arena). Idempotent per
-    /// cell; a stale inventory entry (territory no longer referencing
-    /// `id`) rewrites — and copies — nothing. `memo` caches entry
-    /// rewrites across the calls of one removal; `changed` accumulates
-    /// whether any slot was rewritten.
-    pub(crate) fn remove_refs_in_cell(
+    /// The slots of `node` (which covers `node_cell`) once the runs in
+    /// `range` and the subtrees below it are rewritten through `f` (see
+    /// [`Act::rewrite_territory`]), or `None` when none changed. Computes
+    /// them without writing `node`, so the caller decides whether, and
+    /// into which copy, they are written.
+    fn rewrite_slots<F: FnMut(CellId, u32) -> u32>(
         &mut self,
-        cell: CellId,
-        id: u32,
-        tb: &mut LookupTableBuilder,
-        memo: &mut HashMap<u32, u32>,
-        changed: &mut bool,
+        node: usize,
+        node_cell: CellId,
+        range: std::ops::Range<usize>,
+        f: &mut F,
         waste: &mut MutationWaste,
-    ) {
-        debug_assert!(cell.is_valid());
-        let level = cell.level();
-        assert!(
-            level <= MAX_INDEX_LEVEL,
-            "cell level exceeds MAX_INDEX_LEVEL"
-        );
-        let face = cell.face() as usize;
-        let root = self.roots[face];
-        if root == 0 {
-            return;
-        }
-        if level == 0 {
-            // A face cell's territory is the whole root subtree.
-            let (root, empty) = self.remove_rec(root, id, tb, memo, changed, waste);
-            if empty {
-                self.roots[face] = 0;
-                waste.orphaned_nodes += 1;
-            } else {
-                self.roots[face] = root;
-            }
-            return;
-        }
-        // The descent path, for bottom-up pruning of nodes the rewrite
-        // empties — the waste they become must be counted or lazy
-        // compaction would never see tombstone garbage.
-        let mut path = Descent::new(face, root);
-        let d_last = ((level - 1) / GRANULARITY) as u32;
-        for d in 0..d_last {
-            let b = cell.key_byte(d) as usize;
-            let e = self.node(path.last())[b];
-            match e & TAG_MASK {
-                TAG_CHILD => {
-                    let idx = e >> 2;
-                    if idx == 0 {
-                        return; // nothing indexed under here
-                    }
-                    path.push(b, idx);
-                }
-                _ => {
-                    // An ancestor terminal covers `cell` entirely: its
-                    // denormalized run is the only territory to rewrite.
-                    let (rbase, rsize) = self.expand_run(path.last(), b, e);
-                    let ne = memo_rewrite(e, id, tb, memo, waste);
-                    if ne != e {
-                        *changed = true;
-                        let node = self.own_path(&mut path, waste);
-                        self.set_run(node, rbase, rsize, ne);
-                    }
-                    self.prune_path(&mut path, waste);
-                    return;
-                }
-            }
-        }
-        // Final node: the slot range `cell` denormalizes to. Runs are
-        // aligned, so each either lies inside the range or contains it.
-        let bits = 2 * (level as u32 - GRANULARITY as u32 * d_last);
-        let byte = cell.key_byte(d_last) as usize;
-        let base = byte & !((1usize << (8 - bits)) - 1);
-        let count = 1usize << (8 - bits);
-        let mut s = base;
-        while s < base + count {
-            let e = self.node(path.last())[s];
+    ) -> Option<[u32; FANOUT]> {
+        let mut slots = [0u32; FANOUT];
+        slots.copy_from_slice(self.node(node));
+        let mut changed = false;
+        let mut s = range.start;
+        while s < range.end {
+            let e = slots[s];
             if e == 0 {
                 s += 1;
-                continue;
-            }
-            if e & TAG_MASK == TAG_CHILD {
-                let idx = e >> 2;
-                let (child, empty) = self.remove_rec(idx, id, tb, memo, changed, waste);
-                if empty {
-                    let node = self.own_path(&mut path, waste);
-                    self.node_mut(node)[s] = 0;
-                    waste.orphaned_nodes += 1;
-                } else if child != idx {
-                    let node = self.own_path(&mut path, waste);
-                    self.node_mut(node)[s] = encode_child(child);
+            } else if e & TAG_MASK == TAG_CHILD {
+                let child = self.rewrite_node(e >> 2, slot_cell(node_cell, s), f, waste);
+                if child != e >> 2 {
+                    slots[s] = encode_child(child);
+                    changed = true;
                 }
                 s += 1;
             } else {
-                let (rbase, rsize) = self.expand_run(path.last(), s, e);
-                let ne = memo_rewrite(e, id, tb, memo, waste);
+                let (base, size) = self.expand_run(node, s, e);
+                let ne = f(run_cell(node_cell, base, size), e);
                 if ne != e {
-                    *changed = true;
-                    let node = self.own_path(&mut path, waste);
-                    self.set_run(node, rbase, rsize, ne);
+                    slots[base..base + size].fill(ne);
+                    changed = true;
+                    if ne == 0 {
+                        self.denormalized_slots =
+                            self.denormalized_slots.saturating_sub(size as u64);
+                        self.inserted_cells = self.inserted_cells.saturating_sub(1);
+                    }
                 }
-                s = rbase + rsize; // a containing run ends past the range
+                s = base + size; // a containing run ends past the range
             }
         }
-        self.prune_path(&mut path, waste);
+        changed.then_some(slots)
+    }
+
+    /// Rewrites every run under `node` (which covers `node_cell`) and
+    /// returns the node's index afterwards: `node` itself when nothing
+    /// changed, a copy once a shared node had to be written (see
+    /// [`Act::own`]), or 0 when it is left empty. An empty node is cut
+    /// loose and counted as an orphan; it is zeroed when this trie may
+    /// write it in place and never copied out of a shared base.
+    fn rewrite_node<F: FnMut(CellId, u32) -> u32>(
+        &mut self,
+        node: u32,
+        node_cell: CellId,
+        f: &mut F,
+        waste: &mut MutationWaste,
+    ) -> u32 {
+        let slots = self.rewrite_slots(node as usize, node_cell, 0..FANOUT, f, waste);
+        let now = slots.as_ref().map_or(self.node(node as usize), |s| &s[..]);
+        if now.iter().all(|&x| x == 0) {
+            waste.orphaned_nodes += 1;
+            if self.writable(node as usize) {
+                self.node_mut(node as usize).fill(0);
+            }
+            return 0;
+        }
+        let Some(slots) = slots else { return node };
+        let node = self.own(node, waste);
+        self.node_mut(node as usize).copy_from_slice(&slots);
+        node
     }
 
     /// Prunes the descent path bottom-up after a targeted removal: each
     /// node the rewrite left all-zero is cut from its parent (or its
     /// face root) and counted as an orphan, so probes into the emptied
     /// territory short-circuit and the waste metric sees the garbage.
-    fn prune_path(&mut self, path: &mut Descent, waste: &mut MutationWaste) {
+    pub(crate) fn prune_path(&mut self, path: &mut Descent, waste: &mut MutationWaste) {
         for d in (0..path.len).rev() {
             if !self.node(path.nodes[d] as usize).iter().all(|&x| x == 0) {
                 return;
@@ -1438,80 +1293,33 @@ impl Act {
             waste.orphaned_nodes += 1;
         }
     }
-
-    /// Strips polygon `id` from every run under `node`. Returns the
-    /// node's index afterwards — a copy once it had to be written, which
-    /// the caller stores in its parent slot — and whether it is now
-    /// all-zero.
-    fn remove_rec(
-        &mut self,
-        mut node: u32,
-        id: u32,
-        tb: &mut LookupTableBuilder,
-        memo: &mut HashMap<u32, u32>,
-        changed: &mut bool,
-        waste: &mut MutationWaste,
-    ) -> (u32, bool) {
-        let mut all_zero = true;
-        let mut s = 0usize;
-        while s < FANOUT {
-            let e = self.node(node as usize)[s];
-            if e == 0 {
-                s += 1;
-                continue;
-            }
-            if e & TAG_MASK == TAG_CHILD {
-                let idx = e >> 2;
-                let (child, empty) = self.remove_rec(idx, id, tb, memo, changed, waste);
-                if empty {
-                    node = self.own(node, waste);
-                    self.node_mut(node as usize)[s] = 0;
-                    waste.orphaned_nodes += 1;
-                } else {
-                    all_zero = false;
-                    if child != idx {
-                        node = self.own(node, waste);
-                        self.node_mut(node as usize)[s] = encode_child(child);
-                    }
-                }
-                s += 1;
-            } else {
-                let (rbase, rsize) = self.expand_run(node as usize, s, e);
-                let ne = memo_rewrite(e, id, tb, memo, waste);
-                if ne != e {
-                    *changed = true;
-                    node = self.own(node, waste);
-                    self.set_run(node as usize, rbase, rsize, ne);
-                }
-                if ne != 0 {
-                    all_zero = false;
-                }
-                s = rbase + rsize;
-            }
-        }
-        (node, all_zero)
-    }
 }
 
-/// [`rewrite_without`], memoized across the calls of one removal.
-fn memo_rewrite(
+/// Insert's side of [`Act::rewrite_territory`]: the reference set of the
+/// run entry `e`, with a table entry registered in `tb` (see
+/// [`LookupTableBuilder::dedup_entry`]) so that re-inserting the same set
+/// reuses its words.
+pub(crate) fn take_refs(e: u32, tb: &mut LookupTableBuilder) -> RefSet {
+    if let Probe::Table(off) = Probe::from_terminal(e) {
+        tb.dedup_entry(off as usize);
+    }
+    entry_refset(e, tb.words())
+}
+
+/// Removal's side of [`Act::rewrite_territory`]: the terminal slot `e`
+/// with polygon `id`'s reference dropped. Returns `e` itself when it
+/// does not reference `id`, and 0 when `id` was its only reference. A
+/// table entry that stays is registered in `tb` (see
+/// [`LookupTableBuilder::dedup_entry`]), so an identical set interned
+/// later reuses it. A shrunk set re-interns into `tb` — or, down to one
+/// reference, becomes an inline slot — and the old entry's words become
+/// table garbage, counted in `stale_words`.
+pub(crate) fn rewrite_without(
     e: u32,
     id: u32,
     tb: &mut LookupTableBuilder,
-    memo: &mut HashMap<u32, u32>,
-    waste: &mut MutationWaste,
+    stale_words: &mut u64,
 ) -> u32 {
-    *memo
-        .entry(e)
-        .or_insert_with(|| rewrite_without(e, id, tb, waste))
-}
-
-/// Rewrites a terminal slot with polygon `id`'s reference dropped;
-/// returns the slot unchanged when it does not reference `id`, and `0`
-/// when `id` was its only reference. A shrunk table set re-interns into
-/// `tb` — or, down to one reference, becomes an inline slot — and the
-/// old entry's words become table garbage, counted in `waste`.
-fn rewrite_without(e: u32, id: u32, tb: &mut LookupTableBuilder, waste: &mut MutationWaste) -> u32 {
     match Probe::from_terminal(e) {
         Probe::One(r) => {
             if r.id == id {
@@ -1523,9 +1331,10 @@ fn rewrite_without(e: u32, id: u32, tb: &mut LookupTableBuilder, waste: &mut Mut
         Probe::Table(off) => {
             let (t, c) = crate::lookup::decode_at(tb.words(), off);
             if !t.contains(&id) && !c.contains(&id) {
+                tb.dedup_entry(off as usize);
                 return e;
             }
-            waste.stale_table_words += (t.len() + c.len() + 2) as u64;
+            *stale_words += (t.len() + c.len() + 2) as u64;
             let mut v: Vec<PolygonRef> = t
                 .iter()
                 .filter(|&&x| x != id)
@@ -2055,6 +1864,30 @@ mod tests {
         assert_eq!(probe_cell_key(q, 9), probe_cell_key(q, 7));
     }
 
+    /// One removal of `id` from `cell`'s territory, as
+    /// `ActIndex::remove_polygon` runs it: the territory walk with
+    /// [`rewrite_without`], then the descent pruned. Returns whether a
+    /// slot changed.
+    fn strip(
+        act: &mut Act,
+        cell: CellId,
+        id: u32,
+        tb: &mut LookupTableBuilder,
+        waste: &mut MutationWaste,
+    ) -> bool {
+        let (mut changed, mut stale) = (false, 0);
+        let path = act.rewrite_territory(cell, waste, |_, e| {
+            let ne = rewrite_without(e, id, tb, &mut stale);
+            changed |= ne != e;
+            ne
+        });
+        if let Some(mut path) = path {
+            act.prune_path(&mut path, waste);
+        }
+        waste.stale_table_words += stale;
+        changed
+    }
+
     #[test]
     fn removing_one_of_two_refs_leaves_an_inline_slot_and_counts_table_waste() {
         let mut act = Act::new();
@@ -2065,9 +1898,8 @@ mod tests {
         let table_words = tb.words().len();
         assert!(matches!(act.lookup(cell.range_min()), Probe::Table(_)));
 
-        let (mut memo, mut changed) = (std::collections::HashMap::new(), false);
         let mut waste = MutationWaste::default();
-        act.remove_refs_in_cell(cell, 3, &mut tb, &mut memo, &mut changed, &mut waste);
+        let changed = strip(&mut act, cell, 3, &mut tb, &mut waste);
         assert!(changed);
         let want = Probe::One(PolygonRef::true_hit(8));
         assert_eq!(act.lookup(cell.range_min()), want);
@@ -2083,9 +1915,137 @@ mod tests {
 
         // Removing the last reference empties the run (no more waste:
         // the slot was inline).
-        act.remove_refs_in_cell(cell, 8, &mut tb, &mut memo, &mut changed, &mut waste);
+        strip(&mut act, cell, 8, &mut tb, &mut waste);
         assert_eq!(act.lookup(cell.range_min()), Probe::Miss);
         assert_eq!(waste.stale_table_words, 4);
+    }
+
+    /// A removal that empties a subtree of a shared base cuts the
+    /// subtree loose where it lies: only the path above it, which the
+    /// removal writes, is copied into the ext.
+    #[test]
+    fn a_removal_over_a_shared_base_copies_the_path_not_the_subtree_it_empties() {
+        let mut act = Act::new();
+        let mut tb = LookupTableBuilder::new();
+        // One slot of a depth-1 node. Below it polygon 1 holds three
+        // level-20 cells in three different level-9 quarters: a depth-2
+        // node, three depth-3 and three depth-4 nodes.
+        let territory = nyc_leaf(40.7, -74.0).parent(8);
+        let mut deep = Vec::new();
+        for k in 0..3 {
+            let mut c = territory.child(k);
+            while c.level() < 20 {
+                c = c.child(0);
+            }
+            act.insert(c, &RefSet::single(PolygonRef::true_hit(1)), &mut tb);
+            deep.push(c);
+        }
+        // Polygon 2 in a sibling slot keeps the depth-1 node alive.
+        let sibling = (0..4)
+            .map(|k| territory.parent(7).child(k))
+            .find(|&c| c != territory)
+            .unwrap();
+        act.insert(sibling, &RefSet::single(PolygonRef::true_hit(2)), &mut tb);
+        act.freeze();
+        let shared = act.clone();
+        assert!(act.shares_base_with(&shared));
+        assert_eq!(act.ext_bytes(), 0);
+
+        let mut waste = MutationWaste::default();
+        assert!(strip(&mut act, territory, 1, &mut tb, &mut waste));
+        assert_eq!(
+            act.ext_bytes(),
+            2 * NODE_BYTES,
+            "only the root and the depth-1 node are copied"
+        );
+        // The two copied-out path nodes and the seven cut-loose ones.
+        assert_eq!(waste.orphaned_nodes, 2 + 7);
+        for &c in &deep {
+            assert_eq!(act.lookup(c.range_min()), Probe::Miss);
+            assert_eq!(
+                shared.lookup(c.range_min()),
+                Probe::One(PolygonRef::true_hit(1))
+            );
+        }
+        let hit = Probe::One(PolygonRef::true_hit(2));
+        assert_eq!(act.lookup(sibling.range_min()), hit);
+    }
+
+    /// A face cell's territory is its whole face: the walk's level-0 case,
+    /// for insert's closure (take every run out) and removal's.
+    #[test]
+    fn a_face_cell_territory_is_the_whole_face_for_both_closures() {
+        let mut act = Act::new();
+        let mut tb = LookupTableBuilder::new();
+        let face = CellId::from_face(4);
+        let down = |mut c: CellId, k: u8, level: u8| {
+            while c.level() < level {
+                c = c.child(k);
+            }
+            c
+        };
+        let cells = [
+            (
+                down(face.child(0), 1, 10),
+                RefSet::Two(PolygonRef::true_hit(1), PolygonRef::candidate(2)),
+            ),
+            (
+                down(face.child(1), 2, 17),
+                RefSet::single(PolygonRef::true_hit(2)),
+            ),
+            (face.child(3), RefSet::single(PolygonRef::candidate(1))),
+        ];
+        for (c, refs) in &cells {
+            act.insert(*c, refs, &mut tb);
+        }
+        let other = CellId::from_face(5).child(0);
+        act.insert(other, &RefSet::single(PolygonRef::true_hit(1)), &mut tb);
+        let before = act.clone();
+        let probe = |act: &Act, c: CellId| act.lookup(c.range_min());
+        let mut waste = MutationWaste::default();
+
+        // Insert's closure: every run on the face comes out, in range
+        // order, and the face probes as a miss until it is refilled.
+        let mut taken = Vec::new();
+        let mut emptied = act.clone();
+        emptied.rewrite_territory(face, &mut waste, |cell, e| {
+            taken.push((cell, take_refs(e, &mut tb)));
+            0
+        });
+        assert_eq!(taken, cells.to_vec());
+        for (c, _) in &cells {
+            assert_eq!(probe(&emptied, *c), Probe::Miss);
+        }
+        assert_eq!(probe(&emptied, other), probe(&before, other));
+        assert_ne!(
+            emptied.roots()[4],
+            0,
+            "insert refills, so it does not prune"
+        );
+        assert_eq!(emptied.inserted_cells(), 1);
+        let words = tb.words().len();
+        for (c, refs) in &taken {
+            emptied.insert(*c, refs, &mut tb);
+        }
+        assert_eq!(tb.words().len(), words, "the taken set is re-interned");
+        for (c, _) in &cells {
+            assert_eq!(probe(&emptied, *c), probe(&before, *c));
+        }
+
+        // Removal's closure: polygon 1 leaves the face, polygon 2 stays;
+        // once 2 goes too the face root is pruned.
+        assert!(strip(&mut act, face, 1, &mut tb, &mut waste));
+        assert_eq!(
+            probe(&act, cells[0].0),
+            Probe::One(PolygonRef::candidate(2))
+        );
+        assert_eq!(probe(&act, cells[1].0), probe(&before, cells[1].0));
+        assert_eq!(probe(&act, cells[2].0), Probe::Miss);
+        assert_eq!(probe(&act, other), probe(&before, other));
+        assert!(strip(&mut act, face, 2, &mut tb, &mut waste));
+        assert_eq!(act.roots()[4], 0);
+        assert_eq!(probe(&act, other), probe(&before, other));
+        assert!(!strip(&mut act, face, 2, &mut tb, &mut waste));
     }
 
     #[test]

@@ -643,6 +643,8 @@ enum Pending {
 /// reader stops reading, and TCP backpressure does the rest.
 fn conn_loop(stream: TcpStream, state: &State) {
     let Ok(w) = stream.try_clone() else { return };
+    // A send to the full channel blocks the reader until the writer
+    // frees a slot, and fails once the writer has exited: it owns `rx`.
     let (tx, rx) = mpsc::sync_channel::<Pending>(state.max_inflight);
     // Either side setting this tells the other to wind down (writer hit
     // an error or its drain deadline; reader hit EOF is signaled by the
@@ -686,7 +688,7 @@ fn reader_loop(
                 state.bad_frames.fetch_add(1, Ordering::Relaxed);
                 let epoch = state.store.epoch();
                 let f = proto::encode_response(op, proto::STATUS_BAD_REQUEST, epoch, 0, &[]);
-                let _ = push_pending(tx, Pending::Ready(f), dead);
+                let _ = tx.send(Pending::Ready(f));
                 conn::drain_unread(r);
                 return;
             }
@@ -697,7 +699,7 @@ fn reader_loop(
                 state.answered.fetch_add(1, Ordering::Relaxed);
                 // Through the pending FIFO, so it cannot overtake an
                 // in-flight probe reply.
-                if !push_pending(tx, Pending::Ready(state.headless_reply(&req)), dead) {
+                if tx.send(Pending::Ready(state.headless_reply(&req))).is_err() {
                     return;
                 }
             }
@@ -725,21 +727,7 @@ fn reader_loop(
                 // ever subtract, which frees quota early at worst).
                 if let Some(quota) = state.quota_lanes {
                     if inflight_lanes.load(Ordering::Acquire) as usize + lanes > quota {
-                        state.accepted.fetch_add(1, Ordering::Relaxed);
-                        state.shed.fetch_add(1, Ordering::Relaxed);
-                        state.quota_sheds.fetch_add(1, Ordering::Relaxed);
-                        if let Some(obs) = &state.obs {
-                            obs.trace.always("quota_shed", &[("lanes", lanes as u64)]);
-                        }
-                        let hint = proto::encode_retry_hint(state.retry_hint_ms());
-                        let f = proto::encode_response(
-                            proto::OP_PROBE,
-                            proto::STATUS_LOADSHED,
-                            state.store.epoch(),
-                            0,
-                            &hint,
-                        );
-                        if !push_pending(tx, Pending::Ready(f), dead) {
+                        if !shed_frame(state, tx, lanes, true) {
                             return;
                         }
                         continue;
@@ -769,30 +757,12 @@ fn reader_loop(
                                 ],
                             );
                         }
-                        if !push_pending(tx, Pending::Waiting(reply_rx, admitted), dead) {
+                        if tx.send(Pending::Waiting(reply_rx, admitted)).is_err() {
                             return;
                         }
                     }
                     Admission::Shed => {
-                        // Shed frames are answered, never dropped — and
-                        // always with LOADSHED, nothing else. The payload
-                        // carries the retry-after hint: how long until
-                        // the queue that rejected this frame should have
-                        // drained at the measured rate.
-                        state.accepted.fetch_add(1, Ordering::Relaxed);
-                        state.shed.fetch_add(1, Ordering::Relaxed);
-                        if let Some(obs) = &state.obs {
-                            obs.trace.always("shed", &[("lanes", lanes as u64)]);
-                        }
-                        let hint = proto::encode_retry_hint(state.retry_hint_ms());
-                        let f = proto::encode_response(
-                            proto::OP_PROBE,
-                            proto::STATUS_LOADSHED,
-                            state.store.epoch(),
-                            0,
-                            &hint,
-                        );
-                        if !push_pending(tx, Pending::Ready(f), dead) {
+                        if !shed_frame(state, tx, lanes, false) {
                             return;
                         }
                     }
@@ -804,25 +774,26 @@ fn reader_loop(
     }
 }
 
-/// Pushes an owed reply onto the bounded channel. A full channel means
-/// the connection is at its in-flight cap: the reader (our caller)
-/// blocks here — which is exactly the read-side slowdown — until the
-/// writer frees a slot or dies. Returns false when the writer is gone.
-fn push_pending(tx: &mpsc::SyncSender<Pending>, entry: Pending, dead: &AtomicBool) -> bool {
-    let mut entry = entry;
-    loop {
-        match tx.try_send(entry) {
-            Ok(()) => return true,
-            Err(mpsc::TrySendError::Full(e)) => {
-                if dead.load(Ordering::Acquire) {
-                    return false;
-                }
-                entry = e;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => return false,
-        }
+/// Answers a probe frame of `lanes` lanes with LOADSHED: counted
+/// accepted and shed (and a quota shed when `quota`), traced always-on,
+/// and owed like any reply. Shed frames are answered, never dropped, and
+/// always with LOADSHED; the payload carries the retry-after hint: how
+/// long until the queue that rejected this frame should have drained at
+/// the measured rate. Returns false when the writer is gone.
+fn shed_frame(state: &State, tx: &mpsc::SyncSender<Pending>, lanes: usize, quota: bool) -> bool {
+    state.accepted.fetch_add(1, Ordering::Relaxed);
+    state.shed.fetch_add(1, Ordering::Relaxed);
+    if quota {
+        state.quota_sheds.fetch_add(1, Ordering::Relaxed);
     }
+    if let Some(obs) = &state.obs {
+        let event = if quota { "quota_shed" } else { "shed" };
+        obs.trace.always(event, &[("lanes", lanes as u64)]);
+    }
+    let hint = proto::encode_retry_hint(state.retry_hint_ms());
+    let epoch = state.store.epoch();
+    let f = proto::encode_response(proto::OP_PROBE, proto::STATUS_LOADSHED, epoch, 0, &hint);
+    tx.send(Pending::Ready(f)).is_ok()
 }
 
 /// The write half: deliver every owed reply, in order, event-driven.
