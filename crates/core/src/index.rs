@@ -478,10 +478,11 @@ impl ActIndex {
         let mut tb = LookupTableBuilder::from_table(std::mem::take(&mut self.table));
         let mut affected: Vec<(CellId, RefSet)> = Vec::new();
         for &(cell, _) in &covering.cells {
-            self.act.rewrite_territory(cell, &mut waste, |cell, e| {
-                affected.push((cell, crate::trie::take_refs(e, &mut tb)));
-                0
-            });
+            self.act
+                .rewrite_territory(cell, false, &mut waste, |cell, e| {
+                    affected.push((cell, crate::trie::take_refs(e, &mut tb)));
+                    0
+                });
         }
         let mut pairs: Vec<(CellId, crate::refs::PolygonRef)> =
             Vec::with_capacity(covering.cells.len() + affected.len());
@@ -563,14 +564,11 @@ impl ActIndex {
                 // Each entry's rewrite, memoized across the territories.
                 let (mut memo, mut stale) = (HashMap::new(), 0);
                 for cell in cells {
-                    let path = self.act.rewrite_territory(cell, &mut waste, |_, e| {
+                    self.act.rewrite_territory(cell, true, &mut waste, |_, e| {
                         *memo.entry(e).or_insert_with(|| {
                             crate::trie::rewrite_without(e, id, &mut tb, &mut stale)
                         })
                     });
-                    if let Some(mut path) = path {
-                        self.act.prune_path(&mut path, &mut waste);
-                    }
                 }
                 waste.stale_table_words += stale;
                 memo.into_iter().any(|(e, ne)| e != ne)

@@ -41,7 +41,8 @@
 //!   merged counters and drain/fault-aware per-shard circuit breaking
 //!   (see [`router`]). The router meets its clients through the
 //!   server's own connection front end: the same accept gate, request
-//!   reader, malformed-frame close and drain deadline.
+//!   reader, and connection loop (replies pipelined in request order,
+//!   the malformed-frame close, the drain deadline).
 //!
 //! See [`protocol`] for the frame layout, [`server`] for the threading
 //! model and overload semantics, and the repo README's "Serving" section
@@ -368,13 +369,43 @@ mod tests {
     fn malformed_frame_gets_bad_request_then_close() {
         use std::io::{Read, Write};
         let max_connections = ServeConfig::default().max_connections;
+        // The index `on_both_endpoints` serves, for the probe oracle.
+        let idx = act_core::ActIndex::build(&[square(-74.0, 40.7, 0.02)], 15.0).unwrap();
+        let probes: [Vec<Coord>; 2] = [
+            (0..40)
+                .map(|k| Coord::new(-74.03 + 0.0015 * k as f64, 40.7))
+                .collect(),
+            (0..25)
+                .map(|k| Coord::new(-74.0, 40.67 + 0.0025 * k as f64))
+                .collect(),
+        ];
         on_both_endpoints("badframe", max_connections, |addr, _| {
             let mut stream = std::net::TcpStream::connect(addr).unwrap();
-            // A header-only body with an unknown op.
-            let mut frame = Vec::new();
+            // A probe, a PING and a second probe pipelined ahead of a
+            // header-only body with an unknown op, all in one write.
+            let mut frame = protocol::encode_probe_request(&probes[0], false);
+            frame.extend_from_slice(&protocol::encode_ping_request());
+            frame.extend_from_slice(&protocol::encode_probe_request(&probes[1], false));
             frame.extend_from_slice(&8u32.to_le_bytes());
             frame.extend_from_slice(&[99, 0, 0, 0, 0, 0, 0, 0]);
             stream.write_all(&frame).unwrap();
+            // Every frame before the bad one is answered, in request order.
+            for (k, op) in [protocol::OP_PROBE, protocol::OP_PING, protocol::OP_PROBE]
+                .into_iter()
+                .enumerate()
+            {
+                let body = protocol::read_frame(&mut stream, 1 << 20).unwrap().unwrap();
+                let (h, payload) = protocol::decode_response(&body).unwrap();
+                assert_eq!((h.op, h.status), (op, protocol::STATUS_OK), "reply {k}");
+                if op == protocol::OP_PROBE {
+                    let pts = &probes[k / 2];
+                    let refs = protocol::decode_probe_payload(h.n, payload).unwrap();
+                    assert_eq!(refs.len(), pts.len(), "reply {k}");
+                    for (c, got) in pts.iter().zip(&refs) {
+                        assert_eq!(*got, idx.as_view().lookup_refs(*c), "reply {k} at {c}");
+                    }
+                }
+            }
             let body = protocol::read_frame(&mut stream, 1 << 20).unwrap().unwrap();
             let (h, _) = protocol::decode_response(&body).unwrap();
             assert_eq!(h.status, protocol::STATUS_BAD_REQUEST);

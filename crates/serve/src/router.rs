@@ -49,17 +49,19 @@
 //!
 //! Clients meet the router through the same connection front end as a
 //! worker: the same accept gate (`BUSY` at
-//! [`RouterConfig::max_connections`]), the same reader, and the same
-//! close on a malformed frame (`BAD_REQUEST` echoing the op, then FIN).
-//! Each connection then runs one synchronous read → route → write loop.
-//! [`RouterHandle::shutdown`] stops accepting and stops reading: a frame
-//! not fully read when the drain starts is abandoned, never routed, and
-//! a frame that was read is always answered. Reply writes obey the
-//! worker's drain deadline, so a client that stops reading holds
-//! shutdown for at most 5 s.
+//! [`RouterConfig::max_connections`]), the same reader, the same close on
+//! a malformed frame (`BAD_REQUEST` echoing the op, then FIN), and the
+//! same connection loop. Each connection's reader routes one frame at a
+//! time, synchronously, while its writer sends the replies already
+//! routed, in request order; at 16 owed replies the reader stops reading
+//! until the writer catches up. [`RouterHandle::shutdown`] stops
+//! accepting and stops reading: a frame not fully read when the drain
+//! starts is abandoned, never routed, and a frame that was read is always
+//! answered. Reply writes obey the worker's drain deadline, so a client
+//! that stops reading holds shutdown for at most 5 s.
 
 use crate::client::{ClientError, ResilientClient, RetryPolicy};
-use crate::conn::{self, DrainClock, Front};
+use crate::conn::{self, Conn, Endpoint, Front};
 use crate::obs::{render_counters, render_histograms, render_trace_meta, ObsConfig};
 use crate::protocol::{self as proto, CounterBlock};
 use act_core::{coord_to_cell, shard_of_cell, DEFAULT_SPLIT_LEVEL};
@@ -134,6 +136,15 @@ struct RouterState {
 impl RouterState {
     fn num_shards(&self) -> usize {
         self.shard_addrs.len()
+    }
+
+    /// One client per shard. Shard addresses were resolved once at
+    /// router spawn, so building the pool is infallible.
+    fn pool(&self) -> Vec<ResilientClient> {
+        self.shard_addrs
+            .iter()
+            .map(|a| ResilientClient::from_resolved(*a, self.policy))
+            .collect()
     }
 
     fn health(&self, shard: usize) -> std::sync::MutexGuard<'_, ShardHealth> {
@@ -403,12 +414,7 @@ impl Router {
             let st = Arc::clone(&state);
             std::thread::Builder::new()
                 .name("act-route-accept".to_string())
-                .spawn(move || {
-                    let refuse = |s| conn::refuse_busy(s, 0, proto::RETRY_AFTER_DEFAULT_MS);
-                    let served = Arc::clone(&st);
-                    let serve = move |stream| conn_loop(stream, &served);
-                    conn::accept_loop(listener, &st.front, "act-route-conn", refuse, serve);
-                })
+                .spawn(move || conn::accept_loop(listener, st, "act-route-conn"))
                 .expect("spawn router accept loop")
         };
         Ok(RouterHandle {
@@ -452,11 +458,7 @@ impl RouterHandle {
     pub fn metrics_fn(&self) -> Arc<dyn Fn() -> String + Send + Sync> {
         let state = Arc::clone(&self.state);
         Arc::new(move || {
-            let mut clients: Vec<ResilientClient> = state
-                .shard_addrs
-                .iter()
-                .map(|a| ResilientClient::from_resolved(*a, state.policy))
-                .collect();
+            let mut clients = state.pool();
             let replies: Vec<Option<proto::StatsExReply>> =
                 scatter(&state, &mut clients, |_| true, false, |_, c| c.stats_ex())
                     .into_iter()
@@ -514,97 +516,55 @@ impl Drop for RouterHandle {
 }
 
 // ---------------------------------------------------------------------
-// Connection threads
+// Connection work
 // ---------------------------------------------------------------------
 
-/// One inbound connection: a lazily dialed client per shard (the pool),
-/// frames answered in order until clean EOF, a malformed frame
-/// (`BAD_REQUEST`, then close), or drain.
-fn conn_loop(mut stream: TcpStream, state: &RouterState) {
-    // Shard addresses were resolved once at router spawn; building the
-    // pool is infallible. (The old `ResilientClient::new(..).expect(..)`
-    // re-resolved per connection and could panic this thread on a
-    // transient resolver failure — a crash for something retryable.)
-    let mut clients: Vec<ResilientClient> = state
-        .shard_addrs
-        .iter()
-        .map(|a| ResilientClient::from_resolved(*a, state.policy))
-        .collect();
-    let mut clock = DrainClock::default();
-    let stop = || state.front.draining();
-    loop {
-        let reply = match conn::read_request(&mut stream, &stop) {
-            Ok(Some(req)) => route_request(state, &mut clients, req),
-            Ok(None) => return,
-            Err(op) => {
-                let f = proto::encode_response(op, proto::STATUS_BAD_REQUEST, 0, 0, &[]);
-                let _ = conn::write_all_retry(&mut stream, &f, &mut clock, &state.front);
-                conn::drain_unread(&mut stream);
-                return;
+/// What the router does with the requests its connections read: each is
+/// routed on the reader thread, over that connection's pool of shard
+/// clients, while the writer sends the replies before it.
+impl Endpoint for RouterState {
+    type Local = Vec<ResilientClient>;
+
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn open(&self) -> (Conn, Self::Local) {
+        (Conn::new(conn::MAX_INFLIGHT_FRAMES, None), self.pool())
+    }
+
+    fn refuse(&self, stream: TcpStream) {
+        conn::refuse_busy(stream, 0, proto::RETRY_AFTER_DEFAULT_MS);
+    }
+
+    fn answer(&self, clients: &mut Self::Local, req: proto::Request) -> Vec<u8> {
+        match req {
+            proto::Request::Probe { coords, exact } => {
+                let send = |client: &mut ResilientClient, pts: &[Coord]| client.probe(pts, exact);
+                route_probe(self, clients, &coords, exact, coord_to_cell, send)
             }
-        };
-        // No drain check here: a frame that was read is always answered.
-        if conn::write_all_retry(&mut stream, &reply, &mut clock, &state.front).is_err() {
-            return;
+            // The cell form ([`proto::FLAG_CELLS`]) takes shard ownership
+            // straight off the cell id and forwards cell frames, so no
+            // conversion runs on the router or on the workers.
+            proto::Request::ProbeCells { cells } => {
+                let send = |client: &mut ResilientClient, pts: &[_]| client.probe_cells(pts);
+                route_probe(self, clients, &cells, false, |c| c, send)
+            }
+            proto::Request::Ping => route_counters(self, clients, proto::OP_PING),
+            proto::Request::Stats => route_counters(self, clients, proto::OP_STATS),
+            proto::Request::Dump => route_dump(self, clients),
         }
     }
-}
 
-fn route_request(
-    state: &RouterState,
-    clients: &mut [ResilientClient],
-    req: proto::Request,
-) -> Vec<u8> {
-    match req {
-        proto::Request::Probe { coords, exact } => route_probe(state, clients, &coords, exact),
-        proto::Request::ProbeCells { cells } => route_probe_cells(state, clients, &cells),
-        proto::Request::Ping => route_counters(state, clients, proto::OP_PING),
-        proto::Request::Stats => route_counters(state, clients, proto::OP_STATS),
-        proto::Request::Dump => route_dump(state, clients),
+    fn reject(&self, op: u8) -> Vec<u8> {
+        proto::encode_response(op, proto::STATUS_BAD_REQUEST, 0, 0, &[])
     }
 }
 
-/// Partition → scatter → gather for one coordinate probe frame (module
-/// docs tell the full story).
-fn route_probe(
-    state: &RouterState,
-    clients: &mut [ResilientClient],
-    coords: &[Coord],
-    exact: bool,
-) -> Vec<u8> {
-    route_probe_frames(
-        state,
-        clients,
-        coords,
-        exact,
-        coord_to_cell,
-        |client, pts| client.probe(pts, exact),
-    )
-}
-
-/// [`route_probe`] for the cell form ([`proto::FLAG_CELLS`]): shard
-/// ownership comes straight off the cell id — no conversion anywhere on
-/// the router — and the scatter forwards cell frames downstream so the
-/// workers skip the conversion too.
-fn route_probe_cells(
-    state: &RouterState,
-    clients: &mut [ResilientClient],
-    cells: &[s2cell::CellId],
-) -> Vec<u8> {
-    route_probe_frames(
-        state,
-        clients,
-        cells,
-        false,
-        |c| c,
-        |client, pts| client.probe_cells(pts),
-    )
-}
-
-/// The shared partition → scatter → gather engine behind both probe
-/// forms; `to_cell` derives shard ownership, `send` forwards one
-/// shard's sub-batch in whatever frame form arrived.
-fn route_probe_frames<P, F>(
+/// Partition → scatter → gather for one probe frame (module docs tell
+/// the full story), in either form: `to_cell` derives shard ownership,
+/// `send` forwards one shard's sub-batch in the frame form that arrived.
+fn route_probe<P, F>(
     state: &RouterState,
     clients: &mut [ResilientClient],
     points: &[P],

@@ -8,17 +8,21 @@
 //!   unless the server is at [`ServeConfig::max_connections`], in which
 //!   case the connection is answered with a single `BUSY` frame and
 //!   closed before a thread is ever spawned. The accept gate, the
-//!   drain-aware frame reader, the malformed-frame close and the drain
-//!   deadline are the connection front end the router shares.
-//! * Each **connection thread** decodes frames, converts coordinates to
-//!   leaf cells (spreading that work across connections), and admits a
-//!   `Job` to the shared bounded queue. Up to
-//!   [`ServeConfig::max_inflight_frames`] frames may be in flight per
-//!   connection (a pipelining client overlaps request and response
-//!   streams); once the cap is hit the thread **stops reading** until the
-//!   oldest reply is written, so a connection whose responses back up
+//!   drain-aware frame reader and the connection loop are the
+//!   connection front end the router shares: one pure state machine
+//!   decides, per connection, the in-order ring of owed replies, the lane
+//!   quota, admit vs. shed vs. wait, the close after a malformed frame
+//!   and the drain deadline; two threads carry its decisions out.
+//! * Each connection's **reader** decodes frames, converts coordinates
+//!   to leaf cells (spreading that work across connections), and admits
+//!   a `Job` to the shared bounded queue; PING/STATS/DUMP it answers
+//!   itself. Its **writer** writes each reply as it becomes ready, in
+//!   request order, so a pipelining client overlaps request and response
+//!   streams. Up to [`ServeConfig::max_inflight_frames`] replies may be
+//!   owed per connection; at the cap the reader **stops reading** until
+//!   the writer frees a slot, so a connection whose responses back up
 //!   slows its own reads via ordinary TCP backpressure instead of
-//!   buffering without bound. Replies always go out in request order.
+//!   buffering without bound.
 //! * The queue is **bounded in lanes** (points), not frames: admission
 //!   takes `queued_lanes + frame_lanes <= queue_depth_lanes`, so the
 //!   worst-case queued work — and the memory behind it — is capped no
@@ -39,7 +43,9 @@
 //! * Workers run each batch's compute under `catch_unwind`: a panic
 //!   poisons exactly one batch (its frames are answered with typed
 //!   `INTERNAL` replies and `panics_contained` bumps) instead of the
-//!   process — the worker survives to take the next batch.
+//!   process — the worker survives to take the next batch. Each reply
+//!   goes straight into its connection's slot, which wakes that
+//!   connection's writer and returns the frame's lanes to its quota.
 //!
 //! ## Graceful drain
 //!
@@ -53,12 +59,12 @@
 //!    linearization point, not a race.
 //! 3. Workers drain every job still queued, then exit — every accepted
 //!    frame gets its real answer.
-//! 4. Connection threads flush their pending replies (bounded by a
+//! 4. Connection writers flush the replies they owe (bounded by a
 //!    fixed 5 s drain grace, so one stalled client cannot wedge
 //!    shutdown), then close.
 
 use crate::cache::{CacheConfig, HotCellCache};
-use crate::conn::{self, DrainClock, Front};
+use crate::conn::{self, Conn, Endpoint, Front, Out, Slot, Verdict};
 use crate::obs::{render_counters, render_histograms, render_trace_meta, ObsConfig, PipelineObs};
 use crate::protocol as proto;
 use crate::swap::{snapshot_signature, watch_loop_opts, IndexStore, WatchCounters, WatchOptions};
@@ -72,8 +78,8 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -197,7 +203,7 @@ impl Default for ServeConfig {
             refiner: None,
             watch: Some(Duration::from_millis(200)),
             queue_depth_lanes: proto::MAX_POINTS,
-            max_inflight_frames: 16,
+            max_inflight_frames: conn::MAX_INFLIGHT_FRAMES,
             max_connections: 256,
             batch_delay: None,
             obs: None,
@@ -214,23 +220,13 @@ struct Job {
     cells: Vec<CellId>,
     coords: Vec<Coord>,
     exact: bool,
-    reply: mpsc::SyncSender<Reply>,
     /// Admission timestamp; `Some` only with observability on (the
     /// worker derives queue-wait from it, the writer frame-total).
     admitted: Option<Instant>,
-    /// The owning connection's in-flight-lanes counter (the fairness
-    /// quota's book). Charged at admission by the reader; released by
-    /// the worker when the reply is produced — through the `Arc`, so a
+    /// Where the reply goes: the owning connection's slot. Filling it
+    /// also returns the frame's lanes to that connection's quota, so a
     /// connection that dies mid-flight still gets its lanes back.
-    quota: Arc<AtomicU64>,
-}
-
-/// A worker's answer to one [`Job`], ready to frame.
-struct Reply {
-    status: u8,
-    epoch: u32,
-    n: u32,
-    payload: Vec<u8>,
+    slot: Slot,
 }
 
 /// The bounded probe queue. `lanes` mirrors the summed `cells.len()` of
@@ -449,15 +445,7 @@ impl Server {
             threads.push(
                 std::thread::Builder::new()
                     .name("act-serve-accept".to_string())
-                    .spawn(move || {
-                        let refuse = |stream| {
-                            st.busy.fetch_add(1, Ordering::Relaxed);
-                            conn::refuse_busy(stream, st.store.epoch(), st.retry_hint_ms());
-                        };
-                        let served = Arc::clone(&st);
-                        let serve = move |stream| conn_loop(stream, &served);
-                        conn::accept_loop(listener, &st.front, "act-serve-conn", refuse, serve);
-                    })
+                    .spawn(move || conn::accept_loop(listener, st, "act-serve-conn"))
                     .expect("spawn accept loop"),
             );
         }
@@ -585,296 +573,154 @@ impl Drop for ServerHandle {
 }
 
 // ---------------------------------------------------------------------
-// Connection threads
+// Connection work
 // ---------------------------------------------------------------------
 
-/// Admission verdict for one probe frame.
-enum Admission {
-    Enqueued,
-    Shed,
-    Draining,
-}
+/// What a worker does with the requests its connections read: probe
+/// frames go to the shared queue, PING/STATS/DUMP are answered on the
+/// reader thread (in read order, like every reply).
+impl Endpoint for State {
+    type Local = ();
 
-/// Admits `job` to the bounded queue, or rejects it. The depth check and
-/// the draining check both run under the queue lock, which linearizes
-/// them against worker drain-exit: a job admitted here is *guaranteed* a
-/// worker answer, and after drain begins nothing new is ever admitted.
-fn try_enqueue(state: &State, job: Job) -> Admission {
-    let lanes = job.cells.len();
-    {
-        let mut q = state.queue.lock().expect("probe queue");
-        if state.front.draining() {
-            return Admission::Draining;
-        }
-        if q.lanes + lanes > state.queue_depth_lanes {
-            return Admission::Shed;
-        }
-        q.lanes += lanes;
-        q.jobs.push_back(job);
-        state
-            .queue_hw_lanes
-            .fetch_max(q.lanes as u64, Ordering::Relaxed);
-        state
-            .window_hw_lanes
-            .fetch_max(q.lanes as u64, Ordering::Relaxed);
+    fn front(&self) -> &Front {
+        &self.front
     }
-    state.ready.notify_one();
-    Admission::Enqueued
-}
 
-/// A reply owed to the client, in request order.
-enum Pending {
-    /// A probe job in flight; the worker delivers here. The `Instant`
-    /// is the admission stamp (`Some` only with observability on) the
-    /// writer turns into the frame-total histogram sample.
-    Waiting(mpsc::Receiver<Reply>, Option<Instant>),
-    /// An already-rendered frame (ping/stats/shed/bad-request).
-    Ready(Vec<u8>),
-}
+    fn open(&self) -> (Conn, ()) {
+        (Conn::new(self.max_inflight, self.quota_lanes), ())
+    }
 
-/// A connection is two threads sharing the socket: this **reader**
-/// (the `act-serve-conn` thread itself) decodes frames, admits jobs, and
-/// pushes one [`Pending`] entry per frame onto a **bounded** in-order
-/// channel; a scoped **writer** thread drains that channel, waiting on
-/// each entry's reply and writing it out. The split keeps both
-/// directions event-driven — a reply never waits for a read timeout to
-/// be flushed — and the channel bound *is* the per-connection in-flight
-/// cap: when the client's responses back up, the channel fills, the
-/// reader stops reading, and TCP backpressure does the rest.
-fn conn_loop(stream: TcpStream, state: &State) {
-    let Ok(w) = stream.try_clone() else { return };
-    // A send to the full channel blocks the reader until the writer
-    // frees a slot, and fails once the writer has exited: it owns `rx`.
-    let (tx, rx) = mpsc::sync_channel::<Pending>(state.max_inflight);
-    // Either side setting this tells the other to wind down (writer hit
-    // an error or its drain deadline; reader hit EOF is signaled by the
-    // channel disconnect instead).
-    let dead = AtomicBool::new(false);
-    // This connection's in-flight-lanes book for the fairness quota:
-    // charged by the reader at admission, released by workers at reply
-    // production. Kept even with the quota off — one relaxed add/sub
-    // per frame — so flipping the knob needs no reconnects.
-    let inflight_lanes = Arc::new(AtomicU64::new(0));
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name("act-serve-conn-writer".to_string())
-            .spawn_scoped(scope, || writer_loop(state, w, rx, &dead))
-            .expect("spawn connection writer");
-        let mut r = stream;
-        reader_loop(state, &mut r, &tx, &dead, &inflight_lanes);
-        // Dropping the sender is the writer's EOF: it delivers every
-        // entry still owed (bounded by the drain grace), then exits; the
-        // scope joins it.
-        drop(tx);
-    });
-}
+    fn refuse(&self, stream: TcpStream) {
+        self.busy.fetch_add(1, Ordering::Relaxed);
+        conn::refuse_busy(stream, self.store.epoch(), self.retry_hint_ms());
+    }
 
-/// The read half: decode → admit → push the owed reply entry, in order.
-fn reader_loop(
-    state: &State,
-    r: &mut TcpStream,
-    tx: &mpsc::SyncSender<Pending>,
-    dead: &AtomicBool,
-    inflight_lanes: &Arc<AtomicU64>,
-) {
-    let stop = || state.front.draining() || dead.load(Ordering::Acquire);
-    loop {
-        let req = match conn::read_request(r, &stop) {
-            Ok(Some(req)) => req,
-            // Clean EOF, drain, or writer death: stop reading. What is
-            // already owed still flows through the writer.
-            Ok(None) => return,
-            Err(op) => {
-                state.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let epoch = state.store.epoch();
-                let f = proto::encode_response(op, proto::STATUS_BAD_REQUEST, epoch, 0, &[]);
-                let _ = tx.send(Pending::Ready(f));
-                conn::drain_unread(r);
-                return;
-            }
-        };
+    fn lanes(&self, req: &proto::Request) -> Option<usize> {
         match req {
-            req @ (proto::Request::Ping | proto::Request::Stats | proto::Request::Dump) => {
-                state.accepted.fetch_add(1, Ordering::Relaxed);
-                state.answered.fetch_add(1, Ordering::Relaxed);
-                // Through the pending FIFO, so it cannot overtake an
-                // in-flight probe reply.
-                if tx.send(Pending::Ready(state.headless_reply(&req))).is_err() {
-                    return;
-                }
-            }
-            req @ (proto::Request::Probe { .. } | proto::Request::ProbeCells { .. }) => {
-                // Cell frames ship pre-computed S2 leaves, so the
-                // conversion below (the priciest fixed cost on the
-                // probe path) only runs for coordinate frames; the
-                // decoder already rejected exact-mode cell frames.
-                let (cells, coords, exact): (Vec<CellId>, Vec<Coord>, bool) = match req {
-                    proto::Request::Probe { coords, exact } => (
-                        coords.iter().map(|&c| coord_to_cell(c)).collect(),
-                        coords,
-                        exact,
-                    ),
-                    proto::Request::ProbeCells { cells } => (cells, Vec::new(), false),
-                    _ => unreachable!("matched a probe form above"),
-                };
-                let lanes = cells.len();
-                // Per-client fairness: a frame that would push this
-                // connection past its admitted-lanes quota is shed
-                // *before* the shared queue is consulted — the greedy
-                // pipeliner pays, not the queue everyone shares. The
-                // check is reader-local (one reader per connection, so
-                // load-then-charge cannot race itself; workers only
-                // ever subtract, which frees quota early at worst).
-                if let Some(quota) = state.quota_lanes {
-                    if inflight_lanes.load(Ordering::Acquire) as usize + lanes > quota {
-                        if !shed_frame(state, tx, lanes, true) {
-                            return;
-                        }
-                        continue;
-                    }
-                }
-                let (reply_tx, reply_rx) = mpsc::sync_channel::<Reply>(1);
-                let admitted = state.obs.as_ref().map(|_| Instant::now());
-                let job = Job {
-                    cells,
-                    coords,
-                    exact,
-                    reply: reply_tx,
-                    admitted,
-                    quota: Arc::clone(inflight_lanes),
-                };
-                match try_enqueue(state, job) {
-                    Admission::Enqueued => {
-                        inflight_lanes.fetch_add(lanes as u64, Ordering::AcqRel);
-                        state.accepted.fetch_add(1, Ordering::Relaxed);
-                        if let Some(obs) = &state.obs {
-                            obs.trace.sampled(
-                                "admission",
-                                &[
-                                    ("lanes", lanes as u64),
-                                    ("exact", u64::from(exact)),
-                                    ("epoch", u64::from(state.store.epoch())),
-                                ],
-                            );
-                        }
-                        if tx.send(Pending::Waiting(reply_rx, admitted)).is_err() {
-                            return;
-                        }
-                    }
-                    Admission::Shed => {
-                        if !shed_frame(state, tx, lanes, false) {
-                            return;
-                        }
-                    }
-                    // Not accepted: the drain owes this frame nothing.
-                    Admission::Draining => return,
-                }
-            }
+            proto::Request::Probe { coords, .. } => Some(coords.len()),
+            proto::Request::ProbeCells { cells } => Some(cells.len()),
+            _ => None,
         }
     }
-}
 
-/// Answers a probe frame of `lanes` lanes with LOADSHED: counted
-/// accepted and shed (and a quota shed when `quota`), traced always-on,
-/// and owed like any reply. Shed frames are answered, never dropped, and
-/// always with LOADSHED; the payload carries the retry-after hint: how
-/// long until the queue that rejected this frame should have drained at
-/// the measured rate. Returns false when the writer is gone.
-fn shed_frame(state: &State, tx: &mpsc::SyncSender<Pending>, lanes: usize, quota: bool) -> bool {
-    state.accepted.fetch_add(1, Ordering::Relaxed);
-    state.shed.fetch_add(1, Ordering::Relaxed);
-    if quota {
-        state.quota_sheds.fetch_add(1, Ordering::Relaxed);
+    fn answer(&self, _: &mut (), req: proto::Request) -> Vec<u8> {
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        self.answered.fetch_add(1, Ordering::Relaxed);
+        self.headless_reply(&req)
     }
-    if let Some(obs) = &state.obs {
-        let event = if quota { "quota_shed" } else { "shed" };
-        obs.trace.always(event, &[("lanes", lanes as u64)]);
-    }
-    let hint = proto::encode_retry_hint(state.retry_hint_ms());
-    let epoch = state.store.epoch();
-    let f = proto::encode_response(proto::OP_PROBE, proto::STATUS_LOADSHED, epoch, 0, &hint);
-    tx.send(Pending::Ready(f)).is_ok()
-}
 
-/// The write half: deliver every owed reply, in order, event-driven.
-/// After the reader disconnects the channel, whatever is buffered is
-/// still delivered — that is the flush half of the graceful drain —
-/// bounded by the drain grace once draining begins.
-fn writer_loop(state: &State, mut w: TcpStream, rx: mpsc::Receiver<Pending>, dead: &AtomicBool) {
-    let mut clock = DrainClock::default();
-    let result: io::Result<()> = (|| {
-        loop {
-            let entry = loop {
-                match rx.recv_timeout(Duration::from_millis(25)) {
-                    Ok(e) => break e,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if clock.expired(&state.front) {
-                            return Err(io::ErrorKind::TimedOut.into());
-                        }
-                    }
-                    // Reader gone and everything owed delivered: done.
-                    Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
-                }
-            };
-            let (frame, admitted) = match entry {
-                Pending::Ready(f) => (f, None),
-                Pending::Waiting(reply_rx, admitted) => loop {
-                    match reply_rx.recv_timeout(Duration::from_millis(25)) {
-                        Ok(reply) => {
-                            break (
-                                proto::encode_response(
-                                    proto::OP_PROBE,
-                                    reply.status,
-                                    reply.epoch,
-                                    reply.n,
-                                    &reply.payload,
-                                ),
-                                admitted,
-                            )
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            if clock.expired(&state.front) {
-                                return Err(io::ErrorKind::TimedOut.into());
-                            }
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            return Err(io::ErrorKind::BrokenPipe.into())
-                        }
-                    }
-                },
-            };
-            // Fault sites: a stall delays this reply (slow network), a
-            // write fault kills the connection as a peer reset would —
-            // the frames it owed are the client's to retry.
-            #[cfg(feature = "fault-injection")]
-            if let Some(faults) = &state.faults {
-                if let Some(FaultAction::Stall(d)) = faults.check(Site::ConnStall) {
-                    std::thread::sleep(d);
-                }
-                if faults.check(Site::ConnWrite).is_some() {
-                    let _ = w.shutdown(std::net::Shutdown::Both);
-                    return Err(faults.injected_error(Site::ConnWrite));
-                }
+    fn enqueue(&self, req: proto::Request, slot: Slot) -> Verdict {
+        // Cell frames ship pre-computed S2 leaves, so the conversion
+        // below (the priciest fixed cost on the probe path) only runs
+        // for coordinate frames; the decoder already rejected exact-mode
+        // cell frames.
+        let (cells, coords, exact): (Vec<CellId>, Vec<Coord>, bool) = match req {
+            proto::Request::Probe { coords, exact } => (
+                coords.iter().map(|&c| coord_to_cell(c)).collect(),
+                coords,
+                exact,
+            ),
+            proto::Request::ProbeCells { cells } => (cells, Vec::new(), false),
+            _ => unreachable!("only probe frames are queued"),
+        };
+        let lanes = cells.len();
+        let admitted = self.obs.as_ref().map(|_| Instant::now());
+        let job = Job {
+            cells,
+            coords,
+            exact,
+            admitted,
+            slot,
+        };
+        // The depth check and the draining check both run under the
+        // queue lock, which linearizes them against worker drain-exit: a
+        // job admitted here is *guaranteed* a worker answer, and after
+        // drain begins nothing new is ever admitted.
+        {
+            let mut q = self.queue.lock().expect("probe queue");
+            if self.front.draining() {
+                return Verdict::Draining;
             }
-            // Probe replies with observability on pay one clock read
-            // either side of the socket write; the admission stamp then
-            // closes the frame-total span. `admitted` is `Some` only for
-            // probe frames, and only when obs is configured.
-            match (&state.obs, admitted) {
-                (Some(obs), Some(t0)) => {
-                    let w0 = Instant::now();
-                    conn::write_all_retry(&mut w, &frame, &mut clock, &state.front)?;
-                    obs.write.record(w0.elapsed().as_nanos() as u64);
-                    obs.frame_total.record(t0.elapsed().as_nanos() as u64);
-                }
-                _ => conn::write_all_retry(&mut w, &frame, &mut clock, &state.front)?,
+            if q.lanes + lanes > self.queue_depth_lanes {
+                return Verdict::Full;
+            }
+            q.lanes += lanes;
+            q.jobs.push_back(job);
+            self.queue_hw_lanes
+                .fetch_max(q.lanes as u64, Ordering::Relaxed);
+            self.window_hw_lanes
+                .fetch_max(q.lanes as u64, Ordering::Relaxed);
+        }
+        self.ready.notify_one();
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        if let Some(obs) = &self.obs {
+            obs.trace.sampled(
+                "admission",
+                &[
+                    ("lanes", lanes as u64),
+                    ("exact", u64::from(exact)),
+                    ("epoch", u64::from(self.store.epoch())),
+                ],
+            );
+        }
+        Verdict::Enqueued
+    }
+
+    /// Counted accepted and shed (and a quota shed when `quota`), traced
+    /// always-on, and owed like any reply: shed frames are answered,
+    /// never dropped. The payload carries the retry-after hint: how long
+    /// until the queue that rejected this frame should have drained at
+    /// the measured rate.
+    fn shed(&self, lanes: usize, quota: bool) -> Vec<u8> {
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        if quota {
+            self.quota_sheds.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(obs) = &self.obs {
+            let event = if quota { "quota_shed" } else { "shed" };
+            obs.trace.always(event, &[("lanes", lanes as u64)]);
+        }
+        let hint = proto::encode_retry_hint(self.retry_hint_ms());
+        let epoch = self.store.epoch();
+        proto::encode_response(proto::OP_PROBE, proto::STATUS_LOADSHED, epoch, 0, &hint)
+    }
+
+    fn reject(&self, op: u8) -> Vec<u8> {
+        self.bad_frames.fetch_add(1, Ordering::Relaxed);
+        let epoch = self.store.epoch();
+        proto::encode_response(op, proto::STATUS_BAD_REQUEST, epoch, 0, &[])
+    }
+
+    fn write(&self, w: &mut TcpStream, out: Out, expired: &dyn Fn() -> bool) -> io::Result<()> {
+        // Fault sites: a stall delays this reply (slow network), a write
+        // fault kills the connection as a peer reset would — the frames
+        // it owed are the client's to retry.
+        #[cfg(feature = "fault-injection")]
+        if let Some(faults) = &self.faults {
+            if let Some(FaultAction::Stall(d)) = faults.check(Site::ConnStall) {
+                std::thread::sleep(d);
+            }
+            if faults.check(Site::ConnWrite).is_some() {
+                let _ = w.shutdown(std::net::Shutdown::Both);
+                return Err(faults.injected_error(Site::ConnWrite));
             }
         }
-    })();
-    let _ = result;
-    // Tell the reader; a send failure path follows for anything still
-    // buffered (workers' sends to dropped receivers are ignored).
-    dead.store(true, Ordering::Release);
+        // Probe replies with observability on pay one clock read either
+        // side of the socket write; the admission stamp then closes the
+        // frame-total span. `admitted` is `Some` only for queued probe
+        // frames, and only when obs is configured.
+        match (&self.obs, out.admitted) {
+            (Some(obs), Some(t0)) => {
+                let w0 = Instant::now();
+                conn::write_all_retry(w, &out.frame, expired)?;
+                obs.write.record(w0.elapsed().as_nanos() as u64);
+                obs.frame_total.record(t0.elapsed().as_nanos() as u64);
+                Ok(())
+            }
+            _ => conn::write_all_retry(w, &out.frame, expired),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -945,45 +791,40 @@ fn worker_loop(state: &State) {
 fn process_batch(state: &State, batch: Vec<Job>) {
     let computed = catch_unwind(AssertUnwindSafe(|| compute_replies(state, &batch)));
     let total: usize = batch.iter().map(|j| j.cells.len()).sum();
-    let replies: Vec<Reply> = match computed {
+    let replies: Vec<Vec<u8>> = match computed {
         Ok(ok) => ok,
         Err(_) => {
             state.panics_contained.fetch_add(1, Ordering::Relaxed);
             let epoch = state.store.epoch();
-            (0..batch.len())
-                .map(|_| Reply {
-                    status: proto::STATUS_INTERNAL,
-                    epoch,
-                    n: 0,
-                    payload: Vec::new(),
-                })
-                .collect()
+            let internal =
+                proto::encode_response(proto::OP_PROBE, proto::STATUS_INTERNAL, epoch, 0, &[]);
+            vec![internal; batch.len()]
         }
     };
     debug_assert_eq!(replies.len(), batch.len());
     state
         .drained_lanes
         .fetch_add(total as u64, Ordering::Relaxed);
-    for (job, reply) in batch.into_iter().zip(replies) {
-        // Release the connection's quota lanes at reply production —
-        // whether the reply is real or a contained-panic INTERNAL, the
-        // work is out of the pipeline either way.
-        job.quota
-            .fetch_sub(job.cells.len() as u64, Ordering::AcqRel);
+    for (job, frame) in batch.into_iter().zip(replies) {
         // Counted at production: the reply exists whether or not the
         // connection survives to carry it.
         state.answered.fetch_add(1, Ordering::Relaxed);
-        // A send failure means the connection died while we probed;
-        // nothing to deliver to.
-        let _ = job.reply.send(reply);
+        // Filling the slot releases the connection's quota lanes at
+        // reply production — whether the reply is real or a
+        // contained-panic INTERNAL, the work is out of the pipeline
+        // either way.
+        job.slot.fill(Out {
+            frame,
+            admitted: job.admitted,
+        });
     }
 }
 
 /// The panic-isolated half of [`process_batch`]: one pinned
-/// `(snapshot, epoch)` pair, one `lookup_batch` walk, one [`Reply`] per
-/// job (in batch order). Touches only monotonic stats counters, so
+/// `(snapshot, epoch)` pair, one `lookup_batch` walk, one reply frame
+/// per job (in batch order). Touches only monotonic stats counters, so
 /// unwinding out of here leaves no state poisoned.
-fn compute_replies(state: &State, batch: &[Job]) -> Vec<Reply> {
+fn compute_replies(state: &State, batch: &[Job]) -> Vec<Vec<u8>> {
     #[cfg(feature = "fault-injection")]
     if let Some(faults) = &state.faults {
         if faults.check(Site::WorkerPanic).is_some() {
@@ -1101,12 +942,7 @@ fn compute_replies(state: &State, batch: &[Job]) -> Vec<Reply> {
     for job in batch {
         let n = job.cells.len();
         let reply = if job.exact && state.refiner.is_none() {
-            Reply {
-                status: proto::STATUS_UNSUPPORTED,
-                epoch,
-                n: 0,
-                payload: Vec::new(),
-            }
+            proto::encode_response(proto::OP_PROBE, proto::STATUS_UNSUPPORTED, epoch, 0, &[])
         } else {
             let refine_t0 = match &state.obs {
                 Some(_) if job.exact => Some(Instant::now()),
@@ -1135,12 +971,7 @@ fn compute_replies(state: &State, batch: &[Job]) -> Vec<Reply> {
             if let Some(t0) = refine_t0 {
                 refine_ns += t0.elapsed().as_nanos() as u64;
             }
-            Reply {
-                status: proto::STATUS_OK,
-                epoch,
-                n: n as u32,
-                payload,
-            }
+            proto::encode_response(proto::OP_PROBE, proto::STATUS_OK, epoch, n as u32, &payload)
         };
         at += n;
         replies.push(reply);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Code lines per file and per crate: the non-blank lines that do not
 # start with `//` (so doc comments are not counted either), before each
-# file's first `#[cfg(test)]`. Covers `crates/*/src`, binaries included.
+# file's first `#[cfg(test)]` that gates a `mod` (a gated `use` or fn is
+# counted like any other line). Covers `crates/*/src`, binaries included.
 #
 # Usage: scripts/code-lines.sh [crate ...]   (default: every crate)
 set -euo pipefail
@@ -16,8 +17,10 @@ fi
 
 for crate in "${crates[@]}"; do
   find "crates/$crate/src" -name '*.rs' | sort | while read -r file; do
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
-         /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+    awk '/^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+         gated && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { exit }
+         gated { n++; gated = 0 }
+         /^[[:space:]]*#\[cfg\(test\)\]/ { gated = 1; next }
          { n++ }
          END { printf "%6d  %s\n", n, FILENAME }' "$file"
   done | awk -v crate="$crate" '{ print; total += $1 }
