@@ -6,7 +6,7 @@
 //! overhead at 1 thread and stays correct. The `fig4` binary prints the
 //! paper-style series with correctness assertions.
 
-use act_core::{join_parallel_cells, ActIndex};
+use act_core::{join_parallel_cells_batch, ActIndex, DEFAULT_PROBE_BATCH};
 use bench::{make_points, to_cells};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -25,7 +25,7 @@ fn bench_scalability(c: &mut Criterion) {
 
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(BenchmarkId::new("neighborhoods_15m", threads), |b| {
-            b.iter(|| join_parallel_cells(&index, &cells, n, threads));
+            b.iter(|| join_parallel_cells_batch(&index, &cells, n, threads, DEFAULT_PROBE_BATCH));
         });
     }
     group.finish();

@@ -11,7 +11,7 @@
 //! ACT path as precomputed leaf cell ids (ingest-time conversion); the
 //! R-tree path consumes raw coordinates, as boost's R-tree would. Both the
 //! scalar probe loop and the batched walk (`--batch`, default 64 — see
-//! `Act::lookup_batch`) are measured; the speedup column uses the batched
+//! `ActIndexView::probe_batch`) are measured; the speedup column uses the batched
 //! number, which is the production path. For completeness the end-to-end
 //! ACT throughput (including the lat/lng→cell conversion per point) is
 //! also printed.

@@ -55,7 +55,7 @@ fn main() {
         let cells = to_cells(&points);
 
         // Sequential reference for correctness checking. Workers probe in
-        // batches (Act::lookup_batch), so each thread also exploits
+        // batches (ActIndexView::probe_batch), so each thread also exploits
         // memory-level parallelism within its partition.
         let seq = run_act_join(&index, &cells, ds.polygons.len());
         let mut base = 0.0;

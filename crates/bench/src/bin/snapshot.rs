@@ -10,10 +10,12 @@
 //! Per selected dataset it builds the index once (timed), saves the
 //! snapshot (timed), then loads it back [`LOADS`] times in both modes —
 //! owned ([`ActIndex::load_snapshot`]) and zero-copy
-//! ([`act_core::SnapshotBuf`] + [`act_core::ActIndexView`]) — verifying
-//! after every load that the arena is byte-identical to the built one
-//! and that a probe sample agrees. Minimum load times are recorded (the
-//! steady warm-page-cache state a restarting fleet node sees).
+//! ([`act_core::MappedSnapshot::read_from`]: read into an aligned heap
+//! buffer + validate, then probe through its [`act_core::ActIndexView`];
+//! recorded under the `load_view_*` keys) — verifying after every load
+//! that the arena is byte-identical to the built one and that a probe
+//! sample agrees. Minimum load times are recorded (the steady
+//! warm-page-cache state a restarting fleet node sees).
 //!
 //! `--mmap` adds a third mode: [`act_core::MappedSnapshot::open`], where
 //! "load" is mmap + validate and the page cache backs the probes — the
@@ -22,7 +24,6 @@
 
 use act_core::{
     header_checksum, save_delta_file, ActIndex, DeltaLink, DeltaOp, MappedSnapshot, Probe,
-    SnapshotBuf,
 };
 use bench::json::{array, machine_stamp, pretty, Obj};
 use bench::{make_points, paper_datasets, snapshot_path, to_cells, Opts};
@@ -107,16 +108,16 @@ fn main() {
             assert_eq!(got, want, "loaded probes diverged — not recording");
         }
 
-        // Zero-copy view loads (read into an aligned buffer + validate +
-        // borrow; probing happens straight off the buffer).
+        // Zero-copy view loads (MappedSnapshot::read_from: read into an
+        // aligned heap buffer + validate; probing happens straight off
+        // the buffer).
         let mut view_runs = Vec::new();
         for _ in 0..LOADS {
             let t = Instant::now();
             let mut f = std::fs::File::open(&path).expect("open snapshot file");
-            let buf = SnapshotBuf::read_from(&mut f).expect("read snapshot");
-            let view = buf.view().expect("open snapshot view");
+            let snap = MappedSnapshot::read_from(&mut f).expect("read snapshot");
             view_runs.push(t.elapsed().as_secs_f64());
-            view.probe_batch(&cells, &mut got);
+            snap.view().probe_batch(&cells, &mut got);
             assert_eq!(got, want, "view probes diverged — not recording");
         }
 

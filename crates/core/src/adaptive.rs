@@ -24,7 +24,7 @@ use crate::covering::{cover_uv_polygon, cover_uv_polygon_within, CoveringParams}
 use crate::index::ActIndex;
 use crate::refs::PolygonRef;
 use crate::supercover::build_from_pairs;
-use crate::trie::Probe;
+use crate::trie::{Probe, GRANULARITY};
 use crate::uvpoly::{MultiFaceError, UvPolygon};
 use geom::Polygon;
 use s2cell::{metrics, CellId};
@@ -164,15 +164,11 @@ impl AdaptiveIndex {
         // 1. Heat map over slot-level cells whose probe was (partly) a
         //    candidate.
         let mut heat: HashMap<CellId, u64> = HashMap::new();
-        let mut candidate_probes = 0u64;
-        for &q in sample {
-            let (probe, slot_level) = self.index.act().lookup_with_slot_level(q);
-            if probe_has_candidate(probe, &self.index) {
-                candidate_probes += 1;
-                *heat.entry(q.parent(slot_level)).or_insert(0) += 1;
-            }
+        let hot_slots = candidate_slots(&self.index, sample);
+        for &slot in &hot_slots {
+            *heat.entry(slot).or_insert(0) += 1;
         }
-        report.candidate_rate_before = candidate_probes as f64 / sample.len().max(1) as f64;
+        report.candidate_rate_before = hot_slots.len() as f64 / sample.len().max(1) as f64;
         if heat.is_empty() {
             report.candidate_rate_after = report.candidate_rate_before;
             report.bytes_after = report.bytes_before;
@@ -221,16 +217,27 @@ impl AdaptiveIndex {
         report.bytes_after = self.index.memory_bytes();
 
         // 5. Post-adaptation candidate rate on the same sample.
-        let mut after = 0u64;
-        for &q in sample {
-            let (probe, _) = self.index.act().lookup_with_slot_level(q);
-            if probe_has_candidate(probe, &self.index) {
-                after += 1;
-            }
-        }
+        let after = candidate_slots(&self.index, sample).len();
         report.candidate_rate_after = after as f64 / sample.len().max(1) as f64;
         report
     }
+}
+
+/// The slot-level cell (the quadtree cell of the trie slot that ended
+/// the walk) of every sample probe that returned a candidate, from one
+/// batched walk over the sample.
+fn candidate_slots(index: &ActIndex, sample: &[CellId]) -> Vec<CellId> {
+    let mut probes = vec![Probe::Miss; sample.len()];
+    let mut depths = vec![0u8; sample.len()];
+    index
+        .as_view()
+        .probe_batch_depths(sample, &mut probes, &mut depths);
+    sample
+        .iter()
+        .zip(probes.into_iter().zip(depths))
+        .filter(|&(_, (probe, _))| probe_has_candidate(probe, index))
+        .map(|(q, (_, depth))| q.parent(depth * GRANULARITY))
+        .collect()
 }
 
 fn probe_has_candidate(probe: Probe, index: &ActIndex) -> bool {

@@ -358,25 +358,27 @@ impl ActIndex {
     /// Serializes the built index into the versioned snapshot format
     /// (see [`crate::snapshot`] for the layout), returning the number of
     /// bytes written. Loading the snapshot back — via
-    /// [`ActIndex::load_snapshot`] or a zero-copy
-    /// [`crate::snapshot::ActIndexView`] — reproduces the node arena,
-    /// lookup table, and build stats exactly.
+    /// [`ActIndex::load_snapshot`] or a [`crate::MappedSnapshot`]'s
+    /// zero-copy view — reproduces the node arena, lookup table, and
+    /// build stats exactly.
     ///
     /// # Errors
     /// Propagates I/O errors from `w`.
     pub fn save_snapshot(&self, w: &mut impl std::io::Write) -> Result<u64, SnapshotError> {
-        crate::snapshot::save(self, w)
+        crate::snapshot::write_view(&self.as_view(), w).map(|(len, _)| len)
     }
 
     /// Reads a snapshot produced by [`ActIndex::save_snapshot`] into an
-    /// owned index, validating magic, version, section structure, and the
-    /// checksum before any field is used.
+    /// owned index — [`crate::MappedSnapshot::read_from`] then a deep
+    /// [`crate::MappedSnapshot::to_owned_index`], so the index mutates in
+    /// place. Magic, version, section structure, and the checksum are
+    /// validated before any field is used.
     ///
     /// # Errors
     /// Returns a typed [`SnapshotError`] on I/O failure or any form of
     /// corruption; never panics on malformed input.
     pub fn load_snapshot(r: &mut impl std::io::Read) -> Result<ActIndex, SnapshotError> {
-        crate::snapshot::load(r)
+        Ok(crate::MappedSnapshot::read_from(r)?.to_owned_index())
     }
 
     /// An owned, mutable index over a mapped snapshot that shares the

@@ -65,8 +65,8 @@ pub fn join_approx_cells(index: &ActIndex, cells: &[CellId], counts: &mut [u64])
 
 /// [`join_approx_cells`] with batched trie probes: points are processed in
 /// blocks of `batch` (see [`DEFAULT_PROBE_BATCH`]) via
-/// [`crate::Act::lookup_batch`], overlapping the dependent loads of
-/// different keys in the memory pipeline. Counts and stats are identical
+/// [`crate::ActIndexView::probe_batch`], overlapping the dependent loads
+/// of different keys in the memory pipeline. Counts and stats are identical
 /// to the scalar loop for any `batch`; `batch == 0` is treated as 1.
 pub fn join_approx_cells_batch(
     index: &ActIndex,
@@ -79,12 +79,11 @@ pub fn join_approx_cells_batch(
         ..JoinStats::default()
     };
     let batch = batch.clamp(1, cells.len().max(1));
-    let table = index.table();
-    let act = index.act();
+    let (view, table) = (index.as_view(), index.table());
     let mut probes = vec![Probe::Miss; batch];
     for chunk in cells.chunks(batch) {
         let out = &mut probes[..chunk.len()];
-        act.lookup_batch(chunk, out);
+        view.probe_batch(chunk, out);
         for &p in out.iter() {
             accumulate(p, table, counts, &mut stats);
         }
@@ -230,27 +229,15 @@ fn refine_one(
     }
 }
 
-/// Multithreaded approximate join over precomputed cell ids, with batched
-/// probes ([`DEFAULT_PROBE_BATCH`]) inside each worker.
+/// Multithreaded approximate join over precomputed cell ids, probing in
+/// blocks of `batch` lanes inside each worker (see
+/// [`DEFAULT_PROBE_BATCH`]; `batch == 0` or `1` degenerates to scalar
+/// probing).
 ///
 /// Partitions `cells` into `threads` contiguous chunks on a [`jobs::JobPool`]
 /// with per-chunk counter arrays — no shared mutable state, no atomics;
 /// counters are merged after the pool drains. Returns the merged counts and
-/// stats, bit-identical to the sequential join. For cache-resident indexes
-/// where batching does not pay (see [`DEFAULT_PROBE_BATCH`]), use
-/// [`join_parallel_cells_batch`] with `batch = 1`.
-pub fn join_parallel_cells(
-    index: &ActIndex,
-    cells: &[CellId],
-    num_polygons: usize,
-    threads: usize,
-) -> (Vec<u64>, JoinStats) {
-    join_parallel_cells_batch(index, cells, num_polygons, threads, DEFAULT_PROBE_BATCH)
-}
-
-/// [`join_parallel_cells`] with an explicit probe batch size (`batch == 0`
-/// or `1` degenerates to scalar probing; the bench harness's `--batch`
-/// knob lands here).
+/// stats, bit-identical to the sequential join.
 pub fn join_parallel_cells_batch(
     index: &ActIndex,
     cells: &[CellId],
@@ -400,7 +387,8 @@ mod tests {
         let mut seq = vec![0u64; 2];
         let seq_stats = join_approx_cells(&idx, &cells, &mut seq);
         for threads in [1usize, 2, 3, 8] {
-            let (par, par_stats) = join_parallel_cells(&idx, &cells, 2, threads);
+            let (par, par_stats) =
+                join_parallel_cells_batch(&idx, &cells, 2, threads, DEFAULT_PROBE_BATCH);
             assert_eq!(par, seq, "threads={threads}");
             assert_eq!(par_stats, seq_stats, "threads={threads}");
         }
@@ -412,7 +400,7 @@ mod tests {
         let mut counts = vec![0u64; 2];
         let stats = join_approx_cells(&idx, &[], &mut counts);
         assert_eq!(stats.points, 0);
-        let (par, _) = join_parallel_cells(&idx, &[], 2, 4);
+        let (par, _) = join_parallel_cells_batch(&idx, &[], 2, 4, DEFAULT_PROBE_BATCH);
         assert_eq!(par, vec![0, 0]);
         let stats = join_approx_cells_batch(&idx, &[], &mut counts, 64);
         assert_eq!(stats.points, 0);

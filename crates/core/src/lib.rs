@@ -68,7 +68,7 @@ pub use delta::{apply_delta_file, save_delta, save_delta_file, Delta, DeltaLink,
 pub use index::{coord_to_cell, ActIndex, BuildStats};
 pub use join::{
     join_approx_cells, join_approx_cells_batch, join_approx_coords, join_exact,
-    join_parallel_cells, join_parallel_cells_batch, JoinStats, Refiner, DEFAULT_PROBE_BATCH,
+    join_parallel_cells_batch, JoinStats, Refiner, DEFAULT_PROBE_BATCH,
 };
 pub use lookup::{LookupTable, LookupTableBuilder};
 pub use refs::{PolygonRef, RefSet, MAX_POLYGON_ID};
@@ -78,7 +78,7 @@ pub use shard::{
 };
 pub use snapshot::{
     header_checksum, write_file_atomic, write_file_atomic_with, ActIndexView, MappedSnapshot,
-    SnapshotBuf, SnapshotError,
+    SnapshotError,
 };
 pub use sorted_index::SortedCellIndex;
 pub use supercover::{build_super_covering, SuperCovering};

@@ -63,25 +63,27 @@
 //!
 //! ## Load modes
 //!
-//! * **Owned** — [`ActIndex::load_snapshot`] copies the sections into a
-//!   regular [`ActIndex`].
-//! * **Zero-copy** — [`ActIndexView::from_bytes`] borrows an 8-byte
-//!   aligned caller buffer (an mmap-style slice, or a [`SnapshotBuf`])
-//!   and probes directly through the same [`crate::trie`] walk the owned
-//!   index uses; only the 24-byte roots array and the fixed-size metadata
-//!   are copied out. Zero-copy views require a little-endian target (all
-//!   tier-1 targets are); big-endian hosts get a typed
-//!   [`SnapshotError::UnsupportedEndian`].
-//! * **Memory-mapped** — [`MappedSnapshot::open`] `mmap`s the file (via
-//!   the `mmapio` shim) and probes straight off the page cache; it
-//!   validates once at open and hands out the same [`ActIndexView`]s
-//!   cheaply thereafter. Files or buffers that cannot be mapped or are
-//!   misaligned fall back to an owned aligned heap copy instead of
-//!   erroring — mapping is an optimization, never a correctness risk.
-//! * **Shared, mutable** — [`ActIndex::from_mapped`] opens an owned
-//!   index over an `Arc` of a [`MappedSnapshot`] whose trie arena *is*
-//!   the mapping: only the roots and the lookup table are copied, and
-//!   edits copy the nodes they write (see [`crate::trie`]).
+//! Every snapshot is read through one type, [`MappedSnapshot`]:
+//! [`MappedSnapshot::open`] `mmap`s the file (via the `mmapio` shim) and
+//! probes straight off the page cache; [`MappedSnapshot::read_from`]
+//! reads any stream into an owned aligned heap copy, which is also
+//! `open`'s fallback when a file cannot be mapped. Either way the bytes
+//! are validated once, and every [`MappedSnapshot::view`] after that is a
+//! zero-copy [`ActIndexView`] that probes through the same
+//! [`crate::trie`] walk the owned index uses; only the 24-byte roots
+//! array and the fixed-size metadata are copied out. Views require a
+//! little-endian target (all tier-1 targets are); big-endian hosts get a
+//! typed [`SnapshotError::UnsupportedEndian`].
+//!
+//! From a [`MappedSnapshot`], an [`ActIndex`] is one of two kinds:
+//!
+//! * **Deep** — [`MappedSnapshot::to_owned_index`] (and
+//!   [`ActIndex::load_snapshot`], which reads a stream into one) copies
+//!   the sections into a regular [`ActIndex`].
+//! * **Shared** — [`ActIndex::from_mapped`] opens an owned index over an
+//!   `Arc` of a [`MappedSnapshot`] whose trie arena *is* the mapping:
+//!   only the roots and the lookup table are copied, and edits copy the
+//!   nodes they write (see [`crate::trie`]).
 //!
 //! Writers stream: [`ActIndex::save_snapshot`] and
 //! [`ActIndexView::save_file`] write an index's TRIE section as its
@@ -172,9 +174,6 @@ pub enum SnapshotError {
     },
     /// Sections parsed but their contents disagree (the string says how).
     Inconsistent(&'static str),
-    /// A zero-copy view was requested over a buffer that is not 8-byte
-    /// aligned.
-    Misaligned,
     /// Zero-copy views (and the loaders built on them) require a
     /// little-endian target.
     UnsupportedEndian,
@@ -206,12 +205,6 @@ impl fmt::Display for SnapshotError {
             ),
             SnapshotError::Inconsistent(what) => {
                 write!(f, "inconsistent snapshot contents: {what}")
-            }
-            SnapshotError::Misaligned => {
-                write!(
-                    f,
-                    "zero-copy snapshot view requires an 8-byte aligned buffer"
-                )
             }
             SnapshotError::UnsupportedEndian => {
                 write!(f, "snapshot views require a little-endian target")
@@ -320,7 +313,7 @@ fn words_as_bytes(words: &[u64]) -> &[u8] {
     mmapio::cast::u64s_as_bytes(words)
 }
 
-/// Mutable byte view of a u64 buffer — lets [`SnapshotBuf::read_from`]
+/// Mutable byte view of a u64 buffer — lets [`MappedSnapshot::read_from`]
 /// stream file bytes straight into aligned storage.
 fn words_as_bytes_mut(words: &mut [u64]) -> &mut [u8] {
     mmapio::cast::u64s_as_bytes_mut(words)
@@ -329,12 +322,6 @@ fn words_as_bytes_mut(words: &mut [u64]) -> &mut [u8] {
 // ---------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------
-
-/// Serializes `index` into `w` in the version-2 format, returning the
-/// number of bytes written. See [`ActIndex::save_snapshot`].
-pub fn save(index: &ActIndex, w: &mut impl Write) -> Result<u64, SnapshotError> {
-    write_view(&index.as_view(), w).map(|(len, _)| len)
-}
 
 /// The header and META words of `view`'s snapshot, the header's checksum
 /// word filled in.
@@ -399,7 +386,10 @@ fn image_words(view: &ActIndexView<'_>) -> ([u64; HEADER_WORDS], [u64; META_WORD
 /// Streams `view`'s version-2 snapshot to `w`: the TRIE section is the
 /// base segment, then the ext. Returns the bytes written and the
 /// snapshot's whole-file checksum.
-fn write_view(view: &ActIndexView<'_>, w: &mut impl Write) -> Result<(u64, u64), SnapshotError> {
+pub(crate) fn write_view(
+    view: &ActIndexView<'_>,
+    w: &mut impl Write,
+) -> Result<(u64, u64), SnapshotError> {
     let (header, meta_words) = image_words(view);
     write_words(w, &header)?;
     write_u32_words(w, view.base)?;
@@ -519,11 +509,11 @@ fn validate(words: &[u64]) -> Result<Layout, SnapshotError> {
 // Zero-copy view
 // ---------------------------------------------------------------------
 
-/// A query-ready, zero-copy view of a snapshot: the node arena and lookup
-/// table are borrowed section slices of the caller's buffer; only the
-/// 24-byte roots array and the fixed-size build metadata are copied out.
-/// Probes go through exactly the same [`crate::trie`] walks as the owned
-/// [`ActIndex`].
+/// A query-ready, zero-copy view of a snapshot ([`MappedSnapshot::view`])
+/// or of a live index ([`ActIndex::as_view`]): the node arena and lookup
+/// table are borrowed; only the 24-byte roots array and the fixed-size
+/// build metadata are copied out. It is the one probe surface of this
+/// crate: every probe goes through the same [`crate::trie`] walks.
 #[derive(Debug, Clone)]
 pub struct ActIndexView<'a> {
     /// The arena's base segment (the whole arena, for a snapshot).
@@ -538,26 +528,14 @@ pub struct ActIndexView<'a> {
 }
 
 impl<'a> ActIndexView<'a> {
-    /// Opens a view over a full snapshot held in `bytes` (an mmap-style
-    /// slice or [`SnapshotBuf::bytes`]), validating structure and
-    /// checksum before any field is used. The buffer must be 8-byte
-    /// aligned and outlive the view.
-    ///
-    /// # Errors
-    /// Any [`SnapshotError`] variant; never panics on malformed input.
-    pub fn from_bytes(bytes: &'a [u8]) -> Result<ActIndexView<'a>, SnapshotError> {
-        Self::parse(bytes).map(|(_, view)| view)
-    }
-
-    /// [`ActIndexView::from_bytes`] plus the validated [`Layout`] — the
-    /// shared parse behind the borrowed view and [`MappedSnapshot`]
-    /// (which stores the layout so later views skip re-validation).
+    /// Validates a full snapshot held in the 8-byte aligned `bytes`
+    /// (structure and checksum before any field is used) and returns its
+    /// [`Layout`] with a view over it — the one parse behind
+    /// [`MappedSnapshot`], which stores the layout so later views skip
+    /// re-validation. Never panics on malformed input.
     fn parse(bytes: &'a [u8]) -> Result<(Layout, ActIndexView<'a>), SnapshotError> {
         if cfg!(target_endian = "big") {
             return Err(SnapshotError::UnsupportedEndian);
-        }
-        if !(bytes.as_ptr() as usize).is_multiple_of(8) {
-            return Err(SnapshotError::Misaligned);
         }
         if bytes.len() < HEADER_LEN || !bytes.len().is_multiple_of(8) {
             return Err(SnapshotError::Truncated { have: bytes.len() });
@@ -673,16 +651,28 @@ impl<'a> ActIndexView<'a> {
         }
     }
 
-    /// Probes with a precomputed leaf cell id — the hot path (see
-    /// [`crate::Act::lookup`]).
+    /// Probes with a leaf (or any sufficiently deep) cell id — the hot
+    /// path.
+    ///
+    /// The descent is comparison-free in the paper's sense: it extracts
+    /// one key byte per level and jumps; the only branches distinguish
+    /// entry tags.
     #[inline]
     pub fn probe_cell(&self, leaf: CellId) -> Probe {
         self.raw().lookup(leaf)
     }
 
-    /// Probes a batch of leaf cell ids, writing one [`Probe`] per query —
-    /// the batched hot path (see [`crate::Act::lookup_batch`] for why this
-    /// beats a loop over [`ActIndexView::probe_cell`]).
+    /// Probes a batch of leaf cell ids, writing `out[i]` =
+    /// [`ActIndexView::probe_cell`]`(cells[i])` — the batched hot path.
+    ///
+    /// Rationale: a single probe is a chain of up to 7 *dependent*
+    /// cache-missing loads — the memory pipeline stalls on every level.
+    /// This walk instead advances a block of up to
+    /// [`crate::trie::MAX_PROBE_BLOCK`] keys *level-synchronously*: within
+    /// one level the loads of different lanes are independent, so the
+    /// core keeps many misses in flight (memory-level parallelism)
+    /// instead of serializing them. Lanes that resolve early are
+    /// compacted out of the active list.
     ///
     /// # Panics
     /// Panics if `cells.len() != out.len()`.
@@ -691,8 +681,14 @@ impl<'a> ActIndexView<'a> {
         self.raw().lookup_batch(cells, out);
     }
 
-    /// [`ActIndexView::probe_batch`] plus per-cell termination depths
-    /// (see [`crate::Act::lookup_batch_depths`]).
+    /// [`ActIndexView::probe_batch`] plus per-cell termination depths:
+    /// `depths[i]` is the number of trie node accesses cell `i` made (0
+    /// for an empty root face, 1..=7 otherwise), so `depths[i]` ×
+    /// [`crate::trie::GRANULARITY`] is the quadtree level of the slot
+    /// that ended the walk. Same level-synchronous walk, same
+    /// memory-level parallelism; the extra cost is one byte store per
+    /// lane per level, so it is cheap enough to run always-on in the
+    /// serving pipeline.
     ///
     /// # Panics
     /// Panics if the three slices' lengths disagree.
@@ -767,33 +763,99 @@ impl<'a> ActIndexView<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Owned loading
+// Loading
 // ---------------------------------------------------------------------
 
-/// An owned, 8-byte aligned snapshot buffer — the backing store for
-/// zero-copy [`ActIndexView`]s when the caller has no mmap to hand.
+/// What actually holds a [`MappedSnapshot`]'s bytes.
 #[derive(Debug)]
-pub struct SnapshotBuf {
-    words: Vec<u64>,
+enum Backing {
+    /// A live read-only file mapping: probes run straight off the page
+    /// cache, and a warm load copies nothing but the roots and metadata.
+    Mapped(mmapio::Mmap),
+    /// The portable path: the whole snapshot read into an owned aligned
+    /// buffer ([`MappedSnapshot::read_from`]; also non-unix targets and
+    /// unmappable or ragged files).
+    Heap(Vec<u64>),
 }
 
-impl SnapshotBuf {
-    /// Reads a whole snapshot from `r`, streaming directly into aligned
-    /// storage. The header is read first so the buffer is sized exactly
-    /// from its `total_len` — one allocation, no realloc copies on the
-    /// census-scale path. Magic and version are checked *before*
+impl Backing {
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Backing::Mapped(m) => m.as_bytes(),
+            Backing::Heap(words) => words_as_bytes(words),
+        }
+    }
+}
+
+/// A self-contained, query-ready snapshot: the bytes (memory-mapped when
+/// the platform allows, an owned aligned copy otherwise) together with
+/// their validated layout. Constructing one runs the full validation
+/// exactly once; every [`MappedSnapshot::view`] after that is a few
+/// slice borrows — cheap enough to call per batch, which is what the
+/// serving layer does.
+///
+/// Unlike [`ActIndexView`], this type owns its backing and so has no
+/// lifetime parameter: it can be put in an `Arc` and shared across
+/// worker threads, which is exactly the multi-worker single-mapping
+/// serving story from the paper's online-join motivation.
+#[derive(Debug)]
+pub struct MappedSnapshot {
+    backing: Backing,
+    layout: Layout,
+    roots: [u32; 6],
+    stats: BuildStats,
+    inserted_cells: u64,
+    denormalized_slots: u64,
+}
+
+impl MappedSnapshot {
+    /// Opens `path` for probing, preferring a real `mmap`.
+    ///
+    /// Falls back to reading the file with [`MappedSnapshot::read_from`]
+    /// when mapping is not an option — non-unix target, empty file, or a
+    /// file whose size is not a whole number of words (a mapping of those
+    /// could never pass validation, but the typed error should come from
+    /// the canonical reader, not from a misalignment artifact). Validation
+    /// failures of well-formed mappings are returned as-is; they would
+    /// fail identically from the heap.
+    ///
+    /// # Errors
+    /// Any [`SnapshotError`]; never panics on malformed input.
+    pub fn open(path: impl AsRef<std::path::Path>) -> Result<MappedSnapshot, SnapshotError> {
+        let path = path.as_ref();
+        match mmapio::Mmap::map_path(path) {
+            Ok(map)
+                if (map.as_bytes().as_ptr() as usize).is_multiple_of(8)
+                    && map.len() >= HEADER_LEN
+                    && map.len().is_multiple_of(8) =>
+            {
+                Self::from_backing(Backing::Mapped(map))
+            }
+            // Unsupported target, unmappable file, or a mapping no view
+            // could accept (short/ragged): take the heap path, which
+            // produces the canonical typed error for bad files.
+            _ => Self::read_from(&mut std::fs::File::open(path)?),
+        }
+    }
+
+    /// Reads a whole snapshot from `r` into an owned aligned buffer and
+    /// validates it. The header is read first so the buffer is sized
+    /// exactly from its `total_len` — one allocation, no realloc copies
+    /// on the census-scale path. Magic and version are checked *before*
     /// `total_len` is trusted (a non-snapshot stream must not dictate an
     /// allocation), and memory is reserved fallibly and touched only as
     /// bytes actually arrive, so even a forged length cannot force a
-    /// huge zeroed allocation. Full validation remains
-    /// [`SnapshotBuf::view`]'s job.
+    /// huge zeroed allocation. The stream must end exactly at
+    /// `total_len`.
     ///
     /// # Errors
     /// I/O errors, [`SnapshotError::Truncated`] /
     /// [`SnapshotError::LengthMismatch`] when the stream ends early or
-    /// runs past its header's length, and [`SnapshotError::BadMagic`] /
-    /// [`SnapshotError::UnsupportedVersion`] for non-snapshot input.
-    pub fn read_from(r: &mut impl Read) -> Result<SnapshotBuf, SnapshotError> {
+    /// runs past its header's length, [`SnapshotError::BadMagic`] /
+    /// [`SnapshotError::UnsupportedVersion`] for non-snapshot input, and
+    /// any validation failure; never panics on malformed input.
+    pub fn read_from(r: &mut impl Read) -> Result<MappedSnapshot, SnapshotError> {
         /// Reads until `buf` is full or EOF; returns the bytes read.
         fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, SnapshotError> {
             let mut n = 0;
@@ -860,144 +922,7 @@ impl SnapshotBuf {
                 actual: total as u64 + 1,
             });
         }
-        Ok(SnapshotBuf { words })
-    }
-
-    /// Copies `bytes` into aligned storage (use [`ActIndexView::from_bytes`]
-    /// directly when the buffer is already 8-byte aligned).
-    ///
-    /// # Errors
-    /// [`SnapshotError::Truncated`] when `bytes` is shorter than a header
-    /// or not a whole number of words.
-    pub fn from_bytes(bytes: &[u8]) -> Result<SnapshotBuf, SnapshotError> {
-        if bytes.len() < HEADER_LEN || !bytes.len().is_multiple_of(8) {
-            return Err(SnapshotError::Truncated { have: bytes.len() });
-        }
-        let mut words = vec![0u64; bytes.len() / 8];
-        words_as_bytes_mut(&mut words).copy_from_slice(bytes);
-        Ok(SnapshotBuf { words })
-    }
-
-    /// The raw snapshot bytes (8-byte aligned by construction).
-    #[inline]
-    pub fn bytes(&self) -> &[u8] {
-        words_as_bytes(&self.words)
-    }
-
-    /// Opens a validated zero-copy view over this buffer.
-    ///
-    /// # Errors
-    /// As [`ActIndexView::from_bytes`].
-    pub fn view(&self) -> Result<ActIndexView<'_>, SnapshotError> {
-        ActIndexView::from_bytes(self.bytes())
-    }
-}
-
-/// Reads and validates a snapshot from `r`, reconstructing an owned
-/// [`ActIndex`]. See [`ActIndex::load_snapshot`].
-pub fn load(r: &mut impl Read) -> Result<ActIndex, SnapshotError> {
-    let buf = SnapshotBuf::read_from(r)?;
-    Ok(buf.view()?.to_owned_index())
-}
-
-// ---------------------------------------------------------------------
-// Memory-mapped loading
-// ---------------------------------------------------------------------
-
-/// What actually holds a [`MappedSnapshot`]'s bytes.
-#[derive(Debug)]
-enum Backing {
-    /// A live read-only file mapping: probes run straight off the page
-    /// cache, and a warm load copies nothing but the roots and metadata.
-    Mapped(mmapio::Mmap),
-    /// The portable fallback: the whole file read into an owned aligned
-    /// buffer (non-unix targets, unmappable/ragged files, unaligned
-    /// caller buffers).
-    Heap(SnapshotBuf),
-}
-
-impl Backing {
-    #[inline]
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Backing::Mapped(m) => m.as_bytes(),
-            Backing::Heap(b) => b.bytes(),
-        }
-    }
-}
-
-/// A self-contained, query-ready snapshot: the bytes (memory-mapped when
-/// the platform allows, an owned aligned copy otherwise) together with
-/// their validated layout. Constructing one runs the full
-/// [`ActIndexView::from_bytes`] validation exactly once; every
-/// [`MappedSnapshot::view`] after that is a few slice borrows — cheap
-/// enough to call per batch, which is what the serving layer does.
-///
-/// Unlike [`ActIndexView`], this type owns its backing and so has no
-/// lifetime parameter: it can be put in an `Arc` and shared across
-/// worker threads, which is exactly the multi-worker single-mapping
-/// serving story from the paper's online-join motivation.
-#[derive(Debug)]
-pub struct MappedSnapshot {
-    backing: Backing,
-    layout: Layout,
-    roots: [u32; 6],
-    stats: BuildStats,
-    inserted_cells: u64,
-    denormalized_slots: u64,
-}
-
-impl MappedSnapshot {
-    /// Opens `path` for probing, preferring a real `mmap`.
-    ///
-    /// Falls back to an owned aligned heap copy when mapping is not an
-    /// option — non-unix target, empty file, or a file whose size is not
-    /// a whole number of words (a mapping of those could never pass
-    /// validation, but the typed error should come from the canonical
-    /// loader, not from a misalignment artifact). Validation failures of
-    /// well-formed mappings are returned as-is; they would fail
-    /// identically from the heap.
-    ///
-    /// # Errors
-    /// Any [`SnapshotError`]; never panics on malformed input.
-    pub fn open(path: impl AsRef<std::path::Path>) -> Result<MappedSnapshot, SnapshotError> {
-        let path = path.as_ref();
-        match mmapio::Mmap::map_path(path) {
-            Ok(map)
-                if (map.as_bytes().as_ptr() as usize).is_multiple_of(8)
-                    && map.len() >= HEADER_LEN
-                    && map.len().is_multiple_of(8) =>
-            {
-                Self::from_backing(Backing::Mapped(map))
-            }
-            // Unsupported target, unmappable file, or a mapping no view
-            // could accept (short/ragged): take the owned-read path,
-            // which produces the canonical typed error for bad files.
-            _ => Self::open_heap(path),
-        }
-    }
-
-    /// Opens `path` without attempting to map it: the file is read into
-    /// an owned, aligned buffer. The explicit form of [`MappedSnapshot::open`]'s
-    /// fallback — useful for like-for-like load benchmarking.
-    ///
-    /// # Errors
-    /// Any [`SnapshotError`]; never panics on malformed input.
-    pub fn open_heap(path: impl AsRef<std::path::Path>) -> Result<MappedSnapshot, SnapshotError> {
-        let mut f = std::fs::File::open(path)?;
-        Self::from_backing(Backing::Heap(SnapshotBuf::read_from(&mut f)?))
-    }
-
-    /// Builds a query-ready snapshot from caller-held bytes of **any**
-    /// alignment: aligned input would also be accepted by
-    /// [`ActIndexView::from_bytes`] directly; unaligned input (a slice
-    /// into a larger message buffer, say) is copied into aligned
-    /// storage instead of erroring with [`SnapshotError::Misaligned`].
-    ///
-    /// # Errors
-    /// Any [`SnapshotError`]; never panics on malformed input.
-    pub fn from_unaligned_bytes(bytes: &[u8]) -> Result<MappedSnapshot, SnapshotError> {
-        Self::from_backing(Backing::Heap(SnapshotBuf::from_bytes(bytes)?))
+        Self::from_backing(Backing::Heap(words))
     }
 
     /// Validates `backing` once and captures the layout + copied-out
@@ -1231,8 +1156,8 @@ mod tests {
     fn view_probes_match_owned() {
         let idx = sample_index();
         let bytes = save_to_vec(&idx);
-        let buf = SnapshotBuf::from_bytes(&bytes).unwrap();
-        let view = buf.view().unwrap();
+        let snap = MappedSnapshot::read_from(&mut bytes.as_slice()).unwrap();
+        let view = snap.view();
         assert_eq!(view.num_nodes(), idx.act().num_nodes());
         assert_eq!(view.memory_bytes(), idx.memory_bytes());
         for k in 0..400 {
@@ -1260,31 +1185,11 @@ mod tests {
             loaded.as_view().probe_coord(Coord::new(-74.0, 40.7)),
             Probe::Miss
         );
-        let buf = SnapshotBuf::from_bytes(&bytes).unwrap();
+        let snap = MappedSnapshot::read_from(&mut bytes.as_slice()).unwrap();
         assert_eq!(
-            buf.view().unwrap().probe_coord(Coord::new(-74.0, 40.7)),
+            snap.view().probe_coord(Coord::new(-74.0, 40.7)),
             Probe::Miss
         );
-    }
-
-    #[test]
-    fn misaligned_view_is_a_typed_error() {
-        let idx = sample_index();
-        let bytes = save_to_vec(&idx);
-        // Shift by one byte inside a padded copy: guaranteed misaligned.
-        let mut padded = vec![0u8; bytes.len() + 8];
-        padded[1..1 + bytes.len()].copy_from_slice(&bytes);
-        let base = padded.as_ptr() as usize;
-        let off = if base.is_multiple_of(8) {
-            1
-        } else {
-            8 - base % 8 + 1
-        };
-        let shifted = &padded[off..off + bytes.len()];
-        assert!(matches!(
-            ActIndexView::from_bytes(shifted),
-            Err(SnapshotError::Misaligned)
-        ));
     }
 
     fn temp_snap(name: &str, bytes: &[u8]) -> std::path::PathBuf {
@@ -1317,8 +1222,8 @@ mod tests {
             );
         }
         assert!(mapped.to_owned_index().identical_to(&idx));
-        // The explicit heap path answers identically and is not a map.
-        let heap = MappedSnapshot::open_heap(&path).unwrap();
+        // The heap reader answers identically and is not a map.
+        let heap = MappedSnapshot::read_from(&mut std::fs::File::open(&path).unwrap()).unwrap();
         assert!(!heap.is_mmap());
         let c = Coord::new(-74.05, 40.70);
         assert_eq!(heap.view().probe_coord(c), mapped.view().probe_coord(c));
@@ -1339,12 +1244,9 @@ mod tests {
         };
         padded[off..off + bytes.len()].copy_from_slice(&bytes);
         let shifted = &padded[off..off + bytes.len()];
-        assert!(matches!(
-            ActIndexView::from_bytes(shifted),
-            Err(SnapshotError::Misaligned)
-        ));
-        // The mapped-snapshot constructor copies instead of erroring.
-        let snap = MappedSnapshot::from_unaligned_bytes(shifted).unwrap();
+        assert!(!(shifted.as_ptr() as usize).is_multiple_of(8));
+        // The reader copies into aligned storage instead of erroring.
+        let snap = MappedSnapshot::read_from(&mut &shifted[..]).unwrap();
         assert!(!snap.is_mmap());
         for k in 0..200 {
             let c = Coord::new(-74.1 + 0.001 * k as f64, 40.70);
@@ -1381,8 +1283,8 @@ mod tests {
     fn view_resolve_refs_matches_lookup_refs() {
         let idx = sample_index();
         let bytes = save_to_vec(&idx);
-        let buf = SnapshotBuf::from_bytes(&bytes).unwrap();
-        let view = buf.view().unwrap();
+        let snap = MappedSnapshot::read_from(&mut bytes.as_slice()).unwrap();
+        let view = snap.view();
         for k in 0..100 {
             let c = Coord::new(-74.08 + 0.001 * k as f64, 40.70);
             let probe = view.probe_coord(c);
@@ -1402,8 +1304,8 @@ mod tests {
             .unwrap();
         let bytes = save_to_vec(&idx);
         let owned = ActIndex::load_snapshot(&mut bytes.as_slice()).unwrap();
-        let buf = SnapshotBuf::from_bytes(&bytes).unwrap();
-        let heap = buf.view().unwrap();
+        let snap = MappedSnapshot::read_from(&mut bytes.as_slice()).unwrap();
+        let heap = snap.view();
         let path = temp_snap("max-id", &bytes);
         let mapped = MappedSnapshot::open(&path).unwrap();
         assert_eq!(cfg!(unix), mapped.is_mmap());
@@ -1434,8 +1336,8 @@ mod tests {
     fn view_to_owned_equals_direct_load() {
         let idx = sample_index();
         let bytes = save_to_vec(&idx);
-        let buf = SnapshotBuf::from_bytes(&bytes).unwrap();
-        let owned = buf.view().unwrap().to_owned_index();
+        let snap = MappedSnapshot::read_from(&mut bytes.as_slice()).unwrap();
+        let owned = snap.view().to_owned_index();
         let direct = ActIndex::load_snapshot(&mut bytes.as_slice()).unwrap();
         assert_eq!(owned.act().slots(), direct.act().slots());
         assert_eq!(owned.table().words(), direct.table().words());

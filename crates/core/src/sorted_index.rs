@@ -150,7 +150,7 @@ mod tests {
         for i in 0..60 {
             for j in 0..60 {
                 let p = leaf(40.67 + 0.001 * i as f64, -74.03 + 0.001 * j as f64);
-                assert_eq!(sorted.lookup(p), act.lookup(p), "at ({i},{j})");
+                assert_eq!(sorted.lookup(p), act.raw().lookup(p), "at ({i},{j})");
             }
         }
     }

@@ -77,8 +77,9 @@
 //!
 //! ## Batched probing
 //!
-//! [`Act::lookup`] issues one *dependent* load per level — the probe's
-//! latency is the sum of its cache misses. [`Act::lookup_batch`] walks a
+//! [`crate::ActIndexView::probe_cell`] issues one *dependent* load per
+//! level — the probe's latency is the sum of its cache misses.
+//! [`crate::ActIndexView::probe_batch`] walks a
 //! block of keys level-synchronously instead, so the misses of different
 //! keys overlap in the memory pipeline (memory-level parallelism); on
 //! larger-than-cache tries this is worth ~1.3–1.5× single-threaded (see
@@ -99,8 +100,9 @@ pub(crate) const NODE_BYTES: usize = FANOUT * std::mem::size_of::<u32>();
 pub const GRANULARITY: u8 = 4;
 /// Maximum indexable cell level (7 key bytes × 4 levels/byte).
 pub const MAX_INDEX_LEVEL: u8 = 28;
-/// Maximum lanes walked together by one [`Act::lookup_batch`] block (the
-/// lane state must stay stack- and L1-resident; see the method docs).
+/// Maximum lanes walked together by one
+/// [`crate::ActIndexView::probe_batch`] block (the lane state must stay
+/// stack- and L1-resident; see the method docs).
 pub const MAX_PROBE_BLOCK: usize = 256;
 
 const TAG_MASK: u32 = 3;
@@ -185,8 +187,8 @@ impl Probe {
 /// its key. That makes this value a correct cache key for probe
 /// results: the serving layer's hot-cell cache stores resolved ref sets
 /// under `probe_cell_key(query, depth)` (depth from
-/// [`Act::lookup_batch_depths`]) and looks a query up by trying its
-/// prefixes at each depth `1..=7`.
+/// [`crate::ActIndexView::probe_batch_depths`]) and looks a query up by
+/// trying its prefixes at each depth `1..=7`.
 ///
 /// Layout: the query's top `3 + 8·depth` bits in place, low bits
 /// zeroed, with `depth` (≤ 7, so 3 bits) packed into the low bits —
@@ -301,7 +303,7 @@ impl<'a> RawTrie<'a> {
         }
     }
 
-    /// See [`Act::lookup`].
+    /// See [`crate::ActIndexView::probe_cell`].
     #[inline]
     pub(crate) fn lookup(self, query: CellId) -> Probe {
         self.lookup_depth(query).0
@@ -317,7 +319,7 @@ impl<'a> RawTrie<'a> {
         }
     }
 
-    /// See [`Act::lookup_batch`].
+    /// See [`crate::ActIndexView::probe_batch`].
     pub(crate) fn lookup_batch(self, queries: &[CellId], out: &mut [Probe]) {
         assert_eq!(
             queries.len(),
@@ -332,7 +334,7 @@ impl<'a> RawTrie<'a> {
         }
     }
 
-    /// See [`Act::lookup_batch_depths`].
+    /// See [`crate::ActIndexView::probe_batch_depths`].
     pub(crate) fn lookup_batch_depths(
         self,
         queries: &[CellId],
@@ -377,6 +379,10 @@ impl<'a> RawTrie<'a> {
     /// snapshot loader runs this so that probing a validated arena can
     /// never index out of bounds, whatever the bytes came from; `Err` is
     /// the first violation's reason.
+    ///
+    /// Kept out of line: inlined into the snapshot loader, its loop state
+    /// spilled to the stack, and a census open ran ~25% slower.
+    #[inline(never)]
     pub(crate) fn validate_entries(self, table: &[u32]) -> Result<(), &'static str> {
         let num_nodes = (self.base.len() + self.ext.len()) / FANOUT;
         // Denormalization repeats one value across runs of up to 256
@@ -925,57 +931,6 @@ impl Act {
         self.denormalized_slots += count as u64;
     }
 
-    /// Probes the trie with a leaf (or any sufficiently deep) cell id.
-    ///
-    /// The descent is comparison-free in the paper's sense: it extracts one
-    /// key byte per level and jumps; the only branches distinguish entry
-    /// tags.
-    #[inline]
-    pub fn lookup(&self, query: CellId) -> Probe {
-        self.raw().lookup(query)
-    }
-
-    /// Probes a batch of keys, writing `out[i]` = [`Act::lookup`]`(queries[i])`.
-    ///
-    /// Rationale: a single lookup is a chain of up to 7 *dependent*
-    /// cache-missing loads — the memory pipeline stalls on every level.
-    /// This walk instead advances a block of up to [`MAX_PROBE_BLOCK`] keys
-    /// *level-synchronously*: within one level the loads of different lanes
-    /// are independent, so the core keeps many misses in flight
-    /// (memory-level parallelism) instead of serializing them. Lanes that
-    /// resolve early are compacted out of the active list.
-    ///
-    /// # Panics
-    /// Panics if `queries.len() != out.len()`.
-    pub fn lookup_batch(&self, queries: &[CellId], out: &mut [Probe]) {
-        self.raw().lookup_batch(queries, out);
-    }
-
-    /// [`Act::lookup_batch`] plus per-query termination depths:
-    /// `depths[i]` is the number of trie node accesses query `i` made
-    /// (0 for an empty root face, 1..=7 otherwise — so `depths[i] * 4`
-    /// is the terminating slot level, matching
-    /// [`Act::lookup_with_slot_level`]). Same level-synchronous walk,
-    /// same memory-level parallelism; the extra cost is one byte store
-    /// per lane per level, so it is cheap enough to run always-on in
-    /// the serving pipeline's probe-depth histogram.
-    ///
-    /// # Panics
-    /// Panics if the three slices' lengths disagree.
-    pub fn lookup_batch_depths(&self, queries: &[CellId], out: &mut [Probe], depths: &mut [u8]) {
-        self.raw().lookup_batch_depths(queries, out, depths);
-    }
-
-    /// Like [`Act::lookup`], additionally returning the quadtree level of
-    /// the *slot* that terminated the walk (a multiple of 4; the matched
-    /// indexed cell is that slot's cell or a denormalized ancestor of it).
-    /// The adaptive index uses this to attribute probe heat to regions.
-    #[inline]
-    pub fn lookup_with_slot_level(&self, query: CellId) -> (Probe, u8) {
-        let (probe, depth) = self.raw().lookup_depth(query);
-        (probe, depth * GRANULARITY)
-    }
-
     /// The node arena (node `i` is `slots()[i*256..(i+1)*256]`), exposed
     /// so builds can be compared for byte-identity. Borrowed while the
     /// arena is one segment; a trie that owns nodes beside a shared base
@@ -1427,7 +1382,7 @@ mod tests {
     #[test]
     fn empty_trie_misses() {
         let act = Act::new();
-        assert_eq!(act.lookup(nyc_leaf(40.7, -74.0)), Probe::Miss);
+        assert_eq!(act.raw().lookup(nyc_leaf(40.7, -74.0)), Probe::Miss);
         assert_eq!(act.num_nodes(), 1); // sentinel only
     }
 
@@ -1443,13 +1398,14 @@ mod tests {
         }
         let garbage = [CellId(u64::MAX), CellId(6 << 61), CellId(7 << 61)];
         for &q in &garbage {
-            assert_eq!(act.lookup_with_slot_level(q), (Probe::Miss, 0), "{q:?}");
+            assert_eq!(act.raw().lookup_depth(q), (Probe::Miss, 0), "{q:?}");
         }
         let mut out = vec![Probe::One(PolygonRef::true_hit(9)); garbage.len()];
-        act.lookup_batch(&garbage, &mut out);
+        act.raw().lookup_batch(&garbage, &mut out);
         assert_eq!(out, vec![Probe::Miss; garbage.len()]);
         let mut depths = vec![9u8; garbage.len()];
-        act.lookup_batch_depths(&garbage, &mut out, &mut depths);
+        act.raw()
+            .lookup_batch_depths(&garbage, &mut out, &mut depths);
         assert_eq!(out, vec![Probe::Miss; garbage.len()]);
         assert_eq!(depths, vec![0; garbage.len()]);
     }
@@ -1462,14 +1418,14 @@ mod tests {
         let cell = leaf.parent(16);
         act.insert(cell, &RefSet::single(PolygonRef::true_hit(7)), &mut tb);
         // Any leaf inside the cell hits.
-        assert_eq!(act.lookup(leaf), Probe::One(PolygonRef::true_hit(7)));
+        assert_eq!(act.raw().lookup(leaf), Probe::One(PolygonRef::true_hit(7)));
         assert_eq!(
-            act.lookup(cell.child(3).child(0).range_min()),
+            act.raw().lookup(cell.child(3).child(0).range_min()),
             Probe::One(PolygonRef::true_hit(7))
         );
         // A leaf outside misses.
         let outside = nyc_leaf(41.5, -74.0);
-        assert_eq!(act.lookup(outside), Probe::Miss);
+        assert_eq!(act.raw().lookup(outside), Probe::Miss);
         assert_eq!(act.inserted_cells(), 1);
     }
 
@@ -1485,17 +1441,20 @@ mod tests {
             act.insert(cell, &RefSet::single(PolygonRef::candidate(1)), &mut tb);
             assert_eq!(act.denormalized_slots(), span, "level {level}");
             // Every descendant leaf of the cell must hit...
-            assert_eq!(act.lookup(leaf), Probe::One(PolygonRef::candidate(1)));
+            assert_eq!(act.raw().lookup(leaf), Probe::One(PolygonRef::candidate(1)));
             assert_eq!(
-                act.lookup(cell.range_min()),
+                act.raw().lookup(cell.range_min()),
                 Probe::One(PolygonRef::candidate(1))
             );
             assert_eq!(
-                act.lookup(cell.range_max()),
+                act.raw().lookup(cell.range_max()),
                 Probe::One(PolygonRef::candidate(1))
             );
             // ...and the neighbor cell must miss.
-            assert_eq!(act.lookup(CellId(cell.range_max().0 + 2)), Probe::Miss);
+            assert_eq!(
+                act.raw().lookup(CellId(cell.range_max().0 + 2)),
+                Probe::Miss
+            );
         }
     }
 
@@ -1507,9 +1466,9 @@ mod tests {
         let (a, b) = (leaf.parent(12), nyc_leaf(41.5, -74.0).parent(12));
         act.insert(a, &RefSet::single(PolygonRef::true_hit(3)), &mut tb);
         act.insert(b, &RefSet::single(PolygonRef::candidate(3)), &mut tb);
-        assert_eq!(act.lookup(leaf), Probe::One(PolygonRef::true_hit(3)));
+        assert_eq!(act.raw().lookup(leaf), Probe::One(PolygonRef::true_hit(3)));
         assert_eq!(
-            act.lookup(b.range_min()),
+            act.raw().lookup(b.range_min()),
             Probe::One(PolygonRef::candidate(3))
         );
         // One slot word each: tag 10 (true hit) and 01 (candidate).
@@ -1533,7 +1492,7 @@ mod tests {
         let refs = RefSet::Two(PolygonRef::true_hit(3), PolygonRef::candidate(9));
         act.insert(cell, &refs, &mut tb);
         let table = tb.build();
-        match act.lookup(cell.range_min()) {
+        match act.raw().lookup(cell.range_min()) {
             Probe::Table(off) => {
                 let (t, c) = table.decode(off);
                 assert_eq!(t, &[3]);
@@ -1571,7 +1530,7 @@ mod tests {
             &mut tb,
         );
         let table = tb.build();
-        let refs = |q: CellId| resolve_probe(act.lookup(q), &table).collect::<Vec<_>>();
+        let refs = |q: CellId| resolve_probe(act.raw().lookup(q), &table).collect::<Vec<_>>();
         assert_eq!(refs(leaf), vec![(MAX_POLYGON_ID, true)]);
         assert_eq!(refs(far), vec![(MAX_POLYGON_ID, false)]);
         assert_eq!(
@@ -1592,7 +1551,7 @@ mod tests {
         ]);
         act.insert(cell, &refs, &mut tb);
         let table = tb.build();
-        match act.lookup(cell.range_min()) {
+        match act.raw().lookup(cell.range_min()) {
             Probe::Table(off) => {
                 let (t, c) = table.decode(off);
                 assert_eq!(t, &[1]);
@@ -1619,9 +1578,9 @@ mod tests {
         let b = other.child(2).child(1).child(3).parent(20);
         act.insert(a, &RefSet::single(PolygonRef::true_hit(1)), &mut tb);
         act.insert(b, &RefSet::single(PolygonRef::true_hit(2)), &mut tb);
-        assert_eq!(act.lookup(leaf), Probe::One(PolygonRef::true_hit(1)));
+        assert_eq!(act.raw().lookup(leaf), Probe::One(PolygonRef::true_hit(1)));
         assert_eq!(
-            act.lookup(b.range_min()),
+            act.raw().lookup(b.range_min()),
             Probe::One(PolygonRef::true_hit(2))
         );
     }
@@ -1665,17 +1624,20 @@ mod tests {
             &RefSet::single(PolygonRef::true_hit(5)),
             &mut tb,
         );
-        assert_eq!(act.lookup(leaf), Probe::One(PolygonRef::true_hit(5)));
+        assert_eq!(act.raw().lookup(leaf), Probe::One(PolygonRef::true_hit(5)));
         // Different faces are independent roots.
         let other_face = CellId::from_latlng(LatLng::from_degrees(0.0, 0.0));
-        assert_eq!(act.lookup(other_face), Probe::Miss);
+        assert_eq!(act.raw().lookup(other_face), Probe::Miss);
         act.insert(
             other_face.parent(4),
             &RefSet::single(PolygonRef::candidate(6)),
             &mut tb,
         );
-        assert_eq!(act.lookup(other_face), Probe::One(PolygonRef::candidate(6)));
-        assert_eq!(act.lookup(leaf), Probe::One(PolygonRef::true_hit(5)));
+        assert_eq!(
+            act.raw().lookup(other_face),
+            Probe::One(PolygonRef::candidate(6))
+        );
+        assert_eq!(act.raw().lookup(leaf), Probe::One(PolygonRef::true_hit(5)));
     }
 
     #[test]
@@ -1686,7 +1648,7 @@ mod tests {
         act.insert(face_cell, &RefSet::single(PolygonRef::true_hit(0)), &mut tb);
         let p = CellId::from_latlng(LatLng::from_degrees(89.0, 10.0)); // near north pole, face 2
         assert_eq!(p.face(), 2);
-        assert_eq!(act.lookup(p), Probe::One(PolygonRef::true_hit(0)));
+        assert_eq!(act.raw().lookup(p), Probe::One(PolygonRef::true_hit(0)));
     }
 
     #[test]
@@ -1756,9 +1718,9 @@ mod tests {
         queries.push(half.child(2).child(1).child(3).range_min());
         queries.push(half.child(2).child(1).child(3).range_max());
         let mut out = vec![Probe::Miss; queries.len()];
-        act.lookup_batch(&queries, &mut out);
+        act.raw().lookup_batch(&queries, &mut out);
         for (q, got) in queries.iter().zip(&out) {
-            assert_eq!(*got, act.lookup(*q), "query {q:?}");
+            assert_eq!(*got, act.raw().lookup(*q), "query {q:?}");
         }
         assert!(out.iter().any(|p| matches!(p, Probe::One(_))));
         assert!(out.iter().any(|p| matches!(p, Probe::Miss)));
@@ -1813,11 +1775,13 @@ mod tests {
         let mut out = vec![Probe::Miss; queries.len()];
         let mut plain = vec![Probe::Miss; queries.len()];
         let mut depths = vec![0xffu8; queries.len()];
-        act.lookup_batch_depths(&queries, &mut out, &mut depths);
-        act.lookup_batch(&queries, &mut plain);
+        act.raw()
+            .lookup_batch_depths(&queries, &mut out, &mut depths);
+        act.raw().lookup_batch(&queries, &mut plain);
         for (i, q) in queries.iter().enumerate() {
             assert_eq!(out[i], plain[i], "probe mismatch for {q:?}");
-            let (probe, slot_level) = act.lookup_with_slot_level(*q);
+            let (probe, depth) = act.raw().lookup_depth(*q);
+            let slot_level = depth * GRANULARITY;
             assert_eq!(out[i], probe, "scalar probe mismatch for {q:?}");
             assert_eq!(
                 u16::from(depths[i]) * 4,
@@ -1836,10 +1800,10 @@ mod tests {
     #[test]
     fn lookup_batch_empty_and_empty_trie() {
         let act = Act::new();
-        act.lookup_batch(&[], &mut []);
+        act.raw().lookup_batch(&[], &mut []);
         let q = [nyc_leaf(40.7, -74.0)];
         let mut out = [Probe::One(PolygonRef::true_hit(9))];
-        act.lookup_batch(&q, &mut out);
+        act.raw().lookup_batch(&q, &mut out);
         assert_eq!(out[0], Probe::Miss);
     }
 
@@ -1848,7 +1812,7 @@ mod tests {
     fn lookup_batch_length_mismatch_panics() {
         let act = Act::new();
         let q = [nyc_leaf(40.7, -74.0)];
-        act.lookup_batch(&q, &mut []);
+        act.raw().lookup_batch(&q, &mut []);
     }
 
     #[test]
@@ -1920,14 +1884,17 @@ mod tests {
         let refs = RefSet::Two(PolygonRef::candidate(3), PolygonRef::true_hit(8));
         act.insert(cell, &refs, &mut tb);
         let table_words = tb.words().len();
-        assert!(matches!(act.lookup(cell.range_min()), Probe::Table(_)));
+        assert!(matches!(
+            act.raw().lookup(cell.range_min()),
+            Probe::Table(_)
+        ));
 
         let mut waste = MutationWaste::default();
         let changed = strip(&mut act, cell, 3, &mut tb, &mut waste);
         assert!(changed);
         let want = Probe::One(PolygonRef::true_hit(8));
-        assert_eq!(act.lookup(cell.range_min()), want);
-        assert_eq!(act.lookup(cell.range_max()), want);
+        assert_eq!(act.raw().lookup(cell.range_min()), want);
+        assert_eq!(act.raw().lookup(cell.range_max()), want);
         // Every slot of the run now holds the inline reference itself.
         let inline = encode_ref(PolygonRef::true_hit(8));
         assert_eq!(act.slots().iter().filter(|&&e| e == inline).count(), 64);
@@ -1940,7 +1907,7 @@ mod tests {
         // Removing the last reference empties the run (no more waste:
         // the slot was inline).
         strip(&mut act, cell, 8, &mut tb, &mut waste);
-        assert_eq!(act.lookup(cell.range_min()), Probe::Miss);
+        assert_eq!(act.raw().lookup(cell.range_min()), Probe::Miss);
         assert_eq!(waste.stale_table_words, 4);
     }
 
@@ -1983,9 +1950,9 @@ mod tests {
             let mut waste = MutationWaste::default();
             assert!(strip(&mut act, territory, 1, &mut tb, &mut waste));
             for &c in &deep {
-                assert_eq!(act.lookup(c.range_min()), Probe::Miss);
+                assert_eq!(act.raw().lookup(c.range_min()), Probe::Miss);
                 assert_eq!(
-                    shared.lookup(c.range_min()),
+                    shared.raw().lookup(c.range_min()),
                     Probe::One(PolygonRef::true_hit(1))
                 );
             }
@@ -1998,7 +1965,7 @@ mod tests {
                 // The two copied-out path nodes and the seven cut-loose ones.
                 assert_eq!(waste.orphaned_nodes, 2 + 7);
                 let hit = Probe::One(PolygonRef::true_hit(2));
-                assert_eq!(act.lookup(sibling.range_min()), hit);
+                assert_eq!(act.raw().lookup(sibling.range_min()), hit);
             } else {
                 assert_eq!(act.ext_bytes(), 0, "no dead copy of an emptied node");
                 // The seven cut-loose nodes, the depth-1 node and the root.
@@ -2038,7 +2005,7 @@ mod tests {
         let other = CellId::from_face(5).child(0);
         act.insert(other, &RefSet::single(PolygonRef::true_hit(1)), &mut tb);
         let before = act.clone();
-        let probe = |act: &Act, c: CellId| act.lookup(c.range_min());
+        let probe = |act: &Act, c: CellId| act.raw().lookup(c.range_min());
         let mut waste = MutationWaste::default();
 
         // Insert's closure: every run on the face comes out, in range

@@ -3,11 +3,10 @@
 //! live-mutation (insert/remove/compact) ≡ fresh rebuild.
 
 use act_core::covering::{cover_uv_polygon, covering_bound};
-use act_core::snapshot::SnapshotBuf;
 use act_core::supercover::build_from_pairs;
 use act_core::uvpoly::UvPolygon;
 use act_core::{
-    ActIndex, CoveringParams, LookupTableBuilder, PolygonRef, Probe, RefSet, SortedCellIndex,
+    ActIndex, CoveringParams, MappedSnapshot, PolygonRef, Probe, RefSet, SortedCellIndex,
 };
 use geom::{Coord, Polygon, Ring};
 use proptest::prelude::*;
@@ -107,12 +106,8 @@ proptest! {
         }
 
         // Build the trie.
-        let mut act = act_core::Act::new();
-        let mut tb = LookupTableBuilder::new();
-        for (cell, refs) in &sc.cells {
-            act.insert(*cell, refs, &mut tb);
-        }
-        let table = tb.build();
+        let index = ActIndex::from_supercover(sc, CoveringParams::new(15.0));
+        let view = index.as_view();
 
         // Semantic equivalence at probe leaves + at every input cell's
         // own center leaf (guaranteed interesting points).
@@ -123,7 +118,7 @@ proptest! {
         }
         for leaf in leaves {
             let expected = model_refs_at(&pairs, leaf);
-            let got = resolve(act.lookup(leaf), &table);
+            let got = resolve(view.probe_cell(leaf), index.table());
             prop_assert_eq!(got, expected, "at leaf {:?}", leaf);
         }
     }
@@ -147,20 +142,17 @@ proptest! {
     #[test]
     fn lookup_batch_equals_scalar_lookup(pairs in arb_pairs(), probes in proptest::collection::vec(arb_nyc_latlng(), 1..96)) {
         let sc = build_from_pairs(pairs.clone());
-        let mut act = act_core::Act::new();
-        let mut tb = LookupTableBuilder::new();
-        for (cell, refs) in &sc.cells {
-            act.insert(*cell, refs, &mut tb);
-        }
+        let index = ActIndex::from_supercover(sc, CoveringParams::new(15.0));
+        let view = index.as_view();
         let mut leaves: Vec<CellId> = probes.iter().map(|&ll| CellId::from_latlng(ll)).collect();
         for (cell, _) in &pairs {
             leaves.push(cell.range_min());
             leaves.push(cell.range_max());
         }
         let mut out = vec![Probe::Miss; leaves.len()];
-        act.lookup_batch(&leaves, &mut out);
+        view.probe_batch(&leaves, &mut out);
         for (leaf, got) in leaves.iter().zip(&out) {
-            prop_assert_eq!(*got, act.lookup(*leaf), "at leaf {:?}", leaf);
+            prop_assert_eq!(*got, view.probe_cell(*leaf), "at leaf {:?}", leaf);
         }
     }
 
@@ -198,8 +190,8 @@ proptest! {
         let index = ActIndex::from_supercover(sc, CoveringParams::new(15.0));
         let mut bytes = Vec::new();
         index.save_snapshot(&mut bytes).unwrap();
-        let buf = SnapshotBuf::from_bytes(&bytes).unwrap();
-        let view = buf.view().unwrap();
+        let snap = MappedSnapshot::read_from(&mut bytes.as_slice()).unwrap();
+        let view = snap.view();
 
         let mut leaves: Vec<CellId> = probes.iter().map(|&ll| CellId::from_latlng(ll)).collect();
         for (cell, _) in &pairs {
@@ -211,7 +203,7 @@ proptest! {
         let mut depths = vec![0u8; leaves.len()];
         let mut viewed = vec![Probe::Miss; leaves.len()];
         index.as_view().probe_batch(&leaves, &mut batch);
-        index.act().lookup_batch_depths(&leaves, &mut depth_batch, &mut depths);
+        index.as_view().probe_batch_depths(&leaves, &mut depth_batch, &mut depths);
         view.probe_batch(&leaves, &mut viewed);
         for (i, &leaf) in leaves.iter().enumerate() {
             let want = inserted
@@ -240,15 +232,10 @@ proptest! {
     fn sorted_index_equals_trie(pairs in arb_pairs(), probes in proptest::collection::vec(arb_nyc_latlng(), 16)) {
         let sc = build_from_pairs(pairs.clone());
         let sorted = SortedCellIndex::build(&sc);
-        let mut act = act_core::Act::new();
-        let mut tb = LookupTableBuilder::new();
-        for (cell, refs) in &sc.cells {
-            act.insert(*cell, refs, &mut tb);
-        }
-        let table = tb.build();
+        let index = ActIndex::from_supercover(sc, CoveringParams::new(15.0));
         for ll in probes {
             let leaf = CellId::from_latlng(ll);
-            let a = resolve(act.lookup(leaf), &table);
+            let a = resolve(index.as_view().probe_cell(leaf), index.table());
             let s = resolve(sorted.lookup(leaf), sorted.table());
             prop_assert_eq!(a, s);
         }
@@ -303,8 +290,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// save → load → probe ≡ in-memory probe, in both load modes (owned
-    /// [`ActIndex::load_snapshot`] and zero-copy
-    /// [`act_core::ActIndexView`]), and the loaded index's batched walk
+    /// [`ActIndex::load_snapshot`] and a zero-copy view of
+    /// [`MappedSnapshot::read_from`]), and the loaded index's batched walk
     /// ≡ its scalar walk, for random polygon sets and probe points.
     #[test]
     fn snapshot_roundtrip_preserves_probes(
@@ -316,8 +303,8 @@ proptest! {
         built.save_snapshot(&mut bytes).unwrap();
 
         let owned = ActIndex::load_snapshot(&mut bytes.as_slice()).unwrap();
-        let buf = SnapshotBuf::from_bytes(&bytes).unwrap();
-        let view = buf.view().unwrap();
+        let snap = MappedSnapshot::read_from(&mut bytes.as_slice()).unwrap();
+        let view = snap.view();
 
         let coords: Vec<Coord> = probes.iter().map(|&(x, y)| Coord::new(x, y)).collect();
         let cells: Vec<CellId> = coords.iter().map(|&c| act_core::coord_to_cell(c)).collect();

@@ -1,13 +1,16 @@
 //! Adversarial snapshot-loader tests: every class of malformed input —
 //! truncation, flipped magic, wrong version, corrupted section
 //! offsets/lengths, bit-flipped payloads — must come back as a typed
-//! [`SnapshotError`], never a panic or out-of-bounds access, through BOTH
-//! load paths (owned [`ActIndex::load_snapshot`] and the zero-copy
-//! [`ActIndexView`]).
+//! [`SnapshotError`], never a panic or out-of-bounds access, through
+//! every reader: the owned [`ActIndex::load_snapshot`], the heap
+//! [`MappedSnapshot::read_from`] and the mapped [`MappedSnapshot::open`].
+//! A seeded mutation fuzz does the same for random mutants of a snapshot
+//! and of a delta.
 
-use act_core::snapshot::{rewrite_checksum, ActIndexView, SnapshotBuf, SnapshotError};
-use act_core::ActIndex;
+use act_core::snapshot::{rewrite_checksum, SnapshotError};
+use act_core::{ActIndex, Delta, DeltaLink, DeltaOp, MappedSnapshot, Probe};
 use geom::{Coord, Polygon, Ring};
+use s2cell::CellId;
 
 fn square(cx: f64, cy: f64, half: f64) -> Polygon {
     Polygon::new(
@@ -285,42 +288,61 @@ const CASES: &[Case] = &[
     },
 ];
 
+/// A temp file holding `bytes`, removed on drop.
+struct TempSnap(std::path::PathBuf);
+
+impl TempSnap {
+    fn new(name: &str, bytes: &[u8]) -> TempSnap {
+        let path = std::env::temp_dir().join(format!(
+            "act-adversarial-{}-{name}.snap",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        TempSnap(path)
+    }
+}
+
+impl Drop for TempSnap {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 #[test]
 fn corrupted_snapshots_yield_typed_errors_never_panics() {
     let pristine = valid_snapshot();
-    // Sanity: the pristine image loads through both paths.
+    // Sanity: the pristine image loads through every reader, and the
+    // file reader really maps it.
     assert!(ActIndex::load_snapshot(&mut pristine.as_slice()).is_ok());
-    assert!(SnapshotBuf::from_bytes(&pristine).unwrap().view().is_ok());
+    assert!(MappedSnapshot::read_from(&mut pristine.as_slice()).is_ok());
+    let file = TempSnap::new("pristine", &pristine);
+    assert_eq!(MappedSnapshot::open(&file.0).unwrap().is_mmap(), cfg!(unix));
 
-    for case in CASES {
+    for (i, case) in CASES.iter().enumerate() {
         let mut bytes = pristine.clone();
         (case.mutate)(&mut bytes);
-
-        // Owned load path.
-        match ActIndex::load_snapshot(&mut bytes.as_slice()) {
-            Ok(_) => panic!("case '{}': owned load accepted corrupt input", case.name),
-            Err(e) => assert!(
-                (case.check)(&e),
-                "case '{}': owned load returned unexpected error {e:?}",
-                case.name
+        let file = TempSnap::new(&format!("case-{i}"), &bytes);
+        let readers = [
+            (
+                "owned load",
+                ActIndex::load_snapshot(&mut bytes.as_slice()).err(),
             ),
+            (
+                "heap read",
+                MappedSnapshot::read_from(&mut bytes.as_slice()).err(),
+            ),
+            ("file open", MappedSnapshot::open(&file.0).err()),
+        ];
+        for (reader, err) in readers {
+            match err {
+                None => panic!("case '{}': {reader} accepted corrupt input", case.name),
+                Some(e) => assert!(
+                    (case.check)(&e),
+                    "case '{}': {reader} returned unexpected error {e:?}",
+                    case.name
+                ),
+            }
         }
-
-        // Zero-copy view path (via the aligned buffer; buffer
-        // construction itself may already reject, e.g. mid-word
-        // truncation).
-        let view_err = match SnapshotBuf::from_bytes(&bytes) {
-            Err(e) => e,
-            Ok(buf) => match buf.view() {
-                Ok(_) => panic!("case '{}': view accepted corrupt input", case.name),
-                Err(e) => e,
-            },
-        };
-        assert!(
-            (case.check)(&view_err),
-            "case '{}': view returned unexpected error {view_err:?}",
-            case.name
-        );
     }
 }
 
@@ -341,9 +363,7 @@ fn random_garbage_never_panics() {
             *b = next() as u8;
         }
         assert!(ActIndex::load_snapshot(&mut bytes.as_slice()).is_err());
-        if let Ok(buf) = SnapshotBuf::from_bytes(&bytes) {
-            assert!(buf.view().is_err());
-        }
+        assert!(MappedSnapshot::read_from(&mut bytes.as_slice()).is_err());
     }
 }
 
@@ -362,15 +382,262 @@ fn version_zero_and_future_versions_are_rejected() {
     }
 }
 
+/// SplitMix64: the fuzz's whole randomness, so a seed replays a mutant.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+}
+
+/// Mutates `bytes` one of four ways — flip bits, overwrite a word,
+/// truncate, extend — and, for half the seeds, re-seals the result so it
+/// gets past the checksum: the length word (word 2 in both formats) is
+/// set to the new length after a truncation or extension, then `seal`
+/// rewrites the checksum.
+fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>, seal: fn(&mut [u8])) {
+    let resized = match rng.below(4) {
+        0 => {
+            for _ in 0..1 + rng.below(4) {
+                let bit = rng.below(bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            false
+        }
+        1 => {
+            let at = rng.below(bytes.len() / 8) * 8;
+            let word = [0, 1, u64::MAX, rng.next() % 4096, rng.next()][rng.below(5)];
+            bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            false
+        }
+        2 => {
+            let keep = rng.below(bytes.len());
+            bytes.truncate(if rng.below(2) == 0 { keep & !7 } else { keep });
+            true
+        }
+        _ => {
+            for _ in 0..1 + rng.below(64) {
+                bytes.push(rng.next() as u8);
+            }
+            true
+        }
+    };
+    if rng.below(2) == 0 && bytes.len() >= 32 && bytes.len().is_multiple_of(8) {
+        if resized {
+            let len = bytes.len() as u64;
+            bytes[16..24].copy_from_slice(&len.to_le_bytes());
+        }
+        seal(bytes);
+    }
+}
+
+/// Seals delta bytes the way the writer does: FNV-1a over every word but
+/// the checksum word 3.
+fn seal_delta(bytes: &mut [u8]) {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (i, w) in bytes.chunks_exact(8).enumerate() {
+        if i != 3 {
+            let w = u64::from_le_bytes(w.try_into().unwrap());
+            h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    bytes[24..32].copy_from_slice(&h.to_le_bytes());
+}
+
+/// A valid snapshot with what the fuzz needs to aim its probes: the key
+/// path to every node of its trie (`paths[n]` is node `n`'s face and the
+/// key bytes that lead to it, found breadth-first from the roots), and
+/// one cell per distinct lookup-table offset its slots hold.
+struct Pristine {
+    bytes: Vec<u8>,
+    paths: Vec<Option<(u64, Vec<u8>)>>,
+    table_cells: Vec<CellId>,
+}
+
+impl Pristine {
+    fn new(bytes: Vec<u8>) -> Pristine {
+        let (trie, len) = section(&bytes, 0);
+        let slot = |i: usize| {
+            u32::from_le_bytes(bytes[trie + 4 * i..trie + 4 * i + 4].try_into().unwrap())
+        };
+        let mut paths = vec![None; len / 1024];
+        let mut queue = std::collections::VecDeque::new();
+        let roots = section(&bytes, 1).0;
+        for face in 0..6 {
+            let at = roots + 4 * face as usize;
+            let root = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            if root != 0 {
+                paths[root] = Some((face, Vec::new()));
+                queue.push_back(root);
+            }
+        }
+        let mut rng = Rng(0);
+        let mut offsets = std::collections::BTreeSet::new();
+        let mut table_cells = Vec::new();
+        while let Some(node) = queue.pop_front() {
+            let (face, path) = paths[node].clone().unwrap();
+            for s in 0..256 {
+                let e = slot(node * 256 + s);
+                let child = (e >> 2) as usize;
+                if is_child(e) && paths[child].is_none() {
+                    let mut next = path.clone();
+                    next.push(s as u8);
+                    paths[child] = Some((face, next));
+                    queue.push_back(child);
+                } else if is_offset(e) && offsets.insert(e) {
+                    table_cells.push(cell_reaching(face, &path, s as u8, &mut rng));
+                }
+            }
+        }
+        Pristine {
+            bytes,
+            paths,
+            table_cells,
+        }
+    }
+
+    /// Query cells for an accepted mutant: arbitrary `u64` ids, including
+    /// the face bits 6 and 7 no cube face has; random ids on every face;
+    /// a cell per lookup-table offset; and ids whose walks read each trie
+    /// slot the mutant changed.
+    fn query_cells(&self, rng: &mut Rng, mutant: &[u8]) -> Vec<CellId> {
+        let mut cells: Vec<CellId> = (0..64).map(|_| CellId(rng.next())).collect();
+        for face in 0..8u64 {
+            for _ in 0..8 {
+                cells.push(CellId(face << 61 | rng.next() >> 3));
+            }
+        }
+        cells.extend_from_slice(&self.table_cells);
+        let (trie, len) = section(&self.bytes, 0);
+        for i in (trie..trie + len).step_by(4) {
+            if self.bytes.get(i..i + 4) != mutant.get(i..i + 4) {
+                let slot = (i - trie) / 4;
+                if let Some((face, path)) = &self.paths[slot / 256] {
+                    cells.push(cell_reaching(*face, path, (slot % 256) as u8, rng));
+                }
+            }
+        }
+        cells
+    }
+}
+
+/// A cell id whose walk reads slot `slot` of the node at `(face, path)`,
+/// with random bits below the key bytes the walk consumes.
+fn cell_reaching(face: u64, path: &[u8], slot: u8, rng: &mut Rng) -> CellId {
+    let bytes = path.iter().chain([&slot]);
+    let mut id = face << 61;
+    for (k, &b) in bytes.enumerate() {
+        id |= u64::from(b) << (53 - 8 * k);
+    }
+    CellId(id | rng.next() >> (3 + 8 * (path.len() + 1)))
+}
+
+/// Seals snapshot bytes long enough to hold a header.
+fn seal_snapshot(bytes: &mut [u8]) {
+    if bytes.len() >= 96 {
+        rewrite_checksum(bytes);
+    }
+}
+
+/// One snapshot mutant: a rejection is a typed error; an acceptance must
+/// probe every query cell without panicking. Returns whether it was
+/// accepted.
+fn snapshot_mutant(seed: u64, pristine: &Pristine) -> bool {
+    let mut rng = Rng(seed);
+    let mut bytes = pristine.bytes.clone();
+    mutate(&mut rng, &mut bytes, seal_snapshot);
+    match MappedSnapshot::read_from(&mut bytes.as_slice()) {
+        Err(e) => {
+            assert!(!e.to_string().is_empty());
+            false
+        }
+        Ok(snap) => {
+            let view = snap.view();
+            let cells = pristine.query_cells(&mut rng, &bytes);
+            let mut out = vec![Probe::Miss; cells.len()];
+            view.probe_batch(&cells, &mut out);
+            for (&cell, &batched) in cells.iter().zip(&out) {
+                assert_eq!(view.probe_cell(cell), batched, "cell {cell:?}");
+                view.resolve_refs(batched).for_each(drop);
+            }
+            true
+        }
+    }
+}
+
+/// One delta mutant: a rejection is a typed error; an acceptance must
+/// apply to a clone of `base` without panicking. Returns whether it was
+/// accepted.
+fn delta_mutant(seed: u64, pristine: &[u8], base: &ActIndex) -> bool {
+    let mut rng = Rng(seed);
+    let mut bytes = pristine.to_vec();
+    mutate(&mut rng, &mut bytes, seal_delta);
+    match Delta::from_bytes(&bytes) {
+        Err(e) => {
+            assert!(!e.to_string().is_empty());
+            false
+        }
+        Ok(delta) => {
+            let _ = delta.apply(&mut base.clone());
+            true
+        }
+    }
+}
+
+/// Runs `mutant` over `0..n` seeds, naming the seed of any panic, and
+/// returns how many mutants were accepted.
+fn fuzz(what: &str, n: u64, mutant: impl Fn(u64) -> bool) -> usize {
+    let mut accepted = 0;
+    for seed in 0..n {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mutant(seed))) {
+            Ok(ok) => accepted += usize::from(ok),
+            Err(_) => {
+                panic!("{what} mutant seed {seed} panicked (replay: {what}_mutant({seed}, ..))")
+            }
+        }
+    }
+    eprintln!("{what}: {accepted} of {n} accepted");
+    accepted
+}
+
 #[test]
-fn misaligned_view_buffer_is_rejected() {
-    let bytes = valid_snapshot();
-    let mut padded = vec![0u8; bytes.len() + 16];
-    let base = padded.as_ptr() as usize;
-    let shift = (8 - base % 8) % 8 + 1; // guaranteed ≡ 1 (mod 8)
-    padded[shift..shift + bytes.len()].copy_from_slice(&bytes);
-    assert!(matches!(
-        ActIndexView::from_bytes(&padded[shift..shift + bytes.len()]),
-        Err(SnapshotError::Misaligned)
-    ));
+fn seeded_snapshot_and_delta_mutants_are_typed_errors_or_safe() {
+    let snapshot = Pristine::new(valid_snapshot());
+    assert!(!snapshot.table_cells.is_empty());
+    // Some mutants of each kind must get past every check, or the probe
+    // and apply halves would test nothing.
+    assert!(fuzz("snapshot", 2_000, |seed| snapshot_mutant(seed, &snapshot)) > 0);
+
+    // The delta's base is coarse (1 km) so that an accepted mutant whose
+    // coordinates moved across a continent stays cheap to cover.
+    let base = ActIndex::build(&[square(-74.00, 40.70, 0.03)], 1000.0).unwrap();
+    let base_sum = act_core::header_checksum(&{
+        let mut b = Vec::new();
+        base.save_snapshot(&mut b).unwrap();
+        b
+    })
+    .unwrap();
+    let ops = [
+        DeltaOp::Insert {
+            id: 1,
+            polygon: square(-73.98, 40.71, 0.01),
+        },
+        DeltaOp::Remove { id: 0 },
+    ];
+    let mut delta = Vec::new();
+    act_core::save_delta(&ops, DeltaLink::for_base(base_sum), &mut delta).unwrap();
+    assert!(Delta::from_bytes(&delta)
+        .unwrap()
+        .apply(&mut base.clone())
+        .is_ok());
+    assert!(fuzz("delta", 2_000, |seed| delta_mutant(seed, &delta, &base)) > 0);
 }

@@ -10,7 +10,8 @@
 //! * **Adaptive micro-batching** — connection readers enqueue decoded
 //!   requests on a shared queue; probe workers drain it until empty (up
 //!   to a 256-lane budget) and answer each micro-batch with one
-//!   level-synchronous [`lookup_batch`](act_core::Act::lookup_batch)
+//!   level-synchronous
+//!   [`probe_batch_depths`](act_core::ActIndexView::probe_batch_depths)
 //!   walk. Light load degenerates to per-request dispatch; heavy load
 //!   widens batches automatically.
 //! * **Epoch hot-swap** — the serving snapshot lives behind an

@@ -393,7 +393,7 @@ pub const STAGE_FRAME_TOTAL: u8 = 4;
 /// Lanes per executed micro-batch (a value histogram, not a latency).
 pub const STAGE_BATCH_LANES: u8 = 5;
 /// Trie node accesses per probed cell (0–7; see
-/// `Act::lookup_batch_depths`).
+/// `ActIndexView::probe_batch_depths`).
 pub const STAGE_PROBE_DEPTH: u8 = 6;
 /// Hot-cell cache hit rate per micro-batch, in whole percent (0–100;
 /// a value histogram). Recorded only on batches that consulted the

@@ -32,7 +32,7 @@
 //! * A small pool of **probe workers** drains the queue in **adaptive
 //!   micro-batches**: drain-until-empty, up to [`ServeConfig::batch_lanes`]
 //!   points per batch (256 by default — one full level-synchronous
-//!   `lookup_batch` block). Under light load a worker wakes per request
+//!   `probe_batch` block). Under light load a worker wakes per request
 //!   and latency is one queue hop; under heavy load the queue fills and
 //!   batches widen toward the lane budget automatically — the same
 //!   load-adaptive batching story as the paper's online join, with the
@@ -137,7 +137,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Micro-batch lane budget: a batch closes at this many points (or
     /// when the queue runs dry). 256 matches one level-synchronous
-    /// `lookup_batch` block.
+    /// `probe_batch` block.
     pub batch_lanes: usize,
     /// Polygon refiner enabling the protocol's EXACT flag. Must be
     /// built from the same polygon set as the served snapshots — the
@@ -744,7 +744,7 @@ fn worker_loop(state: &State) {
             }
             // Adaptive micro-batch: drain until the queue is empty or
             // the lane budget is met. A single over-budget job still
-            // runs alone (lookup_batch blocks internally).
+            // runs alone (probe_batch blocks internally).
             let mut lanes = 0usize;
             let mut batch = Vec::new();
             while let Some(front) = q.jobs.front() {
@@ -821,7 +821,7 @@ fn process_batch(state: &State, batch: Vec<Job>) {
 }
 
 /// The panic-isolated half of [`process_batch`]: one pinned
-/// `(snapshot, epoch)` pair, one `lookup_batch` walk, one reply frame
+/// `(snapshot, epoch)` pair, one `probe_batch_depths` walk, one reply frame
 /// per job (in batch order). Touches only monotonic stats counters, so
 /// unwinding out of here leaves no state poisoned.
 fn compute_replies(state: &State, batch: &[Job]) -> Vec<Vec<u8>> {
@@ -847,91 +847,73 @@ fn compute_replies(state: &State, batch: &[Job]) -> Vec<Vec<u8>> {
         }
         &cells_buf
     };
-    // Only the cache-off arm resolves lanes out of `probes`; with the
-    // cache on every lane lands in the span table instead, so the
-    // allocation (and its memset) is skipped entirely.
-    let mut probes: Vec<Probe> = Vec::new();
     // With the cache on, every lane lands in the span table — hits copy
     // their ref lists straight into the batch arena under the shard
     // read-lock, misses append theirs after the walk + fill. With it
-    // off, both stay empty and lanes resolve lazily out of `probes` at
-    // encode time. The arena holds **packed wire words** (the cache's
-    // storage form), so an approximate hit reaches the reply payload by
-    // copy alone; spans store `len + 1` so `(0, 0)` can mark a lane
-    // whose miss has not been filled yet.
+    // off, both stay empty (no allocation) and lanes resolve lazily out
+    // of `probes` at encode time. The arena holds **packed wire words**
+    // (the cache's storage form), so an approximate hit reaches the
+    // reply payload by copy alone; spans store `len + 1` so `(0, 0)` can
+    // mark a lane whose miss has not been filled yet.
     let mut arena: Vec<u32> = Vec::new();
     let mut spans: Vec<(usize, usize)> = Vec::new();
-    match &state.cache {
-        Some(cache) => {
-            // Read-through at the pinned epoch: consult the cache per
-            // leaf, then walk **only the misses** — with termination
-            // depths, so each fill keys on the resolved trie cell. An
-            // entry filled under an older epoch never matches, so a
-            // concurrent hot-swap can only cost misses, never staleness.
-            arena.reserve(cells.len() * 2);
-            spans.reserve(cells.len());
-            let hits = cache.get_batch(cells, epoch, &mut arena, &mut spans);
-            let miss_idx: Vec<usize> = (0..cells.len()).filter(|&i| spans[i].1 == 0).collect();
-            cache.record(hits, miss_idx.len() as u64);
-            let miss_cells: Vec<CellId> = miss_idx.iter().map(|&i| cells[i]).collect();
-            let mut miss_probes = vec![Probe::Miss; miss_cells.len()];
-            let mut depths = vec![0u8; miss_cells.len()];
-            if !miss_cells.is_empty() {
-                match &state.obs {
-                    Some(obs) => {
-                        let t0 = Instant::now();
-                        view.probe_batch_depths(&miss_cells, &mut miss_probes, &mut depths);
-                        obs.walk.record(t0.elapsed().as_nanos() as u64);
-                        for &d in &depths {
-                            obs.probe_depth.record(u64::from(d));
-                        }
-                    }
-                    None => view.probe_batch_depths(&miss_cells, &mut miss_probes, &mut depths),
-                }
-            }
-            for (k, &i) in miss_idx.iter().enumerate() {
-                // Misses are cached even when empty — a hot cell with
-                // no polygons is still hot. Packing to the wire form
-                // happens once, here; hits never pay it again.
-                let start = arena.len();
-                arena.extend(
-                    view.resolve_refs(miss_probes[k])
-                        .map(|(id, hit)| proto::encode_ref(id, hit)),
-                );
-                cache.insert(cells[i], depths[k], epoch, &arena[start..]);
-                spans[i] = (start, arena.len() - start + 1);
-            }
-            if let Some(obs) = &state.obs {
-                obs.batch_lanes.record(total as u64);
-                if total > 0 {
-                    let hits = (cells.len() - miss_cells.len()) as u64;
-                    obs.cache_hit_pct.record(hits * 100 / total as u64);
-                }
+    // Read-through at the pinned epoch: consult the cache per leaf, then
+    // walk **only the misses**. An entry filled under an older epoch
+    // never matches, so a concurrent hot-swap can only cost misses,
+    // never staleness.
+    let miss_idx: Option<Vec<usize>> = state.cache.as_ref().map(|cache| {
+        arena.reserve(cells.len() * 2);
+        spans.reserve(cells.len());
+        let hits = cache.get_batch(cells, epoch, &mut arena, &mut spans);
+        let miss_idx: Vec<usize> = (0..cells.len()).filter(|&i| spans[i].1 == 0).collect();
+        cache.record(hits, miss_idx.len() as u64);
+        miss_idx
+    });
+    let miss_cells: Vec<CellId>;
+    let walked: &[CellId] = match &miss_idx {
+        Some(idx) => {
+            miss_cells = idx.iter().map(|&i| cells[i]).collect();
+            &miss_cells
+        }
+        None => cells,
+    };
+    // One walk over the lanes the cache did not answer (none, when every
+    // lane hit), with termination depths: they key each cache fill on the
+    // resolved trie cell and feed the probe-depth histogram.
+    let mut probes = vec![Probe::Miss; walked.len()];
+    let mut depths = vec![0u8; walked.len()];
+    if miss_idx.is_none() || !walked.is_empty() {
+        let t0 = state.obs.as_ref().map(|_| Instant::now());
+        view.probe_batch_depths(walked, &mut probes, &mut depths);
+        if let (Some(obs), Some(t0)) = (&state.obs, t0) {
+            obs.walk.record(t0.elapsed().as_nanos() as u64);
+            for &d in &depths {
+                obs.probe_depth.record(u64::from(d));
             }
         }
-        None => match &state.obs {
-            Some(obs) => {
-                // The depth-reporting walk mirrors `lookup_batch` level
-                // by level (same memory-level parallelism); per-cell
-                // depths feed the probe-depth histogram, the walk span
-                // closes at batch granularity, and the batch width is
-                // recorded here because this is the one place the
-                // widened batch exists.
-                probes.resize(cells.len(), Probe::Miss);
-                let mut depths = vec![0u8; cells.len()];
-                let t0 = Instant::now();
-                view.probe_batch_depths(cells, &mut probes, &mut depths);
-                obs.walk.record(t0.elapsed().as_nanos() as u64);
-                obs.batch_lanes.record(total as u64);
-                for &d in &depths {
-                    obs.probe_depth.record(u64::from(d));
-                }
-            }
-            None => {
-                probes.resize(cells.len(), Probe::Miss);
-                view.probe_batch(cells, &mut probes)
-            }
-        },
+    }
+    if let (Some(cache), Some(idx)) = (&state.cache, &miss_idx) {
+        for (k, &i) in idx.iter().enumerate() {
+            // Misses are cached even when empty — a hot cell with no
+            // polygons is still hot. Packing to the wire form happens
+            // once, here; hits never pay it again.
+            let start = arena.len();
+            arena.extend(
+                view.resolve_refs(probes[k])
+                    .map(|(id, hit)| proto::encode_ref(id, hit)),
+            );
+            cache.insert(cells[i], depths[k], epoch, &arena[start..]);
+            spans[i] = (start, arena.len() - start + 1);
+        }
+    }
+    if let Some(obs) = &state.obs {
+        // The batch width is recorded here, the one place the widened
+        // batch exists.
+        obs.batch_lanes.record(total as u64);
+        if state.cache.is_some() && total > 0 {
+            let hits = (cells.len() - walked.len()) as u64;
+            obs.cache_hit_pct.record(hits * 100 / total as u64);
+        }
     }
     state.probes.fetch_add(total as u64, Ordering::Relaxed);
     state.batches.fetch_add(1, Ordering::Relaxed);

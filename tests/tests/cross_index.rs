@@ -3,7 +3,6 @@
 //! the filters must relate by containment (ACT hits ⊆ R-tree candidates
 //! modulo the ε fringe, grid true hits ⊆ polygon, …).
 
-use act_core::snapshot::SnapshotBuf;
 use act_core::supercover::build_super_covering;
 use act_core::{cover_polygon, ActIndex, CoveringParams, Refiner, SortedCellIndex};
 use datagen::PointGen;
@@ -39,8 +38,8 @@ fn all_indexes_agree_on_exact_results() {
     let mut snap = Vec::new();
     act.save_snapshot(&mut snap).unwrap();
     let act_loaded = ActIndex::load_snapshot(&mut snap.as_slice()).unwrap();
-    let snap_buf = SnapshotBuf::from_bytes(&snap).unwrap();
-    let act_view = snap_buf.view().unwrap();
+    let act_mapped = act_core::MappedSnapshot::read_from(&mut snap.as_slice()).unwrap();
+    let act_view = act_mapped.view();
 
     // Sorted-array index over the same covering.
     let params = CoveringParams::new(15.0);

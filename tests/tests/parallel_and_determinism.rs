@@ -5,8 +5,8 @@
 //! scalar sequential join).
 
 use act_core::{
-    build_super_covering, cover_polygon, join_approx_cells_batch, join_parallel_cells, ActIndex,
-    Covering, CoveringParams, PolygonRef,
+    build_super_covering, cover_polygon, join_approx_cells_batch, join_parallel_cells_batch,
+    ActIndex, Covering, CoveringParams, PolygonRef, DEFAULT_PROBE_BATCH,
 };
 use datagen::{Dataset, PointGen};
 use jobs::JobPool;
@@ -25,7 +25,13 @@ fn parallel_join_equals_sequential_on_datasets() {
     let seq_stats = act_core::join_approx_cells(&index, &cells, &mut seq);
 
     for threads in [1usize, 2, 3, 4, 7, 16, 32] {
-        let (par, par_stats) = join_parallel_cells(&index, &cells, ds.polygons.len(), threads);
+        let (par, par_stats) = join_parallel_cells_batch(
+            &index,
+            &cells,
+            ds.polygons.len(),
+            threads,
+            DEFAULT_PROBE_BATCH,
+        );
         assert_eq!(par, seq, "counts differ at {threads} threads");
         assert_eq!(par_stats, seq_stats, "stats differ at {threads} threads");
     }
@@ -37,7 +43,8 @@ fn parallel_join_more_threads_than_points() {
     let index = ActIndex::build(&ds.polygons, 60.0).unwrap();
     let pts = PointGen::nyc_taxi_like(ds.bbox, 7).take_vec(5);
     let cells: Vec<_> = pts.iter().map(|&p| act_core::coord_to_cell(p)).collect();
-    let (counts, stats) = join_parallel_cells(&index, &cells, ds.polygons.len(), 16);
+    let (counts, stats) =
+        join_parallel_cells_batch(&index, &cells, ds.polygons.len(), 16, DEFAULT_PROBE_BATCH);
     assert_eq!(stats.points, 5);
     assert_eq!(
         counts.iter().sum::<u64>(),

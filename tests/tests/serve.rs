@@ -2,7 +2,7 @@
 //! the act-serve TCP round trip against the in-process joins, and a
 //! zero-dropped-requests snapshot hot-swap.
 
-use act_core::{ActIndex, MappedSnapshot, Probe, Refiner, SnapshotBuf};
+use act_core::{ActIndex, MappedSnapshot, Probe, Refiner};
 use act_serve::{Client, ServeConfig, Server};
 use datagen::PointGen;
 use geom::{Coord, Polygon, Ring};
@@ -109,13 +109,13 @@ fn golden_fixture_served_via_deliberately_unaligned_buffer() {
     padded[off..off + bytes.len()].copy_from_slice(&bytes);
     let shifted = &padded[off..off + bytes.len()];
 
-    // The strict zero-copy view refuses; the fallback loader serves it.
-    assert!(act_core::ActIndexView::from_bytes(shifted).is_err());
-    let snap = MappedSnapshot::from_unaligned_bytes(shifted).expect("fallback must copy + load");
+    // The reader copies it into aligned storage and serves it.
+    assert!(!(shifted.as_ptr() as usize).is_multiple_of(8));
+    let snap = MappedSnapshot::read_from(&mut &shifted[..]).expect("reader must copy + load");
     assert!(!snap.is_mmap());
 
-    let aligned = SnapshotBuf::from_bytes(&bytes).unwrap();
-    let view = aligned.view().unwrap();
+    let aligned = MappedSnapshot::open(fixture_path()).unwrap();
+    let view = aligned.view();
     for &c in &fixture_probe_grid() {
         assert_eq!(snap.view().probe_coord(c), view.probe_coord(c), "at {c}");
     }

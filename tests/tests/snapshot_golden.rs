@@ -21,7 +21,7 @@
 //! machine's — true for the tier-1 linux-x86_64 CI; the byte-for-byte
 //! writer check is platform-independent.)
 
-use act_core::snapshot::{SnapshotBuf, SnapshotError};
+use act_core::snapshot::SnapshotError;
 use act_core::{ActIndex, MappedSnapshot};
 use datagen::PointGen;
 
@@ -75,8 +75,8 @@ fn golden_snapshot_round_trips_byte_for_byte() {
     // 1. Today's loader reads yesterday's bytes (owned + zero-copy).
     let loaded = ActIndex::load_snapshot(&mut fixture.as_slice())
         .expect("fixture must load with the current loader");
-    let buf = SnapshotBuf::from_bytes(&fixture).unwrap();
-    let view = buf.view().expect("fixture must open as a zero-copy view");
+    let mapped = MappedSnapshot::open(&path).expect("fixture must open as a zero-copy view");
+    let view = mapped.view();
 
     // 2. Today's writer reproduces the fixture byte for byte.
     let mut rewritten = Vec::new();
@@ -124,16 +124,17 @@ fn retired_v1_fixture_is_a_typed_version_error_on_every_load_path() {
     let owned = ActIndex::load_snapshot(&mut bytes.as_slice()).unwrap_err();
     assert!(is_v1(&owned), "owned load: {owned:?}");
 
-    let heap_view = SnapshotBuf::from_bytes(&bytes).unwrap().view().unwrap_err();
-    assert!(is_v1(&heap_view), "heap view: {heap_view:?}");
-    let streamed = SnapshotBuf::read_from(&mut bytes.as_slice()).unwrap_err();
+    let streamed = MappedSnapshot::read_from(&mut bytes.as_slice()).unwrap_err();
     assert!(is_v1(&streamed), "streamed buffer: {streamed:?}");
 
     let mapped = MappedSnapshot::open(&path).unwrap_err();
     assert!(is_v1(&mapped), "mmap: {mapped:?}");
-    let heap = MappedSnapshot::open_heap(&path).unwrap_err();
+    let mut file = std::fs::File::open(&path).unwrap();
+    let heap = MappedSnapshot::read_from(&mut file).unwrap_err();
     assert!(is_v1(&heap), "heap-backed snapshot: {heap:?}");
-    let unaligned = MappedSnapshot::from_unaligned_bytes(&bytes).unwrap_err();
+    let mut padded = vec![0u8; bytes.len() + 1];
+    padded[1..].copy_from_slice(&bytes);
+    let unaligned = MappedSnapshot::read_from(&mut &padded[1..]).unwrap_err();
     assert!(is_v1(&unaligned), "caller bytes: {unaligned:?}");
 }
 
