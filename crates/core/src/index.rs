@@ -83,17 +83,11 @@ pub struct ActIndex {
     /// compaction (orphaned arena nodes + stale lookup-table words).
     /// Transient: not persisted in snapshots.
     waste_bytes: u64,
-    /// Superset of the polygon ids the trie can reference (stale entries
-    /// from removals may linger until a compaction — that only costs a
-    /// wasted scan, never a wrong answer). `None` until the
-    /// first mutation builds it — read off the cell inventory's keys, or
-    /// by one flat arena scan when a removal needs it first; maintained
-    /// incrementally afterwards so upserts of unseen ids skip the
-    /// full-arena remove pass. Transient: not persisted in snapshots.
-    live_ids: Option<std::collections::BTreeSet<u32>>,
     /// Per-id cell inventory: id → the cells whose territories may still
-    /// reference it, recorded as inserts land. Removal walks exactly
-    /// these territories instead of the whole node arena — O(cells
+    /// reference it, recorded as inserts land. Its keys are the ids the
+    /// trie may reference, so a removal (or an upsert's removal pass) of
+    /// an id it does not list does nothing at all. Removal walks exactly
+    /// the listed territories instead of the whole node arena — O(cells
     /// touched), not O(arena). A *superset* per id (cells another insert
     /// later overwrote linger until a compaction rebuilds the inventory
     /// exact) — a stale entry only costs a no-op descent, never a wrong
@@ -350,7 +344,6 @@ impl ActIndex {
             table,
             stats,
             waste_bytes: 0,
-            live_ids: None,
             cell_inventory: None,
         }
     }
@@ -389,6 +382,19 @@ impl ActIndex {
     /// [`crate::MappedSnapshot::to_owned_index`] for a deep copy.
     pub fn from_mapped(snap: Arc<crate::MappedSnapshot>) -> ActIndex {
         snap.shared_index()
+    }
+
+    /// The header checksum of the snapshot a [`ActIndex::from_mapped`]
+    /// index was opened over, while its arena and lookup table are still
+    /// that mapping's and it owns no trie node beside it: the identity a
+    /// delta lineage over it binds to, read in O(1). `None` for any other
+    /// index, and from the first mutation or compaction on (use
+    /// [`crate::ActIndexView::snapshot_checksum`] there).
+    pub fn mapped_checksum(&self) -> Option<u64> {
+        match (self.act.mapping(), self.table.mapping()) {
+            (Some(arena), Some(table)) if Arc::ptr_eq(arena, table) => Some(arena.checksum()),
+            _ => None,
+        }
     }
 
     /// True when two indexes are the same query artifact byte for byte:
@@ -463,9 +469,9 @@ impl ActIndex {
         let uv = UvPolygon::from_polygon(polygon)?; // fail before mutating
         let covering = cover_uv_polygon(&uv, &params);
 
-        // Upsert: any previous shape under this id goes first. The
-        // live-id superset lets inserts of unseen ids — the common case
-        // for delta streams — skip the removal pass entirely.
+        // Upsert: any previous shape under this id goes first. Inserts of
+        // ids the inventory does not list — the common case for delta
+        // streams — skip the removal pass entirely.
         self.ensure_inventory();
         if self.may_contain(id) {
             self.remove_inner(id);
@@ -501,9 +507,6 @@ impl ActIndex {
             self.act.insert_with_waste(*cell, refs, &mut tb, &mut waste);
         }
         self.table = tb.build();
-        if let Some(ids) = &mut self.live_ids {
-            ids.insert(id);
-        }
         // Record where every re-inserted reference landed — the merged
         // set covers both the new polygon and its displaced neighbors,
         // so each touched id's inventory stays a territory superset. A
@@ -533,11 +536,10 @@ impl ActIndex {
     /// by the next (possibly automatic) [`ActIndex::compact`]. Returns
     /// whether the index referenced `id` at all.
     pub fn remove_polygon(&mut self, id: u32) -> bool {
-        self.ensure_live_ids();
+        self.ensure_inventory();
         if !self.may_contain(id) {
             return false;
         }
-        self.ensure_inventory();
         let changed = self.remove_inner(id);
         if changed {
             self.maybe_compact();
@@ -549,40 +551,29 @@ impl ActIndex {
         let mut waste = crate::trie::MutationWaste::default();
         let mut tb = LookupTableBuilder::from_table(std::mem::take(&mut self.table));
         // The inventory names every cell whose territory may still
-        // reference `id`; walk those territories only. No entry means no
-        // live reference anywhere (the inventory is a per-id superset of
-        // the live trie, maintained by every insert since it was built),
-        // so there is nothing to walk at all.
-        let cells = self
+        // reference `id`; walk those territories only. The pass strips
+        // *every* reference to `id`, so its entry goes whether or not
+        // anything changed.
+        let mut cells = self
             .cell_inventory
             .as_mut()
-            .expect("inventory is ensured before removal")
-            .remove(&id);
-        let changed = match cells {
-            Some(cells) => {
-                let mut cells = cells.to_vec();
-                cells.sort_unstable();
-                cells.dedup();
-                // Each entry's rewrite, memoized across the territories.
-                let (mut memo, mut stale) = (HashMap::new(), 0);
-                for cell in cells {
-                    self.act.rewrite_territory(cell, true, &mut waste, |_, e| {
-                        *memo.entry(e).or_insert_with(|| {
-                            crate::trie::rewrite_without(e, id, &mut tb, &mut stale)
-                        })
-                    });
-                }
-                waste.stale_table_words += stale;
-                memo.into_iter().any(|(e, ne)| e != ne)
-            }
-            None => false,
-        };
-        self.table = tb.build();
-        // The remove pass strips *every* reference to `id`, so the id is
-        // definitively gone whether or not anything changed.
-        if let Some(ids) = &mut self.live_ids {
-            ids.remove(&id);
+            .and_then(|inv| inv.remove(&id))
+            .expect("callers check may_contain")
+            .to_vec();
+        cells.sort_unstable();
+        cells.dedup();
+        // Each entry's rewrite, memoized across the territories.
+        let (mut memo, mut stale) = (HashMap::new(), 0);
+        for cell in cells {
+            self.act.rewrite_territory(cell, true, &mut waste, |_, e| {
+                *memo
+                    .entry(e)
+                    .or_insert_with(|| crate::trie::rewrite_without(e, id, &mut tb, &mut stale))
+            });
         }
+        waste.stale_table_words += stale;
+        let changed = memo.into_iter().any(|(e, ne)| e != ne);
+        self.table = tb.build();
         if changed {
             self.note_mutation(waste);
         }
@@ -590,36 +581,12 @@ impl ActIndex {
     }
 
     /// `false` means polygon `id` is definitively absent; `true` means it
-    /// may be present (the tracked set is a superset of the live ids).
+    /// may be present (the inventory's keys are a superset of the live
+    /// ids). Callers build the inventory first.
     fn may_contain(&self, id: u32) -> bool {
-        self.live_ids.as_ref().is_none_or(|ids| ids.contains(&id))
-    }
-
-    /// Builds the live-id superset if it has not been built yet: one
-    /// sequential pass over the node arena (inline single references)
-    /// plus one over the lookup-table words. Orphaned nodes and stale
-    /// table entries contribute ids too — a superset is all the fast
-    /// path needs, and compactions shed the stragglers.
-    fn ensure_live_ids(&mut self) {
-        if self.live_ids.is_some() {
-            return;
-        }
-        let mut ids = std::collections::BTreeSet::new();
-        self.act.collect_inline_ids(&mut ids);
-        let words = self.table.words();
-        let mut off = 0usize;
-        while off < words.len() {
-            let n_true = words[off] as usize;
-            let n_cand = words[off + 1 + n_true] as usize;
-            for &id in &words[off + 1..off + 1 + n_true] {
-                ids.insert(id);
-            }
-            for &id in &words[off + 2 + n_true..off + 2 + n_true + n_cand] {
-                ids.insert(id);
-            }
-            off += 2 + n_true + n_cand;
-        }
-        self.live_ids = Some(ids);
+        self.cell_inventory
+            .as_ref()
+            .is_some_and(|inv| inv.contains_key(&id))
     }
 
     /// Builds the per-id cell inventory if it has not been built yet:
@@ -627,49 +594,38 @@ impl ActIndex {
     /// walk (never materialized) and inverted into id → cells. Exact at
     /// build time; inserts keep it a superset afterwards and compactions
     /// make it exact again.
-    ///
-    /// The inventory's keys are exactly the ids the trie references, so
-    /// an unbuilt live-id set is filled from them for free.
     fn ensure_inventory(&mut self) {
         if self.cell_inventory.is_some() {
             return;
         }
         let (act, words) = (&self.act, self.table.words());
         let inv = build_inventory(|f| act.for_each_cell(words, |cell, refs| f(cell, &refs)));
-        if self.live_ids.is_none() {
-            self.live_ids = Some(inv.keys().copied().collect());
-        }
         self.cell_inventory = Some(inv);
     }
 
-    /// Pays the one-time live-id set and per-id cell inventory build up
-    /// front (see [`ActIndex::insert_polygon`]) so the first mutation
-    /// after a load is as fast as the steady state. Idempotent; called
-    /// automatically by the first mutation otherwise.
+    /// Pays the one-time per-id cell inventory build up front (see
+    /// [`ActIndex::insert_polygon`]) so the first mutation after a load
+    /// is as fast as the steady state. Idempotent; called automatically
+    /// by the first mutation otherwise.
     ///
     /// Cost: two read-only walks of the arena, streamed — no copy of the
-    /// cell set is ever materialized. Memory: the id set is a few bytes
-    /// per polygon; the inventory holds one cell id per `(cell, polygon)`
-    /// reference, in exact-sized per-id lists. Clones of a primed index
-    /// share those lists, so priming once and cloning costs one
-    /// inventory, not one per copy.
+    /// cell set is ever materialized. Memory: one cell id per `(cell,
+    /// polygon)` reference, in exact-sized per-id lists. Clones of a
+    /// primed index share those lists, so priming once and cloning costs
+    /// one inventory, not one per copy.
     pub fn prime_mutations(&mut self) {
         self.ensure_inventory();
     }
 
     /// Approximate heap bytes of the mutation state
     /// [`ActIndex::prime_mutations`] builds: the per-id cell lists (8
-    /// bytes per listed cell and a 16-byte header each), the id map that
-    /// holds them, and the live-id set. 0 before the first mutation.
+    /// bytes per listed cell and a 16-byte header each) and the id map
+    /// that holds them. 0 before the first mutation.
     pub fn mutation_state_bytes(&self) -> usize {
-        let lists = self.cell_inventory.as_ref().map_or(0, |inv| {
+        self.cell_inventory.as_ref().map_or(0, |inv| {
             let entry = std::mem::size_of::<(u32, Arc<[CellId]>)>() + 1;
             inv.values().map(|l| 16 + l.len() * 8).sum::<usize>() + inv.capacity() * entry
-        });
-        // About 8 bytes per id: a B-tree node holds up to 11 four-byte
-        // keys beside a few words of links.
-        let ids = self.live_ids.as_ref().map_or(0, |ids| ids.len() * 8);
-        lists + ids
+        })
     }
 
     /// Rewrites the node arena and lookup table from the live cell set,
@@ -683,9 +639,8 @@ impl ActIndex {
     /// and table — the populate [`crate::split_index`] runs for one
     /// shard, so the result is byte-identical to a one-shard split — and
     /// no cell list is ever built. The fresh arena becomes the trie's
-    /// new base as it is, uncopied, so clones share it. The live-id set
-    /// and the per-id inventory, if built, are then re-read exact from
-    /// the new trie.
+    /// new base as it is, uncopied, so clones share it. The per-id
+    /// inventory, if built, is then re-read exact from the new trie.
     pub fn compact(&mut self) {
         let mut act = Act::new();
         let mut tb = LookupTableBuilder::new();
@@ -697,12 +652,9 @@ impl ActIndex {
         self.table = tb.build();
         self.waste_bytes = 0;
         // The new trie holds exactly the live set, so this is the one
-        // place the id superset and the inventory become exact again.
-        let had_ids = self.live_ids.take().is_some();
+        // place the inventory becomes exact again.
         if self.cell_inventory.take().is_some() {
             self.ensure_inventory();
-        } else if had_ids {
-            self.ensure_live_ids();
         }
         self.note_mutation(crate::trie::MutationWaste::default());
     }
@@ -863,16 +815,17 @@ mod tests {
         let mut bytes = Vec::new();
         idx.save_snapshot(&mut bytes).unwrap();
         let mut loaded = ActIndex::load_snapshot(&mut bytes.as_slice()).unwrap();
-        assert!(loaded.live_ids.is_none() && loaded.cell_inventory.is_none());
-        // An id nobody references: answered from the inline + table id
-        // scan alone, without paying for the per-id cell inventory.
+        assert!(loaded.cell_inventory.is_none());
+        // An id nobody references: absent from the inventory's keys, so
+        // nothing is rewritten and the table is not reopened.
         assert!(!loaded.remove_polygon(7));
-        assert!(
-            loaded.cell_inventory.is_none(),
-            "absent id built the inventory"
-        );
         assert!(loaded.identical_to(&idx));
-        let ids: Vec<u32> = loaded.live_ids.iter().flatten().copied().collect();
+        let mut ids: Vec<u32> = loaded
+            .cell_inventory
+            .iter()
+            .flat_map(|inv| inv.keys().copied())
+            .collect();
+        ids.sort_unstable();
         assert_eq!(ids, vec![0, 1], "polygon 1 is found in the table alone");
         // A present id does go through the inventory and the trie.
         assert!(loaded.remove_polygon(1));

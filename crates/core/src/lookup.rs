@@ -11,7 +11,10 @@
 //! [`crate::trie`].)
 
 use crate::refs::{RefSet, MAX_POLYGON_ID};
+use crate::snapshot::MappedSnapshot;
+use crate::trie::SharedWords;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A deduplicating, flat `u32`-array lookup table.
 ///
@@ -56,10 +59,12 @@ impl LookupTableBuilder {
     /// rebuilt from every word: a mutation registers the entries it
     /// visits, so re-interning one of those sets returns its old offset.
     /// A new set equal to an entry nobody registered appends a duplicate
-    /// of it, a few words that the next compaction drops.
+    /// of it, a few words that the next compaction drops. A table shared
+    /// with another index or a mapping is copied here, at the first
+    /// mutation, and no earlier.
     pub fn from_table(table: LookupTable) -> LookupTableBuilder {
         LookupTableBuilder {
-            data: table.data,
+            data: table.data.into_vec(),
             ..LookupTableBuilder::default()
         }
     }
@@ -108,14 +113,15 @@ impl LookupTableBuilder {
 
     /// Finalizes into the immutable query-time table.
     pub fn build(self) -> LookupTable {
-        LookupTable { data: self.data }
+        LookupTable::from_words(SharedWords::Heap(Arc::new(self.data)))
     }
 }
 
-/// The immutable query-time lookup table.
+/// The immutable query-time lookup table. Its words are shared, not
+/// copied, by clones, and by an index opened over a mapped snapshot.
 #[derive(Debug, Default, Clone)]
 pub struct LookupTable {
-    data: Vec<u32>,
+    data: SharedWords,
 }
 
 /// Decodes the entry at `offset` of a raw word array into
@@ -132,15 +138,21 @@ pub(crate) fn decode_at(data: &[u32], offset: u32) -> (&[u32], &[u32]) {
 }
 
 impl LookupTable {
-    /// Reassembles a table from its raw word array (snapshot load path).
-    pub(crate) fn from_words(data: Vec<u32>) -> LookupTable {
+    /// Reassembles a table from its validated word array (snapshot load
+    /// path): a heap copy, or the mapping's own section.
+    pub(crate) fn from_words(data: SharedWords) -> LookupTable {
         LookupTable { data }
     }
 
     /// The raw word array (snapshot save path and shared decoding).
     #[inline]
     pub(crate) fn words(&self) -> &[u32] {
-        &self.data
+        self.data.words()
+    }
+
+    /// The snapshot this table borrows its words from, if any.
+    pub(crate) fn mapping(&self) -> Option<&Arc<MappedSnapshot>> {
+        self.data.mapping()
     }
 
     /// Decodes the entry at `offset` into (true hits, candidate hits).
@@ -148,19 +160,19 @@ impl LookupTable {
     /// Returned slices alias the table — zero-copy on the hot path.
     #[inline]
     pub fn decode(&self, offset: u32) -> (&[u32], &[u32]) {
-        decode_at(&self.data, offset)
+        decode_at(self.words(), offset)
     }
 
     /// Memory used by the array, in bytes.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<u32>()
+        self.len_words() * std::mem::size_of::<u32>()
     }
 
     /// Number of `u32` words.
     #[inline]
     pub fn len_words(&self) -> usize {
-        self.data.len()
+        self.words().len()
     }
 }
 

@@ -81,9 +81,10 @@
 //!   [`ActIndex::load_snapshot`], which reads a stream into one) copies
 //!   the sections into a regular [`ActIndex`].
 //! * **Shared** — [`ActIndex::from_mapped`] opens an owned index over an
-//!   `Arc` of a [`MappedSnapshot`] whose trie arena *is* the mapping:
-//!   only the roots and the lookup table are copied, and edits copy the
-//!   nodes they write (see [`crate::trie`]).
+//!   `Arc` of a [`MappedSnapshot`] whose trie arena and lookup table *are*
+//!   the mapping: only the roots are copied. Edits copy the trie nodes
+//!   they write (see [`crate::trie`]), and the first one copies the
+//!   table.
 //!
 //! Writers stream: [`ActIndex::save_snapshot`] and
 //! [`ActIndexView::save_file`] write an index's TRIE section as its
@@ -104,7 +105,7 @@
 
 use crate::index::{ActIndex, BuildStats};
 use crate::lookup::LookupTable;
-use crate::trie::{resolve_probe_words, Act, Probe, RawTrie, FANOUT, NODE_BYTES};
+use crate::trie::{resolve_probe_words, Act, Probe, RawTrie, SharedWords, FANOUT, NODE_BYTES};
 use geom::Coord;
 use s2cell::CellId;
 use std::fmt;
@@ -184,7 +185,11 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
             SnapshotError::Truncated { have } => {
-                write!(f, "snapshot truncated: {have} bytes is not a padded header")
+                write!(
+                    f,
+                    "snapshot truncated: {have} bytes is shorter than a header \
+                     or not a whole number of words"
+                )
             }
             SnapshotError::BadMagic => write!(f, "not a snapshot: bad magic"),
             SnapshotError::UnsupportedVersion { found } => write!(
@@ -749,14 +754,15 @@ impl<'a> ActIndexView<'a> {
     /// Deep-copies the borrowed sections into an owned [`ActIndex`] with
     /// a one-segment arena.
     pub fn to_owned_index(&self) -> ActIndex {
+        let heap = |words: Vec<u32>| SharedWords::Heap(Arc::new(words));
         ActIndex::from_parts(
             Act::from_raw_parts(
-                [self.base, self.ext].concat(),
+                heap([self.base, self.ext].concat()),
                 self.roots,
                 self.inserted_cells,
                 self.denormalized_slots,
             ),
-            LookupTable::from_words(self.table.to_vec()),
+            LookupTable::from_words(heap(self.table.to_vec())),
             self.stats.clone(),
         )
     }
@@ -953,33 +959,36 @@ impl MappedSnapshot {
     /// validation already happened in the constructor, so this is slice
     /// arithmetic plus a small stats copy.
     pub fn view(&self) -> ActIndexView<'_> {
-        let bytes = self.backing.bytes();
-        let (table_off, table_len) = self.layout.table;
         ActIndexView {
-            base: self.trie_slots(),
+            base: self.section_words(self.layout.trie),
             ext: &[],
             roots: self.roots,
-            table: bytes_as_u32s(&bytes[table_off..table_off + table_len]),
+            table: self.section_words(self.layout.table),
             stats: self.stats.clone(),
             inserted_cells: self.inserted_cells,
             denormalized_slots: self.denormalized_slots,
         }
     }
 
-    /// The validated TRIE section: the node arena, as probed.
+    /// The validated section at `(byte offset, byte length)`, as words.
     #[inline]
-    pub(crate) fn trie_slots(&self) -> &[u32] {
-        let (off, len) = self.layout.trie;
+    pub(crate) fn section_words(&self, (off, len): (usize, usize)) -> &[u32] {
         bytes_as_u32s(&self.backing.bytes()[off..off + len])
     }
 
-    /// An owned, mutable index over this snapshot; see
-    /// [`ActIndex::from_mapped`].
+    /// An owned, mutable index whose arena and lookup table are this
+    /// snapshot's sections, borrowed; see [`ActIndex::from_mapped`].
     pub(crate) fn shared_index(self: Arc<Self>) -> ActIndex {
-        let table = LookupTable::from_words(self.view().table.to_vec());
-        let (roots, stats) = (self.roots, self.stats.clone());
-        let (cells, slots) = (self.inserted_cells, self.denormalized_slots);
-        ActIndex::from_parts(Act::over_mapped(self, roots, cells, slots), table, stats)
+        let (trie, table) = (self.layout.trie, self.layout.table);
+        let act = Act::from_raw_parts(
+            SharedWords::Mapped(Arc::clone(&self), trie),
+            self.roots,
+            self.inserted_cells,
+            self.denormalized_slots,
+        );
+        let stats = self.stats.clone();
+        let table = LookupTable::from_words(SharedWords::Mapped(self, table));
+        ActIndex::from_parts(act, table, stats)
     }
 
     /// True when the backing is a live file mapping (false on the heap
@@ -1227,6 +1236,64 @@ mod tests {
         assert!(!heap.is_mmap());
         let c = Coord::new(-74.05, 40.70);
         assert_eq!(heap.view().probe_coord(c), mapped.view().probe_coord(c));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The served index at boot: `from_mapped` answers every probe as
+    /// the snapshot's own view does, reading the mapping's arena and
+    /// table in place, and keeps reading them until its first mutation.
+    #[test]
+    fn from_mapped_borrows_the_mapping_until_the_first_mutation() {
+        let idx = sample_index();
+        let bytes = save_to_vec(&idx);
+        let path = temp_snap("from-mapped", &bytes);
+        let snap = Arc::new(MappedSnapshot::open(&path).unwrap());
+        let view = snap.view();
+        let borrows = |ix: &ActIndex| {
+            let v = ix.as_view();
+            v.ext.is_empty() && std::ptr::eq(v.base, view.base) && std::ptr::eq(v.table, view.table)
+        };
+        let served = ActIndex::from_mapped(Arc::clone(&snap));
+        assert!(borrows(&served), "opening copied the mapping");
+        assert_eq!(served.mapped_checksum(), Some(snap.checksum()));
+        assert_eq!(snap.checksum(), header_checksum(&bytes).unwrap());
+        let cells: Vec<CellId> = (0..2_000)
+            .map(|k| {
+                let c = Coord::new(-74.1 + 0.0001 * k as f64, 40.66 + 0.00004 * k as f64);
+                crate::index::coord_to_cell(c)
+            })
+            .collect();
+        let answers = |v: &ActIndexView<'_>| {
+            let (mut probes, mut depths) = (vec![Probe::Miss; cells.len()], vec![0; cells.len()]);
+            v.probe_batch_depths(&cells, &mut probes, &mut depths);
+            let refs: Vec<Vec<(u32, bool)>> = probes
+                .iter()
+                .map(|&p| v.resolve_refs(p).collect())
+                .collect();
+            (probes, depths, refs)
+        };
+        let want = answers(&view);
+        assert_eq!(answers(&served.as_view()), want);
+        for (i, &cell) in cells.iter().enumerate() {
+            assert_eq!(served.as_view().probe_cell(cell), want.0[i], "cell {i}");
+        }
+
+        // A clone shares it too, and removing an id nobody references
+        // is no mutation.
+        let mut edited = served.clone();
+        assert!(!edited.remove_polygon(9));
+        assert!(borrows(&edited));
+        assert_eq!(edited.mapped_checksum(), Some(snap.checksum()));
+        // The first mutation copies the table and the nodes it writes;
+        // the served index still reads the mapping.
+        edited
+            .insert_polygon(9, &square(-74.08, 40.69, 0.004))
+            .unwrap();
+        assert!(!borrows(&edited));
+        assert!(edited.act().ext_bytes() > 0);
+        assert_eq!(edited.mapped_checksum(), None);
+        assert!(borrows(&served));
+        assert_eq!(answers(&served.as_view()), want);
         std::fs::remove_file(&path).unwrap();
     }
 

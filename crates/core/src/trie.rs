@@ -611,32 +611,67 @@ fn cell_slots(cell: CellId) -> (u32, usize, usize) {
     (d_last, cell.key_byte(d_last) as usize & !(count - 1), count)
 }
 
-/// The shared, read-only first segment of an [`Act`]'s arena (see the
-/// module docs).
+/// Read-only `u32` words that clones share: a heap array, or one section
+/// of a mapped snapshot. An [`Act`]'s base segment (see the module docs)
+/// and a [`LookupTable`] are both held this way, so an index opened over
+/// a mapping copies neither its arena nor its table.
 #[derive(Debug, Clone)]
-enum Base {
-    /// A heap arena: a finished build's or compaction's, or an owned
-    /// snapshot load. Written in place while one trie holds it alone.
+pub(crate) enum SharedWords {
+    /// A heap array: a finished build's or compaction's, or an owned
+    /// snapshot load. Written in place while one holder has it alone.
     Heap(Arc<Vec<u32>>),
-    /// The trie section of a mapped snapshot; never written.
-    Mapped(Arc<MappedSnapshot>),
+    /// The validated section at this `(byte offset, byte length)` of a
+    /// mapped snapshot; never written.
+    Mapped(Arc<MappedSnapshot>, (usize, usize)),
 }
 
-impl Base {
+impl Default for SharedWords {
+    fn default() -> SharedWords {
+        SharedWords::Heap(Arc::default())
+    }
+}
+
+impl SharedWords {
     #[inline]
-    fn slots(&self) -> &[u32] {
+    pub(crate) fn words(&self) -> &[u32] {
         match self {
-            Base::Heap(slots) => slots,
-            Base::Mapped(snap) => snap.trie_slots(),
+            SharedWords::Heap(words) => words,
+            SharedWords::Mapped(snap, section) => snap.section_words(*section),
         }
     }
 
-    /// The heap arena, when no other trie holds it.
+    /// The heap array, when no other holder has it.
     #[inline]
     fn unique(&mut self) -> Option<&mut Vec<u32>> {
         match self {
-            Base::Heap(slots) => Arc::get_mut(slots),
-            Base::Mapped(_) => None,
+            SharedWords::Heap(words) => Arc::get_mut(words),
+            SharedWords::Mapped(..) => None,
+        }
+    }
+
+    /// The words as an owned array: the heap array itself when no other
+    /// holder has it, a copy otherwise.
+    pub(crate) fn into_vec(self) -> Vec<u32> {
+        match self {
+            SharedWords::Heap(words) => Arc::try_unwrap(words).unwrap_or_else(|w| w.to_vec()),
+            mapped => mapped.words().to_vec(),
+        }
+    }
+
+    /// The snapshot these words borrow, if they are a mapped section.
+    pub(crate) fn mapping(&self) -> Option<&Arc<MappedSnapshot>> {
+        match self {
+            SharedWords::Mapped(snap, _) => Some(snap),
+            SharedWords::Heap(_) => None,
+        }
+    }
+
+    /// True when both are one heap array, or one section of one mapping.
+    fn same(&self, other: &SharedWords) -> bool {
+        match (self, other) {
+            (SharedWords::Heap(a), SharedWords::Heap(b)) => Arc::ptr_eq(a, b),
+            (SharedWords::Mapped(a, x), SharedWords::Mapped(b, y)) => Arc::ptr_eq(a, b) && x == y,
+            _ => false,
         }
     }
 }
@@ -688,7 +723,7 @@ impl Descent {
 pub struct Act {
     /// Nodes `0..B`: node `i` occupies `base[i*256 .. (i+1)*256]`. Node 0
     /// is the all-zero sentinel.
-    base: Base,
+    base: SharedWords,
     /// Nodes `B..`: the nodes this trie allocated while its base was
     /// shared or frozen, and the base nodes it copied out to write them.
     ext: Vec<u32>,
@@ -712,7 +747,7 @@ impl Act {
     /// Creates an empty trie (just the sentinel node).
     pub fn new() -> Act {
         Act {
-            base: Base::Heap(Arc::default()),
+            base: SharedWords::default(),
             ext: vec![0u32; FANOUT],
             roots: [0; 6],
             inserted_cells: 0,
@@ -720,36 +755,22 @@ impl Act {
         }
     }
 
-    /// Reassembles a trie from its raw parts (snapshot load path). The
-    /// caller is responsible for having validated the arena: slot count a
-    /// positive multiple of [`FANOUT`], roots within bounds.
+    /// Reassembles a trie over a validated arena (snapshot load path),
+    /// shared as the base: a heap copy, or the mapping itself, which
+    /// writes then copy out node by node. The caller is responsible for
+    /// having validated the arena: slot count a positive multiple of
+    /// [`FANOUT`], roots within bounds.
     pub(crate) fn from_raw_parts(
-        slots: Vec<u32>,
+        base: SharedWords,
         roots: [u32; 6],
         inserted_cells: u64,
         denormalized_slots: u64,
     ) -> Act {
-        debug_assert!(!slots.is_empty() && slots.len().is_multiple_of(FANOUT));
-        debug_assert!(roots.iter().all(|&r| (r as usize) < slots.len() / FANOUT));
+        let slots = base.words().len();
+        debug_assert!(slots > 0 && slots.is_multiple_of(FANOUT));
+        debug_assert!(roots.iter().all(|&r| (r as usize) < slots / FANOUT));
         Act {
-            base: Base::Heap(Arc::new(slots)),
-            ext: Vec::new(),
-            roots,
-            inserted_cells,
-            denormalized_slots,
-        }
-    }
-
-    /// A trie whose base is a validated mapped snapshot's arena, shared,
-    /// not copied: writes copy the nodes they touch into the ext.
-    pub(crate) fn over_mapped(
-        snap: Arc<MappedSnapshot>,
-        roots: [u32; 6],
-        inserted_cells: u64,
-        denormalized_slots: u64,
-    ) -> Act {
-        Act {
-            base: Base::Mapped(snap),
+            base,
             ext: Vec::new(),
             roots,
             inserted_cells,
@@ -761,8 +782,8 @@ impl Act {
     /// that clones share it. A trie whose base already holds nodes is
     /// left as it is.
     pub(crate) fn freeze(&mut self) {
-        if self.base.slots().is_empty() {
-            self.base = Base::Heap(Arc::new(std::mem::take(&mut self.ext)));
+        if self.base.words().is_empty() {
+            self.base = SharedWords::Heap(Arc::new(std::mem::take(&mut self.ext)));
         }
     }
 
@@ -770,7 +791,7 @@ impl Act {
     #[inline]
     pub(crate) fn raw(&self) -> RawTrie<'_> {
         RawTrie {
-            base: self.base.slots(),
+            base: self.base.words(),
             ext: &self.ext,
             roots: &self.roots,
         }
@@ -779,7 +800,7 @@ impl Act {
     /// The 256 slots of node `n`.
     #[inline]
     fn node(&self, n: usize) -> &[u32] {
-        let (base, at) = (self.base.slots(), n * FANOUT);
+        let (base, at) = (self.base.words(), n * FANOUT);
         if at < base.len() {
             &base[at..at + FANOUT]
         } else {
@@ -791,7 +812,7 @@ impl Act {
     /// [`Act::own`]).
     #[inline]
     fn node_mut(&mut self, n: usize) -> &mut [u32] {
-        let (b, at) = (self.base.slots().len(), n * FANOUT);
+        let (b, at) = (self.base.words().len(), n * FANOUT);
         if at >= b {
             &mut self.ext[at - b..at - b + FANOUT]
         } else {
@@ -805,7 +826,7 @@ impl Act {
     /// a node of a base no other trie holds.
     #[inline]
     fn writable(&mut self, n: usize) -> bool {
-        n * FANOUT >= self.base.slots().len() || self.base.unique().is_some()
+        n * FANOUT >= self.base.words().len() || self.base.unique().is_some()
     }
 
     /// Node `n`, writable: `n` itself when [`Act::writable`], otherwise
@@ -817,7 +838,7 @@ impl Act {
             return n;
         }
         let copy = self.alloc_node();
-        let base = self.base.slots();
+        let base = self.base.words();
         let (src, dst) = (n as usize * FANOUT, copy as usize * FANOUT - base.len());
         self.ext[dst..dst + FANOUT].copy_from_slice(&base[src..src + FANOUT]);
         waste.orphaned_nodes += 1;
@@ -851,7 +872,7 @@ impl Act {
 
     #[inline]
     fn alloc_node(&mut self) -> u32 {
-        let idx = (self.base.slots().len() + self.ext.len()) / FANOUT;
+        let idx = (self.base.words().len() + self.ext.len()) / FANOUT;
         assert!(
             idx <= MAX_POLYGON_ID as usize,
             "ACT arena exceeds 2^30 nodes; cannot be addressed by 30-bit child indices"
@@ -946,11 +967,13 @@ impl Act {
     /// True when this trie and `other` read one shared base segment, as
     /// a clone and its original do.
     pub fn shares_base_with(&self, other: &Act) -> bool {
-        match (&self.base, &other.base) {
-            (Base::Heap(a), Base::Heap(b)) => Arc::ptr_eq(a, b),
-            (Base::Mapped(a), Base::Mapped(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
+        self.base.same(&other.base)
+    }
+
+    /// The snapshot this trie's arena is, while it owns no node beside
+    /// it.
+    pub(crate) fn mapping(&self) -> Option<&Arc<MappedSnapshot>> {
+        self.base.mapping().filter(|_| self.ext.is_empty())
     }
 
     /// Bytes of the nodes this trie owns beside its base: what a clone
@@ -969,7 +992,7 @@ impl Act {
     /// Number of nodes (including the sentinel).
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        (self.base.slots().len() + self.ext.len()) / FANOUT
+        (self.base.words().len() + self.ext.len()) / FANOUT
     }
 
     /// Memory consumed by the node arena in bytes (the paper's "ACT \[MB\]"),
@@ -1093,29 +1116,6 @@ impl Act {
                     .unwrap_or(1);
                 f(run_cell(node_cell, s, size), entry_refset(e, words));
                 s += size;
-            }
-        }
-    }
-
-    /// Collects every polygon id held inline in single-reference slots by
-    /// a flat scan of the whole arena — orphaned nodes included, so
-    /// together with a lookup-table scan the result is a *superset* of
-    /// the ids the index can still answer with. One sequential pass over
-    /// the slot array; no tree walk.
-    pub(crate) fn collect_inline_ids(&self, into: &mut std::collections::BTreeSet<u32>) {
-        // Denormalization writes the same entry across aligned runs of
-        // up to 256 slots, so skipping consecutive repeats removes the
-        // bulk of the set insertions (the scan itself stays linear).
-        let mut prev = 0u32;
-        for segment in [self.base.slots(), &self.ext] {
-            for &e in segment {
-                if e == prev {
-                    continue;
-                }
-                prev = e;
-                if matches!(e & TAG_MASK, TAG_CANDIDATE | TAG_TRUE_HIT) {
-                    into.insert(e >> 2);
-                }
             }
         }
     }
@@ -2050,32 +2050,6 @@ mod tests {
         assert_eq!(act.roots()[4], 0);
         assert_eq!(probe(&act, other), probe(&before, other));
         assert!(!strip(&mut act, face, 2, &mut tb, &mut waste));
-    }
-
-    #[test]
-    fn inline_id_scan_sees_both_tags_only() {
-        let mut act = Act::new();
-        let mut tb = LookupTableBuilder::new();
-        let leaf = nyc_leaf(40.7, -74.0);
-        act.insert(
-            leaf.parent(12),
-            &RefSet::single(PolygonRef::true_hit(5)),
-            &mut tb,
-        );
-        act.insert(
-            nyc_leaf(41.5, -74.0).parent(12),
-            &RefSet::single(PolygonRef::candidate(MAX_POLYGON_ID)),
-            &mut tb,
-        );
-        act.insert(
-            nyc_leaf(40.0, -75.0).parent(12),
-            &RefSet::Two(PolygonRef::candidate(6), PolygonRef::candidate(7)),
-            &mut tb,
-        );
-        let mut ids = std::collections::BTreeSet::new();
-        act.collect_inline_ids(&mut ids);
-        // Table-held ids (6, 7) are the lookup-table scan's job.
-        assert_eq!(ids.into_iter().collect::<Vec<_>>(), vec![5, MAX_POLYGON_ID]);
     }
 
     #[test]

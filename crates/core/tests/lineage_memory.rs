@@ -4,15 +4,20 @@
 //! cargo test --release -q -p act-core --test lineage_memory -- --ignored --nocapture
 //! ```
 //!
-//! A delta lineage over a mapped census snapshot holds one arena, the
-//! mapping. Opening the lineage ([`ActIndex::from_mapped`] plus
+//! The server boots by opening [`ActIndex::from_mapped`] over the mapped
+//! census snapshot, which borrows the mapping's arena and lookup table:
+//! that open may raise the peak RSS by less than 1 MiB (a copy of the
+//! 2.6 MB table fails it).
+//!
+//! A delta lineage over it holds one arena, the mapping. Opening the
+//! lineage (a clone of the served index plus
 //! [`ActIndex::prime_mutations`]) and then eight apply/clone cycles — an
 //! insert or a remove of one fence on the scratch, which is then
 //! published and cloned into the next scratch, as the delta watcher does
 //! — may raise the peak RSS over the resident mapping by no more than
 //! the mutation state priming builds plus 16 MB. A second full arena
 //! (a deep copy, or a clone that copied the arena) is ~126 MB and fails
-//! it. The check runs in its own binary, so the peak is this test's
+//! it. The checks run in their own binary, so the peak is this test's
 //! alone; without `/proc` it prints why and passes.
 
 #[allow(dead_code)] // the build guard's own check is unused here
@@ -25,6 +30,9 @@ use std::sync::Arc;
 /// Room over the mutation state for the lookup-table copies, the nodes
 /// the applies copy out and each apply's transient buffers.
 const SLACK_BYTES: u64 = 16 << 20;
+
+/// What opening the served index over the mapping may add to the peak.
+const OPEN_BYTES: u64 = 1 << 20;
 
 #[test]
 #[ignore = "census build, run with --release -- --ignored"]
@@ -56,10 +64,26 @@ fn census_lineage_rss_rise_is_mutation_state_plus_16_mb() {
     let id = ds.polygons.len() as u32;
     drop(ds);
 
+    let mib = |b: u64| b as f64 / (1 << 20) as f64;
     let Some(before) = build_rss::reset_peak() else {
         return;
     };
-    let mut scratch = ActIndex::from_mapped(Arc::clone(&snap));
+    let served = ActIndex::from_mapped(Arc::clone(&snap));
+    let open = build_rss::peak_rise(before);
+    println!(
+        "census open: RSS rise {:.3} MiB for an index of {:.1} MiB",
+        mib(open),
+        mib(served.memory_bytes() as u64)
+    );
+    assert!(
+        open < OPEN_BYTES,
+        "opening the served index raised RSS by {open} B: it copied the mapping"
+    );
+
+    let Some(before) = build_rss::reset_peak() else {
+        return;
+    };
+    let mut scratch = served.clone();
     scratch.prime_mutations();
     let mut published;
     for cycle in 0..8 {
@@ -75,7 +99,6 @@ fn census_lineage_rss_rise_is_mutation_state_plus_16_mb() {
     let rise = build_rss::peak_rise(before);
     let state = scratch.mutation_state_bytes() as u64;
     let bound = state + SLACK_BYTES;
-    let mib = |b: u64| b as f64 / (1 << 20) as f64;
     println!(
         "census lineage: RSS rise {:.1} MiB over the {:.1} MiB mapping; mutation state \
          {:.1} MiB, {:.1} MiB of nodes owned beside the base",

@@ -29,7 +29,7 @@ fn census_scale_removal_timing() {
         t.elapsed().as_secs_f64()
     );
 
-    // Pay the one-time mutation priming (live-id set + cell inventory)
+    // Pay the one-time mutation priming (the per-id cell inventory)
     // outside the measured region; steady-state removal is what the
     // delta watcher feels per `Remove` op.
     let t = Instant::now();

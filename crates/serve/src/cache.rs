@@ -27,7 +27,7 @@
 //!
 //! There is no invalidation scan and no TTL. Every entry carries the
 //! [`crate::swap::IndexStore`] epoch it was filled under, and a worker
-//! consults the cache only with the epoch of the `(snapshot, epoch)`
+//! consults the cache only with the epoch of the `(index, epoch)`
 //! pair it pinned for the batch. A full hot-swap or a delta apply bumps
 //! the epoch, so every existing entry silently stops matching — a stale
 //! hit is *structurally* impossible, and entries refill lazily under

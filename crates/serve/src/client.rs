@@ -323,14 +323,7 @@ impl ResilientClient {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::other("address resolved to nothing"))?;
-        Ok(ResilientClient {
-            addr,
-            policy,
-            conn: None,
-            connects: 0,
-            retries: 0,
-            backoff_slept: Duration::ZERO,
-        })
+        Ok(ResilientClient::from_resolved(addr, policy))
     }
 
     /// Readies a client over an **already-resolved** address —

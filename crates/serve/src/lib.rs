@@ -14,17 +14,20 @@
 //!   [`probe_batch_depths`](act_core::ActIndexView::probe_batch_depths)
 //!   walk. Light load degenerates to per-request dispatch; heavy load
 //!   widens batches automatically.
-//! * **Epoch hot-swap** — the serving snapshot lives behind an
-//!   epoch-counted [`IndexStore`]; a watcher polls the snapshot path and
-//!   swaps validated replacements in. In-flight batches finish on the
-//!   old index (their `Arc` pins the old mapping), new batches see the
-//!   new one, and responses echo the answering epoch so clients can
-//!   observe the cutover. Restarts — and now live reloads — ship
-//!   snapshots, not polygon sets. Small edits ship as `ACTDLT01`
-//!   **delta files** beside the base snapshot: the watcher validates
-//!   each against the lineage cursor, applies it to the live index in
-//!   milliseconds (no base remap), and periodically folds the chain
-//!   into a fresh base (see [`swap`]).
+//! * **Epoch hot-swap** — the served index is one type, an
+//!   [`act_core::ActIndex`] behind an epoch-counted [`IndexStore`]: at
+//!   boot and after a reload it is opened over the mapped snapshot
+//!   ([`act_core::ActIndex::from_mapped`], which copies neither arena nor
+//!   lookup table). A watcher polls the snapshot path and swaps
+//!   validated replacements in. In-flight batches finish on the old
+//!   index (their `Arc` pins the old mapping), new batches see the new
+//!   one, and responses echo the answering epoch so clients can observe
+//!   the cutover. Restarts — and now live reloads — ship snapshots, not
+//!   polygon sets. Small edits ship as `ACTDLT01` **delta files** beside
+//!   the base snapshot: the watcher validates each against the lineage
+//!   cursor, applies it to a clone of the served index in milliseconds
+//!   (no base remap), publishes the edited index, and periodically folds
+//!   the chain into a fresh base (see [`swap`]).
 //! * **Admission control & graceful drain** — the probe queue is
 //!   bounded in lanes; overflow is answered immediately with `LOADSHED`
 //!   (never dropped, never queued). Per-connection in-flight caps turn a
@@ -80,7 +83,7 @@ pub use obs::{ObsConfig, PipelineObs};
 pub use protocol::{CounterBlock, PingReply, ProbeReply, StatsExReply};
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use server::{ServeConfig, ServeError, Server, ServerHandle};
-pub use swap::{delta_path, IndexStore, ServeIndex, WatchCounters, FOLD_AFTER_DELTAS};
+pub use swap::{delta_path, IndexStore, WatchCounters, FOLD_AFTER_DELTAS};
 
 #[cfg(test)]
 mod tests {

@@ -13,12 +13,13 @@ use crate::protocol as proto;
 use act_obs::{Histogram, PromText, TraceRing};
 use std::sync::Arc;
 
-/// Observability knobs. `Default` keeps a 4096-event trace ring and
-/// samples one probe frame in 64.
+/// Events the bounded trace ring keeps (older events are evicted).
+const TRACE_CAPACITY: usize = 4096;
+
+/// Observability knobs. The trace ring keeps the newest 4096 events;
+/// `Default` samples one probe frame in 64.
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
-    /// Bounded trace ring capacity (older events are evicted).
-    pub trace_capacity: usize,
     /// Sample one probe admission in this many (0 disables admission
     /// sampling entirely, 1 samples every frame). Lifecycle events
     /// (swap, delta apply, quarantine, shed, breaker transitions) are
@@ -32,10 +33,16 @@ pub struct ObsConfig {
 impl Default for ObsConfig {
     fn default() -> ObsConfig {
         ObsConfig {
-            trace_capacity: 4096,
             trace_sample_every: 64,
             trace_seed: 0,
         }
+    }
+}
+
+impl ObsConfig {
+    /// An empty trace ring sampling as configured.
+    pub(crate) fn trace_ring(&self) -> TraceRing {
+        TraceRing::new(TRACE_CAPACITY, self.trace_sample_every, self.trace_seed)
     }
 }
 
@@ -78,11 +85,7 @@ impl PipelineObs {
             batch_lanes: Histogram::new(),
             probe_depth: Histogram::new(),
             cache_hit_pct: Histogram::new(),
-            trace: Arc::new(TraceRing::new(
-                config.trace_capacity,
-                config.trace_sample_every,
-                config.trace_seed,
-            )),
+            trace: Arc::new(config.trace_ring()),
         }
     }
 

@@ -87,11 +87,6 @@ pub struct RouterConfig {
     /// `BUSY` frame (op 0, the default retry hint) and closed by the
     /// same accept gate a worker uses.
     pub max_connections: usize,
-    /// How long a shard that just failed is considered down. Probes
-    /// needing it during the window shed immediately with the remaining
-    /// cooldown as the retry hint, instead of re-burning the client's
-    /// whole retry budget per request.
-    pub cooldown: Duration,
     /// Router-side observability: a trace ring recording sampled frame
     /// admissions (with their shard fan-out width) and per-shard breaker
     /// open/close transitions (the router keeps no latency histograms of
@@ -107,11 +102,16 @@ impl Default for RouterConfig {
             split_level: DEFAULT_SPLIT_LEVEL,
             policy: RetryPolicy::default(),
             max_connections: 256,
-            cooldown: Duration::from_millis(250),
             obs: None,
         }
     }
 }
+
+/// How long a shard that just failed is considered down. Probes needing
+/// it during the window shed immediately with the remaining cooldown as
+/// the retry hint, instead of re-burning the client's whole retry budget
+/// per request.
+const COOLDOWN: Duration = Duration::from_millis(250);
 
 /// Per-shard circuit state, shared by every connection handler.
 #[derive(Debug, Default)]
@@ -124,7 +124,6 @@ struct RouterState {
     split_level: u8,
     shard_addrs: Vec<SocketAddr>,
     policy: RetryPolicy,
-    cooldown: Duration,
     health: Vec<Mutex<ShardHealth>>,
     /// The drain flag, the connection cap and the connection threads.
     front: Front,
@@ -179,7 +178,7 @@ impl RouterState {
         let was_open = {
             let mut h = self.health(shard);
             let was = h.down_until.is_some_and(|t| t > Instant::now());
-            h.down_until = Some(Instant::now() + self.cooldown);
+            h.down_until = Some(Instant::now() + COOLDOWN);
             was
         };
         // Trace the *transition*, not every failure while already open.
@@ -189,7 +188,7 @@ impl RouterState {
                     "breaker_open",
                     &[
                         ("shard", shard as u64),
-                        ("cooldown_ms", self.cooldown.as_millis() as u64),
+                        ("cooldown_ms", COOLDOWN.as_millis() as u64),
                     ],
                 );
             }
@@ -399,16 +398,9 @@ impl Router {
             split_level: config.split_level,
             shard_addrs,
             policy: config.policy,
-            cooldown: config.cooldown,
             health,
             front: Front::new(config.max_connections),
-            trace: config.obs.as_ref().map(|c| {
-                Arc::new(TraceRing::new(
-                    c.trace_capacity,
-                    c.trace_sample_every,
-                    c.trace_seed,
-                ))
-            }),
+            trace: config.obs.as_ref().map(|c| Arc::new(c.trace_ring())),
         });
         let accept = {
             let st = Arc::clone(&state);

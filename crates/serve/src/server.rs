@@ -1,5 +1,5 @@
 //! The TCP server: accept loop → connection readers → micro-batching
-//! probe workers → epoch-pinned snapshot, with admission control and a
+//! probe workers → epoch-pinned index, with admission control and a
 //! graceful-drain lifecycle on top.
 //!
 //! ## Threading model (std::net, no async runtime)
@@ -37,7 +37,7 @@
 //!   batches widen toward the lane budget automatically — the same
 //!   load-adaptive batching story as the paper's online join, with the
 //!   batch riding the existing memory-level-parallel trie walk.
-//! * Every micro-batch pins one `(snapshot, epoch)` pair from the
+//! * Every micro-batch pins one `(index, epoch)` pair from the
 //!   [`IndexStore`]; a concurrent hot-swap affects only later batches,
 //!   so no request ever observes a torn index.
 //! * Workers run each batch's compute under `catch_unwind`: a panic
@@ -294,7 +294,7 @@ impl State {
             batches: self.batches.load(Ordering::Relaxed),
             swaps: self.store.swaps(),
             queue_high_water_lanes: self.queue_hw_lanes.load(Ordering::Relaxed),
-            delta_applies: self.store.delta_applies(),
+            delta_applies: self.watch.delta_applies(),
             watch_errors: self.watch.errors(),
             quarantines: self.watch.quarantines(),
             panics_contained: self.panics_contained.load(Ordering::Relaxed),
@@ -779,7 +779,7 @@ fn worker_loop(state: &State) {
     }
 }
 
-/// Answers one micro-batch against a single pinned `(snapshot, epoch)`.
+/// Answers one micro-batch against a single pinned `(index, epoch)`.
 ///
 /// The compute half runs under `catch_unwind`: a panic — a bug in the
 /// probe path, or an injected [`Site::WorkerPanic`] — poisons **this
@@ -821,7 +821,7 @@ fn process_batch(state: &State, batch: Vec<Job>) {
 }
 
 /// The panic-isolated half of [`process_batch`]: one pinned
-/// `(snapshot, epoch)` pair, one `probe_batch_depths` walk, one reply frame
+/// `(index, epoch)` pair, one `probe_batch_depths` walk, one reply frame
 /// per job (in batch order). Touches only monotonic stats counters, so
 /// unwinding out of here leaves no state poisoned.
 fn compute_replies(state: &State, batch: &[Job]) -> Vec<Vec<u8>> {
@@ -831,8 +831,8 @@ fn compute_replies(state: &State, batch: &[Job]) -> Vec<Vec<u8>> {
             panic!("injected worker panic (contained; this batch answers INTERNAL)");
         }
     }
-    let (snap, epoch) = state.store.current();
-    let view = snap.view();
+    let (index, epoch) = state.store.current();
+    let view = index.as_view();
     let total: usize = batch.iter().map(|j| j.cells.len()).sum();
     // A single-job batch (the common shape when one frame fills the
     // lane budget by itself) borrows its cells straight from the job;
@@ -966,12 +966,6 @@ fn compute_replies(state: &State, batch: &[Job]) -> Vec<Vec<u8>> {
     replies
 }
 
-/// Appends one point's reply section — the u32 count then one encoded
-/// ref word per reported polygon — from whatever yields the resolved
-/// `(id, interior)` pairs (a cached list or the live trie resolution).
-/// With `refine` set (exact mode), true hits skip the point-in-polygon
-/// test — the paper's true-hit filtering, carried onto the wire — and
-/// candidates that fail it are dropped.
 /// Encodes one point's answer from already-packed wire words (an arena
 /// span). The approximate path is the reason the arena is packed: a
 /// count word and a bulk byte copy, no per-ref work at all. Exact mode
@@ -988,6 +982,12 @@ fn encode_point_words(payload: &mut Vec<u8>, words: &[u32], refine: Option<(&Ref
     }
 }
 
+/// Appends one point's reply section — the u32 count then one encoded
+/// ref word per reported polygon — from whatever yields the resolved
+/// `(id, interior)` pairs (a cached list or the live trie resolution).
+/// With `refine` set (exact mode), true hits skip the point-in-polygon
+/// test — the paper's true-hit filtering, carried onto the wire — and
+/// candidates that fail it are dropped.
 fn encode_point_refs(
     payload: &mut Vec<u8>,
     refs: impl Iterator<Item = (u32, bool)>,

@@ -2,7 +2,7 @@
 //!
 //! The serving invariant: a probe batch runs start-to-finish against
 //! **one** index. [`IndexStore::current`] hands out an
-//! `Arc<ServeIndex>` plus the epoch it belongs to; a concurrent swap
+//! `Arc<ActIndex>` plus the epoch it belongs to; a concurrent swap
 //! publishes a new index for *future* batches while in-flight ones
 //! finish on the Arc they already hold — the rolling-restart story
 //! (ship a snapshot, not a polygon set), in process. The store is a
@@ -10,11 +10,12 @@
 //! nanoseconds per batch, uncontended in practice — plus a monotonic
 //! epoch counter that responses echo so clients can observe a swap.
 //!
-//! [`ServeIndex`] is the two-sourced serving artifact: `Mapped` is the
-//! mmap-backed full snapshot the server boots from; `Owned` is a live
-//! [`ActIndex`] produced by applying `ACTDLT01` delta files (see
-//! [`act_core::delta`]) to the running index — a few fence edits arrive
-//! in milliseconds without remapping the multi-hundred-MB base.
+//! The store serves one type, [`ActIndex`]. At boot and after a reload
+//! it is [`ActIndex::from_mapped`] over the validated snapshot, whose
+//! trie arena and lookup table *are* the mapping, so opening it copies
+//! neither. After a delta it is that index with the `ACTDLT01` delta
+//! file's edits applied (see [`act_core::delta`]) — a few fence edits
+//! arrive in milliseconds without remapping the multi-hundred-MB base.
 //!
 //! [`watch_loop_opts`] is the operator-facing half. Each poll it checks
 //! two things:
@@ -55,19 +56,18 @@
 //! ## Memory model
 //!
 //! Churn holds one arena: the mapping. The first delta opens the
-//! lineage with [`ActIndex::from_mapped`], an owned index whose trie
-//! arena *is* the mapped base, shared: it copies the roots and the
-//! lookup table, and is primed for mutation (its live-id set and per-id
-//! cell inventory, see [`ActIndex::prime_mutations`]). An apply copies
-//! the trie nodes it writes into the index's own small segment and
-//! repoints their parents (path copying, see [`act_core::trie`]); the
-//! mapping is never written. After each publish the next scratch is a
-//! clone of the published index, which shares the mapping, copies the
-//! few copied-out nodes, the table and the id map, and shares every
-//! per-id inventory list. So the published index and the scratch differ
-//! only by the nodes the last apply wrote, and the index the store
-//! served before (the previous epoch) keeps answering its own state for
-//! the batches still on it.
+//! lineage over the served index: its scratch is a clone, which shares
+//! the mapped arena and table, primed for mutation (its per-id cell
+//! inventory, see [`ActIndex::prime_mutations`]). An apply copies the
+//! trie nodes it writes into the index's own small segment and repoints
+//! their parents (path copying, see [`act_core::trie`]), and copies the
+//! lookup table once, to append to it; the mapping is never written.
+//! After each publish the next scratch is a clone of the published
+//! index, which shares the mapping, the table and every per-id inventory
+//! list, and copies the few copied-out nodes and the id map. So the
+//! published index and the scratch differ only by the nodes the last
+//! apply wrote, and the index the store served before (the previous
+//! epoch) keeps answering its own state for the batches still on it.
 //!
 //! Compaction follows the index's own policy: copied-out base nodes
 //! count as waste, and the apply whose edits push the scratch's waste
@@ -125,6 +125,7 @@ pub const WATCH_BACKOFF_CAP: Duration = Duration::from_secs(5);
 pub struct WatchCounters {
     errors: AtomicU64,
     quarantines: AtomicU64,
+    delta_applies: AtomicU64,
 }
 
 impl WatchCounters {
@@ -137,51 +138,11 @@ impl WatchCounters {
     pub fn quarantines(&self) -> u64 {
         self.quarantines.load(Ordering::Relaxed)
     }
-}
 
-/// The index being served: a mapped base snapshot, or an owned live
-/// index carrying delta edits on top of one. Both expose the same
-/// zero-copy query view, so batch execution never cares which it holds.
-// Always held behind one `Arc` per epoch, never moved or stored in
-// bulk, so the variant size gap costs nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum ServeIndex {
-    /// The mmap-backed full snapshot (boot and full-reload path), shared
-    /// with the delta lineage opened over it.
-    Mapped(Arc<MappedSnapshot>),
-    /// A live index with delta edits applied (delta hot-apply path).
-    Owned(ActIndex),
-}
-
-impl ServeIndex {
-    /// The borrowed query view a probe batch runs against.
-    #[inline]
-    pub fn view(&self) -> act_core::ActIndexView<'_> {
-        match self {
-            ServeIndex::Mapped(snap) => snap.view(),
-            ServeIndex::Owned(ix) => ix.as_view(),
-        }
-    }
-
-    /// A private, mutable index that answers like this one and shares
-    /// its trie arena: over the mapped base, [`ActIndex::from_mapped`];
-    /// over an owned index, a clone.
-    fn fork(&self) -> ActIndex {
-        match self {
-            ServeIndex::Mapped(snap) => ActIndex::from_mapped(Arc::clone(snap)),
-            ServeIndex::Owned(ix) => ix.clone(),
-        }
-    }
-
-    /// The whole-file checksum of this index's snapshot, the identity a
-    /// delta lineage over it binds to: read from the mapped base's
-    /// header, or hashed from an owned index.
-    fn checksum(&self) -> u64 {
-        match self {
-            ServeIndex::Mapped(snap) => snap.checksum(),
-            ServeIndex::Owned(ix) => ix.as_view().snapshot_checksum(),
-        }
+    /// Delta files applied onto the live index so far (a subset of
+    /// [`IndexStore::swaps`]).
+    pub fn delta_applies(&self) -> u64 {
+        self.delta_applies.load(Ordering::Relaxed)
     }
 }
 
@@ -193,22 +154,21 @@ impl ServeIndex {
 /// apply — bumps it, and cache entries carry the epoch they were filled
 /// under, so after any publish every cached answer silently stops
 /// matching without a scan. Anything that changes what a probe may
-/// answer MUST go through [`IndexStore::swap`]/[`IndexStore::swap_owned`]
-/// for exactly this reason.
+/// answer MUST go through `IndexStore::publish` for exactly this
+/// reason.
 #[derive(Debug)]
 pub struct IndexStore {
-    current: Mutex<Arc<ServeIndex>>,
+    current: Mutex<Arc<ActIndex>>,
     epoch: AtomicU64,
-    delta_applies: AtomicU64,
 }
 
 impl IndexStore {
-    /// Starts serving `snap` at epoch 1.
+    /// Starts serving `snap` at epoch 1, as [`ActIndex::from_mapped`]
+    /// over it: nothing of the snapshot is copied.
     pub fn new(snap: MappedSnapshot) -> IndexStore {
         IndexStore {
-            current: Mutex::new(Arc::new(ServeIndex::Mapped(Arc::new(snap)))),
+            current: Mutex::new(Arc::new(ActIndex::from_mapped(Arc::new(snap)))),
             epoch: AtomicU64::new(1),
-            delta_applies: AtomicU64::new(0),
         }
     }
 
@@ -216,7 +176,7 @@ impl IndexStore {
     /// returned Arc keeps that index (and any file mapping behind it)
     /// alive for as long as the batch needs it, whatever swaps happen
     /// meanwhile.
-    pub fn current(&self) -> (Arc<ServeIndex>, u32) {
+    pub fn current(&self) -> (Arc<ActIndex>, u32) {
         // Read the epoch while holding the lock so a concurrent swap
         // can't pair the old Arc with the new epoch. A poisoned lock is
         // recovered, not propagated: the guarded value is a swap-only
@@ -228,21 +188,13 @@ impl IndexStore {
         (Arc::clone(&guard), epoch)
     }
 
-    /// Publishes a full snapshot for future batches; returns the new
-    /// epoch. In-flight batches finish on whatever
-    /// [`IndexStore::current`] gave them.
-    pub fn swap(&self, snap: MappedSnapshot) -> u32 {
-        self.publish(Arc::new(ServeIndex::Mapped(Arc::new(snap))))
-    }
-
-    /// Publishes an owned (delta-edited) index for future batches and
-    /// counts a delta apply; returns the new epoch.
-    pub fn swap_owned(&self, index: ActIndex) -> u32 {
-        self.delta_applies.fetch_add(1, Ordering::Relaxed);
-        self.publish(Arc::new(ServeIndex::Owned(index)))
-    }
-
-    fn publish(&self, next: Arc<ServeIndex>) -> u32 {
+    /// Publishes `next` for future batches — a reloaded snapshot
+    /// ([`ActIndex::from_mapped`]) or a delta-edited index — and returns
+    /// the new epoch. In-flight batches finish on whatever
+    /// [`IndexStore::current`] gave them. Crate-private: the delta
+    /// watcher opens a lineage only over an unedited mapping, which is
+    /// what `new` serves and a reload publishes.
+    pub(crate) fn publish(&self, next: Arc<ActIndex>) -> u32 {
         // Poison recovery: see `current` — the Arc swap is atomic from
         // the store's point of view, so the value is always valid.
         let mut guard = self.current.lock().unwrap_or_else(PoisonError::into_inner);
@@ -260,12 +212,6 @@ impl IndexStore {
     /// delta applies.
     pub fn swaps(&self) -> u64 {
         u64::from(self.epoch()).saturating_sub(1)
-    }
-
-    /// Delta files applied onto the live index so far (a subset of
-    /// [`IndexStore::swaps`]).
-    pub fn delta_applies(&self) -> u64 {
-        self.delta_applies.load(Ordering::Relaxed)
     }
 }
 
@@ -368,7 +314,7 @@ struct Lineage {
     link: DeltaLink,
     /// The state the chain has reached, as the store serves it: the
     /// mapped base until this lineage's first apply is published.
-    working: Arc<ServeIndex>,
+    working: Arc<ActIndex>,
     /// A private index primed for mutation that shares `working`'s arena
     /// (see the module docs' memory model). Deltas apply here *in
     /// place*, so nothing is copied on the apply-to-publish latency path
@@ -379,10 +325,13 @@ struct Lineage {
 }
 
 impl Lineage {
-    /// Opens a lineage over the state the store serves.
-    fn open(working: Arc<ServeIndex>) -> Lineage {
+    /// Opens a lineage over the state the store serves. No lineage is
+    /// open only at boot and after a reload, and both publish an
+    /// unedited mapping, so the base checksum is its header's.
+    fn open(working: Arc<ActIndex>) -> Lineage {
+        let base = working.mapped_checksum();
         let mut lineage = Lineage {
-            link: DeltaLink::for_base(working.checksum()),
+            link: DeltaLink::for_base(base.expect("a lineage opens over a mapped snapshot")),
             working,
             scratch: None,
         };
@@ -390,12 +339,12 @@ impl Lineage {
         lineage
     }
 
-    /// Re-arms the scratch as a copy of `working`. Forking the mapped
-    /// base builds the live-id set and inventory once, so every apply is
+    /// Re-arms the scratch as a primed clone of `working`. Priming the
+    /// mapped base's clone builds the inventory once, so every apply is
     /// as fast as the steady state; a clone of a published index shares
-    /// them.
+    /// it.
     fn rearm(&mut self) {
-        let mut scratch = self.working.fork();
+        let mut scratch = (*self.working).clone();
         scratch.prime_mutations();
         self.scratch = Some(scratch);
     }
@@ -702,7 +651,8 @@ impl Shell<'_> {
             Ok(snap) => snap,
             Err(e) => return self.judge("snapshot", path, e),
         };
-        let epoch = self.store.swap(snap);
+        let index = ActIndex::from_mapped(Arc::new(snap));
+        let epoch = self.store.publish(Arc::new(index));
         self.publishes += 1;
         self.lineage = None;
         self.trace("swap", &[("epoch", u64::from(epoch))]);
@@ -724,9 +674,12 @@ impl Shell<'_> {
         let mut next = lin.scratch.take().expect("armed between applies");
         match apply_delta_file(&mut next, &dpath, lin.link) {
             Ok(link) => {
-                let epoch = store.swap_owned(next);
+                let next = Arc::new(next);
+                let epoch = store.publish(Arc::clone(&next));
+                let applies = &self.opts.counters.delta_applies;
+                applies.fetch_add(1, Ordering::Relaxed);
                 lin.link = link;
-                lin.working = store.current().0;
+                lin.working = next;
                 lin.rearm();
                 self.publishes += 1;
                 self.trace("delta_apply", &[("epoch", u64::from(epoch)), ("seq", seq)]);
@@ -769,7 +722,7 @@ impl Shell<'_> {
     /// writer returned. Answers with the new base's signature.
     fn fold(&mut self) -> Observation {
         let (path, lin) = (self.path, self.lineage.as_mut().expect("fold after apply"));
-        match lin.working.view().save_file(path) {
+        match lin.working.as_view().save_file(path) {
             Ok(sum) => {
                 for seq in 1..lin.link.next_seq {
                     let _ = std::fs::remove_file(delta_path(path, seq));
@@ -850,6 +803,13 @@ mod tests {
         p
     }
 
+    /// The snapshot at `path`, as the store serves it after a reload.
+    fn mapped(path: &Path) -> Arc<ActIndex> {
+        Arc::new(ActIndex::from_mapped(Arc::new(
+            MappedSnapshot::open(path).unwrap(),
+        )))
+    }
+
     /// Watcher options polling every `ms` milliseconds, with fresh
     /// counters and no trace ring or fault plan.
     fn options(ms: u64) -> WatchOptions {
@@ -870,19 +830,18 @@ mod tests {
         let (old, e1) = store.current();
         assert_eq!(e1, 1);
         let inside_a = Coord::new(-74.0, 40.7);
-        assert!(!old.view().lookup_refs(inside_a).is_empty());
+        assert!(!old.as_view().lookup_refs(inside_a).is_empty());
 
-        let e2 = store.swap(MappedSnapshot::open(&b).unwrap());
+        let e2 = store.publish(mapped(&b));
         assert_eq!(e2, 2);
         assert_eq!(store.epoch(), 2);
         assert_eq!(store.swaps(), 1);
-        assert_eq!(store.delta_applies(), 0);
         let (new, e) = store.current();
         assert_eq!(e, 2);
         // New snapshot answers differently; the old Arc still answers as
         // before (in-flight batches are undisturbed).
-        assert!(new.view().lookup_refs(inside_a).is_empty());
-        assert!(!old.view().lookup_refs(inside_a).is_empty());
+        assert!(new.as_view().lookup_refs(inside_a).is_empty());
+        assert!(!old.as_view().lookup_refs(inside_a).is_empty());
         std::fs::remove_file(&a).unwrap();
         std::fs::remove_file(&b).unwrap();
     }
@@ -915,12 +874,18 @@ mod tests {
         // Probing and swapping must both still work.
         let (idx, e1) = store.current();
         assert_eq!(e1, 1);
-        assert!(!idx.view().lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
-        let e2 = store.swap(MappedSnapshot::open(&b).unwrap());
+        assert!(!idx
+            .as_view()
+            .lookup_refs(Coord::new(-74.0, 40.7))
+            .is_empty());
+        let e2 = store.publish(mapped(&b));
         assert_eq!(e2, 2);
         let (idx, e) = store.current();
         assert_eq!(e, 2);
-        assert!(!idx.view().lookup_refs(Coord::new(-73.9, 40.7)).is_empty());
+        assert!(!idx
+            .as_view()
+            .lookup_refs(Coord::new(-73.9, 40.7))
+            .is_empty());
         std::fs::remove_file(&a).unwrap();
         std::fs::remove_file(&b).unwrap();
     }
@@ -930,11 +895,17 @@ mod tests {
         let path = snap_file("watch", &[square(-74.0, 40.7, 0.02)]);
         let store = Arc::new(IndexStore::new(MappedSnapshot::open(&path).unwrap()));
         let shutdown = Arc::new(AtomicBool::new(false));
+        let counters = Arc::new(WatchCounters::default());
         let initial = snapshot_signature(&path);
         let handle = {
             let (store, shutdown, path) = (store.clone(), shutdown.clone(), path.clone());
+            let counters = Arc::clone(&counters);
             std::thread::spawn(move || {
-                watch_loop_opts(&path, &store, &shutdown, initial, options(10))
+                let opts = WatchOptions {
+                    counters,
+                    ..options(10)
+                };
+                watch_loop_opts(&path, &store, &shutdown, initial, opts)
             })
         };
 
@@ -956,6 +927,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(store.epoch(), 2, "watcher must pick up the new snapshot");
+        assert_eq!(counters.delta_applies(), 0, "a reload is no delta apply");
 
         shutdown.store(true, Ordering::Release);
         let swaps = handle.join().unwrap();
@@ -1008,6 +980,7 @@ mod tests {
         let path = snap_file("delta", &[square(-74.0, 40.7, 0.02)]);
         let base_sum = act_core::header_checksum(&std::fs::read(&path).unwrap()).unwrap();
         let store = Arc::new(IndexStore::new(MappedSnapshot::open(&path).unwrap()));
+        let (boot, _) = store.current();
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(WatchCounters::default());
         let initial = snapshot_signature(&path);
@@ -1064,23 +1037,36 @@ mod tests {
         };
         let (link, _) = save_delta_file(&[add], link, &delta_path(&path, 1)).unwrap();
         wait_epoch(2);
-        assert_eq!(store.delta_applies(), 1);
+        assert_eq!(counters.delta_applies(), 1);
         let (idx, _) = store.current();
         assert!(
-            matches!(&*idx, ServeIndex::Owned(_)),
+            idx.act().shares_base_with(boot.act()),
             "delta apply must not remap"
         );
-        assert!(!idx.view().lookup_refs(Coord::new(-73.9, 40.7)).is_empty());
-        assert!(!idx.view().lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
+        drop(boot);
+        assert!(!idx
+            .as_view()
+            .lookup_refs(Coord::new(-73.9, 40.7))
+            .is_empty());
+        assert!(!idx
+            .as_view()
+            .lookup_refs(Coord::new(-74.0, 40.7))
+            .is_empty());
 
         // Delta 2: remove the original polygon.
         let rm = DeltaOp::Remove { id: 0 };
         let (mut link, _) = save_delta_file(&[rm], link, &delta_path(&path, 2)).unwrap();
         wait_epoch(3);
-        assert_eq!(store.delta_applies(), 2);
+        assert_eq!(counters.delta_applies(), 2);
         let (idx, _) = store.current();
-        assert!(idx.view().lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
-        assert!(!idx.view().lookup_refs(Coord::new(-73.9, 40.7)).is_empty());
+        assert!(idx
+            .as_view()
+            .lookup_refs(Coord::new(-74.0, 40.7))
+            .is_empty());
+        assert!(!idx
+            .as_view()
+            .lookup_refs(Coord::new(-73.9, 40.7))
+            .is_empty());
         drop(idx);
 
         // Empty deltas up to FOLD_AFTER_DELTAS: the last one crosses it,
@@ -1110,9 +1096,7 @@ mod tests {
         assert!(!delta_path(&path, FOLD_AFTER_DELTAS).exists());
         // The fold streamed the published index's snapshot, byte for
         // byte.
-        let ServeIndex::Owned(published) = &*store.current().0 else {
-            panic!("a delta apply publishes an owned index");
-        };
+        let published = store.current().0;
         let mut image = Vec::new();
         published.save_snapshot(&mut image).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), image);
@@ -1137,7 +1121,10 @@ mod tests {
         save_delta_file(&[add2], link, &delta_path(&path, 1)).unwrap();
         wait_epoch(folded_epoch + 1);
         let (idx, _) = store.current();
-        assert!(!idx.view().lookup_refs(Coord::new(-73.8, 40.7)).is_empty());
+        assert!(!idx
+            .as_view()
+            .lookup_refs(Coord::new(-73.8, 40.7))
+            .is_empty());
 
         shutdown.store(true, Ordering::Release);
         let publishes = handle.join().unwrap();
@@ -1175,10 +1162,7 @@ mod tests {
             assert_eq!(store.epoch(), want, "epoch did not reach {want}");
         };
         let published = || {
-            let (idx, _) = store.current();
-            let ServeIndex::Owned(ix) = &*idx else {
-                panic!("a delta apply publishes an owned index");
-            };
+            let (ix, _) = store.current();
             (ix.waste_bytes(), ix.waste_ratio())
         };
 
@@ -1213,8 +1197,14 @@ mod tests {
             "idle polls compacted below the threshold ({waste} -> {waste_after} bytes)"
         );
         let (idx, _) = store.current();
-        assert!(!idx.view().lookup_refs(Coord::new(-72.9, 40.7)).is_empty());
-        assert!(idx.view().lookup_refs(Coord::new(-73.3, 40.7)).is_empty());
+        assert!(!idx
+            .as_view()
+            .lookup_refs(Coord::new(-72.9, 40.7))
+            .is_empty());
+        assert!(idx
+            .as_view()
+            .lookup_refs(Coord::new(-73.3, 40.7))
+            .is_empty());
 
         shutdown.store(true, Ordering::Release);
         assert_eq!(handle.join().unwrap(), 3);
@@ -1236,7 +1226,7 @@ mod tests {
         let path = snap_file("past-threshold", &base);
         let base_sum = act_core::header_checksum(&std::fs::read(&path).unwrap()).unwrap();
         let store = Arc::new(IndexStore::new(MappedSnapshot::open(&path).unwrap()));
-        let base_bytes = store.current().0.view().memory_bytes();
+        let base_bytes = store.current().0.as_view().memory_bytes();
         let shutdown = Arc::new(AtomicBool::new(false));
         let initial = snapshot_signature(&path);
         let handle = {
@@ -1259,10 +1249,7 @@ mod tests {
         let link = DeltaLink::for_base(base_sum);
         let (link, _) = save_delta_file(&removals, link, &delta_path(&path, 1)).unwrap();
         wait_epoch(2);
-        let (idx, _) = store.current();
-        let ServeIndex::Owned(ix) = &*idx else {
-            panic!("a delta apply publishes an owned index");
-        };
+        let (ix, _) = store.current();
         assert!(
             ix.waste_ratio() < ActIndex::COMPACT_WASTE_THRESHOLD,
             "the crossing apply must compact ({})",
@@ -1277,18 +1264,18 @@ mod tests {
         );
         for k in 0..9 {
             assert!(
-                idx.view().lookup_refs(at(k)).is_empty(),
+                ix.as_view().lookup_refs(at(k)).is_empty(),
                 "removed polygon {k}"
             );
         }
         for k in 9..12 {
             assert_eq!(
-                idx.view().lookup_refs(at(k)),
+                ix.as_view().lookup_refs(at(k)),
                 vec![(k, true)],
                 "survivor {k}"
             );
         }
-        drop(idx);
+        drop(ix);
 
         // The next delta lands on the compacted index.
         let add = DeltaOp::Insert {
@@ -1298,9 +1285,9 @@ mod tests {
         save_delta_file(&[add], link, &delta_path(&path, 2)).unwrap();
         wait_epoch(3);
         let (idx, _) = store.current();
-        assert_eq!(idx.view().lookup_refs(at(0)), vec![(20, true)]);
-        assert_eq!(idx.view().lookup_refs(at(11)), vec![(11, true)]);
-        assert!(idx.view().lookup_refs(at(1)).is_empty());
+        assert_eq!(idx.as_view().lookup_refs(at(0)), vec![(20, true)]);
+        assert_eq!(idx.as_view().lookup_refs(at(11)), vec![(11, true)]);
+        assert!(idx.as_view().lookup_refs(at(1)).is_empty());
         drop(idx);
 
         shutdown.store(true, Ordering::Release);
@@ -1376,12 +1363,20 @@ mod tests {
         }
         assert_eq!(store.epoch(), 2, "the good file opens a fresh lineage");
         let (idx, _) = store.current();
-        assert!(!idx.view().lookup_refs(Coord::new(-73.8, 40.7)).is_empty());
+        assert!(!idx
+            .as_view()
+            .lookup_refs(Coord::new(-73.8, 40.7))
+            .is_empty());
         assert!(
-            idx.view().lookup_refs(Coord::new(-73.9, 40.7)).is_empty(),
+            idx.as_view()
+                .lookup_refs(Coord::new(-73.9, 40.7))
+                .is_empty(),
             "the rejected delta's first op must not survive"
         );
-        assert!(!idx.view().lookup_refs(Coord::new(-74.0, 40.7)).is_empty());
+        assert!(!idx
+            .as_view()
+            .lookup_refs(Coord::new(-74.0, 40.7))
+            .is_empty());
 
         shutdown.store(true, Ordering::Release);
         assert_eq!(handle.join().unwrap(), 1);
@@ -1583,7 +1578,7 @@ mod tests {
             let want = rebuild(&self.live);
             let (got, _) = self.shell.store.current();
             for &c in &self.points {
-                let mut a = got.view().lookup_refs(c);
+                let mut a = got.as_view().lookup_refs(c);
                 let mut b = want.as_view().lookup_refs(c);
                 a.sort_unstable();
                 b.sort_unstable();
@@ -1646,17 +1641,8 @@ mod tests {
             self.epoch += 1;
             self.poll(0);
             self.check();
-            let after = self.shell.store.current().0;
-            let ServeIndex::Owned(ix) = &*after else {
-                panic!("a delta apply publishes an owned index");
-            };
-            let shared = match &*before {
-                ServeIndex::Mapped(snap) => ix
-                    .act()
-                    .shares_base_with(ActIndex::from_mapped(Arc::clone(snap)).act()),
-                ServeIndex::Owned(prev) => ix.act().shares_base_with(prev.act()),
-            };
-            if !shared {
+            let ix = self.shell.store.current().0;
+            if !ix.act().shares_base_with(before.act()) {
                 self.note("compaction");
             }
             self.link = link;
