@@ -71,8 +71,8 @@ pub struct BuildStats {
 /// waste. Once the accumulated garbage crosses
 /// [`ActIndex::COMPACT_WASTE_THRESHOLD`], the mutation that crossed it
 /// runs [`ActIndex::compact`] to completion before it returns: one
-/// streamed pass that re-inserts the live cells into a fresh trie, the
-/// same populate [`crate::split_index`] runs per shard.
+/// copy of the reachable trie into a fresh arena, the same walk
+/// [`crate::split_index`] runs per shard.
 /// Queries take the borrowed view [`ActIndex::as_view`].
 #[derive(Debug, Clone)]
 pub struct ActIndex {
@@ -311,10 +311,10 @@ impl ActIndex {
         index
     }
 
-    /// An index over a trie its caller populated cell by cell (since
+    /// An index over a trie its caller populated (since
     /// `populate_start`), with the size and cell-count stats read off
-    /// the trie and table. The shard splitter streams each shard's
-    /// cells straight into one of these.
+    /// the trie and table. The shard splitter copies each shard's cells
+    /// into one of these.
     pub(crate) fn from_populated(
         mut act: Act,
         table_builder: LookupTableBuilder,
@@ -388,8 +388,9 @@ impl ActIndex {
     /// index was opened over, while its arena and lookup table are still
     /// that mapping's and it owns no trie node beside it: the identity a
     /// delta lineage over it binds to, read in O(1). `None` for any other
-    /// index, and from the first mutation or compaction on (use
-    /// [`crate::ActIndexView::snapshot_checksum`] there).
+    /// index, and from the first mutation or compaction on (there, the
+    /// checksum [`crate::ActIndexView::save_file`] returns names the
+    /// file it writes).
     pub fn mapped_checksum(&self) -> Option<u64> {
         match (self.act.mapping(), self.table.mapping()) {
             (Some(arena), Some(table)) if Arc::ptr_eq(arena, table) => Some(arena.checksum()),
@@ -634,19 +635,16 @@ impl ActIndex {
     /// [`ActIndex::COMPACT_WASTE_THRESHOLD`]; it is also safe to call at
     /// any time. Probe results are unchanged.
     ///
-    /// One streamed pass, run to completion: the read-only cell walk
-    /// feeds each live `(cell, refs)` pair straight into a fresh trie
-    /// and table — the populate [`crate::split_index`] runs for one
-    /// shard, so the result is byte-identical to a one-shard split — and
-    /// no cell list is ever built. The fresh arena becomes the trie's
-    /// new base as it is, uncopied, so clones share it. The per-id
-    /// inventory, if built, is then re-read exact from the new trie.
+    /// One pass, run to completion: the trie copy walk copies the
+    /// reachable nodes into a fresh arena and re-interns each live table
+    /// entry once. The result is byte-identical to re-inserting every
+    /// live cell into a fresh trie, and to a one-shard
+    /// [`crate::split_index`], which runs the same walk. The fresh arena
+    /// becomes the trie's new base as it is, uncopied, so clones share
+    /// it. The per-id inventory, if built, is then re-read exact from the
+    /// new trie.
     pub fn compact(&mut self) {
-        let mut act = Act::new();
-        let mut tb = LookupTableBuilder::new();
-        self.act.for_each_cell(self.table.words(), |cell, refs| {
-            act.insert(cell, &refs, &mut tb)
-        });
+        let (mut act, tb) = self.act.copy_cells(self.table.words(), 0, |_| true);
         act.freeze();
         self.act = act;
         self.table = tb.build();

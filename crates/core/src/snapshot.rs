@@ -733,14 +733,6 @@ impl<'a> ActIndexView<'a> {
             + std::mem::size_of_val(self.table)
     }
 
-    /// The whole-file checksum of this view's snapshot, which
-    /// [`ActIndex::save_snapshot`] or [`ActIndexView::save_file`] would
-    /// write: the identity a delta lineage over it binds to. One pass
-    /// over the arena; nothing is written.
-    pub fn snapshot_checksum(&self) -> u64 {
-        image_words(self).0[3]
-    }
-
     /// Writes this view's snapshot to `path` through
     /// [`write_file_atomic_with`], streamed with no image of it in
     /// memory, and returns its whole-file checksum.

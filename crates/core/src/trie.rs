@@ -710,6 +710,11 @@ impl Descent {
         self.len += 1;
     }
 
+    fn pop(&mut self) {
+        self.len -= 1;
+        self.owned = self.owned.min(self.len);
+    }
+
     fn last(&self) -> usize {
         self.nodes[self.len - 1] as usize
     }
@@ -847,10 +852,14 @@ impl Act {
 
     /// Makes `path.nodes[..upto]` writable from the root down, storing
     /// each copy's index in its (already writable) parent or face root;
-    /// returns `path.nodes[upto - 1]`.
+    /// returns `path.nodes[upto - 1]`. A 0 on the descent (no node yet)
+    /// is allocated and linked the same way.
     fn own_prefix(&mut self, path: &mut Descent, upto: usize, waste: &mut MutationWaste) -> usize {
         for d in path.owned..upto {
-            let n = self.own(path.nodes[d], waste);
+            let n = match path.nodes[d] {
+                0 => self.alloc_node(),
+                n => self.own(n, waste),
+            };
             if n != path.nodes[d] {
                 if d == 0 {
                     self.roots[path.face] = n;
@@ -1105,19 +1114,53 @@ impl Act {
                 self.walk_node((e >> 2) as usize, slot_cell(node_cell, s), words, f);
                 s += 1;
             } else {
-                // Left-to-right greedy: at an aligned boundary a uniform
-                // block this large is maximal (a larger one would have
-                // been taken at its own boundary).
-                let size = [256usize, 64, 16, 4]
-                    .into_iter()
-                    .find(|&cand| {
-                        s.is_multiple_of(cand) && slots[s..s + cand].iter().all(|&x| x == e)
-                    })
-                    .unwrap_or(1);
+                let size = greedy_run(slots, s);
                 f(run_cell(node_cell, s, size), entry_refset(e, words));
                 s += size;
             }
         }
+    }
+
+    /// A fresh trie and lookup table holding the cells of this one that
+    /// `keep` accepts: byte for byte the trie and table that inserting
+    /// those cells one by one in range order, as [`Act::for_each_cell`]
+    /// reads them, would build. The walk copies nodes instead: a cell's
+    /// key bytes are its path, so each run goes to the same slots of the
+    /// same node below the same path. Destination nodes are allocated
+    /// top-down at the first slot written below them, the order
+    /// [`Act::insert`] allocates them in, and a table entry is re-interned
+    /// by its content the first time it is met, so two equal entries at
+    /// two offsets merge as re-insertion merges them.
+    ///
+    /// `keep(cell)` says whether `cell`'s territory overlaps the copy.
+    /// It is asked of the runs and child nodes of nodes coarser than
+    /// `whole_level`; a child node at `whole_level` or finer is kept or
+    /// dropped whole, so `keep` must answer for every cell below it as
+    /// it does for the node.
+    pub(crate) fn copy_cells(
+        &self,
+        words: &[u32],
+        whole_level: u8,
+        keep: impl Fn(CellId) -> bool,
+    ) -> (Act, LookupTableBuilder) {
+        let mut copy = TrieCopy {
+            src: self,
+            words,
+            whole_level,
+            keep,
+            dst: Act::new(),
+            tb: LookupTableBuilder::new(),
+            interned: vec![0; words.len()],
+            path: Descent::new(0, 0),
+        };
+        for face in 0..6u8 {
+            let (root, cell) = (self.roots[face as usize], CellId::from_face(face));
+            if root != 0 && (copy.keep)(cell) {
+                copy.path = Descent::new(face as usize, 0);
+                copy.copy_node(root as usize, cell, whole_level == 0);
+            }
+        }
+        (copy.dst, copy.tb)
     }
 
     /// The one territory walk of both mutations. `cell`'s territory is
@@ -1274,6 +1317,92 @@ impl Act {
                 return;
             }
         }
+    }
+}
+
+/// The size of the run at slot `s` of `slots` (a terminal entry) that
+/// the cell walks take as one cell. Left-to-right greedy: at an aligned
+/// boundary a uniform block this large is maximal (a larger one would
+/// have been taken at its own boundary).
+fn greedy_run(slots: &[u32], s: usize) -> usize {
+    let e = slots[s];
+    [256usize, 64, 16, 4]
+        .into_iter()
+        .find(|&cand| s.is_multiple_of(cand) && slots[s..s + cand].iter().all(|&x| x == e))
+        .unwrap_or(1)
+}
+
+/// One [`Act::copy_cells`] walk.
+struct TrieCopy<'a, K> {
+    src: &'a Act,
+    words: &'a [u32],
+    whole_level: u8,
+    keep: K,
+    dst: Act,
+    tb: LookupTableBuilder,
+    /// Source table offset → the terminal its entry re-interned to in
+    /// `tb` (0 while not yet met).
+    interned: Vec<u32>,
+    /// The destination nodes of the source descent being copied: 0 until
+    /// the first write below them allocates them.
+    path: Descent,
+}
+
+impl<K: Fn(CellId) -> bool> TrieCopy<'_, K> {
+    /// Copies source `node` (covering `node_cell`, `path.len - 1` levels
+    /// below its face root). With `whole`, every cell under it is kept.
+    fn copy_node(&mut self, node: usize, node_cell: CellId, whole: bool) {
+        let slots = self.src.node(node);
+        let mut s = 0usize;
+        while s < FANOUT {
+            let e = slots[s];
+            if e == 0 {
+                s += 1;
+            } else if e & TAG_MASK == TAG_CHILD {
+                let cell = slot_cell(node_cell, s);
+                if whole || (self.keep)(cell) {
+                    self.path.push(s, 0);
+                    let whole = whole || cell.level() >= self.whole_level;
+                    self.copy_node((e >> 2) as usize, cell, whole);
+                    self.path.pop();
+                }
+                s += 1;
+            } else {
+                let size = greedy_run(slots, s);
+                if whole || (self.keep)(run_cell(node_cell, s, size)) {
+                    self.write_run(s, size, e);
+                }
+                s += size;
+            }
+        }
+    }
+
+    /// Writes the source run `[s, s + size)` of entry `e`, in the node
+    /// being copied, where [`Act::insert`] writes its cell: at the same
+    /// slots, except that a whole non-root node is one cell at its
+    /// parent's slot.
+    fn write_run(&mut self, s: usize, size: usize, e: u32) {
+        let depth = self.path.len - 1;
+        let (depth, s, size) = if size == FANOUT && depth > 0 {
+            (depth - 1, self.path.bytes[depth - 1] as usize, 1)
+        } else {
+            (depth, s, size)
+        };
+        let entry = match e & TAG_MASK {
+            TAG_OFFSET => {
+                let interned = &mut self.interned[(e >> 2) as usize];
+                if *interned == 0 {
+                    *interned = encode_terminal(&entry_refset(e, self.words), &mut self.tb);
+                }
+                *interned
+            }
+            _ => e,
+        };
+        let dst = &mut self.dst;
+        let node = dst.own_prefix(&mut self.path, depth + 1, &mut MutationWaste::default());
+        dst.node_mut(node)[s..s + size].fill(entry);
+        dst.inserted_cells += 1;
+        dst.denormalized_slots += size as u64;
     }
 }
 

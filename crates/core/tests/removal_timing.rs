@@ -7,11 +7,13 @@
 //! Builds the census lattice, primes mutation state, and times
 //! `remove_polygon` on a spread of present ids. With the per-id cell
 //! inventory this walks only the cells each id touches, not the whole
-//! ref arena. It then times one `compact()` of the edited index and
-//! checks that it clears all waste without changing a probe answer on a
-//! 100k-point sample.
+//! ref arena. It then times a 4-shard `split_index` at split level 10
+//! (route-census's fleet) of the edited index and checks every point of
+//! a 100k-point sample against its owning shard, and times one
+//! `compact()` and checks that it clears all waste without changing a
+//! probe answer on that sample.
 
-use act_core::ActIndex;
+use act_core::{coord_to_cell, shard_of_cell, split_index, ActIndex};
 use datagen::PointGen;
 use std::time::Instant;
 
@@ -55,6 +57,26 @@ fn census_scale_removal_timing() {
         sample.iter().map(|&c| view.lookup_refs(c)).collect()
     };
     let before = answers(&index);
+
+    // The split the routed fleet serves; each sampled point must answer
+    // from its owning shard as from the whole index.
+    let (split_level, num_shards) = (10, 4);
+    let t = Instant::now();
+    let shards = split_index(&index, split_level, num_shards);
+    println!(
+        "split_index: {:.1} ms, {num_shards} shards at split level {split_level}",
+        t.elapsed().as_secs_f64() * 1e3
+    );
+    for (&c, want) in sample.iter().zip(&before) {
+        let s = shard_of_cell(coord_to_cell(c), split_level, num_shards);
+        assert_eq!(
+            &shards[s].as_view().lookup_refs(c),
+            want,
+            "shard {s} answers {c:?} unlike the whole index"
+        );
+    }
+    drop(shards);
+
     let (bytes, waste) = (index.memory_bytes(), index.waste_bytes());
     let t = Instant::now();
     index.compact();

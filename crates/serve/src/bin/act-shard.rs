@@ -5,14 +5,16 @@
 //! act-shard <snapshot> <out-dir> <num-shards> [--split-level L]
 //! ```
 //!
-//! Writes `shard-<k>-of-<n>.snap` under `<out-dir>` (atomic rename per
-//! shard), each a full self-validating snapshot an `act-serve` worker
-//! mmaps directly. The router must be started with the same split level
-//! (default `act_core::DEFAULT_SPLIT_LEVEL`).
+//! Maps `<snapshot>` (validated on open) and writes
+//! `shard-<k>-of-<n>.snap` under `<out-dir>` one shard at a time (atomic
+//! rename per shard), each a full self-validating snapshot an
+//! `act-serve` worker mmaps directly. The router must be started with
+//! the same split level (default `act_core::DEFAULT_SPLIT_LEVEL`).
 
-use act_core::{write_shard_files, ActIndex, DEFAULT_SPLIT_LEVEL};
+use act_core::{write_shard_files, ActIndex, MappedSnapshot, DEFAULT_SPLIT_LEVEL};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 const USAGE: &str = "usage: act-shard <snapshot> <out-dir> <num-shards> [--split-level L]";
 
@@ -46,13 +48,11 @@ fn main() -> ExitCode {
         return usage("missing required arguments");
     };
 
-    let mut f = match std::fs::File::open(&snapshot) {
-        Ok(f) => f,
+    // Read over the mapping: the split only reads the index, so it
+    // needs no heap copy of the arena or the table.
+    let index = match MappedSnapshot::open(&snapshot) {
+        Ok(snap) => ActIndex::from_mapped(Arc::new(snap)),
         Err(e) => return fail(&format!("open {}: {e}", snapshot.display())),
-    };
-    let index = match ActIndex::load_snapshot(&mut f) {
-        Ok(i) => i,
-        Err(e) => return fail(&format!("load {}: {e}", snapshot.display())),
     };
     match write_shard_files(&index, &out_dir, split_level, num_shards) {
         Ok(paths) => {
