@@ -73,7 +73,7 @@ pub use join::{
 pub use lookup::{LookupTable, LookupTableBuilder};
 pub use refs::{PolygonRef, RefSet, MAX_POLYGON_ID};
 pub use shard::{
-    shard_file_name, shard_of_cell, shard_paths, shards_for_cell, split_index, write_shard_files,
+    shard_file_name, shard_of_cell, shard_paths, split_index, write_shard_files,
     DEFAULT_SPLIT_LEVEL,
 };
 pub use snapshot::{

@@ -70,22 +70,10 @@ pub fn shard_of_cell(cell: CellId, split_level: u8, num_shards: usize) -> usize 
     (prefix_at(cell, split_level) % num_shards as u64) as usize
 }
 
-/// Every shard whose prefix range `cell`'s territory overlaps. For a
-/// cell at level ≥ `split_level` this is the single owning shard; a
-/// coarser cell spans a contiguous prefix range and lands in each shard
-/// that range touches (replication). Returned ascending, deduplicated.
-///
-/// # Panics
-/// Panics if `num_shards` is zero.
-pub fn shards_for_cell(cell: CellId, split_level: u8, num_shards: usize) -> Vec<usize> {
-    assert!(num_shards > 0, "a fleet has at least one shard");
-    (0..num_shards)
-        .filter(|&k| in_shard(cell, split_level, num_shards, k))
-        .collect()
-}
-
-/// True when [`shards_for_cell`] names `shard` for `cell`, without
-/// building the list.
+/// True when `cell`'s territory overlaps `shard`'s prefix range. A cell
+/// at level ≥ `split_level` lies in its single owning shard; a coarser
+/// cell spans a contiguous prefix range and lands in each shard that
+/// range touches (replication).
 fn in_shard(cell: CellId, split_level: u8, num_shards: usize, shard: usize) -> bool {
     if cell.level() >= split_level {
         return shard_of_cell(cell, split_level, num_shards) == shard;
@@ -177,6 +165,14 @@ mod tests {
     use super::*;
     use crate::index::coord_to_cell;
     use geom::{Coord, Polygon, Ring};
+
+    /// Every shard whose prefix range `cell`'s territory overlaps,
+    /// ascending.
+    fn shards_for_cell(cell: CellId, split_level: u8, num_shards: usize) -> Vec<usize> {
+        (0..num_shards)
+            .filter(|&k| in_shard(cell, split_level, num_shards, k))
+            .collect()
+    }
 
     fn square(cx: f64, cy: f64, half: f64) -> Polygon {
         Polygon::new(

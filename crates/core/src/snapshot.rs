@@ -52,14 +52,20 @@
 //!
 //! Loaders validate *structure before use*: magic, version, flags, total
 //! length, section-table alignment/contiguity/bounds, per-section shape,
-//! the whole-file checksum, root-index bounds, cross-section consistency
-//! (`act_bytes`/`lookup_table_bytes` vs actual section sizes), and an
-//! entry-level pass over the arena (every child pointer within the
-//! arena, every lookup-table offset decodable within the table — the
-//! checksum alone would not stop a *constructed* file from steering
-//! probes out of bounds). Every failure is a typed [`SnapshotError`];
-//! malformed input never panics or indexes out of bounds, at load or at
-//! probe time.
+//! the whole-file checksum, root-index bounds, an entry-level pass over
+//! the arena (every child pointer within the arena, every lookup-table
+//! offset decodable within the table — the checksum alone would not stop
+//! a *constructed* file from steering probes out of bounds), and
+//! cross-section consistency (`act_bytes`/`lookup_table_bytes` vs actual
+//! section sizes). Every failure is a typed [`SnapshotError`]; malformed
+//! input never panics or indexes out of bounds, at load or at probe time.
+//!
+//! The two passes over the whole arena run at once: the loading thread
+//! chains the checksum while one scoped helper thread runs the entry
+//! check (inline, after the checksum, if no thread can be spawned). Errors
+//! are still reported in the order above — checksum, then roots, then
+//! entries, then metadata — so a file that is both corrupt and forged
+//! fails with [`SnapshotError::ChecksumMismatch`].
 //!
 //! ## Load modes
 //!
@@ -418,8 +424,9 @@ struct Layout {
     meta: (usize, usize),
 }
 
-/// Full structural + checksum validation of a word buffer. Everything a
-/// loader trusts downstream is established here.
+/// Structural validation of a word buffer: header fields and the section
+/// table. Every offset and length a loader slices by is established
+/// here; the contents are checked by [`ActIndexView::parse`].
 fn validate(words: &[u64]) -> Result<Layout, SnapshotError> {
     let total = words.len() * 8;
     debug_assert!(total >= HEADER_LEN);
@@ -492,22 +499,18 @@ fn validate(words: &[u64]) -> Result<Layout, SnapshotError> {
     if meta.1 != META_LEN {
         return Err(bad(3, "length is not exactly 16 u64 words"));
     }
-
-    // Whole-file checksum (everything but the checksum word itself).
-    let mut h = fnv1a_words(FNV_OFFSET, &words[0..3]);
-    h = fnv1a_words(h, &words[4..]);
-    if h != words[3] {
-        return Err(SnapshotError::ChecksumMismatch {
-            expected: words[3],
-            found: h,
-        });
-    }
     Ok(Layout {
         trie,
         roots,
         table,
         meta,
     })
+}
+
+/// The whole-file checksum: FNV-1a over every word but the checksum
+/// word itself.
+fn image_checksum(words: &[u64]) -> u64 {
+    fnv1a_words(fnv1a_words(FNV_OFFSET, &words[0..3]), &words[4..])
 }
 
 // ---------------------------------------------------------------------
@@ -534,8 +537,9 @@ pub struct ActIndexView<'a> {
 
 impl<'a> ActIndexView<'a> {
     /// Validates a full snapshot held in the 8-byte aligned `bytes`
-    /// (structure and checksum before any field is used) and returns its
-    /// [`Layout`] with a view over it — the one parse behind
+    /// (structure before any section is sliced, the checksum and the
+    /// entry check concurrently after that; see the module docs) and
+    /// returns its [`Layout`] with a view over it — the one parse behind
     /// [`MappedSnapshot`], which stores the layout so later views skip
     /// re-validation. Never panics on malformed input.
     fn parse(bytes: &'a [u8]) -> Result<(Layout, ActIndexView<'a>), SnapshotError> {
@@ -549,31 +553,51 @@ impl<'a> ActIndexView<'a> {
         let lay = validate(words)?;
 
         let slots = bytes_as_u32s(&bytes[lay.trie.0..lay.trie.0 + lay.trie.1]);
-        let num_nodes = lay.trie.1 / NODE_BYTES;
         let mut roots = [0u32; 6];
         for (r, c) in roots
             .iter_mut()
             .zip(bytes[lay.roots.0..lay.roots.0 + ROOTS_LEN].chunks_exact(4))
         {
             *r = u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
-            if *r as usize >= num_nodes {
-                return Err(SnapshotError::Inconsistent(
-                    "root node index out of arena range",
-                ));
-            }
         }
         let table = bytes_as_u32s(&bytes[lay.table.0..lay.table.0 + lay.table.1]);
-
-        // Entry-level validation: after this, no probe of the arena can
-        // index out of bounds, however the bytes were produced — the
-        // checksum alone is no defense against a *constructed* file.
-        RawTrie {
+        let arena = RawTrie {
             base: slots,
             ext: &[],
             roots: &roots,
+        };
+
+        // This thread chains the checksum while a helper runs the entry
+        // check (see the module docs); the results are reported below in
+        // serial order. If no helper can be spawned, the entry check runs
+        // inline after the checksum and roots pass.
+        let (checksum, entries) = std::thread::scope(|s| {
+            let helper = std::thread::Builder::new()
+                .name("act-snapshot-check".into())
+                .spawn_scoped(s, || arena.validate_entries(table));
+            let checksum = image_checksum(words);
+            let entries = helper
+                .ok()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            (checksum, entries)
+        });
+        if checksum != words[3] {
+            return Err(SnapshotError::ChecksumMismatch {
+                expected: words[3],
+                found: checksum,
+            });
         }
-        .validate_entries(table)
-        .map_err(SnapshotError::Inconsistent)?;
+        let num_nodes = lay.trie.1 / NODE_BYTES;
+        if roots.iter().any(|&r| r as usize >= num_nodes) {
+            return Err(SnapshotError::Inconsistent(
+                "root node index out of arena range",
+            ));
+        }
+        // After this, no probe of the arena can index out of bounds,
+        // however the bytes were produced.
+        entries
+            .unwrap_or_else(|| arena.validate_entries(table))
+            .map_err(SnapshotError::Inconsistent)?;
 
         let m = &words[lay.meta.0 / 8..lay.meta.0 / 8 + META_WORDS];
         if m[13] != 0 || m[14] != 0 || m[15] != 0 {
@@ -1086,9 +1110,7 @@ pub fn rewrite_checksum(bytes: &mut [u8]) {
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
         .collect();
-    let mut h = fnv1a_words(FNV_OFFSET, &words[0..3]);
-    h = fnv1a_words(h, &words[4..]);
-    bytes[24..32].copy_from_slice(&h.to_le_bytes());
+    bytes[24..32].copy_from_slice(&image_checksum(&words).to_le_bytes());
 }
 
 #[cfg(test)]

@@ -52,13 +52,18 @@ fn section(bytes: &[u8], i: usize) -> (usize, usize) {
 /// bounds without the loader's entry-level validation. `evil` receives
 /// `(nodes in the arena, words in the lookup table)`.
 fn forge_trie_slot(b: &mut [u8], pred: fn(u32) -> bool, evil: fn(usize, usize) -> u32) {
+    corrupt_trie_slot(b, pred, evil);
+    rewrite_checksum(b);
+}
+
+/// [`forge_trie_slot`] without the checksum fix-up.
+fn corrupt_trie_slot(b: &mut [u8], pred: fn(u32) -> bool, evil: fn(usize, usize) -> u32) {
     let (off, len) = section(b, 0);
     let forged = evil(len / 1024, section(b, 2).1 / 4);
     for i in (off..off + len).step_by(4) {
         let e = u32::from_le_bytes(b[i..i + 4].try_into().unwrap());
         if pred(e) {
             b[i..i + 4].copy_from_slice(&forged.to_le_bytes());
-            rewrite_checksum(b);
             return;
         }
     }
@@ -289,6 +294,42 @@ const CASES: &[Case] = &[
             })
         },
         check: |e| matches!(e, SnapshotError::Inconsistent(_)),
+    },
+    // Two faults at once: the loader runs the checksum and the entry
+    // check concurrently but reports in a fixed order (checksum, roots,
+    // entries, meta), so the earlier check's error wins.
+    Case {
+        name: "trie child pointer out of arena range (checksum stale)",
+        mutate: |b| corrupt_trie_slot(b, is_child, |_, _| u32::MAX << 2),
+        check: |e| matches!(e, SnapshotError::ChecksumMismatch { .. }),
+    },
+    Case {
+        name: "root out of range and a forged child pointer (checksum fixed up)",
+        mutate: |b| {
+            let (off, _) = section(b, 1);
+            b[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            forge_trie_slot(b, is_child, |_, _| u32::MAX << 2);
+        },
+        check: |e| {
+            matches!(
+                e,
+                SnapshotError::Inconsistent("root node index out of arena range")
+            )
+        },
+    },
+    Case {
+        name: "forged table offset and a nonzero reserved meta word (checksum fixed up)",
+        mutate: |b| {
+            let (off, _) = section(b, 3);
+            b[off + 120] = 1;
+            forge_trie_slot(b, is_offset, |_, _| u32::MAX);
+        },
+        check: |e| {
+            matches!(
+                e,
+                SnapshotError::Inconsistent("lookup-table offset out of range")
+            )
+        },
     },
 ];
 
