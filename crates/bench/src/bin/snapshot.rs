@@ -35,6 +35,29 @@ const LOADS: usize = 5;
 /// Probe sample size for post-load verification.
 const VERIFY_POINTS: usize = 50_000;
 
+/// The command line that reproduces a run with `opts`: the flags it
+/// parsed that differ from their defaults, after `--`.
+fn command(opts: &Opts) -> String {
+    let mut cmd = String::from("cargo run --release -p bench --bin snapshot");
+    let mut flags = Vec::new();
+    if !opts.datasets.is_empty() {
+        flags.push(format!("--datasets {}", opts.datasets.join(",")));
+    }
+    if opts.seed != Opts::default().seed {
+        flags.push(format!("--seed {}", opts.seed));
+    }
+    if let Some(dir) = &opts.snapshot {
+        flags.push(format!("--snapshot {dir}"));
+    }
+    if opts.mmap {
+        flags.push("--mmap".into());
+    }
+    if !flags.is_empty() {
+        cmd = format!("{cmd} -- {}", flags.join(" "));
+    }
+    cmd
+}
+
 fn main() {
     let opts = Opts::parse();
     // Census at 15 m is the census-scale configuration this baseline is
@@ -255,7 +278,7 @@ fn main() {
 
     let doc = Obj::new()
         .str("bench", "snapshot")
-        .str("command", "cargo run --release -p bench --bin snapshot")
+        .str("command", &command(&opts))
         .raw("machine", machine_stamp())
         .int("seed", opts.seed)
         .int("loads_per_mode", LOADS as u64)
@@ -268,4 +291,36 @@ fn main() {
     std::fs::write(root.join("BENCH_snapshot.json"), pretty(&doc))
         .expect("write BENCH_snapshot.json");
     println!("\nwrote BENCH_snapshot.json to {}", root.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn command_of(args: &[&str]) -> String {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        command(&Opts::try_parse(&args).unwrap())
+    }
+
+    #[test]
+    fn the_recorded_command_carries_the_parsed_flags() {
+        let base = "cargo run --release -p bench --bin snapshot";
+        assert_eq!(command_of(&[]), base);
+        assert_eq!(command_of(&["--mmap"]), format!("{base} -- --mmap"));
+        assert_eq!(command_of(&["--seed", "42"]), base, "the default seed");
+        assert_eq!(
+            command_of(&[
+                "--mmap",
+                "--snapshot",
+                "target/snaps",
+                "--seed",
+                "7",
+                "--datasets",
+                "census,neighborhoods",
+            ]),
+            format!(
+                "{base} -- --datasets census,neighborhoods --seed 7 --snapshot target/snaps --mmap"
+            )
+        );
+    }
 }

@@ -6,9 +6,11 @@
 
 use crate::covering::{cover_uv_polygon, covering_bound, Covering, CoveringParams, PackedCovering};
 use crate::lookup::{LookupTable, LookupTableBuilder};
-use crate::refs::{RefSet, MAX_POLYGON_ID};
+use crate::refs::{PolygonRef, RefSet, MAX_POLYGON_ID};
 use crate::snapshot::SnapshotError;
-use crate::supercover::{admission_order, first_cell_order, stream_super_covering, SuperCovering};
+use crate::supercover::{
+    admission_order, build_from_pairs, first_cell_order, stream_super_covering, SuperCovering,
+};
 use crate::trie::Act;
 
 use crate::uvpoly::{MultiFaceError, UvPolygon};
@@ -83,85 +85,126 @@ pub struct ActIndex {
     /// compaction (orphaned arena nodes + stale lookup-table words).
     /// Transient: not persisted in snapshots.
     waste_bytes: u64,
-    /// Per-id cell inventory: id → the cells whose territories may still
-    /// reference it, recorded as inserts land. Its keys are the ids the
-    /// trie may reference, so a removal (or an upsert's removal pass) of
-    /// an id it does not list does nothing at all. Removal walks exactly
-    /// the listed territories instead of the whole node arena — O(cells
-    /// touched), not O(arena). A *superset* per id (cells another insert
-    /// later overwrote linger until a compaction rebuilds the inventory
-    /// exact) — a stale entry only costs a no-op descent, never a wrong
-    /// answer. `None` until the first mutation (or
-    /// [`ActIndex::prime_mutations`]) pays two read-only tree walks to
-    /// build it. Each id's list is exact-sized and shared with clones of
-    /// this index: a mutation replaces only the lists of the ids it
-    /// touches (copy-on-write per id), so cloning a primed index copies
-    /// the id map, not the cells. Transient: not persisted in snapshots.
-    cell_inventory: Option<Inventory>,
+    /// Per-id bound cells: at most [`BOUND_CELLS`] cells per id whose
+    /// union holds every trie run that references the id, so a removal
+    /// walks those territories instead of the whole arena. The trie never
+    /// coarsens a written cell: an insert's merge only pushes other
+    /// polygons' cells down (the super covering's outputs are
+    /// descendants-or-equal of its inputs), a compaction or split copies
+    /// cells unchanged, and a removal only deletes. So an id's bounds
+    /// stay valid from the insert that set them to the removal that drops
+    /// them; a stale extent only costs reads of other ids' runs, never a
+    /// wrong answer. Its keys are a superset of the ids the trie
+    /// references, so a removal (or an upsert's removal pass) of an id it
+    /// does not list does nothing at all. `None` until the first mutation
+    /// (or [`ActIndex::prime_mutations`]) derives it in one read-only cell
+    /// walk. Transient: not persisted in snapshots.
+    bounds: Option<Bounds>,
 }
 
-/// Per-id cell inventory (see `ActIndex::cell_inventory`).
-type Inventory = HashMap<u32, Arc<[CellId]>>;
+/// The most bound cells an id keeps (see `ActIndex::bounds`). On census
+/// at 15 m a removal then walks ~2.2× the cells that reference the id.
+const BOUND_CELLS: usize = 16;
 
-/// Builds an exact inventory from a replayable stream of live
-/// `(cell, refs)` pairs: `each` runs the stream through its visitor
-/// twice — once to count every id's cells, once to fill lists allocated
-/// at exactly that size — so no cell list is ever materialized whole
-/// and no per-id list carries growth slack.
-fn build_inventory(each: impl Fn(&mut dyn FnMut(CellId, &RefSet))) -> Inventory {
-    let mut ids = IdSlots::default();
-    let mut counts: Vec<usize> = Vec::new();
-    each(&mut |_, refs| {
-        for r in refs.iter() {
-            let slot = ids.slot(r.id);
-            if slot == counts.len() {
-                counts.push(0);
+/// At most [`BOUND_CELLS`] disjoint cells, in range order, whose union
+/// holds every cell added so far. A cell finer than the set's level is
+/// added as its ancestor there; when one more cell would not fit, the
+/// whole set is lifted one level coarser (cells finer than the new level
+/// replaced by their ancestors, duplicates dropped) until it does. Cells
+/// must arrive in range order and disjoint, so the only set cell that
+/// can hold a new one is the last.
+#[derive(Default)]
+struct Cover {
+    /// How many levels the set has been lifted: its level is
+    /// `MAX_LEVEL - lifted`.
+    lifted: u8,
+    cells: Vec<CellId>,
+}
+
+impl Cover {
+    fn add(&mut self, cell: CellId) {
+        loop {
+            let level = s2cell::MAX_LEVEL - self.lifted;
+            let cell = cell.parent(cell.level().min(level));
+            if self.cells.last().is_some_and(|c| c.contains(cell)) {
+                return;
             }
-            counts[slot] += 1;
-        }
-    });
-    let mut lists: Vec<Vec<CellId>> = counts.into_iter().map(Vec::with_capacity).collect();
-    each(&mut |cell, refs| {
-        for r in refs.iter() {
-            lists[ids.slot(r.id)].push(cell);
-        }
-    });
-    ids.slots
-        .into_iter()
-        .map(|(id, slot)| (id, Arc::from(std::mem::take(&mut lists[slot]))))
-        .collect()
-}
-
-/// Dense slots `0, 1, …` for polygon ids in order of first sight, with a
-/// two-entry memo in front of the map: a range-order walk meets the same
-/// one or two polygons for long stretches, so most lookups skip hashing.
-struct IdSlots {
-    slots: HashMap<u32, usize>,
-    /// The two most recent `(id, slot)` pairs, newest first (`u32::MAX`
-    /// is above every polygon id, so it never matches).
-    recent: [(u32, usize); 2],
-}
-
-impl Default for IdSlots {
-    fn default() -> IdSlots {
-        IdSlots {
-            slots: HashMap::new(),
-            recent: [(u32::MAX, 0); 2],
+            if self.cells.len() < BOUND_CELLS {
+                self.cells.push(cell);
+                return;
+            }
+            // Six face cells always fit, so this never lifts past 0.
+            self.lifted += 1;
+            for c in &mut self.cells {
+                *c = c.parent(c.level().min(level - 1));
+            }
+            self.cells.dedup();
         }
     }
 }
 
-impl IdSlots {
-    fn slot(&mut self, id: u32) -> usize {
-        if self.recent[0].0 == id {
-            return self.recent[0].1;
+/// Every id's bound cells (see `ActIndex::bounds`). The derived ones lie
+/// back to back in a read-only `base` that clones share, each id's at
+/// its `(start, len)` in `derived`; an insert sets its id's in `set`.
+#[derive(Debug, Clone)]
+struct Bounds {
+    derived: HashMap<u32, (u32, u32)>,
+    base: Arc<[CellId]>,
+    set: HashMap<u32, Box<[CellId]>>,
+}
+
+impl Bounds {
+    /// Derives every id's bounds from one streamed read-only walk of the
+    /// live `(cell, refs)` set, each id's cells folded into a [`Cover`]
+    /// as they arrive (in range order).
+    fn derive(act: &Act, words: &[u32]) -> Bounds {
+        // Covers by slot, with the two most recent `(id, slot)` pairs
+        // memoized, newest first: a range-order walk meets the same one
+        // or two polygons for long stretches, so most lookups skip
+        // hashing (`u32::MAX` is above every polygon id).
+        let (mut slots, mut covers) = (HashMap::new(), Vec::<Cover>::new());
+        let mut recent = [(u32::MAX, 0); 2];
+        act.for_each_cell(words, |cell, refs| {
+            for r in refs.iter() {
+                if recent[0].0 != r.id {
+                    recent.swap(0, 1);
+                    if recent[0].0 != r.id {
+                        let next = covers.len();
+                        recent[0] = (r.id, *slots.entry(r.id).or_insert(next));
+                        if recent[0].1 == next {
+                            covers.push(Cover::default());
+                        }
+                    }
+                }
+                covers[recent[0].1].add(cell);
+            }
+        });
+        let mut derived = HashMap::with_capacity(slots.len());
+        let mut base = Vec::with_capacity(covers.iter().map(|c| c.cells.len()).sum());
+        for (id, slot) in slots {
+            let cells = std::mem::take(&mut covers[slot].cells);
+            let start = u32::try_from(base.len()).expect("under 2^32 bound cells");
+            derived.insert(id, (start, cells.len() as u32));
+            base.extend_from_slice(&cells);
         }
-        if self.recent[1].0 != id {
-            let next = self.slots.len();
-            self.recent[1] = (id, *self.slots.entry(id).or_insert(next));
+        Bounds {
+            derived,
+            base: base.into(),
+            set: HashMap::new(),
         }
-        self.recent.swap(0, 1);
-        self.recent[0].1
+    }
+
+    /// Sets `id`'s bound cells, replacing any it had.
+    fn put(&mut self, id: u32, cells: &[CellId]) {
+        self.derived.remove(&id);
+        self.set.insert(id, cells.into());
+    }
+
+    /// Drops `id`'s bound cells and returns them (`None`: `id` has none).
+    fn take(&mut self, id: u32) -> Option<Vec<CellId>> {
+        let span = |(start, len): (u32, u32)| self.base[start as usize..][..len as usize].to_vec();
+        let set = self.set.remove(&id).map(Vec::from);
+        set.or_else(|| self.derived.remove(&id).map(span))
     }
 }
 
@@ -344,7 +387,7 @@ impl ActIndex {
             table,
             stats,
             waste_bytes: 0,
-            cell_inventory: None,
+            bounds: None,
         }
     }
 
@@ -471,11 +514,10 @@ impl ActIndex {
         let covering = cover_uv_polygon(&uv, &params);
 
         // Upsert: any previous shape under this id goes first. Inserts of
-        // ids the inventory does not list — the common case for delta
-        // streams — skip the removal pass entirely.
-        self.ensure_inventory();
-        if self.may_contain(id) {
-            self.remove_inner(id);
+        // ids the bounds do not list — the common case for delta streams —
+        // skip the removal pass entirely.
+        if let Some(cells) = self.bounds().take(id) {
+            self.remove_within(id, &cells);
         }
 
         // Take out everything overlapping the new covering, then let the
@@ -493,39 +535,19 @@ impl ActIndex {
                     0
                 });
         }
-        let mut pairs: Vec<(CellId, crate::refs::PolygonRef)> =
-            Vec::with_capacity(covering.cells.len() + affected.len());
-        for &(cell, interior) in &covering.cells {
-            pairs.push((cell, crate::refs::PolygonRef { id, interior }));
-        }
-        for (cell, refs) in &affected {
-            for r in refs.iter() {
-                pairs.push((*cell, r));
-            }
-        }
-        let sc = crate::supercover::build_from_pairs(pairs);
+        let own = (covering.cells.iter()).map(|&(c, interior)| (c, PolygonRef { id, interior }));
+        let displaced = (affected.iter()).flat_map(|(c, refs)| refs.iter().map(move |r| (*c, r)));
+        let sc = build_from_pairs(own.chain(displaced).collect());
         for (cell, refs) in &sc.cells {
             self.act.insert_with_waste(*cell, refs, &mut tb, &mut waste);
         }
         self.table = tb.build();
-        // Record where every re-inserted reference landed — the merged
-        // set covers both the new polygon and its displaced neighbors,
-        // so each touched id's inventory stays a territory superset. A
-        // touched id gets a new list (old cells + landed ones), so a
-        // clone sharing the old list never sees this index's edits.
-        if let Some(inv) = &mut self.cell_inventory {
-            let mut landed: HashMap<u32, Vec<CellId>> = HashMap::new();
-            for (cell, refs) in &sc.cells {
-                for r in refs.iter() {
-                    landed.entry(r.id).or_default().push(*cell);
-                }
-            }
-            for (id, cells) in landed {
-                let old = inv.get(&id).map_or(&[][..], |l| &l[..]);
-                let list: Arc<[CellId]> = old.iter().copied().chain(cells).collect();
-                inv.insert(id, list);
-            }
-        }
+        // The merge's cells for `id` lie inside its covering; every
+        // displaced id's lie inside the runs taken out, so its bounds
+        // still hold them.
+        let mut cover = Cover::default();
+        covering.cells.iter().for_each(|&(cell, _)| cover.add(cell));
+        self.bounds().put(id, &cover.cells);
         self.note_mutation(waste);
         self.maybe_compact();
         Ok(())
@@ -537,35 +559,25 @@ impl ActIndex {
     /// by the next (possibly automatic) [`ActIndex::compact`]. Returns
     /// whether the index referenced `id` at all.
     pub fn remove_polygon(&mut self, id: u32) -> bool {
-        self.ensure_inventory();
-        if !self.may_contain(id) {
+        let Some(cells) = self.bounds().take(id) else {
             return false;
-        }
-        let changed = self.remove_inner(id);
+        };
+        let changed = self.remove_within(id, &cells);
         if changed {
             self.maybe_compact();
         }
         changed
     }
 
-    fn remove_inner(&mut self, id: u32) -> bool {
+    /// Strips every reference to `id` from the territories of `cells`,
+    /// its bound cells (already dropped from the bounds: the pass leaves
+    /// none behind). Returns whether any run changed.
+    fn remove_within(&mut self, id: u32, cells: &[CellId]) -> bool {
         let mut waste = crate::trie::MutationWaste::default();
         let mut tb = LookupTableBuilder::from_table(std::mem::take(&mut self.table));
-        // The inventory names every cell whose territory may still
-        // reference `id`; walk those territories only. The pass strips
-        // *every* reference to `id`, so its entry goes whether or not
-        // anything changed.
-        let mut cells = self
-            .cell_inventory
-            .as_mut()
-            .and_then(|inv| inv.remove(&id))
-            .expect("callers check may_contain")
-            .to_vec();
-        cells.sort_unstable();
-        cells.dedup();
         // Each entry's rewrite, memoized across the territories.
         let (mut memo, mut stale) = (HashMap::new(), 0);
-        for cell in cells {
+        for &cell in cells {
             self.act.rewrite_territory(cell, true, &mut waste, |_, e| {
                 *memo
                     .entry(e)
@@ -581,51 +593,49 @@ impl ActIndex {
         changed
     }
 
-    /// `false` means polygon `id` is definitively absent; `true` means it
-    /// may be present (the inventory's keys are a superset of the live
-    /// ids). Callers build the inventory first.
-    fn may_contain(&self, id: u32) -> bool {
-        self.cell_inventory
-            .as_ref()
-            .is_some_and(|inv| inv.contains_key(&id))
-    }
-
-    /// Builds the per-id cell inventory if it has not been built yet:
-    /// the live `(cell, refs)` set streamed through the read-only cell
-    /// walk (never materialized) and inverted into id → cells. Exact at
-    /// build time; inserts keep it a superset afterwards and compactions
-    /// make it exact again.
-    fn ensure_inventory(&mut self) {
-        if self.cell_inventory.is_some() {
-            return;
-        }
+    /// The per-id bound cells, derived by one read-only cell walk the
+    /// first time they are asked for.
+    fn bounds(&mut self) -> &mut Bounds {
         let (act, words) = (&self.act, self.table.words());
-        let inv = build_inventory(|f| act.for_each_cell(words, |cell, refs| f(cell, &refs)));
-        self.cell_inventory = Some(inv);
+        self.bounds
+            .get_or_insert_with(|| Bounds::derive(act, words))
     }
 
-    /// Pays the one-time per-id cell inventory build up front (see
-    /// [`ActIndex::insert_polygon`]) so the first mutation after a load
-    /// is as fast as the steady state. Idempotent; called automatically
-    /// by the first mutation otherwise.
+    /// Pays the one-time derivation of the per-id bound cells (see
+    /// `remove_polygon`) up front, so the first mutation after a load is
+    /// as fast as the steady state. Idempotent; called automatically by
+    /// the first mutation otherwise.
     ///
-    /// Cost: two read-only walks of the arena, streamed — no copy of the
-    /// cell set is ever materialized. Memory: one cell id per `(cell,
-    /// polygon)` reference, in exact-sized per-id lists. Clones of a
-    /// primed index share those lists, so priming once and cloning costs
-    /// one inventory, not one per copy.
+    /// Cost: one streamed read-only walk of the arena; no copy of the
+    /// cell set is ever materialized. Memory: at most 16 cells per id
+    /// (3.0 MB of cells and a 0.8 MB id map for census's 39 k ids).
+    /// Clones of a primed index share the derived cells and copy the id
+    /// map and the few cells later inserts set.
     pub fn prime_mutations(&mut self) {
-        self.ensure_inventory();
+        self.bounds();
+    }
+
+    /// How many bound cells each id keeps, in no particular order; empty
+    /// before the first mutation. For the census removal harness.
+    #[doc(hidden)]
+    pub fn bound_cell_counts(&self) -> Vec<u32> {
+        let mut counts = Vec::new();
+        if let Some(b) = &self.bounds {
+            counts.extend(b.derived.values().map(|s| s.1));
+            counts.extend(b.set.values().map(|c| c.len() as u32));
+        }
+        counts
     }
 
     /// Approximate heap bytes of the mutation state
-    /// [`ActIndex::prime_mutations`] builds: the per-id cell lists (8
-    /// bytes per listed cell and a 16-byte header each) and the id map
-    /// that holds them. 0 before the first mutation.
+    /// [`ActIndex::prime_mutations`] builds: the bound cells (8 bytes
+    /// each; the derived ones shared with clones, the dropped ones among
+    /// them included) and the id maps that index them (13 and 25 bytes a
+    /// bucket). 0 before the first mutation.
     pub fn mutation_state_bytes(&self) -> usize {
-        self.cell_inventory.as_ref().map_or(0, |inv| {
-            let entry = std::mem::size_of::<(u32, Arc<[CellId]>)>() + 1;
-            inv.values().map(|l| 16 + l.len() * 8).sum::<usize>() + inv.capacity() * entry
+        self.bounds.as_ref().map_or(0, |b| {
+            let set = b.set.values().map(|c| 8 * c.len()).sum::<usize>();
+            8 * b.base.len() + set + 13 * b.derived.capacity() + 25 * b.set.capacity()
         })
     }
 
@@ -641,19 +651,14 @@ impl ActIndex {
     /// live cell into a fresh trie, and to a one-shard
     /// [`crate::split_index`], which runs the same walk. The fresh arena
     /// becomes the trie's new base as it is, uncopied, so clones share
-    /// it. The per-id inventory, if built, is then re-read exact from the
-    /// new trie.
+    /// it. The per-id bound cells, if derived, are kept as they are: the
+    /// copy moves no cell.
     pub fn compact(&mut self) {
         let (mut act, tb) = self.act.copy_cells(self.table.words(), 0, |_| true);
         act.freeze();
         self.act = act;
         self.table = tb.build();
         self.waste_bytes = 0;
-        // The new trie holds exactly the live set, so this is the one
-        // place the inventory becomes exact again.
-        if self.cell_inventory.take().is_some() {
-            self.ensure_inventory();
-        }
         self.note_mutation(crate::trie::MutationWaste::default());
     }
 
@@ -706,6 +711,7 @@ mod tests {
     use super::*;
     use crate::trie::Probe;
     use geom::Ring;
+    use std::collections::BTreeMap;
 
     fn square(cx: f64, cy: f64, half: f64) -> Polygon {
         Polygon::new(
@@ -813,21 +819,149 @@ mod tests {
         let mut bytes = Vec::new();
         idx.save_snapshot(&mut bytes).unwrap();
         let mut loaded = ActIndex::load_snapshot(&mut bytes.as_slice()).unwrap();
-        assert!(loaded.cell_inventory.is_none());
-        // An id nobody references: absent from the inventory's keys, so
+        assert!(loaded.bounds.is_none());
+        // An id nobody references: absent from the bounds' keys, so
         // nothing is rewritten and the table is not reopened.
         assert!(!loaded.remove_polygon(7));
         assert!(loaded.identical_to(&idx));
-        let mut ids: Vec<u32> = loaded
-            .cell_inventory
-            .iter()
-            .flat_map(|inv| inv.keys().copied())
+        let bounds = loaded.bounds.as_ref().expect("the removal derived them");
+        let mut ids: Vec<u32> = bounds
+            .derived
+            .keys()
+            .chain(bounds.set.keys())
+            .copied()
             .collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1], "polygon 1 is found in the table alone");
-        // A present id does go through the inventory and the trie.
+        // A present id does go through its bounds and the trie.
         assert!(loaded.remove_polygon(1));
-        assert!(loaded.cell_inventory.is_some());
+        assert!(loaded.bounds.is_some());
+    }
+
+    /// Whether the union of the disjoint `cells` holds `run`: one of them
+    /// contains it, or those inside it tile it (leaf ids step by 2).
+    fn covered(run: CellId, cells: &[CellId]) -> bool {
+        let mut inside: Vec<CellId> = cells.iter().copied().filter(|c| run.contains(*c)).collect();
+        inside.sort_unstable();
+        let mut next = run.range_min().0;
+        for c in inside {
+            if c.range_min().0 == next {
+                next = c.range_max().0 + 2;
+            }
+        }
+        cells.iter().any(|c| c.contains(run)) || next > run.range_max().0
+    }
+
+    /// The bound-cell invariant after one step of `seed`'s script: every
+    /// run the trie holds for an id lies inside the union of the id's
+    /// bound cells, no id has more than `BOUND_CELLS` of them, and every
+    /// live id has bounds.
+    fn check_bounds(idx: &ActIndex, live: &BTreeMap<u32, Polygon>, seed: u64, step: usize) {
+        let bounds = idx.bounds.as_ref().expect("a mutated index has bounds");
+        let cells_of = |id: u32| match bounds.set.get(&id) {
+            Some(cells) => Some(&cells[..]),
+            None => bounds
+                .derived
+                .get(&id)
+                .map(|&(start, len)| &bounds.base[start as usize..(start + len) as usize]),
+        };
+        let most = idx.bound_cell_counts().into_iter().max().unwrap_or(0);
+        assert!(
+            most as usize <= BOUND_CELLS,
+            "seed {seed} step {step}: an id has {most} bound cells"
+        );
+        for &id in live.keys() {
+            assert!(
+                cells_of(id).is_some(),
+                "seed {seed} step {step}: live id {id} has no bounds"
+            );
+        }
+        idx.act.for_each_cell(idx.table.words(), |run, refs| {
+            for r in refs.iter() {
+                let cells = cells_of(r.id).unwrap_or_else(|| {
+                    panic!(
+                        "seed {seed} step {step}: id {} is in the trie unbounded",
+                        r.id
+                    )
+                });
+                assert!(
+                    covered(run, cells),
+                    "seed {seed} step {step}: run {run:?} of id {} outside its bounds {cells:?}",
+                    r.id
+                );
+            }
+        });
+    }
+
+    /// Random insert, upsert, remove and compact scripts over small sets
+    /// of overlapping rectangles, on a primed index and on clones of it:
+    /// after every step the bound cells still hold every run of their id
+    /// (see `check_bounds`), and the edits answer like a rebuild.
+    #[test]
+    fn bound_cells_hold_every_run_under_seeded_scripts() {
+        for seed in 0..48u64 {
+            let mut rng = datagen::rng::Rng64::new(seed);
+            let rect = |rng: &mut datagen::rng::Rng64| {
+                let (cx, cy) = (rng.range(-74.02, -73.98), rng.range(40.68, 40.72));
+                let (hx, hy) = (rng.range(0.0005, 0.012), rng.range(0.0005, 0.012));
+                Polygon::new(
+                    Ring::new(vec![
+                        Coord::new(cx - hx, cy - hy),
+                        Coord::new(cx + hx, cy - hy),
+                        Coord::new(cx + hx, cy + hy),
+                        Coord::new(cx - hx, cy + hy),
+                    ]),
+                    vec![],
+                )
+            };
+            let polys: Vec<Polygon> = (0..1 + rng.below(5)).map(|_| rect(&mut rng)).collect();
+            let mut live: BTreeMap<u32, Polygon> = polys
+                .iter()
+                .cloned()
+                .enumerate()
+                .map(|(i, p)| (i as u32, p))
+                .collect();
+            let mut idx = ActIndex::build(&polys, 40.0).unwrap();
+            idx.prime_mutations();
+            check_bounds(&idx, &live, seed, 0);
+            for step in 1..=14 {
+                // Half the steps run on a clone, as a lineage re-arms.
+                if rng.below(2) == 0 {
+                    idx = idx.clone();
+                }
+                match rng.below(8) {
+                    0..=3 => {
+                        // A new id, or an upsert of a live one.
+                        let id = rng.below(10) as u32;
+                        let p = rect(&mut rng);
+                        idx.insert_polygon(id, &p).unwrap();
+                        live.insert(id, p);
+                    }
+                    4..=6 => {
+                        let id = rng.below(10) as u32;
+                        assert_eq!(
+                            idx.remove_polygon(id),
+                            live.remove(&id).is_some(),
+                            "seed {seed} step {step}: remove({id})"
+                        );
+                    }
+                    _ => idx.compact(),
+                }
+                check_bounds(&idx, &live, seed, step);
+            }
+            let (ids, polys): (Vec<u32>, Vec<Polygon>) = live.into_iter().unzip();
+            let fresh = ActIndex::build(&polys, 40.0).unwrap();
+            for k in 0..400 {
+                let c = Coord::new(-74.03 + 0.00015 * k as f64, 40.67 + 0.00014 * k as f64);
+                let mut got = idx.as_view().lookup_refs(c);
+                let mut want: Vec<(u32, bool)> = (fresh.as_view().lookup_refs(c).iter())
+                    .map(|&(i, hit)| (ids[i as usize], hit))
+                    .collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "seed {seed}: answers at {c:?} unlike a rebuild");
+            }
+        }
     }
 
     #[test]

@@ -574,11 +574,14 @@ impl<'a> ActIndexView<'a> {
         let (checksum, entries) = std::thread::scope(|s| {
             let helper = std::thread::Builder::new()
                 .name("act-snapshot-check".into())
-                .spawn_scoped(s, || arena.validate_entries(table));
+                .spawn_scoped(s, || arena.validate_entries(table))
+                .ok();
+            // Tests take the path a failed spawn takes (the unjoined
+            // helper still runs until the scope ends).
+            #[cfg(test)]
+            let helper = helper.filter(|_| !tests::refuse_helper());
             let checksum = image_checksum(words);
-            let entries = helper
-                .ok()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            let entries = helper.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
             (checksum, entries)
         });
         if checksum != words[3] {
@@ -1117,6 +1120,19 @@ pub fn rewrite_checksum(bytes: &mut [u8]) {
 mod tests {
     use super::*;
     use geom::{Polygon, Ring};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set while a test parses as if no helper thread could start.
+        static REFUSE_HELPER: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Whether `ActIndexView::parse` is to drop its helper thread's
+    /// handle and run the entry check inline, as when `spawn_scoped`
+    /// fails.
+    pub(super) fn refuse_helper() -> bool {
+        REFUSE_HELPER.with(Cell::get)
+    }
 
     fn square(cx: f64, cy: f64, half: f64) -> Polygon {
         Polygon::new(
@@ -1358,6 +1374,91 @@ mod tests {
         assert!(MappedSnapshot::open(&path2).is_err());
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(&path2).unwrap();
+    }
+
+    /// The parse's inline fallback (no helper thread, as when
+    /// `spawn_scoped` fails) reports every corruption as the concurrent
+    /// check does, in the same precedence: checksum, roots, entries,
+    /// meta.
+    #[test]
+    fn inline_entry_check_reports_like_the_helper_thread() {
+        let pristine = save_to_vec(&sample_index());
+        let section = |b: &[u8], i: usize| {
+            let at = |o: usize| u64::from_le_bytes(b[o..o + 8].try_into().unwrap()) as usize;
+            (at(32 + 16 * i), at(40 + 16 * i))
+        };
+        let root_out_of_range = |b: &mut Vec<u8>| {
+            let (off, _) = section(b, 1);
+            b[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        };
+        let forged_child = |b: &mut Vec<u8>| {
+            let (off, len) = section(b, 0);
+            let at = (off..off + len)
+                .step_by(4)
+                .find(|&i| {
+                    let e = u32::from_le_bytes(b[i..i + 4].try_into().unwrap());
+                    e & 3 == 0 && e >> 2 != 0
+                })
+                .expect("the fixture has a child pointer");
+            b[at..at + 4].copy_from_slice(&(u32::MAX << 2).to_le_bytes());
+        };
+        let reserved_meta = |b: &mut Vec<u8>| {
+            let (off, _) = section(b, 3);
+            b[off + 120] = 1;
+        };
+        let flip_payload = |b: &mut Vec<u8>| b[HEADER_LEN + 3] ^= 0xFF;
+        let (checksum, roots) = ("checksum", "root node index out of arena range");
+        let (entries, meta) = (
+            "trie child pointer out of arena range",
+            "reserved meta words must be zero",
+        );
+        type Mutate<'a> = &'a dyn Fn(&mut Vec<u8>);
+        let cases: [(&[Mutate<'_>], bool, &str); 8] = [
+            (&[&flip_payload], false, checksum),
+            (&[&forged_child], false, checksum),
+            (
+                &[&root_out_of_range, &forged_child, &reserved_meta],
+                false,
+                checksum,
+            ),
+            (&[&root_out_of_range], true, roots),
+            (
+                &[&root_out_of_range, &forged_child, &reserved_meta],
+                true,
+                roots,
+            ),
+            (&[&forged_child], true, entries),
+            (&[&forged_child, &reserved_meta], true, entries),
+            (&[&reserved_meta], true, meta),
+        ];
+        let read = |bytes: &[u8], inline: bool| {
+            REFUSE_HELPER.with(|c| c.set(inline));
+            let got = MappedSnapshot::read_from(&mut &bytes[..]).err();
+            REFUSE_HELPER.with(|c| c.set(false));
+            got
+        };
+        assert!(read(&pristine, true).is_none() && read(&pristine, false).is_none());
+        for (k, (mutations, fix_checksum, want)) in cases.iter().enumerate() {
+            let mut bytes = pristine.clone();
+            for m in mutations.iter() {
+                m(&mut bytes);
+            }
+            if *fix_checksum {
+                rewrite_checksum(&mut bytes);
+            }
+            let (helper, inline) = (read(&bytes, false), read(&bytes, true));
+            let name = |e: &Option<SnapshotError>| match e {
+                Some(SnapshotError::ChecksumMismatch { .. }) => checksum,
+                Some(SnapshotError::Inconsistent(why)) => why,
+                other => panic!("case {k}: unexpected {other:?}"),
+            };
+            assert_eq!(name(&helper), *want, "case {k} with the helper thread");
+            assert_eq!(
+                format!("{inline:?}"),
+                format!("{helper:?}"),
+                "case {k} inline"
+            );
+        }
     }
 
     #[test]

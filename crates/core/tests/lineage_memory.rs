@@ -15,10 +15,12 @@
 //! insert or a remove of one fence on the scratch, which is then
 //! published and cloned into the next scratch, as the delta watcher does
 //! — may raise the peak RSS over the resident mapping by no more than
-//! the mutation state priming builds plus 16 MB. A second full arena
-//! (a deep copy, or a clone that copied the arena) is ~126 MB and fails
-//! it. The checks run in their own binary, so the peak is this test's
-//! alone; without `/proc` it prints why and passes.
+//! the mutation state priming builds (the per-id bound cells, ~4 MB)
+//! plus 16 MB. A second full arena (a deep copy, or a clone that copied
+//! the arena) is ~126 MB and fails it, and so would the 88.5 MB of exact
+//! per-id cell lists the bound cells replaced. The checks run in their
+//! own binary, so the peak is this test's alone; without `/proc` it
+//! prints why and passes.
 
 #[allow(dead_code)] // the build guard's own check is unused here
 mod build_rss;

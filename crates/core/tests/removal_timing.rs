@@ -4,14 +4,17 @@
 //! cargo test --release -p act-core --test removal_timing -- --ignored --nocapture
 //! ```
 //!
-//! Builds the census lattice, primes mutation state, and times
-//! `remove_polygon` on a spread of present ids. With the per-id cell
-//! inventory this walks only the cells each id touches, not the whole
-//! ref arena. It then times a 4-shard `split_index` at split level 10
-//! (route-census's fleet) of the edited index and checks every point of
-//! a 100k-point sample against its owning shard, and times one
-//! `compact()` and checks that it clears all waste without changing a
-//! probe answer on that sample.
+//! Builds the census lattice, primes mutation state (timed, with its
+//! `mutation_state_bytes` and the bound cells per id), and times
+//! `remove_polygon` on a spread of present ids. With the per-id bound
+//! cells this walks only the territories of at most 16 cells per id, not
+//! the whole ref arena. It then times a 4-shard `split_index` at split
+//! level 10 (route-census's fleet) of the edited index and checks every
+//! point of a 100k-point sample against its owning shard. Last it times
+//! `compact()` on clones of the edited index, primed and unprimed (a
+//! snapshot round trip of it, which drops the mutation state), best of
+//! three each, and checks that a compaction clears all waste without
+//! changing a probe answer on that sample.
 
 use act_core::{coord_to_cell, shard_of_cell, split_index, ActIndex};
 use datagen::PointGen;
@@ -31,12 +34,27 @@ fn census_scale_removal_timing() {
         t.elapsed().as_secs_f64()
     );
 
-    // Pay the one-time mutation priming (the per-id cell inventory)
+    // Pay the one-time mutation priming (the per-id bound cells)
     // outside the measured region; steady-state removal is what the
     // delta watcher feels per `Remove` op.
     let t = Instant::now();
     index.prime_mutations();
     println!("prime_mutations: {:.1} ms", t.elapsed().as_secs_f64() * 1e3);
+    let mut per_id = index.bound_cell_counts();
+    per_id.sort_unstable();
+    println!(
+        "mutation_state_bytes: {:.2} MB; bound cells per id: p50 {}, max {} ({} ids)",
+        index.mutation_state_bytes() as f64 / 1e6,
+        per_id.get(per_id.len() / 2).copied().unwrap_or(0),
+        per_id.last().copied().unwrap_or(0),
+        per_id.len()
+    );
+    let t = Instant::now();
+    drop(index.clone());
+    println!(
+        "clone of the primed index: {:.2} ms",
+        t.elapsed().as_secs_f64() * 1e3
+    );
 
     let step = (polys.len() / 64).max(1);
     let ids: Vec<u32> = (0..polys.len() as u32).step_by(step).take(64).collect();
@@ -77,12 +95,35 @@ fn census_scale_removal_timing() {
     }
     drop(shards);
 
+    // The same index without mutation state: a snapshot round trip.
+    let mut image = Vec::new();
+    index
+        .save_snapshot(&mut image)
+        .expect("save the edited index");
+    let unprimed = ActIndex::load_snapshot(&mut image.as_slice()).expect("load it back");
+    drop(image);
+    assert_eq!(unprimed.mutation_state_bytes(), 0);
+    let time_compact = |index: &ActIndex| {
+        let mut copy = index.clone();
+        let t = Instant::now();
+        copy.compact();
+        t.elapsed().as_secs_f64()
+    };
+    let (mut cold, mut primed) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        cold = cold.min(time_compact(&unprimed));
+        primed = primed.min(time_compact(&index));
+    }
+    println!(
+        "compact (best of 3, interleaved): primed {primed:.3} s, unprimed {cold:.3} s ({:.2}x)",
+        primed / cold
+    );
+    drop(unprimed);
+
     let (bytes, waste) = (index.memory_bytes(), index.waste_bytes());
-    let t = Instant::now();
     index.compact();
     println!(
-        "compact: {:.2} s, {:.1} -> {:.1} MB, {waste} B of waste cleared",
-        t.elapsed().as_secs_f64(),
+        "compact: {:.1} -> {:.1} MB, {waste} B of waste cleared",
         bytes as f64 / 1e6,
         index.memory_bytes() as f64 / 1e6
     );
